@@ -4,24 +4,26 @@ The pathwise solver marches the terminal-value problem
 
     dU/dt + A U = -g,   U(.,T) = 0,   U = 0 on the lateral boundary,
 
-down a single tree path with an implicit theta scheme.  The tree operators
+down a single tree path with the implicit Euler scheme.  The tree operators
 never enumerate leaves: conditional expectations obey the recursion
 
     v^k(n) = S_k(n) [ mean_children v^{k+1} + dt g^k(n) ],
-    S_k(n) = (I - theta dt A(t_k, n))^{-1},
+    S_k(n) = (I - dt A(t_k, n))^{-1},
 
 and the diffusion kernels of the martingale representation fall out of the
 same sweep from the child spread,
 
-    X_j^k(n) = S_k(n) E[ y^{k+1} domega_j | n ] / dt,
+    X_j^k(n) = S_k(n) E[ v^{k+1} domega_j | n ] / dt.
 
-with y^{k+1} the explicit part of the step (y = v^{k+1} for theta = 1).
-The fixed-point solver inverts I + B matrix-free with damped iterations.
+Since (B g)^k is built from X^k, which depends only on g at later levels,
+I + B is block-triangular in time: op_L inverts it by back-substitution in
+its own backward sweep.  solve_R keeps the damped fixed-point iteration,
+whose convergence is itself a checked claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +51,16 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class BackwardSolution:
-    """Adapted pair (v, X) solving the backward problem, plus diagnostics."""
+    """Adapted pair (v, X) solving the backward problem; g = R phi when the
+    pair comes from op_L."""
 
     v: SpaceTimeField
     kernels: list
-    info: dict = field(default_factory=dict)
+    g: SpaceTimeField | None = None
 
 
-def rows_bands(coeffs, grid, tree, level, theta_dt, dual=False):
-    """Bands of I - theta_dt*A (or its transpose) in rows layout (ni, n_nodes).
+def rows_bands(coeffs, grid, tree, level, dt, dual=False):
+    """Bands of I - dt*A (or its transpose) in rows layout (ni, n_nodes).
 
     When the drift is x-independent the bands are constant along the system
     axis and come back as zero-copy broadcast views; thomas_rows never reads
@@ -66,10 +69,10 @@ def rows_bands(coeffs, grid, tree, level, theta_dt, dual=False):
     ni = grid.ni
     adv = np.asarray(coeffs.drift_nodes(grid, tree, level)) / (2.0 * grid.dx)
     dif = coeffs.b_total / (2.0 * grid.dx**2)
-    lo = -theta_dt * (dif - adv)
-    up = -theta_dt * (dif + adv)
+    lo = -dt * (dif - adv)
+    up = -dt * (dif + adv)
     n = lo.shape[0]
-    D = np.broadcast_to(np.float64(1.0 + 2.0 * theta_dt * dif), (ni, n))
+    D = np.broadcast_to(np.float64(1.0 + 2.0 * dt * dif), (ni, n))
     if lo.shape[1] == 1:
         l0, u0 = lo[:, 0], up[:, 0]
         if dual:
@@ -113,12 +116,28 @@ def _embed(grid, interior):
     return out
 
 
+def _spread(tree, children):
+    """E[v^{k+1} domega_j | n] / dt from the children (n_k, br, nx) of each
+    level-k node; returns (n_k, d, nx)."""
+    return np.einsum("nbx,bj->njx", children, tree.digit_signs) / (tree.branching * tree.sqdt)
+
+
+def _b_of_kernels(grid, sigma, kern):
+    """(B g)^k = - sum_j beta_j dX_j^k/dx from the level-k kernels; boundary
+    rows zero."""
+    bg = np.zeros_like(kern[0])
+    for j, xj in enumerate(kern):
+        bg -= sigma[j] * dx_centered_onesided(grid, xj)
+    bg[:, 0] = 0.0
+    bg[:, -1] = 0.0
+    return bg
+
+
 def backward_sweep(
     g: SpaceTimeField,
     coeffs: CoefficientSet,
     grid: Grid,
     tree: ScenarioTree,
-    theta: float = 1.0,
     want_v: bool = True,
     want_kernels: bool = False,
     want_bg: bool = False,
@@ -127,59 +146,35 @@ def backward_sweep(
     fields among "v", "kernels", "bg".  Shared engine behind op_T / op_G /
     op_B so a fixed-point iteration costs exactly one sweep."""
     N, br, d, dt = tree.n_steps, tree.branching, tree.d, tree.dt
-    nx = grid.nx
-    out = {}
-    if want_v:
-        out["v"] = [None] * (N + 1)
-        out["v"][N] = np.zeros((tree.n_nodes(N), nx))
-    if want_kernels:
-        out["kernels"] = [[None] * (N + 1) for _ in range(d)]
-        for j in range(d):
-            out["kernels"][j][N] = np.zeros((tree.n_nodes(N), nx))
-    if want_bg:
-        out["bg"] = [None] * (N + 1)
-        out["bg"][N] = np.zeros((tree.n_nodes(N), nx))
-    sigma = coeffs.sigma
-    vnext = np.zeros((tree.n_nodes(N), nx))
+    leaves = (tree.n_nodes(N), grid.nx)
+    v = [None] * N + [np.zeros(leaves)]
+    kernels = [[None] * N + [np.zeros(leaves)] for _ in range(d)]
+    bg = [None] * N + [np.zeros(leaves)]
     for k in range(N - 1, -1, -1):
-        n_k = tree.n_nodes(k)
-        if theta != 1.0:
-            y = vnext + dt * (1.0 - theta) * _explicit_apply(coeffs, grid, tree, k + 1, vnext)
-        else:
-            y = vnext
-        resh = y.reshape(n_k, br, nx)
-        rhs0 = resh.mean(axis=1) + dt * g.levels[k]
-        lo, dg, up = rows_bands(coeffs, grid, tree, k, theta * dt)
-        if want_kernels or want_bg:
-            w = np.einsum("nbx,bj->njx", resh, tree.digit_signs) / (br * tree.sqdt)
-            rhs = np.concatenate([rhs0[:, None, :], w], axis=1)
-            sol = _solve_rows(lo, dg, up, rhs[..., 1:-1])
-            vk = _embed(grid, sol[:, 0])
-            kern = [_embed(grid, sol[:, 1 + j]) for j in range(d)]
-            if want_kernels:
-                for j in range(d):
-                    out["kernels"][j][k] = kern[j]
-            if want_bg:
-                bg = np.zeros((n_k, nx))
-                for j in range(d):
-                    bg -= sigma[j] * dx_centered_onesided(grid, kern[j])
-                bg[:, 0] = 0.0
-                bg[:, -1] = 0.0
-                out["bg"][k] = bg
-        else:
-            vk = _embed(grid, _solve_rows(lo, dg, up, rhs0[:, 1:-1]))
-        if want_v:
-            out["v"][k] = vk
-        vnext = vk
+        children = v[k + 1].reshape(-1, br, grid.nx)
+        if not want_v:
+            v[k + 1] = None
+        rhs0 = children.mean(axis=1) + dt * g.levels[k]
+        lo, dg, up = rows_bands(coeffs, grid, tree, k, dt)
+        if not (want_kernels or want_bg):
+            v[k] = _embed(grid, _solve_rows(lo, dg, up, rhs0[:, 1:-1]))
+            continue
+        rhs = np.concatenate([rhs0[:, None, :], _spread(tree, children)], axis=1)
+        sol = _solve_rows(lo, dg, up, rhs[..., 1:-1])
+        v[k] = _embed(grid, sol[:, 0])
+        kern = [_embed(grid, sol[:, 1 + j]) for j in range(d)]
+        if want_kernels:
+            for j in range(d):
+                kernels[j][k] = kern[j]
+        if want_bg:
+            bg[k] = _b_of_kernels(grid, coeffs.sigma, kern)
     result = {}
     if want_v:
-        result["v"] = SpaceTimeField(grid, tree, out["v"], space="X1")
+        result["v"] = SpaceTimeField(grid, tree, v, space="X1")
     if want_kernels:
-        result["kernels"] = [
-            SpaceTimeField(grid, tree, out["kernels"][j], space="X1") for j in range(d)
-        ]
+        result["kernels"] = [SpaceTimeField(grid, tree, kj, space="X1") for kj in kernels]
     if want_bg:
-        result["bg"] = SpaceTimeField(grid, tree, out["bg"], space="X0")
+        result["bg"] = SpaceTimeField(grid, tree, bg, space="X0")
     return result
 
 
@@ -189,7 +184,6 @@ def solve_backward_pathwise(
     leaf_path,
     grid: Grid,
     tree: ScenarioTree,
-    theta: float = 1.0,
 ) -> np.ndarray:
     """March the terminal-value problem down one leaf path.
 
@@ -204,40 +198,30 @@ def solve_backward_pathwise(
     N, dt = tree.n_steps, tree.dt
     U = np.zeros((N + 1, grid.nx))
     for k in range(N - 1, -1, -1):
-        w1_new = tree.omega[k + 1][path[k + 1], 0]
-        f_new = coeffs.drift(grid.x_interior, (k + 1) * dt, w1_new)
-        rhs = U[k + 1].copy()
-        if theta != 1.0:
-            lo, dg, up = generator_bands(grid, f_new, coeffs.b_total)
-            rhs[1:-1] += dt * (1.0 - theta) * apply_bands(lo, dg, up, U[k + 1][1:-1])
-        rhs += dt * g.levels[k][path[k]]
+        rhs = U[k + 1] + dt * g.levels[k][path[k]]
         w1 = tree.omega[k][path[k], 0]
         f = coeffs.drift(grid.x_interior, k * dt, w1)
         lo, dg, up = generator_bands(grid, f, coeffs.b_total)
-        U[k, 1:-1] = solve_tridiag(
-            -theta * dt * lo, 1.0 - theta * dt * dg, -theta * dt * up, rhs[1:-1]
-        )
+        U[k, 1:-1] = solve_tridiag(-dt * lo, 1.0 - dt * dg, -dt * up, rhs[1:-1])
     return U
 
 
-def op_T(g, coeffs, grid, tree, theta: float = 1.0) -> SpaceTimeField:
+def op_T(g, coeffs, grid, tree) -> SpaceTimeField:
     """v = E{ U(., t) | F_t } for the pathwise solutions U; the level-k
     slice holds the conditional expectation at each level-k node."""
-    return backward_sweep(g, coeffs, grid, tree, theta, want_v=True)["v"]
+    return backward_sweep(g, coeffs, grid, tree, want_v=True)["v"]
 
 
-def op_G(g, coeffs, grid, tree, theta: float = 1.0) -> list:
+def op_G(g, coeffs, grid, tree) -> list:
     """Diffusion kernels X_j: the martingale-representation kernels of
     U(x, t, .) on the diagonal, one adapted field per driving component."""
-    return backward_sweep(
-        g, coeffs, grid, tree, theta, want_v=False, want_kernels=True
-    )["kernels"]
+    return backward_sweep(g, coeffs, grid, tree, want_v=False, want_kernels=True)["kernels"]
 
 
-def op_B(g, coeffs, grid, tree, theta: float = 1.0) -> SpaceTimeField:
+def op_B(g, coeffs, grid, tree) -> SpaceTimeField:
     """B g = - sum_j beta_j dX_j/dx with centered differences (one-sided at
     the first interior nodes); boundary rows zero."""
-    return backward_sweep(g, coeffs, grid, tree, theta, want_v=False, want_bg=True)["bg"]
+    return backward_sweep(g, coeffs, grid, tree, want_v=False, want_bg=True)["bg"]
 
 
 def solve_R(
@@ -249,7 +233,6 @@ def solve_R(
     max_iter: int = 200,
     damping: float = 0.8,
     x0: SpaceTimeField | None = None,
-    theta: float = 1.0,
 ):
     """Solve (I + B) g = phi by damped fixed-point iteration.
 
@@ -257,7 +240,9 @@ def solve_R(
     history (X0 norms of (I+B)g - phi).  Raises ConvergenceError when the
     residual does not fall below tol * ||phi|| within max_iter sweeps: the
     contraction budget of the Neumann series is exceeded and the caller
-    should shrink the drift scale or the horizon.
+    should shrink the drift scale or the horizon.  op_L solves the same
+    system exactly; this iteration is kept because its convergence is a
+    claim of its own (the solvability experiment).
     """
     phi_norm = norm_x0(phi)
     if phi_norm == 0.0:
@@ -269,7 +254,7 @@ def solve_R(
     g = phi.copy() if x0 is None else x0.copy()
     history = []
     for it in range(1, max_iter + 1):
-        bg = backward_sweep(g, coeffs, grid, tree, theta, want_v=False, want_bg=True)["bg"]
+        bg = backward_sweep(g, coeffs, grid, tree, want_v=False, want_bg=True)["bg"]
         r = g + bg - phi
         rn = norm_x0(r)
         history.append(rn)
@@ -289,17 +274,34 @@ def op_L(
     coeffs: CoefficientSet,
     grid: Grid,
     tree: ScenarioTree,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    damping: float = 0.8,
-    theta: float = 1.0,
 ) -> BackwardSolution:
     """L phi = T R phi: the generalized solution pair (v, X) representing
-    the conditional functional with integrand phi."""
-    g, info = solve_R(phi, coeffs, grid, tree, tol, max_iter, damping, theta=theta)
-    res = backward_sweep(g, coeffs, grid, tree, theta, want_v=True, want_kernels=True)
-    info = dict(info)
-    return BackwardSolution(v=res["v"], kernels=res["kernels"], info=info)
+    the conditional functional with integrand phi, and g = R phi.
+
+    One backward sweep: at each level the kernels come from the child
+    spread of v^{k+1}, then g^k = phi^k - (B g)^k, then v^k; this solves
+    (I + B) g = phi exactly by back-substitution.
+    """
+    N, d, dt = tree.n_steps, tree.d, tree.dt
+    leaves = (tree.n_nodes(N), grid.nx)
+    v = [None] * N + [np.zeros(leaves)]
+    kernels = [[None] * N + [np.zeros(leaves)] for _ in range(d)]
+    g = [None] * N + [phi.levels[N].copy()]
+    for k in range(N - 1, -1, -1):
+        children = v[k + 1].reshape(-1, tree.branching, grid.nx)
+        lo, dg, up = rows_bands(coeffs, grid, tree, k, dt)
+        sol = _solve_rows(lo, dg, up, _spread(tree, children)[..., 1:-1])
+        kern = [_embed(grid, sol[:, j]) for j in range(d)]
+        for j in range(d):
+            kernels[j][k] = kern[j]
+        g[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, kern)
+        rhs0 = children.mean(axis=1) + dt * g[k]
+        v[k] = _embed(grid, _solve_rows(lo, dg, up, rhs0[:, 1:-1]))
+    return BackwardSolution(
+        v=SpaceTimeField(grid, tree, v, space="X1"),
+        kernels=[SpaceTimeField(grid, tree, kj, space="X1") for kj in kernels],
+        g=SpaceTimeField(grid, tree, g, space=phi.space),
+    )
 
 
 def residual_bspde(

@@ -46,6 +46,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(raw, dict):
+        print("config error: config must be a JSON object", file=sys.stderr)
+        return 2
     if args.command == "run":
         if args.seed is not None:
             raw.setdefault("mc", {})["seed"] = args.seed

@@ -151,7 +151,7 @@ def solve_tridiag(lower, diag, upper, rhs):
 
     All arguments broadcast against each other except along the last axis,
     which is the system dimension.  No pivoting: callers must supply
-    diagonally dominant systems (true for I - theta*dt*A under the
+    diagonally dominant systems (true for I - dt*A under the
     coefficient bounds enforced by validation).
     """
     n = rhs.shape[-1]

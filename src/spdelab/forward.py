@@ -52,7 +52,6 @@ class ForwardState:
     values: np.ndarray
     node: TreeNode
     dt: float
-    theta: float = 1.0
 
 
 @dataclass
@@ -113,7 +112,7 @@ def step_forward(
     )
     if not np.all(np.isfinite(new)):
         raise ForwardSolverError("forward step produced non-finite values")
-    return ForwardState(values=new, node=child, dt=tree.dt, theta=state.theta)
+    return ForwardState(values=new, node=child, dt=tree.dt)
 
 
 def _forward_march(coeffs, grid, tree, state0, source_fn, space="X1", on_level=None):

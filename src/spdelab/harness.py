@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import backward_sweep, op_L, op_T, solve_R
+from .backward import backward_sweep, op_L, solve_R
 from .coefficients import make_family, validate
 from .domain import DomainSpec, build_grid
 from .fields import (
@@ -158,7 +158,6 @@ _DEFAULTS = {
         "grid": {"nx": 201},
         "tree": {"n_steps": 8, "horizon": 4.0},
         "mc": {"paths": 100000, "dt_mc": 1.0e-3, "seed": 424242},
-        "solver": {"theta": 1.0, "tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
         "params": {"x0": 0.5},
     },
     "representation-random": {
@@ -167,7 +166,6 @@ _DEFAULTS = {
         "grid": {"nx": 161},
         "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
-        "solver": {"theta": 1.0, "tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0], "calibration_floor": 0.05},
     },
     "adjoint-suite": {
@@ -176,7 +174,6 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 11},
-        "solver": {"theta": 1.0, "tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
         "params": {
             "fine_nx": 201,
             "fine_n_steps": 16,
@@ -191,7 +188,7 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 2468},
-        "solver": {"theta": 1.0, "tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
+        "solver": {"tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
         "params": {"agreement_tol": 1.0e-7},
     },
     "duality-63": {
@@ -200,7 +197,6 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 6},
-        "solver": {"theta": 1.0, "tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
         "params": {
             "fine_nx": 201,
             "fine_n_steps": 16,
@@ -216,7 +212,6 @@ _DEFAULTS = {
         "grid": {"nx": 161},
         "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
-        "solver": {"theta": 1.0, "tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
         "params": {
             "p0_width": 0.5,
             "t_points": [0.4, 0.6, 0.8, 1.0],
@@ -230,10 +225,12 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 100},
-        "solver": {"theta": 1.0, "tol": 1.0e-7, "max_iter": 200, "damping": 0.8},
         "params": {"fine_nx": 201, "fine_n_steps": 12, "n_fields": 10, "growth_bound": 1.5},
     },
 }
+
+
+_SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "solver", "params")
 
 
 @dataclass
@@ -244,7 +241,7 @@ class ExperimentConfig:
     grid: dict
     tree: dict
     mc: dict
-    solver: dict
+    solver: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     output_dir: str = "out"
     workers: int = 1
@@ -258,17 +255,25 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {name!r}; known: {sorted(_DEFAULTS)}"
             )
-        known = {
-            "experiment", "coefficients", "domain", "grid", "tree", "mc",
-            "solver", "params", "output_dir", "workers",
-        }
-        extra = set(raw) - known
+        extra = set(raw) - {"experiment", "output_dir", "workers", *_SECTIONS}
         if extra:
             raise ConfigError(f"unknown config sections: {sorted(extra)}")
         merged = {}
-        for section in ("coefficients", "domain", "grid", "tree", "mc", "solver", "params"):
-            base = dict(_DEFAULTS[name][section])
-            base.update(raw.get(section, {}))
+        for section in _SECTIONS:
+            given = raw.get(section, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"config section {section!r} must be a JSON object")
+            base = dict(_DEFAULTS[name].get(section, {}))
+            unknown = sorted(set(given) - set(base))
+            if section == "coefficients":
+                # naming another family replaces the default family wholesale
+                if given.get("family", base["family"]) != base["family"]:
+                    base = {}
+            elif unknown:
+                raise ConfigError(
+                    f"unknown {section} keys for {name}: {unknown}; known: {sorted(base)}"
+                )
+            base.update(given)
             merged[section] = base
         cfg = cls(
             experiment=name,
@@ -300,8 +305,14 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         make_family(name, fam)  # raises CoefficientError on bad families
-        if self.tree.get("n_steps", 1) < 1 or self.tree.get("horizon", 1.0) <= 0:
-            raise ConfigError("tree needs n_steps >= 1 and horizon > 0")
+        # build every grid and tree level the experiment will touch
+        try:
+            for nx in (self.grid["nx"], self.params.get("fine_nx", self.grid["nx"])):
+                self.build_grid(nx)
+            for n in (self.tree["n_steps"], self.params.get("fine_n_steps", self.tree["n_steps"])):
+                self.build_tree(n)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -321,11 +332,12 @@ class ExperimentConfig:
         )
 
     def build_grid(self, nx=None):
-        return build_grid(self.build_domain(), int(nx or self.grid["nx"]))
+        return build_grid(self.build_domain(), int(self.grid["nx"] if nx is None else nx))
 
     def build_tree(self, n_steps=None):
         d = int(self.coefficients.get("d", len(self.coefficients["sigma"])))
-        return build_tree(d, int(n_steps or self.tree["n_steps"]), float(self.tree["horizon"]))
+        n_steps = self.tree["n_steps"] if n_steps is None else n_steps
+        return build_tree(d, int(n_steps), float(self.tree["horizon"]))
 
 
 def list_experiments() -> list:
@@ -379,8 +391,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig) -> list:
     tree = cfg.build_tree()
     dom = cfg.build_domain()
     phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.ones_like(x) + 0.0 * w1)
-    sol = op_L(phi, coeffs, grid, tree, tol=cfg.solver["tol"],
-               max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"])
+    sol = op_L(phi, coeffs, grid, tree)
     ix = int(np.argmin(np.abs(grid.x - cfg.params["x0"])))
     v_mid = float(sol.v.levels[0][0, ix])
     rows = [CheckRow(cfg.experiment, "v-mid-vs-exit-time-oracle", "5.1c",
@@ -409,8 +420,7 @@ def _exp_representation_random(cfg: ExperimentConfig) -> list:
 
     def one_family(coeffs, seed_tag):
         phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.exp(-(x**2)) + 0.0 * w1)
-        sol = op_L(phi, coeffs, grid, tree, tol=cfg.solver["tol"],
-                   max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"])
+        sol = op_L(phi, coeffs, grid, tree)
         out = []
         for xv in xs:
             ix = int(np.argmin(np.abs(grid.x - xv)))
@@ -459,14 +469,12 @@ def _adjoint_mismatches(cfg, nx, n_steps, seed_pair):
     z = solve_B_star(h, coeffs, grid, tree)
     out["B"] = abs(inner_x0(bg, h) - inner_x0(g, z)) / scale
     del bg, z
-    rg, _ = solve_R(g, coeffs, grid, tree, tol=cfg.solver["tol"],
-                    max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"])
+    sol = op_L(g, coeffs, grid, tree)
     hr = solve_R_star(h, coeffs, grid, tree)
-    out["R"] = abs(inner_x0(rg, h) - inner_x0(g, hr)) / scale
+    out["R"] = abs(inner_x0(sol.g, h) - inner_x0(g, hr)) / scale
     del hr
-    vL = op_T(rg, coeffs, grid, tree)
     hl = solve_L_star(h, coeffs, grid, tree)
-    out["L"] = abs(inner_x0(vL, h) - inner_x0(g, hl)) / scale
+    out["L"] = abs(inner_x0(sol.v, h) - inner_x0(g, hl)) / scale
     return out
 
 
@@ -505,12 +513,9 @@ def _exp_solvability_R(cfg: ExperimentConfig) -> list:
     tree = cfg.build_tree()
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     tol = float(cfg.solver["tol"])
-    g_a, info_a = solve_R(phi, coeffs, grid, tree, tol=tol,
-                          max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"],
+    g_a, info_a = solve_R(phi, coeffs, grid, tree, **cfg.solver,
                           x0=SpaceTimeField.zeros(grid, tree))
-    g_b, info_b = solve_R(phi, coeffs, grid, tree, tol=tol,
-                          max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"],
-                          x0=phi)
+    g_b, info_b = solve_R(phi, coeffs, grid, tree, **cfg.solver, x0=phi)
     phi_norm = norm_x0(phi)
     rows = [
         CheckRow(cfg.experiment, "residual-from-zero-start", "4.1",
@@ -524,11 +529,14 @@ def _exp_solvability_R(cfg: ExperimentConfig) -> list:
     atol = float(cfg.params["agreement_tol"])
     rows.append(CheckRow(cfg.experiment, "iterate-agreement", "4.1",
                          agreement, 0.0, atol, agreement <= atol))
+    g_direct = op_L(phi, coeffs, grid, tree).g
+    direct = norm_x0(g_a - g_direct) / max(norm_x0(g_direct), 1e-300)
+    rows.append(CheckRow(cfg.experiment, "iterate-vs-direct", "4.1",
+                         direct, 0.0, atol, direct <= atol))
     # constructive range-density probe: a fresh random target is approximated
     # by images (I+B)g_k with strictly improving residuals down to tol
     target = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], 99))
-    _, info_c = solve_R(target, coeffs, grid, tree, tol=tol,
-                        max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"])
+    _, info_c = solve_R(target, coeffs, grid, tree, **cfg.solver)
     hist = info_c["residual_history"]
     shrinking = all(b < a for a, b in zip(hist, hist[1:]))
     rows.append(CheckRow(cfg.experiment, "range-density-probe", "4.2",
@@ -543,8 +551,7 @@ def _duality_gap(cfg, nx, n_steps):
     tree = cfg.build_tree(n_steps)
     p0 = _gaussian_density(grid, float(cfg.params["p0_width"]))
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
-    sol = op_L(phi, coeffs, grid, tree, tol=cfg.solver["tol"],
-               max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"])
+    sol = op_L(phi, coeffs, grid, tree)
     dens = solve_density(p0, coeffs, grid, tree)
     lhs = grid.dx * float((p0 * sol.v.levels[0][0]).sum())
     rhs = _density_phi_pairing(dens, phi, grid, tree)
@@ -615,8 +622,7 @@ def _exp_density_64_65(cfg: ExperimentConfig) -> list:
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
                              pde, est.value, rel_tol, rel <= rel_tol))
     phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.exp(-(x**2)) + 0.0 * w1)
-    sol = op_L(phi, coeffs, grid, tree, tol=cfg.solver["tol"],
-               max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"])
+    sol = op_L(phi, coeffs, grid, tree)
     lhs = grid.dx * float((p0[1:-1] * sol.v.levels[0][0, 1:-1]).sum())
     est = functional_estimate(
         coeffs, lambda y, t, w1: np.exp(-(y**2)), p0,
@@ -645,8 +651,7 @@ def _exp_norm_bounds(cfg: ExperimentConfig) -> list:
         rc, rx = 0.0, 0.0
         for i in range(int(p["n_fields"])):
             phi = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], i))
-            sol = op_L(phi, coeffs, grid, tree, tol=cfg.solver["tol"],
-                       max_iter=cfg.solver["max_iter"], damping=cfg.solver["damping"])
+            sol = op_L(phi, coeffs, grid, tree)
             nphi = max(norm_x0(phi), 1e-300)
             rc = max(rc, norm_c0(sol.v) / nphi)
             rx = max(rx, norm_xk(sol.v, 1) / nphi)

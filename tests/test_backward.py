@@ -33,10 +33,10 @@ def make_setup(nx=41, n_steps=5, horizon=1.0, family="drift-random", domain=(0.0
     return dom, grid, tree, coeffs
 
 
-def leaf_enumerated_U(g, coeffs, grid, tree, theta=1.0):
+def leaf_enumerated_U(g, coeffs, grid, tree):
     """Oracle: pathwise solves for every leaf, stacked (n_leaves, N+1, nx)."""
     return np.array([
-        solve_backward_pathwise(g, coeffs, leaf, grid, tree, theta)
+        solve_backward_pathwise(g, coeffs, leaf, grid, tree)
         for leaf in range(tree.n_leaves)
     ])
 
@@ -212,6 +212,27 @@ def test_op_L_structure_and_exit_oracle():
     assert norm_x0(sol.kernels[0]) <= 1e-12
 
 
+def test_op_L_solves_I_plus_B_exactly():
+    # op_L's back-substitution against op_B, an independent sweep, and
+    # against the damped fixed point at a tight tolerance
+    _, grid, tree, coeffs = make_setup()
+    phi = smooth_random_field(grid, tree, seed=27)
+    sol = op_L(phi, coeffs, grid, tree)
+    residual = sol.g + op_B(sol.g, coeffs, grid, tree) - phi
+    assert norm_x0(residual) <= 1e-12 * norm_x0(phi)
+    g_iter, _ = solve_R(phi, coeffs, grid, tree, tol=1e-11)
+    assert norm_x0(sol.g - g_iter) <= 1e-9 * norm_x0(sol.g)
+
+
+def test_op_L_pair_is_the_sweep_of_R_phi():
+    _, grid, tree, coeffs = make_setup()
+    phi = smooth_random_field(grid, tree, seed=28)
+    sol = op_L(phi, coeffs, grid, tree)
+    res = backward_sweep(sol.g, coeffs, grid, tree, want_v=True, want_kernels=True)
+    for a, b in [(sol.v, res["v"]), (sol.kernels[0], res["kernels"][0])]:
+        assert norm_x0(a - b) <= 1e-14 * norm_x0(b)
+
+
 def test_op_L_zero():
     _, grid, tree, coeffs = make_setup()
     sol = op_L(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
@@ -316,13 +337,3 @@ def test_exact_discrete_duality_pairing():
     lhs = inner_x0(v, h_static)
     rhs = pair_x0_dual(g, pi)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-
-
-def test_theta_half_scheme_consistent():
-    # Crank-Nicolson marching stays consistent with the leaf oracle
-    _, grid, tree, coeffs = make_setup()
-    g = smooth_random_field(grid, tree, seed=26)
-    v = op_T(g, coeffs, grid, tree, theta=0.5)
-    U = leaf_enumerated_U(g, coeffs, grid, tree, theta=0.5)
-    expect = cond_expect(U[:, 0, :], 0, tree)
-    assert np.max(np.abs(expect - v.levels[0])) < 1e-12

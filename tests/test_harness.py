@@ -50,12 +50,35 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({
             "experiment": "solvability-R", "mc": {"seed": 1}, "workers": 0,
         })
+    with pytest.raises(ConfigError, match="unknown grid keys"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "grid": {"nxx": 5}})
+    with pytest.raises(ConfigError, match="unknown solver keys"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "solver": {"tol": 1e-9}})
+    with pytest.raises(ConfigError, match="unknown solver keys"):
+        ExperimentConfig.from_dict({"experiment": "solvability-R", "solver": {"theta": 0.5}})
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        ExperimentConfig.from_dict({"experiment": "solvability-R", "grid": 5})
+    with pytest.raises(ConfigError, match="nx too small"):
+        ExperimentConfig.from_dict({"experiment": "adjoint-suite", "params": {"fine_nx": 4}})
+    with pytest.raises(ConfigError, match="size guard"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"fine_n_steps": 17}})
+
+
+def test_config_switches_coefficient_family():
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "norm-bounds",
+        "coefficients": {"family": "space-smooth", "a": 0.3, "eps": 0.5,
+                         "sigma": [0.6, 0.8], "d": 1},
+    })
+    assert cfg.coefficients == {"family": "space-smooth", "a": 0.3, "eps": 0.5,
+                                "sigma": [0.6, 0.8], "d": 1}
+    assert cfg.build_coeffs().d0 == 2
 
 
 def test_defaults_fill_in():
     cfg = default_config("solvability-R")
     assert cfg.mc["seed"] == 2468
-    assert cfg.solver["theta"] == 1.0
+    assert cfg.solver == {"tol": 1e-8, "max_iter": 200, "damping": 0.8}
     assert cfg.coefficients["family"] == "drift-random"
 
 
@@ -103,6 +126,12 @@ def test_cli_error_codes(tmp_path):
     unknown.write_text(json.dumps({"experiment": "warp-drive", "mc": {"seed": 1}}))
     assert main(["run", str(unknown)]) == 2
     assert main(["validate-config", str(unknown)]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text(json.dumps([1, 2]))
+    assert main(["run", str(not_object), "--seed", "3"]) == 2
+    bad_section = tmp_path / "section.json"
+    bad_section.write_text(json.dumps({"experiment": "solvability-R", "grid": 5}))
+    assert main(["validate-config", str(bad_section)]) == 2
 
 
 def test_cli_overrides(tmp_path):
