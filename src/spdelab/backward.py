@@ -15,6 +15,9 @@ same sweep from the child spread,
 
     X_j^k(n) = S_k(n) E[ v^{k+1} domega_j | n ] / dt.
 
+solve_level applies S_k at every node of a level at once; the forward
+marcher reuses it with the bands of A*.
+
 Since (B g)^k is built from X^k, which depends only on g at later levels,
 I + B is block-triangular in time: op_L inverts it by back-substitution in
 its own backward sweep.  solve_R keeps the damped fixed-point iteration,
@@ -59,60 +62,22 @@ class BackwardSolution:
     g: SpaceTimeField | None = None
 
 
-def rows_bands(coeffs, grid, tree, level, dt, dual=False):
-    """Bands of I - dt*A (or its transpose) in rows layout (ni, n_nodes).
+def solve_level(bands, dt, rhs):
+    """Solve (I - dt A) u = rhs at every node of one tree level.
 
-    When the drift is x-independent the bands are constant along the system
-    axis and come back as zero-copy broadcast views; thomas_rows never reads
-    the L[0] / U[-1] corner entries, so no edge zeroing is needed here.
+    bands are the level's rows-layout bands from generator_bands (of A or
+    of A*); rhs is node-major, (n, nx) or (n, m, nx), and its boundary
+    entries are not read.  Returns u in the layout of rhs, full width with
+    zero boundary entries.
     """
-    ni = grid.ni
-    adv = np.asarray(coeffs.drift_nodes(grid, tree, level)) / (2.0 * grid.dx)
-    dif = coeffs.b_total / (2.0 * grid.dx**2)
-    lo = -dt * (dif - adv)
-    up = -dt * (dif + adv)
-    n = lo.shape[0]
-    D = np.broadcast_to(np.float64(1.0 + 2.0 * dt * dif), (ni, n))
-    if lo.shape[1] == 1:
-        l0, u0 = lo[:, 0], up[:, 0]
-        if dual:
-            l0, u0 = u0, l0
-        return np.broadcast_to(l0, (ni, n)), D, np.broadcast_to(u0, (ni, n))
-    if dual:
-        L = np.empty((ni, n))
-        U = np.empty((ni, n))
-        L[1:] = up[:, :-1].T
-        L[0] = 0.0
-        U[:-1] = lo[:, 1:].T
-        U[-1] = 0.0
-        return L, D, U
-    return np.ascontiguousarray(lo.T), D, np.ascontiguousarray(up.T)
-
-
-def _solve_rows(lo, dg, up, rhs_interior):
-    """Solve implicit systems given rows-layout bands (ni, n_nodes).
-
-    rhs_interior is node-major, (n_nodes, ni) or (n_nodes, m, ni); the
-    solution comes back in the same layout.
-    """
-    moved = np.ascontiguousarray(np.moveaxis(rhs_interior, -1, 0))
-    flat = moved if moved.ndim == 3 else moved[:, :, None]
-    thomas_rows(lo, dg, up, flat)
-    return np.moveaxis(flat.reshape(moved.shape), 0, -1)
-
-
-def _explicit_apply(coeffs, grid, tree, level, values):
-    """A(t_level, node) applied to per-node values (interior part)."""
-    f = coeffs.drift_nodes(grid, tree, level)
-    lo, dg, up = generator_bands(grid, f, coeffs.b_total)
-    out = np.zeros_like(values)
-    out[:, 1:-1] = apply_bands(lo, dg, up, values[:, 1:-1])
-    return out
-
-
-def _embed(grid, interior):
-    out = np.zeros(interior.shape[:-1] + (grid.nx,))
-    out[..., 1:-1] = interior
+    n, ni = rhs.shape[0], rhs.shape[-1] - 2
+    lo, dg, up = bands
+    # scale before broadcasting, so x-independent bands stay (1, n) views
+    L, D, U = (np.broadcast_to(a, (ni, n)) for a in (-dt * lo, 1.0 - dt * dg, -dt * up))
+    X = np.array(np.moveaxis(rhs[..., 1:-1], -1, 0), order="C")  # a copy, system axis first
+    thomas_rows(L, D, U, X.reshape(ni, n, -1))
+    out = np.zeros(rhs.shape)
+    np.moveaxis(out[..., 1:-1], -1, 0)[...] = X
     return out
 
 
@@ -123,13 +88,12 @@ def _spread(tree, children):
 
 
 def _b_of_kernels(grid, sigma, kern):
-    """(B g)^k = - sum_j beta_j dX_j^k/dx from the level-k kernels; boundary
-    rows zero."""
-    bg = np.zeros_like(kern[0])
-    for j, xj in enumerate(kern):
-        bg -= sigma[j] * dx_centered_onesided(grid, xj)
-    bg[:, 0] = 0.0
-    bg[:, -1] = 0.0
+    """(B g)^k = - sum_j beta_j dX_j^k/dx from the level-k kernels
+    (n_k, d, nx); boundary rows zero."""
+    bg = np.zeros_like(kern[:, 0])
+    for j in range(kern.shape[1]):
+        bg -= sigma[j] * dx_centered_onesided(grid, kern[:, j])
+    bg[:, [0, -1]] = 0.0
     return bg
 
 
@@ -155,19 +119,18 @@ def backward_sweep(
         if not want_v:
             v[k + 1] = None
         rhs0 = children.mean(axis=1) + dt * g.levels[k]
-        lo, dg, up = rows_bands(coeffs, grid, tree, k, dt)
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
         if not (want_kernels or want_bg):
-            v[k] = _embed(grid, _solve_rows(lo, dg, up, rhs0[:, 1:-1]))
+            v[k] = solve_level(bands, dt, rhs0)
             continue
         rhs = np.concatenate([rhs0[:, None, :], _spread(tree, children)], axis=1)
-        sol = _solve_rows(lo, dg, up, rhs[..., 1:-1])
-        v[k] = _embed(grid, sol[:, 0])
-        kern = [_embed(grid, sol[:, 1 + j]) for j in range(d)]
+        sol = solve_level(bands, dt, rhs)
+        v[k] = sol[:, 0]
         if want_kernels:
             for j in range(d):
-                kernels[j][k] = kern[j]
+                kernels[j][k] = sol[:, 1 + j]
         if want_bg:
-            bg[k] = _b_of_kernels(grid, coeffs.sigma, kern)
+            bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[:, 1:])
     result = {}
     if want_v:
         result["v"] = SpaceTimeField(grid, tree, v, space="X1")
@@ -199,10 +162,9 @@ def solve_backward_pathwise(
     U = np.zeros((N + 1, grid.nx))
     for k in range(N - 1, -1, -1):
         rhs = U[k + 1] + dt * g.levels[k][path[k]]
-        w1 = tree.omega[k][path[k], 0]
-        f = coeffs.drift(grid.x_interior, k * dt, w1)
+        f = coeffs.drift(grid.x_interior[None, :], k * dt, tree.omega[k][path[k], 0])
         lo, dg, up = generator_bands(grid, f, coeffs.b_total)
-        U[k, 1:-1] = solve_tridiag(-dt * lo, 1.0 - dt * dg, -dt * up, rhs[1:-1])
+        U[k, 1:-1] = solve_tridiag(-dt * lo.T, 1.0 - dt * dg, -dt * up.T, rhs[1:-1])
     return U
 
 
@@ -285,21 +247,17 @@ def op_L(
     N, d, dt = tree.n_steps, tree.d, tree.dt
     leaves = (tree.n_nodes(N), grid.nx)
     v = [None] * N + [np.zeros(leaves)]
-    kernels = [[None] * N + [np.zeros(leaves)] for _ in range(d)]
+    kern = [None] * N + [np.zeros((leaves[0], d, grid.nx))]  # (n_k, d, nx) per level
     g = [None] * N + [phi.levels[N].copy()]
     for k in range(N - 1, -1, -1):
         children = v[k + 1].reshape(-1, tree.branching, grid.nx)
-        lo, dg, up = rows_bands(coeffs, grid, tree, k, dt)
-        sol = _solve_rows(lo, dg, up, _spread(tree, children)[..., 1:-1])
-        kern = [_embed(grid, sol[:, j]) for j in range(d)]
-        for j in range(d):
-            kernels[j][k] = kern[j]
-        g[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, kern)
-        rhs0 = children.mean(axis=1) + dt * g[k]
-        v[k] = _embed(grid, _solve_rows(lo, dg, up, rhs0[:, 1:-1]))
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
+        kern[k] = solve_level(bands, dt, _spread(tree, children))
+        g[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, kern[k])
+        v[k] = solve_level(bands, dt, children.mean(axis=1) + dt * g[k])
     return BackwardSolution(
         v=SpaceTimeField(grid, tree, v, space="X1"),
-        kernels=[SpaceTimeField(grid, tree, kj, space="X1") for kj in kernels],
+        kernels=[SpaceTimeField(grid, tree, [x[:, j] for x in kern], space="X1") for j in range(d)],
         g=SpaceTimeField(grid, tree, g, space=phi.space),
     )
 
@@ -324,7 +282,8 @@ def residual_bspde(
     noise_acc = np.zeros((tree.n_leaves, grid.nx))
 
     def drift_term(k):
-        av = _explicit_apply(coeffs, grid, tree, k, sol.v.levels[k]) + g.levels[k]
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
+        av = apply_bands(bands, sol.v.levels[k]) + g.levels[k]
         return av[tree.ancestor_index(leaves, k)]
 
     total = 0.0

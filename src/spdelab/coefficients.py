@@ -92,9 +92,6 @@ class CoefficientSet:
         """Diffusion row (d0,); constant for every builtin family."""
         return self.sigma
 
-    def drift_and_b(self, x, t, w1):
-        return self.drift(x, t, w1), self.b_total
-
     def drift_bound(self) -> float:
         """Analytic sup bound K1 for the family."""
         if self.family == "constant":
@@ -110,11 +107,14 @@ class CoefficientSet:
     def drift_nodes(self, grid: Grid, tree: ScenarioTree, level: int) -> np.ndarray:
         """Drift on the interior nodes for every level-`level` tree node.
 
-        Returns an array broadcastable to (n_nodes(level), grid.ni).
+        Returns (n_nodes(level), grid.ni), or (n_nodes(level), 1) for the
+        families whose drift does not depend on x.
         """
         w1 = tree.omega[level][:, :1]  # (n_nodes, 1)
-        t = level * tree.dt
-        return np.atleast_2d(self.drift(grid.x_interior[None, :], t, w1))
+        x = grid.x_interior[None, :]
+        if self.family != "space-smooth":
+            x = x[:, :1]
+        return np.atleast_2d(self.drift(x, level * tree.dt, w1))
 
 
 def make_family(name: str, params: dict) -> CoefficientSet:

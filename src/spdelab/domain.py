@@ -6,11 +6,15 @@ generator
 
     A u = f du/dx + (1/2) b d2u/dx2,        b = beta beta^T,
 
-its discrete dual A* (built as the exact transpose of the interior matrix of
-A in the dx-weighted inner product), and the spectral smoothing operator
+its discrete dual A* (the exact transpose of the interior matrix of A in
+the dx-weighted inner product), and the spectral smoothing operator
 Lambda = sqrt(I - Laplacian) realized in the Dirichlet sine basis.  Grid
 functions are plain numpy arrays over the nodes; Dirichlet fields carry
 zeros on the two boundary nodes.
+
+One banded core serves every solver: generator_bands alone turns drift and
+diffusion into the bands of A or A*, and thomas_rows holds the only
+elimination loop.  apply_A is an independent centered stencil (an oracle).
 """
 
 from __future__ import annotations
@@ -106,69 +110,39 @@ def _check_grid_function(grid: Grid, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def generator_bands(grid: Grid, fvals, bvals):
-    """Interior tridiagonal bands of A = f d/dx + (1/2) b d2/dx2.
+def generator_bands(grid: Grid, f, b, dual=False):
+    """Interior tridiagonal bands of A = f d/dx + (1/2) b d2/dx2, or of its
+    dual A* (the exact transpose of that interior matrix) when dual is set.
 
-    fvals and bvals broadcast against the interior nodes (last axis of
-    length grid.ni).  Returns (lower, diag, upper) where lower[..., i]
-    couples interior row i to i-1 and upper[..., i] couples it to i+1;
-    the stray entries lower[..., 0] and upper[..., -1] are zeroed.
+    Rows layout, system axis first: f holds one drift row per tree node,
+    shape (n, ni), or (n, 1) when the drift does not depend on x; b is the
+    scalar beta beta^T.  Returns (lower, diag, upper), each broadcastable to
+    (ni, n): lower[i] couples interior row i to i-1, upper[i] couples it to
+    i+1.  lower[0] and upper[-1] lie outside the matrix and are never read.
     """
-    ni = grid.ni
-    dx = grid.dx
-    shape = np.broadcast_shapes(np.shape(fvals), np.shape(bvals), (ni,))
-    f = np.broadcast_to(np.asarray(fvals, dtype=float), shape)
-    b = np.broadcast_to(np.asarray(bvals, dtype=float), shape)
-    adv = f / (2.0 * dx)
-    dif = b / (2.0 * dx * dx)
-    lower = (dif - adv).copy()
-    upper = (dif + adv).copy()
-    diag = -2.0 * dif
-    lower[..., 0] = 0.0
-    upper[..., -1] = 0.0
-    return lower, diag, upper
+    adv = np.asarray(f, dtype=float).T / (2.0 * grid.dx)
+    dif = b / (2.0 * grid.dx**2)
+    lower, upper = dif - adv, dif + adv
+    if dual:
+        # A*[i, i-1] = A[i-1, i] and A*[i, i+1] = A[i+1, i]: a shift by one
+        # row, which is a plain swap when the bands hold a single row
+        lower, upper = (np.concatenate([upper[:1], upper[:-1]]),
+                        np.concatenate([lower[1:], lower[-1:]]))
+    return lower, -2.0 * dif, upper
 
 
-def transpose_bands(lower, diag, upper):
-    """Bands of the transposed tridiagonal matrix."""
-    tl = np.zeros_like(lower)
-    tu = np.zeros_like(upper)
-    tl[..., 1:] = upper[..., :-1]
-    tu[..., :-1] = lower[..., 1:]
-    return tl, diag, tu
-
-
-def apply_bands(lower, diag, upper, u):
-    """Apply a tridiagonal matrix given by its bands to u (last axis)."""
-    out = diag * u
-    out[..., 1:] += lower[..., 1:] * u[..., :-1]
-    out[..., :-1] += upper[..., :-1] * u[..., 1:]
+def apply_bands(bands, u):
+    """Apply the interior matrix given by rows-layout bands to node-major
+    values u of shape (n, nx).  The boundary entries of u are not read; the
+    result has zero boundary entries."""
+    ui = u[:, 1:-1].T
+    lower, diag, upper = (np.broadcast_to(a, ui.shape) for a in bands)
+    out = np.zeros(u.shape)
+    ai = out[:, 1:-1].T
+    ai[...] = diag * ui
+    ai[1:] += lower[1:] * ui[:-1]
+    ai[:-1] += upper[:-1] * ui[1:]
     return out
-
-
-def solve_tridiag(lower, diag, upper, rhs):
-    """Solve batched tridiagonal systems by the Thomas algorithm.
-
-    All arguments broadcast against each other except along the last axis,
-    which is the system dimension.  No pivoting: callers must supply
-    diagonally dominant systems (true for I - dt*A under the
-    coefficient bounds enforced by validation).
-    """
-    n = rhs.shape[-1]
-    band_shape = np.broadcast_shapes(lower.shape, diag.shape, upper.shape)
-    out_shape = np.broadcast_shapes(band_shape, rhs.shape)
-    cp = np.empty(band_shape, dtype=float)
-    x = np.empty(out_shape, dtype=float)
-    inv = 1.0 / diag[..., 0]
-    cp[..., 0] = upper[..., 0] * inv
-    x[..., 0] = rhs[..., 0] * inv
-    for i in range(1, n):
-        denom = 1.0 / (diag[..., i] - lower[..., i] * cp[..., i - 1])
-        cp[..., i] = upper[..., i] * denom
-        x[..., i] = (rhs[..., i] - lower[..., i] * x[..., i - 1]) * denom
-    for i in range(n - 2, -1, -1):
-        x[..., i] -= cp[..., i] * x[..., i + 1]
-    return x
 
 
 def thomas_rows(L, D, U, X):
@@ -176,8 +150,8 @@ def thomas_rows(L, D, U, X):
 
     L, D, U broadcastable to (n, nb); X is (n, nb, m) and is overwritten
     with the solution.  The values of L[0] and U[n-1] never influence the
-    solution, so callers may pass broadcast views with arbitrary entries
-    there.  Same dominance requirement as solve_tridiag.
+    solution.  No pivoting: callers must supply diagonally dominant systems
+    (I - dt*A is one when 2 dt (|f|/(2dx) - b/(2dx^2)) <= 1).
     """
     n = X.shape[0]
     cp = np.empty((n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:]))
@@ -194,6 +168,23 @@ def thomas_rows(L, D, U, X):
     return X
 
 
+def solve_tridiag(lower, diag, upper, rhs):
+    """Solve batched tridiagonal systems along the last axis.
+
+    All arguments broadcast against each other; the last axis is the
+    system dimension.  A layout adapter over thomas_rows.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (lower, diag, upper, rhs)))
+    n = shape[-1]
+
+    def rows(a):
+        return np.moveaxis(np.broadcast_to(a, shape), -1, 0).reshape(n, -1)
+
+    X = np.array(rows(rhs)[:, :, None], dtype=float, order="C")
+    thomas_rows(rows(lower), rows(diag), rows(upper), X)
+    return np.moveaxis(X.reshape((n,) + shape[:-1]), 0, -1)
+
+
 def apply_A(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     """Apply the generator at time t and tree node by centered differences.
 
@@ -201,7 +192,7 @@ def apply_A(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     (including its boundary entries); boundary rows are zero.
     """
     u = _check_grid_function(grid, u)
-    f, b = coeffs.drift_and_b(grid.x_interior, t, tree.omega1(node))
+    f, b = coeffs.drift(grid.x_interior, t, tree.omega1(node)), coeffs.b_total
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
         raise GridError("coefficient evaluation returned non-finite values")
     out = np.zeros_like(u)
@@ -216,11 +207,8 @@ def apply_A_star(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     """Apply the dual generator: the exact transpose of the interior matrix
     of apply_A in the dx-weighted inner product."""
     u = _check_grid_function(grid, u)
-    f, b = coeffs.drift_and_b(grid.x_interior, t, tree.omega1(node))
-    lo, dg, up = generator_bands(grid, f, b)
-    out = np.zeros_like(u)
-    out[1:-1] = apply_bands(*transpose_bands(lo, dg, up), u[1:-1])
-    return out
+    f = coeffs.drift(grid.x_interior[None, :], t, tree.omega1(node))
+    return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[None])[0]
 
 
 class LambdaTransform:

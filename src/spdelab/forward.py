@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import rows_bands, _solve_rows
+from .backward import solve_level
 from .coefficients import CoefficientSet
-from .domain import Grid, dx_centered, generator_bands, solve_tridiag, transpose_bands
+from .domain import Grid, dx_centered, generator_bands, solve_tridiag
 from .fields import SpaceTimeField
 from .tree import ScenarioTree, TreeNode
 
@@ -103,13 +103,10 @@ def step_forward(
         for j, src in enumerate(noise_sources):
             if src is not None:
                 rhs += np.asarray(src, dtype=float) * dw[j]
-    w1 = tree.omega[state.node.level][state.node.index, 0]
-    f = coeffs.drift(grid.x_interior, state.node.level * tree.dt, w1)
-    lo, dg, up = transpose_bands(*generator_bands(grid, f, coeffs.b_total))
+    f = coeffs.drift(grid.x_interior[None, :], state.node.level * tree.dt, tree.omega1(state.node))
+    lo, dg, up = generator_bands(grid, f, coeffs.b_total, dual=True)
     new = np.zeros_like(rhs)
-    new[1:-1] = solve_tridiag(
-        -tree.dt * lo, 1.0 - tree.dt * dg, -tree.dt * up, rhs[1:-1]
-    )
+    new[1:-1] = solve_tridiag(-tree.dt * lo.T, 1.0 - tree.dt * dg, -tree.dt * up.T, rhs[1:-1])
     if not np.all(np.isfinite(new)):
         raise ForwardSolverError("forward step produced non-finite values")
     return ForwardState(values=new, node=child, dt=tree.dt)
@@ -138,16 +135,12 @@ def _forward_march(coeffs, grid, tree, state0, source_fn, space="X1", on_level=N
         if noise is not None:
             add = np.zeros((n_k, br, grid.nx))
             for j, src in enumerate(noise):
-                if src is None:
-                    continue
-                kick = tree.digit_signs[None, :, j, None] * tree.sqdt
-                add += src[:, None, :] * kick
+                if src is not None:
+                    add += src[:, None, :] * (tree.digit_signs[None, :, j, None] * tree.sqdt)
             rhs = rhs + add
-        lo, dg, up = rows_bands(coeffs, grid, tree, k, tree.dt, dual=True)
-        sol = _solve_rows(lo, dg, up, np.ascontiguousarray(rhs[..., 1:-1]))
-        new = np.zeros((n_k, br, grid.nx))
-        new[..., 1:-1] = sol
-        state = new.reshape(n_k * br, grid.nx)
+        f = coeffs.drift_nodes(grid, tree, k)
+        bands = generator_bands(grid, f, coeffs.b_total, dual=True)
+        state = solve_level(bands, tree.dt, rhs).reshape(n_k * br, grid.nx)
         if not np.all(np.isfinite(state)):
             raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
         levels.append(state)

@@ -230,6 +230,10 @@ _DEFAULTS = {
 }
 
 
+def _is_count(value, least) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "solver", "params")
 
 
@@ -278,7 +282,7 @@ class ExperimentConfig:
         cfg = cls(
             experiment=name,
             output_dir=raw.get("output_dir", "out"),
-            workers=int(raw.get("workers", 1)),
+            workers=raw.get("workers", 1),
             **merged,
         )
         cfg.validate()
@@ -294,16 +298,19 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def validate(self):
-        if self.mc.get("seed") is None:
+        seed = self.mc.get("seed")
+        if seed is None:
             raise ConfigError("mc.seed is mandatory")
+        if not all(_is_count(s, 0) for s in (seed if isinstance(seed, (list, tuple)) else [seed])):
+            raise ConfigError(f"mc.seed must be an integer >= 0 or a list of them, got {seed!r}")
         fam = dict(self.coefficients)
         name = fam.pop("family", None)
         d0 = len(fam.get("sigma", []))
         d = fam.get("d", d0)
         if not d <= d0:
             raise ConfigError(f"need d <= d0, got d={d}, d0={d0}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not _is_count(self.workers, 1):
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
         make_family(name, fam)  # raises CoefficientError on bad families
         # build every grid and tree level the experiment will touch
         try:

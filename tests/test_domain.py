@@ -22,8 +22,8 @@ from spdelab.domain import (
     generator_bands,
     solve_tridiag,
     thomas_rows,
-    transpose_bands,
 )
+from spdelab.backward import solve_level
 from spdelab.tree import TreeNode
 
 
@@ -143,11 +143,11 @@ def test_apply_A_star_advection_on_quadratic(unit_interval, small_tree):
     # f = 1, b = 0 is outside the builtin families' nondegeneracy, so assemble
     # the bands directly: A* u should look like -(d/dx) u = -2x away from edges
     grid = unit_interval
-    lo, dg, up = generator_bands(grid, 1.0, 0.0)
+    bands = generator_bands(grid, np.ones((1, 1)), 0.0, dual=True)
     u = grid.x**2
-    out = apply_bands(*transpose_bands(lo, dg, up), u[1:-1])
+    out = apply_bands(bands, u[None])[0]
     interior_x = grid.x_interior[1:-1]
-    assert np.allclose(out[1:-1], -2.0 * interior_x, atol=1e-10)
+    assert np.allclose(out[2:-2], -2.0 * interior_x, atol=1e-10)
 
 
 def test_lambda_identity_and_inverse(unit_interval):
@@ -217,19 +217,53 @@ def test_solve_tridiag_against_dense():
     assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-12)
 
 
-def test_thomas_rows_matches_solve_tridiag():
+def test_thomas_rows_against_dense():
     rng = np.random.default_rng(4)
-    nb, n, m = 7, 15, 2
-    lo = rng.normal(size=(nb, n)) * 0.1
-    dg = 2.0 + np.abs(rng.normal(size=(nb, n)))
-    up = rng.normal(size=(nb, n)) * 0.1
-    rhs = rng.normal(size=(nb, m, n))
-    ref = solve_tridiag(lo[:, None, :], dg[:, None, :], up[:, None, :], rhs)
-    X = np.ascontiguousarray(np.moveaxis(rhs, -1, 0))
-    thomas_rows(
-        np.ascontiguousarray(lo.T), np.ascontiguousarray(dg.T), np.ascontiguousarray(up.T), X
-    )
-    assert np.allclose(np.moveaxis(X, 0, -1), ref, atol=1e-12)
+    n, nb, m = 15, 7, 2
+
+    def dense(lo, dg, up):
+        return np.diag(dg) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+
+    # per-column bands: one system per column b, m right-hand sides each
+    lo = rng.normal(size=(n, nb)) * 0.1
+    dg = 2.0 + np.abs(rng.normal(size=(n, nb)))
+    up = rng.normal(size=(n, nb)) * 0.1
+    rhs = rng.normal(size=(n, nb, m))
+    X = thomas_rows(lo, dg, up, rhs.copy())
+    for b in range(nb):
+        ref = np.linalg.solve(dense(lo[:, b], dg[:, b], up[:, b]), rhs[:, b])
+        assert np.allclose(X[:, b], ref, atol=1e-12)
+    # (1, nb) bands broadcast along the system axis
+    lo1, dg1, up1 = (np.broadcast_to(a[:1], (n, nb)) for a in (lo, dg, up))
+    X = thomas_rows(lo1, dg1, up1, rhs.copy())
+    for b in range(nb):
+        ref = np.linalg.solve(dense(lo1[:, b], dg1[:, b], up1[:, b]), rhs[:, b])
+        assert np.allclose(X[:, b], ref, atol=1e-12)
+
+
+def test_solve_level_x_dependent_against_dense(unit_interval):
+    # space-smooth drift varies in x and, through omega_1, from node to node
+    grid = unit_interval
+    tree = build_tree(1, 4, 1.0)
+    coeffs = make_family("space-smooth", {"a": 0.8, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1})
+    level, dt = 3, tree.dt
+    f = coeffs.drift_nodes(grid, tree, level)
+    n = tree.n_nodes(level)
+    assert f.shape == (n, grid.ni) and len(np.unique(f[:, 0])) > 1
+    rng = np.random.default_rng(21)
+    rhs = rng.normal(size=(n, 2, grid.nx))
+    eye = np.eye(grid.ni)
+    for dual in (False, True):
+        bands = generator_bands(grid, f, coeffs.b_total, dual=dual)
+        u = solve_level(bands, dt, rhs)
+        assert u.shape == rhs.shape
+        assert np.all(u[..., 0] == 0.0) and np.all(u[..., -1] == 0.0)
+        assert np.array_equal(solve_level(bands, dt, rhs[:, 0]), u[:, 0])
+        for node in range(n):
+            A = dense_generator(grid, f[node], coeffs.b_total)
+            M = eye - dt * (A.T if dual else A)
+            ref = np.linalg.solve(M, rhs[node, :, 1:-1].T).T
+            assert np.allclose(u[node, :, 1:-1], ref, rtol=0, atol=1e-13)
 
 
 def test_derivative_stencils(unit_interval):

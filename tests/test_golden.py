@@ -1,0 +1,73 @@
+"""Golden report rows: every experiment at a reduced, sub-second config.
+
+The determinism test in test_harness.py compares two runs of one build;
+these goldens pin the values across changes to the solvers.  lhs, rhs and
+tol must agree to 1e-9 relative and the pass flags exactly.  An intended
+change of a report value regenerates the file,
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists the old and new values in CHANGES.md.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from spdelab.harness import default_config, list_experiments, run
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+MC = {"paths": 2000, "dt_mc": 1.0e-2}
+REDUCED = {
+    "feynman-kac-nonrandom": {"grid": {"nx": 41}, "tree": {"n_steps": 4}, "mc": MC},
+    "representation-random": {"grid": {"nx": 41}, "tree": {"n_steps": 5}, "mc": MC},
+    "adjoint-suite": {
+        "grid": {"nx": 21}, "tree": {"n_steps": 3},
+        "params": {"fine_nx": 41, "fine_n_steps": 6, "n_draws": 1},
+    },
+    "solvability-R": {"grid": {"nx": 41}, "tree": {"n_steps": 5}},
+    "duality-63": {
+        "grid": {"nx": 41}, "tree": {"n_steps": 4},
+        "params": {"fine_nx": 81, "fine_n_steps": 8},
+    },
+    "density-64-65": {"grid": {"nx": 41}, "tree": {"n_steps": 5}, "mc": MC},
+    "norm-bounds": {
+        "grid": {"nx": 31}, "tree": {"n_steps": 4},
+        "params": {"fine_nx": 61, "fine_n_steps": 8, "n_fields": 3},
+    },
+}
+
+REL = 1e-9
+
+
+def report_rows(name):
+    report = run(default_config(name, **REDUCED[name]), write=False)
+    return [
+        {"check": r.check, "lhs": r.lhs, "rhs": r.rhs, "tol": r.tol, "pass": r.passed}
+        for r in report.rows
+    ]
+
+
+def test_reduced_configs_cover_every_experiment():
+    assert sorted(REDUCED) == list_experiments()
+    assert sorted(json.loads(GOLDEN.read_text())) == list_experiments()
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_report_rows_match_goldens(name):
+    golden = json.loads(GOLDEN.read_text())[name]
+    rows = report_rows(name)
+    assert [r["check"] for r in rows] == [g["check"] for g in golden]
+    for row, gold in zip(rows, golden):
+        assert row["pass"] is gold["pass"], row["check"]
+        for key in ("lhs", "rhs", "tol"):
+            assert row[key] == pytest.approx(gold[key], rel=REL, abs=0.0), (row["check"], key)
+
+
+if __name__ == "__main__":
+    rows = {name: report_rows(name) for name in sorted(REDUCED)}
+    GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
+    print(f"wrote {GOLDEN} ({sum(map(len, rows.values()))} rows)", file=sys.stderr)

@@ -50,6 +50,10 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({
             "experiment": "solvability-R", "mc": {"seed": 1}, "workers": 0,
         })
+    with pytest.raises(ConfigError, match="workers"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "workers": None})
+    with pytest.raises(ConfigError, match="mc.seed"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "mc": {"seed": "abc"}})
     with pytest.raises(ConfigError, match="unknown grid keys"):
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "grid": {"nxx": 5}})
     with pytest.raises(ConfigError, match="unknown solver keys"):
@@ -132,6 +136,10 @@ def test_cli_error_codes(tmp_path):
     bad_section = tmp_path / "section.json"
     bad_section.write_text(json.dumps({"experiment": "solvability-R", "grid": 5}))
     assert main(["validate-config", str(bad_section)]) == 2
+    for i, bad_value in enumerate([{"workers": None}, {"mc": {"seed": "abc"}}]):
+        path = tmp_path / f"value{i}.json"
+        path.write_text(json.dumps({"experiment": "norm-bounds", **bad_value}))
+        assert main(["validate-config", str(path)]) == 2
 
 
 def test_cli_overrides(tmp_path):
