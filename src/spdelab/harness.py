@@ -45,7 +45,7 @@ from .forward import (
     solve_T_star,
 )
 from .montecarlo import conditional_functional, functional_estimate
-from .tree import build_tree
+from .tree import TreeError, build_tree, fine_steps
 
 
 class ConfigError(ValueError):
@@ -236,6 +236,14 @@ def _is_count(value, least) -> bool:
 
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "solver", "params")
 
+# the Monte Carlo experiments, and whether their paths are bridged through the
+# tree (then dt_mc must divide the tree step as well as the horizon)
+_MC_BRIDGED = {
+    "feynman-kac-nonrandom": False,
+    "representation-random": True,
+    "density-64-65": True,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -319,6 +327,20 @@ class ExperimentConfig:
             for n in (self.tree["n_steps"], self.params.get("fine_n_steps", self.tree["n_steps"])):
                 self.build_tree(n)
         except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.experiment in _MC_BRIDGED:
+            self._validate_mc(_MC_BRIDGED[self.experiment])
+
+    def _validate_mc(self, bridged: bool):
+        paths, dt_mc = self.mc["paths"], self.mc["dt_mc"]
+        if not _is_count(paths, 1):
+            raise ConfigError(f"mc.paths must be an integer >= 1, got {paths!r}")
+        if isinstance(dt_mc, bool) or not isinstance(dt_mc, (int, float)) or not dt_mc > 0:
+            raise ConfigError(f"mc.dt_mc must be a positive number, got {dt_mc!r}")
+        tree = self.build_tree()
+        try:
+            fine_steps(tree.horizon, float(dt_mc), tree.dt if bridged else None)
+        except TreeError as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:

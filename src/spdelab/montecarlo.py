@@ -6,12 +6,15 @@ Paths follow
 
 with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
-coefficient process.  Exits are detected at mesh points only (no crossing
-correction; the O(sqrt(dt_mc)) under-detection bias is absorbed into the
-acceptance tolerances); exited paths freeze and their alive indicator flips
-once.  Large estimates run in fixed-size chunks whose generators derive
-from the user seed by the splitting rule in `tree.seed_entropy`, so results
-do not depend on the worker count.
+coefficient process.  The march keeps only the live paths, compacted, and
+draws the Wiener increments one coarse block at a time for those paths
+alone (`tree.PathBundle.block`); it stops as soon as every path has exited.
+Exits are detected at mesh points only (no crossing correction; the
+O(sqrt(dt_mc)) under-detection bias is absorbed into the acceptance
+tolerances); exited paths freeze and their alive indicator flips once.
+Estimates run in chunks of the requested size (25,000 paths by default)
+whose generators derive from the user seed by the splitting rule in
+`tree.seed_entropy`, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .domain import Grid
-from .tree import PathBundle, ScenarioTree, bridge_paths, sample_tree_paths, seed_entropy
+from .tree import (
+    PathBundle,
+    ScenarioTree,
+    bridge_paths,
+    free_paths,
+    sample_tree_paths,
+    seed_entropy,
+)
 
 
 class SimulationError(ValueError):
@@ -44,6 +54,7 @@ class TrajectorySet:
     Fine-mesh paths are only retained when small enough to materialize;
     integrands registered at simulation time are accumulated online so that
     functional estimates never require the full fine-mesh history.
+    `normals_drawn` counts the Wiener increments the march drew.
     """
 
     snapshot_times: np.ndarray  # (n_snap,)
@@ -56,6 +67,7 @@ class TrajectorySet:
     integrals: dict = field(default_factory=dict)  # name -> (M,) path integrals
     fine_times: np.ndarray | None = None
     fine_paths: np.ndarray | None = None  # (M, n_fine + 1)
+    normals_drawn: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -75,19 +87,6 @@ def sample_from_density(p0: np.ndarray, grid: Grid, n: int, rng) -> np.ndarray:
         raise SimulationError("p0 has no mass")
     cdf /= cdf[-1]
     return np.interp(rng.uniform(size=n), cdf, grid.x)
-
-
-def _coarse_w1(bundle: PathBundle, level: int):
-    """First Wiener component at the active node of a coarse level, per path
-    (None when the bundle has no tree constraint)."""
-    tree = bundle.tree
-    if tree is None:
-        return None
-    path = bundle.leaf_path
-    if path.size == tree.n_steps + 1:  # single designated path
-        return float(tree.omega[level][path[level], 0])
-    anc = tree.ancestor_index(path, level)
-    return tree.omega[level][anc, 0]
 
 
 def simulate(
@@ -139,9 +138,6 @@ def simulate(
         raise SimulationError("initial value outside the closed domain")
 
     tree = paths.tree
-    n_sub = None
-    if tree is not None:
-        n_sub = int(round(tree.dt / dt))
     if snapshot_times is None:
         snapshot_times = tree.times() if tree is not None else np.array([0.0, paths.times[-1]])
     snapshot_times = np.asarray(snapshot_times, dtype=float)
@@ -154,41 +150,60 @@ def simulate(
         keep_fine = M * (n_fine + 1) <= _KEEP_FINE_GUARD
     fine = np.empty((M, n_fine - m0 + 1)) if keep_fine else None
 
-    horizon = paths.times[-1]
-    tau = np.full(M, horizon)
-    exited = np.zeros(M, dtype=bool)
+    tau = np.full(M, paths.times[-1])
     snapshots = np.empty((M, snapshot_times.size))
     alive = np.zeros((M, snapshot_times.size), dtype=bool)
-    totals = {name: np.zeros(M) for name in (integrands or {})}
+    integrands = integrands or {}
+    totals = {name: np.zeros(M) for name in integrands}
 
+    # live paths, compacted: index, state, running integrals, current block
+    live = np.arange(M)
+    yl = y.copy()
+    acc = {name: np.zeros(M) for name in integrands}
     sigma = coeffs.sigma
-    w1 = None
-    for m in range(m0, n_fine + 1):
-        t = m * dt
-        if tree is not None and m < n_fine:
-            level = min(m // n_sub, tree.n_steps)
-            w1 = _coarse_w1(paths, level)
+    drawn = 0
+    m = m0
+    while True:
+        if fine is not None or m in snap_of:
+            y[live] = yl
         if fine is not None:
             fine[:, m - m0] = y
         if m in snap_of:
             snapshots[:, snap_of[m]] = y
-            alive[:, snap_of[m]] = ~exited
-        if m == n_fine:
+            alive[live, snap_of[m]] = True
+        if m == n_fine or live.size == 0:
             break
-        act = ~exited
-        if integrands:
-            for name, fn in integrands.items():
-                w1a = w1[act] if isinstance(w1, np.ndarray) else w1
-                totals[name][act] += np.asarray(fn(y[act], t, w1a)) * dt
-        if act.any():
-            w1a = w1[act] if isinstance(w1, np.ndarray) else (0.0 if w1 is None else w1)
-            drift = coeffs.drift(y[act], t, w1a)
-            noise = paths.increments[act, :, m] @ sigma
-            y[act] = y[act] + np.broadcast_to(drift, y[act].shape) * dt + noise
-            newly = act.copy()
-            newly[act] = (y[act] < lo) | (y[act] > hi)
-            tau[newly] = (m + 1) * dt
-            exited |= newly
+        j = m % paths.n_sub
+        if j == 0 or m == m0:
+            k = m // paths.n_sub
+            block = paths.block(k, live)
+            drawn += block.size
+            w1 = paths.w1(k, live)
+        t = m * dt
+        for name, fn in integrands.items():
+            acc[name] += np.asarray(fn(yl, t, w1)) * dt
+        drift = coeffs.drift(yl, t, 0.0 if w1 is None else w1)
+        yl = yl + drift * dt + sigma @ block[j]
+        m += 1
+        out = (yl < lo) | (yl > hi)
+        if out.any():
+            gone = live[out]
+            tau[gone] = m * dt
+            y[gone] = yl[out]
+            for name in totals:
+                totals[name][gone] = acc[name][out]
+            keep = ~out
+            live, yl, block = live[keep], yl[keep], block[:, :, keep]
+            acc = {name: a[keep] for name, a in acc.items()}
+            if np.ndim(w1):
+                w1 = w1[keep]
+    y[live] = yl
+    for name in totals:
+        totals[name][live] = acc[name]
+    # after an early stop the rest of the record holds the frozen paths
+    if fine is not None:
+        fine[:, m - m0 + 1 :] = y[:, None]
+    snapshots[:, snap_idx > m] = y[:, None]
     return TrajectorySet(
         snapshot_times=snapshot_times,
         snapshots=snapshots,
@@ -200,6 +215,7 @@ def simulate(
         integrals=totals,
         fine_times=paths.times[m0:] if fine is not None else None,
         fine_paths=fine,
+        normals_drawn=drawn,
     )
 
 
@@ -255,17 +271,6 @@ def empirical_density(trajs: TrajectorySet, t: float, grid: Grid) -> np.ndarray:
     return counts / (trajs.n_paths * grid.dx)
 
 
-_CHUNK_ENTRY_BUDGET = 25_000_000
-
-
-def _effective_chunk(chunk_size: int, d0: int, n_fine: int) -> int:
-    """Cap the chunk so each materialized bundle stays modest.  The chunk
-    layout is part of the estimator's randomness stream, so it depends only
-    on (requested size, d0, n_fine), never on worker count."""
-    cap = max(_CHUNK_ENTRY_BUDGET // max(d0 * n_fine, 1), 1000)
-    return min(chunk_size, cap)
-
-
 def _run_chunks(total: int, chunk_size: int, workers: int, job):
     """Deterministic chunked execution: job(chunk_index, chunk_count) -> value;
     results are reduced in chunk order regardless of worker count."""
@@ -308,7 +313,6 @@ def conditional_functional(
             "conditional estimates need d < d0 with a nondegenerate tail block"
         )
     t_grid = np.asarray(t_grid, dtype=float)
-    chunk_size = _effective_chunk(chunk_size, coeffs.d0, int(round(tree.horizon / dt_mc)))
 
     def job(i, m):
         bundle = bridge_paths(
@@ -320,7 +324,7 @@ def conditional_functional(
         )
         vals = np.empty((t_grid.size, m))
         for a, t in enumerate(t_grid):
-            w1 = _coarse_w1(bundle, min(int(round(t / tree.dt)), tree.n_steps))
+            w1 = bundle.w1(min(int(round(t / tree.dt)), tree.n_steps))
             vals[a] = trajs.alive[:, a] * np.asarray(
                 phi(trajs.snapshots[:, a], t, w1)
             )
@@ -360,15 +364,12 @@ def functional_estimate(
     """
     d0 = coeffs.d0 if d0 is None else d0
     horizon = domain.horizon
-    chunk_size = _effective_chunk(chunk_size, d0, int(round(horizon / dt_mc)))
 
     def job(i, m):
         chunk_seed = seed_entropy(seed, 0xF0, i)
         if tree is not None:
             bundle = sample_tree_paths(tree, m, d0, dt_mc, chunk_seed)
         else:
-            from .tree import free_paths
-
             bundle = free_paths(horizon, m, d0, dt_mc, chunk_seed)
         trajs = simulate(
             coeffs, init, 0.0, bundle, domain, grid=grid,

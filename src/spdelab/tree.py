@@ -5,9 +5,10 @@ scenario tree with increments +-sqrt(dt) per component and step.  On this
 tree conditional expectation, the Ito integral and the martingale
 (Clark-type) representation are computed exactly, so probabilistic
 identities hold to round-off and discretization error is confined to space
-and time.  Fine-time Monte Carlo paths are produced as Brownian bridges
-threaded through a designated leaf path, with the remaining d0 - d Wiener
-components left free.
+and time.  Fine-time Monte Carlo increments are Brownian bridges threaded
+through a designated leaf path or through per-path leaf draws, with the
+remaining d0 - d Wiener components left free; they are drawn one coarse
+step at a time, for the paths still being marched.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -16,10 +17,13 @@ encodes the sign of increment component c (bit 0 -> +sqrt(dt)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 MAX_STEPS = {1: 16, 2: 8}
 
@@ -233,44 +237,127 @@ def clark_decompose(X, tree: ScenarioTree) -> MartingaleDecomposition:
     return MartingaleDecomposition(mean=float(m[0]), kernels=tuple(kernels))
 
 
-@dataclass
-class PathBundle:
-    """Fine-time Wiener increments for Monte Carlo, optionally constrained.
+@dataclass(frozen=True)
+class IncrementShape:
+    """Nominal size of a bundle's increments, (n_paths, d0, n_fine).
 
-    The first `d_constrained` components are Brownian bridges matching a
-    tree path's increments at the coarse times; the rest are free.  When
-    `leaf_path` is an array of per-realization leaf indices the bundle
-    samples the tree and the bridge constraint varies per path.
+    No array of this size exists: `PathBundle.block` draws the increments
+    one coarse block at a time, for the requested paths only.
+    """
+
+    shape: tuple
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def nbytes(self) -> int:
+        return 8 * self.size
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _counter_normals(key: np.uint64, counters: np.ndarray) -> np.ndarray:
+    """Standard normals that are a fixed function of (key, counter).
+
+    Counter-based generation: the SplitMix64 output at position `counter`
+    of the stream seeded by `key` (Steele, Lea and Flood, OOPSLA 2014) gives
+    53 uniform bits, mapped to a normal by the inverse CDF.  Any subset of
+    counters is evaluated on its own, so draws need no generator state.
+    `counters` (uint64) is overwritten.
+    """
+    z = counters
+    z *= _GOLDEN
+    z += key
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
+
+
+@dataclass(frozen=True)
+class PathBundle:
+    """Fine-time Wiener increments for Monte Carlo, drawn lazily by block.
+
+    Block k holds fine steps k*n_sub .. (k+1)*n_sub - 1: one tree step for a
+    tree bundle, one fine step for a free one (n_sub = 1).  In each block of
+    a tree bundle the first tree.d components are shifted to sum exactly to
+    the increment of the path's tree edge, which makes them Brownian bridges
+    through the tree path at the coarse times; the rest are free.  The tree
+    path is either one designated node sequence `node_path`, shared by every
+    path, or per-path leaf draws `leaves`.
+
+    The increment of path p, fine step m and component c is a fixed function
+    of (seed, p, m, c), so a path's noise does not depend on which other
+    paths are drawn with it, and marching a bundle twice repeats it.
     """
 
     tree: ScenarioTree | None
-    leaf_path: np.ndarray | None  # node indices per level, or (M,) leaf draws
-    d_constrained: int
+    node_path: np.ndarray | None  # (n_steps + 1,) node per level, shared
+    leaves: np.ndarray | None  # (n_paths,) leaf per path
     d0: int
     dt_mc: float
-    seed: int
+    seed: object
     times: np.ndarray  # (n_fine + 1,)
-    increments: np.ndarray  # (M, d0, n_fine)
+    n_paths: int
+    n_fine: int
+    n_sub: int
 
     @property
-    def n_paths(self) -> int:
-        return self.increments.shape[0]
+    def increments(self) -> IncrementShape:
+        return IncrementShape((self.n_paths, self.d0, self.n_fine))
 
-    @property
-    def n_fine(self) -> int:
-        return self.increments.shape[2]
+    def nodes(self, level: int, rows=None):
+        """Active tree node at a level for the given path rows (all rows when
+        None); one shared index for a designated node path."""
+        if self.leaves is None:
+            return self.node_path[level]
+        leaves = self.leaves if rows is None else self.leaves[rows]
+        return self.tree.ancestor_index(leaves, level)
 
-    def paths(self) -> np.ndarray:
-        """Cumulative Wiener values, shape (M, d0, n_fine + 1)."""
-        out = np.zeros((self.n_paths, self.d0, self.n_fine + 1))
-        np.cumsum(self.increments, axis=2, out=out[:, :, 1:])
-        return out
+    def w1(self, level: int, rows=None):
+        """First Wiener component at the active node of a level, per row
+        (None for a free bundle)."""
+        if self.tree is None:
+            return None
+        return self.tree.omega[level][self.nodes(level, rows), 0]
+
+    @cached_property
+    def _key(self) -> np.uint64:
+        return np.random.SeedSequence(seed_entropy(self.seed)).generate_state(1, np.uint64)[0]
+
+    def block(self, k: int, rows) -> np.ndarray:
+        """Increments of block k for the given path rows, (n_sub, d0, rows)."""
+        rows = np.asarray(rows)
+        # counter of (path p, fine step m, component c): (p * n_fine + m) * d0 + c;
+        # one fine step at a time keeps the work arrays in cache
+        at_m0 = rows.astype(np.uint64) * np.uint64(self.n_fine * self.d0)
+        at_m0 = at_m0 + np.arange(self.d0, dtype=np.uint64)[:, None]
+        z = np.empty((self.n_sub, self.d0, rows.size))
+        for j in range(self.n_sub):
+            step = np.uint64((k * self.n_sub + j) * self.d0)
+            z[j] = _counter_normals(self._key, at_m0 + step)
+        z *= np.sqrt(self.dt_mc)
+        tree = self.tree
+        if tree is not None:
+            target = tree.digit_signs[self.nodes(k + 1, rows) % tree.branching] * tree.sqdt
+            bridged = z[:, : tree.d]
+            bridged -= (bridged.sum(axis=0) - target.T.reshape(tree.d, -1)) / self.n_sub
+        return z
 
 
-_BUNDLE_GUARD = 6 * 10**7
-
-
-def _fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[int, int]:
+def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[int, int]:
+    """(n_fine, n_sub): fine steps over the horizon and per tree step (1
+    without a tree).  Raises TreeError unless dt_mc divides both."""
     n_fine = horizon / dt_mc
     if abs(n_fine - round(n_fine)) > 1e-9:
         raise TreeError(f"dt_mc={dt_mc} does not divide the horizon {horizon}")
@@ -284,90 +371,56 @@ def _fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[
     return n_fine, n_sub
 
 
+def _bundle(horizon, tree, node_path, leaves, M, d0, dt_mc, seed) -> PathBundle:
+    if tree is not None and d0 < tree.d:
+        raise TreeError(f"need d0 >= d, got d0={d0} < d={tree.d}")
+    n_fine, n_sub = fine_steps(horizon, dt_mc, None if tree is None else tree.dt)
+    return PathBundle(
+        tree=tree,
+        node_path=node_path,
+        leaves=leaves,
+        d0=d0,
+        dt_mc=dt_mc,
+        seed=seed,
+        times=dt_mc * np.arange(n_fine + 1),
+        n_paths=M,
+        n_fine=n_fine,
+        n_sub=n_sub,
+    )
+
+
 def bridge_paths(
     tree: ScenarioTree,
     leaf_path,
     M: int,
     d0: int,
     dt_mc: float,
-    seed: int,
+    seed,
 ) -> PathBundle:
-    """Brownian bridges through a leaf path plus free tail components.
+    """M Brownian bridges through one tree path plus free tail components.
 
-    leaf_path may be a leaf index, an explicit per-level node-index
-    sequence, or an (M,) array of per-path leaf indices (sampled tree).
+    leaf_path is a leaf index or an explicit per-level node-index sequence.
     Deterministic given seed.
     """
-    if d0 < tree.d:
-        raise TreeError(f"need d0 >= d, got d0={d0} < d={tree.d}")
-    n_fine, n_sub = _fine_steps(tree.horizon, dt_mc, tree.dt)
-    if M * d0 * n_fine > _BUNDLE_GUARD:
-        raise TreeError(
-            "path bundle too large to materialize; simulate in chunks "
-            f"(requested {M}x{d0}x{n_fine})"
-        )
-    per_path = False
-    leaf_arr = np.asarray(leaf_path)
-    if leaf_arr.ndim == 0:
-        path = tree.leaf_path(int(leaf_arr))
-    elif leaf_arr.ndim == 1 and leaf_arr.size == tree.n_steps + 1:
-        path = leaf_arr.astype(np.int64)
-    elif leaf_arr.ndim == 1 and leaf_arr.size == M:
-        per_path = True
-        path = leaf_arr.astype(np.int64)
-    else:
-        raise TreeError("leaf_path must be a leaf index, a node sequence, or (M,) draws")
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(seed)))
-    inc = rng.normal(0.0, np.sqrt(dt_mc), size=(M, d0, n_fine))
-    if per_path:
-        # coarse increments per path and component: (M, n_steps, d)
-        anc = np.stack([tree.ancestor_index(path, k) for k in range(tree.n_steps + 1)], axis=1)
-        coarse = np.stack([tree.omega[k][anc[:, k]] for k in range(tree.n_steps + 1)], axis=1)
-        targets = np.swapaxes(np.diff(coarse, axis=1), 1, 2)  # (M, d, n_steps)
-    else:
-        targets = tree.path_increments(path).T[None, :, :]  # (1, d, n_steps)
-    blocks = inc[:, : tree.d, :].reshape(M, tree.d, tree.n_steps, n_sub)
-    excess = (blocks.sum(axis=3) - targets) / n_sub
-    blocks -= excess[:, :, :, None]
-    times = dt_mc * np.arange(n_fine + 1)
-    return PathBundle(
-        tree=tree,
-        leaf_path=path,
-        d_constrained=tree.d,
-        d0=d0,
-        dt_mc=dt_mc,
-        seed=seed,
-        times=times,
-        increments=inc,
-    )
+    path = np.asarray(leaf_path)
+    if path.ndim == 0:
+        path = tree.leaf_path(int(path))
+    elif (
+        path.shape != (tree.n_steps + 1,)
+        or path[0] != 0
+        or np.any(path[1:] // tree.branching != path[:-1])
+    ):
+        raise TreeError("leaf_path must be a leaf index or a per-level node sequence")
+    return _bundle(tree.horizon, tree, path.astype(np.int64), None, M, d0, dt_mc, seed)
 
 
-def free_paths(horizon: float, M: int, d0: int, dt_mc: float, seed: int) -> PathBundle:
+def free_paths(horizon: float, M: int, d0: int, dt_mc: float, seed) -> PathBundle:
     """Unconstrained d0-dimensional Wiener increments on the fine mesh."""
-    n_fine, _ = _fine_steps(horizon, dt_mc, None)
-    if M * d0 * n_fine > _BUNDLE_GUARD:
-        raise TreeError(
-            "path bundle too large to materialize; simulate in chunks "
-            f"(requested {M}x{d0}x{n_fine})"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(seed)))
-    inc = rng.normal(0.0, np.sqrt(dt_mc), size=(M, d0, n_fine))
-    times = dt_mc * np.arange(n_fine + 1)
-    return PathBundle(
-        tree=None,
-        leaf_path=None,
-        d_constrained=0,
-        d0=d0,
-        dt_mc=dt_mc,
-        seed=seed,
-        times=times,
-        increments=inc,
-    )
+    return _bundle(horizon, None, None, None, M, d0, dt_mc, seed)
 
 
 def sample_tree_paths(
-    tree: ScenarioTree, M: int, d0: int, dt_mc: float, seed: int
+    tree: ScenarioTree, M: int, d0: int, dt_mc: float, seed
 ) -> PathBundle:
     """Bundle with leaves drawn uniformly per path and bridged increments.
 
@@ -376,5 +429,5 @@ def sample_tree_paths(
     discrete noise, matching the solver side.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(seed, 0x1EAF)))
-    draws = rng.integers(0, tree.n_leaves, size=M)
-    return bridge_paths(tree, draws, M, d0, dt_mc, seed)
+    leaves = rng.integers(0, tree.n_leaves, size=M)
+    return _bundle(tree.horizon, tree, None, leaves, M, d0, dt_mc, seed)

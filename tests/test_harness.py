@@ -66,6 +66,32 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "adjoint-suite", "params": {"fine_nx": 4}})
     with pytest.raises(ConfigError, match="size guard"):
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"fine_n_steps": 17}})
+    for bad in BAD_MC:
+        with pytest.raises(ConfigError, match=bad["match"]):
+            ExperimentConfig.from_dict(bad["config"])
+
+
+# Monte Carlo settings that used to fail only after the solver work
+BAD_MC = [
+    {"match": "mc.paths", "config": {
+        "experiment": "feynman-kac-nonrandom", "mc": {"paths": 0},
+        "grid": {"nx": 21}, "tree": {"n_steps": 3}}},
+    {"match": "mc.paths", "config": {"experiment": "representation-random", "mc": {"paths": 2.5}}},
+    {"match": "mc.dt_mc", "config": {"experiment": "density-64-65", "mc": {"dt_mc": 0}}},
+    {"match": "divide the horizon", "config": {
+        "experiment": "density-64-65", "mc": {"dt_mc": 0.003},
+        "grid": {"nx": 21}, "tree": {"n_steps": 3}}},
+    {"match": "divide the tree step", "config": {
+        "experiment": "representation-random", "mc": {"dt_mc": 0.01}, "tree": {"n_steps": 3}}},
+]
+
+
+def test_free_paths_need_only_the_horizon_divided():
+    # feynman-kac-nonrandom marches free paths: a tree step of 4/3 is fine
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "feynman-kac-nonrandom", "mc": {"dt_mc": 0.01}, "tree": {"n_steps": 3},
+    })
+    assert cfg.mc["dt_mc"] == 0.01
 
 
 def test_config_switches_coefficient_family():
@@ -140,6 +166,12 @@ def test_cli_error_codes(tmp_path):
         path = tmp_path / f"value{i}.json"
         path.write_text(json.dumps({"experiment": "norm-bounds", **bad_value}))
         assert main(["validate-config", str(path)]) == 2
+    for i, bad in enumerate(BAD_MC):
+        path = tmp_path / f"mc{i}.json"
+        path.write_text(json.dumps({**bad["config"], "output_dir": str(tmp_path / "out")}))
+        assert main(["validate-config", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_overrides(tmp_path):

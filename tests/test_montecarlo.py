@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,19 @@ from spdelab import (
     solve_density,
 )
 from spdelab.montecarlo import SimulationError, sample_from_density
+from spdelab.tree import PathBundle
+
+
+class SilentBundle(PathBundle):
+    """A bundle whose increments are all zero."""
+
+    def block(self, k, rows):
+        return np.zeros((self.n_sub, self.d0, np.size(rows)))
+
+
+def silent_free_paths(horizon, M, dt_mc):
+    bundle = free_paths(horizon, M=M, d0=1, dt_mc=dt_mc, seed=0)
+    return SilentBundle(**{f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)})
 
 
 @pytest.fixture
@@ -32,8 +47,7 @@ def line_domain():
 def test_simulate_frozen_dynamics(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1e-3]})
     # beta ~ 0 within the nondegeneracy floor; scale noise away by hand instead
-    paths = free_paths(1.0, M=64, d0=1, dt_mc=0.25, seed=1)
-    paths.increments[:] = 0.0
+    paths = silent_free_paths(1.0, M=64, dt_mc=0.25)
     trajs = simulate(coeffs, 0.3, 0.0, paths, line_domain)
     assert np.all(trajs.snapshots == 0.3)
     assert np.all(trajs.tau == 1.0)
@@ -76,6 +90,52 @@ def test_simulate_validations(unit_domain):
     random_coeffs = make_family("drift-random", {"kappa": 0.2, "sigma": [1.0], "d": 1})
     with pytest.raises(SimulationError, match="tree"):
         simulate(random_coeffs, 0.5, 0.0, paths, unit_domain)
+
+
+def test_no_normals_drawn_for_exited_paths():
+    # free paths: one block per fine step, so each path draws exactly one
+    # normal per step it marches, and the march stops at the last exit
+    dom = DomainSpec("interval", 0.0, 1.0, 4.0)
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
+    paths = free_paths(4.0, M=3000, d0=1, dt_mc=0.01, seed=20)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, keep_fine=True,
+                     snapshot_times=[0.0, 2.0, 4.0])
+    steps = np.rint(trajs.tau / 0.01).astype(int)
+    assert steps.max() < paths.n_fine  # every path exits before the horizon
+    assert trajs.normals_drawn == steps.sum()
+    last = trajs.fine_paths[np.arange(trajs.n_paths), steps]
+    assert np.all((last < 0.0) | (last > 1.0))
+    # after the early stop the record holds the frozen exit values
+    assert np.array_equal(trajs.fine_paths[:, -1], last)
+    assert np.array_equal(trajs.snapshots[:, -1], last)
+    assert not trajs.alive[:, -1].any()
+
+
+def test_bridged_blocks_drawn_only_for_live_paths(unit_domain):
+    # a tree bundle draws a whole block (n_sub steps, d0 components) for each
+    # path still alive when the block starts, here from mid-block
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
+    tree = build_tree(1, 4, 1.0)
+    paths = sample_tree_paths(tree, 2000, 2, 0.01, seed=21)
+    s = 0.13
+    trajs = simulate(coeffs, 0.5, s, paths, unit_domain)
+    exit_step = np.rint(trajs.tau / 0.01).astype(int)
+    first = round(s / 0.01) // paths.n_sub
+    blocks = -(-exit_step // paths.n_sub) - first  # blocks started while alive
+    assert 0 < (exit_step < paths.n_fine).mean() < 1
+    assert trajs.normals_drawn == paths.n_sub * 2 * blocks.sum()
+
+
+def test_mid_block_start_hits_coarse_targets(line_domain):
+    # zero drift, beta = 1 on the tree component: from a start inside block 1,
+    # every later tree step moves y by exactly its per-path tree increment
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0], "d": 1})
+    tree = build_tree(1, 4, 1.0)
+    paths = sample_tree_paths(tree, 300, 1, 0.025, seed=22)
+    trajs = simulate(coeffs, 0.0, 0.35, paths, line_domain, keep_fine=True)
+    coarse = trajs.fine_paths[:, [20 - 14, 30 - 14, 40 - 14]]  # t = 0.5, 0.75, 1.0
+    w1 = np.stack([paths.w1(k) for k in range(2, tree.n_steps + 1)], axis=1)
+    assert np.max(np.abs(np.diff(coarse, axis=1) - np.diff(w1, axis=1))) < 1e-12
 
 
 def test_estimate_functional_zero_and_linearity(unit_domain):
@@ -151,8 +211,7 @@ def test_stderr_scaling(line_domain):
 def test_empirical_density_spike(unit_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     grid = build_grid(unit_domain, 21)
-    paths = free_paths(1.0, M=100, d0=1, dt_mc=0.25, seed=10)
-    paths.increments[:] = 0.0
+    paths = silent_free_paths(1.0, M=100, dt_mc=0.25)
     trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain)
     hist = empirical_density(trajs, 0.0, grid)
     ix = np.argmin(np.abs(grid.x - 0.5))

@@ -13,6 +13,27 @@ from spdelab import (
 )
 
 
+def drawn(bundle):
+    """Every increment of a bundle, (n_paths, d0, n_fine), drawn block by block."""
+    rows = np.arange(bundle.n_paths)
+    blocks = [bundle.block(k, rows) for k in range(bundle.n_fine // bundle.n_sub)]
+    return np.concatenate(blocks, axis=0).transpose(2, 1, 0)
+
+
+def wiener_paths(bundle):
+    """Cumulative Wiener values, (n_paths, d0, n_fine + 1)."""
+    inc = drawn(bundle)
+    out = np.zeros(inc.shape[:2] + (inc.shape[2] + 1,))
+    np.cumsum(inc, axis=2, out=out[:, :, 1:])
+    return out
+
+
+def coarse_targets(tree, leaf):
+    """First Wiener component at the tree nodes along a leaf's path."""
+    anc = tree.leaf_path(int(leaf))
+    return np.array([tree.omega[k][anc[k], 0] for k in range(tree.n_steps + 1)])
+
+
 def brute_subtree_mean(tree, X, level, index):
     """Independent conditional expectation by explicit descendant averaging."""
     span = tree.branching ** (tree.n_steps - level)
@@ -159,18 +180,15 @@ def test_clark_reconstruction_exact(tree5):
 def test_bridge_paths_hit_constraints(tree5):
     leaf = 19
     bundle = bridge_paths(tree5, leaf, M=16, d0=2, dt_mc=0.025, seed=42)
-    paths = bundle.paths()
-    n_sub = round(tree5.dt / bundle.dt_mc)
-    anc = tree5.leaf_path(leaf)
-    target = np.array([tree5.omega[k][anc[k], 0] for k in range(tree5.n_steps + 1)])
-    at_coarse = paths[:, 0, ::n_sub]
-    assert np.max(np.abs(at_coarse - target[None, :])) < 1e-12
+    paths = wiener_paths(bundle)
+    at_coarse = paths[:, 0, :: bundle.n_sub]
+    assert np.max(np.abs(at_coarse - coarse_targets(tree5, leaf)[None, :])) < 1e-12
 
 
 def test_bridge_paths_free_component_variance():
     tree = build_tree(1, 4, 1.0)
     bundle = bridge_paths(tree, 3, M=20000, d0=2, dt_mc=0.05, seed=7)
-    inc = bundle.increments[:, 1, :]  # free component
+    inc = drawn(bundle)[:, 1, :]  # free component
     var = inc.var()
     n = inc.size
     # 3 sigma band for a variance estimate from n samples
@@ -181,9 +199,10 @@ def test_bridge_paths_free_component_variance():
 def test_bridge_paths_deterministic(tree5):
     a = bridge_paths(tree5, 11, M=8, d0=2, dt_mc=0.1, seed=123)
     b = bridge_paths(tree5, 11, M=8, d0=2, dt_mc=0.1, seed=123)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(drawn(a), drawn(b))
+    assert np.array_equal(drawn(a), drawn(a))  # drawing again repeats
     c = bridge_paths(tree5, 11, M=8, d0=2, dt_mc=0.1, seed=124)
-    assert not np.array_equal(a.increments, c.increments)
+    assert not np.array_equal(drawn(a), drawn(c))
 
 
 def test_bridge_paths_rejects_bad_steps(tree5):
@@ -191,24 +210,46 @@ def test_bridge_paths_rejects_bad_steps(tree5):
         bridge_paths(tree5, 0, M=4, d0=2, dt_mc=0.15, seed=1)
     with pytest.raises(TreeError):
         bridge_paths(tree5, 0, M=4, d0=0, dt_mc=0.1, seed=1)
+    # per-path leaf draws are sample_tree_paths' job; a node sequence must
+    # be a root-to-leaf path
+    with pytest.raises(TreeError, match="node sequence"):
+        bridge_paths(tree5, np.arange(4), M=4, d0=2, dt_mc=0.1, seed=1)
+    with pytest.raises(TreeError, match="node sequence"):
+        bridge_paths(tree5, np.arange(tree5.n_steps + 1), M=6, d0=2, dt_mc=0.1, seed=1)
 
 
 def test_free_paths_shape_and_determinism():
     a = free_paths(1.0, M=6, d0=3, dt_mc=0.25, seed=5)
     assert a.increments.shape == (6, 3, 4)
+    assert drawn(a).shape == (6, 3, 4)
     b = free_paths(1.0, M=6, d0=3, dt_mc=0.25, seed=5)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(drawn(a), drawn(b))
 
 
 def test_sample_tree_paths_per_path_constraint(tree5):
-    bundle = sample_tree_paths(tree5, M=32, d0=2, dt_mc=0.1, seed=9)
-    paths = bundle.paths()
-    n_sub = round(tree5.dt / bundle.dt_mc)
-    at_coarse = paths[:, 0, ::n_sub]
-    for p in range(8):
-        anc = tree5.leaf_path(int(bundle.leaf_path[p]))
-        target = np.array([tree5.omega[k][anc[k], 0] for k in range(tree5.n_steps + 1)])
-        assert np.max(np.abs(at_coarse[p] - target)) < 1e-12
+    # M = n_steps + 1: the leaf draws must not be taken for one node sequence
+    for M in (32, tree5.n_steps + 1):
+        bundle = sample_tree_paths(tree5, M=M, d0=2, dt_mc=0.1, seed=9)
+        at_coarse = wiener_paths(bundle)[:, 0, :: bundle.n_sub]
+        for p in range(M):
+            target = coarse_targets(tree5, bundle.leaves[p])
+            assert np.max(np.abs(at_coarse[p] - target)) < 1e-12
+
+
+def test_blocks_for_row_subsets(tree5):
+    # a block drawn for any subset of paths holds exactly those paths'
+    # columns of the full block, each summing to its tree increment
+    bundle = sample_tree_paths(tree5, M=40, d0=2, dt_mc=0.025, seed=13)
+    rng = np.random.default_rng(14)
+    everyone = np.arange(bundle.n_paths)
+    for k in range(tree5.n_steps):
+        full = bundle.block(k, everyone)
+        assert full.shape == (bundle.n_sub, 2, 40)
+        rows = rng.choice(40, size=rng.integers(1, 40), replace=False)
+        part = bundle.block(k, rows)
+        assert np.array_equal(part, full[:, :, rows])
+        target = np.array([np.diff(coarse_targets(tree5, leaf))[k] for leaf in bundle.leaves[rows]])
+        assert np.max(np.abs(part[:, 0].sum(axis=0) - target)) < 1e-12
 
 
 def test_d2_ito_isometry_and_clark_recovery():
