@@ -15,8 +15,9 @@ same sweep from the child spread,
 
     X_j^k(n) = S_k(n) E[ v^{k+1} domega_j | n ] / dt.
 
-solve_level applies S_k at every node of a level at once; the forward
-marcher reuses it with the bands of A*.
+Levels are x-major, (nx, n_nodes(k)): node n's children are the columns
+n*br .. n*br + br - 1 of the next level.  solve_level applies S_k in place
+at every node of a level; the forward marcher reuses it with A*'s bands.
 
 Since (B g)^k is built from X^k, which depends only on g at later levels,
 I + B is block-triangular in time: op_L inverts it by back-substitution in
@@ -63,37 +64,44 @@ class BackwardSolution:
 
 
 def solve_level(bands, dt, rhs):
-    """Solve (I - dt A) u = rhs at every node of one tree level.
+    """Solve (I - dt A) u = rhs in place at every node of one tree level.
 
     bands are the level's rows-layout bands from generator_bands (of A or
-    of A*); rhs is node-major, (n, nx) or (n, m, nx), and its boundary
-    entries are not read.  Returns u in the layout of rhs, full width with
-    zero boundary entries.
+    of A*); rhs is x-major, (nx, n) or (nx, n, m) for m right-hand sides
+    per node, any strides.  Its interior rows are solved where they lie
+    (thomas_rows gets a view) and its boundary rows zeroed; returns rhs.
     """
-    n, ni = rhs.shape[0], rhs.shape[-1] - 2
+    ni, n = rhs.shape[0] - 2, rhs.shape[1]
     lo, dg, up = bands
     # scale before broadcasting, so x-independent bands stay (1, n) views
     L, D, U = (np.broadcast_to(a, (ni, n)) for a in (-dt * lo, 1.0 - dt * dg, -dt * up))
-    X = np.array(np.moveaxis(rhs[..., 1:-1], -1, 0), order="C")  # a copy, system axis first
-    thomas_rows(L, D, U, X.reshape(ni, n, -1))
-    out = np.zeros(rhs.shape)
-    np.moveaxis(out[..., 1:-1], -1, 0)[...] = X
-    return out
+    thomas_rows(L, D, U, rhs[1:-1] if rhs.ndim == 3 else rhs[1:-1, :, None])
+    rhs[[0, -1]] = 0.0
+    return rhs
 
 
-def _spread(tree, children):
-    """E[v^{k+1} domega_j | n] / dt from the children (n_k, br, nx) of each
-    level-k node; returns (n_k, d, nx)."""
-    return np.einsum("nbx,bj->njx", children, tree.digit_signs) / (tree.branching * tree.sqdt)
+def _children_into(tree, nxt, out):
+    """From the next level nxt (nx, n_k * br), write mean_children v^{k+1}
+    into out[0] and, when out is (1 + d, nx, n_k), E[v^{k+1} domega_j | n]
+    / dt into out[1 + j]; children are summed in branch order."""
+    br = tree.branching
+    child = nxt.reshape(out.shape[1:] + (br,))
+    # branch digit 0 steps up in every component: each sum starts at child 0
+    for plane, sign in zip(out, np.vstack([np.ones(br), tree.digit_signs.T])):
+        acc = child[..., 0]
+        for b in range(1, br):
+            acc = (np.add if sign[b] > 0 else np.subtract)(acc, child[..., b], out=plane)
+    out[0] /= br
+    out[1:] /= br * tree.sqdt
 
 
 def _b_of_kernels(grid, sigma, kern):
     """(B g)^k = - sum_j beta_j dX_j^k/dx from the level-k kernels
-    (n_k, d, nx); boundary rows zero."""
-    bg = np.zeros_like(kern[:, 0])
-    for j in range(kern.shape[1]):
-        bg -= sigma[j] * dx_centered_onesided(grid, kern[:, j])
-    bg[:, [0, -1]] = 0.0
+    (d, nx, n_k); boundary rows zero."""
+    bg = np.zeros(kern.shape[1:])
+    for j in range(kern.shape[0]):
+        bg -= sigma[j] * dx_centered_onesided(grid, kern[j])
+    bg[[0, -1]] = 0.0
     return bg
 
 
@@ -109,33 +117,27 @@ def backward_sweep(
     """One backward pass over the tree; returns dict with the requested
     fields among "v", "kernels", "bg".  Shared engine behind op_T / op_G /
     op_B so a fixed-point iteration costs exactly one sweep."""
-    N, br, d, dt = tree.n_steps, tree.branching, tree.d, tree.dt
-    leaves = (tree.n_nodes(N), grid.nx)
-    v = [None] * N + [np.zeros(leaves)]
-    kernels = [[None] * N + [np.zeros(leaves)] for _ in range(d)]
-    bg = [None] * N + [np.zeros(leaves)]
+    N, d, dt = tree.n_steps, tree.d, tree.dt
+    # level k of v and of the d kernels, stacked: one solve covers them
+    m = 1 + d if want_kernels or want_bg else 1
+    sol = [None] * N + [np.zeros((m, grid.nx, tree.n_nodes(N)))]
+    bg = [None] * N + [np.zeros((grid.nx, tree.n_nodes(N)))]
     for k in range(N - 1, -1, -1):
-        children = v[k + 1].reshape(-1, br, grid.nx)
-        if not want_v:
-            v[k + 1] = None
-        rhs0 = children.mean(axis=1) + dt * g.levels[k]
+        sol[k] = np.empty((m, grid.nx, tree.n_nodes(k)))
+        _children_into(tree, sol[k + 1][0], sol[k])
+        if not (want_v or want_kernels):
+            sol[k + 1] = None
+        sol[k][0] += dt * g.levels[k]
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
-        if not (want_kernels or want_bg):
-            v[k] = solve_level(bands, dt, rhs0)
-            continue
-        rhs = np.concatenate([rhs0[:, None, :], _spread(tree, children)], axis=1)
-        sol = solve_level(bands, dt, rhs)
-        v[k] = sol[:, 0]
-        if want_kernels:
-            for j in range(d):
-                kernels[j][k] = sol[:, 1 + j]
+        solve_level(bands, dt, sol[k].transpose(1, 2, 0))
         if want_bg:
-            bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[:, 1:])
+            bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[k][1:])
     result = {}
     if want_v:
-        result["v"] = SpaceTimeField(grid, tree, v, space="X1")
+        result["v"] = SpaceTimeField(grid, tree, [s[0] for s in sol], space="X1")
     if want_kernels:
-        result["kernels"] = [SpaceTimeField(grid, tree, kj, space="X1") for kj in kernels]
+        result["kernels"] = [SpaceTimeField(grid, tree, [s[1 + j] for s in sol], space="X1")
+                             for j in range(d)]
     if want_bg:
         result["bg"] = SpaceTimeField(grid, tree, bg, space="X0")
     return result
@@ -161,7 +163,7 @@ def solve_backward_pathwise(
     N, dt = tree.n_steps, tree.dt
     U = np.zeros((N + 1, grid.nx))
     for k in range(N - 1, -1, -1):
-        rhs = U[k + 1] + dt * g.levels[k][path[k]]
+        rhs = U[k + 1] + dt * g.levels[k][:, path[k]]
         f = coeffs.drift(grid.x_interior[None, :], k * dt, tree.omega[k][path[k], 0])
         lo, dg, up = generator_bands(grid, f, coeffs.b_total)
         U[k, 1:-1] = solve_tridiag(-dt * lo.T, 1.0 - dt * dg, -dt * up.T, rhs[1:-1])
@@ -245,19 +247,19 @@ def op_L(
     (I + B) g = phi exactly by back-substitution.
     """
     N, d, dt = tree.n_steps, tree.d, tree.dt
-    leaves = (tree.n_nodes(N), grid.nx)
-    v = [None] * N + [np.zeros(leaves)]
-    kern = [None] * N + [np.zeros((leaves[0], d, grid.nx))]  # (n_k, d, nx) per level
+    sol = [None] * N + [np.zeros((1 + d, grid.nx, tree.n_nodes(N)))]  # v^k, X_j^k stacked
     g = [None] * N + [phi.levels[N].copy()]
     for k in range(N - 1, -1, -1):
-        children = v[k + 1].reshape(-1, tree.branching, grid.nx)
+        sol[k] = np.empty((1 + d, grid.nx, tree.n_nodes(k)))
+        _children_into(tree, sol[k + 1][0], sol[k])
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
-        kern[k] = solve_level(bands, dt, _spread(tree, children))
-        g[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, kern[k])
-        v[k] = solve_level(bands, dt, children.mean(axis=1) + dt * g[k])
+        solve_level(bands, dt, sol[k][1:].transpose(1, 2, 0))
+        g[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, sol[k][1:])
+        sol[k][0] += dt * g[k]
+        solve_level(bands, dt, sol[k][0])
     return BackwardSolution(
-        v=SpaceTimeField(grid, tree, v, space="X1"),
-        kernels=[SpaceTimeField(grid, tree, [x[:, j] for x in kern], space="X1") for j in range(d)],
+        v=SpaceTimeField(grid, tree, [s[0] for s in sol], space="X1"),
+        kernels=[SpaceTimeField(grid, tree, [s[1 + j] for s in sol], space="X1") for j in range(d)],
         g=SpaceTimeField(grid, tree, g, space=phi.space),
     )
 
@@ -278,13 +280,13 @@ def residual_bspde(
     """
     N, dt, d = tree.n_steps, tree.dt, tree.d
     leaves = np.arange(tree.n_leaves)
-    drift_acc = np.zeros((tree.n_leaves, grid.nx))
-    noise_acc = np.zeros((tree.n_leaves, grid.nx))
+    drift_acc = np.zeros((grid.nx, tree.n_leaves))
+    noise_acc = np.zeros((grid.nx, tree.n_leaves))
 
     def drift_term(k):
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
         av = apply_bands(bands, sol.v.levels[k]) + g.levels[k]
-        return av[tree.ancestor_index(leaves, k)]
+        return av[:, tree.ancestor_index(leaves, k)]
 
     total = 0.0
     d_hi = drift_term(N)
@@ -293,9 +295,10 @@ def residual_bspde(
         drift_acc += 0.5 * dt * (d_lo + d_hi)
         d_hi = d_lo
         digits = (leaves >> (d * (N - k - 1))) % tree.branching
-        kick = tree.digit_signs[digits] * tree.sqdt  # (n_leaves, d)
+        kick = tree.digit_signs[digits].T * tree.sqdt  # (d, n_leaves)
+        anc = tree.ancestor_index(leaves, k)
         for j in range(d):
-            noise_acc += sol.kernels[j].levels[k][tree.ancestor_index(leaves, k)] * kick[:, j : j + 1]
-        r = sol.v.levels[k][tree.ancestor_index(leaves, k)] - drift_acc + noise_acc
-        total += dt * grid.dx * float(np.einsum("lx,lx->", r, r)) / tree.n_leaves
+            noise_acc += sol.kernels[j].levels[k][:, anc] * kick[j]
+        r = sol.v.levels[k][:, anc] - drift_acc + noise_acc
+        total += dt * grid.dx * float(np.einsum("xl,xl->", r, r)) / tree.n_leaves
     return float(np.sqrt(total))

@@ -9,8 +9,9 @@ generator
 its discrete dual A* (the exact transpose of the interior matrix of A in
 the dx-weighted inner product), and the spectral smoothing operator
 Lambda = sqrt(I - Laplacian) realized in the Dirichlet sine basis.  Grid
-functions are plain numpy arrays over the nodes; Dirichlet fields carry
-zeros on the two boundary nodes.
+functions are plain numpy arrays with the grid nodes on axis 0 (batched
+values add trailing axes); Dirichlet fields carry zeros on the two
+boundary nodes.
 
 One banded core serves every solver: generator_bands alone turns drift and
 diffusion into the bands of A or A*, and thomas_rows holds the only
@@ -101,10 +102,8 @@ def build_grid(domain: DomainSpec, nx: int) -> Grid:
 
 def _check_grid_function(grid: Grid, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape[-1] != grid.nx:
-        raise GridError(
-            f"grid function has {u.shape[-1]} values, grid has {grid.nx} nodes"
-        )
+    if u.shape[0] != grid.nx:
+        raise GridError(f"grid function has {u.shape[0]} values, grid has {grid.nx} nodes")
     if not np.all(np.isfinite(u)):
         raise GridError("grid function contains non-finite entries")
     return u
@@ -132,39 +131,40 @@ def generator_bands(grid: Grid, f, b, dual=False):
 
 
 def apply_bands(bands, u):
-    """Apply the interior matrix given by rows-layout bands to node-major
-    values u of shape (n, nx).  The boundary entries of u are not read; the
-    result has zero boundary entries."""
-    ui = u[:, 1:-1].T
+    """Apply the interior matrix given by rows-layout bands to x-major
+    values u of shape (nx, n).  The boundary rows of u are not read; the
+    result has zero boundary rows."""
+    ui, out = u[1:-1], np.zeros(u.shape)
     lower, diag, upper = (np.broadcast_to(a, ui.shape) for a in bands)
-    out = np.zeros(u.shape)
-    ai = out[:, 1:-1].T
-    ai[...] = diag * ui
-    ai[1:] += lower[1:] * ui[:-1]
-    ai[:-1] += upper[:-1] * ui[1:]
+    out[1:-1] = diag * ui
+    out[2:-1] += lower[1:] * ui[:-1]
+    out[1:-2] += upper[:-1] * ui[1:]
     return out
 
 
 def thomas_rows(L, D, U, X):
-    """Thomas algorithm in rows layout: system axis first and contiguous.
+    """Thomas algorithm in rows layout: system axis first.
 
-    L, D, U broadcastable to (n, nb); X is (n, nb, m) and is overwritten
-    with the solution.  The values of L[0] and U[n-1] never influence the
+    L, D, U broadcastable to (n, nb); X is (n, nb, m), any strides, and is
+    overwritten with the solution.  Row updates iterate in Fortran order,
+    batch axis innermost, so a small contiguous m axis never becomes
+    numpy's inner loop.  The values of L[0] and U[n-1] never influence the
     solution.  No pivoting: callers must supply diagonally dominant systems
-    (I - dt*A is one when 2 dt (|f|/(2dx) - b/(2dx^2)) <= 1).
+    (I - dt*A is one when 2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which
+    harness.ExperimentConfig.validate checks at load).
     """
     n = X.shape[0]
     cp = np.empty((n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:]))
     inv = 1.0 / D[0]
     cp[0] = U[0] * inv
-    X[0] *= inv[:, None]
+    np.multiply(X[0], inv[:, None], out=X[0], order="F")
     for i in range(1, n):
         denom = 1.0 / (D[i] - L[i] * cp[i - 1])
         cp[i] = U[i] * denom
-        X[i] -= L[i][:, None] * X[i - 1]
-        X[i] *= denom[:, None]
+        np.subtract(X[i], np.multiply(L[i][:, None], X[i - 1], order="F"), out=X[i], order="F")
+        np.multiply(X[i], denom[:, None], out=X[i], order="F")
     for i in range(n - 2, -1, -1):
-        X[i] -= cp[i][:, None] * X[i + 1]
+        np.subtract(X[i], np.multiply(cp[i][:, None], X[i + 1], order="F"), out=X[i], order="F")
     return X
 
 
@@ -208,7 +208,7 @@ def apply_A_star(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     of apply_A in the dx-weighted inner product."""
     u = _check_grid_function(grid, u)
     f = coeffs.drift(grid.x_interior[None, :], t, tree.omega1(node))
-    return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[None])[0]
+    return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[:, None])[:, 0]
 
 
 class LambdaTransform:
@@ -226,16 +226,16 @@ class LambdaTransform:
         self.eigenvalues.setflags(write=False)
 
     def apply(self, u: np.ndarray, k: int) -> np.ndarray:
-        """Lambda^k u for k in {-1, 0, 1}; u may be batched on leading axes."""
+        """Lambda^k u for k in {-1, 0, 1}; u may be batched on trailing axes."""
         if k not in (-1, 0, 1):
             raise GridError(f"Lambda power must be -1, 0 or 1, got {k}")
         u = _check_grid_function(self.grid, u)
         if k == 0:
             return u.copy()
-        coef = dst(u[..., 1:-1], type=1, norm="ortho", axis=-1)
-        coef *= (1.0 + self.eigenvalues) ** (0.5 * k)
+        coef = dst(u[1:-1], type=1, norm="ortho", axis=0)
+        coef *= ((1.0 + self.eigenvalues) ** (0.5 * k)).reshape((-1,) + (1,) * (u.ndim - 1))
         out = np.zeros_like(u)
-        out[..., 1:-1] = dst(coef, type=1, norm="ortho", axis=-1)
+        out[1:-1] = dst(coef, type=1, norm="ortho", axis=0)
         return out
 
 
@@ -261,9 +261,11 @@ def hk_norm(u: np.ndarray, k: int, grid: Grid) -> float:
 
 
 def dx_centered(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Centered first derivative; boundary rows zero; u may be batched."""
-    out = np.zeros_like(u)
-    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * grid.dx)
+    """Centered first derivative along axis 0; boundary rows zero; u may be
+    batched on trailing axes."""
+    out = np.empty_like(u)
+    np.divide(u[2:] - u[:-2], 2.0 * grid.dx, out=out[1:-1])
+    out[[0, -1]] = 0.0
     return out
 
 
@@ -272,6 +274,6 @@ def dx_centered_onesided(grid: Grid, u: np.ndarray) -> np.ndarray:
     first and last interior nodes (does not touch the boundary values)."""
     out = dx_centered(grid, u)
     h2 = 2.0 * grid.dx
-    out[..., 1] = (-3.0 * u[..., 1] + 4.0 * u[..., 2] - u[..., 3]) / h2
-    out[..., -2] = (3.0 * u[..., -2] - 4.0 * u[..., -3] + u[..., -4]) / h2
+    out[1] = (-3.0 * u[1] + 4.0 * u[2] - u[3]) / h2
+    out[-2] = (3.0 * u[-2] - 4.0 * u[-3] + u[-4]) / h2
     return out

@@ -1,8 +1,13 @@
 """Grid x time x tree-node tensors and their inner products.
 
 A SpaceTimeField stores one array per time level, indexed by that level's
-tree nodes (adaptedness is structural).  The X0 inner product discretizes
-the time integral with the left rule over the n_steps cells,
+tree nodes (adaptedness is structural).  Levels are x-major ("node-last"):
+level k is a C-contiguous (nx, n_nodes(k)) array, so the interior rows
+[1:-1] are the contiguous system-axis-first block the Thomas solver works
+on in place, and the children of node n are the contiguous columns
+levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].  The X0 inner
+product discretizes the time integral with the left rule over the n_steps
+cells,
 
     <F, G> = dt * sum_k  E_nodes  <F^k, G^k>_{H0},     k = 0 .. n_steps-1,
 
@@ -27,9 +32,10 @@ class FieldError(ValueError):
 class SpaceTimeField:
     """Adapted space-time random field on a grid and scenario tree.
 
-    levels[k] has shape (2**(d k), nx); Dirichlet fields carry zeros in the
-    first and last column.  `space` is an informational regularity tag
-    ("X-1", "X0", "X1").
+    levels[k] has shape (nx, 2**(d k)): one column per level-k node, one row
+    per grid node, C-contiguous.  Dirichlet fields carry zeros in the first
+    and last row.  `space` is an informational regularity tag ("X-1", "X0",
+    "X1").
     """
 
     __slots__ = ("grid", "tree", "levels", "space")
@@ -44,10 +50,10 @@ class SpaceTimeField:
         self.levels = [np.asarray(a, dtype=float) for a in levels]
         self.space = space
         for k, a in enumerate(self.levels):
-            if a.shape != (tree.n_nodes(k), grid.nx):
+            if a.shape != (grid.nx, tree.n_nodes(k)):
                 raise FieldError(
                     f"level {k} slice has shape {a.shape}, expected "
-                    f"{(tree.n_nodes(k), grid.nx)}"
+                    f"{(grid.nx, tree.n_nodes(k))}"
                 )
 
     @classmethod
@@ -55,7 +61,7 @@ class SpaceTimeField:
         return cls(
             grid,
             tree,
-            [np.zeros((tree.n_nodes(k), grid.nx)) for k in range(tree.n_steps + 1)],
+            [np.zeros((grid.nx, tree.n_nodes(k))) for k in range(tree.n_steps + 1)],
             space=space,
         )
 
@@ -63,12 +69,12 @@ class SpaceTimeField:
     def from_function(
         cls, grid: Grid, tree: ScenarioTree, fn, space: str = "X0"
     ) -> "SpaceTimeField":
-        """Evaluate fn(x_row, t, w1_column) on every level; fn must broadcast."""
+        """Evaluate fn(x_column, t, w1_row) on every level; fn must broadcast."""
         levels = []
         for k in range(tree.n_steps + 1):
-            w1 = tree.omega[k][:, :1]
+            w1 = tree.omega[k][:, 0][None, :]
             vals = np.broadcast_to(
-                fn(grid.x[None, :], k * tree.dt, w1), (tree.n_nodes(k), grid.nx)
+                fn(grid.x[:, None], k * tree.dt, w1), (grid.nx, tree.n_nodes(k))
             )
             levels.append(np.array(vals, dtype=float))
         return cls(grid, tree, levels, space=space)
@@ -79,9 +85,9 @@ class SpaceTimeField:
         )
 
     def leaf_values(self, level: int) -> np.ndarray:
-        """Level slice lifted to the leaves, shape (n_leaves, nx)."""
+        """Level slice lifted to the leaves, shape (nx, n_leaves)."""
         idx = self.tree.ancestor_index(np.arange(self.tree.n_leaves), level)
-        return self.levels[level][idx]
+        return self.levels[level][:, idx]
 
     def max_abs(self) -> float:
         return max(float(np.abs(a).max()) for a in self.levels)
@@ -133,7 +139,7 @@ def inner_x0(F: SpaceTimeField, G: SpaceTimeField) -> float:
     tree, grid = F.tree, F.grid
     total = 0.0
     for k in range(tree.n_steps):
-        total += float(np.einsum("nx,nx->", F.levels[k], G.levels[k])) / tree.n_nodes(k)
+        total += float(np.einsum("xn,xn->", F.levels[k], G.levels[k])) / tree.n_nodes(k)
     return total * tree.dt * grid.dx
 
 
@@ -149,8 +155,8 @@ def pair_x0_dual(F: SpaceTimeField, P: SpaceTimeField) -> float:
     br = tree.branching
     total = 0.0
     for k in range(tree.n_steps):
-        child = P.levels[k + 1].reshape(tree.n_nodes(k), br, grid.nx)
-        total += float(np.einsum("nx,nbx->", F.levels[k], child)) / tree.n_nodes(k + 1)
+        child = P.levels[k + 1].reshape(grid.nx, tree.n_nodes(k), br)
+        total += float(np.einsum("xn,xnb->", F.levels[k], child)) / tree.n_nodes(k + 1)
     return total * tree.dt * grid.dx
 
 
@@ -171,8 +177,8 @@ def norm_xk(F: SpaceTimeField, k: int) -> float:
     tree, grid = F.tree, F.grid
     total = 0.0
     for lev in range(tree.n_steps):
-        coef = dst(F.levels[lev][:, 1:-1], type=1, norm="ortho", axis=-1)
-        total += float(np.einsum("nm,m->", coef**2, scale)) / tree.n_nodes(lev)
+        coef = dst(F.levels[lev][1:-1], type=1, norm="ortho", axis=0)
+        total += float(np.einsum("mn,m->", coef**2, scale)) / tree.n_nodes(lev)
     return float(np.sqrt(total * tree.dt * grid.dx))
 
 
@@ -181,7 +187,7 @@ def norm_c0(F: SpaceTimeField) -> float:
     tree, grid = F.tree, F.grid
     worst = 0.0
     for k in range(tree.n_steps + 1):
-        msq = float(np.einsum("nx,nx->", F.levels[k], F.levels[k])) / tree.n_nodes(k)
+        msq = float(np.einsum("xn,xn->", F.levels[k], F.levels[k])) / tree.n_nodes(k)
         worst = max(worst, msq * grid.dx)
     return float(np.sqrt(worst))
 
@@ -193,7 +199,7 @@ def check_adapted_prefix(F: SpaceTimeField) -> bool:
     tree = F.tree
     for k in range(tree.n_steps + 1):
         lifted = F.leaf_values(k)
-        back = lifted[:: tree.branching ** (tree.n_steps - k)]
+        back = lifted[:, :: tree.branching ** (tree.n_steps - k)]
         if not np.array_equal(back, F.levels[k]):
             return False
     return True
@@ -222,10 +228,10 @@ def smooth_random_field(
     horizon = tree.horizon
     levels = []
     for k in range(tree.n_steps + 1):
-        w1 = tree.omega[k][:, :1]
+        w1 = tree.omega[k][:, 0][None, :]
         ramp = (k * tree.dt) / horizon
-        weights = amp[0][None, :] + amp[1][None, :] * np.tanh(w1) + amp[2][None, :] * ramp
-        levels.append(weights @ modes)
+        weights = amp[0][:, None] + amp[1][:, None] * np.tanh(w1) + amp[2][:, None] * ramp
+        levels.append(modes.T @ weights)  # (nx, m) @ (m, n_k)
     return SpaceTimeField(grid, tree, levels, space=space)
 
 
@@ -254,5 +260,5 @@ def smooth_profile_field(
         s = (k * tree.dt) / horizon
         weights = amp[0] + amp[1] * s + amp[2] * (s * s - s)
         profile = weights @ modes
-        levels.append(np.broadcast_to(profile, (tree.n_nodes(k), grid.nx)).copy())
+        levels.append(np.broadcast_to(profile[:, None], (grid.nx, tree.n_nodes(k))).copy())
     return SpaceTimeField(grid, tree, levels, space=space)

@@ -13,7 +13,9 @@ step's left node; letting them anticipate the child state would correlate
 the operator with the very increment it multiplies and leave a drift-scale
 bias in the duality pairings that refinement cannot remove.  Solutions stay
 adapted because each child of a node gets its own increment.  Homogeneous
-Dirichlet data are imposed at every step.
+Dirichlet data are imposed at every step.  A step builds the right-hand
+side of every child as one x-major (nx, n_k, br) array, solves it in place
+with the parent's bands, and views it as the (nx, n_{k+1}) next level.
 
 Operator forms (all with zero data at t = 0 and on the boundary):
 
@@ -112,16 +114,17 @@ def step_forward(
     return ForwardState(values=new, node=child, dt=tree.dt)
 
 
-def _forward_march(coeffs, grid, tree, state0, source_fn, space="X1", on_level=None):
-    """March all tree paths at once with the splitting step.
+def _forward_march(coeffs, grid, tree, source_fn, state0=None, space="X1", on_level=None):
+    """March all tree paths at once with the splitting step, from the root
+    slice state0 (nx, 1), zero when not given.
 
     source_fn(k, state) -> (drift, noise): drift holds the level-(k+1)
     source slice entering the implicit half (or None), noise a list per
     driving component of level-k slices for the explicit kick (or None).
     """
     N, br = tree.n_steps, tree.branching
-    state = np.asarray(state0, dtype=float)
-    if state.shape != (1, grid.nx):
+    state = np.zeros((grid.nx, 1)) if state0 is None else np.asarray(state0, dtype=float)
+    if state.shape != (grid.nx, 1):
         raise ForwardSolverError("initial state must be a single root slice")
     levels = [state]
     if on_level is not None:
@@ -129,18 +132,16 @@ def _forward_march(coeffs, grid, tree, state0, source_fn, space="X1", on_level=N
     for k in range(N):
         n_k = tree.n_nodes(k)
         drift, noise = source_fn(k, state)
-        rhs = np.broadcast_to(state[:, None, :], (n_k, br, grid.nx))
-        if drift is not None:
-            rhs = rhs + tree.dt * drift.reshape(n_k, br, grid.nx)
-        if noise is not None:
-            add = np.zeros((n_k, br, grid.nx))
-            for j, src in enumerate(noise):
-                if src is not None:
-                    add += src[:, None, :] * (tree.digit_signs[None, :, j, None] * tree.sqdt)
-            rhs = rhs + add
-        f = coeffs.drift_nodes(grid, tree, k)
-        bands = generator_bands(grid, f, coeffs.b_total, dual=True)
-        state = solve_level(bands, tree.dt, rhs).reshape(n_k * br, grid.nx)
+        rhs = np.empty((grid.nx, n_k, br))
+        for b in range(br):  # child b of every node: a strided (nx, n_k) view
+            np.add(state, 0.0 if drift is None else tree.dt * drift.reshape(rhs.shape)[:, :, b],
+                   out=rhs[:, :, b])
+            kicks = [src * (tree.digit_signs[b, j] * tree.sqdt)
+                     for j, src in enumerate(noise or []) if src is not None]
+            if kicks:
+                rhs[:, :, b] += sum(kicks[1:], kicks[0])
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual=True)
+        state = solve_level(bands, tree.dt, rhs).reshape(grid.nx, n_k * br)
         if not np.all(np.isfinite(state)):
             raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
         levels.append(state)
@@ -151,11 +152,7 @@ def _forward_march(coeffs, grid, tree, state0, source_fn, space="X1", on_level=N
 
 def solve_T_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
     """pi with d pi = [A* pi + h] dt, zero initial and boundary data."""
-    return _forward_march(
-        coeffs, grid, tree,
-        np.zeros((1, grid.nx)),
-        lambda k, state: (h.levels[k + 1], None),
-    )
+    return _forward_march(coeffs, grid, tree, lambda k, state: (h.levels[k + 1], None))
 
 
 def solve_G_star(j: int, h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -168,7 +165,7 @@ def solve_G_star(j: int, h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTr
         noise[j] = h.levels[k]
         return None, noise
 
-    return _forward_march(coeffs, grid, tree, np.zeros((1, grid.nx)), src)
+    return _forward_march(coeffs, grid, tree, src)
 
 
 def solve_B_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -178,7 +175,7 @@ def solve_B_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> S
     def src(k, state):
         return None, [dx_centered(grid, sigma[j] * h.levels[k]) for j in range(tree.d)]
 
-    return _forward_march(coeffs, grid, tree, np.zeros((1, grid.nx)), src, space="X0")
+    return _forward_march(coeffs, grid, tree, src, space="X0")
 
 
 def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -194,7 +191,7 @@ def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> 
         diff = pi.levels[k] - state
         return None, [dx_centered(grid, sigma[j] * diff) for j in range(tree.d)]
 
-    z = _forward_march(coeffs, grid, tree, np.zeros((1, grid.nx)), src, space="X0")
+    z = _forward_march(coeffs, grid, tree, src, space="X0")
     out = pi - z
     out.space = "X1"
     return out
@@ -210,7 +207,7 @@ def solve_L_star(xi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> 
             -dx_centered(grid, sigma[j] * state) for j in range(tree.d)
         ]
 
-    return _forward_march(coeffs, grid, tree, np.zeros((1, grid.nx)), src)
+    return _forward_march(coeffs, grid, tree, src)
 
 
 _BLOWUP_GUARD = 1e6
@@ -244,7 +241,7 @@ def solve_density(
     mass, min_density = [], []
 
     def record(level, state):
-        mass.append(grid.dx * state[:, 1:-1].sum(axis=1))
+        mass.append(grid.dx * state[1:-1].sum(axis=0))
         min_density.append(float(state.min()))
         if np.abs(state).max() > _BLOWUP_GUARD:
             raise ForwardSolverError(f"density blow-up at level {level}")
@@ -252,11 +249,9 @@ def solve_density(
     def src(k, state):
         return None, [-dx_centered(grid, sigma[j] * state) for j in range(tree.d)]
 
-    start = np.zeros((1, grid.nx))
-    start[0] = p0
-    start[0, 0] = 0.0
-    start[0, -1] = 0.0
-    p = _forward_march(coeffs, grid, tree, start, src, on_level=record)
+    start = p0[:, None].copy()
+    start[[0, -1]] = 0.0
+    p = _forward_march(coeffs, grid, tree, src, start, on_level=record)
     peak = max(a.max() for a in p.levels)
     flagged = min(min_density) < -1e-3 * max(peak, 1e-300)
     return DensitySolution(p=p, mass=mass, min_density=min_density, flagged=flagged)

@@ -3,7 +3,8 @@
 Each experiment builds its objects from an ExperimentConfig (JSON on disk),
 runs a fixed set of checks and emits one CheckRow per check.  Reports are a
 CSV body (deterministic for a given config: no timestamps, fixed float
-formatting), a JSON summary, and a separate metadata file carrying the
+formatting), a JSON summary with the solver diagnostics an experiment
+records (also deterministic), and a separate metadata file carrying the
 volatile environment stamp.
 
 Row semantics: lhs and rhs are the two quantities a check compares,
@@ -78,6 +79,7 @@ class ExperimentReport:
     rows: list
     config: dict
     elapsed: float
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -128,6 +130,7 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                     for r in report.rows
                 ],
                 "config": report.config,
+                "diagnostics": report.diagnostics,
             },
             fh,
             indent=2,
@@ -319,15 +322,17 @@ class ExperimentConfig:
             raise ConfigError(f"need d <= d0, got d={d}, d0={d0}")
         if not _is_count(self.workers, 1):
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
-        make_family(name, fam)  # raises CoefficientError on bad families
+        coeffs = make_family(name, fam)  # raises CoefficientError on bad families
         # build every grid and tree level the experiment will touch
+        levels = [(self.grid["nx"], self.tree["n_steps"]),
+                  (self.params.get("fine_nx", self.grid["nx"]),
+                   self.params.get("fine_n_steps", self.tree["n_steps"]))]
         try:
-            for nx in (self.grid["nx"], self.params.get("fine_nx", self.grid["nx"])):
-                self.build_grid(nx)
-            for n in (self.tree["n_steps"], self.params.get("fine_n_steps", self.tree["n_steps"])):
-                self.build_tree(n)
+            built = [(self.build_grid(nx), self.build_tree(n)) for nx, n in levels]
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        for grid, tree in built:
+            _check_dominance(coeffs, grid, tree)
         if self.experiment in _MC_BRIDGED:
             self._validate_mc(_MC_BRIDGED[self.experiment])
 
@@ -369,6 +374,19 @@ class ExperimentConfig:
         return build_tree(d, int(n_steps), float(self.tree["horizon"]))
 
 
+def _check_dominance(coeffs, grid, tree):
+    """The Thomas solver does not pivot: I - dt*A must be diagonally dominant
+    at every node, which holds when 2 dt (K1/(2dx) - b/(2dx^2)) <= 1."""
+    k1, b = coeffs.drift_bound(), coeffs.b_total
+    value = 2.0 * tree.dt * (k1 / (2.0 * grid.dx) - b / (2.0 * grid.dx**2))
+    if value > 1.0:
+        raise ConfigError(
+            f"nx={grid.nx} with n_steps={tree.n_steps} breaks the diagonal dominance the "
+            f"Thomas solver needs: 2 dt (K1/(2dx) - b/(2dx^2)) = {value:.3g} > 1 "
+            f"(K1={k1:g}, b={b:g}); take more tree steps or a smaller drift"
+        )
+
+
 def list_experiments() -> list:
     return sorted(_DEFAULTS)
 
@@ -394,9 +412,14 @@ def _gaussian_density(grid, width: float) -> np.ndarray:
 def _dirichlet_profile(grid, tree, fn) -> SpaceTimeField:
     fld = SpaceTimeField.from_function(grid, tree, fn)
     for lev in fld.levels:
-        lev[:, 0] = 0.0
-        lev[:, -1] = 0.0
+        lev[[0, -1]] = 0.0
     return fld
+
+
+def _density_diagnostics(dens, grid, tree) -> dict:
+    """Positivity audit of one density solve, for summary.json."""
+    return {"nx": grid.nx, "n_steps": tree.n_steps, "flagged": bool(dens.flagged),
+            "min_density": list(dens.min_density)}
 
 
 def _density_phi_pairing(dens, phi, grid, tree) -> float:
@@ -405,7 +428,7 @@ def _density_phi_pairing(dens, phi, grid, tree) -> float:
     for k in range(tree.n_steps):
         total += (
             tree.dt * grid.dx
-            * float(np.einsum("nx,nx->", dens.p.levels[k], phi.levels[k]))
+            * float(np.einsum("xn,xn->", dens.p.levels[k], phi.levels[k]))
             / tree.n_nodes(k)
         )
     return total
@@ -414,7 +437,7 @@ def _density_phi_pairing(dens, phi, grid, tree) -> float:
 # --- experiments -------------------------------------------------------------
 
 
-def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig) -> list:
+def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs = cfg.build_coeffs()
     grid = cfg.build_grid()
     tree = cfg.build_tree()
@@ -422,7 +445,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig) -> list:
     phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.ones_like(x) + 0.0 * w1)
     sol = op_L(phi, coeffs, grid, tree)
     ix = int(np.argmin(np.abs(grid.x - cfg.params["x0"])))
-    v_mid = float(sol.v.levels[0][0, ix])
+    v_mid = float(sol.v.levels[0][ix, 0])
     rows = [CheckRow(cfg.experiment, "v-mid-vs-exit-time-oracle", "5.1c",
                      v_mid, 0.25, 0.02, abs(v_mid - 0.25) <= 0.02)]
     kernel_ratio = norm_x0(sol.kernels[0]) / max(norm_x0(phi), 1e-300)
@@ -440,7 +463,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _exp_representation_random(cfg: ExperimentConfig) -> list:
+def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     grid = cfg.build_grid()
     tree = cfg.build_tree()
     dom = cfg.build_domain()
@@ -459,7 +482,7 @@ def _exp_representation_random(cfg: ExperimentConfig) -> list:
                 grid=grid, domain=dom, dt_mc=float(cfg.mc["dt_mc"]),
                 tree=tree, d0=coeffs.d0, workers=cfg.workers,
             )
-            out.append((float(grid.x[ix]), float(sol.v.levels[0][0, ix]), est))
+            out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
 
     fam = dict(cfg.coefficients)
@@ -510,7 +533,7 @@ def _adjoint_mismatches(cfg, nx, n_steps, seed_pair):
 _PAIR_ANCHORS = {"T": "2.8", "G": "3.1", "B": "3.3", "R": "3.5", "L": "3.7"}
 
 
-def _exp_adjoint_suite(cfg: ExperimentConfig) -> list:
+def _exp_adjoint_suite(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
     n_draws = int(p["n_draws"])
     seed = cfg.mc["seed"]
@@ -536,7 +559,7 @@ def _exp_adjoint_suite(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _exp_solvability_R(cfg: ExperimentConfig) -> list:
+def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs = cfg.build_coeffs()
     grid = cfg.build_grid()
     tree = cfg.build_tree()
@@ -566,6 +589,11 @@ def _exp_solvability_R(cfg: ExperimentConfig) -> list:
     # by images (I+B)g_k with strictly improving residuals down to tol
     target = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], 99))
     _, info_c = solve_R(target, coeffs, grid, tree, **cfg.solver)
+    diag["solve_R"] = {
+        name: {"iterations": info["iterations"], "residual_history": info["residual_history"]}
+        for name, info in (("zero-start", info_a), ("phi-start", info_b),
+                           ("range-density-probe", info_c))
+    }
     hist = info_c["residual_history"]
     shrinking = all(b < a for a, b in zip(hist, hist[1:]))
     rows.append(CheckRow(cfg.experiment, "range-density-probe", "4.2",
@@ -582,16 +610,17 @@ def _duality_gap(cfg, nx, n_steps):
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     sol = op_L(phi, coeffs, grid, tree)
     dens = solve_density(p0, coeffs, grid, tree)
-    lhs = grid.dx * float((p0 * sol.v.levels[0][0]).sum())
+    lhs = grid.dx * float((p0 * sol.v.levels[0][:, 0]).sum())
     rhs = _density_phi_pairing(dens, phi, grid, tree)
     return lhs, rhs, sol, dens, phi, grid, tree
 
 
-def _exp_duality_63(cfg: ExperimentConfig) -> list:
+def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
     lhs_c, rhs_c, sol, dens, phi, grid, tree = _duality_gap(
         cfg, cfg.grid["nx"], cfg.tree["n_steps"]
     )
+    diag["density"] = [_density_diagnostics(dens, grid, tree)]
     gap_c = abs(lhs_c - rhs_c)
     scale = max(norm_x0(phi), 1e-300)
     budget = float(p["gap_constant"]) * (tree.dt + grid.dx**2) * scale
@@ -602,21 +631,22 @@ def _exp_duality_63(cfg: ExperimentConfig) -> list:
     cond = [np.zeros(tree.n_nodes(m)) for m in range(tree.n_steps + 1)]
     for m in range(tree.n_steps - 1, k - 1, -1):
         per_node = tree.dt * grid.dx * np.einsum(
-            "nx,nx->n", dens.p.levels[m], phi.levels[m]
+            "xn,xn->n", dens.p.levels[m], phi.levels[m]
         )
         child_mean = cond[m + 1].reshape(tree.n_nodes(m), -1).mean(axis=1)
         cond[m] = per_node + child_mean
     node_budget = 2.0 * budget
     for node in range(int(p["node_checks"])):
         lhs_n = grid.dx * float(
-            (dens.p.levels[k][node] * sol.v.levels[k][node]).sum()
+            (dens.p.levels[k][:, node] * sol.v.levels[k][:, node]).sum()
         )
         rhs_n = float(cond[k][node])
         rows.append(CheckRow(cfg.experiment, f"gap-at-node-{k}:{node}", "6.3",
                              lhs_n, rhs_n, node_budget,
                              abs(lhs_n - rhs_n) <= node_budget))
     del sol, dens, phi
-    lhs_f, rhs_f, _, _, _, _, _ = _duality_gap(cfg, p["fine_nx"], p["fine_n_steps"])
+    lhs_f, rhs_f, _, dens, _, grid, tree = _duality_gap(cfg, p["fine_nx"], p["fine_n_steps"])
+    diag["density"].append(_density_diagnostics(dens, grid, tree))
     gap_f = abs(lhs_f - rhs_f)
     slack = float(p["halving_slack"])
     rows.append(CheckRow(cfg.experiment, "gap-halving-under-refinement", "6.3",
@@ -624,7 +654,7 @@ def _exp_duality_63(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _exp_density_64_65(cfg: ExperimentConfig) -> list:
+def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs = cfg.build_coeffs()
     grid = cfg.build_grid()
     tree = cfg.build_tree()
@@ -633,6 +663,7 @@ def _exp_density_64_65(cfg: ExperimentConfig) -> list:
     p0 = _gaussian_density(grid, float(p["p0_width"]))
     leaf = int(str(p["leaf_bits"]), 2) % tree.n_leaves
     dens = solve_density(p0, coeffs, grid, tree)
+    diag["density"] = [_density_diagnostics(dens, grid, tree)]
     anc = tree.leaf_path(leaf)
     t_points = [float(t) for t in p["t_points"]]
     cond = conditional_functional(
@@ -645,14 +676,14 @@ def _exp_density_64_65(cfg: ExperimentConfig) -> list:
     rel_tol = float(p["conditional_rel_tol"])
     for est, t in zip(cond, t_points):
         k = int(round(t / tree.dt))
-        pslice = dens.p.levels[k][anc[k]]
+        pslice = dens.p.levels[k][:, anc[k]]
         pde = grid.dx * float((pslice * np.exp(-(grid.x**2)))[1:-1].sum())
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
                              pde, est.value, rel_tol, rel <= rel_tol))
     phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.exp(-(x**2)) + 0.0 * w1)
     sol = op_L(phi, coeffs, grid, tree)
-    lhs = grid.dx * float((p0[1:-1] * sol.v.levels[0][0, 1:-1]).sum())
+    lhs = grid.dx * float((p0[1:-1] * sol.v.levels[0][1:-1, 0]).sum())
     est = functional_estimate(
         coeffs, lambda y, t, w1: np.exp(-(y**2)), p0,
         int(cfg.mc["paths"]), (cfg.mc["seed"], 65),
@@ -670,7 +701,7 @@ def _exp_density_64_65(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _exp_norm_bounds(cfg: ExperimentConfig) -> list:
+def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
 
     def ratios(nx, n_steps):
@@ -697,6 +728,8 @@ def _exp_norm_bounds(cfg: ExperimentConfig) -> list:
     ]
 
 
+# each experiment takes its config and a dict for the solver diagnostics it
+# records (written to summary.json), and returns its check rows
 EXPERIMENTS = {
     "feynman-kac-nonrandom": _exp_feynman_kac_nonrandom,
     "representation-random": _exp_representation_random,
@@ -711,12 +744,14 @@ EXPERIMENTS = {
 def run(config: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute the named experiment and (optionally) write its report files."""
     start = time.perf_counter()
-    rows = EXPERIMENTS[config.experiment](config)
+    diagnostics = {}
+    rows = EXPERIMENTS[config.experiment](config, diagnostics)
     report = ExperimentReport(
         experiment=config.experiment,
         rows=rows,
         config=config.to_dict(),
         elapsed=time.perf_counter() - start,
+        diagnostics=diagnostics,
     )
     if write:
         write_report(report, config.output_dir)

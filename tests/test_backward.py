@@ -19,7 +19,14 @@ from spdelab import (
 )
 from spdelab.backward import BackwardSolution, ConvergenceError, backward_sweep
 from spdelab.fields import inner_x0, norm_x0, norm_xk, pair_x0_dual, smooth_random_field
-from spdelab.forward import solve_T_star
+from spdelab.forward import (
+    solve_B_star,
+    solve_density,
+    solve_G_star,
+    solve_L_star,
+    solve_R_star,
+    solve_T_star,
+)
 
 
 def make_setup(nx=41, n_steps=5, horizon=1.0, family="drift-random", domain=(0.0, 1.0)):
@@ -57,7 +64,7 @@ def test_pathwise_exit_time_oracle():
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     g = SpaceTimeField.from_function(grid, tree, lambda x, t, w1: np.ones_like(x) + 0 * w1)
     for lev in g.levels:
-        lev[:, 0] = lev[:, -1] = 0.0
+        lev[0] = lev[-1] = 0.0
     U = solve_backward_pathwise(g, coeffs, 0, grid, tree)
     exact = grid.x * (1.0 - grid.x)
     err = np.abs(U[0] - exact).max()
@@ -79,7 +86,7 @@ def test_op_T_matches_leaf_enumeration():
     U = leaf_enumerated_U(g, coeffs, grid, tree)
     for k in (0, 2, tree.n_steps):
         expect = cond_expect(U[:, k, :], k, tree)
-        assert np.max(np.abs(expect - v.levels[k])) < 1e-12
+        assert np.max(np.abs(expect - v.levels[k].T)) < 1e-12
 
 
 def test_op_T_zero_and_terminal():
@@ -91,7 +98,7 @@ def test_op_T_zero_and_terminal():
     v = op_T(g, coeffs, grid, tree)
     assert np.all(v.levels[tree.n_steps] == 0.0)
     for lev in v.levels:
-        assert np.all(lev[:, 0] == 0.0) and np.all(lev[:, -1] == 0.0)
+        assert np.all(lev[0] == 0.0) and np.all(lev[-1] == 0.0)
 
 
 def test_op_G_is_clark_kernel_diagonal():
@@ -106,7 +113,7 @@ def test_op_G_is_clark_kernel_diagonal():
         dec = clark_decompose(U[:, k, ix], tree)
         rec = dec.reconstruct(tree)
         assert np.max(np.abs(rec - U[:, k, ix])) <= 1e-12 * max(np.abs(U[:, k, ix]).max(), 1e-12)
-        assert np.max(np.abs(dec.kernels[k][:, 0] - X[0].levels[k][:, ix])) < 1e-12
+        assert np.max(np.abs(dec.kernels[k][:, 0] - X[0].levels[k][ix])) < 1e-12
 
 
 def test_op_G_vanishes_for_nonrandom_data():
@@ -201,14 +208,14 @@ def test_op_L_structure_and_exit_oracle():
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     phi = SpaceTimeField.from_function(grid, tree, lambda x, t, w1: np.ones_like(x) + 0 * w1)
     for lev in phi.levels:
-        lev[:, 0] = lev[:, -1] = 0.0
+        lev[0] = lev[-1] = 0.0
     sol = op_L(phi, coeffs, grid, tree)
     assert isinstance(sol, BackwardSolution)
     exact = grid.x * (1 - grid.x)
-    assert np.abs(sol.v.levels[0][0] - exact).max() <= 0.02 * exact.max()
+    assert np.abs(sol.v.levels[0][:, 0] - exact).max() <= 0.02 * exact.max()
     # nonrandom data: L phi = plain backward solve of phi
     U = solve_backward_pathwise(phi, coeffs, 0, grid, tree)
-    assert np.allclose(sol.v.levels[0][0], U[0], atol=1e-9)
+    assert np.allclose(sol.v.levels[0][:, 0], U[0], atol=1e-9)
     assert norm_x0(sol.kernels[0]) <= 1e-12
 
 
@@ -276,7 +283,7 @@ def test_residual_bspde_detects_corrupted_kernel():
     base = residual_bspde(sol, g, coeffs, grid, tree)
     corrupted = [res["kernels"][0].copy()]
     for k in range(tree.n_steps):
-        corrupted[0].levels[k][:, 1:-1] += 1.0
+        corrupted[0].levels[k][1:-1] += 1.0
     bad = residual_bspde(BackwardSolution(v=res["v"], kernels=corrupted), g, coeffs, grid, tree)
     assert bad - base > 0.1
 
@@ -337,3 +344,23 @@ def test_exact_discrete_duality_pairing():
     lhs = inner_x0(v, h_static)
     rhs = pair_x0_dual(g, pi)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def test_solver_levels_are_x_major_and_c_contiguous():
+    # every tree solver hands back levels of shape (nx, n_nodes(k)) that own
+    # a C-contiguous layout, backward and forward alike
+    _, grid, tree, coeffs = make_setup(n_steps=4)
+    g = smooth_random_field(grid, tree, seed=29)
+    sweep = backward_sweep(g, coeffs, grid, tree, want_v=True, want_kernels=True, want_bg=True)
+    sol = op_L(g, coeffs, grid, tree)
+    p0 = np.zeros(grid.nx)
+    p0[1:-1] = 1.0 / (grid.dx * grid.ni)
+    fields = [sweep["v"], *sweep["kernels"], sweep["bg"], sol.v, *sol.kernels, sol.g,
+              op_T(g, coeffs, grid, tree), *op_G(g, coeffs, grid, tree), op_B(g, coeffs, grid, tree),
+              solve_T_star(g, coeffs, grid, tree), solve_G_star(0, g, coeffs, grid, tree),
+              solve_B_star(g, coeffs, grid, tree), solve_R_star(g, coeffs, grid, tree),
+              solve_L_star(g, coeffs, grid, tree), solve_density(p0, coeffs, grid, tree).p]
+    for field in fields:
+        for k, level in enumerate(field.levels):
+            assert level.shape == (grid.nx, tree.n_nodes(k))
+            assert level.flags["C_CONTIGUOUS"]

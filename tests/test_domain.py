@@ -145,7 +145,7 @@ def test_apply_A_star_advection_on_quadratic(unit_interval, small_tree):
     grid = unit_interval
     bands = generator_bands(grid, np.ones((1, 1)), 0.0, dual=True)
     u = grid.x**2
-    out = apply_bands(bands, u[None])[0]
+    out = apply_bands(bands, u[:, None])[:, 0]
     interior_x = grid.x_interior[1:-1]
     assert np.allclose(out[2:-2], -2.0 * interior_x, atol=1e-10)
 
@@ -251,19 +251,37 @@ def test_solve_level_x_dependent_against_dense(unit_interval):
     n = tree.n_nodes(level)
     assert f.shape == (n, grid.ni) and len(np.unique(f[:, 0])) > 1
     rng = np.random.default_rng(21)
-    rhs = rng.normal(size=(n, 2, grid.nx))
+    rhs = rng.normal(size=(grid.nx, n, 2))  # x-major, two right-hand sides per node
     eye = np.eye(grid.ni)
     for dual in (False, True):
         bands = generator_bands(grid, f, coeffs.b_total, dual=dual)
-        u = solve_level(bands, dt, rhs)
+        u = solve_level(bands, dt, rhs.copy())
         assert u.shape == rhs.shape
-        assert np.all(u[..., 0] == 0.0) and np.all(u[..., -1] == 0.0)
-        assert np.array_equal(solve_level(bands, dt, rhs[:, 0]), u[:, 0])
+        assert np.all(u[0] == 0.0) and np.all(u[-1] == 0.0)
+        assert np.array_equal(solve_level(bands, dt, rhs[:, :, 0].copy()), u[:, :, 0])
         for node in range(n):
             A = dense_generator(grid, f[node], coeffs.b_total)
             M = eye - dt * (A.T if dual else A)
-            ref = np.linalg.solve(M, rhs[node, :, 1:-1].T).T
-            assert np.allclose(u[node, :, 1:-1], ref, rtol=0, atol=1e-13)
+            ref = np.linalg.solve(M, rhs[1:-1, node])
+            assert np.allclose(u[1:-1, node], ref, rtol=0, atol=1e-13)
+
+
+def test_solve_level_works_in_place_on_x_major_levels(unit_interval):
+    # the right-hand side is solved where it lies, C-contiguous (nx, n) in,
+    # the same array out; a strided stack of levels is solved in place too
+    grid = unit_interval
+    tree = build_tree(1, 4, 1.0)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, 3), coeffs.b_total)
+    rhs0 = np.random.default_rng(5).normal(size=(grid.nx, tree.n_nodes(3)))
+    rhs = rhs0.copy()
+    out = solve_level(bands, tree.dt, rhs)
+    assert out is rhs and out.flags["C_CONTIGUOUS"]
+    assert np.all(out[[0, -1]] == 0.0) and not np.array_equal(out, rhs0)
+    stack = np.stack([rhs0, 2.0 * rhs0])  # (2, nx, n): two levels, one solve
+    solved = solve_level(bands, tree.dt, stack.transpose(1, 2, 0))
+    assert np.shares_memory(solved, stack)
+    assert np.array_equal(stack[0], out) and np.array_equal(stack[1], 2.0 * out)
 
 
 def test_derivative_stencils(unit_interval):

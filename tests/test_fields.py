@@ -29,7 +29,7 @@ def brute_inner_x0(F, G):
         prob = tree.node_probability(k)
         for n in range(tree.n_nodes(k)):
             for i in range(grid.nx):
-                total += prob * tree.dt * grid.dx * F.levels[k][n, i] * G.levels[k][n, i]
+                total += prob * tree.dt * grid.dx * F.levels[k][i, n] * G.levels[k][i, n]
     return total
 
 
@@ -65,7 +65,7 @@ def test_shape_mismatch_raises(setup):
     with pytest.raises(FieldError):
         inner_x0(F, G)
     with pytest.raises(FieldError):
-        SpaceTimeField(grid, tree, [np.zeros((1, grid.nx))])
+        SpaceTimeField(grid, tree, [np.zeros((grid.nx, 1))])
 
 
 def test_norms_consistent(setup):
@@ -93,9 +93,9 @@ def test_adaptedness_probe_and_leaf_values(setup):
     F = smooth_random_field(grid, tree, seed=9)
     assert check_adapted_prefix(F)
     lifted = F.leaf_values(2)
-    assert lifted.shape == (tree.n_leaves, grid.nx)
+    assert lifted.shape == (grid.nx, tree.n_leaves)
     span = tree.branching ** (tree.n_steps - 2)
-    assert np.array_equal(lifted[::span], F.levels[2])
+    assert np.array_equal(lifted[:, ::span], F.levels[2])
 
 
 def test_pair_x0_dual_matches_brute(setup):
@@ -108,7 +108,7 @@ def test_pair_x0_dual_matches_brute(setup):
             parent = c // tree.branching
             slow += (
                 tree.dt * grid.dx / tree.n_nodes(k + 1)
-                * float(F.levels[k][parent] @ G.levels[k + 1][c])
+                * float(F.levels[k][:, parent] @ G.levels[k + 1][:, c])
             )
     assert pair_x0_dual(F, G) == pytest.approx(slow, rel=1e-12)
 
@@ -122,6 +122,6 @@ def test_field_generators_deterministic(setup):
     c = smooth_profile_field(grid, tree, seed=12)
     # profile fields are constant across the nodes of each level
     for k in range(tree.n_steps + 1):
-        assert np.all(c.levels[k] == c.levels[k][0])
+        assert np.all(c.levels[k] == c.levels[k][:, :1])
     # and Dirichlet-compatible
-    assert np.all(c.levels[2][:, 0] == 0.0)
+    assert np.all(c.levels[2][0] == 0.0)

@@ -102,10 +102,10 @@ def test_march_matches_repeated_steps():
     for k in range(tree.n_steps):
         dw = tree.digit_signs[path[k + 1] % tree.branching] * tree.sqdt
         state = step_forward(
-            state, coeffs, h.levels[k + 1][path[k + 1]], None, dw, grid, tree
+            state, coeffs, h.levels[k + 1][:, path[k + 1]], None, dw, grid, tree
         )
         assert state.node.index == path[k + 1]
-    assert np.allclose(state.values, pi.levels[tree.n_steps][path[-1]], atol=1e-12)
+    assert np.allclose(state.values, pi.levels[tree.n_steps][:, path[-1]], atol=1e-12)
 
 
 def test_T_star_zero():
@@ -126,7 +126,7 @@ def test_T_star_time_reversal_identity():
 
     U = solve_backward_pathwise(h, coeffs, 0, grid, tree)
     for k in range(tree.n_steps + 1):
-        assert np.allclose(pi.levels[k][0], U[tree.n_steps - k], atol=1e-8)
+        assert np.allclose(pi.levels[k][:, 0], U[tree.n_steps - k], atol=1e-8)
 
 
 def test_adjoint_pairing_refinement_T():
@@ -168,7 +168,7 @@ def test_G_star_mean_zero():
     h = smooth_random_field(grid, tree, seed=8)
     q = solve_G_star(0, h, coeffs, grid, tree)
     for k in range(tree.n_steps + 1):
-        mean = q.levels[k].mean(axis=0)
+        mean = q.levels[k].mean(axis=1)
         assert np.max(np.abs(mean)) <= 1e-10
 
 
@@ -182,7 +182,7 @@ def test_B_star_zero_and_mean_zero():
     z = solve_B_star(h, coeffs, grid, tree)
     assert norm_x0(z) > 0.0
     for k in range(tree.n_steps + 1):
-        assert np.max(np.abs(z.levels[k].mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(z.levels[k].mean(axis=1))) <= 1e-10
 
 
 def test_B_star_adjoint_to_op_B():
@@ -217,7 +217,7 @@ def test_R_star_zero_and_nonrandom_average():
     z = pi - h
     # z is noise-built, so its probability average vanishes; h = pi on average
     for k in range(tree.n_steps + 1):
-        assert np.max(np.abs(z.levels[k].mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(z.levels[k].mean(axis=1))) <= 1e-10
 
 
 def test_R_star_inverts_I_plus_B_star():
@@ -294,7 +294,7 @@ def test_density_gaussian_oracle():
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     p0 = gaussian_on(grid, 0.3)
     sol = solve_density(p0, coeffs, grid, tree)
-    Ep = sol.p.levels[-1].mean(axis=0)
+    Ep = sol.p.levels[-1].mean(axis=1)
     var = 0.3**2 + coeffs.b_total * 1.0
     ref = np.exp(-grid.x**2 / (2 * var)) / np.sqrt(2 * np.pi * var)
     assert grid.dx * np.abs(Ep - ref).sum() <= 0.05
@@ -323,7 +323,7 @@ def test_density_frozen_dynamics():
     p0 = gaussian_on(grid, 0.2)
     sol = solve_density(p0, frozen, grid, tree, validate=False)
     for k in range(tree.n_steps + 1):
-        assert np.allclose(sol.p.levels[k], p0[None, :], atol=1e-13)
+        assert np.allclose(sol.p.levels[k], p0[:, None], atol=1e-13)
 
 
 def test_density_input_validation():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,13 +67,19 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "adjoint-suite", "params": {"fine_nx": 4}})
     with pytest.raises(ConfigError, match="size guard"):
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"fine_n_steps": 17}})
-    for bad in BAD_MC:
+    for bad in BAD_AT_LOAD:
         with pytest.raises(ConfigError, match=bad["match"]):
             ExperimentConfig.from_dict(bad["config"])
 
 
-# Monte Carlo settings that used to fail only after the solver work
-BAD_MC = [
+# settings that used to pass validation and fail only after the solver work,
+# or, for the Thomas dominance check, solve without pivoting on a matrix
+# that is not diagonally dominant
+BAD_AT_LOAD = [
+    {"match": "diagonal dominance", "config": {
+        "experiment": "norm-bounds",
+        "coefficients": {"family": "drift-random", "kappa": 50.0, "sigma": [0.06, 0.08], "d": 1},
+        "grid": {"nx": 21}}},
     {"match": "mc.paths", "config": {
         "experiment": "feynman-kac-nonrandom", "mc": {"paths": 0},
         "grid": {"nx": 21}, "tree": {"n_steps": 3}}},
@@ -84,6 +91,16 @@ BAD_MC = [
     {"match": "divide the tree step", "config": {
         "experiment": "representation-random", "mc": {"dt_mc": 0.01}, "tree": {"n_steps": 3}}},
 ]
+
+
+def test_dominance_is_checked_on_the_fine_pair_too():
+    # 2 dt (K1/(2dx) - b/(2dx^2)) is 0.889 at the coarse pair (nx=101, 8
+    # steps) and 1.12 at the fine one (nx=201, 12 steps)
+    coefficients = {"family": "drift-random", "kappa": 1.2, "sigma": [0.06, 0.08], "d": 1}
+    with pytest.raises(ConfigError, match="nx=201 with n_steps=12"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "coefficients": coefficients})
+    ExperimentConfig.from_dict({"experiment": "norm-bounds", "coefficients": coefficients,
+                                "params": {"fine_n_steps": 16}})
 
 
 def test_free_paths_need_only_the_horizon_divided():
@@ -131,6 +148,35 @@ def test_run_writes_deterministic_reports(tmp_path):
     assert "timestamp" in meta and "numpy_version" in meta
 
 
+def test_summary_diagnostics(tmp_path):
+    # solver diagnostics land in summary.json, and a rerun of the same
+    # config writes the same bytes
+    runs = [
+        (small_solvability(output_dir=str(tmp_path / "r")), "solve_R"),
+        (ExperimentConfig.from_dict({
+            "experiment": "duality-63", "grid": {"nx": 41}, "tree": {"n_steps": 4},
+            "params": {"fine_nx": 61, "fine_n_steps": 6}, "output_dir": str(tmp_path / "d"),
+        }), "density"),
+    ]
+    for cfg, key in runs:
+        run(cfg)
+        first = (Path(cfg.output_dir) / "summary.json").read_bytes()
+        run(cfg)
+        assert (Path(cfg.output_dir) / "summary.json").read_bytes() == first
+        diagnostics = json.loads(first)["diagnostics"]
+        assert list(diagnostics) == [key]
+    solves = json.loads((tmp_path / "r" / "summary.json").read_text())["diagnostics"]["solve_R"]
+    assert sorted(solves) == ["phi-start", "range-density-probe", "zero-start"]
+    for info in solves.values():
+        assert info["iterations"] == len(info["residual_history"]) >= 1
+    audits = json.loads((tmp_path / "d" / "summary.json").read_text())["diagnostics"]["density"]
+    assert [(a["nx"], a["n_steps"]) for a in audits] == [(41, 4), (61, 6)]
+    # the coarse density dips below -1e-3 of its peak; the fine one does not
+    assert [a["flagged"] for a in audits] == [True, False]
+    for audit in audits:
+        assert len(audit["min_density"]) == audit["n_steps"] + 1
+
+
 def test_cli_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -166,7 +212,7 @@ def test_cli_error_codes(tmp_path):
         path = tmp_path / f"value{i}.json"
         path.write_text(json.dumps({"experiment": "norm-bounds", **bad_value}))
         assert main(["validate-config", str(path)]) == 2
-    for i, bad in enumerate(BAD_MC):
+    for i, bad in enumerate(BAD_AT_LOAD):
         path = tmp_path / f"mc{i}.json"
         path.write_text(json.dumps({**bad["config"], "output_dir": str(tmp_path / "out")}))
         assert main(["validate-config", str(path)]) == 2

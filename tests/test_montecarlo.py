@@ -333,5 +333,5 @@ def test_conditional_matches_density_solver(line_domain):
     )
     for r, t in zip(res, [0.5, 1.0]):
         k = int(round(t / tree.dt))
-        pde = grid.dx * float((dens.p.levels[k][anc[k]] * np.exp(-grid.x**2))[1:-1].sum())
+        pde = grid.dx * float((dens.p.levels[k][:, anc[k]] * np.exp(-grid.x**2))[1:-1].sum())
         assert abs(pde - r.value) / abs(pde) <= 0.05

@@ -1,14 +1,16 @@
-"""Property tests of the banded core against dense linear algebra.
+"""Property tests of the banded core and of the tree calculus.
 
-Each example draws its sizes and a numpy seed from hypothesis; the oracles
-are numpy.linalg.solve and explicitly assembled dense matrices.
+Each example draws its sizes and a numpy seed from hypothesis.  The banded
+core is checked against numpy.linalg.solve and explicitly assembled dense
+matrices; the tree calculus against its own identities (tower property,
+exact Clark reconstruction, kernels as conditional covariances).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab import DomainSpec, build_grid
+from spdelab import DomainSpec, build_grid, build_tree, clark_decompose, cond_expect
 from spdelab.domain import generator_bands, thomas_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -67,3 +69,53 @@ def test_dual_bands_are_the_transpose_of_the_primal(nx, n, x_dependent, seed):
                + np.diag(drift[:-1] / (2 * grid.dx) + b / (2 * grid.dx**2), 1))
         np.testing.assert_allclose(A, ref, rtol=1e-13, atol=0.0)
         assert np.array_equal(dense(*(a[:, node] for a in dual)), A.T)
+
+
+# --- the tree calculus on random trees -----------------------------------
+
+TREES = st.sampled_from([(d, n) for d in (1, 2) for n in range(1, 7)])
+
+
+def lift(tree, values, level):
+    """Level-`level` node values repeated onto the leaves below each node."""
+    return np.repeat(values, tree.branching ** (tree.n_steps - level), axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dn=TREES, m=st.integers(1, 3), data=st.data(), seed=SEEDS)
+def test_cond_expect_tower_property(dn, m, data, seed):
+    tree = build_tree(*dn, 1.0)
+    s = data.draw(st.integers(0, tree.n_steps), label="s")
+    t = data.draw(st.integers(s, tree.n_steps), label="t")
+    X = np.random.default_rng(seed).normal(size=(tree.n_leaves, m))
+    inner = cond_expect(X, t, tree)
+    assert inner.shape == (tree.n_nodes(t), m)
+    nested = cond_expect(lift(tree, inner, t), s, tree)
+    np.testing.assert_allclose(nested, cond_expect(X, s, tree), rtol=0, atol=1e-12 * np.abs(X).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_steps=st.integers(1, 6), seed=SEEDS)
+def test_clark_reconstruction_is_exact_for_d1(n_steps, seed):
+    tree = build_tree(1, n_steps, 1.0)
+    X = np.random.default_rng(seed).normal(size=tree.n_leaves)
+    rec = clark_decompose(X, tree).reconstruct(tree)
+    np.testing.assert_allclose(rec, X, rtol=0, atol=1e-12 * np.abs(X).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_steps=st.integers(1, 6), seed=SEEDS)
+def test_clark_kernels_are_conditional_covariances_for_d2(n_steps, seed):
+    # kernel_j at a level-k node is E[X domega_j | node] / dt, with domega_j
+    # the increment of the edge from level k to k + 1 below that node
+    tree = build_tree(2, n_steps, 1.0)
+    X = np.random.default_rng(seed).normal(size=tree.n_leaves)
+    dec = clark_decompose(X, tree)
+    leaves = np.arange(tree.n_leaves)
+    for k in range(tree.n_steps):
+        digits = (leaves >> (tree.d * (tree.n_steps - k - 1))) % tree.branching
+        for j in range(tree.d):
+            dw = tree.digit_signs[digits, j] * tree.sqdt
+            ref = cond_expect(X * dw, k, tree) / tree.dt
+            np.testing.assert_allclose(dec.kernels[k][:, j], ref, rtol=0,
+                                       atol=1e-12 * np.abs(X).max())
