@@ -24,7 +24,6 @@ from .domain import (
     h0_inner,
     h0_norm,
     hk_norm,
-    lambda_pow,
 )
 from .fields import (
     SpaceTimeField,

@@ -105,42 +105,23 @@ def _b_of_kernels(grid, sigma, kern):
     return bg
 
 
-def backward_sweep(
-    g: SpaceTimeField,
-    coeffs: CoefficientSet,
-    grid: Grid,
-    tree: ScenarioTree,
-    want_v: bool = True,
-    want_kernels: bool = False,
-    want_bg: bool = False,
-):
-    """One backward pass over the tree; returns dict with the requested
-    fields among "v", "kernels", "bg".  Shared engine behind op_T / op_G /
-    op_B so a fixed-point iteration costs exactly one sweep."""
+def backward_sweep(g: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree):
+    """One backward pass over the tree; returns (v, kernels, bg), the
+    engine shared by op_T, op_G and op_B."""
     N, d, dt = tree.n_steps, tree.d, tree.dt
     # level k of v and of the d kernels, stacked: one solve covers them
-    m = 1 + d if want_kernels or want_bg else 1
-    sol = [None] * N + [np.zeros((m, grid.nx, tree.n_nodes(N)))]
+    sol = [None] * N + [np.zeros((1 + d, grid.nx, tree.n_nodes(N)))]
     bg = [None] * N + [np.zeros((grid.nx, tree.n_nodes(N)))]
     for k in range(N - 1, -1, -1):
-        sol[k] = np.empty((m, grid.nx, tree.n_nodes(k)))
+        sol[k] = np.empty((1 + d, grid.nx, tree.n_nodes(k)))
         _children_into(tree, sol[k + 1][0], sol[k])
-        if not (want_v or want_kernels):
-            sol[k + 1] = None
         sol[k][0] += dt * g.levels[k]
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
         solve_level(bands, dt, sol[k].transpose(1, 2, 0))
-        if want_bg:
-            bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[k][1:])
-    result = {}
-    if want_v:
-        result["v"] = SpaceTimeField(grid, tree, [s[0] for s in sol], space="X1")
-    if want_kernels:
-        result["kernels"] = [SpaceTimeField(grid, tree, [s[1 + j] for s in sol], space="X1")
-                             for j in range(d)]
-    if want_bg:
-        result["bg"] = SpaceTimeField(grid, tree, bg, space="X0")
-    return result
+        bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[k][1:])
+    v = SpaceTimeField(grid, tree, [s[0] for s in sol])
+    kernels = [SpaceTimeField(grid, tree, [s[1 + j] for s in sol]) for j in range(d)]
+    return v, kernels, SpaceTimeField(grid, tree, bg)
 
 
 def solve_backward_pathwise(
@@ -173,19 +154,19 @@ def solve_backward_pathwise(
 def op_T(g, coeffs, grid, tree) -> SpaceTimeField:
     """v = E{ U(., t) | F_t } for the pathwise solutions U; the level-k
     slice holds the conditional expectation at each level-k node."""
-    return backward_sweep(g, coeffs, grid, tree, want_v=True)["v"]
+    return backward_sweep(g, coeffs, grid, tree)[0]
 
 
 def op_G(g, coeffs, grid, tree) -> list:
     """Diffusion kernels X_j: the martingale-representation kernels of
     U(x, t, .) on the diagonal, one adapted field per driving component."""
-    return backward_sweep(g, coeffs, grid, tree, want_v=False, want_kernels=True)["kernels"]
+    return backward_sweep(g, coeffs, grid, tree)[1]
 
 
 def op_B(g, coeffs, grid, tree) -> SpaceTimeField:
     """B g = - sum_j beta_j dX_j/dx with centered differences (one-sided at
     the first interior nodes); boundary rows zero."""
-    return backward_sweep(g, coeffs, grid, tree, want_v=False, want_bg=True)["bg"]
+    return backward_sweep(g, coeffs, grid, tree)[2]
 
 
 def solve_R(
@@ -218,7 +199,7 @@ def solve_R(
     g = phi.copy() if x0 is None else x0.copy()
     history = []
     for it in range(1, max_iter + 1):
-        bg = backward_sweep(g, coeffs, grid, tree, want_v=False, want_bg=True)["bg"]
+        bg = backward_sweep(g, coeffs, grid, tree)[2]
         r = g + bg - phi
         rn = norm_x0(r)
         history.append(rn)
@@ -258,9 +239,9 @@ def op_L(
         sol[k][0] += dt * g[k]
         solve_level(bands, dt, sol[k][0])
     return BackwardSolution(
-        v=SpaceTimeField(grid, tree, [s[0] for s in sol], space="X1"),
-        kernels=[SpaceTimeField(grid, tree, [s[1 + j] for s in sol], space="X1") for j in range(d)],
-        g=SpaceTimeField(grid, tree, g, space=phi.space),
+        v=SpaceTimeField(grid, tree, [s[0] for s in sol]),
+        kernels=[SpaceTimeField(grid, tree, [s[1 + j] for s in sol]) for j in range(d)],
+        g=SpaceTimeField(grid, tree, g),
     )
 
 

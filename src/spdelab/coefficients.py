@@ -44,7 +44,6 @@ class CoefficientSet:
     d: int
     sigma: np.ndarray
     params: dict = field(default_factory=dict)
-    dim: int = 1
 
     @property
     def d0(self) -> int:

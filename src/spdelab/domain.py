@@ -44,7 +44,6 @@ class DomainSpec:
     a: float
     b: float
     horizon: float
-    dim: int = 1
 
     def __post_init__(self):
         if self.kind not in ("interval", "truncated_line"):
@@ -53,13 +52,6 @@ class DomainSpec:
             raise GridError(f"need a < b, got a={self.a}, b={self.b}")
         if not self.horizon > 0:
             raise GridError(f"need horizon > 0, got {self.horizon}")
-        if self.dim != 1:
-            raise GridError("only one spatial dimension is implemented")
-
-    @property
-    def absorbing(self) -> bool:
-        """True when the boundary is a physical absorbing one."""
-        return self.kind == "interval"
 
 
 @dataclass(frozen=True)
@@ -239,11 +231,6 @@ class LambdaTransform:
         return out
 
 
-def lambda_pow(u: np.ndarray, k: int, grid: Grid) -> np.ndarray:
-    """Convenience wrapper around LambdaTransform.apply."""
-    return LambdaTransform(grid).apply(u, k)
-
-
 def h0_inner(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     """Discrete L2(D) inner product, dx-weighted over the nodes."""
     return float(grid.dx * np.dot(np.asarray(u), np.asarray(v)))
@@ -257,7 +244,7 @@ def hk_norm(u: np.ndarray, k: int, grid: Grid) -> float:
     """H^k norm, k in {-1, 0, 1}, via the Lambda spectral scaling."""
     if k == 0:
         return h0_norm(u, grid)
-    return h0_norm(lambda_pow(u, k, grid), grid)
+    return h0_norm(LambdaTransform(grid).apply(u, k), grid)
 
 
 def dx_centered(grid: Grid, u: np.ndarray) -> np.ndarray:

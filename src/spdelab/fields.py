@@ -1,10 +1,12 @@
-"""Grid x time x tree-node tensors and their inner products.
+"""Adapted space-time fields on a grid and scenario tree, their pairings and
+norms, and the seeded test field the experiments draw.
 
-A SpaceTimeField stores one array per time level, indexed by that level's
-tree nodes (adaptedness is structural).  Levels are x-major ("node-last"):
-level k is a C-contiguous (nx, n_nodes(k)) array, so the interior rows
-[1:-1] are the contiguous system-axis-first block the Thomas solver works
-on in place, and the children of node n are the contiguous columns
+A SpaceTimeField stores one array per time level with one column per tree
+node of that level, so adaptedness is structural: a value cannot depend on
+more of the path than its node.  Levels are x-major ("node-last"): level k
+is a C-contiguous (nx, n_nodes(k)) array, so the interior rows [1:-1] are
+the contiguous system-axis-first block the Thomas solver works on in place,
+and the children of node n are the contiguous columns
 levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].  The X0 inner
 product discretizes the time integral with the left rule over the n_steps
 cells,
@@ -13,7 +15,9 @@ cells,
 
 and `pair_x0_dual` pairs a backward-type field with a forward-marched one
 cell by cell (slice k against slice k+1), which aligns the two one-sided
-quadratures of the same time integral.
+quadratures of the same time integral.  `norm_xk` gives the X^-1 and X^1
+norms through the sine-spectral Lambda scaling, `norm_c0` the largest
+mean-square H0 norm over the levels.
 """
 
 from __future__ import annotations
@@ -34,13 +38,12 @@ class SpaceTimeField:
 
     levels[k] has shape (nx, 2**(d k)): one column per level-k node, one row
     per grid node, C-contiguous.  Dirichlet fields carry zeros in the first
-    and last row.  `space` is an informational regularity tag ("X-1", "X0",
-    "X1").
+    and last row.
     """
 
-    __slots__ = ("grid", "tree", "levels", "space")
+    __slots__ = ("grid", "tree", "levels")
 
-    def __init__(self, grid: Grid, tree: ScenarioTree, levels, space: str = "X0"):
+    def __init__(self, grid: Grid, tree: ScenarioTree, levels):
         if len(levels) != tree.n_steps + 1:
             raise FieldError(
                 f"need {tree.n_steps + 1} level slices, got {len(levels)}"
@@ -48,7 +51,6 @@ class SpaceTimeField:
         self.grid = grid
         self.tree = tree
         self.levels = [np.asarray(a, dtype=float) for a in levels]
-        self.space = space
         for k, a in enumerate(self.levels):
             if a.shape != (grid.nx, tree.n_nodes(k)):
                 raise FieldError(
@@ -57,18 +59,15 @@ class SpaceTimeField:
                 )
 
     @classmethod
-    def zeros(cls, grid: Grid, tree: ScenarioTree, space: str = "X0") -> "SpaceTimeField":
+    def zeros(cls, grid: Grid, tree: ScenarioTree) -> "SpaceTimeField":
         return cls(
             grid,
             tree,
             [np.zeros((grid.nx, tree.n_nodes(k))) for k in range(tree.n_steps + 1)],
-            space=space,
         )
 
     @classmethod
-    def from_function(
-        cls, grid: Grid, tree: ScenarioTree, fn, space: str = "X0"
-    ) -> "SpaceTimeField":
+    def from_function(cls, grid: Grid, tree: ScenarioTree, fn) -> "SpaceTimeField":
         """Evaluate fn(x_column, t, w1_row) on every level; fn must broadcast."""
         levels = []
         for k in range(tree.n_steps + 1):
@@ -77,20 +76,10 @@ class SpaceTimeField:
                 fn(grid.x[:, None], k * tree.dt, w1), (grid.nx, tree.n_nodes(k))
             )
             levels.append(np.array(vals, dtype=float))
-        return cls(grid, tree, levels, space=space)
+        return cls(grid, tree, levels)
 
     def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(
-            self.grid, self.tree, [a.copy() for a in self.levels], space=self.space
-        )
-
-    def leaf_values(self, level: int) -> np.ndarray:
-        """Level slice lifted to the leaves, shape (nx, n_leaves)."""
-        idx = self.tree.ancestor_index(np.arange(self.tree.n_leaves), level)
-        return self.levels[level][:, idx]
-
-    def max_abs(self) -> float:
-        return max(float(np.abs(a).max()) for a in self.levels)
+        return SpaceTimeField(self.grid, self.tree, [a.copy() for a in self.levels])
 
     # arithmetic ---------------------------------------------------------
 
@@ -101,7 +90,6 @@ class SpaceTimeField:
                 self.grid,
                 self.tree,
                 [op(a, b) for a, b in zip(self.levels, other.levels)],
-                space=self.space,
             )
         return NotImplemented
 
@@ -114,9 +102,7 @@ class SpaceTimeField:
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
-        return SpaceTimeField(
-            self.grid, self.tree, [c * a for a in self.levels], space=self.space
-        )
+        return SpaceTimeField(self.grid, self.tree, [c * a for a in self.levels])
 
     __rmul__ = __mul__
 
@@ -192,37 +178,18 @@ def norm_c0(F: SpaceTimeField) -> float:
     return float(np.sqrt(worst))
 
 
-def check_adapted_prefix(F: SpaceTimeField) -> bool:
-    """Structural adaptedness always holds; kept as an explicit probe used
-    by tests: values at a node must not depend on how the slice is reached
-    from descendant leaves."""
-    tree = F.tree
-    for k in range(tree.n_steps + 1):
-        lifted = F.leaf_values(k)
-        back = lifted[:, :: tree.branching ** (tree.n_steps - k)]
-        if not np.array_equal(back, F.levels[k]):
-            return False
-    return True
-
-
-def smooth_random_field(
-    grid: Grid,
-    tree: ScenarioTree,
-    seed: int,
-    n_modes: int = 4,
-    noise_weight: float = 1.0,
-    space: str = "X0",
-) -> SpaceTimeField:
+def smooth_random_field(grid: Grid, tree: ScenarioTree, seed: int) -> SpaceTimeField:
     """Seeded random test field: smooth sine profile in x, adapted in time.
 
-    Each mode carries a constant part, a bounded function of the Brownian
-    state (genuinely random across nodes, scaled by noise_weight) and a slow
-    deterministic ramp, so the field is Dirichlet-compatible, smooth in x
-    and adapted.
+    Each of four sine modes carries a constant part, a bounded function of
+    the Brownian state (genuinely random across nodes) and a slow
+    deterministic ramp, so the field is smooth in x and adapted.  The two
+    boundary rows are set to exactly zero (sin(m pi) is not), so the field
+    is Dirichlet-compatible.
     """
+    n_modes = 4
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     amp = rng.normal(size=(3, n_modes)) / np.arange(1, n_modes + 1)
-    amp[1] *= noise_weight
     z = (grid.x - grid.domain.a) / (grid.domain.b - grid.domain.a)
     modes = np.sin(np.outer(np.arange(1, n_modes + 1), np.pi * z))  # (m, nx)
     horizon = tree.horizon
@@ -231,34 +198,7 @@ def smooth_random_field(
         w1 = tree.omega[k][:, 0][None, :]
         ramp = (k * tree.dt) / horizon
         weights = amp[0][:, None] + amp[1][:, None] * np.tanh(w1) + amp[2][:, None] * ramp
-        levels.append(modes.T @ weights)  # (nx, m) @ (m, n_k)
-    return SpaceTimeField(grid, tree, levels, space=space)
-
-
-def smooth_profile_field(
-    grid: Grid,
-    tree: ScenarioTree,
-    seed: int,
-    n_modes: int = 4,
-    space: str = "X0",
-) -> SpaceTimeField:
-    """Seeded random space-time profile, constant across tree nodes.
-
-    Built from sine modes with randomly drawn polynomial-in-time weights.
-    Being independent of the driving noise, such fields isolate the scheme
-    discrepancies of duality pairings from Ito covariation effects (pairing
-    a noise-built forward solution against a noise-correlated test field
-    picks up their quadratic covariation, which no refinement removes).
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    amp = rng.normal(size=(3, n_modes)) / np.arange(1, n_modes + 1)
-    z = (grid.x - grid.domain.a) / (grid.domain.b - grid.domain.a)
-    modes = np.sin(np.outer(np.arange(1, n_modes + 1), np.pi * z))
-    horizon = tree.horizon
-    levels = []
-    for k in range(tree.n_steps + 1):
-        s = (k * tree.dt) / horizon
-        weights = amp[0] + amp[1] * s + amp[2] * (s * s - s)
-        profile = weights @ modes
-        levels.append(np.broadcast_to(profile[:, None], (grid.nx, tree.n_nodes(k))).copy())
-    return SpaceTimeField(grid, tree, levels, space=space)
+        level = modes.T @ weights  # (nx, m) @ (m, n_k)
+        level[[0, -1]] = 0.0
+        levels.append(level)
+    return SpaceTimeField(grid, tree, levels)

@@ -53,7 +53,6 @@ class ForwardState:
 
     values: np.ndarray
     node: TreeNode
-    dt: float
 
 
 @dataclass
@@ -111,10 +110,10 @@ def step_forward(
     new[1:-1] = solve_tridiag(-tree.dt * lo.T, 1.0 - tree.dt * dg, -tree.dt * up.T, rhs[1:-1])
     if not np.all(np.isfinite(new)):
         raise ForwardSolverError("forward step produced non-finite values")
-    return ForwardState(values=new, node=child, dt=tree.dt)
+    return ForwardState(values=new, node=child)
 
 
-def _forward_march(coeffs, grid, tree, source_fn, state0=None, space="X1", on_level=None):
+def _forward_march(coeffs, grid, tree, source_fn, state0=None, on_level=None):
     """March all tree paths at once with the splitting step, from the root
     slice state0 (nx, 1), zero when not given.
 
@@ -147,7 +146,7 @@ def _forward_march(coeffs, grid, tree, source_fn, state0=None, space="X1", on_le
         levels.append(state)
         if on_level is not None:
             on_level(k + 1, state)
-    return SpaceTimeField(grid, tree, levels, space=space)
+    return SpaceTimeField(grid, tree, levels)
 
 
 def solve_T_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -175,7 +174,7 @@ def solve_B_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> S
     def src(k, state):
         return None, [dx_centered(grid, sigma[j] * h.levels[k]) for j in range(tree.d)]
 
-    return _forward_march(coeffs, grid, tree, src, space="X0")
+    return _forward_march(coeffs, grid, tree, src)
 
 
 def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -191,10 +190,7 @@ def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> 
         diff = pi.levels[k] - state
         return None, [dx_centered(grid, sigma[j] * diff) for j in range(tree.d)]
 
-    z = _forward_march(coeffs, grid, tree, src, space="X0")
-    out = pi - z
-    out.space = "X1"
-    return out
+    return pi - _forward_march(coeffs, grid, tree, src)
 
 
 def solve_L_star(xi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -218,7 +214,6 @@ def solve_density(
     coeffs: CoefficientSet,
     grid: Grid,
     tree: ScenarioTree,
-    validate: bool = True,
 ) -> DensitySolution:
     """Conditional density along every tree path.
 
@@ -230,13 +225,12 @@ def solve_density(
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (grid.nx,):
         raise ForwardSolverError("p0 must be a grid function")
-    if validate:
-        _require_superparabolic(coeffs, "the density equation")
-        if p0.min() < -1e-12:
-            raise ForwardSolverError("p0 must be nonnegative")
-        mass0 = grid.dx * float(p0[1:-1].sum())
-        if abs(mass0 - 1.0) > 1e-8:
-            raise ForwardSolverError(f"p0 must have unit mass, got {mass0:.6f}")
+    _require_superparabolic(coeffs, "the density equation")
+    if p0.min() < -1e-12:
+        raise ForwardSolverError("p0 must be nonnegative")
+    mass0 = grid.dx * float(p0[1:-1].sum())
+    if abs(mass0 - 1.0) > 1e-8:
+        raise ForwardSolverError(f"p0 must have unit mass, got {mass0:.6f}")
     sigma = coeffs.sigma
     mass, min_density = [], []
 

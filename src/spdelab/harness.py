@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .backward import backward_sweep, op_L, solve_R
-from .coefficients import make_family, validate
+from .coefficients import make_family
 from .domain import DomainSpec, build_grid
 from .fields import (
     SpaceTimeField,
@@ -335,6 +335,8 @@ class ExperimentConfig:
             _check_dominance(coeffs, grid, tree)
         if self.experiment in _MC_BRIDGED:
             self._validate_mc(_MC_BRIDGED[self.experiment])
+        if self.experiment == "density-64-65":
+            self._validate_t_points(built[0][1])
 
     def _validate_mc(self, bridged: bool):
         paths, dt_mc = self.mc["paths"], self.mc["dt_mc"]
@@ -347,6 +349,22 @@ class ExperimentConfig:
             fine_steps(tree.horizon, float(dt_mc), tree.dt if bridged else None)
         except TreeError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def _validate_t_points(self, tree):
+        """Each t_points entry must be a tree time k*dt, 0 <= k <= n_steps: the
+        density is compared with Monte Carlo at the level-k nodes."""
+        t_points = self.params["t_points"]
+        ok = isinstance(t_points, list) and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool)
+            and -1e-9 <= t <= tree.horizon + 1e-9
+            and abs(t - round(t / tree.dt) * tree.dt) <= 1e-9
+            for t in t_points
+        )
+        if not ok:
+            raise ConfigError(
+                f"params.t_points must be tree times k*dt with dt={tree.dt:g} and "
+                f"0 <= k <= {tree.n_steps}, got {t_points!r}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -455,7 +473,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
         coeffs, lambda y, t, w1: np.ones_like(y), float(grid.x[ix]),
         int(cfg.mc["paths"]), cfg.mc["seed"],
         grid=grid, domain=dom, dt_mc=float(cfg.mc["dt_mc"]),
-        tree=None, d0=coeffs.d0, workers=cfg.workers,
+        tree=None, workers=cfg.workers,
     )
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "v-vs-monte-carlo", "1.3",
@@ -480,7 +498,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
                 coeffs, lambda y, t, w1: np.exp(-(y**2)), float(grid.x[ix]),
                 int(cfg.mc["paths"]), (cfg.mc["seed"], seed_tag, ix),
                 grid=grid, domain=dom, dt_mc=float(cfg.mc["dt_mc"]),
-                tree=tree, d0=coeffs.d0, workers=cfg.workers,
+                tree=tree, workers=cfg.workers,
             )
             out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
@@ -509,9 +527,7 @@ def _adjoint_mismatches(cfg, nx, n_steps, seed_pair):
     gn, hn = norm_x0(g), norm_x0(h)
     scale = gn * hn
     out = {}
-    sweep = backward_sweep(g, coeffs, grid, tree,
-                           want_v=True, want_kernels=True, want_bg=True)
-    v, kernels, bg = sweep["v"], sweep["kernels"], sweep["bg"]
+    v, kernels, bg = backward_sweep(g, coeffs, grid, tree)
     pi = solve_T_star(h, coeffs, grid, tree)
     out["T"] = abs(inner_x0(v, h) - inner_x0(g, pi)) / scale
     del v, pi
@@ -688,7 +704,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
         coeffs, lambda y, t, w1: np.exp(-(y**2)), p0,
         int(cfg.mc["paths"]), (cfg.mc["seed"], 65),
         grid=grid, domain=dom, dt_mc=float(cfg.mc["dt_mc"]),
-        tree=tree, d0=coeffs.d0, workers=cfg.workers,
+        tree=tree, workers=cfg.workers,
     )
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "unconditional-identity", "6.5",

@@ -9,12 +9,15 @@ step containing t_m, so Monte Carlo and the tree solvers see the same
 coefficient process.  The march keeps only the live paths, compacted, and
 draws the Wiener increments one coarse block at a time for those paths
 alone (`tree.PathBundle.block`); it stops as soon as every path has exited.
-Exits are detected at mesh points only (no crossing correction; the
-O(sqrt(dt_mc)) under-detection bias is absorbed into the acceptance
-tolerances); exited paths freeze and their alive indicator flips once.
-Estimates run in chunks of the requested size (25,000 paths by default)
-whose generators derive from the user seed by the splitting rule in
-`tree.seed_entropy`, so results do not depend on the worker count.
+No fine-mesh history is stored: a path is recorded at the requested
+snapshot times, at its exit, and through the running integrals of the
+integrands registered with `simulate`.  Exits are detected at mesh points
+only (no crossing correction; the O(sqrt(dt_mc)) under-detection bias is
+absorbed into the acceptance tolerances); exited paths freeze and their
+alive indicator flips once.  Estimates run in chunks of the requested size
+(25,000 paths by default) whose generators derive from the user seed by the
+splitting rule in `tree.seed_entropy`, so results do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -51,10 +54,10 @@ class EstimatorResult:
 class TrajectorySet:
     """Simulated paths: snapshots, exit data and accumulated integrals.
 
-    Fine-mesh paths are only retained when small enough to materialize;
-    integrands registered at simulation time are accumulated online so that
-    functional estimates never require the full fine-mesh history.
-    `normals_drawn` counts the Wiener increments the march drew.
+    Integrands registered at simulation time are accumulated online, so no
+    estimate needs the fine-mesh history; a fine history, when wanted, is
+    the snapshot set at every mesh time.  `normals_drawn` counts the Wiener
+    increments the march drew.
     """
 
     snapshot_times: np.ndarray  # (n_snap,)
@@ -65,16 +68,11 @@ class TrajectorySet:
     dt_mc: float
     seed: object
     integrals: dict = field(default_factory=dict)  # name -> (M,) path integrals
-    fine_times: np.ndarray | None = None
-    fine_paths: np.ndarray | None = None  # (M, n_fine + 1)
     normals_drawn: int = 0
 
     @property
     def n_paths(self) -> int:
         return self.tau.size
-
-
-_KEEP_FINE_GUARD = 2_000_000
 
 
 def sample_from_density(p0: np.ndarray, grid: Grid, n: int, rng) -> np.ndarray:
@@ -97,7 +95,6 @@ def simulate(
     domain,
     grid: Grid | None = None,
     integrands: dict | None = None,
-    keep_fine: bool | None = None,
     snapshot_times=None,
 ) -> TrajectorySet:
     """Euler-Maruyama marching of (1.1)-type dynamics over a path bundle.
@@ -137,20 +134,21 @@ def simulate(
     if np.any((y < lo) | (y > hi)):
         raise SimulationError("initial value outside the closed domain")
 
-    tree = paths.tree
+    horizon = paths.times[-1]
     if snapshot_times is None:
-        snapshot_times = tree.times() if tree is not None else np.array([0.0, paths.times[-1]])
+        snapshot_times = np.array([0.0, horizon]) if paths.tree is None else paths.tree.times()
+        snapshot_times = snapshot_times[snapshot_times >= s - 1e-9]
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     snap_idx = np.rint(snapshot_times / dt).astype(int)
     if np.any(np.abs(snap_idx * dt - snapshot_times) > 1e-9):
         raise SimulationError("snapshot times must lie on the fine mesh")
-    snap_of = {int(m): i for i, m in enumerate(snap_idx)}
+    if np.any((snap_idx < m0) | (snap_idx > n_fine)):
+        raise SimulationError(f"snapshot times must lie in [s, horizon] = [{s}, {horizon}]")
+    snap_of = {}  # fine step -> the snapshot columns taken there (a time may repeat)
+    for i, m in enumerate(snap_idx):
+        snap_of.setdefault(int(m), []).append(i)
 
-    if keep_fine is None:
-        keep_fine = M * (n_fine + 1) <= _KEEP_FINE_GUARD
-    fine = np.empty((M, n_fine - m0 + 1)) if keep_fine else None
-
-    tau = np.full(M, paths.times[-1])
+    tau = np.full(M, horizon)
     snapshots = np.empty((M, snapshot_times.size))
     alive = np.zeros((M, snapshot_times.size), dtype=bool)
     integrands = integrands or {}
@@ -164,13 +162,10 @@ def simulate(
     drawn = 0
     m = m0
     while True:
-        if fine is not None or m in snap_of:
-            y[live] = yl
-        if fine is not None:
-            fine[:, m - m0] = y
         if m in snap_of:
-            snapshots[:, snap_of[m]] = y
-            alive[live, snap_of[m]] = True
+            y[live] = yl
+            snapshots[:, snap_of[m]] = y[:, None]
+            alive[np.ix_(live, snap_of[m])] = True
         if m == n_fine or live.size == 0:
             break
         j = m % paths.n_sub
@@ -200,9 +195,7 @@ def simulate(
     y[live] = yl
     for name in totals:
         totals[name][live] = acc[name]
-    # after an early stop the rest of the record holds the frozen paths
-    if fine is not None:
-        fine[:, m - m0 + 1 :] = y[:, None]
+    # after an early stop the later snapshots hold the frozen paths
     snapshots[:, snap_idx > m] = y[:, None]
     return TrajectorySet(
         snapshot_times=snapshot_times,
@@ -213,8 +206,6 @@ def simulate(
         dt_mc=dt,
         seed=paths.seed,
         integrals=totals,
-        fine_times=paths.times[m0:] if fine is not None else None,
-        fine_paths=fine,
         normals_drawn=drawn,
     )
 
@@ -226,44 +217,21 @@ def _mean_stderr(values: np.ndarray) -> EstimatorResult:
     return EstimatorResult(value=mean, stderr=sd / np.sqrt(n), n=n)
 
 
-def estimate_functional(trajs: TrajectorySet, phi) -> EstimatorResult:
-    """Estimate E sum_{t < tau} phi(y(t), t) dt_mc over the path set.
-
-    phi may name an integrand registered at simulation time, or be a
-    callable (which requires the fine-mesh paths to have been kept).
-    """
-    if isinstance(phi, str):
-        if phi not in trajs.integrals:
-            raise SimulationError(f"no integrand named {phi!r} was registered")
-        return _mean_stderr(trajs.integrals[phi])
-    if trajs.fine_paths is None:
-        raise SimulationError(
-            "callable integrands need the fine paths; register the integrand "
-            "at simulate() time for large runs"
-        )
-    times = trajs.fine_times[:-1]
-    # index comparison avoids last-ulp ties between accumulated exit times
-    # and the mesh: a path contributes strictly before its exit step
-    exit_idx = np.rint((trajs.tau - trajs.start_time) / trajs.dt_mc).astype(int)
-    mask = np.arange(times.size)[None, :] < exit_idx[:, None]
-    vals = phi(trajs.fine_paths[:, :-1], times[None, :])
-    return _mean_stderr((np.asarray(vals) * mask).sum(axis=1) * trajs.dt_mc)
+def estimate_functional(trajs: TrajectorySet, name: str) -> EstimatorResult:
+    """Estimate E sum_{t < tau} phi(y(t), t) dt_mc for the integrand
+    registered under `name` at simulation time."""
+    if name not in trajs.integrals:
+        raise SimulationError(f"no integrand named {name!r} was registered")
+    return _mean_stderr(trajs.integrals[name])
 
 
 def empirical_density(trajs: TrajectorySet, t: float, grid: Grid) -> np.ndarray:
     """Histogram of alive paths at a snapshot time, normalized by M dx."""
     hit = np.nonzero(np.abs(trajs.snapshot_times - t) < 1e-9)[0]
-    if hit.size:
-        y = trajs.snapshots[:, hit[0]]
-        ok = trajs.alive[:, hit[0]]
-    elif trajs.fine_paths is not None:
-        m = int(round((t - trajs.start_time) / trajs.dt_mc))
-        if not 0 <= m < trajs.fine_paths.shape[1]:
-            raise SimulationError(f"time {t} outside the simulated range")
-        y = trajs.fine_paths[:, m]
-        ok = trajs.fine_times[m] <= trajs.tau
-    else:
+    if not hit.size:
         raise SimulationError(f"no snapshot stored at t={t}")
+    y = trajs.snapshots[:, hit[0]]
+    ok = trajs.alive[:, hit[0]]
     edges = np.concatenate(
         [[grid.x[0] - 0.5 * grid.dx], 0.5 * (grid.x[1:] + grid.x[:-1]), [grid.x[-1] + 0.5 * grid.dx]]
     )
@@ -318,10 +286,7 @@ def conditional_functional(
         bundle = bridge_paths(
             tree, leaf_path, m, coeffs.d0, dt_mc, seed_entropy(seed, 0xC0, i)
         )
-        trajs = simulate(
-            coeffs, p0, 0.0, bundle, domain, grid=grid,
-            keep_fine=False, snapshot_times=t_grid,
-        )
+        trajs = simulate(coeffs, p0, 0.0, bundle, domain, grid=grid, snapshot_times=t_grid)
         vals = np.empty((t_grid.size, m))
         for a, t in enumerate(t_grid):
             w1 = bundle.w1(min(int(round(t / tree.dt)), tree.n_steps))
@@ -352,7 +317,6 @@ def functional_estimate(
     domain,
     dt_mc: float,
     tree: ScenarioTree | None = None,
-    d0: int | None = None,
     chunk_size: int = 25000,
     workers: int = 1,
 ) -> EstimatorResult:
@@ -362,19 +326,13 @@ def functional_estimate(
     components bridged through them (so adapted coefficients stay coupled to
     the noise); without one, plain Wiener increments are used.
     """
-    d0 = coeffs.d0 if d0 is None else d0
-    horizon = domain.horizon
-
     def job(i, m):
         chunk_seed = seed_entropy(seed, 0xF0, i)
         if tree is not None:
-            bundle = sample_tree_paths(tree, m, d0, dt_mc, chunk_seed)
+            bundle = sample_tree_paths(tree, m, coeffs.d0, dt_mc, chunk_seed)
         else:
-            bundle = free_paths(horizon, m, d0, dt_mc, chunk_seed)
-        trajs = simulate(
-            coeffs, init, 0.0, bundle, domain, grid=grid,
-            integrands={"phi": phi}, keep_fine=False,
-        )
+            bundle = free_paths(domain.horizon, m, coeffs.d0, dt_mc, chunk_seed)
+        trajs = simulate(coeffs, init, 0.0, bundle, domain, grid=grid, integrands={"phi": phi})
         vals = trajs.integrals["phi"]
         return vals.sum(), (vals**2).sum()
 

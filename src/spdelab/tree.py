@@ -73,24 +73,6 @@ class ScenarioTree:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
-    def node_probability(self, level: int) -> float:
-        return 1.0 / self.n_nodes(level)
-
-    def parent(self, node: TreeNode) -> TreeNode:
-        if node.level == 0:
-            raise TreeError("root has no parent")
-        return TreeNode(node.level - 1, node.index // self.branching)
-
-    def children(self, node: TreeNode) -> list[TreeNode]:
-        base = node.index * self.branching
-        return [TreeNode(node.level + 1, base + j) for j in range(self.branching)]
-
-    def edge_increment(self, node: TreeNode) -> np.ndarray:
-        """Increment vector on the edge entering the node from its parent."""
-        if node.level == 0:
-            raise TreeError("root has no incoming edge")
-        return self.digit_signs[node.index % self.branching] * self.sqdt
-
     def omega1(self, node: TreeNode) -> float:
         """First Wiener component at the node."""
         return float(self.omega[node.level][node.index, 0])
@@ -108,11 +90,6 @@ class ScenarioTree:
             [leaf_index >> (self.d * (self.n_steps - k)) for k in range(self.n_steps + 1)],
             dtype=np.int64,
         )
-
-    def path_increments(self, path: np.ndarray) -> np.ndarray:
-        """Edge increments (n_steps, d) along a path of node indices."""
-        digits = path[1:] % self.branching
-        return self.digit_signs[digits] * self.sqdt
 
 
 def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:

@@ -20,7 +20,7 @@ from spdelab import (
     make_family,
     op_G,
 )
-from spdelab.fields import norm_x0, smooth_random_field
+from spdelab.fields import norm_x0
 from spdelab.harness import default_config, run
 
 BUDGETS = {1: 1.0, 2: 10.0, 3: 60.0, 4: 120.0, 5: 180.0, 6: 120.0,
@@ -76,7 +76,7 @@ def test_criterion_1_exact_discrete_calculus():
             clark_ok and iso_ok and tower_ok, time.perf_counter() - start)
 
 
-def test_criterion_2_kernels_vanish_for_nonrandom_data():
+def test_criterion_2_kernels_vanish_for_nonrandom_data(nonrandom_field):
     start = time.perf_counter()
     dom = DomainSpec("interval", 0.0, 1.0, 1.0)
     grid = build_grid(dom, 101)
@@ -84,7 +84,7 @@ def test_criterion_2_kernels_vanish_for_nonrandom_data():
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     ok = True
     for seed in (7, 8):
-        g = smooth_random_field(grid, tree, seed=seed, noise_weight=0.0)
+        g = nonrandom_field(grid, tree, seed=seed)
         X = op_G(g, coeffs, grid, tree)
         ok &= norm_x0(X[0]) <= 1e-12 * norm_x0(g)
     _report(2, "diffusion kernels vanish identically for nonrandom data",

@@ -71,9 +71,9 @@ def test_pathwise_exit_time_oracle():
     assert err <= 0.02 * exact.max()
 
 
-def test_pathwise_nonrandom_leaf_independent():
+def test_pathwise_nonrandom_leaf_independent(nonrandom_field):
     _, grid, tree, coeffs = make_setup(family="constant")
-    g = smooth_random_field(grid, tree, seed=3, noise_weight=0.0)
+    g = nonrandom_field(grid, tree, seed=3)
     U0 = solve_backward_pathwise(g, coeffs, 0, grid, tree)
     U1 = solve_backward_pathwise(g, coeffs, tree.n_leaves - 1, grid, tree)
     assert np.allclose(U0, U1, atol=1e-14)
@@ -116,9 +116,9 @@ def test_op_G_is_clark_kernel_diagonal():
         assert np.max(np.abs(dec.kernels[k][:, 0] - X[0].levels[k][ix])) < 1e-12
 
 
-def test_op_G_vanishes_for_nonrandom_data():
+def test_op_G_vanishes_for_nonrandom_data(nonrandom_field):
     _, grid, tree, coeffs = make_setup(family="constant")
-    g = smooth_random_field(grid, tree, seed=10, noise_weight=0.0)
+    g = nonrandom_field(grid, tree, seed=10)
     X = op_G(g, coeffs, grid, tree)
     assert norm_x0(X[0]) <= 1e-12 * norm_x0(g)
 
@@ -145,9 +145,9 @@ def test_operators_linear():
     assert norm_x0(lhsG - rhsG) <= 1e-10 * max(norm_x0(lhsG), 1e-300)
 
 
-def test_op_B_zero_cases():
+def test_op_B_zero_cases(nonrandom_field):
     _, grid, tree, coeffs = make_setup(family="constant")
-    g = smooth_random_field(grid, tree, seed=13, noise_weight=0.0)
+    g = nonrandom_field(grid, tree, seed=13)
     assert norm_x0(op_B(g, coeffs, grid, tree)) <= 1e-12 * norm_x0(g)
     _, grid, tree, coeffs = make_setup()
     assert norm_x0(op_B(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)) == 0.0
@@ -162,9 +162,9 @@ def test_op_B_nonzero_and_scales():
     assert norm_x0(bg2 - 2.0 * bg) <= 1e-10 * norm_x0(bg2)
 
 
-def test_solve_R_identity_when_B_vanishes():
+def test_solve_R_identity_when_B_vanishes(nonrandom_field):
     _, grid, tree, coeffs = make_setup(family="constant")
-    phi = smooth_random_field(grid, tree, seed=15, noise_weight=0.0)
+    phi = nonrandom_field(grid, tree, seed=15)
     g, info = solve_R(phi, coeffs, grid, tree)
     assert info["iterations"] == 1
     assert norm_x0(g - phi) <= 1e-12 * norm_x0(phi)
@@ -235,8 +235,8 @@ def test_op_L_pair_is_the_sweep_of_R_phi():
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=28)
     sol = op_L(phi, coeffs, grid, tree)
-    res = backward_sweep(sol.g, coeffs, grid, tree, want_v=True, want_kernels=True)
-    for a, b in [(sol.v, res["v"]), (sol.kernels[0], res["kernels"][0])]:
+    v, kernels, _ = backward_sweep(sol.g, coeffs, grid, tree)
+    for a, b in [(sol.v, v), (sol.kernels[0], kernels[0])]:
         assert norm_x0(a - b) <= 1e-14 * norm_x0(b)
 
 
@@ -256,7 +256,7 @@ def test_residual_bspde_zero_solution():
     assert residual_bspde(sol, SpaceTimeField.zeros(grid, tree), coeffs, grid, tree) == 0.0
 
 
-def test_residual_bspde_refinement_halving():
+def test_residual_bspde_refinement_halving(nonrandom_field):
     # nonrandom data: the trapezoidal residual is O(dt), halving when dt and
     # dx^2 are halved together
     def resid(nx, n_steps):
@@ -264,9 +264,9 @@ def test_residual_bspde_refinement_halving():
         grid = build_grid(dom, nx)
         tree = build_tree(1, n_steps, 1.0)
         coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-        g = smooth_random_field(grid, tree, seed=20, noise_weight=0.0)
-        res = backward_sweep(g, coeffs, grid, tree, want_v=True, want_kernels=True)
-        sol = BackwardSolution(v=res["v"], kernels=res["kernels"])
+        g = nonrandom_field(grid, tree, seed=20)
+        v, kernels, _ = backward_sweep(g, coeffs, grid, tree)
+        sol = BackwardSolution(v=v, kernels=kernels)
         return residual_bspde(sol, g, coeffs, grid, tree)
 
     coarse = resid(29, 4)
@@ -278,13 +278,12 @@ def test_residual_bspde_refinement_halving():
 def test_residual_bspde_detects_corrupted_kernel():
     _, grid, tree, coeffs = make_setup()
     g = smooth_random_field(grid, tree, seed=21)
-    res = backward_sweep(g, coeffs, grid, tree, want_v=True, want_kernels=True)
-    sol = BackwardSolution(v=res["v"], kernels=res["kernels"])
-    base = residual_bspde(sol, g, coeffs, grid, tree)
-    corrupted = [res["kernels"][0].copy()]
+    v, kernels, _ = backward_sweep(g, coeffs, grid, tree)
+    base = residual_bspde(BackwardSolution(v=v, kernels=kernels), g, coeffs, grid, tree)
+    corrupted = [kernels[0].copy()]
     for k in range(tree.n_steps):
         corrupted[0].levels[k][1:-1] += 1.0
-    bad = residual_bspde(BackwardSolution(v=res["v"], kernels=corrupted), g, coeffs, grid, tree)
+    bad = residual_bspde(BackwardSolution(v=v, kernels=corrupted), g, coeffs, grid, tree)
     assert bad - base > 0.1
 
 
@@ -351,11 +350,11 @@ def test_solver_levels_are_x_major_and_c_contiguous():
     # a C-contiguous layout, backward and forward alike
     _, grid, tree, coeffs = make_setup(n_steps=4)
     g = smooth_random_field(grid, tree, seed=29)
-    sweep = backward_sweep(g, coeffs, grid, tree, want_v=True, want_kernels=True, want_bg=True)
+    v, kernels, bg = backward_sweep(g, coeffs, grid, tree)
     sol = op_L(g, coeffs, grid, tree)
     p0 = np.zeros(grid.nx)
     p0[1:-1] = 1.0 / (grid.dx * grid.ni)
-    fields = [sweep["v"], *sweep["kernels"], sweep["bg"], sol.v, *sol.kernels, sol.g,
+    fields = [v, *kernels, bg, sol.v, *sol.kernels, sol.g,
               op_T(g, coeffs, grid, tree), *op_G(g, coeffs, grid, tree), op_B(g, coeffs, grid, tree),
               solve_T_star(g, coeffs, grid, tree), solve_G_star(0, g, coeffs, grid, tree),
               solve_B_star(g, coeffs, grid, tree), solve_R_star(g, coeffs, grid, tree),

@@ -4,13 +4,11 @@ import pytest
 from spdelab import DomainSpec, SpaceTimeField, build_grid, build_tree
 from spdelab.fields import (
     FieldError,
-    check_adapted_prefix,
     inner_x0,
     norm_c0,
     norm_x0,
     norm_xk,
     pair_x0_dual,
-    smooth_profile_field,
     smooth_random_field,
 )
 
@@ -26,7 +24,7 @@ def brute_inner_x0(F, G):
     tree, grid = F.tree, F.grid
     total = 0.0
     for k in range(tree.n_steps):
-        prob = tree.node_probability(k)
+        prob = 1.0 / tree.n_nodes(k)
         for n in range(tree.n_nodes(k)):
             for i in range(grid.nx):
                 total += prob * tree.dt * grid.dx * F.levels[k][i, n] * G.levels[k][i, n]
@@ -88,14 +86,17 @@ def test_field_arithmetic(setup):
     assert norm_x0(F + (-F)) == 0.0
 
 
-def test_adaptedness_probe_and_leaf_values(setup):
+def test_ancestor_index_lifts_levels_to_leaves(setup):
+    # lifted through ancestor_index, every leaf below a node carries that
+    # node's value
     grid, tree = setup
     F = smooth_random_field(grid, tree, seed=9)
-    assert check_adapted_prefix(F)
-    lifted = F.leaf_values(2)
-    assert lifted.shape == (grid.nx, tree.n_leaves)
-    span = tree.branching ** (tree.n_steps - 2)
-    assert np.array_equal(lifted[:, ::span], F.levels[2])
+    leaves = np.arange(tree.n_leaves)
+    for k in range(tree.n_steps + 1):
+        lifted = F.levels[k][:, tree.ancestor_index(leaves, k)]
+        assert lifted.shape == (grid.nx, tree.n_leaves)
+        span = tree.branching ** (tree.n_steps - k)
+        assert np.all(lifted.reshape(grid.nx, tree.n_nodes(k), span) == F.levels[k][:, :, None])
 
 
 def test_pair_x0_dual_matches_brute(setup):
@@ -119,9 +120,13 @@ def test_field_generators_deterministic(setup):
     b = smooth_random_field(grid, tree, seed=12)
     for k in range(tree.n_steps + 1):
         assert np.array_equal(a.levels[k], b.levels[k])
-    c = smooth_profile_field(grid, tree, seed=12)
-    # profile fields are constant across the nodes of each level
-    for k in range(tree.n_steps + 1):
-        assert np.all(c.levels[k] == c.levels[k][:, :1])
-    # and Dirichlet-compatible
-    assert np.all(c.levels[2][0] == 0.0)
+
+
+def test_smooth_random_field_boundary_rows_are_zero():
+    # sin(m pi) leaves up to 1.8e-16 at x = b on this grid; both boundary
+    # rows must be exactly 0 for the field to be Dirichlet-compatible
+    grid = build_grid(DomainSpec("interval", 0.0, 8.0, 1.0), 201)
+    tree = build_tree(1, 4, 1.0)
+    for seed in (1, 2, 3):
+        for level in smooth_random_field(grid, tree, seed=seed).levels:
+            assert np.all(level[[0, -1]] == 0.0)

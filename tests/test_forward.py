@@ -21,7 +21,9 @@ from spdelab import (
     solve_T_star,
     step_forward,
 )
+from spdelab.domain import dx_centered
 from spdelab.fields import inner_x0, norm_x0, smooth_random_field
+from spdelab.forward import _forward_march
 from spdelab.tree import TreeNode
 
 
@@ -38,7 +40,7 @@ def make_setup(nx=41, n_steps=5, horizon=1.0, family="drift-random", interval=(0
 
 def test_step_forward_zero_state():
     _, grid, tree, coeffs = make_setup()
-    state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0), tree.dt)
+    state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0))
     out = step_forward(state, coeffs, None, None, np.array([tree.sqdt]), grid, tree)
     assert np.all(out.values == 0.0)
     assert out.node == TreeNode(1, 0)
@@ -52,7 +54,7 @@ def test_step_forward_dense_factorization_oracle():
     p[1:-1] = rng.normal(size=grid.ni)
     drift = np.zeros(grid.nx)
     drift[1:-1] = rng.normal(size=grid.ni)
-    state = ForwardState(p.copy(), TreeNode(0, 0), tree.dt)
+    state = ForwardState(p.copy(), TreeNode(0, 0))
     out = step_forward(state, coeffs, drift, None, np.array([tree.sqdt]), grid, tree)
     ni, dx = grid.ni, grid.dx
     b = coeffs.b_total
@@ -76,7 +78,7 @@ def test_step_forward_branch_average():
     p[1:-1] = rng.normal(size=grid.ni)
     h = np.zeros(grid.nx)
     h[1:-1] = rng.normal(size=grid.ni)
-    state = ForwardState(p.copy(), TreeNode(2, 1), tree.dt)
+    state = ForwardState(p.copy(), TreeNode(2, 1))
     up = step_forward(state, coeffs, None, [h], np.array([tree.sqdt]), grid, tree)
     dn = step_forward(state, coeffs, None, [h], np.array([-tree.sqdt]), grid, tree)
     drift_only = step_forward(state, coeffs, None, None, np.array([tree.sqdt]), grid, tree)
@@ -86,7 +88,7 @@ def test_step_forward_branch_average():
 
 def test_step_forward_rejects_bad_increment():
     _, grid, tree, coeffs = make_setup()
-    state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0), tree.dt)
+    state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0))
     with pytest.raises(ForwardSolverError):
         step_forward(state, coeffs, None, None, np.array([0.5 * tree.sqdt]), grid, tree)
 
@@ -98,7 +100,7 @@ def test_march_matches_repeated_steps():
     pi = solve_T_star(h, coeffs, grid, tree)
     leaf = 13
     path = tree.leaf_path(leaf)
-    state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0), tree.dt)
+    state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0))
     for k in range(tree.n_steps):
         dw = tree.digit_signs[path[k + 1] % tree.branching] * tree.sqdt
         state = step_forward(
@@ -312,7 +314,8 @@ def test_density_mass_audit():
 
 
 def test_density_frozen_dynamics():
-    # f = 0, beta = 0 (validation off): p stays frozen in time
+    # f = 0, beta = 0: the density march leaves p frozen in time (beta = 0
+    # is not superparabolic, so this marches past solve_density's checks)
     dom = DomainSpec("interval", 0.0, 1.0, 1.0)
     grid = build_grid(dom, 21)
     tree = build_tree(1, 3, 1.0)
@@ -321,9 +324,13 @@ def test_density_frozen_dynamics():
         family="constant", d=1, sigma=np.zeros(1), params={"f0": 0.0}
     )
     p0 = gaussian_on(grid, 0.2)
-    sol = solve_density(p0, frozen, grid, tree, validate=False)
+
+    def density_source(k, state):  # solve_density's noise source
+        return None, [-dx_centered(grid, frozen.sigma[0] * state)]
+
+    p = _forward_march(frozen, grid, tree, density_source, p0[:, None].copy())
     for k in range(tree.n_steps + 1):
-        assert np.allclose(sol.p.levels[k], p0[:, None], atol=1e-13)
+        assert np.allclose(p.levels[k], p0[:, None], atol=1e-13)
 
 
 def test_density_input_validation():

@@ -90,6 +90,9 @@ BAD_AT_LOAD = [
         "grid": {"nx": 21}, "tree": {"n_steps": 3}}},
     {"match": "divide the tree step", "config": {
         "experiment": "representation-random", "mc": {"dt_mc": 0.01}, "tree": {"n_steps": 3}}},
+    # 0.45 is not a tree time (dt = 0.1), 1.5 is past the horizon
+    {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 0.45]}}},
+    {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 1.5]}}},
 ]
 
 

@@ -98,15 +98,14 @@ def test_no_normals_drawn_for_exited_paths():
     dom = DomainSpec("interval", 0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(4.0, M=3000, d0=1, dt_mc=0.01, seed=20)
-    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, keep_fine=True,
-                     snapshot_times=[0.0, 2.0, 4.0])
+    # a snapshot at every mesh time is the fine history
+    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=paths.times)
     steps = np.rint(trajs.tau / 0.01).astype(int)
     assert steps.max() < paths.n_fine  # every path exits before the horizon
     assert trajs.normals_drawn == steps.sum()
-    last = trajs.fine_paths[np.arange(trajs.n_paths), steps]
+    last = trajs.snapshots[np.arange(trajs.n_paths), steps]
     assert np.all((last < 0.0) | (last > 1.0))
     # after the early stop the record holds the frozen exit values
-    assert np.array_equal(trajs.fine_paths[:, -1], last)
     assert np.array_equal(trajs.snapshots[:, -1], last)
     assert not trajs.alive[:, -1].any()
 
@@ -132,10 +131,28 @@ def test_mid_block_start_hits_coarse_targets(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0], "d": 1})
     tree = build_tree(1, 4, 1.0)
     paths = sample_tree_paths(tree, 300, 1, 0.025, seed=22)
-    trajs = simulate(coeffs, 0.0, 0.35, paths, line_domain, keep_fine=True)
-    coarse = trajs.fine_paths[:, [20 - 14, 30 - 14, 40 - 14]]  # t = 0.5, 0.75, 1.0
+    trajs = simulate(coeffs, 0.0, 0.35, paths, line_domain, snapshot_times=paths.times[14:])
+    coarse = trajs.snapshots[:, [20 - 14, 30 - 14, 40 - 14]]  # t = 0.5, 0.75, 1.0
     w1 = np.stack([paths.w1(k) for k in range(2, tree.n_steps + 1)], axis=1)
     assert np.max(np.abs(np.diff(coarse, axis=1) - np.diff(w1, axis=1))) < 1e-12
+
+
+def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
+    # the default tree snapshots start at s, so none is left unwritten
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
+    paths = sample_tree_paths(build_tree(1, 4, 1.0), 5, 2, 0.01, seed=21)
+    trajs = simulate(coeffs, 0.5, 0.5, paths, unit_domain)
+    assert np.allclose(trajs.snapshot_times, [0.5, 0.75, 1.0])
+    assert np.all(trajs.snapshots[:, 0] == 0.5) and trajs.alive[:, 0].all()
+    # explicit times before the start or past the horizon raise
+    for times in ([0.25, 1.0], [0.5, 1.01]):
+        with pytest.raises(SimulationError, match="horizon"):
+            simulate(coeffs, 0.5, 0.5, paths, unit_domain, snapshot_times=times)
+    # a repeated time fills every column that asks for it
+    twice = simulate(coeffs, 0.5, 0.5, paths, unit_domain, snapshot_times=[0.75, 0.75, 1.0])
+    assert np.array_equal(twice.snapshots[:, 0], twice.snapshots[:, 1])
+    assert np.array_equal(twice.snapshots[:, [1, 2]], trajs.snapshots[:, [1, 2]])
+    assert np.array_equal(twice.alive[:, [1, 2]], trajs.alive[:, [1, 2]])
 
 
 def test_estimate_functional_zero_and_linearity(unit_domain):
@@ -148,7 +165,9 @@ def test_estimate_functional_zero_and_linearity(unit_domain):
             "zero": lambda y, t, w1: np.zeros_like(y),
             "one": lambda y, t, w1: np.ones_like(y),
             "two": lambda y, t, w1: 2.0 * np.ones_like(y),
+            "sq": lambda y, t, w1: y**2,
         },
+        snapshot_times=paths.times,
     )
     z = estimate_functional(trajs, "zero")
     assert z.value == 0.0 and z.stderr == 0.0
@@ -157,16 +176,10 @@ def test_estimate_functional_zero_and_linearity(unit_domain):
     assert two.value == pytest.approx(2.0 * one.value, rel=1e-14)
     # registered integral of 1 equals tau on the mesh
     assert one.value == pytest.approx(trajs.tau.mean(), rel=1e-12)
-
-
-def test_estimate_functional_callable_path(unit_domain):
-    coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-    paths = free_paths(1.0, M=200, d0=1, dt_mc=0.05, seed=6)
-    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain,
-                     integrands={"sq": lambda y, t, w1: y**2}, keep_fine=True)
-    via_callable = estimate_functional(trajs, lambda y, t: y**2)
-    via_registered = estimate_functional(trajs, "sq")
-    assert via_callable.value == pytest.approx(via_registered.value, rel=1e-12)
+    # the running integral of y^2 against the sum over every mesh time before the exit
+    before_exit = np.arange(paths.n_fine)[None, :] < np.rint(trajs.tau / 0.02)[:, None]
+    direct = (trajs.snapshots[:, :-1] ** 2 * before_exit).sum(axis=1) * 0.02
+    assert estimate_functional(trajs, "sq").value == pytest.approx(direct.mean(), rel=1e-12)
     with pytest.raises(SimulationError, match="registered"):
         estimate_functional(trajs, "missing")
 
@@ -308,8 +321,7 @@ def test_functional_estimate_worker_independence(line_domain):
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
     grid = build_grid(line_domain, 161)
-    kw = dict(grid=grid, domain=line_domain, dt_mc=0.05, tree=tree, d0=2,
-              chunk_size=1500)
+    kw = dict(grid=grid, domain=line_domain, dt_mc=0.05, tree=tree, chunk_size=1500)
     a = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, workers=1, **kw)
     b = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, workers=3, **kw)
     assert a.value == b.value and a.stderr == b.stderr

@@ -54,7 +54,6 @@ def tree5():
 def test_build_tree_counts(tree2):
     assert [tree2.n_nodes(k) for k in range(3)] == [1, 2, 4]
     assert tree2.n_leaves == 4
-    assert tree2.node_probability(2) == pytest.approx(0.25)
 
 
 def test_build_tree_guards():
