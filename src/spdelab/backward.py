@@ -136,11 +136,7 @@ def solve_backward_pathwise(
     Returns U of shape (n_steps + 1, nx) with U[N] = 0 and zero boundary
     columns.  Serves as the leaf-enumeration oracle for the tree operators.
     """
-    path = np.asarray(leaf_path)
-    if path.ndim == 0:
-        path = tree.leaf_path(int(path))
-    if path.shape != (tree.n_steps + 1,):
-        raise ValueError("leaf_path must be a leaf index or a per-level node sequence")
+    path = tree.node_path(leaf_path)
     N, dt = tree.n_steps, tree.dt
     U = np.zeros((N + 1, grid.nx))
     for k in range(N - 1, -1, -1):

@@ -7,10 +7,9 @@ configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .harness import ConfigError, ExperimentConfig, list_experiments, run
+from .harness import ConfigError, ExperimentConfig, list_experiments, read_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,22 +40,14 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(raw, dict):
-        print("config error: config must be a JSON object", file=sys.stderr)
-        return 2
-    if args.command == "run":
-        if args.seed is not None:
-            raw.setdefault("mc", {})["seed"] = args.seed
-        if args.out_dir is not None:
-            raw["output_dir"] = args.out_dir
-        if args.workers is not None:
-            raw["workers"] = args.workers
-    try:
+        raw = read_config(args.config)
+        if args.command == "run":
+            if args.seed is not None:
+                raw.setdefault("mc", {})["seed"] = args.seed
+            if args.out_dir is not None:
+                raw["output_dir"] = args.out_dir
+            if args.workers is not None:
+                raw["workers"] = args.workers
         config = ExperimentConfig.from_dict(raw)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -211,9 +211,8 @@ def validate(
     }
     messages = []
     if require_superparabolic:
-        ok = coeffs.d < coeffs.d0 and delta >= DEGENERACY_FLOOR
-        flags["superparabolic"] = ok
-        if not ok:
+        flags["superparabolic"] = coeffs.superparabolic()
+        if not flags["superparabolic"]:
             messages.append(
                 "beta tilde degenerate: superparabolic mode needs d < d0 with a "
                 "nondegenerate tail block"

@@ -240,11 +240,21 @@ def h0_norm(u: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(grid.dx) * np.linalg.norm(np.asarray(u)))
 
 
+def hk_norm_sq(u: np.ndarray, k: int, grid: Grid) -> np.ndarray:
+    """Squared H^k norms of the columns of u (grid nodes on axis 0, boundary
+    rows not read), k in {-1, 0, 1}: the sine-coefficient weighted sum
+    dx * sum_m (1 + lambda_m)^k c_m^2, with c the orthonormal DST-I of the
+    interior values and lambda_m the eigenvalues of -Laplacian."""
+    if k not in (-1, 0, 1):
+        raise GridError(f"H^k norms need k in {{-1, 0, 1}}, got {k}")
+    coef = dst(u[1:-1], type=1, norm="ortho", axis=0)
+    weight = (1.0 + LambdaTransform(grid).eigenvalues) ** k
+    return grid.dx * np.einsum("m...,m->...", coef**2, weight)
+
+
 def hk_norm(u: np.ndarray, k: int, grid: Grid) -> float:
-    """H^k norm, k in {-1, 0, 1}, via the Lambda spectral scaling."""
-    if k == 0:
-        return h0_norm(u, grid)
-    return h0_norm(LambdaTransform(grid).apply(u, k), grid)
+    """H^k norm of a grid function, k in {-1, 0, 1} (hk_norm_sq)."""
+    return float(np.sqrt(hk_norm_sq(_check_grid_function(grid, u), k, grid)))
 
 
 def dx_centered(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -16,16 +16,15 @@ cells,
 and `pair_x0_dual` pairs a backward-type field with a forward-marched one
 cell by cell (slice k against slice k+1), which aligns the two one-sided
 quadratures of the same time integral.  `norm_xk` gives the X^-1 and X^1
-norms through the sine-spectral Lambda scaling, `norm_c0` the largest
-mean-square H0 norm over the levels.
+norms from the sine-coefficient sums of `domain.hk_norm_sq`, `norm_c0` the
+largest mean-square H0 norm over the levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dst
 
-from .domain import Grid, LambdaTransform
+from .domain import Grid, hk_norm_sq
 from .tree import ScenarioTree
 
 
@@ -150,22 +149,16 @@ def norm_x0(F: SpaceTimeField) -> float:
     return float(np.sqrt(max(inner_x0(F, F), 0.0)))
 
 
-def _lambda_scale_sq(grid: Grid, k: int) -> np.ndarray:
-    lam = LambdaTransform(grid).eigenvalues
-    return (1.0 + lam) ** k
-
-
 def norm_xk(F: SpaceTimeField, k: int) -> float:
-    """X^k norm for k in {-1, 0, 1} via the sine-spectral Lambda scaling."""
+    """X^k norm for k in {-1, 0, 1}: the left-rule time quadrature of the
+    mean H^k norms of the level slices (domain.hk_norm_sq)."""
     if k == 0:
         return norm_x0(F)
-    scale = _lambda_scale_sq(F.grid, k)
-    tree, grid = F.tree, F.grid
+    tree = F.tree
     total = 0.0
     for lev in range(tree.n_steps):
-        coef = dst(F.levels[lev][1:-1], type=1, norm="ortho", axis=0)
-        total += float(np.einsum("mn,m->", coef**2, scale)) / tree.n_nodes(lev)
-    return float(np.sqrt(total * tree.dt * grid.dx))
+        total += float(hk_norm_sq(F.levels[lev], k, F.grid).sum()) / tree.n_nodes(lev)
+    return float(np.sqrt(total * tree.dt))
 
 
 def norm_c0(F: SpaceTimeField) -> float:

@@ -113,7 +113,7 @@ def step_forward(
     return ForwardState(values=new, node=child)
 
 
-def _forward_march(coeffs, grid, tree, source_fn, state0=None, on_level=None):
+def _forward_march(coeffs, grid, tree, source_fn, state0=None):
     """March all tree paths at once with the splitting step, from the root
     slice state0 (nx, 1), zero when not given.
 
@@ -126,8 +126,6 @@ def _forward_march(coeffs, grid, tree, source_fn, state0=None, on_level=None):
     if state.shape != (grid.nx, 1):
         raise ForwardSolverError("initial state must be a single root slice")
     levels = [state]
-    if on_level is not None:
-        on_level(0, state)
     for k in range(N):
         n_k = tree.n_nodes(k)
         drift, noise = source_fn(k, state)
@@ -144,8 +142,6 @@ def _forward_march(coeffs, grid, tree, source_fn, state0=None, on_level=None):
         if not np.all(np.isfinite(state)):
             raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
         levels.append(state)
-        if on_level is not None:
-            on_level(k + 1, state)
     return SpaceTimeField(grid, tree, levels)
 
 
@@ -232,20 +228,18 @@ def solve_density(
     if abs(mass0 - 1.0) > 1e-8:
         raise ForwardSolverError(f"p0 must have unit mass, got {mass0:.6f}")
     sigma = coeffs.sigma
-    mass, min_density = [], []
-
-    def record(level, state):
-        mass.append(grid.dx * state[1:-1].sum(axis=0))
-        min_density.append(float(state.min()))
-        if np.abs(state).max() > _BLOWUP_GUARD:
-            raise ForwardSolverError(f"density blow-up at level {level}")
 
     def src(k, state):
         return None, [-dx_centered(grid, sigma[j] * state) for j in range(tree.d)]
 
     start = p0[:, None].copy()
     start[[0, -1]] = 0.0
-    p = _forward_march(coeffs, grid, tree, src, start, on_level=record)
+    p = _forward_march(coeffs, grid, tree, src, start)
+    for level, state in enumerate(p.levels):
+        if np.abs(state).max() > _BLOWUP_GUARD:
+            raise ForwardSolverError(f"density blow-up at level {level}")
+    mass = [grid.dx * state[1:-1].sum(axis=0) for state in p.levels]
+    min_density = [float(state.min()) for state in p.levels]
     peak = max(a.max() for a in p.levels)
     flagged = min(min_density) < -1e-3 * max(peak, 1e-300)
     return DensitySolution(p=p, mass=mass, min_density=min_density, flagged=flagged)

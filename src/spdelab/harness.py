@@ -176,7 +176,7 @@ _DEFAULTS = {
         "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
-        "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 11},
+        "mc": {"seed": 11},
         "params": {
             "fine_nx": 201,
             "fine_n_steps": 16,
@@ -190,7 +190,7 @@ _DEFAULTS = {
         "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
         "grid": {"nx": 101},
         "tree": {"n_steps": 10, "horizon": 1.0},
-        "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 2468},
+        "mc": {"seed": 2468},
         "solver": {"tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
         "params": {"agreement_tol": 1.0e-7},
     },
@@ -199,7 +199,7 @@ _DEFAULTS = {
         "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
-        "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 6},
+        "mc": {"seed": 6},
         "params": {
             "fine_nx": 201,
             "fine_n_steps": 16,
@@ -227,7 +227,7 @@ _DEFAULTS = {
         "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
-        "mc": {"paths": 0, "dt_mc": 1.0e-3, "seed": 100},
+        "mc": {"seed": 100},
         "params": {"fine_nx": 201, "fine_n_steps": 12, "n_fields": 10, "growth_bound": 1.5},
     },
 }
@@ -301,12 +301,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
 
     def validate(self):
         seed = self.mc.get("seed")
@@ -375,21 +370,33 @@ class ExperimentConfig:
         fam = dict(self.coefficients)
         return make_family(fam.pop("family"), fam)
 
-    def build_domain(self) -> DomainSpec:
-        return DomainSpec(
-            kind=self.domain["kind"],
-            a=float(self.domain["a"]),
-            b=float(self.domain["b"]),
-            horizon=float(self.tree["horizon"]),
-        )
-
     def build_grid(self, nx=None):
-        return build_grid(self.build_domain(), int(self.grid["nx"] if nx is None else nx))
+        dom, horizon = self.domain, float(self.tree["horizon"])
+        domain = DomainSpec(dom["kind"], float(dom["a"]), float(dom["b"]), horizon)
+        return build_grid(domain, int(self.grid["nx"] if nx is None else nx))
 
     def build_tree(self, n_steps=None):
         d = int(self.coefficients.get("d", len(self.coefficients["sigma"])))
         n_steps = self.tree["n_steps"] if n_steps is None else n_steps
         return build_tree(d, int(n_steps), float(self.tree["horizon"]))
+
+    def build(self, nx=None, n_steps=None):
+        """(coefficients, grid, tree), at the configured level unless nx or
+        n_steps is given; the domain is grid.domain."""
+        return self.build_coeffs(), self.build_grid(nx), self.build_tree(n_steps)
+
+
+def read_config(path) -> dict:
+    """The JSON object in a config file; ConfigError if it cannot be read or
+    is not an object."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
 
 
 def _check_dominance(coeffs, grid, tree):
@@ -440,27 +447,22 @@ def _density_diagnostics(dens, grid, tree) -> dict:
             "min_density": list(dens.min_density)}
 
 
-def _density_phi_pairing(dens, phi, grid, tree) -> float:
-    """E sum_t dt int p phi dx with the left time rule."""
-    total = 0.0
-    for k in range(tree.n_steps):
-        total += (
-            tree.dt * grid.dx
-            * float(np.einsum("xn,xn->", dens.p.levels[k], phi.levels[k]))
-            / tree.n_nodes(k)
-        )
-    return total
+def _unit(x, t, w1):
+    """The integrand 1: its functional is the expected exit time."""
+    return np.ones_like(x)
+
+
+def _gaussian(x, t, w1):
+    """The integrand exp(-x^2)."""
+    return np.exp(-(x**2))
 
 
 # --- experiments -------------------------------------------------------------
 
 
 def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs = cfg.build_coeffs()
-    grid = cfg.build_grid()
-    tree = cfg.build_tree()
-    dom = cfg.build_domain()
-    phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.ones_like(x) + 0.0 * w1)
+    coeffs, grid, tree = cfg.build()
+    phi = _dirichlet_profile(grid, tree, _unit)
     sol = op_L(phi, coeffs, grid, tree)
     ix = int(np.argmin(np.abs(grid.x - cfg.params["x0"])))
     v_mid = float(sol.v.levels[0][ix, 0])
@@ -470,9 +472,9 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     rows.append(CheckRow(cfg.experiment, "kernels-vanish-nonrandom", "2.1",
                          kernel_ratio, 0.0, 1e-12, kernel_ratio <= 1e-12))
     est = functional_estimate(
-        coeffs, lambda y, t, w1: np.ones_like(y), float(grid.x[ix]),
+        coeffs, _unit, float(grid.x[ix]),
         int(cfg.mc["paths"]), cfg.mc["seed"],
-        grid=grid, domain=dom, dt_mc=float(cfg.mc["dt_mc"]),
+        grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
         tree=None, workers=cfg.workers,
     )
     tol = 3.0 * est.stderr + 0.02
@@ -482,35 +484,32 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
 
 
 def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
-    grid = cfg.build_grid()
-    tree = cfg.build_tree()
-    dom = cfg.build_domain()
+    coeffs, grid, tree = cfg.build()
     xs = cfg.params["x_points"]
     dt_dx2 = tree.dt + grid.dx**2
+    phi = _dirichlet_profile(grid, tree, _gaussian)
 
-    def one_family(coeffs, seed_tag):
-        phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.exp(-(x**2)) + 0.0 * w1)
-        sol = op_L(phi, coeffs, grid, tree)
+    def one_family(family, seed_tag):
+        sol = op_L(phi, family, grid, tree)
         out = []
         for xv in xs:
             ix = int(np.argmin(np.abs(grid.x - xv)))
             est = functional_estimate(
-                coeffs, lambda y, t, w1: np.exp(-(y**2)), float(grid.x[ix]),
+                family, _gaussian, float(grid.x[ix]),
                 int(cfg.mc["paths"]), (cfg.mc["seed"], seed_tag, ix),
-                grid=grid, domain=dom, dt_mc=float(cfg.mc["dt_mc"]),
+                grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
                 tree=tree, workers=cfg.workers,
             )
             out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
 
-    fam = dict(cfg.coefficients)
-    fam.pop("family")
-    control = make_family("constant", {"f0": 0.0, "sigma": fam["sigma"], "d": fam.get("d", 1)})
+    sigma, d = cfg.coefficients["sigma"], cfg.coefficients.get("d", 1)
+    control = make_family("constant", {"f0": 0.0, "sigma": sigma, "d": d})
     ctrl = one_family(control, 0)
     excess = [max(abs(v - est.value) - 3.0 * est.stderr, 0.0) for _, v, est in ctrl]
     C = max(2.0 * max(excess) / dt_dx2, float(cfg.params["calibration_floor"]))
     rows = []
-    rand = one_family(cfg.build_coeffs(), 1)
+    rand = one_family(coeffs, 1)
     for xv, v, est in rand:
         tol = 3.0 * est.stderr + C * dt_dx2
         rows.append(CheckRow(cfg.experiment, f"v-vs-mc-at-x={xv:+.2f}", "5.1a",
@@ -519,9 +518,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
 
 
 def _adjoint_mismatches(cfg, nx, n_steps, seed_pair):
-    coeffs = cfg.build_coeffs()
-    grid = cfg.build_grid(nx)
-    tree = cfg.build_tree(n_steps)
+    coeffs, grid, tree = cfg.build(nx, n_steps)
     g = smooth_random_field(grid, tree, seed=seed_pair[0])
     h = smooth_random_field(grid, tree, seed=seed_pair[1])
     gn, hn = norm_x0(g), norm_x0(h)
@@ -576,9 +573,7 @@ def _exp_adjoint_suite(cfg: ExperimentConfig, diag: dict) -> list:
 
 
 def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs = cfg.build_coeffs()
-    grid = cfg.build_grid()
-    tree = cfg.build_tree()
+    coeffs, grid, tree = cfg.build()
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     tol = float(cfg.solver["tol"])
     g_a, info_a = solve_R(phi, coeffs, grid, tree, **cfg.solver,
@@ -619,15 +614,13 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
 
 
 def _duality_gap(cfg, nx, n_steps):
-    coeffs = cfg.build_coeffs()
-    grid = cfg.build_grid(nx)
-    tree = cfg.build_tree(n_steps)
+    coeffs, grid, tree = cfg.build(nx, n_steps)
     p0 = _gaussian_density(grid, float(cfg.params["p0_width"]))
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     sol = op_L(phi, coeffs, grid, tree)
     dens = solve_density(p0, coeffs, grid, tree)
     lhs = grid.dx * float((p0 * sol.v.levels[0][:, 0]).sum())
-    rhs = _density_phi_pairing(dens, phi, grid, tree)
+    rhs = inner_x0(dens.p, phi)
     return lhs, rhs, sol, dens, phi, grid, tree
 
 
@@ -671,10 +664,7 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
 
 
 def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs = cfg.build_coeffs()
-    grid = cfg.build_grid()
-    tree = cfg.build_tree()
-    dom = cfg.build_domain()
+    coeffs, grid, tree = cfg.build()
     p = cfg.params
     p0 = _gaussian_density(grid, float(p["p0_width"]))
     leaf = int(str(p["leaf_bits"]), 2) % tree.n_leaves
@@ -683,9 +673,9 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     anc = tree.leaf_path(leaf)
     t_points = [float(t) for t in p["t_points"]]
     cond = conditional_functional(
-        coeffs, lambda x, t, w1: np.exp(-(x**2)), leaf, t_points,
+        coeffs, _gaussian, leaf, t_points,
         int(cfg.mc["paths"]), cfg.mc["seed"],
-        tree=tree, grid=grid, domain=dom, p0=p0,
+        tree=tree, grid=grid, domain=grid.domain, p0=p0,
         dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers,
     )
     rows = []
@@ -693,17 +683,16 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     for est, t in zip(cond, t_points):
         k = int(round(t / tree.dt))
         pslice = dens.p.levels[k][:, anc[k]]
-        pde = grid.dx * float((pslice * np.exp(-(grid.x**2)))[1:-1].sum())
+        pde = grid.dx * float((pslice * _gaussian(grid.x, t, None))[1:-1].sum())
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
                              pde, est.value, rel_tol, rel <= rel_tol))
-    phi = _dirichlet_profile(grid, tree, lambda x, t, w1: np.exp(-(x**2)) + 0.0 * w1)
-    sol = op_L(phi, coeffs, grid, tree)
+    sol = op_L(_dirichlet_profile(grid, tree, _gaussian), coeffs, grid, tree)
     lhs = grid.dx * float((p0[1:-1] * sol.v.levels[0][1:-1, 0]).sum())
     est = functional_estimate(
-        coeffs, lambda y, t, w1: np.exp(-(y**2)), p0,
+        coeffs, _gaussian, p0,
         int(cfg.mc["paths"]), (cfg.mc["seed"], 65),
-        grid=grid, domain=dom, dt_mc=float(cfg.mc["dt_mc"]),
+        grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
         tree=tree, workers=cfg.workers,
     )
     tol = 3.0 * est.stderr + 0.02
@@ -721,9 +710,7 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
 
     def ratios(nx, n_steps):
-        coeffs = cfg.build_coeffs()
-        grid = cfg.build_grid(nx)
-        tree = cfg.build_tree(n_steps)
+        coeffs, grid, tree = cfg.build(nx, n_steps)
         rc, rx = 0.0, 0.0
         for i in range(int(p["n_fields"])):
             phi = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], i))

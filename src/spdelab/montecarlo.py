@@ -64,9 +64,6 @@ class TrajectorySet:
     snapshots: np.ndarray  # (M, n_snap)
     alive: np.ndarray  # (M, n_snap) bool, t <= tau
     tau: np.ndarray  # (M,)
-    start_time: float
-    dt_mc: float
-    seed: object
     integrals: dict = field(default_factory=dict)  # name -> (M,) path integrals
     normals_drawn: int = 0
 
@@ -202,19 +199,21 @@ def simulate(
         snapshots=snapshots,
         alive=alive,
         tau=tau,
-        start_time=s,
-        dt_mc=dt,
-        seed=paths.seed,
         integrals=totals,
         normals_drawn=drawn,
     )
 
 
-def _mean_stderr(values: np.ndarray) -> EstimatorResult:
-    n = values.size
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
-    return EstimatorResult(value=mean, stderr=sd / np.sqrt(n), n=n)
+def _estimate(chunks) -> EstimatorResult:
+    """Sample mean and standard error from per-chunk (sum v, sum v^2, n)
+    triples, summed in chunk order."""
+    s1 = s2 = 0.0
+    n = 0
+    for c1, c2, m in chunks:
+        s1, s2, n = s1 + c1, s2 + c2, n + m
+    mean = s1 / n
+    var = max(s2 / n - mean**2, 0.0) * n / max(n - 1, 1)
+    return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)), n=n)
 
 
 def estimate_functional(trajs: TrajectorySet, name: str) -> EstimatorResult:
@@ -222,7 +221,8 @@ def estimate_functional(trajs: TrajectorySet, name: str) -> EstimatorResult:
     registered under `name` at simulation time."""
     if name not in trajs.integrals:
         raise SimulationError(f"no integrand named {name!r} was registered")
-    return _mean_stderr(trajs.integrals[name])
+    vals = trajs.integrals[name]
+    return _estimate([(vals.sum(), (vals**2).sum(), vals.size)])
 
 
 def empirical_density(trajs: TrajectorySet, t: float, grid: Grid) -> np.ndarray:
@@ -293,17 +293,10 @@ def conditional_functional(
             vals[a] = trajs.alive[:, a] * np.asarray(
                 phi(trajs.snapshots[:, a], t, w1)
             )
-        return vals.sum(axis=1), (vals**2).sum(axis=1)
+        return vals.sum(axis=1), (vals**2).sum(axis=1), m
 
     out = _run_chunks(M, chunk_size, workers, job)
-    s1 = np.sum([o[0] for o in out], axis=0)
-    s2 = np.sum([o[1] for o in out], axis=0)
-    results = []
-    for a in range(t_grid.size):
-        mean = s1[a] / M
-        var = max(s2[a] / M - mean**2, 0.0) * M / max(M - 1, 1)
-        results.append(EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / M)), n=M))
-    return results
+    return [_estimate((s1[a], s2[a], m) for s1, s2, m in out) for a in range(t_grid.size)]
 
 
 def functional_estimate(
@@ -334,11 +327,6 @@ def functional_estimate(
             bundle = free_paths(domain.horizon, m, coeffs.d0, dt_mc, chunk_seed)
         trajs = simulate(coeffs, init, 0.0, bundle, domain, grid=grid, integrands={"phi": phi})
         vals = trajs.integrals["phi"]
-        return vals.sum(), (vals**2).sum()
+        return vals.sum(), (vals**2).sum(), m
 
-    out = _run_chunks(M, chunk_size, workers, job)
-    s1 = float(np.sum([o[0] for o in out]))
-    s2 = float(np.sum([o[1] for o in out]))
-    mean = s1 / M
-    var = max(s2 / M - mean**2, 0.0) * M / max(M - 1, 1)
-    return EstimatorResult(value=mean, stderr=float(np.sqrt(var / M)), n=M)
+    return _estimate(_run_chunks(M, chunk_size, workers, job))

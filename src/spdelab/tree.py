@@ -91,6 +91,20 @@ class ScenarioTree:
             dtype=np.int64,
         )
 
+    def node_path(self, path) -> np.ndarray:
+        """Node indices root -> leaf of a path given by its leaf index or as
+        that per-level node sequence itself (checked to run root -> leaf)."""
+        path = np.asarray(path)
+        if path.ndim == 0:
+            return self.leaf_path(int(path))
+        if (
+            path.shape != (self.n_steps + 1,)
+            or path[0] != 0
+            or np.any(path[1:] // self.branching != path[:-1])
+        ):
+            raise TreeError("leaf_path must be a leaf index or a per-level node sequence")
+        return path.astype(np.int64)
+
 
 def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     """Build the complete binomial scenario tree.
@@ -379,16 +393,7 @@ def bridge_paths(
     leaf_path is a leaf index or an explicit per-level node-index sequence.
     Deterministic given seed.
     """
-    path = np.asarray(leaf_path)
-    if path.ndim == 0:
-        path = tree.leaf_path(int(path))
-    elif (
-        path.shape != (tree.n_steps + 1,)
-        or path[0] != 0
-        or np.any(path[1:] // tree.branching != path[:-1])
-    ):
-        raise TreeError("leaf_path must be a leaf index or a per-level node sequence")
-    return _bundle(tree.horizon, tree, path.astype(np.int64), None, M, d0, dt_mc, seed)
+    return _bundle(tree.horizon, tree, tree.node_path(leaf_path), None, M, d0, dt_mc, seed)
 
 
 def free_paths(horizon: float, M: int, d0: int, dt_mc: float, seed) -> PathBundle:

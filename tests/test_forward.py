@@ -21,6 +21,7 @@ from spdelab import (
     solve_T_star,
     step_forward,
 )
+from spdelab import forward
 from spdelab.domain import dx_centered
 from spdelab.fields import inner_x0, norm_x0, smooth_random_field
 from spdelab.forward import _forward_march
@@ -347,3 +348,25 @@ def test_density_input_validation():
     degenerate = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     with pytest.raises(ForwardSolverError, match="superparabolic"):
         solve_density(gaussian_on(grid, 0.2), degenerate, grid, tree)
+
+
+def test_density_blowup_guard(monkeypatch):
+    # solve_density checks every level of the march against the guard; the
+    # unit-mass p0 already exceeds 1e-3 at level 0
+    dom = DomainSpec("truncated_line", -8.0, 8.0, 1.0)
+    grid = build_grid(dom, 41)
+    tree = build_tree(1, 3, 1.0)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    p0 = gaussian_on(grid, 0.5)
+    solve_density(p0, coeffs, grid, tree)  # within the default guard
+    monkeypatch.setattr(forward, "_BLOWUP_GUARD", 1e-3)
+    with pytest.raises(ForwardSolverError, match="density blow-up at level 0"):
+        solve_density(p0, coeffs, grid, tree)
+
+
+def test_march_rejects_nonfinite_levels():
+    _, grid, tree, coeffs = make_setup()
+    h = smooth_random_field(grid, tree, seed=3)
+    h.levels[2][grid.nx // 2, 1] = np.nan  # enters the step from level 1 to 2
+    with pytest.raises(ForwardSolverError, match="lost finiteness at level 2"):
+        solve_T_star(h, coeffs, grid, tree)

@@ -61,6 +61,9 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "solver": {"tol": 1e-9}})
     with pytest.raises(ConfigError, match="unknown solver keys"):
         ExperimentConfig.from_dict({"experiment": "solvability-R", "solver": {"theta": 0.5}})
+    # the tree-only experiments draw no paths, so they have no mc.paths to set
+    with pytest.raises(ConfigError, match="unknown mc keys"):
+        ExperimentConfig.from_dict({"experiment": "adjoint-suite", "mc": {"paths": 100000}})
     with pytest.raises(ConfigError, match="must be a JSON object"):
         ExperimentConfig.from_dict({"experiment": "solvability-R", "grid": 5})
     with pytest.raises(ConfigError, match="nx too small"):
@@ -94,6 +97,14 @@ BAD_AT_LOAD = [
     {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 0.45]}}},
     {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 1.5]}}},
 ]
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A config file names the experiment")[1].split("```json\n")[1]
+    raw = json.loads(block.split("```")[0])
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.experiment == raw["experiment"] and cfg.mc == raw["mc"]
 
 
 def test_dominance_is_checked_on_the_fine_pair_too():
