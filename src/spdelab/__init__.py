@@ -56,12 +56,14 @@ from .montecarlo import (
     simulate,
 )
 from .tree import (
+    Lattice,
     MartingaleDecomposition,
     PathBundle,
     ScenarioTree,
     TreeError,
     TreeNode,
     bridge_paths,
+    build_lattice,
     build_tree,
     clark_decompose,
     cond_expect,

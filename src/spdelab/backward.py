@@ -15,9 +15,9 @@ same sweep from the child spread,
 
     X_j^k(n) = S_k(n) E[ v^{k+1} domega_j | n ] / dt.
 
-Levels are x-major, (nx, n_nodes(k)): node n's children are the columns
-n*br .. n*br + br - 1 of the next level.  solve_level applies S_k in place
-at every node of a level; the forward marcher reuses it with A*'s bands.
+Levels are x-major, (nx, n_nodes(k)), children are read through tree.child
+(tree or w1 lattice), and solve_level applies S_k in place at every node of
+a level; the forward marcher reuses it with A*'s bands.
 
 Since (B g)^k is built from X^k, which depends only on g at later levels,
 I + B is block-triangular in time: op_L inverts it by back-substitution in
@@ -41,7 +41,7 @@ from .domain import (
     thomas_rows,
 )
 from .fields import SpaceTimeField, norm_x0
-from .tree import ScenarioTree
+from .tree import ScenarioTree, require_tree
 
 
 class ConvergenceError(RuntimeError):
@@ -84,13 +84,12 @@ def _children_into(tree, nxt, out):
     """From the next level nxt (nx, n_k * br), write mean_children v^{k+1}
     into out[0] and, when out is (1 + d, nx, n_k), E[v^{k+1} domega_j | n]
     / dt into out[1 + j]; children are summed in branch order."""
-    br = tree.branching
-    child = nxt.reshape(out.shape[1:] + (br,))
+    br, n_k = tree.branching, out.shape[2]
     # branch digit 0 steps up in every component: each sum starts at child 0
     for plane, sign in zip(out, np.vstack([np.ones(br), tree.digit_signs.T])):
-        acc = child[..., 0]
+        acc = tree.child(nxt, 0, n_k)
         for b in range(1, br):
-            acc = (np.add if sign[b] > 0 else np.subtract)(acc, child[..., b], out=plane)
+            acc = (np.add if sign[b] > 0 else np.subtract)(acc, tree.child(nxt, b, n_k), out=plane)
     out[0] /= br
     out[1:] /= br * tree.sqdt
 
@@ -136,6 +135,7 @@ def solve_backward_pathwise(
     Returns U of shape (n_steps + 1, nx) with U[N] = 0 and zero boundary
     columns.  Serves as the leaf-enumeration oracle for the tree operators.
     """
+    require_tree(tree, "solve_backward_pathwise")
     path = tree.node_path(leaf_path)
     N, dt = tree.n_steps, tree.dt
     U = np.zeros((N + 1, grid.nx))
@@ -255,6 +255,7 @@ def residual_bspde(
     evaluated per leaf with a trapezoidal rule in the drift integral and the
     Ito (left-point) rule in the stochastic sum.
     """
+    require_tree(tree, "residual_bspde")
     N, dt, d = tree.n_steps, tree.dt, tree.d
     leaves = np.arange(tree.n_leaves)
     drift_acc = np.zeros((grid.nx, tree.n_leaves))

@@ -7,15 +7,17 @@ more of the path than its node.  Levels are x-major ("node-last"): level k
 is a C-contiguous (nx, n_nodes(k)) array, so the interior rows [1:-1] are
 the contiguous system-axis-first block the Thomas solver works on in place,
 and the children of node n are the contiguous columns
-levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].  The X0 inner
-product discretizes the time integral with the left rule over the n_steps
-cells,
+levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].  On the w1 lattice
+column j of level k is the conditional mean given w1 = sqrt(dt) (k - 2j).
+The X0 inner product discretizes the time integral with the left rule over
+the n_steps cells, weighting level k by P_k = tree.weights(k),
 
-    <F, G> = dt * sum_k  E_nodes  <F^k, G^k>_{H0},     k = 0 .. n_steps-1,
+    <F, G> = dt * sum_k  sum_n P_k(n) <F^k(n), G^k(n)>_{H0},   k = 0 .. n_steps-1,
 
-and `pair_x0_dual` pairs a backward-type field with a forward-marched one
-cell by cell (slice k against slice k+1), which aligns the two one-sided
-quadratures of the same time integral.  `norm_xk` gives the X^-1 and X^1
+and the norms weight the levels the same way.  `pair_x0_dual` pairs a
+backward-type field with a forward-marched one cell by cell (slice k
+against slice k+1), which aligns the two one-sided quadratures of the same
+time integral; it refuses a lattice.  `norm_xk` gives the X^-1 and X^1
 norms from the sine-coefficient sums of `domain.hk_norm_sq`, `norm_c0` the
 largest mean-square H0 norm over the levels.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Grid, hk_norm_sq
-from .tree import ScenarioTree
+from .tree import ScenarioTree, require_tree
 
 
 class FieldError(ValueError):
@@ -35,7 +37,7 @@ class FieldError(ValueError):
 class SpaceTimeField:
     """Adapted space-time random field on a grid and scenario tree.
 
-    levels[k] has shape (nx, 2**(d k)): one column per level-k node, one row
+    levels[k] has shape (nx, n_nodes(k)): one column per level-k node, one row
     per grid node, C-contiguous.  Dirichlet fields carry zeros in the first
     and last row.
     """
@@ -113,9 +115,17 @@ def _check_compatible(F: SpaceTimeField, G: SpaceTimeField):
     if F.grid is not G.grid and F.grid.nx != G.grid.nx:
         raise FieldError("fields live on different grids")
     if F.tree is not G.tree and (
-        F.tree.n_steps != G.tree.n_steps or F.tree.d != G.tree.d
+        F.tree.n_steps != G.tree.n_steps or F.tree.d != G.tree.d or F.tree.kind != G.tree.kind
     ):
         raise FieldError("fields live on different trees")
+
+
+def _level_dot(tree, k: int, a: np.ndarray, b: np.ndarray) -> float:
+    """sum_n P_k(n) sum_x a[x, n] b[x, n]; uniform (tree) weights factor out."""
+    w = tree.weights(k)
+    if np.ndim(w) == 0:
+        return float(np.einsum("xn,xn->", a, b)) * w
+    return float(np.einsum("xn,xn->n", a, b) @ w)
 
 
 def inner_x0(F: SpaceTimeField, G: SpaceTimeField) -> float:
@@ -124,7 +134,7 @@ def inner_x0(F: SpaceTimeField, G: SpaceTimeField) -> float:
     tree, grid = F.tree, F.grid
     total = 0.0
     for k in range(tree.n_steps):
-        total += float(np.einsum("xn,xn->", F.levels[k], G.levels[k])) / tree.n_nodes(k)
+        total += _level_dot(tree, k, F.levels[k], G.levels[k])
     return total * tree.dt * grid.dx
 
 
@@ -136,6 +146,7 @@ def pair_x0_dual(F: SpaceTimeField, P: SpaceTimeField) -> float:
     onto the children nodes.
     """
     _check_compatible(F, P)
+    require_tree(F.tree, "pair_x0_dual", FieldError)
     tree, grid = F.tree, F.grid
     br = tree.branching
     total = 0.0
@@ -157,17 +168,13 @@ def norm_xk(F: SpaceTimeField, k: int) -> float:
     tree = F.tree
     total = 0.0
     for lev in range(tree.n_steps):
-        total += float(hk_norm_sq(F.levels[lev], k, F.grid).sum()) / tree.n_nodes(lev)
+        total += float((hk_norm_sq(F.levels[lev], k, F.grid) * tree.weights(lev)).sum())
     return float(np.sqrt(total * tree.dt))
 
 
 def norm_c0(F: SpaceTimeField) -> float:
     """C0-type norm: max over time of the mean-square H0 norm."""
-    tree, grid = F.tree, F.grid
-    worst = 0.0
-    for k in range(tree.n_steps + 1):
-        msq = float(np.einsum("xn,xn->", F.levels[k], F.levels[k])) / tree.n_nodes(k)
-        worst = max(worst, msq * grid.dx)
+    worst = max(_level_dot(F.tree, k, a, a) * F.grid.dx for k, a in enumerate(F.levels))
     return float(np.sqrt(worst))
 
 

@@ -15,7 +15,8 @@ bias in the duality pairings that refinement cannot remove.  Solutions stay
 adapted because each child of a node gets its own increment.  Homogeneous
 Dirichlet data are imposed at every step.  A step builds the right-hand
 side of every child as one x-major (nx, n_k, br) array, solves it in place
-with the parent's bands, and views it as the (nx, n_{k+1}) next level.
+with the parent's bands, and merges it into the (nx, n_{k+1}) next level
+(tree.merge: on the w1 lattice, conditional means given the state).
 
 Operator forms (all with zero data at t = 0 and on the boundary):
 
@@ -40,7 +41,7 @@ from .backward import solve_level
 from .coefficients import CoefficientSet
 from .domain import Grid, dx_centered, generator_bands, solve_tridiag
 from .fields import SpaceTimeField
-from .tree import ScenarioTree, TreeNode
+from .tree import ScenarioTree, TreeNode, require_tree
 
 
 class ForwardSolverError(RuntimeError):
@@ -90,6 +91,7 @@ def step_forward(
     inferred from its sign pattern.  noise_sources holds one grid function
     per driving component (entries may be None).
     """
+    require_tree(tree, "step_forward", ForwardSolverError)
     dw = np.asarray(dw, dtype=float)
     if dw.shape != (tree.d,) or not np.allclose(np.abs(dw), tree.sqdt, rtol=1e-12):
         raise ForwardSolverError(
@@ -131,14 +133,14 @@ def _forward_march(coeffs, grid, tree, source_fn, state0=None):
         drift, noise = source_fn(k, state)
         rhs = np.empty((grid.nx, n_k, br))
         for b in range(br):  # child b of every node: a strided (nx, n_k) view
-            np.add(state, 0.0 if drift is None else tree.dt * drift.reshape(rhs.shape)[:, :, b],
+            np.add(state, 0.0 if drift is None else tree.dt * tree.child(drift, b, n_k),
                    out=rhs[:, :, b])
             kicks = [src * (tree.digit_signs[b, j] * tree.sqdt)
                      for j, src in enumerate(noise or []) if src is not None]
             if kicks:
                 rhs[:, :, b] += sum(kicks[1:], kicks[0])
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual=True)
-        state = solve_level(bands, tree.dt, rhs).reshape(grid.nx, n_k * br)
+        state = tree.merge(solve_level(bands, tree.dt, rhs))
         if not np.all(np.isfinite(state)):
             raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
         levels.append(state)
@@ -218,6 +220,7 @@ def solve_density(
     positivity audit instead of being removed, since clipping would destroy
     the duality identities.
     """
+    require_tree(tree, "solve_density", ForwardSolverError)
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (grid.nx,):
         raise ForwardSolverError("p0 must be a grid function")

@@ -46,7 +46,7 @@ from .forward import (
     solve_T_star,
 )
 from .montecarlo import conditional_functional, functional_estimate
-from .tree import TreeError, build_tree, fine_steps
+from .tree import TreeError, build_lattice, build_tree, fine_steps
 
 
 class ConfigError(ValueError):
@@ -517,30 +517,34 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     return rows
 
 
-def _adjoint_mismatches(cfg, nx, n_steps, seed_pair):
+def _state_space(cfg, nx, n_steps, diag):
+    """(coeffs, grid, tree) at one level, on the w1 lattice when d = 1 (exact:
+    coefficients and test fields depend on the path only through w1); the
+    level goes to diag["state_space"]."""
     coeffs, grid, tree = cfg.build(nx, n_steps)
+    if tree.d == 1:
+        tree = build_lattice(tree.n_steps, tree.horizon)
+    states = sum(tree.n_nodes(k) for k in range(tree.n_steps + 1))
+    diag.setdefault("state_space", []).append(
+        {"nx": grid.nx, "n_steps": tree.n_steps, "kind": tree.kind, "states": states})
+    return coeffs, grid, tree
+
+
+def _adjoint_pairings(coeffs, grid, tree, seed_pair):
+    """{operator: (primal, dual) pairing} for one draw of the test fields
+    g and h, and the scale ||g|| ||h|| of their mismatches."""
     g = smooth_random_field(grid, tree, seed=seed_pair[0])
     h = smooth_random_field(grid, tree, seed=seed_pair[1])
-    gn, hn = norm_x0(g), norm_x0(h)
-    scale = gn * hn
-    out = {}
+    scale = norm_x0(g) * norm_x0(h)
     v, kernels, bg = backward_sweep(g, coeffs, grid, tree)
-    pi = solve_T_star(h, coeffs, grid, tree)
-    out["T"] = abs(inner_x0(v, h) - inner_x0(g, pi)) / scale
-    del v, pi
-    q = solve_G_star(0, h, coeffs, grid, tree)
-    out["G"] = abs(inner_x0(kernels[0], h) - inner_x0(g, q)) / scale
-    del kernels, q
-    z = solve_B_star(h, coeffs, grid, tree)
-    out["B"] = abs(inner_x0(bg, h) - inner_x0(g, z)) / scale
-    del bg, z
+    out = {"T": (inner_x0(v, h), inner_x0(g, solve_T_star(h, coeffs, grid, tree))),
+           "G": (inner_x0(kernels[0], h), inner_x0(g, solve_G_star(0, h, coeffs, grid, tree))),
+           "B": (inner_x0(bg, h), inner_x0(g, solve_B_star(h, coeffs, grid, tree)))}
+    del v, kernels, bg
     sol = op_L(g, coeffs, grid, tree)
-    hr = solve_R_star(h, coeffs, grid, tree)
-    out["R"] = abs(inner_x0(sol.g, h) - inner_x0(g, hr)) / scale
-    del hr
-    hl = solve_L_star(h, coeffs, grid, tree)
-    out["L"] = abs(inner_x0(sol.v, h) - inner_x0(g, hl)) / scale
-    return out
+    out["R"] = (inner_x0(sol.g, h), inner_x0(g, solve_R_star(h, coeffs, grid, tree)))
+    out["L"] = (inner_x0(sol.v, h), inner_x0(g, solve_L_star(h, coeffs, grid, tree)))
+    return out, scale
 
 
 _PAIR_ANCHORS = {"T": "2.8", "G": "3.1", "B": "3.3", "R": "3.5", "L": "3.7"}
@@ -552,14 +556,14 @@ def _exp_adjoint_suite(cfg: ExperimentConfig, diag: dict) -> list:
     seed = cfg.mc["seed"]
     # field-draw seed pairs derive deterministically from the config seed
     seed_pairs = [((seed, 2 * i), (seed, 2 * i + 1)) for i in range(n_draws)]
-    coarse = {k: 0.0 for k in "TGBRL"}
-    fine = {k: 0.0 for k in "TGBRL"}
+    levels = [_state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag),
+              _state_space(cfg, p["fine_nx"], p["fine_n_steps"], diag)]
+    coarse, fine = ({k: 0.0 for k in "TGBRL"} for _ in range(2))
     for pair in seed_pairs:
-        a = _adjoint_mismatches(cfg, cfg.grid["nx"], cfg.tree["n_steps"], pair)
-        b = _adjoint_mismatches(cfg, p["fine_nx"], p["fine_n_steps"], pair)
-        for k in "TGBRL":
-            coarse[k] += a[k] / n_draws
-            fine[k] += b[k] / n_draws
+        for level, mean in zip(levels, (coarse, fine)):
+            pairs, scale = _adjoint_pairings(*level, pair)
+            for k, (primal, dual) in pairs.items():
+                mean[k] += abs(primal - dual) / scale / n_draws
     rows = []
     for k in "TGBRL":
         anchor = _PAIR_ANCHORS[k]
@@ -710,7 +714,7 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
 
     def ratios(nx, n_steps):
-        coeffs, grid, tree = cfg.build(nx, n_steps)
+        coeffs, grid, tree = _state_space(cfg, nx, n_steps, diag)
         rc, rx = 0.0, 0.0
         for i in range(int(p["n_fields"])):
             phi = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], i))

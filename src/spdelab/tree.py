@@ -13,6 +13,13 @@ step at a time, for the paths still being marched.
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
 encodes the sign of increment component c (bit 0 -> +sqrt(dt)).
+
+For d = 1 the `Lattice` recombines the tree by its first component (Cox,
+Ross and Rubinstein 1979): state j of level k counts the down steps, so
+w1 = sqrt(dt) (k - 2j).  Both classes give the solvers the level structure:
+`child(nxt, b, n_k)`, child b of every level-k node as an (nx, n_k) view of
+level k+1; `merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
+`weights(k)`, the level probabilities P_k.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class ScenarioTree:
     sqdt: float
     digit_signs: np.ndarray  # (2**d, d), entries +-1
     omega: tuple  # per level k: (2**(d k), d) cumulative Wiener state
+    kind = "tree"  # a class attribute, not a field; the Lattice's is "lattice"
 
     @property
     def branching(self) -> int:
@@ -72,6 +80,18 @@ class ScenarioTree:
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
+
+    def child(self, nxt, b: int, n_k: int) -> np.ndarray:
+        """Child b of every level-k node, a strided view of level k+1."""
+        return nxt.reshape(nxt.shape[0], n_k, self.branching)[:, :, b]
+
+    def merge(self, rhs) -> np.ndarray:
+        """Level k+1 from the values (nx, n_k, br) of each node's children."""
+        return rhs.reshape(rhs.shape[0], -1)
+
+    def weights(self, level: int) -> float:
+        """P_k: uniform, 1 / n_nodes(level) (a power of two, so exact)."""
+        return 1.0 / self.n_nodes(level)
 
     def omega1(self, node: TreeNode) -> float:
         """First Wiener component at the node."""
@@ -146,6 +166,59 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
         digit_signs=digit_signs,
         omega=tuple(omega),
     )
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Recombining w1 lattice for d = 1, a drop-in `tree` for the level
+    solvers; its fields hold conditional means given (k, w1)."""
+
+    n_steps: int
+    horizon: float
+    dt: float
+    sqdt: float
+    digit_signs: np.ndarray  # (2, 1): child 0 steps up, child 1 down
+    omega: tuple  # per level k: (k + 1, 1), sqrt(dt) (k - 2j)
+
+    kind, d, branching = "lattice", 1, 2
+
+    def n_nodes(self, level: int) -> int:
+        return level + 1
+
+    def child(self, nxt, b: int, n_k: int) -> np.ndarray:
+        """Child b of every level-k state j: state j + b of level k+1."""
+        return nxt[:, b : b + n_k]
+
+    def merge(self, rhs) -> np.ndarray:
+        """E[u^{k+1} | j'] from rhs (nx, n_k, 2): (k+1-j')/(k+1) times child 0
+        of parent j' plus j'/(k+1) times child 1 of parent j'-1."""
+        n_k = rhs.shape[1]
+        out = np.zeros((rhs.shape[0], n_k + 1))
+        out[:, :-1] = rhs[:, :, 0] * (np.arange(n_k, 0, -1) / n_k)
+        out[:, 1:] += rhs[:, :, 1] * (np.arange(1, n_k + 1) / n_k)
+        return out
+
+    def weights(self, level: int) -> np.ndarray:
+        """P_k(j) = C(k, j) / 2**k."""
+        return np.array([math.comb(level, j) for j in range(level + 1)]) / 2.0**level
+
+
+def build_lattice(n_steps: int, horizon: float) -> Lattice:
+    """The w1 lattice with the time grid of build_tree(1, n_steps, horizon)."""
+    if n_steps < 1 or horizon <= 0:
+        raise TreeError("the lattice needs n_steps >= 1 and horizon > 0")
+    sqdt = float(np.sqrt(horizon / n_steps))
+    signs = np.array([[1.0], [-1.0]])
+    omega = tuple(sqdt * (k - 2.0 * np.arange(k + 1))[:, None] for k in range(n_steps + 1))
+    for arr in (signs, *omega):
+        arr.setflags(write=False)
+    return Lattice(n_steps, horizon, horizon / n_steps, sqdt, signs, omega)
+
+
+def require_tree(tree, what: str, error=TreeError):
+    """Raise error unless tree is a ScenarioTree (`what` needs per-path values)."""
+    if tree.kind != "tree":
+        raise error(f"{what} needs per-path values, which the w1 lattice averages away")
 
 
 def _as_leaf_values(tree: ScenarioTree, X) -> np.ndarray:

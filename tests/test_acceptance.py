@@ -23,8 +23,8 @@ from spdelab import (
 from spdelab.fields import norm_x0
 from spdelab.harness import default_config, run
 
-BUDGETS = {1: 1.0, 2: 10.0, 3: 60.0, 4: 120.0, 5: 180.0, 6: 120.0,
-           7: 120.0, 8: 180.0, 9: 120.0}
+BUDGETS = {1: 1.0, 2: 10.0, 3: 60.0, 4: 120.0, 5: 30.0, 6: 120.0,
+           7: 120.0, 8: 180.0, 9: 30.0}
 
 
 def _report(criterion, label, ok, elapsed):

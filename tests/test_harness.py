@@ -191,6 +191,34 @@ def test_summary_diagnostics(tmp_path):
         assert len(audit["min_density"]) == audit["n_steps"] + 1
 
 
+@pytest.mark.parametrize("name, over, kind, states", [
+    ("adjoint-suite", {"grid": {"nx": 21}, "tree": {"n_steps": 3},
+                       "params": {"fine_nx": 41, "fine_n_steps": 6, "n_draws": 1}},
+     "lattice", [10, 28]),
+    ("norm-bounds", {"grid": {"nx": 31}, "tree": {"n_steps": 4},
+                     "params": {"fine_nx": 61, "fine_n_steps": 8, "n_fields": 2}},
+     "lattice", [15, 45]),
+    # d = 2 stays on the tree: (4**(N+1) - 1) / 3 nodes
+    ("adjoint-suite", {"coefficients": {"sigma": [0.5, 0.5, 0.6], "d": 2},
+                       "grid": {"nx": 21}, "tree": {"n_steps": 2},
+                       "params": {"fine_nx": 41, "fine_n_steps": 4, "n_draws": 1}},
+     "tree", [21, 341]),
+])
+def test_state_space_diagnostics(tmp_path, name, over, kind, states):
+    # the state space of each (nx, n_steps) level goes to summary.json, and a
+    # rerun writes the same bytes
+    cfg = ExperimentConfig.from_dict({"experiment": name, "output_dir": str(tmp_path), **over})
+    run(cfg)
+    first = (tmp_path / "summary.json").read_bytes()
+    run(cfg)
+    assert (tmp_path / "summary.json").read_bytes() == first
+    levels = json.loads(first)["diagnostics"]["state_space"]
+    nx = [cfg.grid["nx"], cfg.params["fine_nx"]]
+    n_steps = [cfg.tree["n_steps"], cfg.params["fine_n_steps"]]
+    assert levels == [{"nx": a, "n_steps": n, "kind": kind, "states": s}
+                      for a, n, s in zip(nx, n_steps, states)]
+
+
 def test_cli_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -1,16 +1,26 @@
-"""Property tests of the banded core and of the tree calculus.
+"""Property tests of the banded core, of the tree calculus and of the
+level structure of both state spaces.
 
 Each example draws its sizes and a numpy seed from hypothesis.  The banded
 core is checked against numpy.linalg.solve and explicitly assembled dense
 matrices; the tree calculus against its own identities (tower property,
-exact Clark reconstruction, kernels as conditional covariances).
+exact Clark reconstruction, kernels as conditional covariances); the level
+weights and `merge` of the tree and the w1 lattice against the expectation
+they must preserve.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab import DomainSpec, build_grid, build_tree, clark_decompose, cond_expect
+from spdelab import (
+    DomainSpec,
+    build_grid,
+    build_lattice,
+    build_tree,
+    clark_decompose,
+    cond_expect,
+)
 from spdelab.domain import generator_bands, thomas_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -119,3 +129,43 @@ def test_clark_kernels_are_conditional_covariances_for_d2(n_steps, seed):
             ref = cond_expect(X * dw, k, tree) / tree.dt
             np.testing.assert_allclose(dec.kernels[k][:, j], ref, rtol=0,
                                        atol=1e-12 * np.abs(X).max())
+
+
+# --- level weights and merge of the tree and the lattice -----------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from(["lattice", "tree-d1", "tree-d2"]),
+    n_steps=st.integers(1, 40),
+    nx=st.integers(1, 4),
+    data=st.data(),
+    seed=SEEDS,
+)
+def test_level_weights_sum_to_one_and_merge_preserves_the_expectation(
+    space, n_steps, nx, data, seed
+):
+    if space == "lattice":
+        states = build_lattice(n_steps, 1.0)
+    else:
+        states = build_tree(1 if space == "tree-d1" else 2, min(n_steps, 6), 1.0)
+    k = data.draw(st.integers(0, states.n_steps - 1), label="k")
+    n_k, n_next, br = states.n_nodes(k), states.n_nodes(k + 1), states.branching
+    w_k = np.broadcast_to(states.weights(k), (n_k,))
+    w_next = np.broadcast_to(states.weights(k + 1), (n_next,))
+    assert abs(w_k.sum() - 1.0) <= 1e-13 and abs(w_next.sum() - 1.0) <= 1e-13
+    # each child is reached with probability 1 / branching
+    rng = np.random.default_rng(seed)
+    rhs = rng.normal(size=(nx, n_k, br))
+    merged = states.merge(rhs)
+    assert merged.shape == (nx, n_next)
+    np.testing.assert_allclose(merged @ w_next, rhs.mean(axis=2) @ w_k, rtol=1e-12, atol=1e-12)
+    if space == "lattice":
+        # child values that depend only on the child state merge back to it
+        u = rng.normal(size=(nx, n_next))
+        children = np.stack([states.child(u, b, n_k) for b in range(br)], axis=2)
+        np.testing.assert_allclose(states.merge(children), u, rtol=1e-14, atol=1e-14)
+    else:
+        # the tree keeps every child: child() reads it back
+        for b in range(br):
+            np.testing.assert_array_equal(states.child(merged, b, n_k), rhs[:, :, b])
