@@ -11,7 +11,8 @@ Row semantics: lhs and rhs are the two quantities a check compares,
 abs_err = |lhs - rhs|, rel_err normalizes by the larger magnitude, and tol
 is the bound the check's metric was held to; the pass flag records the
 check's own verdict (most checks bound abs_err or rel_err by tol, ratio
-checks bound rhs by tol = lhs / required_factor).
+checks bound rhs by tol = lhs / 1.7).  Each bound is fixed by its
+experiment; a config carries the experiment's inputs, not its verdicts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .backward import backward_sweep, op_L, solve_R
 from .coefficients import make_family
-from .domain import DomainSpec, build_grid
+from .domain import DomainSpec, build_grid, h0_inner
 from .fields import (
     SpaceTimeField,
     inner_x0,
@@ -169,7 +170,7 @@ _DEFAULTS = {
         "grid": {"nx": 161},
         "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
-        "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0], "calibration_floor": 0.05},
+        "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
     },
     "adjoint-suite": {
         "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
@@ -177,13 +178,7 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 11},
-        "params": {
-            "fine_nx": 201,
-            "fine_n_steps": 16,
-            "n_draws": 3,
-            "required_factor": 1.7,
-            "fine_bound": 5.0e-2,
-        },
+        "params": {"fine_nx": 201, "fine_n_steps": 16, "n_draws": 3},
     },
     "solvability-R": {
         "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
@@ -191,8 +186,6 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"seed": 2468},
-        "solver": {"tol": 1.0e-8, "max_iter": 200, "damping": 0.8},
-        "params": {"agreement_tol": 1.0e-7},
     },
     "duality-63": {
         "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
@@ -200,14 +193,7 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 6},
-        "params": {
-            "fine_nx": 201,
-            "fine_n_steps": 16,
-            "p0_width": 0.5,
-            "gap_constant": 0.5,
-            "halving_slack": 0.62,
-            "node_checks": 2,
-        },
+        "params": {"fine_nx": 201, "fine_n_steps": 16, "p0_width": 0.5, "node_checks": 2},
     },
     "density-64-65": {
         "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
@@ -215,12 +201,7 @@ _DEFAULTS = {
         "grid": {"nx": 161},
         "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
-        "params": {
-            "p0_width": 0.5,
-            "t_points": [0.4, 0.6, 0.8, 1.0],
-            "conditional_rel_tol": 0.05,
-            "leaf_bits": "1010101010",
-        },
+        "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
     },
     "norm-bounds": {
         "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
@@ -228,7 +209,7 @@ _DEFAULTS = {
         "grid": {"nx": 101},
         "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 100},
-        "params": {"fine_nx": 201, "fine_n_steps": 12, "n_fields": 10, "growth_bound": 1.5},
+        "params": {"fine_nx": 201, "fine_n_steps": 12, "n_fields": 10},
     },
 }
 
@@ -237,7 +218,7 @@ def _is_count(value, least) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-_SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "solver", "params")
+_SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
 
 # the Monte Carlo experiments, and whether their paths are bridged through the
 # tree (then dt_mc must divide the tree step as well as the horizon)
@@ -256,7 +237,6 @@ class ExperimentConfig:
     grid: dict
     tree: dict
     mc: dict
-    solver: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     output_dir: str = "out"
     workers: int = 1
@@ -318,6 +298,18 @@ class ExperimentConfig:
         if not _is_count(self.workers, 1):
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
         coeffs = make_family(name, fam)  # raises CoefficientError on bad families
+        if self.experiment == "feynman-kac-nonrandom" and name != "constant":
+            raise ConfigError(
+                f"feynman-kac-nonrandom's oracle needs the constant family, got {name!r}")
+        for key in ("n_draws", "n_fields"):
+            if key in self.params and not _is_count(self.params[key], 1):
+                raise ConfigError(
+                    f"params.{key} must be an integer >= 1, got {self.params[key]!r}")
+        for key in ("x_points", "t_points"):
+            if key in self.params and not (isinstance(self.params[key], list)
+                                           and self.params[key]):
+                raise ConfigError(
+                    f"params.{key} must be a non-empty list, got {self.params[key]!r}")
         # build every grid and tree level the experiment will touch
         levels = [(self.grid["nx"], self.tree["n_steps"]),
                   (self.params.get("fine_nx", self.grid["nx"]),
@@ -332,6 +324,14 @@ class ExperimentConfig:
             self._validate_mc(_MC_BRIDGED[self.experiment])
         if self.experiment == "density-64-65":
             self._validate_t_points(built[0][1])
+        if "node_checks" in self.params:
+            tree = built[0][1]
+            n_nodes = tree.n_nodes(tree.n_steps // 2)
+            if not (_is_count(self.params["node_checks"], 1)
+                    and self.params["node_checks"] <= n_nodes):
+                raise ConfigError(
+                    f"params.node_checks must be an integer in [1, {n_nodes}], the nodes "
+                    f"at level {tree.n_steps // 2}, got {self.params['node_checks']!r}")
 
     def _validate_mc(self, bridged: bool):
         paths, dt_mc = self.mc["paths"], self.mc["dt_mc"]
@@ -460,14 +460,25 @@ def _gaussian(x, t, w1):
 # --- experiments -------------------------------------------------------------
 
 
+def _expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float) -> float:
+    """E[exit time of (a, b)] from x for dX = f0 dt + sigma dW: the solution
+    of (b_total/2) u'' + f0 u' = -1 with u(a) = u(b) = 0."""
+    if f0 == 0.0:
+        return (x - a) * (b - x) / b_total
+    k = 2.0 * f0 / b_total
+    return ((b - a) * np.expm1(-k * (x - a)) / np.expm1(-k * (b - a)) - (x - a)) / f0
+
+
 def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = cfg.build()
     phi = _dirichlet_profile(grid, tree, _unit)
     sol = op_L(phi, coeffs, grid, tree)
     ix = int(np.argmin(np.abs(grid.x - cfg.params["x0"])))
     v_mid = float(sol.v.levels[0][ix, 0])
+    oracle = float(_expected_exit_time(float(grid.x[ix]), grid.domain.a, grid.domain.b,
+                                       float(cfg.coefficients["f0"]), coeffs.b_total))
     rows = [CheckRow(cfg.experiment, "v-mid-vs-exit-time-oracle", "5.1c",
-                     v_mid, 0.25, 0.02, abs(v_mid - 0.25) <= 0.02)]
+                     v_mid, oracle, 0.02, abs(v_mid - oracle) <= 0.02)]
     kernel_ratio = norm_x0(sol.kernels[0]) / max(norm_x0(phi), 1e-300)
     rows.append(CheckRow(cfg.experiment, "kernels-vanish-nonrandom", "2.1",
                          kernel_ratio, 0.0, 1e-12, kernel_ratio <= 1e-12))
@@ -507,7 +518,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     control = make_family("constant", {"f0": 0.0, "sigma": sigma, "d": d})
     ctrl = one_family(control, 0)
     excess = [max(abs(v - est.value) - 3.0 * est.stderr, 0.0) for _, v, est in ctrl]
-    C = max(2.0 * max(excess) / dt_dx2, float(cfg.params["calibration_floor"]))
+    C = max(2.0 * max(excess) / dt_dx2, 0.05)
     rows = []
     rand = one_family(coeffs, 1)
     for xv, v, est in rand:
@@ -567,43 +578,45 @@ def _exp_adjoint_suite(cfg: ExperimentConfig, diag: dict) -> list:
     rows = []
     for k in "TGBRL":
         anchor = _PAIR_ANCHORS[k]
-        factor_tol = coarse[k] / float(p["required_factor"])
+        factor_tol = coarse[k] / 1.7
         rows.append(CheckRow(cfg.experiment, f"pair-{k}-refinement-decrease", anchor,
                              coarse[k], fine[k], factor_tol, fine[k] <= factor_tol))
         rows.append(CheckRow(cfg.experiment, f"pair-{k}-fine-level-mismatch", anchor,
-                             fine[k], 0.0, float(p["fine_bound"]),
-                             fine[k] <= float(p["fine_bound"])))
+                             fine[k], 0.0, 5.0e-2, fine[k] <= 5.0e-2))
     return rows
+
+
+# solvability-R's residual bound: solve_R iterates down to it, and the
+# residual rows check it
+_RESIDUAL_TOL = 1.0e-8
 
 
 def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = cfg.build()
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
-    tol = float(cfg.solver["tol"])
-    g_a, info_a = solve_R(phi, coeffs, grid, tree, **cfg.solver,
+    g_a, info_a = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL,
                           x0=SpaceTimeField.zeros(grid, tree))
-    g_b, info_b = solve_R(phi, coeffs, grid, tree, **cfg.solver, x0=phi)
+    g_b, info_b = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL, x0=phi)
     phi_norm = norm_x0(phi)
     rows = [
         CheckRow(cfg.experiment, "residual-from-zero-start", "4.1",
-                 info_a["residual"], 0.0, tol * phi_norm,
-                 info_a["residual"] <= tol * phi_norm),
+                 info_a["residual"], 0.0, _RESIDUAL_TOL * phi_norm,
+                 info_a["residual"] <= _RESIDUAL_TOL * phi_norm),
         CheckRow(cfg.experiment, "residual-from-phi-start", "4.1",
-                 info_b["residual"], 0.0, tol * phi_norm,
-                 info_b["residual"] <= tol * phi_norm),
+                 info_b["residual"], 0.0, _RESIDUAL_TOL * phi_norm,
+                 info_b["residual"] <= _RESIDUAL_TOL * phi_norm),
     ]
     agreement = norm_x0(g_a - g_b) / max(norm_x0(g_a), 1e-300)
-    atol = float(cfg.params["agreement_tol"])
     rows.append(CheckRow(cfg.experiment, "iterate-agreement", "4.1",
-                         agreement, 0.0, atol, agreement <= atol))
+                         agreement, 0.0, 1.0e-7, agreement <= 1.0e-7))
     g_direct = op_L(phi, coeffs, grid, tree).g
     direct = norm_x0(g_a - g_direct) / max(norm_x0(g_direct), 1e-300)
     rows.append(CheckRow(cfg.experiment, "iterate-vs-direct", "4.1",
-                         direct, 0.0, atol, direct <= atol))
+                         direct, 0.0, 1.0e-7, direct <= 1.0e-7))
     # constructive range-density probe: a fresh random target is approximated
     # by images (I+B)g_k with strictly improving residuals down to tol
     target = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], 99))
-    _, info_c = solve_R(target, coeffs, grid, tree, **cfg.solver)
+    _, info_c = solve_R(target, coeffs, grid, tree, tol=_RESIDUAL_TOL)
     diag["solve_R"] = {
         name: {"iterations": info["iterations"], "residual_history": info["residual_history"]}
         for name, info in (("zero-start", info_a), ("phi-start", info_b),
@@ -612,8 +625,8 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     hist = info_c["residual_history"]
     shrinking = all(b < a for a, b in zip(hist, hist[1:]))
     rows.append(CheckRow(cfg.experiment, "range-density-probe", "4.2",
-                         hist[-1], 0.0, tol * norm_x0(target),
-                         shrinking and hist[-1] <= tol * norm_x0(target)))
+                         hist[-1], 0.0, _RESIDUAL_TOL * norm_x0(target),
+                         shrinking and hist[-1] <= _RESIDUAL_TOL * norm_x0(target)))
     return rows
 
 
@@ -623,7 +636,7 @@ def _duality_gap(cfg, nx, n_steps):
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     sol = op_L(phi, coeffs, grid, tree)
     dens = solve_density(p0, coeffs, grid, tree)
-    lhs = grid.dx * float((p0 * sol.v.levels[0][:, 0]).sum())
+    lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     rhs = inner_x0(dens.p, phi)
     return lhs, rhs, sol, dens, phi, grid, tree
 
@@ -636,7 +649,7 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     diag["density"] = [_density_diagnostics(dens, grid, tree)]
     gap_c = abs(lhs_c - rhs_c)
     scale = max(norm_x0(phi), 1e-300)
-    budget = float(p["gap_constant"]) * (tree.dt + grid.dx**2) * scale
+    budget = 0.5 * (tree.dt + grid.dx**2) * scale
     rows = [CheckRow(cfg.experiment, "gap-at-s0-coarse", "6.3",
                      lhs_c, rhs_c, budget, gap_c <= budget)]
     # node-conditioned identity at mid-horizon nodes
@@ -650,9 +663,7 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
         cond[m] = per_node + child_mean
     node_budget = 2.0 * budget
     for node in range(int(p["node_checks"])):
-        lhs_n = grid.dx * float(
-            (dens.p.levels[k][:, node] * sol.v.levels[k][:, node]).sum()
-        )
+        lhs_n = h0_inner(dens.p.levels[k][:, node], sol.v.levels[k][:, node], grid)
         rhs_n = float(cond[k][node])
         rows.append(CheckRow(cfg.experiment, f"gap-at-node-{k}:{node}", "6.3",
                              lhs_n, rhs_n, node_budget,
@@ -661,9 +672,8 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     lhs_f, rhs_f, _, dens, _, grid, tree = _duality_gap(cfg, p["fine_nx"], p["fine_n_steps"])
     diag["density"].append(_density_diagnostics(dens, grid, tree))
     gap_f = abs(lhs_f - rhs_f)
-    slack = float(p["halving_slack"])
     rows.append(CheckRow(cfg.experiment, "gap-halving-under-refinement", "6.3",
-                         gap_c, gap_f, slack * gap_c, gap_f <= slack * gap_c))
+                         gap_c, gap_f, 0.62 * gap_c, gap_f <= 0.62 * gap_c))
     return rows
 
 
@@ -683,16 +693,14 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
         dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers,
     )
     rows = []
-    rel_tol = float(p["conditional_rel_tol"])
     for est, t in zip(cond, t_points):
         k = int(round(t / tree.dt))
-        pslice = dens.p.levels[k][:, anc[k]]
-        pde = grid.dx * float((pslice * _gaussian(grid.x, t, None))[1:-1].sum())
+        pde = h0_inner(dens.p.levels[k][:, anc[k]], _gaussian(grid.x, t, None), grid)
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
-                             pde, est.value, rel_tol, rel <= rel_tol))
+                             pde, est.value, 0.05, rel <= 0.05))
     sol = op_L(_dirichlet_profile(grid, tree, _gaussian), coeffs, grid, tree)
-    lhs = grid.dx * float((p0[1:-1] * sol.v.levels[0][1:-1, 0]).sum())
+    lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     est = functional_estimate(
         coeffs, _gaussian, p0,
         int(cfg.mc["paths"]), (cfg.mc["seed"], 65),
@@ -726,12 +734,11 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
 
     rc_c, rx_c = ratios(cfg.grid["nx"], cfg.tree["n_steps"])
     rc_f, rx_f = ratios(p["fine_nx"], p["fine_n_steps"])
-    bound = float(p["growth_bound"])
     return [
         CheckRow(cfg.experiment, "c0-over-x0-ratio-growth", "C5.1",
-                 rc_c, rc_f, bound * rc_c, rc_f <= bound * rc_c),
+                 rc_c, rc_f, 1.5 * rc_c, rc_f <= 1.5 * rc_c),
         CheckRow(cfg.experiment, "x1-over-x0-ratio-growth", "2.2",
-                 rx_c, rx_f, bound * rx_c, rx_f <= bound * rx_c),
+                 rx_c, rx_f, 1.5 * rx_c, rx_f <= 1.5 * rx_c),
     ]
 
 

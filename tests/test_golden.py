@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from spdelab.harness import default_config, list_experiments, run
+from spdelab.harness import _DEFAULTS, default_config, list_experiments, run
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -65,6 +65,33 @@ def test_report_rows_match_goldens(name):
         assert row["pass"] is gold["pass"], row["check"]
         for key in ("lhs", "rhs", "tol"):
             assert row[key] == pytest.approx(gold[key], rel=REL, abs=0.0), (row["check"], key)
+
+
+class ReadLog(dict):
+    """A config section that records which keys a run reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_every_param_and_mc_key_is_read(name):
+    # no config knob the runner ignores
+    cfg = default_config(name, **REDUCED[name])
+    cfg.params, cfg.mc = ReadLog(cfg.params), ReadLog(cfg.mc)
+    run(cfg, write=False)
+    for section in ("params", "mc"):
+        unread = set(_DEFAULTS[name].get(section, {})) - getattr(cfg, section).read
+        assert not unread, (section, sorted(unread))
 
 
 if __name__ == "__main__":

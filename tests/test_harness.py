@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -57,10 +58,13 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "mc": {"seed": "abc"}})
     with pytest.raises(ConfigError, match="unknown grid keys"):
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "grid": {"nxx": 5}})
-    with pytest.raises(ConfigError, match="unknown solver keys"):
+    # check bounds are fixed by their experiments, not set in a config
+    with pytest.raises(ConfigError, match="unknown config sections"):
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "solver": {"tol": 1e-9}})
-    with pytest.raises(ConfigError, match="unknown solver keys"):
+    with pytest.raises(ConfigError, match="unknown config sections"):
         ExperimentConfig.from_dict({"experiment": "solvability-R", "solver": {"theta": 0.5}})
+    with pytest.raises(ConfigError, match="unknown params keys"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"growth_bound": 9.0}})
     # the tree-only experiments draw no paths, so they have no mc.paths to set
     with pytest.raises(ConfigError, match="unknown mc keys"):
         ExperimentConfig.from_dict({"experiment": "adjoint-suite", "mc": {"paths": 100000}})
@@ -96,6 +100,19 @@ BAD_AT_LOAD = [
     # 0.45 is not a tree time (dt = 0.1), 1.5 is past the horizon
     {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 0.45]}}},
     {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 1.5]}}},
+    # no conditional-identity rows at all
+    {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": []}}},
+    {"match": "x_points", "config": {"experiment": "representation-random", "params": {"x_points": []}}},
+    # zero draws or fields pass every row vacuously
+    {"match": "n_draws", "config": {"experiment": "adjoint-suite", "params": {"n_draws": 0}}},
+    {"match": "n_fields", "config": {"experiment": "norm-bounds", "params": {"n_fields": 0}}},
+    # level 4 of the default duality-63 tree has 16 nodes
+    {"match": "node_checks", "config": {"experiment": "duality-63", "params": {"node_checks": 17}}},
+    {"match": "node_checks", "config": {"experiment": "duality-63", "params": {"node_checks": 0}}},
+    # the exit-time oracle is the closed form for a constant drift
+    {"match": "constant family", "config": {
+        "experiment": "feynman-kac-nonrandom",
+        "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}}},
 ]
 
 
@@ -139,7 +156,6 @@ def test_config_switches_coefficient_family():
 def test_defaults_fill_in():
     cfg = default_config("solvability-R")
     assert cfg.mc["seed"] == 2468
-    assert cfg.solver == {"tol": 1e-8, "max_iter": 200, "damping": 0.8}
     assert cfg.coefficients["family"] == "drift-random"
 
 
@@ -160,6 +176,42 @@ def test_run_writes_deterministic_reports(tmp_path):
     assert header == "experiment,check,paper_anchor,lhs,rhs,abs_err,rel_err,tol,pass"
     meta = json.loads((out_a / "metadata.json").read_text())
     assert "timestamp" in meta and "numpy_version" in meta
+
+
+@pytest.mark.parametrize("over, x", [
+    ({"params": {"x0": 0.3}}, 0.3),
+    ({"coefficients": {"sigma": [2.0]}}, 0.5),
+    ({"coefficients": {"f0": -2.0, "sigma": [0.6, 0.8]}, "params": {"x0": 0.3}}, 0.3),
+    ({"coefficients": {"f0": 1.5}}, 0.5),
+])
+def test_exit_time_oracle_follows_the_config(over, x):
+    # the oracle solves (b/2) u'' + f0 u' = -1, u(0) = u(1) = 0, at grid node x
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "feynman-kac-nonrandom", "grid": {"nx": 41}, "tree": {"n_steps": 4},
+        "mc": {"paths": 200, "dt_mc": 1.0e-2}, **over,
+    })
+    row = run(cfg, write=False).rows[0]
+    assert row.check == "v-mid-vs-exit-time-oracle" and row.passed
+    f0, b = cfg.coefficients["f0"], sum(s * s for s in cfg.coefficients["sigma"])
+    if f0 == 0.0:
+        assert row.rhs == pytest.approx(x * (1.0 - x) / b, rel=1e-12)
+    else:
+        k = 2.0 * f0 / b
+        assert row.rhs == pytest.approx((1.0 - math.exp(-k * x)) / (1.0 - math.exp(-k)) / f0
+                                        - x / f0, rel=1e-12)
+    # the tree solver is an independent check of the formula
+    assert abs(row.lhs - row.rhs) < 1e-3
+
+
+def test_summary_config_loads_back(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "duality-63", "grid": {"nx": 41}, "tree": {"n_steps": 4},
+        "params": {"fine_nx": 61, "fine_n_steps": 6, "node_checks": 3},
+        "output_dir": str(tmp_path),
+    })
+    run(cfg)
+    echo = json.loads((tmp_path / "summary.json").read_text())["config"]
+    assert ExperimentConfig.from_dict(echo) == cfg
 
 
 def test_summary_diagnostics(tmp_path):
