@@ -40,6 +40,7 @@ from .forward import (
     ForwardState,
     solve_B_star,
     solve_density,
+    solve_duals,
     solve_G_star,
     solve_L_star,
     solve_R_star,

@@ -67,15 +67,16 @@ def solve_level(bands, dt, rhs):
     """Solve (I - dt A) u = rhs in place at every node of one tree level.
 
     bands are the level's rows-layout bands from generator_bands (of A or
-    of A*); rhs is x-major, (nx, n) or (nx, n, m) for m right-hand sides
-    per node, any strides.  Its interior rows are solved where they lie
-    (thomas_rows gets a view) and its boundary rows zeroed; returns rhs.
+    of A*); rhs is x-major, (nx, n), or (nx, n, m, ...) with right-hand
+    sides per node on the trailing axes, any strides.  Its interior rows
+    are solved where they lie (thomas_rows gets a view) and its boundary
+    rows zeroed; returns rhs.
     """
     ni, n = rhs.shape[0] - 2, rhs.shape[1]
     lo, dg, up = bands
     # scale before broadcasting, so x-independent bands stay (1, n) views
     L, D, U = (np.broadcast_to(a, (ni, n)) for a in (-dt * lo, 1.0 - dt * dg, -dt * up))
-    thomas_rows(L, D, U, rhs[1:-1] if rhs.ndim == 3 else rhs[1:-1, :, None])
+    thomas_rows(L, D, U, rhs[1:-1] if rhs.ndim > 2 else rhs[1:-1, :, None])
     rhs[[0, -1]] = 0.0
     return rhs
 

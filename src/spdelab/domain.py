@@ -137,26 +137,30 @@ def apply_bands(bands, u):
 def thomas_rows(L, D, U, X):
     """Thomas algorithm in rows layout: system axis first.
 
-    L, D, U broadcastable to (n, nb); X is (n, nb, m), any strides, and is
-    overwritten with the solution.  Row updates iterate in Fortran order,
-    batch axis innermost, so a small contiguous m axis never becomes
-    numpy's inner loop.  The values of L[0] and U[n-1] never influence the
+    L, D, U broadcastable to (n, nb); X is (n, nb, m) or (n, nb, m1, m2,
+    ...), any strides, and is overwritten with the solution: every trailing
+    index is one right-hand side sharing system nb's matrix.  Row updates
+    iterate in Fortran order, batch axis innermost, so a small contiguous m
+    axis never becomes numpy's inner loop.  Every step is elementwise, so
+    each right-hand side's solution is bit-identical whatever else is
+    solved with it.  The values of L[0] and U[n-1] never influence the
     solution.  No pivoting: callers must supply diagonally dominant systems
     (I - dt*A is one when 2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which
     harness.ExperimentConfig.validate checks at load).
     """
     n = X.shape[0]
+    col = (slice(None),) + (None,) * (X.ndim - 2)  # a band row against X[i]
     cp = np.empty((n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:]))
     inv = 1.0 / D[0]
     cp[0] = U[0] * inv
-    np.multiply(X[0], inv[:, None], out=X[0], order="F")
+    np.multiply(X[0], inv[col], out=X[0], order="F")
     for i in range(1, n):
         denom = 1.0 / (D[i] - L[i] * cp[i - 1])
         cp[i] = U[i] * denom
-        np.subtract(X[i], np.multiply(L[i][:, None], X[i - 1], order="F"), out=X[i], order="F")
-        np.multiply(X[i], denom[:, None], out=X[i], order="F")
+        np.subtract(X[i], np.multiply(L[i][col], X[i - 1], order="F"), out=X[i], order="F")
+        np.multiply(X[i], denom[col], out=X[i], order="F")
     for i in range(n - 2, -1, -1):
-        np.subtract(X[i], np.multiply(cp[i][:, None], X[i + 1], order="F"), out=X[i], order="F")
+        np.subtract(X[i], np.multiply(cp[i][col], X[i + 1], order="F"), out=X[i], order="F")
     return X
 
 

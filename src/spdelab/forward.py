@@ -14,9 +14,18 @@ the operator with the very increment it multiplies and leave a drift-scale
 bias in the duality pairings that refinement cannot remove.  Solutions stay
 adapted because each child of a node gets its own increment.  Homogeneous
 Dirichlet data are imposed at every step.  A step builds the right-hand
-side of every child as one x-major (nx, n_k, br) array, solves it in place
-with the parent's bands, and merges it into the (nx, n_{k+1}) next level
+side of every child as one (nx, n_k, br) array, solves it in place with the
+parent's bands, and merges it into the (nx, n_{k+1}) next level
 (tree.merge: on the w1 lattice, conditional means given the state).
+
+Problems that share the generator march in lockstep: solve_duals advances
+T*, G_0*, B*, R* and L* of one h together, and every level's right-hand
+sides of all S problems sit side by side, S * br columns per node, in one
+banded solve with the level's A* bands.  The result is bit-identical to S
+separate marches: Thomas columns never mix and every other step is
+elementwise per problem, so only the number of solves changes (one per
+level instead of S).  The single-operator solvers and solve_density are
+one-problem calls of the same march.
 
 Operator forms (all with zero data at t = 0 and on the boundary):
 
@@ -115,64 +124,106 @@ def step_forward(
     return ForwardState(values=new, node=child)
 
 
-def _forward_march(coeffs, grid, tree, source_fn, state0=None):
-    """March all tree paths at once with the splitting step, from the root
-    slice state0 (nx, 1), zero when not given.
+def _forward_march(coeffs, grid, tree, sources, state0=None):
+    """March len(sources) problems over all tree paths in lockstep with the
+    splitting step, each from the root slice state0 (nx, 1), zero when not
+    given; returns one SpaceTimeField per problem.
 
-    source_fn(k, state) -> (drift, noise): drift holds the level-(k+1)
-    source slice entering the implicit half (or None), noise a list per
-    driving component of level-k slices for the explicit kick (or None).
+    Each source(k, state) -> (drift, noise) reads its own problem's level-k
+    state: drift holds the level-(k+1) source slice entering the implicit
+    half (or None), noise a list per driving component of level-k slices for
+    the explicit kick (or None).  A level's right-hand sides fill one
+    problem-major (S, nx, n_k, br) block, solved by one solve_level call
+    through its x-major (nx, n_k, S, br) view; block[s] is C-contiguous, so
+    on the tree merge returns a view of it.
     """
     N, br = tree.n_steps, tree.branching
-    state = np.zeros((grid.nx, 1)) if state0 is None else np.asarray(state0, dtype=float)
-    if state.shape != (grid.nx, 1):
+    root = np.zeros((grid.nx, 1)) if state0 is None else np.asarray(state0, dtype=float)
+    if root.shape != (grid.nx, 1):
         raise ForwardSolverError("initial state must be a single root slice")
-    levels = [state]
+    fields = [[root.copy()] for _ in sources]
     for k in range(N):
         n_k = tree.n_nodes(k)
-        drift, noise = source_fn(k, state)
-        rhs = np.empty((grid.nx, n_k, br))
-        for b in range(br):  # child b of every node: a strided (nx, n_k) view
-            np.add(state, 0.0 if drift is None else tree.dt * tree.child(drift, b, n_k),
-                   out=rhs[:, :, b])
-            kicks = [src * (tree.digit_signs[b, j] * tree.sqdt)
-                     for j, src in enumerate(noise or []) if src is not None]
-            if kicks:
-                rhs[:, :, b] += sum(kicks[1:], kicks[0])
+        block = np.empty((len(sources), grid.nx, n_k, br))
+        for rhs, source, levels in zip(block, sources, fields):
+            _children_rhs(tree, k, levels[-1], source, rhs)
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual=True)
-        state = tree.merge(solve_level(bands, tree.dt, rhs))
-        if not np.all(np.isfinite(state)):
-            raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
-        levels.append(state)
-    return SpaceTimeField(grid, tree, levels)
+        solve_level(bands, tree.dt, block.transpose(1, 2, 0, 3))
+        for rhs, levels in zip(block, fields):
+            state = tree.merge(rhs)
+            if not np.all(np.isfinite(state)):
+                raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
+            levels.append(state)
+    return [SpaceTimeField(grid, tree, levels) for levels in fields]
+
+
+def _children_rhs(tree, k, state, source, out):
+    """Write the right-hand side of every child of the level-k nodes into out
+    (nx, n_k, br); the sources' temporaries die on return."""
+    n_k, br = out.shape[1:]
+    drift, noise = source(k, state)
+    for b in range(br):  # child b of every node: a strided (nx, n_k) view
+        np.add(state, 0.0 if drift is None else tree.dt * tree.child(drift, b, n_k),
+               out=out[:, :, b])
+        kicks = [src * (tree.digit_signs[b, j] * tree.sqdt)
+                 for j, src in enumerate(noise or []) if src is not None]
+        if kicks:
+            out[:, :, b] += sum(kicks[1:], kicks[0])
+
+
+# Sources of the forward duals, one per operator: source(k, state) -> (drift,
+# noise) as _forward_march reads them.
+
+def _T_source(h):
+    return lambda k, state: (h.levels[k + 1], None)
+
+
+def _G_source(j, h, d):
+    def source(k, state):
+        noise = [None] * d
+        noise[j] = h.levels[k]
+        return None, noise
+
+    return source
+
+
+def _B_source(h, sigma, grid, d):
+    return lambda k, state: (
+        None, [dx_centered(grid, sigma[j] * h.levels[k]) for j in range(d)])
+
+
+def _R_source(pi, sigma, grid, d):
+    """z of h = pi - z: the feedback (div, beta_j (pi - z)) is taken
+    explicitly from the previous level."""
+    def source(k, state):
+        diff = pi.levels[k] - state
+        return None, [dx_centered(grid, sigma[j] * diff) for j in range(d)]
+
+    return source
+
+
+def _L_source(xi, sigma, grid, d):
+    """L* xi; with xi None, the density equation."""
+    return lambda k, state: (
+        None if xi is None else xi.levels[k + 1],
+        [-dx_centered(grid, sigma[j] * state) for j in range(d)])
 
 
 def solve_T_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
     """pi with d pi = [A* pi + h] dt, zero initial and boundary data."""
-    return _forward_march(coeffs, grid, tree, lambda k, state: (h.levels[k + 1], None))
+    return _forward_march(coeffs, grid, tree, [_T_source(h)])[0]
 
 
 def solve_G_star(j: int, h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
     """q with d q = A* q dt + h domega_j, zero initial and boundary data."""
     if not 0 <= j < tree.d:
         raise ForwardSolverError(f"component j={j} outside 0..{tree.d - 1}")
-
-    def src(k, state):
-        noise = [None] * tree.d
-        noise[j] = h.levels[k]
-        return None, noise
-
-    return _forward_march(coeffs, grid, tree, src)
+    return _forward_march(coeffs, grid, tree, [_G_source(j, h, tree.d)])[0]
 
 
 def solve_B_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
     """z with d z = A* z dt + sum_j (div, beta_j h) domega_j."""
-    sigma = coeffs.sigma
-
-    def src(k, state):
-        return None, [dx_centered(grid, sigma[j] * h.levels[k]) for j in range(tree.d)]
-
-    return _forward_march(coeffs, grid, tree, src)
+    return _forward_march(coeffs, grid, tree, [_B_source(h, coeffs.sigma, grid, tree.d)])[0]
 
 
 def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -182,26 +233,27 @@ def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> 
     level, so one forward sweep inverts I + B* exactly in the discrete sense.
     """
     _require_superparabolic(coeffs, "R*")
-    sigma = coeffs.sigma
-
-    def src(k, state):
-        diff = pi.levels[k] - state
-        return None, [dx_centered(grid, sigma[j] * diff) for j in range(tree.d)]
-
-    return pi - _forward_march(coeffs, grid, tree, src)
+    return pi - _forward_march(coeffs, grid, tree, [_R_source(pi, coeffs.sigma, grid, tree.d)])[0]
 
 
 def solve_L_star(xi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
     """h with d h = [A* h + xi] dt - sum_j (div, beta_j h) domega_j."""
     _require_superparabolic(coeffs, "L*")
-    sigma = coeffs.sigma
+    return _forward_march(coeffs, grid, tree, [_L_source(xi, coeffs.sigma, grid, tree.d)])[0]
 
-    def src(k, state):
-        return xi.levels[k + 1], [
-            -dx_centered(grid, sigma[j] * state) for j in range(tree.d)
-        ]
 
-    return _forward_march(coeffs, grid, tree, src)
+def solve_duals(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> dict:
+    """{"T": T* h, "G": G_0* h, "B": B* h, "R": R* h, "L": L* h} from one
+    lockstep march: one banded solve per level for all five, each equal to
+    its solve_*_star call bit for bit."""
+    _require_superparabolic(coeffs, "solve_duals")
+    sigma, d = coeffs.sigma, tree.d
+    t, g, b, z, l = _forward_march(coeffs, grid, tree, [
+        _T_source(h), _G_source(0, h, d), _B_source(h, sigma, grid, d),
+        _R_source(h, sigma, grid, d), _L_source(h, sigma, grid, d)])
+    for pi, level in zip(h.levels, z.levels):  # R* h = h - z, in z's storage
+        np.subtract(pi, level, out=level)
+    return {"T": t, "G": g, "B": b, "R": z, "L": l}
 
 
 _BLOWUP_GUARD = 1e6
@@ -230,14 +282,9 @@ def solve_density(
     mass0 = grid.dx * float(p0[1:-1].sum())
     if abs(mass0 - 1.0) > 1e-8:
         raise ForwardSolverError(f"p0 must have unit mass, got {mass0:.6f}")
-    sigma = coeffs.sigma
-
-    def src(k, state):
-        return None, [-dx_centered(grid, sigma[j] * state) for j in range(tree.d)]
-
     start = p0[:, None].copy()
     start[[0, -1]] = 0.0
-    p = _forward_march(coeffs, grid, tree, src, start)
+    p = _forward_march(coeffs, grid, tree, [_L_source(None, coeffs.sigma, grid, tree.d)], start)[0]
     for level, state in enumerate(p.levels):
         if np.abs(state).max() > _BLOWUP_GUARD:
             raise ForwardSolverError(f"density blow-up at level {level}")

@@ -3,9 +3,10 @@
 Each experiment builds its objects from an ExperimentConfig (JSON on disk),
 runs a fixed set of checks and emits one CheckRow per check.  Reports are a
 CSV body (deterministic for a given config: no timestamps, fixed float
-formatting), a JSON summary with the solver diagnostics an experiment
-records (also deterministic), and a separate metadata file carrying the
-volatile environment stamp.
+formatting), a JSON summary with the coefficient validation report and
+the solver diagnostics an experiment records (also deterministic), and a
+separate metadata file carrying the volatile environment stamp: wall time,
+peak RSS and versions.
 
 Row semantics: lhs and rhs are the two quantities a check compares,
 abs_err = |lhs - rhs|, rel_err normalizes by the larger magnitude, and tol
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import platform
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .backward import backward_sweep, op_L, solve_R
-from .coefficients import make_family
+from .coefficients import make_family, validate
 from .domain import DomainSpec, build_grid, h0_inner
 from .fields import (
     SpaceTimeField,
@@ -38,14 +40,7 @@ from .fields import (
     norm_xk,
     smooth_random_field,
 )
-from .forward import (
-    solve_B_star,
-    solve_density,
-    solve_G_star,
-    solve_L_star,
-    solve_R_star,
-    solve_T_star,
-)
+from .forward import solve_density, solve_duals
 from .montecarlo import conditional_functional, functional_estimate
 from .tree import TreeError, build_lattice, build_tree, fine_steps
 
@@ -146,6 +141,8 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                 "spdelab_version": __version__,
                 "numpy_version": np.__version__,
                 "python_version": platform.python_version(),
+                # peak resident set of this process so far (ru_maxrss is in KiB)
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             },
             fh,
             indent=2,
@@ -320,6 +317,9 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         for grid, tree in built:
             _check_dominance(coeffs, grid, tree)
+        for key in ("x0", "x_points"):
+            if key in self.params:
+                self._validate_points(key)
         if self.experiment in _MC_BRIDGED:
             self._validate_mc(_MC_BRIDGED[self.experiment])
         if self.experiment == "density-64-65":
@@ -344,6 +344,18 @@ class ExperimentConfig:
             fine_steps(tree.horizon, float(dt_mc), tree.dt if bridged else None)
         except TreeError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def _validate_points(self, key):
+        """Each point of params.x0 / params.x_points must be a real number
+        strictly inside the domain: a point on or past the boundary snaps to
+        a boundary node, where the Dirichlet solution and its oracle are 0."""
+        value = self.params[key]
+        a, b = float(self.domain["a"]), float(self.domain["b"])
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and a < x < b
+                   for x in (value if key == "x_points" else [value])):
+            raise ConfigError(
+                f"params.{key} must hold real numbers strictly inside the domain "
+                f"({a:g}, {b:g}), got {value!r}")
 
     def _validate_t_points(self, tree):
         """Each t_points entry must be a tree time k*dt, 0 <= k <= n_steps: the
@@ -425,6 +437,17 @@ def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
 
 
 # --- shared helpers ---------------------------------------------------------
+
+# the experiments that solve R*, L* or the density equation, which need the
+# superparabolic regime
+_SUPERPARABOLIC = ("adjoint-suite", "duality-63", "density-64-65")
+
+
+def _coefficient_diagnostics(cfg) -> dict:
+    """The coefficient ValidationReport at the configured level, for
+    summary.json."""
+    report = validate(*cfg.build(), require_superparabolic=cfg.experiment in _SUPERPARABOLIC)
+    return dict(asdict(report), passed=report.passed)
 
 
 def _gaussian_density(grid, width: float) -> np.ndarray:
@@ -543,19 +566,20 @@ def _state_space(cfg, nx, n_steps, diag):
 
 def _adjoint_pairings(coeffs, grid, tree, seed_pair):
     """{operator: (primal, dual) pairing} for one draw of the test fields
-    g and h, and the scale ||g|| ||h|| of their mismatches."""
+    g and h, and the scale ||g|| ||h|| of their mismatches.  The five duals
+    march in lockstep and each is dropped once paired, before the primal
+    sweeps run."""
     g = smooth_random_field(grid, tree, seed=seed_pair[0])
     h = smooth_random_field(grid, tree, seed=seed_pair[1])
     scale = norm_x0(g) * norm_x0(h)
+    duals = solve_duals(h, coeffs, grid, tree)
+    dual = {k: inner_x0(g, duals.pop(k)) for k in "TGBRL"}
     v, kernels, bg = backward_sweep(g, coeffs, grid, tree)
-    out = {"T": (inner_x0(v, h), inner_x0(g, solve_T_star(h, coeffs, grid, tree))),
-           "G": (inner_x0(kernels[0], h), inner_x0(g, solve_G_star(0, h, coeffs, grid, tree))),
-           "B": (inner_x0(bg, h), inner_x0(g, solve_B_star(h, coeffs, grid, tree)))}
+    primal = {"T": inner_x0(v, h), "G": inner_x0(kernels[0], h), "B": inner_x0(bg, h)}
     del v, kernels, bg
     sol = op_L(g, coeffs, grid, tree)
-    out["R"] = (inner_x0(sol.g, h), inner_x0(g, solve_R_star(h, coeffs, grid, tree)))
-    out["L"] = (inner_x0(sol.v, h), inner_x0(g, solve_L_star(h, coeffs, grid, tree)))
-    return out, scale
+    primal["R"], primal["L"] = inner_x0(sol.g, h), inner_x0(sol.v, h)
+    return {k: (primal[k], dual[k]) for k in "TGBRL"}, scale
 
 
 _PAIR_ANCHORS = {"T": "2.8", "G": "3.1", "B": "3.3", "R": "3.5", "L": "3.7"}
@@ -758,7 +782,7 @@ EXPERIMENTS = {
 def run(config: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute the named experiment and (optionally) write its report files."""
     start = time.perf_counter()
-    diagnostics = {}
+    diagnostics = {"coefficients": _coefficient_diagnostics(config)}
     rows = EXPERIMENTS[config.experiment](config, diagnostics)
     report = ExperimentReport(
         experiment=config.experiment,

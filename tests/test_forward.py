@@ -329,7 +329,7 @@ def test_density_frozen_dynamics():
     def density_source(k, state):  # solve_density's noise source
         return None, [-dx_centered(grid, frozen.sigma[0] * state)]
 
-    p = _forward_march(frozen, grid, tree, density_source, p0[:, None].copy())
+    p = _forward_march(frozen, grid, tree, [density_source], p0[:, None].copy())[0]
     for k in range(tree.n_steps + 1):
         assert np.allclose(p.levels[k], p0[:, None], atol=1e-13)
 

@@ -109,11 +109,41 @@ BAD_AT_LOAD = [
     # level 4 of the default duality-63 tree has 16 nodes
     {"match": "node_checks", "config": {"experiment": "duality-63", "params": {"node_checks": 17}}},
     {"match": "node_checks", "config": {"experiment": "duality-63", "params": {"node_checks": 0}}},
+    # a point on or past the boundary snaps to a boundary node, where the
+    # solution and the exit-time oracle are both 0
+    {"match": "params.x0", "config": {"experiment": "feynman-kac-nonrandom", "params": {"x0": 5.0}}},
+    {"match": "params.x0", "config": {"experiment": "feynman-kac-nonrandom", "params": {"x0": 0.0}}},
+    {"match": "params.x0", "config": {"experiment": "feynman-kac-nonrandom", "params": {"x0": 1}}},
+    {"match": "params.x0", "config": {"experiment": "feynman-kac-nonrandom", "params": {"x0": "0.5"}}},
+    {"match": "params.x_points", "config": {
+        "experiment": "representation-random", "params": {"x_points": [0.0, "a"]}}},
+    {"match": "params.x_points", "config": {
+        "experiment": "representation-random", "params": {"x_points": [-8.0, 0.0]}}},
+    {"match": "params.x_points", "config": {
+        "experiment": "representation-random", "params": {"x_points": [0.0, float("nan")]}}},
     # the exit-time oracle is the closed form for a constant drift
     {"match": "constant family", "config": {
         "experiment": "feynman-kac-nonrandom",
         "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}}},
 ]
+
+
+@pytest.mark.parametrize("name, key, a, b, inside, outside", [
+    ("feynman-kac-nonrandom", "x0", 0.0, 1.0, [1e-9, 0.999], [0.0, 1.0, -0.2, True, [0.5]]),
+    # the bounds follow the configured domain
+    ("feynman-kac-nonrandom", "x0", 1.0, 3.0, [2.5], [0.5, 3.0]),
+    ("representation-random", "x_points", -8.0, 8.0, [[-7.9, 0, 7.9]],
+     [[-8.0], [8.0], [0.0, 9.0], [0.0, None], [0.0, False]]),
+])
+def test_points_must_lie_strictly_inside_the_domain(name, key, a, b, inside, outside):
+    raw = {"experiment": name, "domain": {"a": a, "b": b}}
+    for points in inside:
+        cfg = ExperimentConfig.from_dict({**raw, "params": {key: points}})
+        assert cfg.params[key] == points
+    for points in outside:
+        with pytest.raises(ConfigError, match=rf"params\.{key} must hold real numbers strictly "
+                                              rf"inside the domain \({a:g}, {b:g}\)"):
+            ExperimentConfig.from_dict({**raw, "params": {key: points}})
 
 
 def test_readme_example_config_loads():
@@ -176,6 +206,7 @@ def test_run_writes_deterministic_reports(tmp_path):
     assert header == "experiment,check,paper_anchor,lhs,rhs,abs_err,rel_err,tol,pass"
     meta = json.loads((out_a / "metadata.json").read_text())
     assert "timestamp" in meta and "numpy_version" in meta
+    assert meta["peak_rss_mb"] > 0
 
 
 @pytest.mark.parametrize("over, x", [
@@ -230,7 +261,7 @@ def test_summary_diagnostics(tmp_path):
         run(cfg)
         assert (Path(cfg.output_dir) / "summary.json").read_bytes() == first
         diagnostics = json.loads(first)["diagnostics"]
-        assert list(diagnostics) == [key]
+        assert list(diagnostics) == ["coefficients", key]
     solves = json.loads((tmp_path / "r" / "summary.json").read_text())["diagnostics"]["solve_R"]
     assert sorted(solves) == ["phi-start", "range-density-probe", "zero-start"]
     for info in solves.values():
@@ -241,6 +272,34 @@ def test_summary_diagnostics(tmp_path):
     assert [a["flagged"] for a in audits] == [True, False]
     for audit in audits:
         assert len(audit["min_density"]) == audit["n_steps"] + 1
+
+
+@pytest.mark.parametrize("name, over, superparabolic", [
+    ("solvability-R", {"grid": {"nx": 41}, "tree": {"n_steps": 5}}, None),
+    ("adjoint-suite", {"grid": {"nx": 21}, "tree": {"n_steps": 3},
+                       "params": {"fine_nx": 41, "fine_n_steps": 6, "n_draws": 1}}, True),
+    ("feynman-kac-nonrandom", {"grid": {"nx": 41}, "tree": {"n_steps": 4},
+                               "mc": {"paths": 200, "dt_mc": 1.0e-2}}, None),
+])
+def test_coefficient_validation_report(tmp_path, name, over, superparabolic):
+    # coefficients.validate runs at the configured level and its report goes
+    # to summary.json, the same bytes on a rerun
+    cfg = ExperimentConfig.from_dict({"experiment": name, "output_dir": str(tmp_path), **over})
+    run(cfg)
+    first = (tmp_path / "summary.json").read_bytes()
+    run(cfg)
+    assert (tmp_path / "summary.json").read_bytes() == first
+    report = json.loads(first)["diagnostics"]["coefficients"]
+    assert sorted(report) == ["delta", "delta_b", "flags", "k1", "k2", "k3", "lipschitz_f",
+                              "messages", "passed"]
+    assert report["passed"] is True and report["messages"] == []
+    assert report["flags"].get("superparabolic") is superparabolic
+    sigma = cfg.coefficients["sigma"]
+    assert report["delta_b"] == pytest.approx(sum(s * s for s in sigma), rel=1e-12)
+    # drift-random's sup bound is kappa tanh of the largest sampled w1
+    kappa = cfg.coefficients.get("kappa", 0.0)
+    w1 = cfg.tree["n_steps"] * math.sqrt(cfg.tree["horizon"] / cfg.tree["n_steps"])
+    assert report["k1"] == pytest.approx(kappa * math.tanh(w1), rel=1e-12)
 
 
 @pytest.mark.parametrize("name, over, kind, states", [

@@ -56,6 +56,29 @@ def test_thomas_rows_matches_dense_solve(n, nb, m, layout, seed):
         np.testing.assert_allclose(X[:, b], ref, rtol=1e-10, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    nb=st.integers(1, 5),
+    widths=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    seed=SEEDS,
+)
+def test_thomas_rows_on_stacked_columns_equals_each_column_alone(n, nb, widths, seed):
+    # the invariant the lockstep forward march rests on: right-hand sides
+    # concatenated along m solve to exactly the columns solved one by one
+    rng = np.random.default_rng(seed)
+    lo, up = rng.normal(size=(2, n, nb))
+    dg = rng.choice([-1.0, 1.0], size=(n, nb)) * (np.abs(lo) + np.abs(up) + rng.uniform(0.1, 2.0, size=(n, nb)))
+    parts = [rng.normal(size=(n, nb, m)) for m in widths]
+    stacked = thomas_rows(lo, dg, up, np.concatenate(parts, axis=2))
+    alone = np.concatenate([thomas_rows(lo, dg, up, p.copy()) for p in parts], axis=2)
+    assert np.array_equal(stacked, alone)
+    # and so do they as the trailing axes of a problem-major block's x-major view
+    block = np.stack([np.concatenate(parts, axis=2)] * 2)  # (2, n, nb, m)
+    thomas_rows(lo, dg, up, block.transpose(1, 2, 0, 3))
+    assert np.array_equal(block[0], alone) and np.array_equal(block[1], alone)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     nx=st.integers(8, 40),
