@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
 import resource
 import time
@@ -215,6 +216,11 @@ def _is_count(value, least) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _is_positive(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
 
 # the Monte Carlo experiments, and whether their paths are bridged through the
@@ -298,10 +304,19 @@ class ExperimentConfig:
         if self.experiment == "feynman-kac-nonrandom" and name != "constant":
             raise ConfigError(
                 f"feynman-kac-nonrandom's oracle needs the constant family, got {name!r}")
-        for key in ("n_draws", "n_fields"):
-            if key in self.params and not _is_count(self.params[key], 1):
-                raise ConfigError(
-                    f"params.{key} must be an integer >= 1, got {self.params[key]!r}")
+        counts = {"grid.nx": self.grid["nx"], "tree.n_steps": self.tree["n_steps"]}
+        counts.update({f"params.{key}": self.params[key] for key in
+                       ("fine_nx", "fine_n_steps", "n_draws", "n_fields") if key in self.params})
+        for key, value in counts.items():
+            if not _is_count(value, 1):
+                raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+        if "p0_width" in self.params and not _is_positive(self.params["p0_width"]):
+            raise ConfigError(
+                f"params.p0_width must be a positive number, got {self.params['p0_width']!r}")
+        if "leaf_bits" in self.params:
+            bits = self.params["leaf_bits"]
+            if not (isinstance(bits, str) and bits and set(bits) <= {"0", "1"}):
+                raise ConfigError(f"params.leaf_bits must be a string of 0s and 1s, got {bits!r}")
         for key in ("x_points", "t_points"):
             if key in self.params and not (isinstance(self.params[key], list)
                                            and self.params[key]):
@@ -317,6 +332,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         for grid, tree in built:
             _check_dominance(coeffs, grid, tree)
+        # the refinement rows compare the fine level against the coarse one
+        for fine, coarse in (("params.fine_nx", "grid.nx"),
+                             ("params.fine_n_steps", "tree.n_steps")):
+            if counts.get(fine, counts[coarse]) < counts[coarse]:
+                raise ConfigError(
+                    f"{fine}={counts[fine]} is below {coarse}={counts[coarse]}: the fine "
+                    f"level must be at least as fine as the coarse one")
         for key in ("x0", "x_points"):
             if key in self.params:
                 self._validate_points(key)
@@ -337,7 +359,7 @@ class ExperimentConfig:
         paths, dt_mc = self.mc["paths"], self.mc["dt_mc"]
         if not _is_count(paths, 1):
             raise ConfigError(f"mc.paths must be an integer >= 1, got {paths!r}")
-        if isinstance(dt_mc, bool) or not isinstance(dt_mc, (int, float)) or not dt_mc > 0:
+        if not _is_positive(dt_mc):
             raise ConfigError(f"mc.dt_mc must be a positive number, got {dt_mc!r}")
         tree = self.build_tree()
         try:
@@ -511,6 +533,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
         grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
         tree=None, workers=cfg.workers,
     )
+    diag["monte_carlo"] = {"v-vs-monte-carlo": est.marches()}
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "v-vs-monte-carlo", "1.3",
                          v_mid, est.value, tol, abs(v_mid - est.value) <= tol))
@@ -544,6 +567,9 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     C = max(2.0 * max(excess) / dt_dx2, 0.05)
     rows = []
     rand = one_family(coeffs, 1)
+    diag["monte_carlo"] = {f"{tag}-at-x={xv:+.2f}": est.marches()
+                           for tag, runs in (("control", ctrl), ("v-vs-mc", rand))
+                           for xv, _, est in runs}
     for xv, v, est in rand:
         tol = 3.0 * est.stderr + C * dt_dx2
         rows.append(CheckRow(cfg.experiment, f"v-vs-mc-at-x={xv:+.2f}", "5.1a",
@@ -705,7 +731,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = cfg.build()
     p = cfg.params
     p0 = _gaussian_density(grid, float(p["p0_width"]))
-    leaf = int(str(p["leaf_bits"]), 2) % tree.n_leaves
+    leaf = int(p["leaf_bits"], 2) % tree.n_leaves
     dens = solve_density(p0, coeffs, grid, tree)
     diag["density"] = [_density_diagnostics(dens, grid, tree)]
     anc = tree.leaf_path(leaf)
@@ -716,6 +742,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
         tree=tree, grid=grid, domain=grid.domain, p0=p0,
         dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers,
     )
+    diag["monte_carlo"] = {"conditional-identity": cond[0].marches()}
     rows = []
     for est, t in zip(cond, t_points):
         k = int(round(t / tree.dt))
@@ -731,6 +758,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
         grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
         tree=tree, workers=cfg.workers,
     )
+    diag["monte_carlo"]["unconditional-identity"] = est.marches()
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "unconditional-identity", "6.5",
                          lhs, est.value, tol, abs(lhs - est.value) <= tol))

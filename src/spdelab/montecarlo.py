@@ -2,13 +2,14 @@
 
 Paths follow
 
-    y_{m+1} = y_m + f(y_m, t_m, node(t_m)) dt_mc + beta dW_m,
+    y_{m+1} = y_m + f(y_m, t_m, node(t_m)) dt_mc + sigma . dW_m,
 
 with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
 coefficient process.  The march keeps only the live paths, compacted, and
-draws the Wiener increments one coarse block at a time for those paths
-alone (`tree.PathBundle.block`); it stops as soon as every path has exited.
+draws the scalar noise sigma . dW, one normal per path and fine step, one
+coarse block at a time for those paths alone (`tree.PathBundle.block`); it
+stops as soon as every path has exited.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are detected at mesh points
@@ -23,7 +24,7 @@ worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,9 +46,24 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """A Monte Carlo mean and its standard error over n paths.
+
+    A chunked estimator also records its marches: the paths per chunk, the
+    normals drawn and the share of paths that exited before the horizon,
+    summed over the chunks in chunk order, so the record is deterministic.
+    """
+
     value: float
     stderr: float
     n: int
+    chunks: tuple = ()
+    normals_drawn: int = 0
+    exit_frac: float = 0.0
+
+    def marches(self) -> dict:
+        """The record of the marches behind the estimate, for summary.json."""
+        return {"chunks": list(self.chunks), "normals_drawn": self.normals_drawn,
+                "exit_frac": self.exit_frac}
 
 
 @dataclass
@@ -56,8 +72,8 @@ class TrajectorySet:
 
     Integrands registered at simulation time are accumulated online, so no
     estimate needs the fine-mesh history; a fine history, when wanted, is
-    the snapshot set at every mesh time.  `normals_drawn` counts the Wiener
-    increments the march drew.
+    the snapshot set at every mesh time.  `normals_drawn` counts the normals
+    the march drew, one per live path and fine step of each block it started.
     """
 
     snapshot_times: np.ndarray  # (n_snap,)
@@ -101,9 +117,10 @@ def simulate(
     phi(y, t, w1) whose running integrals sum_{t < tau} phi dt_mc are
     accumulated online.  Deterministic given the bundle's seed.
     """
-    if coeffs.d0 != paths.d0:
+    if not np.array_equal(coeffs.sigma, paths.sigma):
         raise SimulationError(
-            f"coefficients have d0={coeffs.d0} but the bundle carries {paths.d0}"
+            f"coefficients have sigma={coeffs.sigma} but the bundle was built for "
+            f"sigma={paths.sigma}"
         )
     if coeffs.is_random and paths.tree is None:
         raise SimulationError(
@@ -155,7 +172,6 @@ def simulate(
     live = np.arange(M)
     yl = y.copy()
     acc = {name: np.zeros(M) for name in integrands}
-    sigma = coeffs.sigma
     drawn = 0
     m = m0
     while True:
@@ -175,7 +191,7 @@ def simulate(
         for name, fn in integrands.items():
             acc[name] += np.asarray(fn(yl, t, w1)) * dt
         drift = coeffs.drift(yl, t, 0.0 if w1 is None else w1)
-        yl = yl + drift * dt + sigma @ block[j]
+        yl = yl + drift * dt + block[j]
         m += 1
         out = (yl < lo) | (yl > hi)
         if out.any():
@@ -185,7 +201,7 @@ def simulate(
             for name in totals:
                 totals[name][gone] = acc[name][out]
             keep = ~out
-            live, yl, block = live[keep], yl[keep], block[:, :, keep]
+            live, yl, block = live[keep], yl[keep], block[:, keep]
             acc = {name: a[keep] for name, a in acc.items()}
             if np.ndim(w1):
                 w1 = w1[keep]
@@ -214,6 +230,20 @@ def _estimate(chunks) -> EstimatorResult:
     mean = s1 / n
     var = max(s2 / n - mean**2, 0.0) * n / max(n - 1, 1)
     return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)), n=n)
+
+
+def _with_marches(result: EstimatorResult, runs) -> EstimatorResult:
+    """result with the record of its marches, from (paths, normals drawn,
+    paths exited) per chunk, in chunk order."""
+    paths, drawn, exited = zip(*runs)
+    return replace(result, chunks=paths, normals_drawn=sum(drawn),
+                   exit_frac=sum(exited) / sum(paths))
+
+
+def _march_record(trajs: TrajectorySet, bundle: PathBundle) -> tuple:
+    """(paths, normals drawn, paths exited before the horizon) of one march."""
+    exited = int(np.count_nonzero(trajs.tau < bundle.times[-1]))
+    return trajs.n_paths, trajs.normals_drawn, exited
 
 
 def estimate_functional(trajs: TrajectorySet, name: str) -> EstimatorResult:
@@ -274,7 +304,8 @@ def conditional_functional(
     requested times: the driving components are bridged through the leaf
     path, the tail components and the initial draw from p0 stay free.
 
-    Returns one EstimatorResult per entry of t_grid.
+    Returns one EstimatorResult per entry of t_grid; each carries the record
+    of the same marches.
     """
     if not coeffs.superparabolic():
         raise SimulationError(
@@ -284,7 +315,7 @@ def conditional_functional(
 
     def job(i, m):
         bundle = bridge_paths(
-            tree, leaf_path, m, coeffs.d0, dt_mc, seed_entropy(seed, 0xC0, i)
+            tree, leaf_path, m, coeffs.sigma, dt_mc, seed_entropy(seed, 0xC0, i)
         )
         trajs = simulate(coeffs, p0, 0.0, bundle, domain, grid=grid, snapshot_times=t_grid)
         vals = np.empty((t_grid.size, m))
@@ -293,10 +324,14 @@ def conditional_functional(
             vals[a] = trajs.alive[:, a] * np.asarray(
                 phi(trajs.snapshots[:, a], t, w1)
             )
-        return vals.sum(axis=1), (vals**2).sum(axis=1), m
+        return vals.sum(axis=1), (vals**2).sum(axis=1), _march_record(trajs, bundle)
 
     out = _run_chunks(M, chunk_size, workers, job)
-    return [_estimate((s1[a], s2[a], m) for s1, s2, m in out) for a in range(t_grid.size)]
+    runs = [run for _, _, run in out]
+    return [
+        _with_marches(_estimate((s1[a], s2[a], run[0]) for s1, s2, run in out), runs)
+        for a in range(t_grid.size)
+    ]
 
 
 def functional_estimate(
@@ -322,11 +357,13 @@ def functional_estimate(
     def job(i, m):
         chunk_seed = seed_entropy(seed, 0xF0, i)
         if tree is not None:
-            bundle = sample_tree_paths(tree, m, coeffs.d0, dt_mc, chunk_seed)
+            bundle = sample_tree_paths(tree, m, coeffs.sigma, dt_mc, chunk_seed)
         else:
-            bundle = free_paths(domain.horizon, m, coeffs.d0, dt_mc, chunk_seed)
+            bundle = free_paths(domain.horizon, m, coeffs.sigma, dt_mc, chunk_seed)
         trajs = simulate(coeffs, init, 0.0, bundle, domain, grid=grid, integrands={"phi": phi})
         vals = trajs.integrals["phi"]
-        return vals.sum(), (vals**2).sum(), m
+        return vals.sum(), (vals**2).sum(), _march_record(trajs, bundle)
 
-    return _estimate(_run_chunks(M, chunk_size, workers, job))
+    out = _run_chunks(M, chunk_size, workers, job)
+    return _with_marches(_estimate((s1, s2, run[0]) for s1, s2, run in out),
+                         [run for _, _, run in out])

@@ -5,10 +5,10 @@ scenario tree with increments +-sqrt(dt) per component and step.  On this
 tree conditional expectation, the Ito integral and the martingale
 (Clark-type) representation are computed exactly, so probabilistic
 identities hold to round-off and discretization error is confined to space
-and time.  Fine-time Monte Carlo increments are Brownian bridges threaded
-through a designated leaf path or through per-path leaf draws, with the
-remaining d0 - d Wiener components left free; they are drawn one coarse
-step at a time, for the paths still being marched.
+and time.  Fine-time Monte Carlo increments are the scalar noise sigma.dW,
+one normal per path and fine step, with the first d Wiener components
+bridged through a designated leaf path or per-path leaf draws; they are
+drawn one coarse step at a time, for the paths still being marched.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -303,7 +303,7 @@ def clark_decompose(X, tree: ScenarioTree) -> MartingaleDecomposition:
 
 @dataclass(frozen=True)
 class IncrementShape:
-    """Nominal size of a bundle's increments, (n_paths, d0, n_fine).
+    """Nominal size of a bundle's increments, (n_paths, n_fine).
 
     No array of this size exists: `PathBundle.block` draws the increments
     one coarse block at a time, for the requested paths only.
@@ -350,25 +350,27 @@ def _counter_normals(key: np.uint64, counters: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Fine-time Wiener increments for Monte Carlo, drawn lazily by block.
+    """Fine-time noise sigma.dW for Monte Carlo, drawn lazily by block.
 
-    Block k holds fine steps k*n_sub .. (k+1)*n_sub - 1: one tree step for a
-    tree bundle, one fine step for a free one (n_sub = 1).  In each block of
-    a tree bundle the first tree.d components are shifted to sum exactly to
-    the increment of the path's tree edge, which makes them Brownian bridges
-    through the tree path at the coarse times; the rest are free.  The tree
-    path is either one designated node sequence `node_path`, shared by every
-    path, or per-path leaf draws `leaves`.
+    The state is scalar, so one normal Z_m ~ N(0, dt_mc) per path and fine
+    step carries all d0 components.  Block k holds fine steps k*n_sub ..
+    (k+1)*n_sub - 1 (n_sub = 1 without a tree).  A free increment is
+    |sigma| Z_m (sigma_0 Z_m when d0 = 1).  On a tree, W's first d components
+    are bridged through the path's edge (of `node_path`, shared by every
+    path, or of its leaf in `leaves`); with s = |sigma|, s_f = |sigma[d:]|,
 
-    The increment of path p, fine step m and component c is a fixed function
-    of (seed, p, m, c), so a path's noise does not depend on which other
-    paths are drawn with it, and marching a bundle twice repeats it.
+        s Z_j - (s - s_f) mean_j(Z) + sigma[:d].dW_tree / n_sub
+
+    has the law of sigma.(bridged + free increments): covariance dt_mc (s^2 I
+    - |sigma[:d]|^2 11^T / n_sub), and the bridged part of the block sum is
+    exactly sigma[:d].dW_tree.  The increment of path p and step m is a fixed
+    function of (seed, p, m), whichever other paths are drawn with it.
     """
 
     tree: ScenarioTree | None
     node_path: np.ndarray | None  # (n_steps + 1,) node per level, shared
     leaves: np.ndarray | None  # (n_paths,) leaf per path
-    d0: int
+    sigma: np.ndarray  # (d0,) diffusion row the increments are built for
     dt_mc: float
     seed: object
     times: np.ndarray  # (n_fine + 1,)
@@ -378,7 +380,7 @@ class PathBundle:
 
     @property
     def increments(self) -> IncrementShape:
-        return IncrementShape((self.n_paths, self.d0, self.n_fine))
+        return IncrementShape((self.n_paths, self.n_fine))
 
     def nodes(self, level: int, rows=None):
         """Active tree node at a level for the given path rows (all rows when
@@ -400,22 +402,25 @@ class PathBundle:
         return np.random.SeedSequence(seed_entropy(self.seed)).generate_state(1, np.uint64)[0]
 
     def block(self, k: int, rows) -> np.ndarray:
-        """Increments of block k for the given path rows, (n_sub, d0, rows)."""
+        """Increments sigma.dW of block k for the given path rows, (n_sub, rows)."""
         rows = np.asarray(rows)
-        # counter of (path p, fine step m, component c): (p * n_fine + m) * d0 + c;
-        # one fine step at a time keeps the work arrays in cache
-        at_m0 = rows.astype(np.uint64) * np.uint64(self.n_fine * self.d0)
-        at_m0 = at_m0 + np.arange(self.d0, dtype=np.uint64)[:, None]
-        z = np.empty((self.n_sub, self.d0, rows.size))
+        # counter of (path p, fine step m): p * n_fine + m; one fine step at a
+        # time keeps the work arrays in cache
+        at_m0 = rows.astype(np.uint64) * np.uint64(self.n_fine)
+        z = np.empty((self.n_sub, rows.size))
         for j in range(self.n_sub):
-            step = np.uint64((k * self.n_sub + j) * self.d0)
-            z[j] = _counter_normals(self._key, at_m0 + step)
+            z[j] = _counter_normals(self._key, at_m0 + np.uint64(k * self.n_sub + j))
         z *= np.sqrt(self.dt_mc)
         tree = self.tree
-        if tree is not None:
-            target = tree.digit_signs[self.nodes(k + 1, rows) % tree.branching] * tree.sqdt
-            bridged = z[:, : tree.d]
-            bridged -= (bridged.sum(axis=0) - target.T.reshape(tree.d, -1)) / self.n_sub
+        if tree is None:
+            z *= self.sigma[0] if self.sigma.size == 1 else np.linalg.norm(self.sigma)
+            return z
+        s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[tree.d :])
+        edge = tree.digit_signs[self.nodes(k + 1, rows) % tree.branching]
+        shift = (edge @ self.sigma[: tree.d]) * (tree.sqdt / self.n_sub)
+        shift -= (s - s_f) * z.mean(axis=0)
+        z *= s
+        z += shift
         return z
 
 
@@ -435,15 +440,16 @@ def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[i
     return n_fine, n_sub
 
 
-def _bundle(horizon, tree, node_path, leaves, M, d0, dt_mc, seed) -> PathBundle:
-    if tree is not None and d0 < tree.d:
-        raise TreeError(f"need d0 >= d, got d0={d0} < d={tree.d}")
+def _bundle(horizon, tree, node_path, leaves, M, sigma, dt_mc, seed) -> PathBundle:
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 1 or sigma.size < (1 if tree is None else tree.d):
+        raise TreeError(f"need a diffusion row with d0 >= d >= 1 entries, got sigma={sigma}")
     n_fine, n_sub = fine_steps(horizon, dt_mc, None if tree is None else tree.dt)
     return PathBundle(
         tree=tree,
         node_path=node_path,
         leaves=leaves,
-        d0=d0,
+        sigma=sigma,
         dt_mc=dt_mc,
         seed=seed,
         times=dt_mc * np.arange(n_fine + 1),
@@ -453,30 +459,21 @@ def _bundle(horizon, tree, node_path, leaves, M, d0, dt_mc, seed) -> PathBundle:
     )
 
 
-def bridge_paths(
-    tree: ScenarioTree,
-    leaf_path,
-    M: int,
-    d0: int,
-    dt_mc: float,
-    seed,
-) -> PathBundle:
-    """M Brownian bridges through one tree path plus free tail components.
+def bridge_paths(tree: ScenarioTree, leaf_path, M: int, sigma, dt_mc: float, seed) -> PathBundle:
+    """M paths of sigma.dW bridged through one tree path, tail columns free.
 
     leaf_path is a leaf index or an explicit per-level node-index sequence.
     Deterministic given seed.
     """
-    return _bundle(tree.horizon, tree, tree.node_path(leaf_path), None, M, d0, dt_mc, seed)
+    return _bundle(tree.horizon, tree, tree.node_path(leaf_path), None, M, sigma, dt_mc, seed)
 
 
-def free_paths(horizon: float, M: int, d0: int, dt_mc: float, seed) -> PathBundle:
-    """Unconstrained d0-dimensional Wiener increments on the fine mesh."""
-    return _bundle(horizon, None, None, None, M, d0, dt_mc, seed)
+def free_paths(horizon: float, M: int, sigma, dt_mc: float, seed) -> PathBundle:
+    """Unconstrained increments sigma.dW on the fine mesh."""
+    return _bundle(horizon, None, None, None, M, sigma, dt_mc, seed)
 
 
-def sample_tree_paths(
-    tree: ScenarioTree, M: int, d0: int, dt_mc: float, seed
-) -> PathBundle:
+def sample_tree_paths(tree: ScenarioTree, M: int, sigma, dt_mc: float, seed) -> PathBundle:
     """Bundle with leaves drawn uniformly per path and bridged increments.
 
     Used for unconditional estimates under tree-adapted coefficients: the
@@ -485,4 +482,4 @@ def sample_tree_paths(
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(seed, 0x1EAF)))
     leaves = rng.integers(0, tree.n_leaves, size=M)
-    return _bundle(tree.horizon, tree, None, leaves, M, d0, dt_mc, seed)
+    return _bundle(tree.horizon, tree, None, leaves, M, sigma, dt_mc, seed)

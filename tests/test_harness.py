@@ -128,6 +128,35 @@ BAD_AT_LOAD = [
 ]
 
 
+# each of these used to say "config ok" and then run, fail late or run
+# something other than what was asked
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "density-64-65", "params": {"p0_width": 0}}, "params.p0_width"),
+    ({"experiment": "duality-63", "params": {"p0_width": -1}}, "params.p0_width"),
+    ({"experiment": "density-64-65", "params": {"p0_width": "x"}}, "params.p0_width"),
+    ({"experiment": "density-64-65", "params": {"leaf_bits": "abc"}}, "params.leaf_bits"),
+    # int() would truncate it and run at nx = 101
+    ({"experiment": "density-64-65", "grid": {"nx": 101.9}}, "grid.nx must be an integer"),
+    ({"experiment": "duality-63", "params": {"fine_nx": 81}}, "params.fine_nx=81 is below"),
+], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "leaf_bits=abc", "nx=101.9",
+        "fine_nx<nx"])
+def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate-config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fine_levels_may_not_be_coarser():
+    with pytest.raises(ConfigError, match="params.fine_n_steps=6 is below tree.n_steps=8"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"fine_n_steps": 6}})
+    with pytest.raises(ConfigError, match="tree.n_steps must be an integer"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "tree": {"n_steps": 8.5}})
+    # equal levels are allowed: a refinement in time alone
+    cfg = ExperimentConfig.from_dict({"experiment": "duality-63", "params": {"fine_nx": 101}})
+    assert cfg.params["fine_nx"] == cfg.grid["nx"]
+
+
 @pytest.mark.parametrize("name, key, a, b, inside, outside", [
     ("feynman-kac-nonrandom", "x0", 0.0, 1.0, [1e-9, 0.999], [0.0, 1.0, -0.2, True, [0.5]]),
     # the bounds follow the configured domain
@@ -272,6 +301,39 @@ def test_summary_diagnostics(tmp_path):
     assert [a["flagged"] for a in audits] == [True, False]
     for audit in audits:
         assert len(audit["min_density"]) == audit["n_steps"] + 1
+
+
+MC_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 5}, "mc": {"paths": 2000, "dt_mc": 1.0e-2}}
+
+
+@pytest.mark.parametrize("name, over, estimates", [
+    ("density-64-65", MC_SMALL, ["conditional-identity", "unconditional-identity"]),
+    ("representation-random", {**MC_SMALL, "params": {"x_points": [0.0]}},
+     ["control-at-x=+0.00", "v-vs-mc-at-x=+0.00"]),
+    ("feynman-kac-nonrandom", {"grid": {"nx": 41}, "tree": {"n_steps": 4},
+                               "mc": {"paths": 30000, "dt_mc": 1.0e-2}}, ["v-vs-monte-carlo"]),
+])
+def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
+    # each estimator call records its chunk layout, the normals its marches
+    # drew and its exit fraction; a rerun writes the same summary.json bytes
+    cfg = ExperimentConfig.from_dict({"experiment": name, "output_dir": str(tmp_path), **over})
+    run(cfg)
+    first = (tmp_path / "summary.json").read_bytes()
+    run(cfg)
+    assert (tmp_path / "summary.json").read_bytes() == first
+    marches = json.loads(first)["diagnostics"]["monte_carlo"]
+    assert sorted(marches) == estimates
+    paths, n_fine = cfg.mc["paths"], round(cfg.tree["horizon"] / cfg.mc["dt_mc"])
+    for record in marches.values():
+        assert sorted(record) == ["chunks", "exit_frac", "normals_drawn"]
+        # chunks of 25,000 paths in chunk order
+        assert record["chunks"] == [25000] * (paths // 25000) + [paths % 25000] * (paths % 25000 > 0)
+        if name == "feynman-kac-nonrandom":
+            # every path leaves (0, 1) well before t = 4: the march stops early
+            assert record["exit_frac"] == 1.0 and record["normals_drawn"] < paths * n_fine / 10
+        else:
+            # nothing leaves [-8, 8]: one normal per path and fine step
+            assert record["exit_frac"] == 0.0 and record["normals_drawn"] == paths * n_fine
 
 
 @pytest.mark.parametrize("name, over, superparabolic", [

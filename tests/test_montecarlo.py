@@ -26,11 +26,11 @@ class SilentBundle(PathBundle):
     """A bundle whose increments are all zero."""
 
     def block(self, k, rows):
-        return np.zeros((self.n_sub, self.d0, np.size(rows)))
+        return np.zeros((self.n_sub, np.size(rows)))
 
 
-def silent_free_paths(horizon, M, dt_mc):
-    bundle = free_paths(horizon, M=M, d0=1, dt_mc=dt_mc, seed=0)
+def silent_free_paths(horizon, M, sigma, dt_mc):
+    bundle = free_paths(horizon, M=M, sigma=sigma, dt_mc=dt_mc, seed=0)
     return SilentBundle(**{f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)})
 
 
@@ -47,7 +47,7 @@ def line_domain():
 def test_simulate_frozen_dynamics(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1e-3]})
     # beta ~ 0 within the nondegeneracy floor; scale noise away by hand instead
-    paths = silent_free_paths(1.0, M=64, dt_mc=0.25)
+    paths = silent_free_paths(1.0, M=64, sigma=coeffs.sigma, dt_mc=0.25)
     trajs = simulate(coeffs, 0.3, 0.0, paths, line_domain)
     assert np.all(trajs.snapshots == 0.3)
     assert np.all(trajs.tau == 1.0)
@@ -56,7 +56,7 @@ def test_simulate_frozen_dynamics(line_domain):
 
 def test_simulate_gaussian_statistics(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-    paths = free_paths(1.0, M=20000, d0=1, dt_mc=0.01, seed=2)
+    paths = free_paths(1.0, M=20000, sigma=coeffs.sigma, dt_mc=0.01, seed=2)
     trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain)
     yT = trajs.snapshots[:, -1]
     m = trajs.n_paths
@@ -69,7 +69,7 @@ def test_simulate_exit_time_oracle(unit_domain):
     # detection biases it upward by O(sqrt(dt_mc))
     dom = DomainSpec("interval", 0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-    paths = free_paths(4.0, M=20000, d0=1, dt_mc=2e-3, seed=3)
+    paths = free_paths(4.0, M=20000, sigma=coeffs.sigma, dt_mc=2e-3, seed=3)
     trajs = simulate(coeffs, 0.5, 0.0, paths, dom)
     stderr = trajs.tau.std(ddof=1) / np.sqrt(trajs.n_paths)
     bias_allowance = 0.6 * np.sqrt(2e-3) + 3 * stderr
@@ -81,12 +81,14 @@ def test_simulate_exit_time_oracle(unit_domain):
 
 def test_simulate_validations(unit_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-    paths = free_paths(1.0, M=4, d0=1, dt_mc=0.25, seed=4)
+    paths = free_paths(1.0, M=4, sigma=coeffs.sigma, dt_mc=0.25, seed=4)
     with pytest.raises(SimulationError, match="outside"):
         simulate(coeffs, 1.5, 0.0, paths, unit_domain)
-    with pytest.raises(SimulationError, match="d0"):
-        simulate(make_family("constant", {"f0": 0.0, "sigma": [1.0, 1.0]}),
-                 0.5, 0.0, paths, unit_domain)
+    # the bundle's increments are sigma . dW for the sigma it was built for
+    for sigma in ([1.0, 1.0], [0.5]):
+        with pytest.raises(SimulationError, match="sigma"):
+            simulate(make_family("constant", {"f0": 0.0, "sigma": sigma}),
+                     0.5, 0.0, paths, unit_domain)
     random_coeffs = make_family("drift-random", {"kappa": 0.2, "sigma": [1.0], "d": 1})
     with pytest.raises(SimulationError, match="tree"):
         simulate(random_coeffs, 0.5, 0.0, paths, unit_domain)
@@ -97,7 +99,7 @@ def test_no_normals_drawn_for_exited_paths():
     # normal per step it marches, and the march stops at the last exit
     dom = DomainSpec("interval", 0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-    paths = free_paths(4.0, M=3000, d0=1, dt_mc=0.01, seed=20)
+    paths = free_paths(4.0, M=3000, sigma=coeffs.sigma, dt_mc=0.01, seed=20)
     # a snapshot at every mesh time is the fine history
     trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=paths.times)
     steps = np.rint(trajs.tau / 0.01).astype(int)
@@ -111,18 +113,18 @@ def test_no_normals_drawn_for_exited_paths():
 
 
 def test_bridged_blocks_drawn_only_for_live_paths(unit_domain):
-    # a tree bundle draws a whole block (n_sub steps, d0 components) for each
-    # path still alive when the block starts, here from mid-block
+    # a tree bundle draws a whole block (n_sub steps, one normal per step)
+    # for each path still alive when the block starts, here from mid-block
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
-    paths = sample_tree_paths(tree, 2000, 2, 0.01, seed=21)
+    paths = sample_tree_paths(tree, 2000, coeffs.sigma, 0.01, seed=21)
     s = 0.13
     trajs = simulate(coeffs, 0.5, s, paths, unit_domain)
     exit_step = np.rint(trajs.tau / 0.01).astype(int)
     first = round(s / 0.01) // paths.n_sub
     blocks = -(-exit_step // paths.n_sub) - first  # blocks started while alive
     assert 0 < (exit_step < paths.n_fine).mean() < 1
-    assert trajs.normals_drawn == paths.n_sub * 2 * blocks.sum()
+    assert trajs.normals_drawn == paths.n_sub * blocks.sum()
 
 
 def test_mid_block_start_hits_coarse_targets(line_domain):
@@ -130,7 +132,7 @@ def test_mid_block_start_hits_coarse_targets(line_domain):
     # every later tree step moves y by exactly its per-path tree increment
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0], "d": 1})
     tree = build_tree(1, 4, 1.0)
-    paths = sample_tree_paths(tree, 300, 1, 0.025, seed=22)
+    paths = sample_tree_paths(tree, 300, coeffs.sigma, 0.025, seed=22)
     trajs = simulate(coeffs, 0.0, 0.35, paths, line_domain, snapshot_times=paths.times[14:])
     coarse = trajs.snapshots[:, [20 - 14, 30 - 14, 40 - 14]]  # t = 0.5, 0.75, 1.0
     w1 = np.stack([paths.w1(k) for k in range(2, tree.n_steps + 1)], axis=1)
@@ -140,7 +142,7 @@ def test_mid_block_start_hits_coarse_targets(line_domain):
 def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
     # the default tree snapshots start at s, so none is left unwritten
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
-    paths = sample_tree_paths(build_tree(1, 4, 1.0), 5, 2, 0.01, seed=21)
+    paths = sample_tree_paths(build_tree(1, 4, 1.0), 5, coeffs.sigma, 0.01, seed=21)
     trajs = simulate(coeffs, 0.5, 0.5, paths, unit_domain)
     assert np.allclose(trajs.snapshot_times, [0.5, 0.75, 1.0])
     assert np.all(trajs.snapshots[:, 0] == 0.5) and trajs.alive[:, 0].all()
@@ -158,7 +160,7 @@ def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
 def test_estimate_functional_zero_and_linearity(unit_domain):
     dom = DomainSpec("interval", 0.0, 1.0, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-    paths = free_paths(1.0, M=500, d0=1, dt_mc=0.02, seed=5)
+    paths = free_paths(1.0, M=500, sigma=coeffs.sigma, dt_mc=0.02, seed=5)
     trajs = simulate(
         coeffs, 0.5, 0.0, paths, dom,
         integrands={
@@ -189,7 +191,7 @@ def test_reproducibility(line_domain):
     tree = build_tree(1, 4, 1.0)
 
     def run():
-        paths = sample_tree_paths(tree, 256, 2, 0.05, seed=7)
+        paths = sample_tree_paths(tree, 256, coeffs.sigma, 0.05, seed=7)
         return simulate(coeffs, 0.0, 0.0, paths, line_domain,
                         integrands={"phi": lambda y, t, w1: np.exp(-y**2)})
 
@@ -202,9 +204,9 @@ def test_reproducibility(line_domain):
 def test_exit_monotonicity(unit_domain):
     # shrinking the domain can only shorten each path's exit time
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
-    paths = free_paths(1.0, M=2000, d0=1, dt_mc=0.005, seed=8)
+    paths = free_paths(1.0, M=2000, sigma=coeffs.sigma, dt_mc=0.005, seed=8)
     wide = simulate(coeffs, 0.5, 0.0, paths, DomainSpec("interval", 0.0, 1.0, 1.0))
-    paths2 = free_paths(1.0, M=2000, d0=1, dt_mc=0.005, seed=8)
+    paths2 = free_paths(1.0, M=2000, sigma=coeffs.sigma, dt_mc=0.005, seed=8)
     narrow = simulate(coeffs, 0.5, 0.0, paths2, DomainSpec("interval", 0.25, 0.75, 1.0))
     assert np.all(narrow.tau <= wide.tau + 1e-15)
 
@@ -213,7 +215,7 @@ def test_stderr_scaling(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     errs = []
     for M in (2000, 8000):
-        paths = free_paths(1.0, M=M, d0=1, dt_mc=0.02, seed=9)
+        paths = free_paths(1.0, M=M, sigma=coeffs.sigma, dt_mc=0.02, seed=9)
         trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain,
                          integrands={"phi": lambda y, t, w1: np.exp(-y**2)})
         errs.append(estimate_functional(trajs, "phi").stderr)
@@ -224,7 +226,7 @@ def test_stderr_scaling(line_domain):
 def test_empirical_density_spike(unit_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     grid = build_grid(unit_domain, 21)
-    paths = silent_free_paths(1.0, M=100, dt_mc=0.25)
+    paths = silent_free_paths(1.0, M=100, sigma=coeffs.sigma, dt_mc=0.25)
     trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain)
     hist = empirical_density(trajs, 0.0, grid)
     ix = np.argmin(np.abs(grid.x - 0.5))
@@ -236,7 +238,7 @@ def test_empirical_density_gaussian(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     grid = build_grid(line_domain, 161)
     tree = build_tree(1, 4, 1.0)
-    paths = sample_tree_paths(tree, 100000, 2, 0.01, seed=11)
+    paths = sample_tree_paths(tree, 100000, coeffs.sigma, 0.01, seed=11)
     trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain)
     hist = empirical_density(trajs, 1.0, grid)
     ref = np.exp(-grid.x**2 / 2.0) / np.sqrt(2 * np.pi)
@@ -246,7 +248,7 @@ def test_empirical_density_gaussian(line_domain):
 def test_empirical_density_mass_counts_alive(unit_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     grid = build_grid(unit_domain, 21)
-    paths = free_paths(1.0, M=4000, d0=1, dt_mc=0.01, seed=12)
+    paths = free_paths(1.0, M=4000, sigma=coeffs.sigma, dt_mc=0.01, seed=12)
     trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain)
     hist = empirical_density(trajs, 1.0, grid)
     alive_fraction = trajs.alive[:, -1].mean()
@@ -309,7 +311,7 @@ def test_conditional_vs_unconditional_coherence(line_domain):
 
     # unconditional side: integral estimator of phi at the same time via
     # simulate over sampled tree paths
-    paths = sample_tree_paths(tree, 16000, 2, 0.05, seed=17)
+    paths = sample_tree_paths(tree, 16000, coeffs.sigma, 0.05, seed=17)
     trajs = simulate(coeffs, p0, 0.0, paths, line_domain, grid=grid)
     yT = trajs.snapshots[:, -1]
     unc = (trajs.alive[:, -1] * np.exp(-yT**2))

@@ -11,27 +11,35 @@ from spdelab import (
     ito_integral,
     sample_tree_paths,
 )
+from spdelab.tree import _counter_normals
 
 
 def drawn(bundle):
-    """Every increment of a bundle, (n_paths, d0, n_fine), drawn block by block."""
+    """Every increment sigma.dW of a bundle, (n_paths, n_fine), drawn block by block."""
     rows = np.arange(bundle.n_paths)
     blocks = [bundle.block(k, rows) for k in range(bundle.n_fine // bundle.n_sub)]
-    return np.concatenate(blocks, axis=0).transpose(2, 1, 0)
+    return np.concatenate(blocks, axis=0).T
 
 
-def wiener_paths(bundle):
-    """Cumulative Wiener values, (n_paths, d0, n_fine + 1)."""
-    inc = drawn(bundle)
-    out = np.zeros(inc.shape[:2] + (inc.shape[2] + 1,))
-    np.cumsum(inc, axis=2, out=out[:, :, 1:])
-    return out
+def normals(bundle, k, rows):
+    """The block's draws Z ~ N(0, dt_mc), (n_sub, rows): sqrt(dt_mc) times the
+    counter normal of (path p, fine step m) at counter p * n_fine + m."""
+    m = k * bundle.n_sub + np.arange(bundle.n_sub, dtype=np.uint64)[:, None]
+    counters = np.asarray(rows, dtype=np.uint64) * np.uint64(bundle.n_fine) + m
+    return np.sqrt(bundle.dt_mc) * _counter_normals(bundle._key, counters)
 
 
-def coarse_targets(tree, leaf):
-    """First Wiener component at the tree nodes along a leaf's path."""
-    anc = tree.leaf_path(int(leaf))
-    return np.array([tree.omega[k][anc[k], 0] for k in range(tree.n_steps + 1)])
+def bridged_sum(bundle, k, rows):
+    """A tree block's sum less its free part s_f * sum_j Z_j: the part of the
+    noise that runs through the tree edge."""
+    s_f = np.linalg.norm(bundle.sigma[bundle.tree.d :])
+    return bundle.block(k, rows).sum(axis=0) - s_f * normals(bundle, k, rows).sum(axis=0)
+
+
+def edge_targets(tree, sigma, leaf):
+    """sigma[:d] . dW_tree on each edge of a leaf's path, (n_steps,)."""
+    omega = [tree.omega[k][i] for k, i in enumerate(tree.leaf_path(int(leaf)))]
+    return np.diff(np.array(omega), axis=0) @ np.asarray(sigma)[: tree.d]
 
 
 def brute_subtree_mean(tree, X, level, index):
@@ -176,79 +184,115 @@ def test_clark_reconstruction_exact(tree5):
     assert np.max(np.abs(rec - X)) <= 1e-12 * scale
 
 
-def test_bridge_paths_hit_constraints(tree5):
-    leaf = 19
-    bundle = bridge_paths(tree5, leaf, M=16, d0=2, dt_mc=0.025, seed=42)
-    paths = wiener_paths(bundle)
-    at_coarse = paths[:, 0, :: bundle.n_sub]
-    assert np.max(np.abs(at_coarse - coarse_targets(tree5, leaf)[None, :])) < 1e-12
+def test_bridge_paths_hit_constraints():
+    # each block's bridged part sums to sigma[:d] . dW_tree over the edge; with
+    # no free columns (d0 = d) that is the whole block sum
+    for d, sigma in [(1, [0.7]), (1, [0.6, 0.8]), (2, [0.6, -0.8, 0.5]), (2, [0.6, 0.8])]:
+        tree = build_tree(d, 4, 1.0)
+        leaf = tree.n_leaves - 3
+        bundle = bridge_paths(tree, leaf, M=16, sigma=sigma, dt_mc=0.025, seed=42)
+        rows = np.arange(16)
+        target = edge_targets(tree, sigma, leaf)
+        for k in range(tree.n_steps):
+            assert np.max(np.abs(bridged_sum(bundle, k, rows) - target[k])) < 1e-12
+            if len(sigma) == d:
+                assert np.max(np.abs(bundle.block(k, rows).sum(axis=0) - target[k])) < 1e-12
 
 
-def test_bridge_paths_free_component_variance():
-    tree = build_tree(1, 4, 1.0)
-    bundle = bridge_paths(tree, 3, M=20000, d0=2, dt_mc=0.05, seed=7)
-    inc = drawn(bundle)[:, 1, :]  # free component
-    var = inc.var()
-    n = inc.size
-    # 3 sigma band for a variance estimate from n samples
-    assert abs(var - 0.05) < 3 * 0.05 * np.sqrt(2.0 / (n - 1))
-    assert abs(inc.mean()) < 3 * np.sqrt(0.05 / n)
+def test_block_law():
+    # one block over 10^5 paths: mean sigma[:d] . dW_tree / n_sub and covariance
+    # dt_mc (s^2 I - |sigma[:d]|^2 11^T / n_sub), each entry within 5 standard
+    # errors (Gaussian: Var(x_i x_j) = S_ii S_jj + S_ij^2)
+    for d, sigma in [(1, [0.6, 0.8]), (2, [0.6, -0.8, 0.5])]:
+        tree = build_tree(d, 4, 1.0)
+        leaf, M, dt_mc, k = 1, 100_000, 0.0625, 2
+        bundle = bridge_paths(tree, leaf, M=M, sigma=sigma, dt_mc=dt_mc, seed=2024)
+        n = bundle.n_sub
+        x = bundle.block(k, np.arange(M))
+        sigma = np.asarray(sigma)
+        mean = edge_targets(tree, sigma, leaf)[k] / n
+        cov = dt_mc * (sigma @ sigma * np.eye(n) - sigma[:d] @ sigma[:d] * np.ones((n, n)) / n)
+        dev = x - mean
+        emp = dev @ dev.T / M
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / M)
+        assert np.all(np.abs(emp - cov) <= 5 * se)
+        assert np.all(np.abs(dev.mean(axis=1)) <= 5 * np.sqrt(np.diag(cov) / M))
+
+
+def test_free_bundle_pins_the_counter_stream():
+    # d0 = 1: one counter normal per (path, fine step) at p * n_fine + m,
+    # scaled by sigma_0 with its sign
+    bundle = free_paths(1.0, M=7, sigma=[-1.3], dt_mc=0.125, seed=(3, 4))
+    rows = np.array([5, 0, 3])
+    for k in range(bundle.n_fine):
+        counters = rows.astype(np.uint64) * np.uint64(bundle.n_fine) + np.uint64(k)
+        expected = -1.3 * (np.sqrt(0.125) * _counter_normals(bundle._key, counters))
+        assert np.array_equal(bundle.block(k, rows), expected[None, :])
 
 
 def test_bridge_paths_deterministic(tree5):
-    a = bridge_paths(tree5, 11, M=8, d0=2, dt_mc=0.1, seed=123)
-    b = bridge_paths(tree5, 11, M=8, d0=2, dt_mc=0.1, seed=123)
+    a = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
+    b = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
     assert np.array_equal(drawn(a), drawn(b))
     assert np.array_equal(drawn(a), drawn(a))  # drawing again repeats
-    c = bridge_paths(tree5, 11, M=8, d0=2, dt_mc=0.1, seed=124)
+    c = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=124)
     assert not np.array_equal(drawn(a), drawn(c))
 
 
 def test_bridge_paths_rejects_bad_steps(tree5):
     with pytest.raises(TreeError):
-        bridge_paths(tree5, 0, M=4, d0=2, dt_mc=0.15, seed=1)
-    with pytest.raises(TreeError):
-        bridge_paths(tree5, 0, M=4, d0=0, dt_mc=0.1, seed=1)
+        bridge_paths(tree5, 0, M=4, sigma=[0.6, 0.8], dt_mc=0.15, seed=1)
+    with pytest.raises(TreeError, match="d0 >= d"):
+        bridge_paths(tree5, 0, M=4, sigma=[], dt_mc=0.1, seed=1)
+    with pytest.raises(TreeError, match="d0 >= d"):
+        bridge_paths(build_tree(2, 2, 1.0), 0, M=4, sigma=[1.0], dt_mc=0.1, seed=1)
     # per-path leaf draws are sample_tree_paths' job; a node sequence must
     # be a root-to-leaf path
     with pytest.raises(TreeError, match="node sequence"):
-        bridge_paths(tree5, np.arange(4), M=4, d0=2, dt_mc=0.1, seed=1)
+        bridge_paths(tree5, np.arange(4), M=4, sigma=[0.6, 0.8], dt_mc=0.1, seed=1)
     with pytest.raises(TreeError, match="node sequence"):
-        bridge_paths(tree5, np.arange(tree5.n_steps + 1), M=6, d0=2, dt_mc=0.1, seed=1)
+        bridge_paths(tree5, np.arange(tree5.n_steps + 1), M=6, sigma=[0.6, 0.8], dt_mc=0.1,
+                     seed=1)
 
 
 def test_free_paths_shape_and_determinism():
-    a = free_paths(1.0, M=6, d0=3, dt_mc=0.25, seed=5)
-    assert a.increments.shape == (6, 3, 4)
-    assert drawn(a).shape == (6, 3, 4)
-    b = free_paths(1.0, M=6, d0=3, dt_mc=0.25, seed=5)
+    a = free_paths(1.0, M=6, sigma=[0.3, 0.4, 1.2], dt_mc=0.25, seed=5)
+    assert a.increments.shape == (6, 4)
+    assert drawn(a).shape == (6, 4)
+    b = free_paths(1.0, M=6, sigma=[0.3, 0.4, 1.2], dt_mc=0.25, seed=5)
     assert np.array_equal(drawn(a), drawn(b))
+    # d0 >= 2 without a tree: |sigma| Z
+    rows = np.arange(6)
+    assert np.allclose(a.block(2, rows), 1.3 * normals(a, 2, rows), rtol=1e-15, atol=0)
 
 
 def test_sample_tree_paths_per_path_constraint(tree5):
     # M = n_steps + 1: the leaf draws must not be taken for one node sequence
+    sigma = [0.6, 0.8]
     for M in (32, tree5.n_steps + 1):
-        bundle = sample_tree_paths(tree5, M=M, d0=2, dt_mc=0.1, seed=9)
-        at_coarse = wiener_paths(bundle)[:, 0, :: bundle.n_sub]
+        bundle = sample_tree_paths(tree5, M=M, sigma=sigma, dt_mc=0.1, seed=9)
+        rows = np.arange(M)
+        sums = np.array([bridged_sum(bundle, k, rows) for k in range(tree5.n_steps)])
         for p in range(M):
-            target = coarse_targets(tree5, bundle.leaves[p])
-            assert np.max(np.abs(at_coarse[p] - target)) < 1e-12
+            target = edge_targets(tree5, sigma, bundle.leaves[p])
+            assert np.max(np.abs(sums[:, p] - target)) < 1e-12
 
 
 def test_blocks_for_row_subsets(tree5):
     # a block drawn for any subset of paths holds exactly those paths'
-    # columns of the full block, each summing to its tree increment
-    bundle = sample_tree_paths(tree5, M=40, d0=2, dt_mc=0.025, seed=13)
+    # columns of the full block, each running through its own tree edge
+    sigma = [0.6, 0.8]
+    bundle = sample_tree_paths(tree5, M=40, sigma=sigma, dt_mc=0.025, seed=13)
     rng = np.random.default_rng(14)
     everyone = np.arange(bundle.n_paths)
     for k in range(tree5.n_steps):
         full = bundle.block(k, everyone)
-        assert full.shape == (bundle.n_sub, 2, 40)
+        assert full.shape == (bundle.n_sub, 40)
         rows = rng.choice(40, size=rng.integers(1, 40), replace=False)
         part = bundle.block(k, rows)
-        assert np.array_equal(part, full[:, :, rows])
-        target = np.array([np.diff(coarse_targets(tree5, leaf))[k] for leaf in bundle.leaves[rows]])
-        assert np.max(np.abs(part[:, 0].sum(axis=0) - target)) < 1e-12
+        assert np.array_equal(part, full[:, rows])
+        target = np.array([edge_targets(tree5, sigma, leaf)[k] for leaf in bundle.leaves[rows]])
+        assert np.max(np.abs(bridged_sum(bundle, k, rows) - target)) < 1e-12
 
 
 def test_d2_ito_isometry_and_clark_recovery():
