@@ -166,6 +166,10 @@ def op_B(g, coeffs, grid, tree) -> SpaceTimeField:
     return backward_sweep(g, coeffs, grid, tree)[2]
 
 
+# the step of solve_R's fixed-point iteration g <- g - DAMPING ((I+B)g - phi)
+DAMPING = 0.8
+
+
 def solve_R(
     phi: SpaceTimeField,
     coeffs: CoefficientSet,
@@ -173,7 +177,6 @@ def solve_R(
     tree: ScenarioTree,
     tol: float = 1e-8,
     max_iter: int = 200,
-    damping: float = 0.8,
     x0: SpaceTimeField | None = None,
 ):
     """Solve (I + B) g = phi by damped fixed-point iteration.
@@ -202,7 +205,7 @@ def solve_R(
         history.append(rn)
         if rn <= tol * phi_norm:
             return g, {"iterations": it, "residual": rn, "residual_history": history}
-        g = g - damping * r
+        g = g - DAMPING * r
     raise ConvergenceError(
         f"(I+B) fixed point did not reach tol={tol:g} in {max_iter} iterations "
         f"(last residual {history[-1]:.3e}); reduce the drift scale or the horizon",

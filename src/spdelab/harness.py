@@ -18,12 +18,15 @@ experiment; a config carries the experiment's inputs, not its verdicts.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import platform
 import resource
+import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .backward import backward_sweep, op_L, solve_R
-from .coefficients import make_family, validate
-from .domain import DomainSpec, build_grid, h0_inner
+from .coefficients import CoefficientError, make_family, validate
+from .domain import DomainSpec, GridError, build_grid, h0_inner
 from .fields import (
     SpaceTimeField,
     inner_x0,
@@ -43,7 +46,7 @@ from .fields import (
 )
 from .forward import solve_density, solve_duals
 from .montecarlo import conditional_functional, functional_estimate
-from .tree import TreeError, build_lattice, build_tree, fine_steps
+from .tree import MAX_STEPS, TreeError, build_lattice, build_tree, fine_steps
 
 
 class ConfigError(ValueError):
@@ -153,83 +156,161 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
 
 # --- configuration ----------------------------------------------------------
 
-_DEFAULTS = {
-    "feynman-kac-nonrandom": {
-        "coefficients": {"family": "constant", "f0": 0.0, "sigma": [1.0], "d": 1},
-        "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
-        "grid": {"nx": 201},
-        "tree": {"n_steps": 8, "horizon": 4.0},
-        "mc": {"paths": 100000, "dt_mc": 1.0e-3, "seed": 424242},
-        "params": {"x0": 0.5},
-    },
-    "representation-random": {
-        "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
-        "grid": {"nx": 161},
-        "tree": {"n_steps": 10, "horizon": 1.0},
-        "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
-        "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    },
-    "adjoint-suite": {
-        "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
-        "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
-        "grid": {"nx": 101},
-        "tree": {"n_steps": 8, "horizon": 1.0},
-        "mc": {"seed": 11},
-        "params": {"fine_nx": 201, "fine_n_steps": 16, "n_draws": 3},
-    },
-    "solvability-R": {
-        "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
-        "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
-        "grid": {"nx": 101},
-        "tree": {"n_steps": 10, "horizon": 1.0},
-        "mc": {"seed": 2468},
-    },
-    "duality-63": {
-        "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
-        "grid": {"nx": 101},
-        "tree": {"n_steps": 8, "horizon": 1.0},
-        "mc": {"seed": 6},
-        "params": {"fine_nx": 201, "fine_n_steps": 16, "p0_width": 0.5, "node_checks": 2},
-    },
-    "density-64-65": {
-        "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
-        "grid": {"nx": 161},
-        "tree": {"n_steps": 10, "horizon": 1.0},
-        "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
-        "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
-    },
-    "norm-bounds": {
-        "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
-        "grid": {"nx": 101},
-        "tree": {"n_steps": 8, "horizon": 1.0},
-        "mc": {"seed": 100},
-        "params": {"fine_nx": 201, "fine_n_steps": 12, "n_fields": 10},
-    },
+# the largest grid.nx or params.fine_nx: 50x the finest level any experiment
+# runs (201), and a grid built at load of at most 80 kB
+MAX_NX = 10_001
+
+
+def _is_real(v) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _count(least, most=math.inf):
+    """(check, what) of an integer in [least, most]; a bool is not one."""
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v <= most,
+            f"be an integer >= {least}" if most == math.inf
+            else f"be an integer in [{least}, {most}]")
+
+
+_REAL = (_is_real, "be a finite real number")
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "be a positive finite real number")
+_REALS = (lambda v: isinstance(v, list) and v != [] and all(map(_is_real, v)),
+          "be a non-empty list of finite real numbers")
+_INSIDE = "hold real numbers strictly inside the domain ({domain[a]:g}, {domain[b]:g})"
+
+# (section, key) -> (check, what): a value the config holds for the key must
+# pass check, else loading fails with "<section>.<key> must <what>"; what may
+# name values of sections checked before it (points name the domain bounds).
+# Section None is the top level; make_family decides a family's keys.
+CONFIG_KEYS = {
+    ("coefficients", "family"): (lambda v: isinstance(v, str), "be a family name"),
+    ("coefficients", "sigma"): _REALS,
+    ("coefficients", "d"): _count(1, max(MAX_STEPS)),
+    ("coefficients", "f0"): _REAL,
+    ("coefficients", "kappa"): _REAL,
+    ("coefficients", "a"): _REAL,
+    ("coefficients", "eps"): _REAL,
+    ("domain", "kind"): (lambda v: v in ("interval", "truncated_line"),
+                         "be interval or truncated_line"),
+    ("domain", "a"): _REAL,
+    ("domain", "b"): _REAL,
+    ("grid", "nx"): _count(1, MAX_NX),
+    ("tree", "n_steps"): _count(1, max(MAX_STEPS.values())),
+    ("tree", "horizon"): _POSITIVE,
+    ("mc", "seed"): (lambda v: all(map(_count(0)[0], v if isinstance(v, (list, tuple)) else [v])),
+                     "be an integer >= 0 or a list of them"),
+    ("mc", "paths"): _count(1),
+    ("mc", "dt_mc"): _POSITIVE,
+    ("params", "x0"): (_is_real, _INSIDE),
+    ("params", "x_points"): (_REALS[0], _INSIDE),
+    ("params", "t_points"): _REALS,
+    ("params", "fine_nx"): _count(1, MAX_NX),
+    ("params", "fine_n_steps"): _count(1),
+    ("params", "n_draws"): _count(1),
+    ("params", "n_fields"): _count(1),
+    ("params", "node_checks"): _count(1),
+    ("params", "p0_width"): _POSITIVE,
+    ("params", "leaf_bits"): (lambda v: isinstance(v, str) and v != "" and set(v) <= {"0", "1"},
+                              "be a non-empty string of 0s and 1s"),
+    (None, "output_dir"): (lambda v: isinstance(v, str) and v != "", "be a non-empty string"),
+    (None, "workers"): _count(1),
 }
 
 
-def _is_count(value, least) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+# cross-key rules, applied in RULES order once every key is typed
+
+def _oracle_family(cfg):
+    """feynman-kac-nonrandom's exit-time oracle is the closed form for a constant drift."""
+    family = cfg.coefficients["family"]
+    if cfg.experiment == "feynman-kac-nonrandom" and family != "constant":
+        raise ConfigError(f"feynman-kac-nonrandom's oracle needs the constant family, "
+                          f"got {family!r}")
 
 
-def _is_positive(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+def _levels_dominant(cfg):
+    """The coefficients (make_family checks the family's keys and d <= d0 =
+    len(sigma)) and both (nx, n_steps) levels build, and on each I - dt*A is
+    diagonally dominant, as the Thomas solver (no pivoting) needs."""
+    nx, n_steps = cfg.grid["nx"], cfg.tree["n_steps"]
+    fine = (cfg.params.get("fine_nx", nx), cfg.params.get("fine_n_steps", n_steps))
+    try:
+        coeffs = cfg.build_coeffs()
+        built = [(cfg.build_grid(m), cfg.build_tree(n)) for m, n in ((nx, n_steps), fine)]
+    except (CoefficientError, GridError, TreeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    k1, b = coeffs.drift_bound(), coeffs.b_total
+    for grid, tree in built:
+        value = 2.0 * tree.dt * (k1 / (2.0 * grid.dx) - b / (2.0 * grid.dx**2))
+        if value > 1.0:
+            raise ConfigError(
+                f"nx={grid.nx} with n_steps={tree.n_steps} breaks the diagonal dominance the "
+                f"Thomas solver needs: 2 dt (K1/(2dx) - b/(2dx^2)) = {value:.3g} > 1 "
+                f"(K1={k1:g}, b={b:g}); take more tree steps or a smaller drift")
 
+
+def _fine_not_coarser(cfg):
+    """The refinement rows compare the fine level against the coarse one."""
+    for fine, section, coarse in (("fine_nx", "grid", "nx"), ("fine_n_steps", "tree", "n_steps")):
+        value, least = cfg.params.get(fine), getattr(cfg, section)[coarse]
+        if value is not None and value < least:
+            raise ConfigError(f"params.{fine}={value} is below {section}.{coarse}={least}: the "
+                              f"fine level must be at least as fine as the coarse one")
+
+
+def _points_inside_domain(cfg):
+    """A point on or past the boundary snaps to a boundary node, where v and the oracle are 0."""
+    a, b = cfg.domain["a"], cfg.domain["b"]
+    for key in ("x0", "x_points"):
+        points = cfg.params.get(key, [])
+        if not all(a < x < b for x in (points if isinstance(points, list) else [points])):
+            raise ConfigError(
+                f"params.{key} must {_INSIDE.format(domain=cfg.domain)}, got {points!r}")
+
+
+def _dt_mc_divides(cfg):
+    """dt_mc divides the horizon, and the tree step when paths are bridged."""
+    if "dt_mc" in cfg.mc:
+        tree = cfg.build_tree()
+        try:
+            fine_steps(tree.horizon, cfg.mc["dt_mc"],
+                       tree.dt if EXPERIMENTS[cfg.experiment].bridged else None)
+        except TreeError as exc:
+            raise ConfigError(f"mc.dt_mc: {exc}") from exc
+
+
+def _t_points_on_tree_times(cfg):
+    """The density meets Monte Carlo at level-k nodes: t = k*dt, 0 <= k <= n_steps."""
+    tree, t_points = cfg.build_tree(), cfg.params.get("t_points", [])
+    if not all(-1e-9 <= t <= tree.horizon + 1e-9
+               and abs(t - round(t / tree.dt) * tree.dt) <= 1e-9 for t in t_points):
+        raise ConfigError(f"params.t_points must be tree times k*dt with dt={tree.dt:g} and "
+                          f"0 <= k <= {tree.n_steps}, got {t_points!r}")
+
+
+def _node_checks_fit(cfg):
+    """duality-63 checks the first node_checks nodes of level n_steps // 2."""
+    tree = cfg.build_tree()
+    k = tree.n_steps // 2
+    if cfg.params.get("node_checks", 1) > tree.n_nodes(k):
+        raise ConfigError(f"params.node_checks must be an integer in [1, {tree.n_nodes(k)}], "
+                          f"the nodes at level {k}, got {cfg.params['node_checks']!r}")
+
+
+def _leaf_bits_name_a_leaf(cfg):
+    """leaf_bits is a leaf index in binary, one bit per driving component and
+    tree step: a longer string would wrap modulo the leaf count."""
+    bits, n_bits = cfg.params.get("leaf_bits"), cfg.d * cfg.tree["n_steps"]
+    if bits is not None and len(bits) != n_bits:
+        raise ConfigError(f"params.leaf_bits must have d * tree.n_steps = {n_bits} bits, one "
+                          f"per driving component and tree step, got {len(bits)}: {bits!r}")
+
+
+RULES = (_oracle_family, _levels_dominant, _fine_not_coarser, _points_inside_domain,
+         _dt_mc_divides, _t_points_on_tree_times, _node_checks_fit, _leaf_bits_name_a_leaf)
 
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
-
-# the Monte Carlo experiments, and whether their paths are bridged through the
-# tree (then dt_mc must divide the tree step as well as the horizon)
-_MC_BRIDGED = {
-    "feynman-kac-nonrandom": False,
-    "representation-random": True,
-    "density-64-65": True,
-}
 
 
 @dataclass
@@ -246,157 +327,53 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The experiment's defaults overlaid with raw, every key typed by
+        CONFIG_KEYS, then checked by RULES; ConfigError names the first fault."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         name = raw.get("experiment")
-        if name not in _DEFAULTS:
-            raise ConfigError(
-                f"unknown experiment {name!r}; known: {sorted(_DEFAULTS)}"
-            )
+        if not isinstance(name, str) or name not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {name!r}; known: {list_experiments()}")
         extra = set(raw) - {"experiment", "output_dir", "workers", *_SECTIONS}
         if extra:
             raise ConfigError(f"unknown config sections: {sorted(extra)}")
-        merged = {}
+        merged = copy.deepcopy(EXPERIMENTS[name].defaults)
         for section in _SECTIONS:
-            given = raw.get(section, {})
+            given, base = raw.get(section, {}), merged.setdefault(section, {})
             if not isinstance(given, dict):
                 raise ConfigError(f"config section {section!r} must be a JSON object")
-            base = dict(_DEFAULTS[name].get(section, {}))
-            unknown = sorted(set(given) - set(base))
             if section == "coefficients":
                 # naming another family replaces the default family wholesale
                 if given.get("family", base["family"]) != base["family"]:
-                    base = {}
-            elif unknown:
-                raise ConfigError(
-                    f"unknown {section} keys for {name}: {unknown}; known: {sorted(base)}"
-                )
+                    base.clear()
+            elif set(given) - set(base):
+                raise ConfigError(f"unknown {section} keys for {name}: "
+                                  f"{sorted(set(given) - set(base))}; known: {sorted(base)}")
             base.update(given)
-            merged[section] = base
-        cfg = cls(
-            experiment=name,
-            output_dir=raw.get("output_dir", "out"),
-            workers=raw.get("workers", 1),
-            **merged,
-        )
-        cfg.validate()
+        cfg = cls(name, output_dir=raw.get("output_dir", "out"),
+                  workers=raw.get("workers", 1), **merged)
+        for (section, key), (check, what) in CONFIG_KEYS.items():
+            values = vars(cfg) if section is None else getattr(cfg, section)
+            if key in values and not check(values[key]):
+                label = key if section is None else f"{section}.{key}"
+                raise ConfigError(
+                    f"{label} must {what.format(**vars(cfg))}, got {values[key]!r}")
+        if "leaf_bits" in cfg.params and "leaf_bits" not in raw.get("params", {}):
+            # the default leaf on a tree of another depth: its index modulo the leaf count
+            n_bits = cfg.d * cfg.tree["n_steps"]
+            cfg.params["leaf_bits"] = cfg.params["leaf_bits"][-n_bits:].zfill(n_bits)
+        for rule in RULES:
+            rule(cfg)
         return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_config(path))
 
-    def validate(self):
-        seed = self.mc.get("seed")
-        if seed is None:
-            raise ConfigError("mc.seed is mandatory")
-        if not all(_is_count(s, 0) for s in (seed if isinstance(seed, (list, tuple)) else [seed])):
-            raise ConfigError(f"mc.seed must be an integer >= 0 or a list of them, got {seed!r}")
-        fam = dict(self.coefficients)
-        name = fam.pop("family", None)
-        d0 = len(fam.get("sigma", []))
-        d = fam.get("d", d0)
-        if not d <= d0:
-            raise ConfigError(f"need d <= d0, got d={d}, d0={d0}")
-        if not _is_count(self.workers, 1):
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
-        coeffs = make_family(name, fam)  # raises CoefficientError on bad families
-        if self.experiment == "feynman-kac-nonrandom" and name != "constant":
-            raise ConfigError(
-                f"feynman-kac-nonrandom's oracle needs the constant family, got {name!r}")
-        counts = {"grid.nx": self.grid["nx"], "tree.n_steps": self.tree["n_steps"]}
-        counts.update({f"params.{key}": self.params[key] for key in
-                       ("fine_nx", "fine_n_steps", "n_draws", "n_fields") if key in self.params})
-        for key, value in counts.items():
-            if not _is_count(value, 1):
-                raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-        if "p0_width" in self.params and not _is_positive(self.params["p0_width"]):
-            raise ConfigError(
-                f"params.p0_width must be a positive number, got {self.params['p0_width']!r}")
-        if "leaf_bits" in self.params:
-            bits = self.params["leaf_bits"]
-            if not (isinstance(bits, str) and bits and set(bits) <= {"0", "1"}):
-                raise ConfigError(f"params.leaf_bits must be a string of 0s and 1s, got {bits!r}")
-        for key in ("x_points", "t_points"):
-            if key in self.params and not (isinstance(self.params[key], list)
-                                           and self.params[key]):
-                raise ConfigError(
-                    f"params.{key} must be a non-empty list, got {self.params[key]!r}")
-        # build every grid and tree level the experiment will touch
-        levels = [(self.grid["nx"], self.tree["n_steps"]),
-                  (self.params.get("fine_nx", self.grid["nx"]),
-                   self.params.get("fine_n_steps", self.tree["n_steps"]))]
-        try:
-            built = [(self.build_grid(nx), self.build_tree(n)) for nx, n in levels]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        for grid, tree in built:
-            _check_dominance(coeffs, grid, tree)
-        # the refinement rows compare the fine level against the coarse one
-        for fine, coarse in (("params.fine_nx", "grid.nx"),
-                             ("params.fine_n_steps", "tree.n_steps")):
-            if counts.get(fine, counts[coarse]) < counts[coarse]:
-                raise ConfigError(
-                    f"{fine}={counts[fine]} is below {coarse}={counts[coarse]}: the fine "
-                    f"level must be at least as fine as the coarse one")
-        for key in ("x0", "x_points"):
-            if key in self.params:
-                self._validate_points(key)
-        if self.experiment in _MC_BRIDGED:
-            self._validate_mc(_MC_BRIDGED[self.experiment])
-        if self.experiment == "density-64-65":
-            self._validate_t_points(built[0][1])
-        if "node_checks" in self.params:
-            tree = built[0][1]
-            n_nodes = tree.n_nodes(tree.n_steps // 2)
-            if not (_is_count(self.params["node_checks"], 1)
-                    and self.params["node_checks"] <= n_nodes):
-                raise ConfigError(
-                    f"params.node_checks must be an integer in [1, {n_nodes}], the nodes "
-                    f"at level {tree.n_steps // 2}, got {self.params['node_checks']!r}")
-
-    def _validate_mc(self, bridged: bool):
-        paths, dt_mc = self.mc["paths"], self.mc["dt_mc"]
-        if not _is_count(paths, 1):
-            raise ConfigError(f"mc.paths must be an integer >= 1, got {paths!r}")
-        if not _is_positive(dt_mc):
-            raise ConfigError(f"mc.dt_mc must be a positive number, got {dt_mc!r}")
-        tree = self.build_tree()
-        try:
-            fine_steps(tree.horizon, float(dt_mc), tree.dt if bridged else None)
-        except TreeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def _validate_points(self, key):
-        """Each point of params.x0 / params.x_points must be a real number
-        strictly inside the domain: a point on or past the boundary snaps to
-        a boundary node, where the Dirichlet solution and its oracle are 0."""
-        value = self.params[key]
-        a, b = float(self.domain["a"]), float(self.domain["b"])
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and a < x < b
-                   for x in (value if key == "x_points" else [value])):
-            raise ConfigError(
-                f"params.{key} must hold real numbers strictly inside the domain "
-                f"({a:g}, {b:g}), got {value!r}")
-
-    def _validate_t_points(self, tree):
-        """Each t_points entry must be a tree time k*dt, 0 <= k <= n_steps: the
-        density is compared with Monte Carlo at the level-k nodes."""
-        t_points = self.params["t_points"]
-        ok = isinstance(t_points, list) and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool)
-            and -1e-9 <= t <= tree.horizon + 1e-9
-            and abs(t - round(t / tree.dt) * tree.dt) <= 1e-9
-            for t in t_points
-        )
-        if not ok:
-            raise ConfigError(
-                f"params.t_points must be tree times k*dt with dt={tree.dt:g} and "
-                f"0 <= k <= {tree.n_steps}, got {t_points!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def d(self) -> int:
+        """How many sigma columns ride on the scenario tree."""
+        return self.coefficients.get("d", len(self.coefficients.get("sigma", ())))
 
     # object builders -----------------------------------------------------
 
@@ -407,12 +384,11 @@ class ExperimentConfig:
     def build_grid(self, nx=None):
         dom, horizon = self.domain, float(self.tree["horizon"])
         domain = DomainSpec(dom["kind"], float(dom["a"]), float(dom["b"]), horizon)
-        return build_grid(domain, int(self.grid["nx"] if nx is None else nx))
+        return build_grid(domain, self.grid["nx"] if nx is None else nx)
 
     def build_tree(self, n_steps=None):
-        d = int(self.coefficients.get("d", len(self.coefficients["sigma"])))
         n_steps = self.tree["n_steps"] if n_steps is None else n_steps
-        return build_tree(d, int(n_steps), float(self.tree["horizon"]))
+        return build_tree(self.d, n_steps, float(self.tree["horizon"]))
 
     def build(self, nx=None, n_steps=None):
         """(coefficients, grid, tree), at the configured level unless nx or
@@ -421,8 +397,7 @@ class ExperimentConfig:
 
 
 def read_config(path) -> dict:
-    """The JSON object in a config file; ConfigError if it cannot be read or
-    is not an object."""
+    """The JSON object in a config file; ConfigError if it cannot be read or is not one."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -433,26 +408,12 @@ def read_config(path) -> dict:
     return raw
 
 
-def _check_dominance(coeffs, grid, tree):
-    """The Thomas solver does not pivot: I - dt*A must be diagonally dominant
-    at every node, which holds when 2 dt (K1/(2dx) - b/(2dx^2)) <= 1."""
-    k1, b = coeffs.drift_bound(), coeffs.b_total
-    value = 2.0 * tree.dt * (k1 / (2.0 * grid.dx) - b / (2.0 * grid.dx**2))
-    if value > 1.0:
-        raise ConfigError(
-            f"nx={grid.nx} with n_steps={tree.n_steps} breaks the diagonal dominance the "
-            f"Thomas solver needs: 2 dt (K1/(2dx) - b/(2dx^2)) = {value:.3g} > 1 "
-            f"(K1={k1:g}, b={b:g}); take more tree steps or a smaller drift"
-        )
-
-
 def list_experiments() -> list:
-    return sorted(_DEFAULTS)
+    return sorted(EXPERIMENTS)
 
 
 def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
-    raw = {"experiment": name}
-    raw.update(overrides)
+    raw = {"experiment": name, **overrides}
     if seed is not None:
         raw.setdefault("mc", {})["seed"] = seed
     return ExperimentConfig.from_dict(raw)
@@ -460,15 +421,11 @@ def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
 
 # --- shared helpers ---------------------------------------------------------
 
-# the experiments that solve R*, L* or the density equation, which need the
-# superparabolic regime
-_SUPERPARABOLIC = ("adjoint-suite", "duality-63", "density-64-65")
-
-
 def _coefficient_diagnostics(cfg) -> dict:
     """The coefficient ValidationReport at the configured level, for
     summary.json."""
-    report = validate(*cfg.build(), require_superparabolic=cfg.experiment in _SUPERPARABOLIC)
+    report = validate(*cfg.build(),
+                      require_superparabolic=EXPERIMENTS[cfg.experiment].superparabolic)
     return dict(asdict(report), passed=report.passed)
 
 
@@ -521,18 +478,15 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     ix = int(np.argmin(np.abs(grid.x - cfg.params["x0"])))
     v_mid = float(sol.v.levels[0][ix, 0])
     oracle = float(_expected_exit_time(float(grid.x[ix]), grid.domain.a, grid.domain.b,
-                                       float(cfg.coefficients["f0"]), coeffs.b_total))
+                                       cfg.coefficients["f0"], coeffs.b_total))
     rows = [CheckRow(cfg.experiment, "v-mid-vs-exit-time-oracle", "5.1c",
                      v_mid, oracle, 0.02, abs(v_mid - oracle) <= 0.02)]
     kernel_ratio = norm_x0(sol.kernels[0]) / max(norm_x0(phi), 1e-300)
     rows.append(CheckRow(cfg.experiment, "kernels-vanish-nonrandom", "2.1",
                          kernel_ratio, 0.0, 1e-12, kernel_ratio <= 1e-12))
-    est = functional_estimate(
-        coeffs, _unit, float(grid.x[ix]),
-        int(cfg.mc["paths"]), cfg.mc["seed"],
-        grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
-        tree=None, workers=cfg.workers,
-    )
+    est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
+                              grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
+                              tree=None, workers=cfg.workers)
     diag["monte_carlo"] = {"v-vs-monte-carlo": est.marches()}
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "v-vs-monte-carlo", "1.3",
@@ -552,11 +506,9 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
         for xv in xs:
             ix = int(np.argmin(np.abs(grid.x - xv)))
             est = functional_estimate(
-                family, _gaussian, float(grid.x[ix]),
-                int(cfg.mc["paths"]), (cfg.mc["seed"], seed_tag, ix),
-                grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
-                tree=tree, workers=cfg.workers,
-            )
+                family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
+                (cfg.mc["seed"], seed_tag, ix), grid=grid, domain=grid.domain,
+                dt_mc=float(cfg.mc["dt_mc"]), tree=tree, workers=cfg.workers)
             out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
 
@@ -613,7 +565,7 @@ _PAIR_ANCHORS = {"T": "2.8", "G": "3.1", "B": "3.3", "R": "3.5", "L": "3.7"}
 
 def _exp_adjoint_suite(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
-    n_draws = int(p["n_draws"])
+    n_draws = p["n_draws"]
     seed = cfg.mc["seed"]
     # field-draw seed pairs derive deterministically from the config seed
     seed_pairs = [((seed, 2 * i), (seed, 2 * i + 1)) for i in range(n_draws)]
@@ -682,7 +634,7 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
 
 def _duality_gap(cfg, nx, n_steps):
     coeffs, grid, tree = cfg.build(nx, n_steps)
-    p0 = _gaussian_density(grid, float(cfg.params["p0_width"]))
+    p0 = _gaussian_density(grid, cfg.params["p0_width"])
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     sol = op_L(phi, coeffs, grid, tree)
     dens = solve_density(p0, coeffs, grid, tree)
@@ -712,7 +664,7 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
         child_mean = cond[m + 1].reshape(tree.n_nodes(m), -1).mean(axis=1)
         cond[m] = per_node + child_mean
     node_budget = 2.0 * budget
-    for node in range(int(p["node_checks"])):
+    for node in range(p["node_checks"]):
         lhs_n = h0_inner(dens.p.levels[k][:, node], sol.v.levels[k][:, node], grid)
         rhs_n = float(cond[k][node])
         rows.append(CheckRow(cfg.experiment, f"gap-at-node-{k}:{node}", "6.3",
@@ -730,21 +682,18 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
 def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = cfg.build()
     p = cfg.params
-    p0 = _gaussian_density(grid, float(p["p0_width"]))
-    leaf = int(p["leaf_bits"], 2) % tree.n_leaves
+    p0 = _gaussian_density(grid, p["p0_width"])
+    leaf = int(p["leaf_bits"], 2)
     dens = solve_density(p0, coeffs, grid, tree)
     diag["density"] = [_density_diagnostics(dens, grid, tree)]
     anc = tree.leaf_path(leaf)
-    t_points = [float(t) for t in p["t_points"]]
     cond = conditional_functional(
-        coeffs, _gaussian, leaf, t_points,
-        int(cfg.mc["paths"]), cfg.mc["seed"],
+        coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
         tree=tree, grid=grid, domain=grid.domain, p0=p0,
-        dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers,
-    )
+        dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers)
     diag["monte_carlo"] = {"conditional-identity": cond[0].marches()}
     rows = []
-    for est, t in zip(cond, t_points):
+    for est, t in zip(cond, p["t_points"]):
         k = int(round(t / tree.dt))
         pde = h0_inner(dens.p.levels[k][:, anc[k]], _gaussian(grid.x, t, None), grid)
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
@@ -752,12 +701,9 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
                              pde, est.value, 0.05, rel <= 0.05))
     sol = op_L(_dirichlet_profile(grid, tree, _gaussian), coeffs, grid, tree)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
-    est = functional_estimate(
-        coeffs, _gaussian, p0,
-        int(cfg.mc["paths"]), (cfg.mc["seed"], 65),
-        grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
-        tree=tree, workers=cfg.workers,
-    )
+    est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
+                              grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
+                              tree=tree, workers=cfg.workers)
     diag["monte_carlo"]["unconditional-identity"] = est.marches()
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "unconditional-identity", "6.5",
@@ -776,7 +722,7 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
     def ratios(nx, n_steps):
         coeffs, grid, tree = _state_space(cfg, nx, n_steps, diag)
         rc, rx = 0.0, 0.0
-        for i in range(int(p["n_fields"])):
+        for i in range(p["n_fields"]):
             phi = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], i))
             sol = op_L(phi, coeffs, grid, tree)
             nphi = max(norm_x0(phi), 1e-300)
@@ -794,16 +740,69 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
     ]
 
 
-# each experiment takes its config and a dict for the solver diagnostics it
-# records (written to summary.json), and returns its check rows
+@dataclass(frozen=True)
+class Experiment:
+    """checks(config, diagnostics) returns the rows, recording solver diagnostics;
+    defaults are the acceptance settings; bridged: Monte Carlo paths follow the
+    tree; superparabolic: it solves R*, L* or the density equation."""
+
+    checks: Callable
+    defaults: dict
+    bridged: bool = False
+    superparabolic: bool = False
+
+
+_DRIFT_RANDOM = {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}
+
 EXPERIMENTS = {
-    "feynman-kac-nonrandom": _exp_feynman_kac_nonrandom,
-    "representation-random": _exp_representation_random,
-    "adjoint-suite": _exp_adjoint_suite,
-    "solvability-R": _exp_solvability_R,
-    "duality-63": _exp_duality_63,
-    "density-64-65": _exp_density_64_65,
-    "norm-bounds": _exp_norm_bounds,
+    "feynman-kac-nonrandom": Experiment(_exp_feynman_kac_nonrandom, {
+        "coefficients": {"family": "constant", "f0": 0.0, "sigma": [1.0], "d": 1},
+        "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
+        "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
+        "mc": {"paths": 100000, "dt_mc": 1.0e-3, "seed": 424242},
+        "params": {"x0": 0.5},
+    }),
+    "representation-random": Experiment(_exp_representation_random, {
+        "coefficients": _DRIFT_RANDOM,
+        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
+        "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
+        "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+    }, bridged=True),
+    "adjoint-suite": Experiment(_exp_adjoint_suite, {
+        "coefficients": _DRIFT_RANDOM,
+        "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
+        "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
+        "mc": {"seed": 11},
+        "params": {"fine_nx": 201, "fine_n_steps": 16, "n_draws": 3},
+    }, superparabolic=True),
+    "solvability-R": Experiment(_exp_solvability_R, {
+        "coefficients": _DRIFT_RANDOM,
+        "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
+        "grid": {"nx": 101}, "tree": {"n_steps": 10, "horizon": 1.0},
+        "mc": {"seed": 2468},
+    }),
+    "duality-63": Experiment(_exp_duality_63, {
+        "coefficients": _DRIFT_RANDOM,
+        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
+        "mc": {"seed": 6},
+        "params": {"fine_nx": 201, "fine_n_steps": 16, "p0_width": 0.5, "node_checks": 2},
+    }, superparabolic=True),
+    "density-64-65": Experiment(_exp_density_64_65, {
+        "coefficients": _DRIFT_RANDOM,
+        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
+        "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
+        "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
+    }, bridged=True, superparabolic=True),
+    "norm-bounds": Experiment(_exp_norm_bounds, {
+        "coefficients": _DRIFT_RANDOM,
+        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
+        "mc": {"seed": 100},
+        "params": {"fine_nx": 201, "fine_n_steps": 12, "n_fields": 10},
+    }),
 }
 
 
@@ -811,11 +810,11 @@ def run(config: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute the named experiment and (optionally) write its report files."""
     start = time.perf_counter()
     diagnostics = {"coefficients": _coefficient_diagnostics(config)}
-    rows = EXPERIMENTS[config.experiment](config, diagnostics)
+    rows = EXPERIMENTS[config.experiment].checks(config, diagnostics)
     report = ExperimentReport(
         experiment=config.experiment,
         rows=rows,
-        config=config.to_dict(),
+        config=asdict(config),
         elapsed=time.perf_counter() - start,
         diagnostics=diagnostics,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from spdelab.harness import _DEFAULTS, default_config, list_experiments, run
+from spdelab.harness import EXPERIMENTS, default_config, list_experiments, run
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -90,7 +90,7 @@ def test_every_param_and_mc_key_is_read(name):
     cfg.params, cfg.mc = ReadLog(cfg.params), ReadLog(cfg.mc)
     run(cfg, write=False)
     for section in ("params", "mc"):
-        unread = set(_DEFAULTS[name].get(section, {})) - getattr(cfg, section).read
+        unread = set(EXPERIMENTS[name].defaults.get(section, {})) - getattr(cfg, section).read
         assert not unread, (section, sorted(unread))
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from spdelab.cli import main
 from spdelab.harness import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -138,13 +140,62 @@ BAD_AT_LOAD = [
     # int() would truncate it and run at nx = 101
     ({"experiment": "density-64-65", "grid": {"nx": 101.9}}, "grid.nx must be an integer"),
     ({"experiment": "duality-63", "params": {"fine_nx": 81}}, "params.fine_nx=81 is below"),
+    # strings and bools are not numbers: they used to be echoed or coerced
+    ({"experiment": "solvability-R", "tree": {"horizon": "1"}}, "tree.horizon must be"),
+    ({"experiment": "solvability-R", "tree": {"horizon": True}}, "tree.horizon must be"),
+    ({"experiment": "adjoint-suite", "domain": {"a": "0"}}, "domain.a must be"),
+    ({"experiment": "solvability-R", "domain": {"b": "8"}}, "domain.b must be"),
+    ({"experiment": "duality-63", "coefficients": {"kappa": "0.25"}}, "coefficients.kappa must be"),
+    ({"experiment": "duality-63", "coefficients": {"kappa": True}}, "coefficients.kappa must be"),
+    # make_family would truncate it to d = 1
+    ({"experiment": "norm-bounds", "coefficients": {"d": 1.5}}, "coefficients.d must be"),
+    # make_family's family lookup would raise TypeError (exit 1)
+    ({"experiment": "norm-bounds", "coefficients": {"family": ["space-smooth"], "sigma": [1.0]}},
+     "coefficients.family must be"),
+    # one bit per tree step: these used to wrap modulo the 2**10 leaves
+    ({"experiment": "density-64-65", "params": {"leaf_bits": "11010101010"}},
+     "params.leaf_bits must have d * tree.n_steps = 10 bits"),
+    ({"experiment": "density-64-65", "params": {"leaf_bits": "1"}},
+     "params.leaf_bits must have d * tree.n_steps = 10 bits"),
+    # used to fail in write_report, after the whole solve
+    ({"experiment": "solvability-R", "output_dir": 5}, "output_dir must be a non-empty string"),
+    # used to raise numpy's memory error (exit 1) or build an 8 GB grid at load
+    ({"experiment": "solvability-R", "grid": {"nx": 10**13}}, "grid.nx must be an integer in"),
+    ({"experiment": "density-64-65", "grid": {"nx": 10**9}}, "grid.nx must be an integer in"),
 ], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "leaf_bits=abc", "nx=101.9",
-        "fine_nx<nx"])
+        "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
+        "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
+        "nx=1e13", "nx=1e9"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["validate-config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_default_leaf_follows_the_tree_depth():
+    # the default leaf 1010101010 (682) keeps its index modulo the leaf count
+    # on a shallower tree; a given leaf_bits must fit the tree exactly
+    assert default_config("density-64-65").params["leaf_bits"] == "1010101010"
+    cfg = default_config("density-64-65", tree={"n_steps": 5})
+    assert cfg.params["leaf_bits"] == format(682 % 2**5, "05b") == "01010"
+    cfg = default_config("density-64-65", tree={"n_steps": 5}, params={"leaf_bits": "10101"})
+    assert cfg.params["leaf_bits"] == "10101"
+    with pytest.raises(ConfigError, match="params.leaf_bits must have d . tree.n_steps = 5"):
+        default_config("density-64-65", tree={"n_steps": 5}, params={"leaf_bits": "1010101010"})
+
+
+def test_config_keys_type_every_default_and_are_documented():
+    # every key an experiment's defaults hold is typed by the key table, and
+    # the README's config paragraph names each key of the table
+    typed = {f"{section}.{key}" for section, key in CONFIG_KEYS if section is not None}
+    for name, record in EXPERIMENTS.items():
+        for section, values in record.defaults.items():
+            assert {f"{section}.{key}" for key in values} <= typed, name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("A config file names the experiment")[1].split("\n## ")[0]
+    for section, key in CONFIG_KEYS:
+        assert f"`{key if section is None else f'{section}.{key}'}`" in paragraph, key
 
 
 def test_fine_levels_may_not_be_coarser():
