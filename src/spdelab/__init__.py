@@ -4,10 +4,7 @@ tree, cross-verified against first-exit-time Monte Carlo."""
 from .backward import (
     BackwardSolution,
     ConvergenceError,
-    op_B,
-    op_G,
     op_L,
-    op_T,
     residual_bspde,
     solve_backward_pathwise,
     solve_R,

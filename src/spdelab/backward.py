@@ -106,8 +106,9 @@ def _b_of_kernels(grid, sigma, kern):
 
 
 def backward_sweep(g: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree):
-    """One backward pass over the tree; returns (v, kernels, bg), the
-    engine shared by op_T, op_G and op_B."""
+    """One backward pass over the tree; returns (v, kernels, bg): T g = E{ U | F_t }
+    of the pathwise solutions U, the representation kernels G g = [X_j], and
+    B g = - sum_j beta_j dX_j/dx (one-sided at the first interior nodes)."""
     N, d, dt = tree.n_steps, tree.d, tree.dt
     # level k of v and of the d kernels, stacked: one solve covers them
     sol = [None] * N + [np.zeros((1 + d, grid.nx, tree.n_nodes(N)))]
@@ -127,17 +128,17 @@ def backward_sweep(g: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: 
 def solve_backward_pathwise(
     g: SpaceTimeField,
     coeffs: CoefficientSet,
-    leaf_path,
+    leaf: int,
     grid: Grid,
     tree: ScenarioTree,
 ) -> np.ndarray:
-    """March the terminal-value problem down one leaf path.
+    """March the terminal-value problem down the path to one leaf.
 
     Returns U of shape (n_steps + 1, nx) with U[N] = 0 and zero boundary
     columns.  Serves as the leaf-enumeration oracle for the tree operators.
     """
     require_tree(tree, "solve_backward_pathwise")
-    path = tree.node_path(leaf_path)
+    path = tree.leaf_path(leaf)
     N, dt = tree.n_steps, tree.dt
     U = np.zeros((N + 1, grid.nx))
     for k in range(N - 1, -1, -1):
@@ -148,26 +149,10 @@ def solve_backward_pathwise(
     return U
 
 
-def op_T(g, coeffs, grid, tree) -> SpaceTimeField:
-    """v = E{ U(., t) | F_t } for the pathwise solutions U; the level-k
-    slice holds the conditional expectation at each level-k node."""
-    return backward_sweep(g, coeffs, grid, tree)[0]
-
-
-def op_G(g, coeffs, grid, tree) -> list:
-    """Diffusion kernels X_j: the martingale-representation kernels of
-    U(x, t, .) on the diagonal, one adapted field per driving component."""
-    return backward_sweep(g, coeffs, grid, tree)[1]
-
-
-def op_B(g, coeffs, grid, tree) -> SpaceTimeField:
-    """B g = - sum_j beta_j dX_j/dx with centered differences (one-sided at
-    the first interior nodes); boundary rows zero."""
-    return backward_sweep(g, coeffs, grid, tree)[2]
-
-
-# the step of solve_R's fixed-point iteration g <- g - DAMPING ((I+B)g - phi)
+# the step of solve_R's fixed-point iteration g <- g - DAMPING ((I+B)g - phi),
+# and the most sweeps it may take
 DAMPING = 0.8
+MAX_ITER = 200
 
 
 def solve_R(
@@ -176,14 +161,13 @@ def solve_R(
     grid: Grid,
     tree: ScenarioTree,
     tol: float = 1e-8,
-    max_iter: int = 200,
     x0: SpaceTimeField | None = None,
 ):
     """Solve (I + B) g = phi by damped fixed-point iteration.
 
     Returns (g, info) where info reports the iteration count and residual
     history (X0 norms of (I+B)g - phi).  Raises ConvergenceError when the
-    residual does not fall below tol * ||phi|| within max_iter sweeps: the
+    residual does not fall below tol * ||phi|| within MAX_ITER sweeps: the
     contraction budget of the Neumann series is exceeded and the caller
     should shrink the drift scale or the horizon.  op_L solves the same
     system exactly; this iteration is kept because its convergence is a
@@ -198,7 +182,7 @@ def solve_R(
         }
     g = phi.copy() if x0 is None else x0.copy()
     history = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         bg = backward_sweep(g, coeffs, grid, tree)[2]
         r = g + bg - phi
         rn = norm_x0(r)
@@ -207,9 +191,9 @@ def solve_R(
             return g, {"iterations": it, "residual": rn, "residual_history": history}
         g = g - DAMPING * r
     raise ConvergenceError(
-        f"(I+B) fixed point did not reach tol={tol:g} in {max_iter} iterations "
+        f"(I+B) fixed point did not reach tol={tol:g} in {MAX_ITER} iterations "
         f"(last residual {history[-1]:.3e}); reduce the drift scale or the horizon",
-        iterations=max_iter,
+        iterations=MAX_ITER,
         residual=history[-1],
     )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, ExperimentConfig, list_experiments, read_config, run
+from .harness import ConfigError, ExperimentConfig, list_experiments, read_config, run, set_seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,8 +42,7 @@ def main(argv=None) -> int:
     try:
         raw = read_config(args.config)
         if args.command == "run":
-            if args.seed is not None:
-                raw.setdefault("mc", {})["seed"] = args.seed
+            set_seed(raw, args.seed)
             if args.out_dir is not None:
                 raw["output_dir"] = args.out_dir
             if args.workers is not None:

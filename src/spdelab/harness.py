@@ -412,10 +412,16 @@ def list_experiments() -> list:
     return sorted(EXPERIMENTS)
 
 
+def set_seed(raw: dict, seed) -> None:
+    """Set mc.seed in a raw config unless seed is None; an mc that is not an
+    object is left for from_dict to reject."""
+    if seed is not None and isinstance(raw.setdefault("mc", {}), dict):
+        raw["mc"]["seed"] = seed
+
+
 def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
     raw = {"experiment": name, **overrides}
-    if seed is not None:
-        raw.setdefault("mc", {})["seed"] = seed
+    set_seed(raw, seed)
     return ExperimentConfig.from_dict(raw)
 
 
@@ -485,7 +491,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     rows.append(CheckRow(cfg.experiment, "kernels-vanish-nonrandom", "2.1",
                          kernel_ratio, 0.0, 1e-12, kernel_ratio <= 1e-12))
     est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
-                              grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
+                              grid=grid, dt_mc=float(cfg.mc["dt_mc"]),
                               tree=None, workers=cfg.workers)
     diag["monte_carlo"] = {"v-vs-monte-carlo": est.marches()}
     tol = 3.0 * est.stderr + 0.02
@@ -507,7 +513,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
             ix = int(np.argmin(np.abs(grid.x - xv)))
             est = functional_estimate(
                 family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
-                (cfg.mc["seed"], seed_tag, ix), grid=grid, domain=grid.domain,
+                (cfg.mc["seed"], seed_tag, ix), grid=grid,
                 dt_mc=float(cfg.mc["dt_mc"]), tree=tree, workers=cfg.workers)
             out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
@@ -689,8 +695,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     anc = tree.leaf_path(leaf)
     cond = conditional_functional(
         coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
-        tree=tree, grid=grid, domain=grid.domain, p0=p0,
-        dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers)
+        tree=tree, grid=grid, p0=p0, dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers)
     diag["monte_carlo"] = {"conditional-identity": cond[0].marches()}
     rows = []
     for est, t in zip(cond, p["t_points"]):
@@ -702,7 +707,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     sol = op_L(_dirichlet_profile(grid, tree, _gaussian), coeffs, grid, tree)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
-                              grid=grid, domain=grid.domain, dt_mc=float(cfg.mc["dt_mc"]),
+                              grid=grid, dt_mc=float(cfg.mc["dt_mc"]),
                               tree=tree, workers=cfg.workers)
     diag["monte_carlo"]["unconditional-identity"] = est.marches()
     tol = 3.0 * est.stderr + 0.02

@@ -15,10 +15,9 @@ snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are detected at mesh points
 only (no crossing correction; the O(sqrt(dt_mc)) under-detection bias is
 absorbed into the acceptance tolerances); exited paths freeze and their
-alive indicator flips once.  Estimates run in chunks of the requested size
-(25,000 paths by default) whose generators derive from the user seed by the
-splitting rule in `tree.seed_entropy`, so results do not depend on the
-worker count.
+alive indicator flips once.  Estimates run in chunks of CHUNK paths whose
+generators derive from the user seed by the splitting rule in
+`tree.seed_entropy`, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -232,20 +231,6 @@ def _estimate(chunks) -> EstimatorResult:
     return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)), n=n)
 
 
-def _with_marches(result: EstimatorResult, runs) -> EstimatorResult:
-    """result with the record of its marches, from (paths, normals drawn,
-    paths exited) per chunk, in chunk order."""
-    paths, drawn, exited = zip(*runs)
-    return replace(result, chunks=paths, normals_drawn=sum(drawn),
-                   exit_frac=sum(exited) / sum(paths))
-
-
-def _march_record(trajs: TrajectorySet, bundle: PathBundle) -> tuple:
-    """(paths, normals drawn, paths exited before the horizon) of one march."""
-    exited = int(np.count_nonzero(trajs.tau < bundle.times[-1]))
-    return trajs.n_paths, trajs.normals_drawn, exited
-
-
 def estimate_functional(trajs: TrajectorySet, name: str) -> EstimatorResult:
     """Estimate E sum_{t < tau} phi(y(t), t) dt_mc for the integrand
     registered under `name` at simulation time."""
@@ -269,40 +254,54 @@ def empirical_density(trajs: TrajectorySet, t: float, grid: Grid) -> np.ndarray:
     return counts / (trajs.n_paths * grid.dx)
 
 
-def _run_chunks(total: int, chunk_size: int, workers: int, job):
-    """Deterministic chunked execution: job(chunk_index, chunk_count) -> value;
-    results are reduced in chunk order regardless of worker count."""
-    sizes = []
-    left = total
-    while left > 0:
-        sizes.append(min(chunk_size, left))
-        left -= sizes[-1]
+# paths per chunk of a chunked estimate
+CHUNK = 25_000
+
+
+def _chunked(M: int, workers: int, job) -> list:
+    """Deterministic chunked estimation: job(chunk_index, chunk_count) ->
+    (vals, trajs, bundle) with vals of shape (n_est, chunk_count).
+
+    Each chunk is reduced to its sums as it finishes and the sums are added
+    in chunk order, whatever the worker count; returns one EstimatorResult
+    per row of vals, each carrying the record of the same marches.
+    """
+    def sums(i, m):
+        vals, trajs, bundle = job(i, m)
+        exited = int(np.count_nonzero(trajs.tau < bundle.times[-1]))
+        return vals.sum(axis=1), (vals**2).sum(axis=1), trajs.normals_drawn, exited
+
+    sizes = [min(CHUNK, M - lo) for lo in range(0, M, CHUNK)]
     if workers <= 1:
-        return [job(i, m) for i, m in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(job, i, m) for i, m in enumerate(sizes)]
-        return [f.result() for f in futs]
+        out = list(map(sums, range(len(sizes)), sizes))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(sums, range(len(sizes)), sizes))
+    record = dict(chunks=tuple(sizes), normals_drawn=sum(c[2] for c in out),
+                  exit_frac=sum(c[3] for c in out) / M)
+    return [
+        replace(_estimate((s1[a], s2[a], m) for (s1, s2, _, _), m in zip(out, sizes)), **record)
+        for a in range(out[0][0].size)
+    ]
 
 
 def conditional_functional(
     coeffs: CoefficientSet,
     phi,
-    leaf_path,
+    leaf,
     t_grid,
     M: int,
     seed,
     *,
     tree: ScenarioTree,
     grid: Grid,
-    domain,
     p0: np.ndarray,
     dt_mc: float,
-    chunk_size: int = 25000,
     workers: int = 1,
 ):
     """Common-noise estimate of E{ I_tau(t) phi(y(t), t) | leaf path } at the
-    requested times: the driving components are bridged through the leaf
-    path, the tail components and the initial draw from p0 stay free.
+    requested times: the driving components are bridged through the path to
+    the leaf, the tail components and the initial draw from p0 stay free.
 
     Returns one EstimatorResult per entry of t_grid; each carries the record
     of the same marches.
@@ -314,24 +313,17 @@ def conditional_functional(
     t_grid = np.asarray(t_grid, dtype=float)
 
     def job(i, m):
-        bundle = bridge_paths(
-            tree, leaf_path, m, coeffs.sigma, dt_mc, seed_entropy(seed, 0xC0, i)
-        )
-        trajs = simulate(coeffs, p0, 0.0, bundle, domain, grid=grid, snapshot_times=t_grid)
+        bundle = bridge_paths(tree, leaf, m, coeffs.sigma, dt_mc, seed_entropy(seed, 0xC0, i))
+        trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=t_grid)
         vals = np.empty((t_grid.size, m))
         for a, t in enumerate(t_grid):
             w1 = bundle.w1(min(int(round(t / tree.dt)), tree.n_steps))
             vals[a] = trajs.alive[:, a] * np.asarray(
                 phi(trajs.snapshots[:, a], t, w1)
             )
-        return vals.sum(axis=1), (vals**2).sum(axis=1), _march_record(trajs, bundle)
+        return vals, trajs, bundle
 
-    out = _run_chunks(M, chunk_size, workers, job)
-    runs = [run for _, _, run in out]
-    return [
-        _with_marches(_estimate((s1[a], s2[a], run[0]) for s1, s2, run in out), runs)
-        for a in range(t_grid.size)
-    ]
+    return _chunked(M, workers, job)
 
 
 def functional_estimate(
@@ -342,10 +334,8 @@ def functional_estimate(
     seed,
     *,
     grid: Grid,
-    domain,
     dt_mc: float,
     tree: ScenarioTree | None = None,
-    chunk_size: int = 25000,
     workers: int = 1,
 ) -> EstimatorResult:
     """Chunked unconditional estimate of E int_s^tau phi(y, t) dt at s = 0.
@@ -359,11 +349,9 @@ def functional_estimate(
         if tree is not None:
             bundle = sample_tree_paths(tree, m, coeffs.sigma, dt_mc, chunk_seed)
         else:
-            bundle = free_paths(domain.horizon, m, coeffs.sigma, dt_mc, chunk_seed)
-        trajs = simulate(coeffs, init, 0.0, bundle, domain, grid=grid, integrands={"phi": phi})
-        vals = trajs.integrals["phi"]
-        return vals.sum(), (vals**2).sum(), _march_record(trajs, bundle)
+            bundle = free_paths(grid.domain.horizon, m, coeffs.sigma, dt_mc, chunk_seed)
+        trajs = simulate(coeffs, init, 0.0, bundle, grid.domain, grid=grid,
+                         integrands={"phi": phi})
+        return trajs.integrals["phi"][None], trajs, bundle
 
-    out = _run_chunks(M, chunk_size, workers, job)
-    return _with_marches(_estimate((s1, s2, run[0]) for s1, s2, run in out),
-                         [run for _, _, run in out])
+    return _chunked(M, workers, job)[0]

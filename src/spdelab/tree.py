@@ -25,6 +25,7 @@ level k+1; `merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -102,28 +103,23 @@ class ScenarioTree:
         shift = self.d * (self.n_steps - level)
         return np.asarray(leaf_index) >> shift
 
-    def leaf_path(self, leaf_index: int) -> np.ndarray:
+    def leaf_index(self, leaf) -> int:
+        """leaf as an int; TreeError unless it is an integer index of a leaf."""
+        try:
+            index = operator.index(leaf)
+        except TypeError:
+            raise TreeError(f"a leaf must be an integer index, got {leaf!r}") from None
+        if not 0 <= index < self.n_leaves:
+            raise TreeError(f"leaf index {index} out of range")
+        return index
+
+    def leaf_path(self, leaf) -> np.ndarray:
         """Node indices along the path root -> leaf, one per level."""
-        if not 0 <= leaf_index < self.n_leaves:
-            raise TreeError(f"leaf index {leaf_index} out of range")
+        leaf = self.leaf_index(leaf)
         return np.array(
-            [leaf_index >> (self.d * (self.n_steps - k)) for k in range(self.n_steps + 1)],
+            [leaf >> (self.d * (self.n_steps - k)) for k in range(self.n_steps + 1)],
             dtype=np.int64,
         )
-
-    def node_path(self, path) -> np.ndarray:
-        """Node indices root -> leaf of a path given by its leaf index or as
-        that per-level node sequence itself (checked to run root -> leaf)."""
-        path = np.asarray(path)
-        if path.ndim == 0:
-            return self.leaf_path(int(path))
-        if (
-            path.shape != (self.n_steps + 1,)
-            or path[0] != 0
-            or np.any(path[1:] // self.branching != path[:-1])
-        ):
-            raise TreeError("leaf_path must be a leaf index or a per-level node sequence")
-        return path.astype(np.int64)
 
 
 def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
@@ -356,8 +352,8 @@ class PathBundle:
     step carries all d0 components.  Block k holds fine steps k*n_sub ..
     (k+1)*n_sub - 1 (n_sub = 1 without a tree).  A free increment is
     |sigma| Z_m (sigma_0 Z_m when d0 = 1).  On a tree, W's first d components
-    are bridged through the path's edge (of `node_path`, shared by every
-    path, or of its leaf in `leaves`); with s = |sigma|, s_f = |sigma[d:]|,
+    are bridged through the path's edge (of the path to `leaf`, shared by
+    every path, or to its own leaf in `leaves`); with s = |sigma|, s_f = |sigma[d:]|,
 
         s Z_j - (s - s_f) mean_j(Z) + sigma[:d].dW_tree / n_sub
 
@@ -368,7 +364,7 @@ class PathBundle:
     """
 
     tree: ScenarioTree | None
-    node_path: np.ndarray | None  # (n_steps + 1,) node per level, shared
+    leaf: int | None  # the leaf of every path
     leaves: np.ndarray | None  # (n_paths,) leaf per path
     sigma: np.ndarray  # (d0,) diffusion row the increments are built for
     dt_mc: float
@@ -384,9 +380,9 @@ class PathBundle:
 
     def nodes(self, level: int, rows=None):
         """Active tree node at a level for the given path rows (all rows when
-        None); one shared index for a designated node path."""
+        None); one shared index for a designated leaf."""
         if self.leaves is None:
-            return self.node_path[level]
+            return self.tree.ancestor_index(self.leaf, level)
         leaves = self.leaves if rows is None else self.leaves[rows]
         return self.tree.ancestor_index(leaves, level)
 
@@ -440,14 +436,14 @@ def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[i
     return n_fine, n_sub
 
 
-def _bundle(horizon, tree, node_path, leaves, M, sigma, dt_mc, seed) -> PathBundle:
+def _bundle(horizon, tree, leaf, leaves, M, sigma, dt_mc, seed) -> PathBundle:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.size < (1 if tree is None else tree.d):
         raise TreeError(f"need a diffusion row with d0 >= d >= 1 entries, got sigma={sigma}")
     n_fine, n_sub = fine_steps(horizon, dt_mc, None if tree is None else tree.dt)
     return PathBundle(
         tree=tree,
-        node_path=node_path,
+        leaf=leaf,
         leaves=leaves,
         sigma=sigma,
         dt_mc=dt_mc,
@@ -459,13 +455,11 @@ def _bundle(horizon, tree, node_path, leaves, M, sigma, dt_mc, seed) -> PathBund
     )
 
 
-def bridge_paths(tree: ScenarioTree, leaf_path, M: int, sigma, dt_mc: float, seed) -> PathBundle:
-    """M paths of sigma.dW bridged through one tree path, tail columns free.
-
-    leaf_path is a leaf index or an explicit per-level node-index sequence.
-    Deterministic given seed.
+def bridge_paths(tree: ScenarioTree, leaf: int, M: int, sigma, dt_mc: float, seed) -> PathBundle:
+    """M paths of sigma.dW bridged through the tree path to one leaf, tail
+    columns free.  Deterministic given seed.
     """
-    return _bundle(tree.horizon, tree, tree.node_path(leaf_path), None, M, sigma, dt_mc, seed)
+    return _bundle(tree.horizon, tree, tree.leaf_index(leaf), None, M, sigma, dt_mc, seed)
 
 
 def free_paths(horizon: float, M: int, sigma, dt_mc: float, seed) -> PathBundle:

@@ -4,19 +4,18 @@ import pytest
 from spdelab import (
     DomainSpec,
     SpaceTimeField,
+    TreeError,
     build_grid,
     build_tree,
     clark_decompose,
     cond_expect,
     make_family,
-    op_B,
-    op_G,
     op_L,
-    op_T,
     residual_bspde,
     solve_backward_pathwise,
     solve_R,
 )
+from spdelab import backward
 from spdelab.backward import BackwardSolution, ConvergenceError, backward_sweep
 from spdelab.fields import inner_x0, norm_x0, norm_xk, pair_x0_dual, smooth_random_field
 from spdelab.forward import (
@@ -79,10 +78,19 @@ def test_pathwise_nonrandom_leaf_independent(nonrandom_field):
     assert np.allclose(U0, U1, atol=1e-14)
 
 
+def test_solve_backward_pathwise_rejects_bad_leaves():
+    _, grid, tree, coeffs = make_setup()
+    g = SpaceTimeField.zeros(grid, tree)
+    with pytest.raises(TreeError, match="integer index"):
+        solve_backward_pathwise(g, coeffs, np.arange(tree.n_steps + 1), grid, tree)
+    with pytest.raises(TreeError, match="out of range"):
+        solve_backward_pathwise(g, coeffs, tree.n_leaves, grid, tree)
+
+
 def test_op_T_matches_leaf_enumeration():
     _, grid, tree, coeffs = make_setup()
     g = smooth_random_field(grid, tree, seed=7)
-    v = op_T(g, coeffs, grid, tree)
+    v = backward_sweep(g, coeffs, grid, tree)[0]
     U = leaf_enumerated_U(g, coeffs, grid, tree)
     for k in (0, 2, tree.n_steps):
         expect = cond_expect(U[:, k, :], k, tree)
@@ -92,10 +100,10 @@ def test_op_T_matches_leaf_enumeration():
 def test_op_T_zero_and_terminal():
     _, grid, tree, coeffs = make_setup()
     z = SpaceTimeField.zeros(grid, tree)
-    v = op_T(z, coeffs, grid, tree)
+    v = backward_sweep(z, coeffs, grid, tree)[0]
     assert norm_x0(v) == 0.0
     g = smooth_random_field(grid, tree, seed=8)
-    v = op_T(g, coeffs, grid, tree)
+    v = backward_sweep(g, coeffs, grid, tree)[0]
     assert np.all(v.levels[tree.n_steps] == 0.0)
     for lev in v.levels:
         assert np.all(lev[0] == 0.0) and np.all(lev[-1] == 0.0)
@@ -107,7 +115,7 @@ def test_op_G_is_clark_kernel_diagonal():
     # leaf-enumerated pathwise solutions at several (x, t)
     _, grid, tree, coeffs = make_setup()
     g = smooth_random_field(grid, tree, seed=9)
-    X = op_G(g, coeffs, grid, tree)
+    X = backward_sweep(g, coeffs, grid, tree)[1]
     U = leaf_enumerated_U(g, coeffs, grid, tree)
     for k, ix in ((1, 11), (3, 25)):
         dec = clark_decompose(U[:, k, ix], tree)
@@ -119,13 +127,13 @@ def test_op_G_is_clark_kernel_diagonal():
 def test_op_G_vanishes_for_nonrandom_data(nonrandom_field):
     _, grid, tree, coeffs = make_setup(family="constant")
     g = nonrandom_field(grid, tree, seed=10)
-    X = op_G(g, coeffs, grid, tree)
+    X = backward_sweep(g, coeffs, grid, tree)[1]
     assert norm_x0(X[0]) <= 1e-12 * norm_x0(g)
 
 
 def test_op_G_zero_source():
     _, grid, tree, coeffs = make_setup()
-    X = op_G(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
+    X = backward_sweep(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)[1]
     assert norm_x0(X[0]) == 0.0
 
 
@@ -135,30 +143,27 @@ def test_operators_linear():
     g2 = smooth_random_field(grid, tree, seed=12)
     a, b = 0.7, -1.3
     combo = a * g1 + b * g2
-    for op in (op_T, op_B):
-        lhs = op(combo, coeffs, grid, tree)
-        rhs = a * op(g1, coeffs, grid, tree) + b * op(g2, coeffs, grid, tree)
-        scale = max(norm_x0(lhs), 1e-300)
-        assert norm_x0(lhs - rhs) <= 1e-10 * scale
-    lhsG = op_G(combo, coeffs, grid, tree)[0]
-    rhsG = a * op_G(g1, coeffs, grid, tree)[0] + b * op_G(g2, coeffs, grid, tree)[0]
-    assert norm_x0(lhsG - rhsG) <= 1e-10 * max(norm_x0(lhsG), 1e-300)
+    (vc, Xc, bc), (v1, X1, b1), (v2, X2, b2) = (
+        backward_sweep(h, coeffs, grid, tree) for h in (combo, g1, g2))
+    for lhs, r1, r2 in ((vc, v1, v2), (bc, b1, b2), (Xc[0], X1[0], X2[0])):
+        rhs = a * r1 + b * r2
+        assert norm_x0(lhs - rhs) <= 1e-10 * max(norm_x0(lhs), 1e-300)
 
 
 def test_op_B_zero_cases(nonrandom_field):
     _, grid, tree, coeffs = make_setup(family="constant")
     g = nonrandom_field(grid, tree, seed=13)
-    assert norm_x0(op_B(g, coeffs, grid, tree)) <= 1e-12 * norm_x0(g)
+    assert norm_x0(backward_sweep(g, coeffs, grid, tree)[2]) <= 1e-12 * norm_x0(g)
     _, grid, tree, coeffs = make_setup()
-    assert norm_x0(op_B(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)) == 0.0
+    assert norm_x0(backward_sweep(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)[2]) == 0.0
 
 
 def test_op_B_nonzero_and_scales():
     _, grid, tree, coeffs = make_setup()
     g = smooth_random_field(grid, tree, seed=14)
-    bg = op_B(g, coeffs, grid, tree)
+    bg = backward_sweep(g, coeffs, grid, tree)[2]
     assert norm_x0(bg) > 0.0
-    bg2 = op_B(2.0 * g, coeffs, grid, tree)
+    bg2 = backward_sweep(2.0 * g, coeffs, grid, tree)[2]
     assert norm_x0(bg2 - 2.0 * bg) <= 1e-10 * norm_x0(bg2)
 
 
@@ -189,16 +194,18 @@ def test_solve_R_residual_contract():
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=17)
     g, info = solve_R(phi, coeffs, grid, tree, tol=1e-10)
-    bg = op_B(g, coeffs, grid, tree)
+    bg = backward_sweep(g, coeffs, grid, tree)[2]
     assert norm_x0(g + bg - phi) <= 1.0001 * 1e-10 * norm_x0(phi)
     assert info["residual_history"][0] > info["residual"]
 
 
-def test_solve_R_nonconvergence_raises():
+def test_solve_R_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(backward, "MAX_ITER", 2)
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=18)
-    with pytest.raises(ConvergenceError):
-        solve_R(phi, coeffs, grid, tree, tol=1e-14, max_iter=2)
+    with pytest.raises(ConvergenceError) as err:
+        solve_R(phi, coeffs, grid, tree, tol=1e-14)
+    assert err.value.iterations == 2
 
 
 def test_op_L_structure_and_exit_oracle():
@@ -220,12 +227,12 @@ def test_op_L_structure_and_exit_oracle():
 
 
 def test_op_L_solves_I_plus_B_exactly():
-    # op_L's back-substitution against op_B, an independent sweep, and
-    # against the damped fixed point at a tight tolerance
+    # op_L's back-substitution against the B g of backward_sweep, an
+    # independent sweep, and against the damped fixed point at a tight tolerance
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=27)
     sol = op_L(phi, coeffs, grid, tree)
-    residual = sol.g + op_B(sol.g, coeffs, grid, tree) - phi
+    residual = sol.g + backward_sweep(sol.g, coeffs, grid, tree)[2] - phi
     assert norm_x0(residual) <= 1e-12 * norm_x0(phi)
     g_iter, _ = solve_R(phi, coeffs, grid, tree, tol=1e-11)
     assert norm_x0(sol.g - g_iter) <= 1e-9 * norm_x0(sol.g)
@@ -305,7 +312,7 @@ def test_martingale_property_of_conditional_expectations():
 
 
 def test_norm_boundedness_probe():
-    # ratio ||op_T g||_X1 / ||g||_X-1 stays bounded across refinement
+    # ratio ||T g||_X1 / ||g||_X-1 stays bounded across refinement
     ratios = []
     for nx, n_steps in ((41, 4), (81, 8)):
         dom = DomainSpec("interval", 0.0, 1.0, 1.0)
@@ -313,7 +320,7 @@ def test_norm_boundedness_probe():
         tree = build_tree(1, n_steps, 1.0)
         coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
         g = smooth_random_field(grid, tree, seed=23)
-        v = op_T(g, coeffs, grid, tree)
+        v = backward_sweep(g, coeffs, grid, tree)[0]
         ratios.append(norm_xk(v, 1) / norm_xk(g, -1))
     assert ratios[1] <= 1.5 * ratios[0]
 
@@ -329,7 +336,7 @@ def test_exact_discrete_duality_pairing():
     h = smooth_random_field(grid, tree, seed=25)
     from spdelab.forward import solve_G_star
 
-    X = op_G(g, coeffs, grid, tree)
+    X = backward_sweep(g, coeffs, grid, tree)[1]
     q = solve_G_star(0, h, coeffs, grid, tree)
     lhs = inner_x0(X[0], h)
     rhs = pair_x0_dual(g, q)
@@ -338,7 +345,7 @@ def test_exact_discrete_duality_pairing():
     h_static = SpaceTimeField.from_function(
         grid, tree, lambda x, t, w1: np.sin(np.pi * x) + 0.0 * w1
     )
-    v = op_T(g, coeffs, grid, tree)
+    v = backward_sweep(g, coeffs, grid, tree)[0]
     pi = solve_T_star(h_static, coeffs, grid, tree)
     lhs = inner_x0(v, h_static)
     rhs = pair_x0_dual(g, pi)
@@ -355,7 +362,6 @@ def test_solver_levels_are_x_major_and_c_contiguous():
     p0 = np.zeros(grid.nx)
     p0[1:-1] = 1.0 / (grid.dx * grid.ni)
     fields = [v, *kernels, bg, sol.v, *sol.kernels, sol.g,
-              op_T(g, coeffs, grid, tree), *op_G(g, coeffs, grid, tree), op_B(g, coeffs, grid, tree),
               solve_T_star(g, coeffs, grid, tree), solve_G_star(0, g, coeffs, grid, tree),
               solve_B_star(g, coeffs, grid, tree), solve_R_star(g, coeffs, grid, tree),
               solve_L_star(g, coeffs, grid, tree), solve_density(p0, coeffs, grid, tree).p]

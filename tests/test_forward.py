@@ -9,9 +9,6 @@ from spdelab import (
     build_grid,
     build_tree,
     make_family,
-    op_B,
-    op_G,
-    op_T,
     solve_B_star,
     solve_density,
     solve_G_star,
@@ -22,6 +19,7 @@ from spdelab import (
     step_forward,
 )
 from spdelab import forward
+from spdelab.backward import backward_sweep
 from spdelab.domain import dx_centered
 from spdelab.fields import inner_x0, norm_x0, smooth_random_field
 from spdelab.forward import _forward_march
@@ -140,7 +138,7 @@ def test_adjoint_pairing_refinement_T():
         coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
         g = smooth_random_field(grid, tree, seed=4)
         h = smooth_random_field(grid, tree, seed=5)
-        v = op_T(g, coeffs, grid, tree)
+        v = backward_sweep(g, coeffs, grid, tree)[0]
         pi = solve_T_star(h, coeffs, grid, tree)
         return abs(inner_x0(v, h) - inner_x0(g, pi)) / (norm_x0(g) * norm_x0(h))
 
@@ -157,7 +155,7 @@ def test_G_star_zero_and_adjoint():
         solve_G_star(1, SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
     g = smooth_random_field(grid, tree, seed=6)
     h = smooth_random_field(grid, tree, seed=7)
-    X = op_G(g, coeffs, grid, tree)
+    X = backward_sweep(g, coeffs, grid, tree)[1]
     q = solve_G_star(0, h, coeffs, grid, tree)
     lhs, rhs = inner_x0(X[0], h), inner_x0(g, q)
     assert abs(lhs - rhs) <= 0.12 * norm_x0(g) * norm_x0(h)
@@ -192,7 +190,7 @@ def test_B_star_adjoint_to_op_B():
     _, grid, tree, coeffs = make_setup(interval=(0.0, 4.0))
     g = smooth_random_field(grid, tree, seed=9)
     h = smooth_random_field(grid, tree, seed=10)
-    bg = op_B(g, coeffs, grid, tree)
+    bg = backward_sweep(g, coeffs, grid, tree)[2]
     z = solve_B_star(h, coeffs, grid, tree)
     lhs, rhs = inner_x0(bg, h), inner_x0(g, z)
     assert abs(lhs - rhs) <= 0.12 * norm_x0(g) * norm_x0(h)
@@ -259,7 +257,7 @@ def test_L_star_adjoint_to_op_L():
     phi = smooth_random_field(grid, tree, seed=15)
     xi = smooth_random_field(grid, tree, seed=16)
     g, _ = solve_R(phi, coeffs, grid, tree, tol=1e-11)
-    v = op_T(g, coeffs, grid, tree)
+    v = backward_sweep(g, coeffs, grid, tree)[0]
     hl = solve_L_star(xi, coeffs, grid, tree)
     lhs, rhs = inner_x0(v, xi), inner_x0(phi, hl)
     assert abs(lhs - rhs) <= 0.12 * norm_x0(phi) * norm_x0(xi)

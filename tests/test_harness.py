@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from spdelab import montecarlo
 from spdelab.cli import main
 from spdelab.harness import (
     CONFIG_KEYS,
@@ -41,6 +42,8 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({
             "experiment": "solvability-R", "mc": {"seed": None},
         })
+    with pytest.raises(ConfigError, match="section 'mc'"):
+        default_config("solvability-R", seed=3, mc=5)
     with pytest.raises(ConfigError, match="d <= d0"):
         ExperimentConfig.from_dict({
             "experiment": "solvability-R",
@@ -377,8 +380,9 @@ def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
     paths, n_fine = cfg.mc["paths"], round(cfg.tree["horizon"] / cfg.mc["dt_mc"])
     for record in marches.values():
         assert sorted(record) == ["chunks", "exit_frac", "normals_drawn"]
-        # chunks of 25,000 paths in chunk order
-        assert record["chunks"] == [25000] * (paths // 25000) + [paths % 25000] * (paths % 25000 > 0)
+        # chunks of montecarlo.CHUNK paths in chunk order
+        full, rest = divmod(paths, montecarlo.CHUNK)
+        assert record["chunks"] == [montecarlo.CHUNK] * full + [rest] * (rest > 0)
         if name == "feynman-kac-nonrandom":
             # every path leaves (0, 1) well before t = 4: the march stops early
             assert record["exit_frac"] == 1.0 and record["normals_drawn"] < paths * n_fine / 10
@@ -471,6 +475,9 @@ def test_cli_error_codes(tmp_path):
     not_object = tmp_path / "list.json"
     not_object.write_text(json.dumps([1, 2]))
     assert main(["run", str(not_object), "--seed", "3"]) == 2
+    mc_not_object = tmp_path / "mc-number.json"
+    mc_not_object.write_text(json.dumps({"experiment": "solvability-R", "mc": 5}))
+    assert main(["run", str(mc_not_object), "--seed", "3"]) == 2
     bad_section = tmp_path / "section.json"
     bad_section.write_text(json.dumps({"experiment": "solvability-R", "grid": 5}))
     assert main(["validate-config", str(bad_section)]) == 2

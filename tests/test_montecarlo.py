@@ -18,6 +18,7 @@ from spdelab import (
     simulate,
     solve_density,
 )
+from spdelab import montecarlo
 from spdelab.montecarlo import SimulationError, sample_from_density
 from spdelab.tree import PathBundle
 
@@ -275,12 +276,12 @@ def test_conditional_functional_trivials(line_domain):
     p0 /= grid.dx * p0[1:-1].sum()
     zero = conditional_functional(
         coeffs, lambda x, t, w1: np.zeros_like(x), 3, [0.5, 1.0], 500, 14,
-        tree=tree, grid=grid, domain=line_domain, p0=p0, dt_mc=0.05,
+        tree=tree, grid=grid, p0=p0, dt_mc=0.05,
     )
     assert all(r.value == 0.0 for r in zero)
     ones = conditional_functional(
         coeffs, lambda x, t, w1: np.ones_like(x), 3, [0.5, 1.0], 4000, 15,
-        tree=tree, grid=grid, domain=line_domain, p0=p0, dt_mc=0.05,
+        tree=tree, grid=grid, p0=p0, dt_mc=0.05,
     )
     for r in ones:
         # no exits on the wide truncated line: I_tau is identically one
@@ -302,7 +303,7 @@ def test_conditional_vs_unconditional_coherence(line_domain):
     for leaf in range(tree.n_leaves):
         r = conditional_functional(
             coeffs, phi, leaf, [t_pt], 4000, (16, leaf),
-            tree=tree, grid=grid, domain=line_domain, p0=p0, dt_mc=0.05,
+            tree=tree, grid=grid, p0=p0, dt_mc=0.05,
         )[0]
         cond_vals.append(r.value)
         cond_errs.append(r.stderr)
@@ -319,14 +320,33 @@ def test_conditional_vs_unconditional_coherence(line_domain):
     assert abs(avg - unc.mean()) <= tol
 
 
-def test_functional_estimate_worker_independence(line_domain):
+def test_functional_estimate_worker_independence(line_domain, monkeypatch):
+    monkeypatch.setattr(montecarlo, "CHUNK", 1500)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
     grid = build_grid(line_domain, 161)
-    kw = dict(grid=grid, domain=line_domain, dt_mc=0.05, tree=tree, chunk_size=1500)
+    kw = dict(grid=grid, dt_mc=0.05, tree=tree)
     a = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, workers=1, **kw)
     b = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, workers=3, **kw)
-    assert a.value == b.value and a.stderr == b.stderr
+    assert a.chunks == (1500, 1500, 1500, 500)
+    assert a == b
+
+
+def test_conditional_functional_worker_independence(line_domain, monkeypatch):
+    monkeypatch.setattr(montecarlo, "CHUNK", 700)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    tree = build_tree(1, 4, 1.0)
+    grid = build_grid(line_domain, 161)
+    p0 = np.exp(-grid.x**2)
+    p0[0] = p0[-1] = 0.0
+    p0 /= grid.dx * p0[1:-1].sum()
+    kw = dict(tree=tree, grid=grid, p0=p0, dt_mc=0.05)
+    phi = lambda x, t, w1: np.exp(-x**2) * (1.0 + w1)
+    a = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, workers=1, **kw)
+    b = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, workers=3, **kw)
+    assert a[0].chunks == (700, 700, 600)
+    # value, stderr, n and the march record (chunks, normals_drawn, exit_frac)
+    assert a == b
 
 
 def test_conditional_matches_density_solver(line_domain):
@@ -343,7 +363,7 @@ def test_conditional_matches_density_solver(line_domain):
     anc = tree.leaf_path(leaf)
     res = conditional_functional(
         coeffs, lambda x, t, w1: np.exp(-x**2), leaf, [0.5, 1.0], 30000, 19,
-        tree=tree, grid=grid, domain=line_domain, p0=p0, dt_mc=0.0025,
+        tree=tree, grid=grid, p0=p0, dt_mc=0.0025,
     )
     for r, t in zip(res, [0.5, 1.0]):
         k = int(round(t / tree.dt))

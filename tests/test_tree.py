@@ -246,13 +246,12 @@ def test_bridge_paths_rejects_bad_steps(tree5):
         bridge_paths(tree5, 0, M=4, sigma=[], dt_mc=0.1, seed=1)
     with pytest.raises(TreeError, match="d0 >= d"):
         bridge_paths(build_tree(2, 2, 1.0), 0, M=4, sigma=[1.0], dt_mc=0.1, seed=1)
-    # per-path leaf draws are sample_tree_paths' job; a node sequence must
-    # be a root-to-leaf path
-    with pytest.raises(TreeError, match="node sequence"):
+    # a path is named by one leaf index; per-path leaf draws are
+    # sample_tree_paths' job
+    with pytest.raises(TreeError, match="integer index"):
         bridge_paths(tree5, np.arange(4), M=4, sigma=[0.6, 0.8], dt_mc=0.1, seed=1)
-    with pytest.raises(TreeError, match="node sequence"):
-        bridge_paths(tree5, np.arange(tree5.n_steps + 1), M=6, sigma=[0.6, 0.8], dt_mc=0.1,
-                     seed=1)
+    with pytest.raises(TreeError, match="out of range"):
+        bridge_paths(tree5, tree5.n_leaves, M=4, sigma=[0.6, 0.8], dt_mc=0.1, seed=1)
 
 
 def test_free_paths_shape_and_determinism():
