@@ -14,8 +14,10 @@ values add trailing axes); Dirichlet fields carry zeros on the two
 boundary nodes.
 
 One banded core serves every solver: generator_bands alone turns drift and
-diffusion into the bands of A or A*, and thomas_rows holds the only
-elimination loop.  apply_A is an independent centered stencil (an oracle).
+diffusion into the bands of A or A*, and thomas_rows is the only
+tridiagonal solve (cyclic reduction for narrow batches, the Thomas row
+loop for wide ones).  apply_A is an independent centered stencil (an
+oracle).
 """
 
 from __future__ import annotations
@@ -134,26 +136,44 @@ def apply_bands(bands, u):
     return out
 
 
+# thomas_rows solves batches of at most this many systems by cyclic
+# reduction and wider ones by the row loop: at 39 and 199 interior rows and
+# 1, 2 or 10 right-hand sides per system, the reduction was the faster at
+# every width up to 64 systems and the slower at some from 128 on
+# (CHANGES.md has the crossover table)
+CR_MAX_BATCH = 64
+
+
 def thomas_rows(L, D, U, X):
-    """Thomas algorithm in rows layout: system axis first.
+    """Tridiagonal solve in rows layout: system axis first.
 
     L, D, U broadcastable to (n, nb); X is (n, nb, m) or (n, nb, m1, m2,
     ...), any strides, and is overwritten with the solution: every trailing
-    index is one right-hand side sharing system nb's matrix.  Row updates
-    iterate in Fortran order, batch axis innermost, so a small contiguous m
-    axis never becomes numpy's inner loop.  Every step is elementwise, so
-    each right-hand side's solution is bit-identical whatever else is
-    solved with it.  The values of L[0] and U[n-1] never influence the
-    solution.  No pivoting: callers must supply diagonally dominant systems
-    (I - dt*A is one when 2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which
+    index is one right-hand side sharing system nb's matrix.  The values of
+    L[0] and U[n-1] never influence the solution.  No pivoting: callers
+    must supply diagonally dominant systems (I - dt*A is one when
+    2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which
     harness.ExperimentConfig.validate checks at load).
+
+    Batches of at most CR_MAX_BATCH systems are solved by odd-even cyclic
+    reduction (_cyclic_reduction), a few whole-array operations per halving
+    of the system; wider ones by the Thomas row loop, whose per-row Python
+    overhead is then spread over many systems.  The branch depends on the
+    number of systems nb = X.shape[1] alone and every step of either branch
+    is elementwise, so within a branch each right-hand side's solution is
+    bit-identical whatever else is solved with it on the trailing axes.
+    The two branches agree to round-off, not bit for bit.
     """
+    if X.shape[1] <= CR_MAX_BATCH:
+        return _cyclic_reduction(L, D, U, X)
     n = X.shape[0]
     col = (slice(None),) + (None,) * (X.ndim - 2)  # a band row against X[i]
     cp = np.empty((n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:]))
     inv = 1.0 / D[0]
     cp[0] = U[0] * inv
     np.multiply(X[0], inv[col], out=X[0], order="F")
+    # row updates iterate in Fortran order, batch axis innermost, so a small
+    # contiguous m axis never becomes numpy's inner loop
     for i in range(1, n):
         denom = 1.0 / (D[i] - L[i] * cp[i - 1])
         cp[i] = U[i] * denom
@@ -161,6 +181,50 @@ def thomas_rows(L, D, U, X):
         np.multiply(X[i], denom[col], out=X[i], order="F")
     for i in range(n - 2, -1, -1):
         np.subtract(X[i], np.multiply(cp[i][col], X[i + 1], order="F"), out=X[i], order="F")
+    return X
+
+
+def _cyclic_reduction(L, D, U, X):
+    """Odd-even cyclic reduction of thomas_rows' systems, in place on X.
+
+    With a = -L, c = -U, row i reads -a_i x_{i-1} + D_i x_i - c_i x_{i+1}
+    = X_i.  Each stage adds multiples of the even rows 2k and 2k+2 to the
+    odd row 2k+1 so that its even neighbours drop out, which leaves the odd
+    rows as a tridiagonal system of half the size; diagonal dominance
+    survives the step (Heller 1976).  Once one row is left, the stages are
+    undone in reverse: each even row follows from its two odd neighbours.
+    """
+    n = X.shape[0]
+    w = (n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:])
+    col = (slice(None), slice(None)) + (None,) * (X.ndim - 2)  # bands against X
+    a, c = np.negative(np.broadcast_to(L, w)), np.negative(np.broadcast_to(U, w))
+    a[0] = c[-1] = 0.0
+    b, d = np.broadcast_to(D, w), X
+    stages = []
+    while len(b) > 1:
+        ne, no = len(b) - len(b) // 2, len(b) // 2  # even and odd rows
+        ae, be, ce, de = a[0::2], b[0::2], c[0::2], d[0::2]
+        stages.append((ae, be, ce, d))
+        # alpha eliminates the left even neighbour of every odd row, gamma
+        # the right one, which the last odd row lacks when len(b) is even
+        alpha = a[1::2] / be[:no]
+        gamma = c[1::2][: ne - 1] / be[1:]
+        a = alpha * ae[:no]
+        b = b[1::2] - alpha * ce[:no]
+        b[: ne - 1] -= gamma * ae[1:]
+        c = np.zeros_like(b)
+        np.multiply(gamma, ce[1:], out=c[: ne - 1])
+        d = d[1::2] + alpha[col] * de[:no]
+        d[: ne - 1] += gamma[col] * de[1:]
+    np.divide(d, b[col], out=d)
+    for ae, be, ce, level in reversed(stages):
+        # d holds the solution of this stage's odd rows
+        xe = level[0::2]
+        xe[1:] += ae[1:][col] * d[: len(be) - 1]
+        xe[: len(d)] += ce[: len(d)][col] * d
+        xe /= be[col]
+        level[1::2] = d
+        d = level
     return X
 
 

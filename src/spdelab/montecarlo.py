@@ -183,6 +183,7 @@ def simulate(
         j = m % paths.n_sub
         if j == 0 or m == m0:
             k = m // paths.n_sub
+            block = None  # let the spent block go before its successor is drawn
             block = paths.block(k, live)
             drawn += block.size
             w1 = paths.w1(k, live)

@@ -21,9 +21,12 @@ from spdelab import (
     clark_decompose,
     cond_expect,
 )
-from spdelab.domain import generator_bands, thomas_rows
+from spdelab.domain import CR_MAX_BATCH, generator_bands, thomas_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
+# batch widths on both sides of thomas_rows' branch: cyclic reduction up to
+# CR_MAX_BATCH systems, the row loop above
+BATCHES = st.one_of(st.integers(1, 5), st.sampled_from([CR_MAX_BATCH, CR_MAX_BATCH + 1]))
 
 
 def dense(lo, dg, up):
@@ -32,10 +35,17 @@ def dense(lo, dg, up):
     return np.diag(dg) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
 
 
+def dominant_bands(rng, n, nb):
+    """(n, nb) bands of strictly diagonally dominant systems, either sign."""
+    lo, up = rng.normal(size=(2, n, nb))
+    dg = rng.choice([-1.0, 1.0], size=(n, nb)) * (np.abs(lo) + np.abs(up) + rng.uniform(0.1, 2.0, size=(n, nb)))
+    return lo, dg, up
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 12),
-    nb=st.integers(1, 5),
+    nb=BATCHES,
     m=st.integers(1, 3),
     layout=st.sampled_from(["full", "constant-along-system", "shared-by-batch"]),
     seed=SEEDS,
@@ -59,7 +69,7 @@ def test_thomas_rows_matches_dense_solve(n, nb, m, layout, seed):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 12),
-    nb=st.integers(1, 5),
+    nb=BATCHES,
     widths=st.lists(st.integers(1, 3), min_size=1, max_size=5),
     seed=SEEDS,
 )
@@ -67,8 +77,7 @@ def test_thomas_rows_on_stacked_columns_equals_each_column_alone(n, nb, widths, 
     # the invariant the lockstep forward march rests on: right-hand sides
     # concatenated along m solve to exactly the columns solved one by one
     rng = np.random.default_rng(seed)
-    lo, up = rng.normal(size=(2, n, nb))
-    dg = rng.choice([-1.0, 1.0], size=(n, nb)) * (np.abs(lo) + np.abs(up) + rng.uniform(0.1, 2.0, size=(n, nb)))
+    lo, dg, up = dominant_bands(rng, n, nb)
     parts = [rng.normal(size=(n, nb, m)) for m in widths]
     stacked = thomas_rows(lo, dg, up, np.concatenate(parts, axis=2))
     alone = np.concatenate([thomas_rows(lo, dg, up, p.copy()) for p in parts], axis=2)
@@ -77,6 +86,21 @@ def test_thomas_rows_on_stacked_columns_equals_each_column_alone(n, nb, widths, 
     block = np.stack([np.concatenate(parts, axis=2)] * 2)  # (2, n, nb, m)
     thomas_rows(lo, dg, up, block.transpose(1, 2, 0, 3))
     assert np.array_equal(block[0], alone) and np.array_equal(block[1], alone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 70), nb=st.integers(1, 5), m=st.integers(1, 3), seed=SEEDS)
+def test_thomas_rows_branches_agree(n, nb, m, seed):
+    # the same systems solved in a narrow batch (cyclic reduction) and in a
+    # batch widened past CR_MAX_BATCH by copies of them (the row loop)
+    rng = np.random.default_rng(seed)
+    bands = dominant_bands(rng, n, nb)
+    rhs = rng.normal(size=(n, nb, m))
+    narrow = thomas_rows(*bands, rhs.copy())
+    copies = CR_MAX_BATCH // nb + 1
+    wide = thomas_rows(*(np.tile(a, copies) for a in bands), np.tile(rhs, (1, copies, 1)))
+    err = np.abs(wide.reshape(n, copies, nb, m) - narrow[:, None]).max()
+    assert err <= 1e-13 * np.abs(narrow).max()
 
 
 @settings(max_examples=40, deadline=None)
