@@ -20,7 +20,6 @@ from .domain import (
     build_grid,
     h0_inner,
     h0_norm,
-    hk_norm,
 )
 from .fields import (
     SpaceTimeField,
@@ -48,8 +47,6 @@ from .montecarlo import (
     EstimatorResult,
     TrajectorySet,
     conditional_functional,
-    empirical_density,
-    estimate_functional,
     functional_estimate,
     simulate,
 )

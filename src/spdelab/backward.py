@@ -20,9 +20,10 @@ Levels are x-major, (nx, n_nodes(k)), children are read through tree.child
 a level; the forward marcher reuses it with A*'s bands.
 
 Since (B g)^k is built from X^k, which depends only on g at later levels,
-I + B is block-triangular in time: op_L inverts it by back-substitution in
-its own backward sweep.  solve_R keeps the damped fixed-point iteration,
-whose convergence is itself a checked claim.
+B is strictly block-triangular in time and B^N = 0: op_L inverts I + B by
+back-substitution in its own backward sweep, and solve_R's undamped
+fixed-point iteration, whose convergence is itself a checked claim, ends
+within N + 1 sweeps.
 """
 
 from __future__ import annotations
@@ -149,12 +150,6 @@ def solve_backward_pathwise(
     return U
 
 
-# the step of solve_R's fixed-point iteration g <- g - DAMPING ((I+B)g - phi),
-# and the most sweeps it may take
-DAMPING = 0.8
-MAX_ITER = 200
-
-
 def solve_R(
     phi: SpaceTimeField,
     coeffs: CoefficientSet,
@@ -163,14 +158,15 @@ def solve_R(
     tol: float = 1e-8,
     x0: SpaceTimeField | None = None,
 ):
-    """Solve (I + B) g = phi by damped fixed-point iteration.
+    """Solve (I + B) g = phi by the undamped fixed-point iteration g <- phi - B g.
 
     Returns (g, info) where info reports the iteration count and residual
-    history (X0 norms of (I+B)g - phi).  Raises ConvergenceError when the
-    residual does not fall below tol * ||phi|| within MAX_ITER sweeps: the
-    contraction budget of the Neumann series is exceeded and the caller
-    should shrink the drift scale or the horizon.  op_L solves the same
-    system exactly; this iteration is kept because its convergence is a
+    history (X0 norms of (I+B)g - phi).  The error after n steps is
+    (-B)^n (g_0 - g), and B^N = 0, so the residual falls below
+    tol * ||phi|| within N + 1 sweeps unless tol is below round-off; from
+    the zero start the history is the Neumann series norms ||B^n phi||.
+    Raises ConvergenceError otherwise.  op_L solves the same system by
+    back-substitution; this iteration is kept because its convergence is a
     claim of its own (the solvability experiment).
     """
     phi_norm = norm_x0(phi)
@@ -182,18 +178,20 @@ def solve_R(
         }
     g = phi.copy() if x0 is None else x0.copy()
     history = []
-    for it in range(1, MAX_ITER + 1):
+    sweeps = tree.n_steps + 1
+    for it in range(1, sweeps + 1):
         bg = backward_sweep(g, coeffs, grid, tree)[2]
         r = g + bg - phi
         rn = norm_x0(r)
         history.append(rn)
         if rn <= tol * phi_norm:
             return g, {"iterations": it, "residual": rn, "residual_history": history}
-        g = g - DAMPING * r
+        g = phi - bg
     raise ConvergenceError(
-        f"(I+B) fixed point did not reach tol={tol:g} in {MAX_ITER} iterations "
-        f"(last residual {history[-1]:.3e}); reduce the drift scale or the horizon",
-        iterations=MAX_ITER,
+        f"(I+B) g = phi did not reach tol={tol:g} in {sweeps} sweeps "
+        f"(last residual {history[-1]:.3e}), though B^N = 0 makes it exact in N: "
+        f"B is not causal or tol is below round-off",
+        iterations=sweeps,
         residual=history[-1],
     )
 

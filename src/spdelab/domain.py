@@ -320,11 +320,6 @@ def hk_norm_sq(u: np.ndarray, k: int, grid: Grid) -> np.ndarray:
     return grid.dx * np.einsum("m...,m->...", coef**2, weight)
 
 
-def hk_norm(u: np.ndarray, k: int, grid: Grid) -> float:
-    """H^k norm of a grid function, k in {-1, 0, 1} (hk_norm_sq)."""
-    return float(np.sqrt(hk_norm_sq(_check_grid_function(grid, u), k, grid)))
-
-
 def dx_centered(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Centered first derivative along axis 0; boundary rows zero; u may be
     batched on trailing axes."""

@@ -604,13 +604,16 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     g_a, info_a = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL,
                           x0=SpaceTimeField.zeros(grid, tree))
-    g_b, info_b = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL, x0=phi)
+    # a start independent of phi: undamped, the zero start's first iterate is
+    # phi, so a phi start would retrace it and the agreement would read 0
+    start = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], 1))
+    g_b, info_b = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL, x0=start)
     phi_norm = norm_x0(phi)
     rows = [
         CheckRow(cfg.experiment, "residual-from-zero-start", "4.1",
                  info_a["residual"], 0.0, _RESIDUAL_TOL * phi_norm,
                  info_a["residual"] <= _RESIDUAL_TOL * phi_norm),
-        CheckRow(cfg.experiment, "residual-from-phi-start", "4.1",
+        CheckRow(cfg.experiment, "residual-from-random-start", "4.1",
                  info_b["residual"], 0.0, _RESIDUAL_TOL * phi_norm,
                  info_b["residual"] <= _RESIDUAL_TOL * phi_norm),
     ]
@@ -627,7 +630,7 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     _, info_c = solve_R(target, coeffs, grid, tree, tol=_RESIDUAL_TOL)
     diag["solve_R"] = {
         name: {"iterations": info["iterations"], "residual_history": info["residual_history"]}
-        for name, info in (("zero-start", info_a), ("phi-start", info_b),
+        for name, info in (("zero-start", info_a), ("random-start", info_b),
                            ("range-density-probe", info_c))
     }
     hist = info_c["residual_history"]

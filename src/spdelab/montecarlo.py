@@ -232,29 +232,6 @@ def _estimate(chunks) -> EstimatorResult:
     return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)), n=n)
 
 
-def estimate_functional(trajs: TrajectorySet, name: str) -> EstimatorResult:
-    """Estimate E sum_{t < tau} phi(y(t), t) dt_mc for the integrand
-    registered under `name` at simulation time."""
-    if name not in trajs.integrals:
-        raise SimulationError(f"no integrand named {name!r} was registered")
-    vals = trajs.integrals[name]
-    return _estimate([(vals.sum(), (vals**2).sum(), vals.size)])
-
-
-def empirical_density(trajs: TrajectorySet, t: float, grid: Grid) -> np.ndarray:
-    """Histogram of alive paths at a snapshot time, normalized by M dx."""
-    hit = np.nonzero(np.abs(trajs.snapshot_times - t) < 1e-9)[0]
-    if not hit.size:
-        raise SimulationError(f"no snapshot stored at t={t}")
-    y = trajs.snapshots[:, hit[0]]
-    ok = trajs.alive[:, hit[0]]
-    edges = np.concatenate(
-        [[grid.x[0] - 0.5 * grid.dx], 0.5 * (grid.x[1:] + grid.x[:-1]), [grid.x[-1] + 0.5 * grid.dx]]
-    )
-    counts, _ = np.histogram(y[ok], bins=edges)
-    return counts / (trajs.n_paths * grid.dx)
-
-
 # paths per chunk of a chunked estimate
 CHUNK = 25_000
 

@@ -341,6 +341,8 @@ def _counter_normals(key: np.uint64, counters: np.ndarray) -> np.ndarray:
     u = (z >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    # the top 2^11 hashes round to u = 1 (ndtri = inf); every other u is <= 1 - 2^-52
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u, out=u)
 
 

@@ -6,6 +6,7 @@ from spdelab import (
     SpaceTimeField,
     TreeError,
     build_grid,
+    build_lattice,
     build_tree,
     clark_decompose,
     cond_expect,
@@ -167,6 +168,24 @@ def test_op_B_nonzero_and_scales():
     assert norm_x0(bg2 - 2.0 * bg) <= 1e-10 * norm_x0(bg2)
 
 
+@pytest.mark.parametrize("space", ["tree-d1", "tree-d2", "lattice"])
+def test_op_B_is_nilpotent(space):
+    # (B g)^k reads g only at levels after k, so B^N g == 0 bit for bit;
+    # B^(N-1) g keeps level 0, so a zero B cannot pass
+    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    grid = build_grid(dom, 41)
+    d = 2 if space == "tree-d2" else 1
+    tree = build_lattice(8, 1.0) if space == "lattice" else build_tree(d, 5, 1.0)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.5, 0.5, 0.6], "d": d})
+    g = smooth_random_field(grid, tree, seed=29)
+    for _ in range(tree.n_steps - 1):
+        g = backward_sweep(g, coeffs, grid, tree)[2]
+    assert norm_x0(g) > 0.0
+    assert all(not lev.any() for lev in g.levels[1:])
+    g = backward_sweep(g, coeffs, grid, tree)[2]
+    assert all(not lev.any() for lev in g.levels)
+
+
 def test_solve_R_identity_when_B_vanishes(nonrandom_field):
     _, grid, tree, coeffs = make_setup(family="constant")
     phi = nonrandom_field(grid, tree, seed=15)
@@ -182,11 +201,14 @@ def test_solve_R_zero_input():
 
 
 def test_solve_R_uniqueness_probe():
+    # the zero start's first iterate is phi, so the second start is a field
+    # independent of phi
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=16)
     tol = 1e-9
     g_a, _ = solve_R(phi, coeffs, grid, tree, tol=tol, x0=SpaceTimeField.zeros(grid, tree))
-    g_b, _ = solve_R(phi, coeffs, grid, tree, tol=tol, x0=phi)
+    g_b, _ = solve_R(phi, coeffs, grid, tree, tol=tol,
+                     x0=smooth_random_field(grid, tree, seed=(16, 1)))
     assert norm_x0(g_a - g_b) <= 10 * tol * norm_x0(phi)
 
 
@@ -200,12 +222,15 @@ def test_solve_R_residual_contract():
 
 
 def test_solve_R_nonconvergence_raises(monkeypatch):
-    monkeypatch.setattr(backward, "MAX_ITER", 2)
+    # a B that is not nilpotent (B g = 2 g) never settles: solve_R gives up
+    # after N + 1 sweeps and blames B, not the drift
+    monkeypatch.setattr(backward, "backward_sweep", lambda g, *_: (None, None, 2.0 * g))
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=18)
-    with pytest.raises(ConvergenceError) as err:
-        solve_R(phi, coeffs, grid, tree, tol=1e-14)
-    assert err.value.iterations == 2
+    with pytest.raises(ConvergenceError, match="not causal") as err:
+        solve_R(phi, coeffs, grid, tree)
+    assert err.value.iterations == tree.n_steps + 1
+    assert "drift" not in str(err.value)
 
 
 def test_op_L_structure_and_exit_oracle():
@@ -228,7 +253,7 @@ def test_op_L_structure_and_exit_oracle():
 
 def test_op_L_solves_I_plus_B_exactly():
     # op_L's back-substitution against the B g of backward_sweep, an
-    # independent sweep, and against the damped fixed point at a tight tolerance
+    # independent sweep, and against the undamped fixed point at a tight tolerance
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=27)
     sol = op_L(phi, coeffs, grid, tree)

@@ -346,7 +346,7 @@ def test_summary_diagnostics(tmp_path):
         diagnostics = json.loads(first)["diagnostics"]
         assert list(diagnostics) == ["coefficients", key]
     solves = json.loads((tmp_path / "r" / "summary.json").read_text())["diagnostics"]["solve_R"]
-    assert sorted(solves) == ["phi-start", "range-density-probe", "zero-start"]
+    assert sorted(solves) == ["random-start", "range-density-probe", "zero-start"]
     for info in solves.values():
         assert info["iterations"] == len(info["residual_history"]) >= 1
     audits = json.loads((tmp_path / "d" / "summary.json").read_text())["diagnostics"]["density"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from spdelab import (
     TreeError,
@@ -11,7 +12,7 @@ from spdelab import (
     ito_integral,
     sample_tree_paths,
 )
-from spdelab.tree import _counter_normals
+from spdelab.tree import _GOLDEN, _MIX1, _MIX2, _counter_normals
 
 
 def drawn(bundle):
@@ -228,6 +229,34 @@ def test_free_bundle_pins_the_counter_stream():
         counters = rows.astype(np.uint64) * np.uint64(bundle.n_fine) + np.uint64(k)
         expected = -1.3 * (np.sqrt(0.125) * _counter_normals(bundle._key, counters))
         assert np.array_equal(bundle.block(k, rows), expected[None, :])
+
+
+def _counter_of_hash(key, h):
+    """The counter whose SplitMix64 hash under key is h: each xorshift and
+    each odd multiply of the finalizer is invertible mod 2^64."""
+    mask = 2**64 - 1
+
+    def unshift(x, s):
+        y = x
+        for _ in range(64 // s):
+            y = x ^ (y >> s)
+        return y
+
+    for shift, mult in ((31, _MIX2), (27, _MIX1), (30, None)):
+        h = unshift(h, shift)
+        if mult is not None:
+            h = h * pow(int(mult), -1, 2**64) & mask
+    return (h - int(key)) * pow(int(_GOLDEN), -1, 2**64) & mask
+
+
+def test_counter_normals_top_counter_is_finite():
+    # the hashes 2^64 - 2^11 .. 2^64 - 1 share the top 53 bits, which round
+    # to u = 1; the clamp moves only them, and the next hash keeps u = 1 - 2^-52
+    key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=7)._key
+    hashes = (2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1)
+    z = _counter_normals(key, np.array([_counter_of_hash(key, h) for h in hashes], dtype=np.uint64))
+    assert z[0] == z[1] == ndtri(1.0 - 2.0**-53) < np.inf
+    assert z[2] == ndtri(1.0 - 2.0**-52) < z[0]
 
 
 def test_bridge_paths_deterministic(tree5):
