@@ -34,6 +34,7 @@ from .forward import (
     DensitySolution,
     ForwardSolverError,
     ForwardState,
+    lattice_density,
     solve_B_star,
     solve_density,
     solve_duals,

@@ -77,7 +77,7 @@ def solve_level(bands, dt, rhs):
     lo, dg, up = bands
     # scale before broadcasting, so x-independent bands stay (1, n) views
     L, D, U = (np.broadcast_to(a, (ni, n)) for a in (-dt * lo, 1.0 - dt * dg, -dt * up))
-    thomas_rows(L, D, U, rhs[1:-1] if rhs.ndim > 2 else rhs[1:-1, :, None])
+    thomas_rows(L, D, U, rhs[1:-1])
     rhs[[0, -1]] = 0.0
     return rhs
 

@@ -15,9 +15,8 @@ boundary nodes.
 
 One banded core serves every solver: generator_bands alone turns drift and
 diffusion into the bands of A or A*, and thomas_rows is the only
-tridiagonal solve (cyclic reduction for narrow batches, the Thomas row
-loop for wide ones).  apply_A is an independent centered stencil (an
-oracle).
+tridiagonal solve (odd-even cyclic reduction at every batch width).
+apply_A is an independent centered stencil (an oracle).
 """
 
 from __future__ import annotations
@@ -136,63 +135,30 @@ def apply_bands(bands, u):
     return out
 
 
-# thomas_rows solves batches of at most this many systems by cyclic
-# reduction and wider ones by the row loop: at 39 and 199 interior rows and
-# 1, 2 or 10 right-hand sides per system, the reduction was the faster at
-# every width up to 64 systems and the slower at some from 128 on
-# (CHANGES.md has the crossover table)
-CR_MAX_BATCH = 64
-
-
 def thomas_rows(L, D, U, X):
-    """Tridiagonal solve in rows layout: system axis first.
+    """Tridiagonal solve in rows layout: system axis first, by odd-even
+    cyclic reduction, in place on X.
 
-    L, D, U broadcastable to (n, nb); X is (n, nb, m) or (n, nb, m1, m2,
-    ...), any strides, and is overwritten with the solution: every trailing
-    index is one right-hand side sharing system nb's matrix.  The values of
-    L[0] and U[n-1] never influence the solution.  No pivoting: callers
-    must supply diagonally dominant systems (I - dt*A is one when
+    L, D, U broadcastable to (n, nb); X is (n, nb) or (n, nb, m1, m2, ...),
+    any strides, and is overwritten with the solution: every trailing index
+    is one right-hand side sharing system nb's matrix.  The values of L[0]
+    and U[n-1] never influence the solution.  No pivoting: callers must
+    supply diagonally dominant systems (I - dt*A is one when
     2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which
-    harness.ExperimentConfig.validate checks at load).
-
-    Batches of at most CR_MAX_BATCH systems are solved by odd-even cyclic
-    reduction (_cyclic_reduction), a few whole-array operations per halving
-    of the system; wider ones by the Thomas row loop, whose per-row Python
-    overhead is then spread over many systems.  The branch depends on the
-    number of systems nb = X.shape[1] alone and every step of either branch
-    is elementwise, so within a branch each right-hand side's solution is
-    bit-identical whatever else is solved with it on the trailing axes.
-    The two branches agree to round-off, not bit for bit.
-    """
-    if X.shape[1] <= CR_MAX_BATCH:
-        return _cyclic_reduction(L, D, U, X)
-    n = X.shape[0]
-    col = (slice(None),) + (None,) * (X.ndim - 2)  # a band row against X[i]
-    cp = np.empty((n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:]))
-    inv = 1.0 / D[0]
-    cp[0] = U[0] * inv
-    np.multiply(X[0], inv[col], out=X[0], order="F")
-    # row updates iterate in Fortran order, batch axis innermost, so a small
-    # contiguous m axis never becomes numpy's inner loop
-    for i in range(1, n):
-        denom = 1.0 / (D[i] - L[i] * cp[i - 1])
-        cp[i] = U[i] * denom
-        np.subtract(X[i], np.multiply(L[i][col], X[i - 1], order="F"), out=X[i], order="F")
-        np.multiply(X[i], denom[col], out=X[i], order="F")
-    for i in range(n - 2, -1, -1):
-        np.subtract(X[i], np.multiply(cp[i][col], X[i + 1], order="F"), out=X[i], order="F")
-    return X
-
-
-def _cyclic_reduction(L, D, U, X):
-    """Odd-even cyclic reduction of thomas_rows' systems, in place on X.
+    harness.ExperimentConfig.validate checks at load).  The name predates
+    the algorithm; callers and the benchmark tracer look it up by it.
 
     With a = -L, c = -U, row i reads -a_i x_{i-1} + D_i x_i - c_i x_{i+1}
     = X_i.  Each stage adds multiples of the even rows 2k and 2k+2 to the
     odd row 2k+1 so that its even neighbours drop out, which leaves the odd
     rows as a tridiagonal system of half the size; diagonal dominance
-    survives the step (Heller 1976).  Once one row is left, the stages are
-    undone in reverse: each even row follows from its two odd neighbours.
+    survives the step (Heller 1976).  The reduced right-hand sides stay in
+    the odd rows of the stage's view of X.  Once one row is left, the
+    stages are undone in reverse: each even row follows from its two odd
+    neighbours.  A few whole-array operations per halving, every one
+    elementwise across systems and right-hand sides, so each solution is
+    bit-identical whatever else is solved with it, in the batch or on the
+    trailing axes.
     """
     n = X.shape[0]
     w = (n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:])
@@ -214,16 +180,16 @@ def _cyclic_reduction(L, D, U, X):
         b[: ne - 1] -= gamma * ae[1:]
         c = np.zeros_like(b)
         np.multiply(gamma, ce[1:], out=c[: ne - 1])
-        d = d[1::2] + alpha[col] * de[:no]
+        d = d[1::2]
+        d += alpha[col] * de[:no]
         d[: ne - 1] += gamma[col] * de[1:]
     np.divide(d, b[col], out=d)
     for ae, be, ce, level in reversed(stages):
-        # d holds the solution of this stage's odd rows
+        # the odd rows of level hold this stage's solution, d
         xe = level[0::2]
         xe[1:] += ae[1:][col] * d[: len(be) - 1]
         xe[: len(d)] += ce[: len(d)][col] * d
         xe /= be[col]
-        level[1::2] = d
         d = level
     return X
 
@@ -240,7 +206,7 @@ def solve_tridiag(lower, diag, upper, rhs):
     def rows(a):
         return np.moveaxis(np.broadcast_to(a, shape), -1, 0).reshape(n, -1)
 
-    X = np.array(rows(rhs)[:, :, None], dtype=float, order="C")
+    X = np.array(rows(rhs), dtype=float, order="C")
     thomas_rows(rows(lower), rows(diag), rows(upper), X)
     return np.moveaxis(X.reshape((n,) + shape[:-1]), 0, -1)
 

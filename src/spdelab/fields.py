@@ -5,10 +5,11 @@ A SpaceTimeField stores one array per time level with one column per tree
 node of that level, so adaptedness is structural: a value cannot depend on
 more of the path than its node.  Levels are x-major ("node-last"): level k
 is a C-contiguous (nx, n_nodes(k)) array, so the interior rows [1:-1] are
-the contiguous system-axis-first block the Thomas solver works on in place,
-and the children of node n are the contiguous columns
-levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].  On the w1 lattice
-column j of level k is the conditional mean given w1 = sqrt(dt) (k - 2j).
+the contiguous system-axis-first block the tridiagonal solver (no
+pivoting) works on in place, and the children of node n are the
+contiguous columns levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].
+On the w1 lattice column j of level k is the conditional mean given
+w1 = sqrt(dt) (k - 2j).
 The X0 inner product discretizes the time integral with the left rule over
 the n_steps cells, weighting level k by P_k = tree.weights(k),
 

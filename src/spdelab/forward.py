@@ -22,10 +22,11 @@ Problems that share the generator march in lockstep: solve_duals advances
 T*, G_0*, B*, R* and L* of one h together, and every level's right-hand
 sides of all S problems sit side by side, S * br columns per node, in one
 banded solve with the level's A* bands.  The result is bit-identical to S
-separate marches: Thomas columns never mix and every other step is
-elementwise per problem, so only the number of solves changes (one per
-level instead of S).  The single-operator solvers and solve_density are
-one-problem calls of the same march.
+separate marches: the tridiagonal solver (no pivoting) never mixes
+columns and every other step is elementwise per problem, so only the
+number of solves changes (one per level instead of S).  The
+single-operator solvers, solve_density and its lattice counterpart
+lattice_density are one-problem calls of the same march.
 
 Operator forms (all with zero data at t = 0 and on the boundary):
 
@@ -50,7 +51,7 @@ from .backward import solve_level
 from .coefficients import CoefficientSet
 from .domain import Grid, dx_centered, generator_bands, solve_tridiag
 from .fields import SpaceTimeField
-from .tree import ScenarioTree, TreeNode, require_tree
+from .tree import Lattice, ScenarioTree, TreeNode, require_tree
 
 
 class ForwardSolverError(RuntimeError):
@@ -273,6 +274,24 @@ def solve_density(
     the duality identities.
     """
     require_tree(tree, "solve_density", ForwardSolverError)
+    return _density_march(p0, coeffs, grid, tree)
+
+
+def lattice_density(p0: np.ndarray, coeffs: CoefficientSet, grid: Grid,
+                    lattice: Lattice) -> DensitySolution:
+    """solve_density's march on the w1 lattice: the conditional means of the
+    tree density given (k, w1), exact wherever they are paired with a field
+    that reads the path only through w1.  Its positivity audit covers those
+    means, which is weaker than solve_density's per-node audit."""
+    if lattice.kind != "lattice":
+        raise ForwardSolverError("lattice_density marches the w1 lattice; "
+                                 "solve_density marches the tree")
+    return _density_march(p0, coeffs, grid, lattice)
+
+
+def _density_march(p0, coeffs, grid, tree) -> DensitySolution:
+    """Check p0, march the density from it (boundary values clamped to zero)
+    and audit mass and positivity per level."""
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (grid.nx,):
         raise ForwardSolverError("p0 must be a grid function")

@@ -44,7 +44,7 @@ from .fields import (
     norm_xk,
     smooth_random_field,
 )
-from .forward import solve_density, solve_duals
+from .forward import lattice_density, solve_density, solve_duals
 from .montecarlo import conditional_functional, functional_estimate
 from .tree import MAX_STEPS, TreeError, build_lattice, build_tree, fine_steps
 
@@ -232,7 +232,7 @@ def _oracle_family(cfg):
 def _levels_dominant(cfg):
     """The coefficients (make_family checks the family's keys and d <= d0 =
     len(sigma)) and both (nx, n_steps) levels build, and on each I - dt*A is
-    diagonally dominant, as the Thomas solver (no pivoting) needs."""
+    diagonally dominant, as the tridiagonal solver (no pivoting) needs."""
     nx, n_steps = cfg.grid["nx"], cfg.tree["n_steps"]
     fine = (cfg.params.get("fine_nx", nx), cfg.params.get("fine_n_steps", n_steps))
     try:
@@ -246,7 +246,8 @@ def _levels_dominant(cfg):
         if value > 1.0:
             raise ConfigError(
                 f"nx={grid.nx} with n_steps={tree.n_steps} breaks the diagonal dominance the "
-                f"Thomas solver needs: 2 dt (K1/(2dx) - b/(2dx^2)) = {value:.3g} > 1 "
+                f"tridiagonal solver (no pivoting) needs: "
+                f"2 dt (K1/(2dx) - b/(2dx^2)) = {value:.3g} > 1 "
                 f"(K1={k1:g}, b={b:g}); take more tree steps or a smaller drift")
 
 
@@ -449,10 +450,14 @@ def _dirichlet_profile(grid, tree, fn) -> SpaceTimeField:
     return fld
 
 
-def _density_diagnostics(dens, grid, tree) -> dict:
-    """Positivity audit of one density solve, for summary.json."""
-    return {"nx": grid.nx, "n_steps": tree.n_steps, "flagged": bool(dens.flagged),
-            "min_density": list(dens.min_density)}
+def _record_density(diag, dens, grid, tree):
+    """Positivity audit of one density solve, for summary.json: per node under
+    "density" on the tree, of the conditional means under "lattice_density"
+    on the w1 lattice."""
+    key = "density" if tree.kind == "tree" else "lattice_density"
+    diag.setdefault(key, []).append(
+        {"nx": grid.nx, "n_steps": tree.n_steps, "kind": tree.kind,
+         "flagged": bool(dens.flagged), "min_density": list(dens.min_density)})
 
 
 def _unit(x, t, w1):
@@ -535,12 +540,12 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     return rows
 
 
-def _state_space(cfg, nx, n_steps, diag):
-    """(coeffs, grid, tree) at one level, on the w1 lattice when d = 1 (exact:
-    coefficients and test fields depend on the path only through w1); the
-    level goes to diag["state_space"]."""
+def _state_space(cfg, nx, n_steps, diag, lattice=True):
+    """(coeffs, grid, tree) at one level, on the w1 lattice when d = 1 unless
+    lattice is unset (exact: coefficients and test fields depend on the path
+    only through w1); the level goes to diag["state_space"]."""
     coeffs, grid, tree = cfg.build(nx, n_steps)
-    if tree.d == 1:
+    if lattice and tree.d == 1:
         tree = build_lattice(tree.n_steps, tree.horizon)
     states = sum(tree.n_nodes(k) for k in range(tree.n_steps + 1))
     diag.setdefault("state_space", []).append(
@@ -641,23 +646,27 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     return rows
 
 
-def _duality_gap(cfg, nx, n_steps):
-    coeffs, grid, tree = cfg.build(nx, n_steps)
+def _duality_gap(cfg, coeffs, grid, tree):
+    """(lhs, rhs, sol, dens, phi) of the duality identity at one level; on
+    the w1 lattice both sides are exact, since phi and p0 read the path only
+    through w1."""
     p0 = _gaussian_density(grid, cfg.params["p0_width"])
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     sol = op_L(phi, coeffs, grid, tree)
-    dens = solve_density(p0, coeffs, grid, tree)
+    march = solve_density if tree.kind == "tree" else lattice_density
+    dens = march(p0, coeffs, grid, tree)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     rhs = inner_x0(dens.p, phi)
-    return lhs, rhs, sol, dens, phi, grid, tree
+    return lhs, rhs, sol, dens, phi
 
 
 def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
-    lhs_c, rhs_c, sol, dens, phi, grid, tree = _duality_gap(
-        cfg, cfg.grid["nx"], cfg.tree["n_steps"]
-    )
-    diag["density"] = [_density_diagnostics(dens, grid, tree)]
+    # the coarse level's node checks read per-node densities: the tree
+    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag,
+                                      lattice=False)
+    lhs_c, rhs_c, sol, dens, phi = _duality_gap(cfg, coeffs, grid, tree)
+    _record_density(diag, dens, grid, tree)
     gap_c = abs(lhs_c - rhs_c)
     scale = max(norm_x0(phi), 1e-300)
     budget = 0.5 * (tree.dt + grid.dx**2) * scale
@@ -680,8 +689,9 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
                              lhs_n, rhs_n, node_budget,
                              abs(lhs_n - rhs_n) <= node_budget))
     del sol, dens, phi
-    lhs_f, rhs_f, _, dens, _, grid, tree = _duality_gap(cfg, p["fine_nx"], p["fine_n_steps"])
-    diag["density"].append(_density_diagnostics(dens, grid, tree))
+    coeffs, grid, tree = _state_space(cfg, p["fine_nx"], p["fine_n_steps"], diag)
+    lhs_f, rhs_f, _, dens, _ = _duality_gap(cfg, coeffs, grid, tree)
+    _record_density(diag, dens, grid, tree)
     gap_f = abs(lhs_f - rhs_f)
     rows.append(CheckRow(cfg.experiment, "gap-halving-under-refinement", "6.3",
                          gap_c, gap_f, 0.62 * gap_c, gap_f <= 0.62 * gap_c))
@@ -694,7 +704,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     p0 = _gaussian_density(grid, p["p0_width"])
     leaf = int(p["leaf_bits"], 2)
     dens = solve_density(p0, coeffs, grid, tree)
-    diag["density"] = [_density_diagnostics(dens, grid, tree)]
+    _record_density(diag, dens, grid, tree)
     anc = tree.leaf_path(leaf)
     cond = conditional_functional(
         coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],

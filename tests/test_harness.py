@@ -85,7 +85,7 @@ def test_config_validation_errors():
 
 
 # settings that used to pass validation and fail only after the solver work,
-# or, for the Thomas dominance check, solve without pivoting on a matrix
+# or, for the tridiagonal solver's dominance check, solve without pivoting on a matrix
 # that is not diagonally dominant
 BAD_AT_LOAD = [
     {"match": "diagonal dominance", "config": {
@@ -332,26 +332,29 @@ def test_summary_diagnostics(tmp_path):
     # solver diagnostics land in summary.json, and a rerun of the same
     # config writes the same bytes
     runs = [
-        (small_solvability(output_dir=str(tmp_path / "r")), "solve_R"),
+        (small_solvability(output_dir=str(tmp_path / "r")), ["solve_R"]),
         (ExperimentConfig.from_dict({
             "experiment": "duality-63", "grid": {"nx": 41}, "tree": {"n_steps": 4},
             "params": {"fine_nx": 61, "fine_n_steps": 6}, "output_dir": str(tmp_path / "d"),
-        }), "density"),
+        }), ["density", "lattice_density", "state_space"]),
     ]
-    for cfg, key in runs:
+    for cfg, keys in runs:
         run(cfg)
         first = (Path(cfg.output_dir) / "summary.json").read_bytes()
         run(cfg)
         assert (Path(cfg.output_dir) / "summary.json").read_bytes() == first
         diagnostics = json.loads(first)["diagnostics"]
-        assert list(diagnostics) == ["coefficients", key]
+        assert list(diagnostics) == ["coefficients", *keys]
     solves = json.loads((tmp_path / "r" / "summary.json").read_text())["diagnostics"]["solve_R"]
     assert sorted(solves) == ["random-start", "range-density-probe", "zero-start"]
     for info in solves.values():
         assert info["iterations"] == len(info["residual_history"]) >= 1
-    audits = json.loads((tmp_path / "d" / "summary.json").read_text())["diagnostics"]["density"]
-    assert [(a["nx"], a["n_steps"]) for a in audits] == [(41, 4), (61, 6)]
-    # the coarse density dips below -1e-3 of its peak; the fine one does not
+    diagnostics = json.loads((tmp_path / "d" / "summary.json").read_text())["diagnostics"]
+    audits = diagnostics["density"] + diagnostics["lattice_density"]
+    assert [(a["nx"], a["n_steps"], a["kind"]) for a in audits] == [(41, 4, "tree"),
+                                                                    (61, 6, "lattice")]
+    # the coarse density dips below -1e-3 of its peak; the fine level's
+    # conditional means do not
     assert [a["flagged"] for a in audits] == [True, False]
     for audit in audits:
         assert len(audit["min_density"]) == audit["n_steps"] + 1
@@ -419,6 +422,10 @@ def test_coefficient_validation_report(tmp_path, name, over, superparabolic):
     assert report["k1"] == pytest.approx(kappa * math.tanh(w1), rel=1e-12)
 
 
+DUALITY_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 4},
+                 "params": {"fine_nx": 61, "fine_n_steps": 6}}
+
+
 @pytest.mark.parametrize("name, over, kind, states", [
     ("adjoint-suite", {"grid": {"nx": 21}, "tree": {"n_steps": 3},
                        "params": {"fine_nx": 41, "fine_n_steps": 6, "n_draws": 1}},
@@ -431,6 +438,11 @@ def test_coefficient_validation_report(tmp_path, name, over, superparabolic):
                        "grid": {"nx": 21}, "tree": {"n_steps": 2},
                        "params": {"fine_nx": 41, "fine_n_steps": 4, "n_draws": 1}},
      "tree", [21, 341]),
+    # duality-63's coarse node checks keep the tree (2**(N+1) - 1 nodes); its
+    # fine pairing runs on the lattice when d = 1
+    ("duality-63", DUALITY_SMALL, "lattice", [31, 28]),
+    ("duality-63", {**DUALITY_SMALL, "coefficients": {"sigma": [0.5, 0.5, 0.6], "d": 2}},
+     "tree", [341, 5461]),
 ])
 def test_state_space_diagnostics(tmp_path, name, over, kind, states):
     # the state space of each (nx, n_steps) level goes to summary.json, and a
@@ -440,11 +452,21 @@ def test_state_space_diagnostics(tmp_path, name, over, kind, states):
     first = (tmp_path / "summary.json").read_bytes()
     run(cfg)
     assert (tmp_path / "summary.json").read_bytes() == first
-    levels = json.loads(first)["diagnostics"]["state_space"]
+    diagnostics = json.loads(first)["diagnostics"]
     nx = [cfg.grid["nx"], cfg.params["fine_nx"]]
     n_steps = [cfg.tree["n_steps"], cfg.params["fine_n_steps"]]
-    assert levels == [{"nx": a, "n_steps": n, "kind": kind, "states": s}
-                      for a, n, s in zip(nx, n_steps, states)]
+    kinds = ["tree" if name == "duality-63" else kind, kind]  # coarse, fine
+    levels = [{"nx": a, "n_steps": n, "kind": k, "states": s}
+              for a, n, k, s in zip(nx, n_steps, kinds, states)]
+    assert diagnostics["state_space"] == levels
+    if name == "duality-63":
+        # a density audit per level: per node on the tree under "density",
+        # of the conditional means on the lattice under "lattice_density"
+        where = {"tree": "density", "lattice": "lattice_density"}
+        audits = [(a["nx"], a["n_steps"], a["kind"], key)
+                  for key in where.values() for a in diagnostics.get(key, [])]
+        assert audits == [(lv["nx"], lv["n_steps"], lv["kind"], where[lv["kind"]])
+                          for lv in levels]
 
 
 def test_cli_roundtrip(tmp_path):

@@ -19,6 +19,7 @@ from spdelab import (
     build_grid,
     build_lattice,
     build_tree,
+    lattice_density,
     make_family,
     op_L,
     residual_bspde,
@@ -29,7 +30,7 @@ from spdelab import (
 from spdelab.backward import backward_sweep
 from spdelab.fields import FieldError, norm_c0, norm_x0, norm_xk, pair_x0_dual, smooth_random_field
 from spdelab.forward import ForwardState, solve_L_star, solve_R_star, solve_T_star
-from spdelab.harness import _adjoint_pairings
+from spdelab.harness import _adjoint_pairings, _duality_gap, default_config
 from spdelab.tree import TreeNode
 
 FAMILIES = {
@@ -113,6 +114,21 @@ def test_forward_marches_are_the_tree_conditional_means(family):
                             solve(h_lattice, coeffs, grid, lattice))
 
 
+@pytest.mark.parametrize("n_steps", [6, 10])
+def test_duality_63_fine_pairing_matches_the_tree(n_steps):
+    # duality-63 pairs its fine level on the lattice: lhs reads op_L's root
+    # value and rhs pairs the density with phi, both w1-only
+    cfg = default_config("duality-63")
+    coeffs, grid, tree = cfg.build(cfg.params["fine_nx"], n_steps)
+    lattice = build_lattice(n_steps, tree.horizon)
+    on_tree = _duality_gap(cfg, coeffs, grid, tree)
+    on_lattice = _duality_gap(cfg, coeffs, grid, lattice)
+    for a, b in zip(on_tree[:2], on_lattice[:2]):
+        assert rel(a, b) <= 1e-12
+    # the lattice density is the tree density's conditional mean per state
+    assert_levels_match(on_tree[3].p, on_lattice[3].p)
+
+
 def test_lattice_levels_and_children():
     lattice = build_lattice(4, 1.0)
     assert [lattice.n_nodes(k) for k in range(5)] == [1, 2, 3, 4, 5]
@@ -148,6 +164,14 @@ def test_solve_density_refuses_a_lattice():
     p0[1:-1] = 1.0 / (grid.dx * grid.ni)
     with pytest.raises(ForwardSolverError, match="per-path values"):
         solve_density(p0, coeffs, grid, lattice)
+
+
+def test_lattice_density_refuses_a_tree():
+    coeffs, grid, tree, _ = setup("drift-random", 21, 3)
+    p0 = np.zeros(grid.nx)
+    p0[1:-1] = 1.0 / (grid.dx * grid.ni)
+    with pytest.raises(ForwardSolverError, match="w1 lattice"):
+        lattice_density(p0, coeffs, grid, tree)
 
 
 def test_step_forward_refuses_a_lattice():

@@ -1,10 +1,11 @@
 """The lockstep march of the five forward duals.
 
 solve_duals marches T*, G_0*, B*, R* and L* together, one banded solve per
-level for all five.  Thomas columns are independent and every other step
-is elementwise, so each dual equals its own solve_*_star call bit for bit,
-on the w1 lattice and on the tree for d = 1 and d = 2; and the adjoint
-suite makes half the level solves it made with five separate marches.
+level for all five.  The tridiagonal solver keeps columns independent and
+every other step is elementwise, so each dual equals its own solve_*_star
+call bit for bit, on the w1 lattice and on the tree for d = 1 and d = 2;
+and the adjoint suite makes half the level solves it made with five
+separate marches.
 """
 
 import numpy as np

@@ -21,12 +21,12 @@ from spdelab import (
     clark_decompose,
     cond_expect,
 )
-from spdelab.domain import CR_MAX_BATCH, generator_bands, thomas_rows
+from spdelab.domain import generator_bands, thomas_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
-# batch widths on both sides of thomas_rows' branch: cyclic reduction up to
-# CR_MAX_BATCH systems, the row loop above
-BATCHES = st.one_of(st.integers(1, 5), st.sampled_from([CR_MAX_BATCH, CR_MAX_BATCH + 1]))
+# narrow batches and wide ones: the widest tree levels the experiments solve
+# hold 512 systems and more
+BATCHES = st.one_of(st.integers(1, 5), st.sampled_from([64, 65, 513]))
 
 
 def dense(lo, dg, up):
@@ -89,18 +89,18 @@ def test_thomas_rows_on_stacked_columns_equals_each_column_alone(n, nb, widths, 
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 70), nb=st.integers(1, 5), m=st.integers(1, 3), seed=SEEDS)
-def test_thomas_rows_branches_agree(n, nb, m, seed):
-    # the same systems solved in a narrow batch (cyclic reduction) and in a
-    # batch widened past CR_MAX_BATCH by copies of them (the row loop)
+@given(n=st.integers(1, 70), m=st.integers(1, 3), at=st.integers(0, 512), seed=SEEDS)
+def test_thomas_rows_solves_a_system_alone_as_in_a_wide_batch(n, m, at, seed):
+    # every step is elementwise across systems: system `at` of a 513-wide
+    # batch solves to the same bits as the same system solved alone
     rng = np.random.default_rng(seed)
-    bands = dominant_bands(rng, n, nb)
-    rhs = rng.normal(size=(n, nb, m))
-    narrow = thomas_rows(*bands, rhs.copy())
-    copies = CR_MAX_BATCH // nb + 1
-    wide = thomas_rows(*(np.tile(a, copies) for a in bands), np.tile(rhs, (1, copies, 1)))
-    err = np.abs(wide.reshape(n, copies, nb, m) - narrow[:, None]).max()
-    assert err <= 1e-13 * np.abs(narrow).max()
+    bands = dominant_bands(rng, n, 513)
+    rhs = rng.normal(size=(n, 513, m))
+    wide = thomas_rows(*bands, rhs.copy())
+    alone = thomas_rows(*(a[:, at:at + 1] for a in bands), rhs[:, at:at + 1].copy())
+    assert np.array_equal(wide[:, at:at + 1], alone)
+    # and so does a 2-D right-hand side, one per system
+    assert np.array_equal(thomas_rows(*bands, rhs[:, :, 0].copy()), wide[:, :, 0])
 
 
 @settings(max_examples=40, deadline=None)
