@@ -6,7 +6,7 @@ CSV body (deterministic for a given config: no timestamps, fixed float
 formatting), a JSON summary with the coefficient validation report and
 the solver diagnostics an experiment records (also deterministic), and a
 separate metadata file carrying the volatile environment stamp: wall time,
-peak RSS and versions.
+peak RSS, versions and the draw threads (which change no result).
 
 Row semantics: lhs and rhs are the two quantities a check compares,
 abs_err = |lhs - rhs|, rel_err normalizes by the larger magnitude, and tol
@@ -46,7 +46,7 @@ from .fields import (
 )
 from .forward import lattice_density, solve_density, solve_duals
 from .montecarlo import conditional_functional, functional_estimate
-from .tree import MAX_STEPS, TreeError, build_lattice, build_tree, fine_steps
+from .tree import MAX_STEPS, TreeError, build_lattice, build_tree, draw_threads, fine_steps
 
 
 class ConfigError(ValueError):
@@ -147,6 +147,8 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                 "python_version": platform.python_version(),
                 # peak resident set of this process so far (ru_maxrss is in KiB)
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                # threads a tree-bridged noise block's draws may use
+                "draw_threads": draw_threads(),
             },
             fh,
             indent=2,

@@ -8,7 +8,10 @@ identities hold to round-off and discretization error is confined to space
 and time.  Fine-time Monte Carlo increments are the scalar noise sigma.dW,
 one normal per path and fine step, with the first d Wiener components
 bridged through a designated leaf path or per-path leaf draws; they are
-drawn one coarse step at a time, for the paths still being marched.
+drawn one coarse step at a time, for the paths still being marched.  Each
+normal is a fixed function of (key, counter), so a tree-bridged block's fine
+steps are split over one shared pool of draw threads, one per CPU the
+process may run on, and the block holds the same bits for any CPU count.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -26,6 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -346,6 +352,32 @@ def _counter_normals(key: np.uint64, counters: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
+# fewest normals in a block whose fine steps are split over the draw threads;
+# numpy and scipy ufuncs release the GIL, so below this size the hand-offs cost
+# more than the other cores save
+SPLIT_MIN = 1 << 16
+
+_pool = None  # the draw pool, created at the first split
+_pool_lock = threading.Lock()
+
+
+def draw_threads() -> int:
+    """Threads a block's draws may use: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_pool() -> ThreadPoolExecutor:
+    """The one draw pool every bundle and every chunk thread shares."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(draw_threads(), thread_name_prefix="spdelab-draw")
+        return _pool
+
+
 @dataclass(frozen=True)
 class PathBundle:
     """Fine-time noise sigma.dW for Monte Carlo, drawn lazily by block.
@@ -362,7 +394,8 @@ class PathBundle:
     has the law of sigma.(bridged + free increments): covariance dt_mc (s^2 I
     - |sigma[:d]|^2 11^T / n_sub), and the bridged part of the block sum is
     exactly sigma[:d].dW_tree.  The increment of path p and step m is a fixed
-    function of (seed, p, m), whichever other paths are drawn with it.
+    function of (seed, p, m), whichever other paths are drawn with it and
+    whichever thread draws it.
     """
 
     tree: ScenarioTree | None
@@ -400,14 +433,31 @@ class PathBundle:
         return np.random.SeedSequence(seed_entropy(self.seed)).generate_state(1, np.uint64)[0]
 
     def block(self, k: int, rows) -> np.ndarray:
-        """Increments sigma.dW of block k for the given path rows, (n_sub, rows)."""
+        """Increments sigma.dW of block k for the given path rows, (n_sub, rows).
+
+        A block of n_sub >= 2 steps and at least SPLIT_MIN normals is drawn
+        by up to min(draw_threads(), n_sub) tasks of the shared draw pool,
+        each filling its own run of steps; every row z[j] is the same
+        function of the counters however the steps are split.
+        """
         rows = np.asarray(rows)
         # counter of (path p, fine step m): p * n_fine + m; one fine step at a
         # time keeps the work arrays in cache
         at_m0 = rows.astype(np.uint64) * np.uint64(self.n_fine)
         z = np.empty((self.n_sub, rows.size))
-        for j in range(self.n_sub):
-            z[j] = _counter_normals(self._key, at_m0 + np.uint64(k * self.n_sub + j))
+
+        def draw(lo, hi):
+            for j in range(lo, hi):
+                z[j] = _counter_normals(self._key, at_m0 + np.uint64(k * self.n_sub + j))
+
+        tasks = min(draw_threads(), self.n_sub) if z.size >= SPLIT_MIN else 1
+        if tasks < 2:
+            draw(0, self.n_sub)
+        else:
+            # one coarse task per thread keeps the GIL hand-offs few
+            cuts = [t * self.n_sub // tasks for t in range(tasks + 1)]
+            for f in [_draw_pool().submit(draw, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
+                f.result()
         z *= np.sqrt(self.dt_mc)
         tree = self.tree
         if tree is None:

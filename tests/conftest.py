@@ -6,12 +6,14 @@ cannot fail in CI on an example no local run has seen.
 """
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from spdelab import SpaceTimeField, smooth_random_field
+from spdelab import tree as tree_module
 
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("CI"):
@@ -30,3 +32,14 @@ def nonrandom_field():
                                            for k, m in enumerate(means)])
 
     return make
+
+
+@pytest.fixture
+def split_draws(monkeypatch):
+    """Split the draws of every block of n_sub >= 2 steps over three
+    threads, whatever the CPU count, in a pool of the test's own."""
+    monkeypatch.setattr(tree_module, "SPLIT_MIN", 0)
+    monkeypatch.setattr(tree_module, "draw_threads", lambda: 3)
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(tree_module, "_pool", pool)
+        yield

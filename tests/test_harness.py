@@ -15,6 +15,7 @@ from spdelab.harness import (
     list_experiments,
     run,
 )
+from spdelab.tree import draw_threads
 
 
 def small_solvability(seed=2468, **over):
@@ -290,6 +291,9 @@ def test_run_writes_deterministic_reports(tmp_path):
     meta = json.loads((out_a / "metadata.json").read_text())
     assert "timestamp" in meta and "numpy_version" in meta
     assert meta["peak_rss_mb"] > 0
+    # the draw threads vary with the machine, so only metadata.json names them
+    assert meta["draw_threads"] == draw_threads() >= 1
+    assert "draw_threads" not in (out_a / "summary.json").read_text()
 
 
 @pytest.mark.parametrize("over, x", [

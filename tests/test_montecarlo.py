@@ -345,7 +345,7 @@ def test_functional_estimate_worker_independence(line_domain, monkeypatch):
     assert a == b
 
 
-def test_conditional_functional_worker_independence(line_domain, monkeypatch):
+def test_conditional_functional_worker_independence(line_domain, monkeypatch, request):
     monkeypatch.setattr(montecarlo, "CHUNK", 700)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
@@ -360,6 +360,12 @@ def test_conditional_functional_worker_independence(line_domain, monkeypatch):
     assert a[0].chunks == (700, 700, 600)
     # value, stderr, n and the march record (chunks, normals_drawn, exit_frac)
     assert a == b
+    # with every block's five steps split over the draw threads, which the
+    # chunk threads share
+    request.getfixturevalue("split_draws")
+    for workers in (1, 2):
+        assert conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20,
+                                      workers=workers, **kw) == a
 
 
 def test_conditional_matches_density_solver(line_domain):

@@ -12,6 +12,7 @@ from spdelab import (
     ito_integral,
     sample_tree_paths,
 )
+from spdelab import tree as tree_module
 from spdelab.tree import _GOLDEN, _MIX1, _MIX2, _counter_normals
 
 
@@ -28,6 +29,18 @@ def normals(bundle, k, rows):
     m = k * bundle.n_sub + np.arange(bundle.n_sub, dtype=np.uint64)[:, None]
     counters = np.asarray(rows, dtype=np.uint64) * np.uint64(bundle.n_fine) + m
     return np.sqrt(bundle.dt_mc) * _counter_normals(bundle._key, counters)
+
+
+def serial_block(bundle, k, rows):
+    """A tree block from the per-step reference draws, by the documented law
+    s Z_j - (s - s_f) mean_j(Z) + sigma[:d] . dW_tree / n_sub, in the order
+    of operations of PathBundle.block."""
+    tree, sigma = bundle.tree, bundle.sigma
+    z = normals(bundle, k, rows)
+    s, s_f = np.linalg.norm(sigma), np.linalg.norm(sigma[tree.d :])
+    edge = tree.digit_signs[bundle.nodes(k + 1, rows) % tree.branching]
+    shift = (edge @ sigma[: tree.d]) * (tree.sqdt / bundle.n_sub) - (s - s_f) * z.mean(axis=0)
+    return s * z + shift
 
 
 def bridged_sum(bundle, k, rows):
@@ -321,6 +334,47 @@ def test_blocks_for_row_subsets(tree5):
         assert np.array_equal(part, full[:, rows])
         target = np.array([edge_targets(tree5, sigma, leaf)[k] for leaf in bundle.leaves[rows]])
         assert np.max(np.abs(bridged_sum(bundle, k, rows) - target)) < 1e-12
+
+
+def split_bundles():
+    """Designated-leaf and sampled-leaf bundles whose n_sub (8, 5 and 4)
+    splits evenly and unevenly over three draw threads."""
+    tree1, tree2 = build_tree(1, 5, 1.0), build_tree(2, 3, 1.0)
+    return [
+        bridge_paths(tree1, 19, M=40, sigma=[0.6, 0.8], dt_mc=0.025, seed=31),
+        sample_tree_paths(tree1, M=40, sigma=[0.6, 0.8], dt_mc=0.04, seed=32),
+        sample_tree_paths(tree2, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 12, seed=33),
+    ]
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_blocks_hold_the_bits_of_the_per_step_reference(split, request):
+    # 40 paths stay under SPLIT_MIN, so the blocks are split only when forced
+    if split:
+        request.getfixturevalue("split_draws")
+    rows_sets = [np.arange(40), np.array([39, 2, 17, 5])]
+    for bundle in split_bundles():
+        for k in range(bundle.tree.n_steps):
+            for rows in rows_sets:
+                assert np.array_equal(bundle.block(k, rows), serial_block(bundle, k, rows))
+
+
+def test_single_step_blocks_and_single_cpus_never_create_the_draw_pool(split_draws, monkeypatch):
+    def tripwire():
+        raise AssertionError("the draw pool was created")
+
+    monkeypatch.setattr(tree_module, "_draw_pool", tripwire)
+    # n_sub = 1: a free bundle, and a tree bundle at the tree's own step
+    rows = np.arange(30)
+    for bundle in (free_paths(1.0, M=30, sigma=[0.6, 0.8], dt_mc=0.125, seed=1),
+                   bridge_paths(build_tree(1, 4, 1.0), 3, M=30, sigma=[0.6, 0.8],
+                                dt_mc=0.25, seed=2)):
+        assert bundle.n_sub == 1
+        bundle.block(1, rows)
+    # one CPU: the block is drawn in the calling thread
+    monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)
+    bundle = split_bundles()[0]
+    assert np.array_equal(bundle.block(2, rows), serial_block(bundle, 2, rows))
 
 
 def test_d2_ito_isometry_and_clark_recovery():
