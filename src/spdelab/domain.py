@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dst
 
 
 class GridError(ValueError):
@@ -165,10 +166,6 @@ def thomas_rows(L, D, U, X):
     a, c = np.negative(np.broadcast_to(L, w)), np.negative(np.broadcast_to(U, w))
     a[0] = c[-1] = 0.0
     b, d = np.broadcast_to(D, w), X
-    # every product of a band and right-hand sides has at most n // 2 rows;
-    # one buffer, in X's memory order, takes them all instead of a temporary
-    # per stage
-    prod = np.empty_like(X[: n // 2])
     stages = []
     while len(b) > 1:
         ne, no = len(b) - len(b) // 2, len(b) // 2  # even and odd rows
@@ -184,14 +181,14 @@ def thomas_rows(L, D, U, X):
         c = np.zeros_like(b)
         np.multiply(gamma, ce[1:], out=c[: ne - 1])
         d = d[1::2]
-        d += np.multiply(alpha[col], de[:no], out=prod[:no])
-        d[: ne - 1] += np.multiply(gamma[col], de[1:], out=prod[: ne - 1])
+        d += alpha[col] * de[:no]
+        d[: ne - 1] += gamma[col] * de[1:]
     np.divide(d, b[col], out=d)
     for ae, be, ce, level in reversed(stages):
         # the odd rows of level hold this stage's solution, d
-        xe, ne = level[0::2], len(be)
-        xe[1:] += np.multiply(ae[1:][col], d[: ne - 1], out=prod[: ne - 1])
-        xe[: len(d)] += np.multiply(ce[: len(d)][col], d, out=prod[: len(d)])
+        xe = level[0::2]
+        xe[1:] += ae[1:][col] * d[: len(be) - 1]
+        xe[: len(d)] += ce[: len(d)][col] * d
         xe /= be[col]
         d = level
     return X
@@ -240,22 +237,6 @@ def apply_A_star(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[:, None])[:, 0]
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """Orthonormal type-I discrete sine transform along axis 0 (its own
-    inverse): minus the imaginary part of the real FFT of the odd extension
-    (0, x, 0, -x reversed), of length 2(n+1), at frequencies 1..n, scaled
-    by sqrt(1 / (2(n+1))).  It matches scipy.fft.dst(x, type=1,
-    norm="ortho", axis=0) bit for bit (numpy 2.4, scipy 1.17, batched or not,
-    n odd or even), without scipy.fft's import cost."""
-    n = x.shape[0]
-    ext = np.zeros((2 * (n + 1),) + x.shape[1:])
-    ext[1 : n + 1] = x
-    ext[n + 2 :] = -x[::-1]
-    out = -np.fft.rfft(ext, axis=0)[1 : n + 1].imag
-    out *= np.sqrt(0.5 / (n + 1))
-    return out
-
-
 class LambdaTransform:
     """Spectral realization of Lambda = sqrt(I - Laplacian) on a grid.
 
@@ -277,10 +258,10 @@ class LambdaTransform:
         u = _check_grid_function(self.grid, u)
         if k == 0:
             return u.copy()
-        coef = _dst1(u[1:-1])
+        coef = dst(u[1:-1], type=1, norm="ortho", axis=0)
         coef *= ((1.0 + self.eigenvalues) ** (0.5 * k)).reshape((-1,) + (1,) * (u.ndim - 1))
         out = np.zeros_like(u)
-        out[1:-1] = _dst1(coef)
+        out[1:-1] = dst(coef, type=1, norm="ortho", axis=0)
         return out
 
 
@@ -300,7 +281,7 @@ def hk_norm_sq(u: np.ndarray, k: int, grid: Grid) -> np.ndarray:
     interior values and lambda_m the eigenvalues of -Laplacian."""
     if k not in (-1, 0, 1):
         raise GridError(f"H^k norms need k in {{-1, 0, 1}}, got {k}")
-    coef = _dst1(u[1:-1])
+    coef = dst(u[1:-1], type=1, norm="ortho", axis=0)
     weight = (1.0 + LambdaTransform(grid).eigenvalues) ** k
     return grid.dx * np.einsum("m...,m->...", coef**2, weight)
 

@@ -9,8 +9,8 @@ step containing t_m, so Monte Carlo and the tree solvers see the same
 coefficient process.  The march keeps only the live paths, compacted, and
 draws the scalar noise sigma . dW, one normal per path and fine step, one
 coarse block at a time for those paths alone (`tree.PathBundle.block`, which
-splits a large tree-bridged block over the shared draw threads with the same
-bits); it stops as soon as every path has exited.
+splits a tree-bridged block of two or more fine steps over the shared draw
+threads with the same bits); it stops as soon as every path has exited.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are detected at mesh points

@@ -352,11 +352,6 @@ def _counter_normals(key: np.uint64, counters: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-# fewest normals in a block whose fine steps are split over the draw threads;
-# numpy and scipy ufuncs release the GIL, so below this size the hand-offs cost
-# more than the other cores save
-SPLIT_MIN = 1 << 16
-
 _pool = None  # the draw pool, created at the first split
 _pool_lock = threading.Lock()
 
@@ -435,8 +430,8 @@ class PathBundle:
     def block(self, k: int, rows) -> np.ndarray:
         """Increments sigma.dW of block k for the given path rows, (n_sub, rows).
 
-        A block of n_sub >= 2 steps and at least SPLIT_MIN normals is drawn
-        by up to min(draw_threads(), n_sub) tasks of the shared draw pool,
+        A block of n_sub >= 2 steps is drawn by min(draw_threads(), n_sub)
+        tasks of the shared draw pool (numpy and scipy ufuncs release the GIL),
         each filling its own run of steps; every row z[j] is the same
         function of the counters however the steps are split.
         """
@@ -450,7 +445,7 @@ class PathBundle:
             for j in range(lo, hi):
                 z[j] = _counter_normals(self._key, at_m0 + np.uint64(k * self.n_sub + j))
 
-        tasks = min(draw_threads(), self.n_sub) if z.size >= SPLIT_MIN else 1
+        tasks = min(draw_threads(), self.n_sub) if self.n_sub > 1 else 1
         if tasks < 2:
             draw(0, self.n_sub)
         else:

@@ -38,8 +38,13 @@ def nonrandom_field():
 def split_draws(monkeypatch):
     """Split the draws of every block of n_sub >= 2 steps over three
     threads, whatever the CPU count, in a pool of the test's own."""
-    monkeypatch.setattr(tree_module, "SPLIT_MIN", 0)
     monkeypatch.setattr(tree_module, "draw_threads", lambda: 3)
     with ThreadPoolExecutor(3) as pool:
         monkeypatch.setattr(tree_module, "_pool", pool)
         yield
+
+
+@pytest.fixture
+def serial_draws(monkeypatch):
+    """Draw every block in the calling thread, whatever the CPU count."""
+    monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)

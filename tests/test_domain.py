@@ -14,7 +14,6 @@ from spdelab import (
     make_family,
 )
 from spdelab.domain import (
-    _dst1,
     apply_bands,
     dx_centered,
     dx_centered_onesided,
@@ -159,20 +158,6 @@ def test_lambda_identity_and_inverse(unit_interval):
         lam.apply(u, 2)
 
 
-@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (199,), (39, 5), (12, 3, 2)])
-def test_dst1_matches_the_dense_orthonormal_sine_matrix(shape):
-    # S[j, m] = sqrt(2 / (n+1)) sin(pi (j+1) (m+1) / (n+1)): orthonormal and
-    # symmetric, so the transform is its own inverse
-    n = shape[0]
-    jm = np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
-    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jm / (n + 1))
-    x = np.random.default_rng(n).normal(size=shape)
-    coef = _dst1(x)
-    assert coef.shape == shape
-    assert np.allclose(coef, np.tensordot(S, x, axes=1), rtol=0, atol=1e-13)
-    assert np.allclose(_dst1(coef), x, rtol=0, atol=1e-13)
-
-
 def test_lambda_norm_monotonicity(unit_interval):
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -244,8 +229,6 @@ def test_thomas_rows_against_dense():
     for b in range(nb):
         ref = np.linalg.solve(dense(lo[:, b], dg[:, b], up[:, b]), rhs[:, b])
         assert np.allclose(X[:, b], ref, atol=1e-12)
-    # the same bits whatever the memory order of X
-    assert np.array_equal(thomas_rows(lo, dg, up, np.asfortranarray(rhs)), X)
     # (1, nb) bands broadcast along the system axis
     lo1, dg1, up1 = (np.broadcast_to(a[:1], (n, nb)) for a in (lo, dg, up))
     X = thomas_rows(lo1, dg1, up1, rhs.copy())

@@ -43,10 +43,8 @@ def test_the_check_sees_an_unused_import(tmp_path):
 
 
 # scipy subpackages the package must not import: scipy.linalg alone raises a
-# run's peak RSS by about 6 MB, over 10% on the lightest benchmark workloads,
-# and scipy.fft adds about 1.5 MB to scipy.special's (numpy's FFT does the
-# sine transform)
-HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.fft")
+# run's peak RSS by about 6 MB, over 10% on the lightest benchmark workloads
+HEAVY = ("scipy.linalg", "scipy.sparse")
 
 
 def test_importing_the_harness_loads_no_heavy_scipy_subpackage():

@@ -345,7 +345,8 @@ def test_functional_estimate_worker_independence(line_domain, monkeypatch):
     assert a == b
 
 
-def test_conditional_functional_worker_independence(line_domain, monkeypatch, request):
+def test_conditional_functional_worker_independence(line_domain, monkeypatch, request,
+                                                    serial_draws):
     monkeypatch.setattr(montecarlo, "CHUNK", 700)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)

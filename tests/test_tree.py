@@ -347,11 +347,9 @@ def split_bundles():
     ]
 
 
-@pytest.mark.parametrize("split", [False, True])
-def test_blocks_hold_the_bits_of_the_per_step_reference(split, request):
-    # 40 paths stay under SPLIT_MIN, so the blocks are split only when forced
-    if split:
-        request.getfixturevalue("split_draws")
+@pytest.mark.parametrize("draws", ["serial_draws", "split_draws"])
+def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request):
+    request.getfixturevalue(draws)
     rows_sets = [np.arange(40), np.array([39, 2, 17, 5])]
     for bundle in split_bundles():
         for k in range(bundle.tree.n_steps):
