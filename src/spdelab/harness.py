@@ -393,11 +393,6 @@ class ExperimentConfig:
         n_steps = self.tree["n_steps"] if n_steps is None else n_steps
         return build_tree(self.d, n_steps, float(self.tree["horizon"]))
 
-    def build(self, nx=None, n_steps=None):
-        """(coefficients, grid, tree), at the configured level unless nx or
-        n_steps is given; the domain is grid.domain."""
-        return self.build_coeffs(), self.build_grid(nx), self.build_tree(n_steps)
-
 
 def read_config(path) -> dict:
     """The JSON object in a config file; ConfigError if it cannot be read or is not one."""
@@ -430,11 +425,26 @@ def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
 
 # --- shared helpers ---------------------------------------------------------
 
+def _state_space(cfg, nx, n_steps, diag, lattice=True):
+    """(coeffs, grid, tree) at one level, on the w1 lattice when d = 1 unless
+    lattice is unset because the caller reads per-node or per-path values, on
+    the scenario tree otherwise; the level goes to diag["state_space"].  The
+    lattice is exact: coefficients and test fields depend on the path only
+    through w1."""
+    coeffs, grid = cfg.build_coeffs(), cfg.build_grid(nx)
+    tree = (build_lattice(n_steps, float(cfg.tree["horizon"])) if lattice and cfg.d == 1
+            else cfg.build_tree(n_steps))
+    states = sum(tree.n_nodes(k) for k in range(tree.n_steps + 1))
+    diag.setdefault("state_space", []).append(
+        {"nx": grid.nx, "n_steps": tree.n_steps, "kind": tree.kind, "states": states})
+    return coeffs, grid, tree
+
+
 def _coefficient_diagnostics(cfg) -> dict:
     """The coefficient ValidationReport at the configured level, for
-    summary.json."""
-    report = validate(*cfg.build(),
-                      require_superparabolic=EXPERIMENTS[cfg.experiment].superparabolic)
+    summary.json; validation solves nothing, so the level is not recorded."""
+    level = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], {})
+    report = validate(*level, require_superparabolic=EXPERIMENTS[cfg.experiment].superparabolic)
     return dict(asdict(report), passed=report.passed)
 
 
@@ -485,7 +495,7 @@ def _expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float)
 
 
 def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs, grid, tree = cfg.build()
+    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
     phi = _dirichlet_profile(grid, tree, _unit)
     sol = op_L(phi, coeffs, grid, tree)
     ix = int(np.argmin(np.abs(grid.x - cfg.params["x0"])))
@@ -508,7 +518,8 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
 
 
 def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs, grid, tree = cfg.build()
+    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
+    bridge = cfg.build_tree()  # the Monte Carlo paths follow the tree
     xs = cfg.params["x_points"]
     dt_dx2 = tree.dt + grid.dx**2
     phi = _dirichlet_profile(grid, tree, _gaussian)
@@ -521,7 +532,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
             est = functional_estimate(
                 family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
                 (cfg.mc["seed"], seed_tag, ix), grid=grid,
-                dt_mc=float(cfg.mc["dt_mc"]), tree=tree, workers=cfg.workers)
+                dt_mc=float(cfg.mc["dt_mc"]), tree=bridge, workers=cfg.workers)
             out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
 
@@ -540,19 +551,6 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
         rows.append(CheckRow(cfg.experiment, f"v-vs-mc-at-x={xv:+.2f}", "5.1a",
                              v, est.value, tol, abs(v - est.value) <= tol))
     return rows
-
-
-def _state_space(cfg, nx, n_steps, diag, lattice=True):
-    """(coeffs, grid, tree) at one level, on the w1 lattice when d = 1 unless
-    lattice is unset (exact: coefficients and test fields depend on the path
-    only through w1); the level goes to diag["state_space"]."""
-    coeffs, grid, tree = cfg.build(nx, n_steps)
-    if lattice and tree.d == 1:
-        tree = build_lattice(tree.n_steps, tree.horizon)
-    states = sum(tree.n_nodes(k) for k in range(tree.n_steps + 1))
-    diag.setdefault("state_space", []).append(
-        {"nx": grid.nx, "n_steps": tree.n_steps, "kind": tree.kind, "states": states})
-    return coeffs, grid, tree
 
 
 def _adjoint_pairings(coeffs, grid, tree, seed_pair):
@@ -607,7 +605,7 @@ _RESIDUAL_TOL = 1.0e-8
 
 
 def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs, grid, tree = cfg.build()
+    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     g_a, info_a = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL,
                           x0=SpaceTimeField.zeros(grid, tree))
@@ -701,8 +699,9 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
 
 
 def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs, grid, tree = cfg.build()
-    p = cfg.params
+    nx, n_steps, p = cfg.grid["nx"], cfg.tree["n_steps"], cfg.params
+    # the leaf-path density, its mass trace and per-node audit: the tree
+    coeffs, grid, tree = _state_space(cfg, nx, n_steps, diag, lattice=False)
     p0 = _gaussian_density(grid, p["p0_width"])
     leaf = int(p["leaf_bits"], 2)
     dens = solve_density(p0, coeffs, grid, tree)
@@ -719,7 +718,8 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
                              pde, est.value, 0.05, rel <= 0.05))
-    sol = op_L(_dirichlet_profile(grid, tree, _gaussian), coeffs, grid, tree)
+    _, _, lattice = _state_space(cfg, nx, n_steps, diag)
+    sol = op_L(_dirichlet_profile(grid, lattice, _gaussian), coeffs, grid, lattice)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
                               grid=grid, dt_mc=float(cfg.mc["dt_mc"]),

@@ -28,7 +28,8 @@ REDUCED = {
         "grid": {"nx": 21}, "tree": {"n_steps": 3},
         "params": {"fine_nx": 41, "fine_n_steps": 6, "n_draws": 1},
     },
-    "solvability-R": {"grid": {"nx": 41}, "tree": {"n_steps": 5}},
+    # N 10, not 5: every start stops on the residual bound (test below)
+    "solvability-R": {"grid": {"nx": 41}, "tree": {"n_steps": 10}},
     "duality-63": {
         "grid": {"nx": 41}, "tree": {"n_steps": 4},
         "params": {"fine_nx": 81, "fine_n_steps": 8},
@@ -65,6 +66,15 @@ def test_report_rows_match_goldens(name):
         assert row["pass"] is gold["pass"], row["check"]
         for key in ("lhs", "rhs", "tol"):
             assert row[key] == pytest.approx(gold[key], rel=REL, abs=0.0), (row["check"], key)
+
+
+def test_solvability_R_golden_sees_the_stopping_rule():
+    # before the N + 1 sweeps that land every start on the exact
+    # back-substitution, where its residual rows would pin round-off
+    cfg = default_config("solvability-R", **REDUCED["solvability-R"])
+    solves = run(cfg, write=False).diagnostics["solve_R"]
+    assert sorted(solves) == ["random-start", "range-density-probe", "zero-start"]
+    assert all(info["iterations"] <= cfg.tree["n_steps"] for info in solves.values())
 
 
 class ReadLog(dict):

@@ -336,7 +336,7 @@ def test_summary_diagnostics(tmp_path):
     # solver diagnostics land in summary.json, and a rerun of the same
     # config writes the same bytes
     runs = [
-        (small_solvability(output_dir=str(tmp_path / "r")), ["solve_R"]),
+        (small_solvability(output_dir=str(tmp_path / "r")), ["solve_R", "state_space"]),
         (ExperimentConfig.from_dict({
             "experiment": "duality-63", "grid": {"nx": 41}, "tree": {"n_steps": 4},
             "params": {"fine_nx": 61, "fine_n_steps": 6}, "output_dir": str(tmp_path / "d"),
@@ -447,9 +447,16 @@ DUALITY_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 4},
     ("duality-63", DUALITY_SMALL, "lattice", [31, 28]),
     ("duality-63", {**DUALITY_SMALL, "coefficients": {"sigma": [0.5, 0.5, 0.6], "d": 2}},
      "tree", [341, 5461]),
+    ("feynman-kac-nonrandom", {"grid": {"nx": 41}, "tree": {"n_steps": 4},
+                               "mc": {"paths": 200, "dt_mc": 1.0e-2}}, "lattice", [15]),
+    ("representation-random", {**MC_SMALL, "params": {"x_points": [0.0]}}, "lattice", [21]),
+    ("solvability-R", {"grid": {"nx": 41}, "tree": {"n_steps": 5}}, "lattice", [21]),
+    # density-64-65's leaf-path density keeps the tree; its unconditional
+    # row's op_L runs on the lattice, at the same (nx, n_steps)
+    ("density-64-65", MC_SMALL, "lattice", [63, 21]),
 ])
 def test_state_space_diagnostics(tmp_path, name, over, kind, states):
-    # the state space of each (nx, n_steps) level goes to summary.json, and a
+    # the state space of each level a run solves goes to summary.json, and a
     # rerun writes the same bytes
     cfg = ExperimentConfig.from_dict({"experiment": name, "output_dir": str(tmp_path), **over})
     run(cfg)
@@ -457,11 +464,13 @@ def test_state_space_diagnostics(tmp_path, name, over, kind, states):
     run(cfg)
     assert (tmp_path / "summary.json").read_bytes() == first
     diagnostics = json.loads(first)["diagnostics"]
-    nx = [cfg.grid["nx"], cfg.params["fine_nx"]]
-    n_steps = [cfg.tree["n_steps"], cfg.params["fine_n_steps"]]
-    kinds = ["tree" if name == "duality-63" else kind, kind]  # coarse, fine
-    levels = [{"nx": a, "n_steps": n, "kind": k, "states": s}
-              for a, n, k, s in zip(nx, n_steps, kinds, states)]
+    # the configured level, then the fine one (the configured one again in
+    # density-64-65); the first stays on the tree where a path is named
+    coarse = (cfg.grid["nx"], cfg.tree["n_steps"])
+    fine = (cfg.params.get("fine_nx", coarse[0]), cfg.params.get("fine_n_steps", coarse[1]))
+    kinds = ["tree" if name in ("duality-63", "density-64-65") else kind, kind]
+    levels = [{"nx": nx, "n_steps": n, "kind": k, "states": s}
+              for (nx, n), k, s in zip((coarse, fine), kinds, states)]
     assert diagnostics["state_space"] == levels
     if name == "duality-63":
         # a density audit per level: per node on the tree under "density",

@@ -24,16 +24,25 @@ from spdelab import (
     op_L,
     residual_bspde,
     solve_backward_pathwise,
+    solve_R,
     solve_density,
     step_forward,
 )
 from spdelab.backward import backward_sweep
 from spdelab.fields import FieldError, norm_c0, norm_x0, norm_xk, pair_x0_dual, smooth_random_field
 from spdelab.forward import ForwardState, solve_L_star, solve_R_star, solve_T_star
-from spdelab.harness import _adjoint_pairings, _duality_gap, default_config
+from spdelab.harness import (
+    _adjoint_pairings,
+    _dirichlet_profile,
+    _duality_gap,
+    _gaussian,
+    _unit,
+    default_config,
+)
 from spdelab.tree import TreeNode
 
 FAMILIES = {
+    "constant": {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1},
     "drift-random": {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
     "space-smooth": {"a": 0.3, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1},
 }
@@ -103,6 +112,36 @@ def test_backward_outputs_are_the_tree_values_per_state(family):
         assert rel(norm_x0(sol_tree.v), norm_x0(sol_lattice.v)) <= 1e-12
 
 
+@pytest.mark.parametrize("family, integrand", [("constant", _unit), ("drift-random", _gaussian)])
+def test_op_L_root_is_the_tree_root_bit_for_bit(family, integrand):
+    # feynman-kac-nonrandom, representation-random and density-64-65 read
+    # op_L's root value on the lattice; a sweep reads the children in the
+    # same order on both and the tridiagonal solve is elementwise across
+    # systems, so their reports keep the tree's bits
+    coeffs, grid, tree, lattice = setup(family, 41, 6)
+    roots = [op_L(_dirichlet_profile(grid, t, integrand), coeffs, grid, t).v.levels[0]
+             for t in (tree, lattice)]
+    assert np.array_equal(*roots)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_solve_R_sweeps_match_the_tree(family):
+    # solvability-R iterates on the lattice: from the zero start it stops at
+    # the tree's sweep, with the tree's residuals to 1e-9 relative above a
+    # round-off floor of ||phi|| (the last residual is round-off when a start
+    # runs all N + 1 sweeps)
+    coeffs, grid, tree, lattice = setup(family, 41, 10)
+    runs = []
+    for t in (tree, lattice):
+        phi = smooth_random_field(grid, t, 2468)
+        _, info = solve_R(phi, coeffs, grid, t, tol=1e-8, x0=SpaceTimeField.zeros(grid, t))
+        runs.append((norm_x0(phi), info))
+    (scale, on_tree), (_, on_lattice) = runs
+    assert on_lattice["iterations"] == on_tree["iterations"]
+    np.testing.assert_allclose(on_lattice["residual_history"], on_tree["residual_history"],
+                               rtol=1e-9, atol=1e-15 * scale)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_forward_marches_are_the_tree_conditional_means(family):
     # forward solutions are path dependent on the tree; the lattice carries
@@ -119,7 +158,8 @@ def test_duality_63_fine_pairing_matches_the_tree(n_steps):
     # duality-63 pairs its fine level on the lattice: lhs reads op_L's root
     # value and rhs pairs the density with phi, both w1-only
     cfg = default_config("duality-63")
-    coeffs, grid, tree = cfg.build(cfg.params["fine_nx"], n_steps)
+    coeffs, grid = cfg.build_coeffs(), cfg.build_grid(cfg.params["fine_nx"])
+    tree = cfg.build_tree(n_steps)
     lattice = build_lattice(n_steps, tree.horizon)
     on_tree = _duality_gap(cfg, coeffs, grid, tree)
     on_lattice = _duality_gap(cfg, coeffs, grid, lattice)
