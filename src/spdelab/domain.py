@@ -144,8 +144,8 @@ def thomas_rows(L, D, U, X):
     is one right-hand side sharing system nb's matrix.  The values of L[0]
     and U[n-1] never influence the solution.  No pivoting: callers must
     supply diagonally dominant systems (I - dt*A is one when
-    2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which
-    harness.ExperimentConfig.validate checks at load).  The name predates
+    2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which the load rule
+    harness._levels_dominant in harness.RULES checks).  The name predates
     the algorithm; callers and the benchmark tracer look it up by it.
 
     With a = -L, c = -U, row i reads -a_i x_{i-1} + D_i x_i - c_i x_{i+1}

@@ -46,7 +46,7 @@ from .fields import (
 )
 from .forward import lattice_density, solve_density, solve_duals
 from .montecarlo import conditional_functional, functional_estimate
-from .tree import MAX_STEPS, TreeError, build_lattice, build_tree, draw_threads, fine_steps
+from .tree import TreeError, build_lattice, build_tree, draw_threads, fine_steps
 
 
 class ConfigError(ValueError):
@@ -189,7 +189,7 @@ _INSIDE = "hold real numbers strictly inside the domain ({domain[a]:g}, {domain[
 CONFIG_KEYS = {
     ("coefficients", "family"): (lambda v: isinstance(v, str), "be a family name"),
     ("coefficients", "sigma"): _REALS,
-    ("coefficients", "d"): _count(1, max(MAX_STEPS)),
+    ("coefficients", "d"): _count(1, 2),
     ("coefficients", "f0"): _REAL,
     ("coefficients", "kappa"): _REAL,
     ("coefficients", "a"): _REAL,
@@ -199,7 +199,7 @@ CONFIG_KEYS = {
     ("domain", "a"): _REAL,
     ("domain", "b"): _REAL,
     ("grid", "nx"): _count(1, MAX_NX),
-    ("tree", "n_steps"): _count(1, max(MAX_STEPS.values())),
+    ("tree", "n_steps"): _count(1),
     ("tree", "horizon"): _POSITIVE,
     ("mc", "seed"): (lambda v: all(map(_count(0)[0], v if isinstance(v, (list, tuple)) else [v])),
                      "be an integer >= 0 or a list of them"),
@@ -233,17 +233,20 @@ def _oracle_family(cfg):
 
 def _levels_dominant(cfg):
     """The coefficients (make_family checks the family's keys and d <= d0 =
-    len(sigma)) and both (nx, n_steps) levels build, and on each I - dt*A is
+    len(sigma)) and both (nx, n_steps) levels build on the state spaces the
+    run builds them on (the configured level on the tree where a path or a
+    node on it is named), within the size guard, and on each I - dt*A is
     diagonally dominant, as the tridiagonal solver (no pivoting) needs."""
     nx, n_steps = cfg.grid["nx"], cfg.tree["n_steps"]
     fine = (cfg.params.get("fine_nx", nx), cfg.params.get("fine_n_steps", n_steps))
+    on_tree = EXPERIMENTS[cfg.experiment].on_tree
     try:
-        coeffs = cfg.build_coeffs()
-        built = [(cfg.build_grid(m), cfg.build_tree(n)) for m, n in ((nx, n_steps), fine)]
+        levels = [_state_space(cfg, nx, n_steps, {}, lattice=not on_tree),
+                  _state_space(cfg, *fine, {})]
     except (CoefficientError, GridError, TreeError) as exc:
         raise ConfigError(str(exc)) from exc
-    k1, b = coeffs.drift_bound(), coeffs.b_total
-    for grid, tree in built:
+    for coeffs, grid, tree in levels:
+        k1, b = coeffs.drift_bound(), coeffs.b_total
         value = 2.0 * tree.dt * (k1 / (2.0 * grid.dx) - b / (2.0 * grid.dx**2))
         if value > 1.0:
             raise ConfigError(
@@ -275,29 +278,31 @@ def _points_inside_domain(cfg):
 def _dt_mc_divides(cfg):
     """dt_mc divides the horizon, and the tree step when paths are bridged."""
     if "dt_mc" in cfg.mc:
-        tree = cfg.build_tree()
+        horizon = float(cfg.tree["horizon"])
         try:
-            fine_steps(tree.horizon, cfg.mc["dt_mc"],
-                       tree.dt if EXPERIMENTS[cfg.experiment].bridged else None)
+            fine_steps(horizon, cfg.mc["dt_mc"],
+                       horizon / cfg.tree["n_steps"] if EXPERIMENTS[cfg.experiment].on_tree
+                       else None)
         except TreeError as exc:
             raise ConfigError(f"mc.dt_mc: {exc}") from exc
 
 
 def _t_points_on_tree_times(cfg):
     """The density meets Monte Carlo at level-k nodes: t = k*dt, 0 <= k <= n_steps."""
-    tree, t_points = cfg.build_tree(), cfg.params.get("t_points", [])
-    if not all(-1e-9 <= t <= tree.horizon + 1e-9
-               and abs(t - round(t / tree.dt) * tree.dt) <= 1e-9 for t in t_points):
-        raise ConfigError(f"params.t_points must be tree times k*dt with dt={tree.dt:g} and "
-                          f"0 <= k <= {tree.n_steps}, got {t_points!r}")
+    horizon, n_steps = float(cfg.tree["horizon"]), cfg.tree["n_steps"]
+    dt, t_points = horizon / n_steps, cfg.params.get("t_points", [])
+    if not all(-1e-9 <= t <= horizon + 1e-9
+               and abs(t - round(t / dt) * dt) <= 1e-9 for t in t_points):
+        raise ConfigError(f"params.t_points must be tree times k*dt with dt={dt:g} and "
+                          f"0 <= k <= {n_steps}, got {t_points!r}")
 
 
 def _node_checks_fit(cfg):
     """duality-63 checks the first node_checks nodes of level n_steps // 2."""
-    tree = cfg.build_tree()
-    k = tree.n_steps // 2
-    if cfg.params.get("node_checks", 1) > tree.n_nodes(k):
-        raise ConfigError(f"params.node_checks must be an integer in [1, {tree.n_nodes(k)}], "
+    k = cfg.tree["n_steps"] // 2
+    nodes = 2**(cfg.d * k)
+    if cfg.params.get("node_checks", 1) > nodes:
+        raise ConfigError(f"params.node_checks must be an integer in [1, {nodes}], "
                           f"the nodes at level {k}, got {cfg.params['node_checks']!r}")
 
 
@@ -361,11 +366,13 @@ class ExperimentConfig:
                 label = key if section is None else f"{section}.{key}"
                 raise ConfigError(
                     f"{label} must {what.format(**vars(cfg))}, got {values[key]!r}")
-        if "leaf_bits" in cfg.params and "leaf_bits" not in raw.get("params", {}):
-            # the default leaf on a tree of another depth: its index modulo the leaf count
-            n_bits = cfg.d * cfg.tree["n_steps"]
-            cfg.params["leaf_bits"] = cfg.params["leaf_bits"][-n_bits:].zfill(n_bits)
+        default_leaf = "leaf_bits" in cfg.params and "leaf_bits" not in raw.get("params", {})
         for rule in RULES:
+            if rule is _leaf_bits_name_a_leaf and default_leaf:
+                # the default leaf on a tree of another depth, which the size
+                # guard has bounded by now: its index modulo the leaf count
+                n_bits = cfg.d * cfg.tree["n_steps"]
+                cfg.params["leaf_bits"] = cfg.params["leaf_bits"][-n_bits:].zfill(n_bits)
             rule(cfg)
         return cfg
 
@@ -763,12 +770,14 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
 @dataclass(frozen=True)
 class Experiment:
     """checks(config, diagnostics) returns the rows, recording solver diagnostics;
-    defaults are the acceptance settings; bridged: Monte Carlo paths follow the
-    tree; superparabolic: it solves R*, L* or the density equation."""
+    defaults are the acceptance settings; on_tree: it names a path or a node of
+    the configured level, which is then built on the scenario tree, and its
+    Monte Carlo paths follow that tree; superparabolic: it solves R*, L* or
+    the density equation."""
 
     checks: Callable
     defaults: dict
-    bridged: bool = False
+    on_tree: bool = False
     superparabolic: bool = False
 
 
@@ -788,7 +797,7 @@ EXPERIMENTS = {
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    }, bridged=True),
+    }, on_tree=True),
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
@@ -808,14 +817,14 @@ EXPERIMENTS = {
         "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 6},
         "params": {"fine_nx": 201, "fine_n_steps": 16, "p0_width": 0.5, "node_checks": 2},
-    }, superparabolic=True),
+    }, on_tree=True, superparabolic=True),
     "density-64-65": Experiment(_exp_density_64_65, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
-    }, bridged=True, superparabolic=True),
+    }, on_tree=True, superparabolic=True),
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},

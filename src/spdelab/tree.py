@@ -39,11 +39,24 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-MAX_STEPS = {1: 16, 2: 8}
+# the most states (nodes summed over the levels) one level's state space may
+# hold: the d = 1 tree at 16 steps.  Trees stop at 16 steps when d = 1 and at
+# 8 when d = 2; the w1 lattice, (N + 1)(N + 2) / 2 states, at 510.
+MAX_STATES = 2**17 - 1
 
 
 class TreeError(ValueError):
     """Raised for invalid tree construction or mis-shaped tree data."""
+
+
+def _size_guard(what: str, n_steps: int, states: int | None) -> None:
+    """TreeError if a level of n_steps steps would hold more than MAX_STATES
+    states; states is its closed-form count, or None past 2**63, where the
+    builders do not form it."""
+    if states is None or states > MAX_STATES:
+        held = "more than 2**63" if states is None else f"{states:,}"
+        raise TreeError(f"{what} of n_steps={n_steps} would hold {held} states, past the "
+                        f"size guard of {MAX_STATES:,} states")
 
 
 def seed_entropy(seed, *extra) -> tuple:
@@ -131,17 +144,17 @@ class ScenarioTree:
 def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     """Build the complete binomial scenario tree.
 
-    Guards: d in {1, 2}; n_steps <= 16 for d=1 and <= 8 for d=2 (node count
-    is (2**d)**n_steps).
+    Guards: d in {1, 2}; at most MAX_STATES nodes over all levels,
+    (2**(d (n_steps+1)) - 1) / (2**d - 1): n_steps <= 16 for d=1 and <= 8
+    for d=2.
     """
-    if d not in MAX_STEPS:
+    if d not in (1, 2):
         raise TreeError(f"driving dimension d must be 1 or 2, got {d}")
     if n_steps < 1:
         raise TreeError("n_steps must be positive")
-    if n_steps > MAX_STEPS[d]:
-        raise TreeError(
-            f"n_steps={n_steps} exceeds the size guard {MAX_STEPS[d]} for d={d}"
-        )
+    # more than 2**(d n_steps) nodes: none are counted past 2**63
+    _size_guard(f"a d={d} tree", n_steps,
+                (2**(d * (n_steps + 1)) - 1) // (2**d - 1) if d * n_steps < 63 else None)
     if horizon <= 0:
         raise TreeError("horizon must be positive")
     dt = horizon / n_steps
@@ -206,9 +219,13 @@ class Lattice:
 
 
 def build_lattice(n_steps: int, horizon: float) -> Lattice:
-    """The w1 lattice with the time grid of build_tree(1, n_steps, horizon)."""
+    """The w1 lattice with the time grid of build_tree(1, n_steps, horizon);
+    its (n_steps+1)(n_steps+2)/2 states must fit MAX_STATES: n_steps <= 510."""
     if n_steps < 1 or horizon <= 0:
         raise TreeError("the lattice needs n_steps >= 1 and horizon > 0")
+    # more than n_steps**2 / 2 states: none are counted past 2**63
+    _size_guard("the w1 lattice", n_steps,
+                (n_steps + 1) * (n_steps + 2) // 2 if n_steps < 2**32 else None)
     sqdt = float(np.sqrt(horizon / n_steps))
     signs = np.array([[1.0], [-1.0]])
     omega = tuple(sqdt * (k - 2.0 * np.arange(k + 1))[:, None] for k in range(n_steps + 1))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from spdelab import montecarlo
+from spdelab import harness, montecarlo
 from spdelab.cli import main
 from spdelab.harness import (
     CONFIG_KEYS,
@@ -78,8 +78,19 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "solvability-R", "grid": 5})
     with pytest.raises(ConfigError, match="nx too small"):
         ExperimentConfig.from_dict({"experiment": "adjoint-suite", "params": {"fine_nx": 4}})
-    with pytest.raises(ConfigError, match="size guard"):
-        ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"fine_n_steps": 17}})
+    # the size guard, in states, on the state space the run builds: norm-bounds'
+    # fine level is a w1 lattice, duality-63's configured level a tree
+    with pytest.raises(ConfigError, match="lattice of n_steps=511 would hold 131,328 states"):
+        ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"fine_n_steps": 511}})
+    with pytest.raises(ConfigError, match="d=1 tree of n_steps=17 would hold 262,143 states"):
+        ExperimentConfig.from_dict({"experiment": "duality-63", "tree": {"n_steps": 17}})
+    with pytest.raises(ConfigError, match="d=2 tree of n_steps=9 would hold 349,525 states"):
+        ExperimentConfig.from_dict({"experiment": "adjoint-suite", "tree": {"n_steps": 9},
+                                    "coefficients": {"sigma": [0.6, 0.8], "d": 2}})
+    for name, over in [("feynman-kac-nonrandom", {"tree": {"n_steps": 40}}),
+                       ("solvability-R", {"tree": {"n_steps": 20}}),
+                       ("adjoint-suite", {"params": {"fine_n_steps": 510}})]:
+        ExperimentConfig.from_dict({"experiment": name, **over})
     for bad in BAD_AT_LOAD:
         with pytest.raises(ConfigError, match=bad["match"]):
             ExperimentConfig.from_dict(bad["config"])
@@ -166,10 +177,13 @@ BAD_AT_LOAD = [
     # used to raise numpy's memory error (exit 1) or build an 8 GB grid at load
     ({"experiment": "solvability-R", "grid": {"nx": 10**13}}, "grid.nx must be an integer in"),
     ({"experiment": "density-64-65", "grid": {"nx": 10**9}}, "grid.nx must be an integer in"),
+    # refused by the size guard before the default leaf is padded to 10**12 bits
+    ({"experiment": "density-64-65", "tree": {"n_steps": 10**12}},
+     "a d=1 tree of n_steps=1000000000000 would hold more than 2**63 states"),
 ], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "leaf_bits=abc", "nx=101.9",
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
-        "nx=1e13", "nx=1e9"])
+        "nx=1e13", "nx=1e9", "n_steps=1e12"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -200,6 +214,24 @@ def test_config_keys_type_every_default_and_are_documented():
     paragraph = readme.split("A config file names the experiment")[1].split("\n## ")[0]
     for section, key in CONFIG_KEYS:
         assert f"`{key if section is None else f'{section}.{key}'}`" in paragraph, key
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
+    # loading builds each level on the state space its run solves it on: a
+    # tree only at the configured level of the three experiments that name a
+    # path or a node on it, the w1 lattice everywhere else
+    built, build_tree = [], harness.build_tree
+
+    def counted(d, n_steps, horizon):
+        built.append(n_steps)
+        return build_tree(d, n_steps, horizon)
+
+    monkeypatch.setattr(harness, "build_tree", counted)
+    cfg = ExperimentConfig.from_dict({"experiment": name})
+    on_tree = name in ("representation-random", "duality-63", "density-64-65")
+    assert EXPERIMENTS[name].on_tree == on_tree
+    assert built == ([cfg.tree["n_steps"]] if on_tree else [])
 
 
 def test_fine_levels_may_not_be_coarser():
@@ -480,6 +512,18 @@ def test_state_space_diagnostics(tmp_path, name, over, kind, states):
                   for key in where.values() for a in diagnostics.get(key, [])]
         assert audits == [(lv["nx"], lv["n_steps"], lv["kind"], where[lv["kind"]])
                           for lv in levels]
+
+
+def test_solvability_R_runs_a_lattice_past_the_tree_guard():
+    # 24 steps would be a 33.5M-node tree; the run's one level is the w1
+    # lattice, and every start stops by sweep N + 1
+    cfg = default_config("solvability-R", grid={"nx": 41}, tree={"n_steps": 24})
+    report = run(cfg, write=False)
+    assert report.diagnostics["state_space"] == [
+        {"nx": 41, "n_steps": 24, "kind": "lattice", "states": 325}]
+    solves = report.diagnostics["solve_R"]
+    assert sorted(solves) == ["random-start", "range-density-probe", "zero-start"]
+    assert all(info["iterations"] <= 25 for info in solves.values())
 
 
 def test_cli_roundtrip(tmp_path):

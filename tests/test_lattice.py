@@ -182,6 +182,16 @@ def test_lattice_levels_and_children():
         build_lattice(0, 1.0)
 
 
+def test_lattice_size_guard_edges():
+    # (N+1)(N+2)/2 states against MAX_STATES = 131,071: 130,816 at N = 510
+    lattice = build_lattice(510, 1.0)
+    assert sum(lattice.n_nodes(k) for k in range(511)) == 130_816
+    with pytest.raises(TreeError, match="131,328 states, past the size guard of 131,071"):
+        build_lattice(511, 1.0)
+    with pytest.raises(TreeError, match="size guard"):
+        build_lattice(10**12, 1.0)
+
+
 def test_fields_on_tree_and_lattice_do_not_mix():
     _, grid, tree, lattice = setup("drift-random", 21, 3)
     with pytest.raises(FieldError, match="different trees"):

@@ -82,11 +82,19 @@ def test_build_tree_guards():
     with pytest.raises(TreeError):
         build_tree(3, 4, 1.0)
     with pytest.raises(TreeError):
-        build_tree(1, 17, 1.0)
-    with pytest.raises(TreeError):
-        build_tree(2, 9, 1.0)
-    with pytest.raises(TreeError):
         build_tree(1, 0, 1.0)
+    # MAX_STATES = 2**17 - 1 nodes over all levels: the d = 1 tree at 16 steps
+    # and the d = 2 tree at 8 (87,381 nodes) build, one step more does not
+    assert tree_module.MAX_STATES == 131_071
+    assert sum(build_tree(1, 16, 1.0).n_nodes(k) for k in range(17)) == 131_071
+    assert build_tree(2, 8, 1.0).n_leaves == 4**8
+    with pytest.raises(TreeError, match="262,143 states, past the size guard of 131,071"):
+        build_tree(1, 17, 1.0)
+    with pytest.raises(TreeError, match="349,525 states, past the size guard"):
+        build_tree(2, 9, 1.0)
+    # refused before any count or node is formed
+    with pytest.raises(TreeError, match="more than 2..63 states"):
+        build_tree(2, 10**12, 1.0)
 
 
 def test_increment_moments_exact():
