@@ -64,6 +64,12 @@ class CoefficientSet:
     def is_random(self) -> bool:
         return self.family != "constant"
 
+    @property
+    def drift_reads_x(self) -> bool:
+        """Whether the drift reads x; when it does not, it is a function of
+        w1 alone (no family reads t), so it is constant on a tree node."""
+        return self.family == "space-smooth"
+
     def superparabolic(self) -> bool:
         return self.d < self.d0 and self.tail_eig >= DEGENERACY_FLOOR
 
@@ -111,7 +117,7 @@ class CoefficientSet:
         """
         w1 = tree.omega[level][:, :1]  # (n_nodes, 1)
         x = grid.x_interior[None, :]
-        if self.family != "space-smooth":
+        if not self.drift_reads_x:
             x = x[:, :1]
         return np.atleast_2d(self.drift(x, level * tree.dt, w1))
 

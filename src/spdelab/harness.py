@@ -162,6 +162,11 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
 # runs (201), and a grid built at load of at most 80 kB
 MAX_NX = 10_001
 
+# the most cells, grid nodes times states, one level may hold: a float64 field
+# of 268 MB.  The largest level a test loads, adjoint-suite's 510-step fine
+# lattice at fine_nx 201, holds 26.3M cells; a default level at most 330k.
+MAX_CELLS = 2**25
+
 
 def _is_real(v) -> bool:
     """A finite int or float; a bool is not a number here."""
@@ -437,11 +442,18 @@ def _state_space(cfg, nx, n_steps, diag, lattice=True):
     lattice is unset because the caller reads per-node or per-path values, on
     the scenario tree otherwise; the level goes to diag["state_space"].  The
     lattice is exact: coefficients and test fields depend on the path only
-    through w1."""
+    through w1.  ConfigError if a field on the level would pass MAX_CELLS,
+    checked before any field is allocated."""
     coeffs, grid = cfg.build_coeffs(), cfg.build_grid(nx)
     tree = (build_lattice(n_steps, float(cfg.tree["horizon"])) if lattice and cfg.d == 1
             else cfg.build_tree(n_steps))
     states = sum(tree.n_nodes(k) for k in range(tree.n_steps + 1))
+    if grid.nx * states > MAX_CELLS:
+        level = "the w1 lattice" if tree.kind == "lattice" else f"a d={tree.d} tree"
+        raise ConfigError(
+            f"nx={grid.nx} on {level} of n_steps={tree.n_steps} ({states:,} states) "
+            f"would hold {grid.nx * states:,} cells per field, past the cell guard of "
+            f"{MAX_CELLS:,} cells")
     diag.setdefault("state_space", []).append(
         {"nx": grid.nx, "n_steps": tree.n_steps, "kind": tree.kind, "states": states})
     return coeffs, grid, tree

@@ -6,11 +6,16 @@ Paths follow
 
 with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
-coefficient process.  The march keeps only the live paths, compacted, and
-draws the scalar noise sigma . dW, one normal per path and fine step, one
-coarse block at a time for those paths alone (`tree.PathBundle.block`, which
-splits a tree-bridged block of two or more fine steps over the shared draw
-threads with the same bits); it stops as soon as every path has exited.
+coefficient process.  The march draws the scalar noise sigma . dW, one
+normal per path and fine step, one coarse block at a time for the paths
+live at the block's start (`tree.PathBundle.block`, which splits a
+tree-bridged block of two or more fine steps over the shared draw threads
+with the same bits); it stops as soon as every path has exited.  Each fine
+step does only the update (y + f dt) + noise, the exit test and the
+integrands: a drift that does not read x is taken once per block at the
+block's w1, times dt_mc, and an exit compacts the live paths' index, state,
+running integrals and w1 through one integer index, while the block stays
+as drawn and a column index maps the live paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are detected at mesh points
@@ -168,10 +173,13 @@ def simulate(
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
 
-    # live paths, compacted: index, state, running integrals, current block
+    # live paths: index, state, running integrals.  The current noise block
+    # has a column per path live when it was drawn; once one of them has
+    # exited, cols maps the live paths to their columns (None until then).
     live = np.arange(M)
     yl = y.copy()
     acc = {name: np.zeros(M) for name in integrands}
+    per_block = not coeffs.drift_reads_x  # f dt taken once per block
     drawn = 0
     m = m0
     while True:
@@ -182,30 +190,38 @@ def simulate(
         if m == n_fine or live.size == 0:
             break
         j = m % paths.n_sub
+        t = m * dt
         if j == 0 or m == m0:
             k = m // paths.n_sub
             block = None  # let the spent block go before its successor is drawn
-            block = paths.block(k, live)
-            drawn += block.size
             w1 = paths.w1(k, live)
-        t = m * dt
+            if per_block and (m == m0 or w1 is not None):
+                # f dt on the block's node, before the draw: f reads neither x nor t
+                fdt = np.asarray(coeffs.drift(0.0, t, 0.0 if w1 is None else w1)) * dt
+            block, cols = paths.block(k, live), None
+            drawn += block.size
         for name, fn in integrands.items():
             acc[name] += np.asarray(fn(yl, t, w1)) * dt
-        drift = coeffs.drift(yl, t, 0.0 if w1 is None else w1)
-        yl = yl + drift * dt + block[j]
+        yl += fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt
+        yl += block[j] if cols is None else block[j, cols]
         m += 1
         out = (yl < lo) | (yl > hi)
         if out.any():
-            gone = live[out]
+            at = out.nonzero()[0]
+            gone = live[at]
             tau[gone] = m * dt
-            y[gone] = yl[out]
+            y[gone] = yl[at]
             for name in totals:
-                totals[name][gone] = acc[name][out]
-            keep = ~out
-            live, yl, block = live[keep], yl[keep], block[:, keep]
+                totals[name][gone] = acc[name][at]
+            keep = (~out).nonzero()[0]
+            live, yl = live[keep], yl[keep]
             acc = {name: a[keep] for name, a in acc.items()}
-            if np.ndim(w1):
+            if np.ndim(w1):  # per-path leaves: w1, and f dt with it, per path
                 w1 = w1[keep]
+                if per_block:
+                    fdt = fdt[keep]
+            if m % paths.n_sub:  # the block has steps left; a spent one is dropped
+                cols = keep if cols is None else cols[keep]
     y[live] = yl
     for name in totals:
         totals[name][live] = acc[name]

@@ -344,25 +344,32 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _counter_normals(key: np.uint64, counters: np.ndarray) -> np.ndarray:
+def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarray:
     """Standard normals that are a fixed function of (key, counter).
 
     Counter-based generation: the SplitMix64 output at position `counter`
     of the stream seeded by `key` (Steele, Lea and Flood, OOPSLA 2014) gives
     53 uniform bits, mapped to a normal by the inverse CDF.  Any subset of
     counters is evaluated on its own, so draws need no generator state.
-    `counters` (uint64) is overwritten.
+    `counters` (uint64) is overwritten; the normals are written to `out`
+    (float64, the counters' shape; a new array when None), whose bytes also
+    hold the shifted words of the hash, so nothing else is allocated.
     """
     z = counters
+    u = np.empty(z.shape) if out is None else out
+    shifted = u.view(np.uint64)
     z *= _GOLDEN
     z += key
-    z ^= z >> np.uint64(30)
+    np.right_shift(z, np.uint64(30), out=shifted)
+    z ^= shifted
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
     z *= _MIX2
-    z ^= z >> np.uint64(31)
-    u = (z >> np.uint64(11)).astype(np.float64)
-    u += 0.5
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    z >>= np.uint64(11)
+    np.add(z, 0.5, out=u)  # z < 2^53 converts exactly
     u *= 2.0**-53
     # the top 2^11 hashes round to u = 1 (ndtri = inf); every other u is <= 1 - 2^-52
     np.minimum(u, 1.0 - 2.0**-53, out=u)
@@ -459,8 +466,10 @@ class PathBundle:
         z = np.empty((self.n_sub, rows.size))
 
         def draw(lo, hi):
+            counters = np.empty_like(at_m0)  # the task's one scratch array
             for j in range(lo, hi):
-                z[j] = _counter_normals(self._key, at_m0 + np.uint64(k * self.n_sub + j))
+                np.add(at_m0, np.uint64(k * self.n_sub + j), out=counters)
+                _counter_normals(self._key, counters, out=z[j])
 
         tasks = min(draw_threads(), self.n_sub) if self.n_sub > 1 else 1
         if tasks < 2:

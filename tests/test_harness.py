@@ -180,10 +180,15 @@ BAD_AT_LOAD = [
     # refused by the size guard before the default leaf is padded to 10**12 bits
     ({"experiment": "density-64-65", "tree": {"n_steps": 10**12}},
      "a d=1 tree of n_steps=1000000000000 would hold more than 2**63 states"),
+    # each level within the size guards, 10.5 GB per field: nx times states
+    ({"experiment": "duality-63", "grid": {"nx": 10001}, "tree": {"n_steps": 16},
+      "params": {"fine_nx": 10001}}, "would hold 1,310,841,071 cells per field"),
+    ({"experiment": "adjoint-suite", "params": {"fine_nx": 10001, "fine_n_steps": 510}},
+     "would hold 1,308,290,816 cells per field"),
 ], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "leaf_bits=abc", "nx=101.9",
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
-        "nx=1e13", "nx=1e9", "n_steps=1e12"])
+        "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

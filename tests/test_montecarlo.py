@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference_march import reference_simulate
 
 from spdelab import (
     DomainSpec,
@@ -153,6 +155,74 @@ def test_mid_block_start_hits_coarse_targets(line_domain):
     coarse = trajs.snapshots[:, [20 - 14, 30 - 14, 40 - 14]]  # t = 0.5, 0.75, 1.0
     w1 = np.stack([paths.w1(k) for k in range(2, tree.n_steps + 1)], axis=1)
     assert np.max(np.abs(np.diff(coarse, axis=1) - np.diff(w1, axis=1))) < 1e-12
+
+
+def _reads_y_t_w1(y, t, w1):
+    """An integrand of the state, the time and w1 (None on free paths)."""
+    return np.sin(3.0 * y) * (1.0 + t) + (0.0 if w1 is None else np.tanh(w1))
+
+
+def march_cases():
+    """(coeffs, init, s, paths, snapshot_times) on the unit interval, where
+    most paths exit: every drift family, free paths, paths bridged through one
+    leaf and through a leaf per path."""
+    tree = build_tree(1, 5, 1.0)
+    constant = make_family("constant", {"f0": 0.8, "sigma": [1.0]})
+    smooth = make_family("space-smooth", {"a": 1.5, "eps": 0.4, "sigma": [0.6, 0.8], "d": 1})
+    random = make_family("drift-random", {"kappa": 0.7, "sigma": [0.6, 0.8], "d": 1})
+    return {
+        "free-constant": (constant, 0.5, 0.0, free_paths(1.0, 4000, [1.0], 1e-3, seed=40), None),
+        # a drift of w1 needs tree-bridged paths, here through one leaf
+        "leaf-space-smooth": (smooth, 0.3, 0.0,
+                              bridge_paths(tree, 6, 3000, smooth.sigma, 2e-3, seed=41),
+                              np.linspace(0.0, 1.0, 11)),
+        "leaf-drift-random": (random, 0.5, 0.0,
+                              bridge_paths(tree, 19, 3000, random.sigma, 0.01, seed=42), None),
+        "per-path-leaves": (random, 0.5, 0.0,
+                            sample_tree_paths(tree, 3000, random.sigma, 0.01, seed=43), None),
+        "start-inside-a-block": (smooth, 0.4, 0.13,
+                                 sample_tree_paths(tree, 3000, smooth.sigma, 0.01, seed=44),
+                                 np.array([0.13, 0.2, 0.2, 0.55, 1.0])),
+    }
+
+
+@pytest.mark.parametrize("case", list(march_cases()))
+def test_march_matches_the_reference_bit_for_bit(unit_domain, case):
+    # the march with per-block drifts and a column index into the noise block
+    # against the march that re-evaluates the drift and compacts the block on
+    # every exit (tests/reference_march.py)
+    coeffs, init, s, paths, times = march_cases()[case]
+    integrands = {"one": lambda y, t, w1: np.ones_like(y), "phi": _reads_y_t_w1}
+    new, ref = (march(coeffs, init, s, paths, unit_domain, integrands=integrands,
+                      snapshot_times=times) for march in (simulate, reference_simulate))
+    for name in ("tau", "snapshots", "alive"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    assert new.integrals.keys() == ref.integrals.keys()
+    for name in new.integrals:
+        assert np.array_equal(new.integrals[name], ref.integrals[name]), name
+    assert new.normals_drawn == ref.normals_drawn
+    exit_step = np.rint(new.tau / paths.dt_mc).astype(int)
+    exited = exit_step < paths.n_fine
+    assert exited.mean() > 0.5
+    if paths.n_sub > 1:  # paths exit inside blocks, while others march on
+        assert np.any(exited & (exit_step % paths.n_sub != 0))
+
+
+def test_march_holds_one_noise_block_at_a_time(line_domain):
+    # 20k bridged paths, 50 fine steps per block: a block is 8 MB, and the
+    # march's own arrays add about a quarter of that.  Holding a view of the
+    # spent block while its successor is drawn would double the peak.
+    coeffs = make_family("drift-random", {"kappa": 0.5, "sigma": [0.6, 0.8], "d": 1})
+    paths = bridge_paths(build_tree(1, 4, 1.0), 5, 20_000, coeffs.sigma, 0.005, seed=45)
+    assert paths.n_sub == 50
+    block_bytes = 8 * paths.n_sub * paths.n_paths
+    tracemalloc.start()
+    try:
+        simulate(coeffs, 0.0, 0.0, paths, line_domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block_bytes < peak < 1.5 * block_bytes
 
 
 def test_snapshot_times_lie_between_start_and_horizon(unit_domain):

@@ -280,6 +280,41 @@ def test_counter_normals_top_counter_is_finite():
     assert z[2] == ndtri(1.0 - 2.0**-52) < z[0]
 
 
+def allocating_counter_normals(key, counters):
+    """_counter_normals as written before it filled its output in place: a
+    temporary per shift and a new array for the uniforms."""
+    z = counters
+    z *= _GOLDEN
+    z += key
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return ndtri(u, out=u)
+
+
+def test_counter_normals_in_place_match_the_allocating_form():
+    # random counters and the counters of the top 2^11 + 2 hashes, where the
+    # uniforms round to 1 and are clamped; two arguments or an output row
+    key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=7)._key
+    top = [_counter_of_hash(key, h) for h in range(2**64 - 2**11 - 2, 2**64)]
+    counters = np.concatenate([
+        np.random.default_rng(46).integers(0, 2**64, size=5000, dtype=np.uint64),
+        np.array(top, dtype=np.uint64)])
+    expected = allocating_counter_normals(key, counters.copy())
+    assert np.isfinite(expected).all()
+    assert np.array_equal(_counter_normals(key, counters.copy()), expected)
+    block = np.empty((2, counters.size))
+    row = block[1]
+    assert _counter_normals(key, counters.copy(), out=row) is row
+    assert np.array_equal(block[1], expected)
+
+
 def test_bridge_paths_deterministic(tree5):
     a = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
     b = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
