@@ -7,15 +7,15 @@ Paths follow
 with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
 coefficient process.  The march draws the scalar noise sigma . dW, one
-normal per path and fine step, one coarse block at a time for the paths
-live at the block's start (`tree.PathBundle.block`, which splits a
-tree-bridged block of two or more fine steps over the shared draw threads
-with the same bits); it stops as soon as every path has exited.  Each fine
-step does only the update (y + f dt) + noise, the exit test and the
+normal per path and fine step, one block at a time for the paths live at
+the block's start (`tree.PathBundle.draw`: a coarse step on a tree, split
+over the shared draw threads with the same bits, or a span of a few fine
+steps of free paths); it stops as soon as every path has exited.  Each
+fine step does only the update (y + f dt) + noise, the exit test and the
 integrands: a drift that does not read x is taken once per block at the
-block's w1, times dt_mc, and an exit compacts the live paths' index, state,
-running integrals and w1 through one integer index, while the block stays
-as drawn and a column index maps the live paths to its columns.
+block's w1, times dt_mc, and an exit compacts the live paths' index,
+state, running integrals and w1 through one integer index, while the block
+stays as drawn and a column index maps the live paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are detected at mesh points
@@ -78,7 +78,7 @@ class TrajectorySet:
     Integrands registered at simulation time are accumulated online, so no
     estimate needs the fine-mesh history; a fine history, when wanted, is
     the snapshot set at every mesh time.  `normals_drawn` counts the normals
-    the march drew, one per live path and fine step of each block it started.
+    the march drew, one per live path and fine step of each block it drew.
     """
 
     snapshot_times: np.ndarray  # (n_snap,)
@@ -174,14 +174,15 @@ def simulate(
     totals = {name: np.zeros(M) for name in integrands}
 
     # live paths: index, state, running integrals.  The current noise block
-    # has a column per path live when it was drawn; once one of them has
-    # exited, cols maps the live paths to their columns (None until then).
+    # holds fine steps first .. end - 1 and has a column per path live when
+    # it was drawn; once one of them has exited, cols maps the live paths to
+    # their columns (None until then).
     live = np.arange(M)
     yl = y.copy()
     acc = {name: np.zeros(M) for name in integrands}
     per_block = not coeffs.drift_reads_x  # f dt taken once per block
     drawn = 0
-    m = m0
+    m = end = m0
     while True:
         if m in snap_of:
             y[live] = yl
@@ -189,21 +190,21 @@ def simulate(
             alive[np.ix_(live, snap_of[m])] = True
         if m == n_fine or live.size == 0:
             break
-        j = m % paths.n_sub
         t = m * dt
-        if j == 0 or m == m0:
-            k = m // paths.n_sub
+        if m == end:
             block = None  # let the spent block go before its successor is drawn
-            w1 = paths.w1(k, live)
+            w1 = paths.w1(m // paths.n_sub, live)
             if per_block and (m == m0 or w1 is not None):
                 # f dt on the block's node, before the draw: f reads neither x nor t
                 fdt = np.asarray(coeffs.drift(0.0, t, 0.0 if w1 is None else w1)) * dt
-            block, cols = paths.block(k, live), None
+            first, block = paths.draw(m, live)
+            end, cols = first + len(block), None
             drawn += block.size
+        j = m - first
         for name, fn in integrands.items():
             acc[name] += np.asarray(fn(yl, t, w1)) * dt
         yl += fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt
-        yl += block[j] if cols is None else block[j, cols]
+        yl += block[j] if cols is None else block[j][cols]  # half the cost of block[j, cols]
         m += 1
         out = (yl < lo) | (yl > hi)
         if out.any():
@@ -220,7 +221,7 @@ def simulate(
                 w1 = w1[keep]
                 if per_block:
                     fdt = fdt[keep]
-            if m % paths.n_sub:  # the block has steps left; a spent one is dropped
+            if m < end:  # the block has steps left; a spent one is dropped
                 cols = keep if cols is None else cols[keep]
     y[live] = yl
     for name in totals:

@@ -8,10 +8,12 @@ identities hold to round-off and discretization error is confined to space
 and time.  Fine-time Monte Carlo increments are the scalar noise sigma.dW,
 one normal per path and fine step, with the first d Wiener components
 bridged through a designated leaf path or per-path leaf draws; they are
-drawn one coarse step at a time, for the paths still being marched.  Each
-normal is a fixed function of (key, counter), so a tree-bridged block's fine
-steps are split over one shared pool of draw threads, one per CPU the
-process may run on, and the block holds the same bits for any CPU count.
+drawn for the paths still being marched, one rectangle of (fine steps,
+paths) at a time: a tree step for tree-bridged paths, a span of up to
+SPAN_MAX fine steps for free ones.  Each normal is a fixed function of
+(key, counter), so a tree-bridged block's fine steps are split over one
+shared pool of draw threads, one per CPU the process may run on, and the
+block holds the same bits for any CPU count.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -324,8 +326,8 @@ def clark_decompose(X, tree: ScenarioTree) -> MartingaleDecomposition:
 class IncrementShape:
     """Nominal size of a bundle's increments, (n_paths, n_fine).
 
-    No array of this size exists: `PathBundle.block` draws the increments
-    one coarse block at a time, for the requested paths only.
+    No array of this size exists: `PathBundle.draw` draws the increments a
+    few fine steps at a time, for the requested paths only.
     """
 
     shape: tuple
@@ -376,12 +378,22 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
     return ndtri(u, out=u)
 
 
+# a free draw spans the fewest fine steps that hold SPAN_NORMALS normals
+# of its paths, at most SPAN_MAX: a draw of few paths pays the fixed cost of
+# a draw once for up to SPAN_MAX steps.  A span costs the march a gather per
+# step once a path has exited, and a path that exits inside a span leaves
+# its later normals unused, so draws of SPAN_NORMALS paths or more keep one
+# step.  On the mc-exit march (2-vCPU Xeon KVM guest) 2**12 was the fastest
+# of 2**10 .. 2**16; 2**16 was no faster than single steps.
+SPAN_NORMALS = 2**12
+SPAN_MAX = 16
+
 _pool = None  # the draw pool, created at the first split
 _pool_lock = threading.Lock()
 
 
 def draw_threads() -> int:
-    """Threads a block's draws may use: the CPUs this process may run on."""
+    """Threads a draw may use: the CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -399,7 +411,8 @@ def _draw_pool() -> ThreadPoolExecutor:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Fine-time noise sigma.dW for Monte Carlo, drawn lazily by block.
+    """Fine-time noise sigma.dW for Monte Carlo, drawn lazily, one rectangle
+    of (fine steps, live paths) at a time.
 
     The state is scalar, so one normal Z_m ~ N(0, dt_mc) per path and fine
     step carries all d0 components.  Block k holds fine steps k*n_sub ..
@@ -413,8 +426,8 @@ class PathBundle:
     has the law of sigma.(bridged + free increments): covariance dt_mc (s^2 I
     - |sigma[:d]|^2 11^T / n_sub), and the bridged part of the block sum is
     exactly sigma[:d].dW_tree.  The increment of path p and step m is a fixed
-    function of (seed, p, m), whichever other paths are drawn with it and
-    whichever thread draws it.
+    function of (seed, p, m), whichever other paths and steps are drawn with
+    it and whichever thread draws it.
     """
 
     tree: ScenarioTree | None
@@ -454,11 +467,14 @@ class PathBundle:
     def block(self, k: int, rows) -> np.ndarray:
         """Increments sigma.dW of block k for the given path rows, (n_sub, rows).
 
-        A block of n_sub >= 2 steps is drawn by min(draw_threads(), n_sub)
+        A tree block of n_sub >= 2 steps is drawn by min(draw_threads(), n_sub)
         tasks of the shared draw pool (numpy and scipy ufuncs release the GIL),
         each filling its own run of steps; every row z[j] is the same
         function of the counters however the steps are split.
         """
+        tree = self.tree
+        if tree is None:
+            return self._free(k, 1, rows)
         rows = np.asarray(rows)
         # counter of (path p, fine step m): p * n_fine + m; one fine step at a
         # time keeps the work arrays in cache
@@ -480,16 +496,38 @@ class PathBundle:
             for f in [_draw_pool().submit(draw, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
                 f.result()
         z *= np.sqrt(self.dt_mc)
-        tree = self.tree
-        if tree is None:
-            z *= self.sigma[0] if self.sigma.size == 1 else np.linalg.norm(self.sigma)
-            return z
         s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[tree.d :])
         edge = tree.digit_signs[self.nodes(k + 1, rows) % tree.branching]
         shift = (edge @ self.sigma[: tree.d]) * (tree.sqdt / self.n_sub)
         shift -= (s - s_f) * z.mean(axis=0)
         z *= s
         z += shift
+        return z
+
+    def draw(self, m: int, rows) -> tuple[int, np.ndarray]:
+        """(first, z): the increments z, (steps, rows), of the draw that holds
+        fine step m, for fine steps first, first + 1, ... and the given rows.
+
+        On a tree the draw is the block of m.  Free paths draw a span of
+        S = min(ceil(SPAN_NORMALS / rows), SPAN_MAX, n_fine - m) steps from m;
+        S depends on the row count only, never on the CPU count.
+        """
+        if self.tree is not None:
+            k = m // self.n_sub
+            return k * self.n_sub, self.block(k, rows)
+        span = min(-(-SPAN_NORMALS // max(np.size(rows), 1)), SPAN_MAX, self.n_fine - m)
+        return m, self._free(m, span, rows)
+
+    def _free(self, first: int, n: int, rows) -> np.ndarray:
+        """Free increments of fine steps first .. first + n - 1, (n, rows),
+        hashed in one call in the calling thread."""
+        rows = np.asarray(rows)
+        # counter of (path p, fine step m): p * n_fine + m
+        counters = rows.astype(np.uint64) * np.uint64(self.n_fine)
+        counters = counters + np.arange(first, first + n, dtype=np.uint64)[:, None]
+        z = _counter_normals(self._key, counters)
+        z *= np.sqrt(self.dt_mc)
+        z *= self.sigma[0] if self.sigma.size == 1 else np.linalg.norm(self.sigma)
         return z
 
 

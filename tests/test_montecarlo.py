@@ -19,20 +19,34 @@ from spdelab import (
     solve_density,
 )
 from spdelab import montecarlo
+from spdelab import tree as tree_module
 from spdelab.montecarlo import SimulationError, sample_from_density
 from spdelab.tree import PathBundle
 
 
 class SilentBundle(PathBundle):
-    """A bundle whose increments are all zero."""
+    """A bundle whose increments are all zero, drawn one fine step at a time."""
 
-    def block(self, k, rows):
-        return np.zeros((self.n_sub, np.size(rows)))
+    def draw(self, m, rows):
+        return m, np.zeros((1, np.size(rows)))
 
 
 def silent_free_paths(horizon, M, sigma, dt_mc):
     bundle = free_paths(horizon, M=M, sigma=sigma, dt_mc=dt_mc, seed=0)
     return SilentBundle(**{f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)})
+
+
+def free_draws(paths, tau, s=0.0):
+    """(steps, paths) of each draw of a march over free paths from time s,
+    rebuilt from its exit times: the draw at fine step m holds the L paths
+    live at m and spans min(ceil(SPAN_NORMALS / L), SPAN_MAX, n_fine - m) steps."""
+    exit_step = np.rint(tau / paths.dt_mc).astype(int)
+    m, draws = round(s / paths.dt_mc), []
+    while m < paths.n_fine and (L := np.count_nonzero(exit_step > m)):
+        draws.append((min(-(-tree_module.SPAN_NORMALS // L), tree_module.SPAN_MAX,
+                          paths.n_fine - m), L))
+        m += draws[-1][0]
+    return draws
 
 
 def estimate_functional(trajs, name):
@@ -113,8 +127,9 @@ def test_simulate_validations(unit_domain):
 
 
 def test_no_normals_drawn_for_exited_paths():
-    # free paths: one block per fine step, so each path draws exactly one
-    # normal per step it marches, and the march stops at the last exit
+    # free paths: a draw spans a few fine steps of the paths live at its
+    # start, so a path that exits inside a span leaves at most SPAN_MAX - 1
+    # normals unused, and the march stops at the last exit
     dom = DomainSpec("interval", 0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(4.0, M=3000, sigma=coeffs.sigma, dt_mc=0.01, seed=20)
@@ -122,7 +137,8 @@ def test_no_normals_drawn_for_exited_paths():
     trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=paths.times)
     steps = np.rint(trajs.tau / 0.01).astype(int)
     assert steps.max() < paths.n_fine  # every path exits before the horizon
-    assert trajs.normals_drawn == steps.sum()
+    assert trajs.normals_drawn == sum(S * L for S, L in free_draws(paths, trajs.tau))
+    assert 0 < trajs.normals_drawn - steps.sum() <= (tree_module.SPAN_MAX - 1) * steps.size
     last = trajs.snapshots[np.arange(trajs.n_paths), steps]
     assert np.all((last < 0.0) | (last > 1.0))
     # after the early stop the record holds the frozen exit values
@@ -186,26 +202,69 @@ def march_cases():
     }
 
 
-@pytest.mark.parametrize("case", list(march_cases()))
-def test_march_matches_the_reference_bit_for_bit(unit_domain, case):
-    # the march with per-block drifts and a column index into the noise block
-    # against the march that re-evaluates the drift and compacts the block on
-    # every exit (tests/reference_march.py)
+def check_march_against_the_reference(domain, case):
+    """The march with per-block drifts, free spans and a column index into the
+    noise block against the march that re-evaluates the drift, draws a free
+    bundle one fine step at a time and compacts the block on every exit
+    (tests/reference_march.py)."""
     coeffs, init, s, paths, times = march_cases()[case]
     integrands = {"one": lambda y, t, w1: np.ones_like(y), "phi": _reads_y_t_w1}
-    new, ref = (march(coeffs, init, s, paths, unit_domain, integrands=integrands,
+    new, ref = (march(coeffs, init, s, paths, domain, integrands=integrands,
                       snapshot_times=times) for march in (simulate, reference_simulate))
     for name in ("tau", "snapshots", "alive"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
     assert new.integrals.keys() == ref.integrals.keys()
     for name in new.integrals:
         assert np.array_equal(new.integrals[name], ref.integrals[name]), name
-    assert new.normals_drawn == ref.normals_drawn
+    if paths.tree is None:  # spans, where the reference draws step by step
+        assert new.normals_drawn == sum(S * L for S, L in free_draws(paths, new.tau, s))
+        assert new.normals_drawn > ref.normals_drawn
+    else:
+        assert new.normals_drawn == ref.normals_drawn
     exit_step = np.rint(new.tau / paths.dt_mc).astype(int)
     exited = exit_step < paths.n_fine
     assert exited.mean() > 0.5
     if paths.n_sub > 1:  # paths exit inside blocks, while others march on
         assert np.any(exited & (exit_step % paths.n_sub != 0))
+
+
+@pytest.mark.parametrize("case", list(march_cases()))
+def test_march_matches_the_reference_bit_for_bit(unit_domain, case, serial_draws):
+    check_march_against_the_reference(unit_domain, case)
+
+
+@pytest.mark.parametrize("case", list(march_cases()))
+def test_split_march_matches_the_reference_bit_for_bit(unit_domain, case, split_draws):
+    # every tree block of two or more fine steps is split over three threads
+    check_march_against_the_reference(unit_domain, case)
+
+
+def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
+    # a free draw spans the fewest steps that reach SPAN_NORMALS normals, at
+    # most SPAN_MAX steps and never past the horizon, and the march matches
+    # the reference bit for bit
+    shapes, draw = [], PathBundle.draw
+
+    def recorded(self, m, rows):
+        first, z = draw(self, m, rows)
+        shapes.append((m, first, z.shape))
+        return first, z
+
+    monkeypatch.setattr(PathBundle, "draw", recorded)
+    coeffs = make_family("constant", {"f0": 0.5, "sigma": [1.0]})
+    paths = free_paths(1.0, 12_000, coeffs.sigma, 2e-3, seed=46)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain)
+    span_normals, span_max = tree_module.SPAN_NORMALS, tree_module.SPAN_MAX
+    assert [shape for _, _, shape in shapes] == free_draws(paths, trajs.tau)
+    ref = reference_simulate(coeffs, 0.5, 0.0, paths, unit_domain)
+    assert np.array_equal(trajs.tau, ref.tau) and np.array_equal(trajs.snapshots, ref.snapshots)
+    for m, first, (S, L) in shapes:
+        assert first == m
+        assert S * L <= span_normals + L
+        assert S * L >= span_normals or S == span_max or m + S == paths.n_fine
+    # draws above SPAN_NORMALS normals and spans of several steps both occur
+    assert max(S * L for _, _, (S, L) in shapes) > span_normals
+    assert any(1 < S < span_max for _, _, (S, _) in shapes)
 
 
 def test_march_holds_one_noise_block_at_a_time(line_domain):

@@ -390,6 +390,13 @@ def split_bundles():
     ]
 
 
+def free_span(bundle, m, steps, rows):
+    """Fine steps m .. m + steps - 1 of a free bundle from the per-step
+    reference draws: |sigma| Z, in the order of operations of PathBundle.draw."""
+    z = np.concatenate([normals(bundle, k, rows) for k in range(m, m + steps)])
+    return z * np.linalg.norm(bundle.sigma)
+
+
 @pytest.mark.parametrize("draws", ["serial_draws", "split_draws"])
 def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request):
     request.getfixturevalue(draws)
@@ -398,6 +405,24 @@ def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request):
         for k in range(bundle.tree.n_steps):
             for rows in rows_sets:
                 assert np.array_equal(bundle.block(k, rows), serial_block(bundle, k, rows))
+                # a draw at the block's last step is the block
+                first, z = bundle.draw((k + 1) * bundle.n_sub - 1, rows)
+                assert first == k * bundle.n_sub and np.array_equal(z, bundle.block(k, rows))
+    # a free draw spans ceil(SPAN_NORMALS / rows) steps, at most SPAN_MAX
+    # and up to the horizon
+    bundle = free_paths(1.0, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 64, seed=34)
+    for rows in rows_sets:
+        for m in (0, 5, 60):
+            first, z = bundle.draw(m, rows)
+            span = min(-(-tree_module.SPAN_NORMALS // rows.size), tree_module.SPAN_MAX, 64 - m)
+            assert first == m and z.shape == (span, rows.size)
+            assert np.array_equal(z, free_span(bundle, m, span, rows))
+    big = free_paths(1.0, M=3 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=35)
+    for size in (tree_module.SPAN_NORMALS // 3, 3 * tree_module.SPAN_NORMALS):
+        rows = np.arange(size)
+        first, z = big.draw(2, rows)
+        assert z.shape == (-(-tree_module.SPAN_NORMALS // size), size)
+        assert np.array_equal(z, free_span(big, 2, len(z), rows))
 
 
 def test_single_step_blocks_and_single_cpus_never_create_the_draw_pool(split_draws, monkeypatch):
@@ -412,6 +437,11 @@ def test_single_step_blocks_and_single_cpus_never_create_the_draw_pool(split_dra
                                 dt_mc=0.25, seed=2)):
         assert bundle.n_sub == 1
         bundle.block(1, rows)
+    # free draws of any size are drawn in the calling thread: spans of several
+    # steps, and one step of more than SPAN_NORMALS paths
+    free = free_paths(1.0, M=2 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=3)
+    assert free.draw(0, rows)[1].shape == (tree_module.SPAN_MAX, 30)
+    assert free.draw(4, np.arange(free.n_paths))[1].shape == (1, free.n_paths)
     # one CPU: the block is drawn in the calling thread
     monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)
     bundle = split_bundles()[0]
