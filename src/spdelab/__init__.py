@@ -34,7 +34,6 @@ from .forward import (
     DensitySolution,
     ForwardSolverError,
     ForwardState,
-    lattice_density,
     solve_B_star,
     solve_density,
     solve_duals,

@@ -25,8 +25,10 @@ banded solve with the level's A* bands.  The result is bit-identical to S
 separate marches: the tridiagonal solver (no pivoting) never mixes
 columns and every other step is elementwise per problem, so only the
 number of solves changes (one per level instead of S).  The
-single-operator solvers, solve_density and its lattice counterpart
-lattice_density are one-problem calls of the same march.
+single-operator solvers and solve_density are one-problem calls of the same
+march.  Every march runs on either state space, the scenario tree or the
+w1 lattice, at any d; only step_forward, which follows one path, needs the
+tree.
 
 Operator forms (all with zero data at t = 0 and on the boundary):
 
@@ -51,7 +53,7 @@ from .backward import solve_level
 from .coefficients import CoefficientSet
 from .domain import Grid, dx_centered, generator_bands, solve_tridiag
 from .fields import SpaceTimeField
-from .tree import Lattice, ScenarioTree, TreeNode, require_tree
+from .tree import ScenarioTree, TreeNode, require_tree
 
 
 class ForwardSolverError(RuntimeError):
@@ -266,32 +268,17 @@ def solve_density(
     grid: Grid,
     tree: ScenarioTree,
 ) -> DensitySolution:
-    """Conditional density along every tree path.
+    """Conditional density along every tree path, marched from p0 with its
+    boundary values clamped to zero; on the w1 lattice, its conditional means
+    given (k, w1), exact wherever they are paired with a field that reads the
+    path only through w1.
 
     p0 must be a nonnegative grid function of unit mass.  The density is not
     clipped: small negative lobes of the scheme are reported through the
     positivity audit instead of being removed, since clipping would destroy
-    the duality identities.
+    the duality identities.  On the lattice the audit covers the conditional
+    means, which is weaker than the tree's per-node audit.
     """
-    require_tree(tree, "solve_density", ForwardSolverError)
-    return _density_march(p0, coeffs, grid, tree)
-
-
-def lattice_density(p0: np.ndarray, coeffs: CoefficientSet, grid: Grid,
-                    lattice: Lattice) -> DensitySolution:
-    """solve_density's march on the w1 lattice: the conditional means of the
-    tree density given (k, w1), exact wherever they are paired with a field
-    that reads the path only through w1.  Its positivity audit covers those
-    means, which is weaker than solve_density's per-node audit."""
-    if lattice.kind != "lattice":
-        raise ForwardSolverError("lattice_density marches the w1 lattice; "
-                                 "solve_density marches the tree")
-    return _density_march(p0, coeffs, grid, lattice)
-
-
-def _density_march(p0, coeffs, grid, tree) -> DensitySolution:
-    """Check p0, march the density from it (boundary values clamped to zero)
-    and audit mass and positivity per level."""
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (grid.nx,):
         raise ForwardSolverError("p0 must be a grid function")

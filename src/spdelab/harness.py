@@ -44,7 +44,7 @@ from .fields import (
     norm_xk,
     smooth_random_field,
 )
-from .forward import lattice_density, solve_density, solve_duals
+from .forward import solve_density, solve_duals
 from .montecarlo import conditional_functional, functional_estimate
 from .tree import TreeError, build_lattice, build_tree, draw_threads, fine_steps
 
@@ -387,7 +387,8 @@ class ExperimentConfig:
 
     @property
     def d(self) -> int:
-        """How many sigma columns ride on the scenario tree."""
+        """How many sigma columns ride on the scenario tree; a level on the w1
+        lattice carries only the first, whatever d is."""
         return self.coefficients.get("d", len(self.coefficients.get("sigma", ())))
 
     # object builders -----------------------------------------------------
@@ -438,14 +439,14 @@ def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
 # --- shared helpers ---------------------------------------------------------
 
 def _state_space(cfg, nx, n_steps, diag, lattice=True):
-    """(coeffs, grid, tree) at one level, on the w1 lattice when d = 1 unless
+    """(coeffs, grid, tree) at one level, on the w1 lattice at any d unless
     lattice is unset because the caller reads per-node or per-path values, on
-    the scenario tree otherwise; the level goes to diag["state_space"].  The
+    the scenario tree then; the level goes to diag["state_space"].  The
     lattice is exact: coefficients and test fields depend on the path only
     through w1.  ConfigError if a field on the level would pass MAX_CELLS,
     checked before any field is allocated."""
     coeffs, grid = cfg.build_coeffs(), cfg.build_grid(nx)
-    tree = (build_lattice(n_steps, float(cfg.tree["horizon"])) if lattice and cfg.d == 1
+    tree = (build_lattice(n_steps, float(cfg.tree["horizon"])) if lattice
             else cfg.build_tree(n_steps))
     states = sum(tree.n_nodes(k) for k in range(tree.n_steps + 1))
     if grid.nx * states > MAX_CELLS:
@@ -555,8 +556,8 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
             out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
 
-    sigma, d = cfg.coefficients["sigma"], cfg.coefficients.get("d", 1)
-    control = make_family("constant", {"f0": 0.0, "sigma": sigma, "d": d})
+    control = make_family("constant", {"f0": 0.0, "sigma": cfg.coefficients["sigma"],
+                                       "d": cfg.d})
     ctrl = one_family(control, 0)
     excess = [max(abs(v - est.value) - 3.0 * est.stderr, 0.0) for _, v, est in ctrl]
     C = max(2.0 * max(excess) / dt_dx2, 0.05)
@@ -672,8 +673,7 @@ def _duality_gap(cfg, coeffs, grid, tree):
     p0 = _gaussian_density(grid, cfg.params["p0_width"])
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     sol = op_L(phi, coeffs, grid, tree)
-    march = solve_density if tree.kind == "tree" else lattice_density
-    dens = march(p0, coeffs, grid, tree)
+    dens = solve_density(p0, coeffs, grid, tree)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     rhs = inner_x0(dens.p, phi)
     return lhs, rhs, sol, dens, phi

@@ -19,9 +19,11 @@ Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
 encodes the sign of increment component c (bit 0 -> +sqrt(dt)).
 
-For d = 1 the `Lattice` recombines the tree by its first component (Cox,
-Ross and Rubinstein 1979): state j of level k counts the down steps, so
-w1 = sqrt(dt) (k - 2j).  Both classes give the solvers the level structure:
+At any d the `Lattice` recombines the tree by its first component (Cox,
+Ross and Rubinstein 1979): state j of level k counts the down steps of w1,
+so w1 = sqrt(dt) (k - 2j).  Coefficients and test fields read the path only
+through w1, so a lattice field holds the tree field's conditional means
+given (k, w1).  Both classes give the solvers the level structure:
 `child(nxt, b, n_k)`, child b of every level-k node as an (nx, n_k) view of
 level k+1; `merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
 `weights(k)`, the level probabilities P_k.
@@ -42,8 +44,8 @@ import numpy as np
 from scipy.special import ndtri
 
 # the most states (nodes summed over the levels) one level's state space may
-# hold: the d = 1 tree at 16 steps.  Trees stop at 16 steps when d = 1 and at
-# 8 when d = 2; the w1 lattice, (N + 1)(N + 2) / 2 states, at 510.
+# hold: the d = 1 tree at 16 steps.  A tree stops at 16 steps when d = 1 and
+# at 8 when d = 2; the w1 lattice, (N + 1)(N + 2) / 2 states at any d, at 510.
 MAX_STATES = 2**17 - 1
 
 
@@ -187,8 +189,9 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Recombining w1 lattice for d = 1, a drop-in `tree` for the level
-    solvers; its fields hold conditional means given (k, w1)."""
+    """Recombining w1 lattice, a drop-in `tree` for the level solvers at any
+    d; its fields hold conditional means given (k, w1), and it drives only
+    the first Wiener component (the others drop out of those means)."""
 
     n_steps: int
     horizon: float

@@ -79,17 +79,20 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="nx too small"):
         ExperimentConfig.from_dict({"experiment": "adjoint-suite", "params": {"fine_nx": 4}})
     # the size guard, in states, on the state space the run builds: norm-bounds'
-    # fine level is a w1 lattice, duality-63's configured level a tree
+    # fine level is a w1 lattice, duality-63's configured level a tree at any d
     with pytest.raises(ConfigError, match="lattice of n_steps=511 would hold 131,328 states"):
         ExperimentConfig.from_dict({"experiment": "norm-bounds", "params": {"fine_n_steps": 511}})
     with pytest.raises(ConfigError, match="d=1 tree of n_steps=17 would hold 262,143 states"):
         ExperimentConfig.from_dict({"experiment": "duality-63", "tree": {"n_steps": 17}})
+    d2 = {"coefficients": {"sigma": [0.6, 0.8, 0.5], "d": 2}}
     with pytest.raises(ConfigError, match="d=2 tree of n_steps=9 would hold 349,525 states"):
-        ExperimentConfig.from_dict({"experiment": "adjoint-suite", "tree": {"n_steps": 9},
-                                    "coefficients": {"sigma": [0.6, 0.8], "d": 2}})
+        ExperimentConfig.from_dict({"experiment": "duality-63", "tree": {"n_steps": 9}, **d2})
+    # a level that names no path is a lattice at d = 2 too
     for name, over in [("feynman-kac-nonrandom", {"tree": {"n_steps": 40}}),
                        ("solvability-R", {"tree": {"n_steps": 20}}),
-                       ("adjoint-suite", {"params": {"fine_n_steps": 510}})]:
+                       ("adjoint-suite", {"params": {"fine_n_steps": 510}}),
+                       ("adjoint-suite", {"tree": {"n_steps": 9},
+                                          "params": {"fine_n_steps": 510}, **d2})]:
         ExperimentConfig.from_dict({"experiment": name, **over})
     for bad in BAD_AT_LOAD:
         with pytest.raises(ConfigError, match=bad["match"]):
@@ -225,18 +228,22 @@ def test_config_keys_type_every_default_and_are_documented():
 def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
     # loading builds each level on the state space its run solves it on: a
     # tree only at the configured level of the three experiments that name a
-    # path or a node on it, the w1 lattice everywhere else
+    # path or a node on it, the w1 lattice everywhere else, at d = 1 (the
+    # defaults) and at d = 2 (5 steps: the defaults' t_points and dt_mc fit it)
     built, build_tree = [], harness.build_tree
 
     def counted(d, n_steps, horizon):
-        built.append(n_steps)
+        built.append((d, n_steps))
         return build_tree(d, n_steps, horizon)
 
     monkeypatch.setattr(harness, "build_tree", counted)
-    cfg = ExperimentConfig.from_dict({"experiment": name})
     on_tree = name in ("representation-random", "duality-63", "density-64-65")
     assert EXPERIMENTS[name].on_tree == on_tree
-    assert built == ([cfg.tree["n_steps"]] if on_tree else [])
+    for over in ({}, {"coefficients": {"sigma": [0.6, 0.8, 0.5], "d": 2},
+                      "tree": {"n_steps": 5}}):
+        built.clear()
+        cfg = ExperimentConfig.from_dict({"experiment": name, **over})
+        assert built == ([(cfg.d, cfg.tree["n_steps"])] if on_tree else [])
 
 
 def test_fine_levels_may_not_be_coarser():
@@ -474,16 +481,17 @@ DUALITY_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 4},
     ("norm-bounds", {"grid": {"nx": 31}, "tree": {"n_steps": 4},
                      "params": {"fine_nx": 61, "fine_n_steps": 8, "n_fields": 2}},
      "lattice", [15, 45]),
-    # d = 2 stays on the tree: (4**(N+1) - 1) / 3 nodes
+    # d = 2 runs on the same lattice
     ("adjoint-suite", {"coefficients": {"sigma": [0.5, 0.5, 0.6], "d": 2},
                        "grid": {"nx": 21}, "tree": {"n_steps": 2},
                        "params": {"fine_nx": 41, "fine_n_steps": 4, "n_draws": 1}},
-     "tree", [21, 341]),
-    # duality-63's coarse node checks keep the tree (2**(N+1) - 1 nodes); its
-    # fine pairing runs on the lattice when d = 1
+     "lattice", [6, 15]),
+    # duality-63's coarse node checks keep the tree, 2**(N+1) - 1 nodes at
+    # d = 1 and (4**(N+1) - 1) / 3 at d = 2; its fine pairing runs on the
+    # lattice at both
     ("duality-63", DUALITY_SMALL, "lattice", [31, 28]),
     ("duality-63", {**DUALITY_SMALL, "coefficients": {"sigma": [0.5, 0.5, 0.6], "d": 2}},
-     "tree", [341, 5461]),
+     "lattice", [341, 28]),
     ("feynman-kac-nonrandom", {"grid": {"nx": 41}, "tree": {"n_steps": 4},
                                "mc": {"paths": 200, "dt_mc": 1.0e-2}}, "lattice", [15]),
     ("representation-random", {**MC_SMALL, "params": {"x_points": [0.0]}}, "lattice", [21]),

@@ -1,11 +1,11 @@
-"""The w1 lattice against the scenario tree.
+"""The w1 lattice against the scenario tree, at d = 1 and d = 2.
 
 Every coefficient family and test field depends on the path only through
 the first Wiener component, so on the lattice the level solvers give the
-tree's values averaged over the nodes of each w1 state (j down steps, the
-popcount of a d=1 node index), and the pairings and norms the experiments
-report agree with the tree's to round-off.  The entry points that need
-per-path values refuse a lattice.
+tree's values averaged over the nodes of each w1 state (j down steps of the
+first component), and the pairings and norms the experiments report agree
+with the tree's to round-off, whatever d is.  solve_density marches either
+state space; the entry points that need per-path values refuse a lattice.
 """
 
 import numpy as np
@@ -19,13 +19,11 @@ from spdelab import (
     build_grid,
     build_lattice,
     build_tree,
-    lattice_density,
     make_family,
     op_L,
     residual_bspde,
     solve_backward_pathwise,
     solve_R,
-    solve_density,
     step_forward,
 )
 from spdelab.backward import backward_sweep
@@ -42,24 +40,41 @@ from spdelab.harness import (
 from spdelab.tree import TreeNode
 
 FAMILIES = {
-    "constant": {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1},
-    "drift-random": {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1},
-    "space-smooth": {"a": 0.3, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1},
+    "constant": {"f0": 0.0},
+    "drift-random": {"kappa": 0.25},
+    "space-smooth": {"a": 0.3, "eps": 0.5},
 }
-LEVELS = [(21, 3), (41, 6), (41, 8)]
+# the diffusion columns per d: d = 2 keeps a nondegenerate tail column, so
+# R*, L* and the density equation stay superparabolic
+SIGMA = {1: [0.6, 0.8], 2: [0.6, 0.8, 0.5]}
+FAMILY_CASES = [(family,) for family in sorted(FAMILIES)]
 
 
-def setup(family, nx, n_steps):
+def by_d(d1, d2):
+    """pytest params (d, *case): the d = 1 cases under their own ids, the
+    d = 2 cases under ids that start with "d2"."""
+    def name(case):
+        return "-".join(map(str, case))
+
+    return ([pytest.param(1, *case, id=name(case)) for case in d1]
+            + [pytest.param(2, *case, id=f"d2-{name(case)}") for case in d2])
+
+
+def setup(family, nx, n_steps, d=1):
     grid = build_grid(DomainSpec("interval", 0.0, 8.0, 1.0), nx)
-    tree, lattice = build_tree(1, n_steps, 1.0), build_lattice(n_steps, 1.0)
-    return make_family(family, FAMILIES[family]), grid, tree, lattice
+    tree, lattice = build_tree(d, n_steps, 1.0), build_lattice(n_steps, 1.0)
+    coeffs = make_family(family, {**FAMILIES[family], "sigma": SIGMA[d], "d": d})
+    return coeffs, grid, tree, lattice
 
 
 def per_state(field):
-    """Tree field levels averaged over the nodes of each w1 state."""
-    out = []
+    """Tree field levels averaged over the nodes of each w1 state: a node's
+    state counts the down steps of component 0, the set bits of its index at
+    bit 0 of each d-bit digit (the popcount of n & 0x5555... at d = 2)."""
+    d, out = field.tree.d, []
     for k, level in enumerate(field.levels):
-        j = np.array([bin(n).count("1") for n in range(level.shape[1])])
+        mask = sum(1 << (d * m) for m in range(k))
+        j = np.array([bin(n & mask).count("1") for n in range(level.shape[1])])
         out.append(np.stack([level[:, j == s].mean(axis=1) for s in range(k + 1)], axis=1))
     return out
 
@@ -75,9 +90,12 @@ def rel(a, b):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("nx, n_steps", LEVELS)
-def test_adjoint_pairings_match_the_tree(family, nx, n_steps):
-    coeffs, grid, tree, lattice = setup(family, nx, n_steps)
+@pytest.mark.parametrize("d, nx, n_steps", by_d([(21, 3), (41, 6), (41, 8)],
+                                                [(21, 3), (41, 6)]))
+def test_adjoint_pairings_match_the_tree(family, d, nx, n_steps):
+    # adjoint-suite and norm-bounds pair on the lattice at d = 2 as at d = 1:
+    # the bounds are the same at both
+    coeffs, grid, tree, lattice = setup(family, nx, n_steps, d)
     seed_pair = ((11, 0), (11, 1))
     on_tree, scale_tree = _adjoint_pairings(coeffs, grid, tree, seed_pair)
     on_lattice, scale_lattice = _adjoint_pairings(coeffs, grid, lattice, seed_pair)
@@ -124,13 +142,13 @@ def test_op_L_root_is_the_tree_root_bit_for_bit(family, integrand):
     assert np.array_equal(*roots)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_solve_R_sweeps_match_the_tree(family):
+@pytest.mark.parametrize("d, family", by_d(FAMILY_CASES, FAMILY_CASES))
+def test_solve_R_sweeps_match_the_tree(d, family):
     # solvability-R iterates on the lattice: from the zero start it stops at
     # the tree's sweep, with the tree's residuals to 1e-9 relative above a
     # round-off floor of ||phi|| (the last residual is round-off when a start
-    # runs all N + 1 sweeps)
-    coeffs, grid, tree, lattice = setup(family, 41, 10)
+    # runs all N + 1 sweeps); 10 steps at d = 1, 6 on the 4**N-leaf d = 2 tree
+    coeffs, grid, tree, lattice = setup(family, 41, {1: 10, 2: 6}[d], d)
     runs = []
     for t in (tree, lattice):
         phi = smooth_random_field(grid, t, 2468)
@@ -142,22 +160,24 @@ def test_solve_R_sweeps_match_the_tree(family):
                                rtol=1e-9, atol=1e-15 * scale)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_forward_marches_are_the_tree_conditional_means(family):
+@pytest.mark.parametrize("d, family", by_d(FAMILY_CASES, FAMILY_CASES))
+def test_forward_marches_are_the_tree_conditional_means(d, family):
     # forward solutions are path dependent on the tree; the lattice carries
-    # their conditional means given w1
-    coeffs, grid, tree, lattice = setup(family, 41, 8)
+    # their conditional means given w1, and at d = 2 the kicks of the second
+    # component drop out of them
+    coeffs, grid, tree, lattice = setup(family, 41, {1: 8, 2: 6}[d], d)
     h_tree, h_lattice = smooth_random_field(grid, tree, 5), smooth_random_field(grid, lattice, 5)
     for solve in (solve_T_star, solve_R_star, solve_L_star):
         assert_levels_match(solve(h_tree, coeffs, grid, tree),
                             solve(h_lattice, coeffs, grid, lattice))
 
 
-@pytest.mark.parametrize("n_steps", [6, 10])
-def test_duality_63_fine_pairing_matches_the_tree(n_steps):
+@pytest.mark.parametrize("d, n_steps", by_d([(6,), (10,)], [(4,), (6,)]))
+def test_duality_63_fine_pairing_matches_the_tree(d, n_steps):
     # duality-63 pairs its fine level on the lattice: lhs reads op_L's root
-    # value and rhs pairs the density with phi, both w1-only
-    cfg = default_config("duality-63")
+    # value and rhs pairs the density with phi, both w1-only; solve_density
+    # marches the tree and the lattice alike
+    cfg = default_config("duality-63", coefficients={"sigma": SIGMA[d], "d": d})
     coeffs, grid = cfg.build_coeffs(), cfg.build_grid(cfg.params["fine_nx"])
     tree = cfg.build_tree(n_steps)
     lattice = build_lattice(n_steps, tree.horizon)
@@ -206,22 +226,6 @@ def test_pair_x0_dual_refuses_a_lattice():
     F = smooth_random_field(grid, lattice, 1)
     with pytest.raises(FieldError, match="per-path values"):
         pair_x0_dual(F, F)
-
-
-def test_solve_density_refuses_a_lattice():
-    coeffs, grid, _, lattice = setup("drift-random", 21, 3)
-    p0 = np.zeros(grid.nx)
-    p0[1:-1] = 1.0 / (grid.dx * grid.ni)
-    with pytest.raises(ForwardSolverError, match="per-path values"):
-        solve_density(p0, coeffs, grid, lattice)
-
-
-def test_lattice_density_refuses_a_tree():
-    coeffs, grid, tree, _ = setup("drift-random", 21, 3)
-    p0 = np.zeros(grid.nx)
-    p0[1:-1] = 1.0 / (grid.dx * grid.ni)
-    with pytest.raises(ForwardSolverError, match="w1 lattice"):
-        lattice_density(p0, coeffs, grid, tree)
 
 
 def test_step_forward_refuses_a_lattice():
