@@ -147,7 +147,7 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                 "python_version": platform.python_version(),
                 # peak resident set of this process so far (ru_maxrss is in KiB)
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                # threads a tree-bridged noise block's draws may use
+                # path groups a tree-bridged march runs as, one per thread
                 "draw_threads": draw_threads(),
             },
             fh,
@@ -726,20 +726,23 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     dens = solve_density(p0, coeffs, grid, tree)
     _record_density(diag, dens, grid, tree)
     anc = tree.leaf_path(leaf)
+    levels = [int(round(t / tree.dt)) for t in p["t_points"]]
+    pdes = [h0_inner(dens.p.levels[k][:, anc[k]], _gaussian(grid.x, t, None), grid)
+            for t, k in zip(p["t_points"], levels)]
+    worst_mass = np.array([dens.mass[k].max() for k in range(tree.n_steps + 1)])
+    _, _, lattice = _state_space(cfg, nx, n_steps, diag)
+    sol = op_L(_dirichlet_profile(grid, lattice, _gaussian), coeffs, grid, lattice)
+    lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
+    del dens, sol  # neither Monte Carlo estimate reads the solves
     cond = conditional_functional(
         coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
         tree=tree, grid=grid, p0=p0, dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers)
     diag["monte_carlo"] = {"conditional-identity": cond[0].marches()}
     rows = []
-    for est, t in zip(cond, p["t_points"]):
-        k = int(round(t / tree.dt))
-        pde = h0_inner(dens.p.levels[k][:, anc[k]], _gaussian(grid.x, t, None), grid)
+    for est, t, pde in zip(cond, p["t_points"], pdes):
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
                              pde, est.value, 0.05, rel <= 0.05))
-    _, _, lattice = _state_space(cfg, nx, n_steps, diag)
-    sol = op_L(_dirichlet_profile(grid, lattice, _gaussian), coeffs, grid, lattice)
-    lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
                               grid=grid, dt_mc=float(cfg.mc["dt_mc"]),
                               tree=tree, workers=cfg.workers)
@@ -747,7 +750,6 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "unconditional-identity", "6.5",
                          lhs, est.value, tol, abs(lhs - est.value) <= tol))
-    worst_mass = np.array([dens.mass[k].max() for k in range(tree.n_steps + 1)])
     mass_ok = bool(np.all(np.diff(worst_mass) < 1e-8))
     rows.append(CheckRow(cfg.experiment, "mass-trace-monotone", "6.1",
                          float(worst_mass[-1]), float(worst_mass[0]),

@@ -8,14 +8,19 @@ with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
 coefficient process.  The march draws the scalar noise sigma . dW, one
 normal per path and fine step, one block at a time for the paths live at
-the block's start (`tree.PathBundle.draw`: a coarse step on a tree, split
-over the shared draw threads with the same bits, or a span of a few fine
-steps of free paths); it stops as soon as every path has exited.  Each
-fine step does only the update (y + f dt) + noise, the exit test and the
-integrands: a drift that does not read x is taken once per block at the
-block's w1, times dt_mc, and an exit compacts the live paths' index,
-state, running integrals and w1 through one integer index, while the block
-stays as drawn and a column index maps the live paths to its columns.
+the block's start (`tree.PathBundle.draw`: a coarse step on a tree, or a
+span of a few fine steps of free paths); it stops as soon as every path has
+exited.  A tree-bridged march runs as contiguous groups of paths, one per
+draw thread: the calling thread marches the first and the shared draw pool
+the others, each group drawing its own blocks and writing only its own
+rows, with the same bits for any group count; a free march stays one march
+in the calling thread.  Each fine step does only the update (y + f dt) +
+noise, the exit test and the integrands: a drift that does not read x is
+taken once per block at the block's w1, times dt_mc (on a tree from its
+values per node, evaluated in the calling thread), and an exit compacts the
+live paths' index, state, running integrals and w1 through one integer
+index, while the block stays as drawn and a column index maps the live
+paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are detected at mesh points
@@ -28,11 +33,12 @@ generators derive from the user seed by the splitting rule in
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import tree as tree_module
 from .coefficients import CoefficientSet
 from .domain import Grid
 from .tree import (
@@ -120,7 +126,9 @@ def simulate(
     init is either a point inside the closed domain or a gridded initial
     density (requires grid); integrands maps names to callables
     phi(y, t, w1) whose running integrals sum_{t < tau} phi dt_mc are
-    accumulated online.  Deterministic given the bundle's seed.
+    accumulated online.  On a tree the path groups call the integrands (and
+    a drift that reads x) from several threads at once, so they must not
+    keep state.  Deterministic given the bundle's seed.
     """
     if not np.array_equal(coeffs.sigma, paths.sigma):
         raise SimulationError(
@@ -149,8 +157,8 @@ def simulate(
             np.random.SeedSequence(seed_entropy(paths.seed, 0xA11))
         )
         y = sample_from_density(init, grid, M, rng)
-    lo, hi = domain.a, domain.b
-    if np.any((y < lo) | (y > hi)):
+    lo_x, hi_x = domain.a, domain.b
+    if np.any((y < lo_x) | (y > hi_x)):
         raise SimulationError("initial value outside the closed domain")
 
     horizon = paths.times[-1]
@@ -172,62 +180,89 @@ def simulate(
     alive = np.zeros((M, snapshot_times.size), dtype=bool)
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
+    # f dt, taken once per block when f reads neither x nor t: for free paths
+    # one value, on a tree one per node of each level, evaluated once here in
+    # the calling thread (not once per group, and benchmarks/tracer.py
+    # traces drift calls from one thread) and looked up at each block's nodes
+    per_block = not coeffs.drift_reads_x
+    fdt0 = node_fdt = None
+    if per_block and paths.tree is None:
+        fdt0 = np.asarray(coeffs.drift(0.0, m0 * dt, 0.0)) * dt
+    elif per_block:
+        node_fdt = [np.asarray(coeffs.drift(0.0, k * paths.tree.dt, w[:, 0])) * dt
+                    for k, w in enumerate(paths.tree.omega[:-1])]
 
-    # live paths: index, state, running integrals.  The current noise block
-    # holds fine steps first .. end - 1 and has a column per path live when
-    # it was drawn; once one of them has exited, cols maps the live paths to
-    # their columns (None until then).
-    live = np.arange(M)
-    yl = y.copy()
-    acc = {name: np.zeros(M) for name in integrands}
-    per_block = not coeffs.drift_reads_x  # f dt taken once per block
-    drawn = 0
-    m = end = m0
-    while True:
-        if m in snap_of:
-            y[live] = yl
-            snapshots[:, snap_of[m]] = y[:, None]
-            alive[np.ix_(live, snap_of[m])] = True
-        if m == n_fine or live.size == 0:
-            break
-        t = m * dt
-        if m == end:
-            block = None  # let the spent block go before its successor is drawn
-            w1 = paths.w1(m // paths.n_sub, live)
-            if per_block and (m == m0 or w1 is not None):
-                # f dt on the block's node, before the draw: f reads neither x nor t
-                fdt = np.asarray(coeffs.drift(0.0, t, 0.0 if w1 is None else w1)) * dt
-            first, block = paths.draw(m, live)
-            end, cols = first + len(block), None
-            drawn += block.size
-        j = m - first
-        for name, fn in integrands.items():
-            acc[name] += np.asarray(fn(yl, t, w1)) * dt
-        yl += fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt
-        yl += block[j] if cols is None else block[j][cols]  # half the cost of block[j, cols]
-        m += 1
-        out = (yl < lo) | (yl > hi)
-        if out.any():
-            at = out.nonzero()[0]
-            gone = live[at]
-            tau[gone] = m * dt
-            y[gone] = yl[at]
-            for name in totals:
-                totals[name][gone] = acc[name][at]
-            keep = (~out).nonzero()[0]
-            live, yl = live[keep], yl[keep]
-            acc = {name: a[keep] for name, a in acc.items()}
-            if np.ndim(w1):  # per-path leaves: w1, and f dt with it, per path
-                w1 = w1[keep]
-                if per_block:
-                    fdt = fdt[keep]
-            if m < end:  # the block has steps left; a spent one is dropped
-                cols = keep if cols is None else cols[keep]
-    y[live] = yl
-    for name in totals:
-        totals[name][live] = acc[name]
-    # after an early stop the later snapshots hold the frozen paths
-    snapshots[:, snap_idx > m] = y[:, None]
+    def march(lo, hi):
+        """March paths lo .. hi - 1 from m0, writing only their rows of tau,
+        y, snapshots, alive and totals; returns the normals drawn."""
+        # live paths: index, state, running integrals.  The current noise
+        # block holds fine steps first .. end - 1 and has a column per path
+        # live when it was drawn; once one of them has exited, cols maps the
+        # live paths to their columns (None until then).
+        live = np.arange(lo, hi)
+        yl = y[lo:hi].copy()
+        acc = {name: np.zeros(hi - lo) for name in integrands}
+        fdt = fdt0
+        drawn = 0
+        m = end = m0
+        while True:
+            if m in snap_of:
+                y[live] = yl
+                snapshots[lo:hi, snap_of[m]] = y[lo:hi, None]
+                alive[np.ix_(live, snap_of[m])] = True
+            if m == n_fine or live.size == 0:
+                break
+            t = m * dt
+            if m == end:
+                block = None  # let the spent block go before its successor is drawn
+                k = m // paths.n_sub
+                w1 = paths.w1(k, live)
+                if node_fdt is not None:
+                    fdt = node_fdt[k][paths.nodes(k, live)]
+                first, block = paths.draw(m, live)
+                end, cols = first + len(block), None
+                drawn += block.size
+            j = m - first
+            for name, fn in integrands.items():
+                acc[name] += np.asarray(fn(yl, t, w1)) * dt
+            yl += fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt
+            yl += block[j] if cols is None else block[j][cols]  # half the cost of block[j, cols]
+            m += 1
+            out = (yl < lo_x) | (yl > hi_x)
+            if out.any():
+                at = out.nonzero()[0]
+                gone = live[at]
+                tau[gone] = m * dt
+                y[gone] = yl[at]
+                for name in totals:
+                    totals[name][gone] = acc[name][at]
+                keep = (~out).nonzero()[0]
+                live, yl = live[keep], yl[keep]
+                acc = {name: a[keep] for name, a in acc.items()}
+                if np.ndim(w1):  # per-path leaves: w1, and f dt with it, per path
+                    w1 = w1[keep]
+                    if per_block:
+                        fdt = fdt[keep]
+                if m < end:  # the block has steps left; a spent one is dropped
+                    cols = keep if cols is None else cols[keep]
+        y[live] = yl
+        for name in totals:
+            totals[name][live] = acc[name]
+        # after an early stop the later snapshots hold the frozen paths
+        snapshots[lo:hi, snap_idx > m] = y[lo:hi, None]
+        return drawn
+
+    # a tree-bridged march runs as contiguous groups of paths: the calling
+    # thread marches the first and the draw pool the others.  Free marches
+    # stay in the calling thread (path groups ran slower there, ROADMAP).
+    groups = 1 if paths.tree is None else max(1, min(tree_module.draw_threads(), M))
+    cuts = [g * M // groups for g in range(groups + 1)]
+    tasks = [tree_module.draw_pool().submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        drawn = march(cuts[0], cuts[1])
+    finally:
+        wait(tasks)
+    drawn += sum(task.result() for task in tasks)
     return TrajectorySet(
         snapshot_times=snapshot_times,
         snapshots=snapshots,
@@ -347,7 +382,7 @@ def functional_estimate(
         else:
             bundle = free_paths(grid.domain.horizon, m, coeffs.sigma, dt_mc, chunk_seed)
         trajs = simulate(coeffs, init, 0.0, bundle, grid.domain, grid=grid,
-                         integrands={"phi": phi})
+                         integrands={"phi": phi}, snapshot_times=())
         return trajs.integrals["phi"][None], trajs, bundle
 
     return _chunked(M, workers, job)[0]

@@ -9,11 +9,13 @@ and time.  Fine-time Monte Carlo increments are the scalar noise sigma.dW,
 one normal per path and fine step, with the first d Wiener components
 bridged through a designated leaf path or per-path leaf draws; they are
 drawn for the paths still being marched, one rectangle of (fine steps,
-paths) at a time: a tree step for tree-bridged paths, a span of up to
-SPAN_MAX fine steps for free ones.  Each normal is a fixed function of
-(key, counter), so a tree-bridged block's fine steps are split over one
-shared pool of draw threads, one per CPU the process may run on, and the
-block holds the same bits for any CPU count.
+paths) at a time, in the calling thread: a tree step for tree-bridged
+paths, a span of up to SPAN_MAX fine steps for free ones.  Each normal is a
+fixed function of (key, counter), so a path's increments do not depend on
+which other paths are drawn with it: `montecarlo.simulate` splits a
+tree-bridged march into groups of paths over one shared pool of draw
+threads, one per CPU the process may run on, with the same bits for any
+CPU count.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -391,20 +393,27 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
 SPAN_NORMALS = 2**12
 SPAN_MAX = 16
 
-_pool = None  # the draw pool, created at the first split
+# a tree block is hashed max(1, HASH_NORMALS // rows) fine steps per
+# _counter_normals call (5 steps at 12.5k rows), in a 512 kB scratch array
+# that each group of a march holds while it draws: few calls keep the GIL
+# hand-offs of concurrent groups few, and 100,000 normals per call were no
+# faster but put 3 groups of 20k paths past 1.5 blocks of peak memory
+HASH_NORMALS = 2**16
+
+_pool = None  # the draw pool, created at the first split of a march
 _pool_lock = threading.Lock()
 
 
 def draw_threads() -> int:
-    """Threads a draw may use: the CPUs this process may run on."""
+    """Threads a march may use: the CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
 
 
-def _draw_pool() -> ThreadPoolExecutor:
-    """The one draw pool every bundle and every chunk thread shares."""
+def draw_pool() -> ThreadPoolExecutor:
+    """The one draw pool every march and every chunk thread shares."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -468,41 +477,37 @@ class PathBundle:
         return np.random.SeedSequence(seed_entropy(self.seed)).generate_state(1, np.uint64)[0]
 
     def block(self, k: int, rows) -> np.ndarray:
-        """Increments sigma.dW of block k for the given path rows, (n_sub, rows).
+        """Increments sigma.dW of block k for the given path rows, (n_sub, rows),
+        drawn in the calling thread.
 
-        A tree block of n_sub >= 2 steps is drawn by min(draw_threads(), n_sub)
-        tasks of the shared draw pool (numpy and scipy ufuncs release the GIL),
-        each filling its own run of steps; every row z[j] is the same
-        function of the counters however the steps are split.
+        A tree block is hashed max(1, HASH_NORMALS // rows) fine steps per
+        call; each call's rows are scaled by sqrt(dt_mc) while they are in
+        cache, and the column sum the bridge needs is added up one step after
+        another, so a path's column has the same bits at any row count.
         """
         tree = self.tree
         if tree is None:
             return self._free(k, 1, rows)
         rows = np.asarray(rows)
-        # counter of (path p, fine step m): p * n_fine + m; one fine step at a
-        # time keeps the work arrays in cache
+        n_sub = self.n_sub
+        per_call = min(max(1, HASH_NORMALS // max(rows.size, 1)), n_sub)
+        # counter of (path p, fine step m): p * n_fine + m
         at_m0 = rows.astype(np.uint64) * np.uint64(self.n_fine)
-        z = np.empty((self.n_sub, rows.size))
-
-        def draw(lo, hi):
-            counters = np.empty_like(at_m0)  # the task's one scratch array
-            for j in range(lo, hi):
-                np.add(at_m0, np.uint64(k * self.n_sub + j), out=counters)
-                _counter_normals(self._key, counters, out=z[j])
-
-        tasks = min(draw_threads(), self.n_sub) if self.n_sub > 1 else 1
-        if tasks < 2:
-            draw(0, self.n_sub)
-        else:
-            # one coarse task per thread keeps the GIL hand-offs few
-            cuts = [t * self.n_sub // tasks for t in range(tasks + 1)]
-            for f in [_draw_pool().submit(draw, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
-                f.result()
-        z *= np.sqrt(self.dt_mc)
+        steps = np.arange(k * n_sub, (k + 1) * n_sub, dtype=np.uint64)[:, None]
+        counters = np.empty((per_call, rows.size), dtype=np.uint64)  # the one scratch array
+        z = np.empty((n_sub, rows.size))
+        total = np.zeros(rows.size)
+        for lo in range(0, n_sub, per_call):
+            hi = min(lo + per_call, n_sub)
+            np.add(at_m0, steps[lo:hi], out=counters[: hi - lo])
+            part = _counter_normals(self._key, counters[: hi - lo], out=z[lo:hi])
+            part *= np.sqrt(self.dt_mc)
+            for row in part:  # numpy's mean of a single column would sum pairwise
+                total += row
         s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[tree.d :])
         edge = tree.digit_signs[self.nodes(k + 1, rows) % tree.branching]
-        shift = (edge @ self.sigma[: tree.d]) * (tree.sqdt / self.n_sub)
-        shift -= (s - s_f) * z.mean(axis=0)
+        shift = (edge @ self.sigma[: tree.d]) * (tree.sqdt / n_sub)
+        shift -= (s - s_f) * (total / n_sub)
         z *= s
         z += shift
         return z

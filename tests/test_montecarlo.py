@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -199,6 +200,11 @@ def march_cases():
         "start-inside-a-block": (smooth, 0.4, 0.13,
                                  sample_tree_paths(tree, 3000, smooth.sigma, 0.01, seed=44),
                                  np.array([0.13, 0.2, 0.2, 0.55, 1.0])),
+        # nine paths: split into three groups, a group reaches one live path
+        # at a block start while the others march on
+        "one-live-path-in-a-group": (random, 0.5, 0.0,
+                                     sample_tree_paths(tree, 9, random.sigma, 0.01, seed=47),
+                                     None),
     }
 
 
@@ -234,9 +240,38 @@ def test_march_matches_the_reference_bit_for_bit(unit_domain, case, serial_draws
 
 
 @pytest.mark.parametrize("case", list(march_cases()))
-def test_split_march_matches_the_reference_bit_for_bit(unit_domain, case, split_draws):
-    # every tree block of two or more fine steps is split over three threads
-    check_march_against_the_reference(unit_domain, case)
+def test_split_march_matches_the_reference_bit_for_bit(unit_domain, case, split_draws,
+                                                       monkeypatch):
+    # a tree-bridged march runs as three groups of paths, each drawing its
+    # own blocks: block widths are recorded from every thread
+    widths, block = [], PathBundle.block
+
+    def recorded(self, k, rows):
+        widths.append(np.size(rows))
+        return block(self, k, rows)
+
+    monkeypatch.setattr(PathBundle, "block", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the groups hand the GIL over often
+    try:
+        check_march_against_the_reference(unit_domain, case)
+    finally:
+        sys.setswitchinterval(interval)
+    if case == "one-live-path-in-a-group":
+        assert 1 in widths
+
+
+def test_normals_drawn_do_not_depend_on_the_draw_threads(unit_domain, request, serial_draws):
+    # n_sub times the live rows at each block start, summed over the groups
+    cases = {name: c for name, c in march_cases().items() if c[3].tree is not None}
+
+    def drawn():
+        return [simulate(coeffs, init, s, paths, unit_domain, snapshot_times=times).normals_drawn
+                for coeffs, init, s, paths, times in cases.values()]
+
+    serial = drawn()
+    request.getfixturevalue("split_draws")
+    assert drawn() == serial
 
 
 def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
@@ -267,21 +302,24 @@ def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
     assert any(1 < S < span_max for _, _, (S, _) in shapes)
 
 
-def test_march_holds_one_noise_block_at_a_time(line_domain):
+def test_march_holds_one_noise_block_at_a_time(line_domain, split_draws, monkeypatch):
     # 20k bridged paths, 50 fine steps per block: a block is 8 MB, and the
-    # march's own arrays add about a quarter of that.  Holding a view of the
-    # spent block while its successor is drawn would double the peak.
+    # march's own arrays add about a third of that, in one march or in three
+    # groups of paths that each hold their rows of a block.  Holding a view
+    # of the spent block while its successor is drawn would double the peak.
     coeffs = make_family("drift-random", {"kappa": 0.5, "sigma": [0.6, 0.8], "d": 1})
     paths = bridge_paths(build_tree(1, 4, 1.0), 5, 20_000, coeffs.sigma, 0.005, seed=45)
     assert paths.n_sub == 50
     block_bytes = 8 * paths.n_sub * paths.n_paths
-    tracemalloc.start()
-    try:
-        simulate(coeffs, 0.0, 0.0, paths, line_domain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert block_bytes < peak < 1.5 * block_bytes
+    for threads in (1, 3):
+        monkeypatch.setattr(tree_module, "draw_threads", lambda: threads)
+        tracemalloc.start()
+        try:
+            simulate(coeffs, 0.0, 0.0, paths, line_domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block_bytes < peak < 1.5 * block_bytes
 
 
 def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
@@ -462,7 +500,9 @@ def test_conditional_vs_unconditional_coherence(line_domain):
     assert abs(avg - unc.mean()) <= tol
 
 
-def test_functional_estimate_worker_independence(line_domain, monkeypatch):
+def test_functional_estimate_worker_independence(line_domain, monkeypatch, split_draws):
+    # each chunk's march is split into three groups of paths, and the chunk
+    # threads share the draw pool
     monkeypatch.setattr(montecarlo, "CHUNK", 1500)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
@@ -490,8 +530,8 @@ def test_conditional_functional_worker_independence(line_domain, monkeypatch, re
     assert a[0].chunks == (700, 700, 600)
     # value, stderr, n and the march record (chunks, normals_drawn, exit_frac)
     assert a == b
-    # with every block's five steps split over the draw threads, which the
-    # chunk threads share
+    # with each chunk's march split into three groups of paths over the draw
+    # pool, which the chunk threads share
     request.getfixturevalue("split_draws")
     for workers in (1, 2):
         assert conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20,

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 from spdelab import (
+    DomainSpec,
     TreeError,
     bridge_paths,
     build_tree,
@@ -10,7 +11,9 @@ from spdelab import (
     cond_expect,
     free_paths,
     ito_integral,
+    make_family,
     sample_tree_paths,
+    simulate,
 )
 from spdelab import tree as tree_module
 from spdelab.tree import _GOLDEN, _MIX1, _MIX2, _counter_normals
@@ -71,6 +74,11 @@ def tree2():
 @pytest.fixture
 def tree5():
     return build_tree(1, 5, 1.0)
+
+
+@pytest.fixture
+def unit_interval():
+    return DomainSpec("interval", 0.0, 1.0, 1.0)
 
 
 def test_build_tree_counts(tree2):
@@ -381,7 +389,7 @@ def test_blocks_for_row_subsets(tree5):
 
 def split_bundles():
     """Designated-leaf and sampled-leaf bundles whose n_sub (8, 5 and 4)
-    splits evenly and unevenly over three draw threads."""
+    splits evenly and unevenly into hash calls of three steps."""
     tree1, tree2 = build_tree(1, 5, 1.0), build_tree(2, 3, 1.0)
     return [
         bridge_paths(tree1, 19, M=40, sigma=[0.6, 0.8], dt_mc=0.025, seed=31),
@@ -398,16 +406,19 @@ def free_span(bundle, m, steps, rows):
 
 
 @pytest.mark.parametrize("draws", ["serial_draws", "split_draws"])
-def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request):
+def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request, monkeypatch):
     request.getfixturevalue(draws)
     rows_sets = [np.arange(40), np.array([39, 2, 17, 5])]
-    for bundle in split_bundles():
-        for k in range(bundle.tree.n_steps):
-            for rows in rows_sets:
-                assert np.array_equal(bundle.block(k, rows), serial_block(bundle, k, rows))
-                # a draw at the block's last step is the block
-                first, z = bundle.draw((k + 1) * bundle.n_sub - 1, rows)
-                assert first == k * bundle.n_sub and np.array_equal(z, bundle.block(k, rows))
+    # hash calls of one step, of three steps at 40 rows, and of the whole block
+    for hash_normals in (1, 120, tree_module.HASH_NORMALS):
+        monkeypatch.setattr(tree_module, "HASH_NORMALS", hash_normals)
+        for bundle in split_bundles():
+            for k in range(bundle.tree.n_steps):
+                for rows in rows_sets:
+                    assert np.array_equal(bundle.block(k, rows), serial_block(bundle, k, rows))
+                    # a draw at the block's last step is the block
+                    first, z = bundle.draw((k + 1) * bundle.n_sub - 1, rows)
+                    assert first == k * bundle.n_sub and np.array_equal(z, bundle.block(k, rows))
     # a free draw spans ceil(SPAN_NORMALS / rows) steps, at most SPAN_MAX
     # and up to the horizon
     bundle = free_paths(1.0, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 64, seed=34)
@@ -425,27 +436,44 @@ def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request):
         assert np.array_equal(z, free_span(big, 2, len(z), rows))
 
 
-def test_single_step_blocks_and_single_cpus_never_create_the_draw_pool(split_draws, monkeypatch):
-    def tripwire():
-        raise AssertionError("the draw pool was created")
+def test_a_path_has_the_same_column_at_every_width():
+    # the bridge's column sum is taken step after step, so a path drawn alone
+    # (where numpy's mean would sum pairwise) gets the column it has in a
+    # block of two paths or of all of them; n_sub = 50, both bundle kinds
+    tree = build_tree(1, 4, 1.0)
+    for bundle in (bridge_paths(tree, 5, M=12, sigma=[0.6, 0.8], dt_mc=0.005, seed=36),
+                   sample_tree_paths(tree, M=12, sigma=[0.6, 0.8], dt_mc=0.005, seed=37)):
+        assert bundle.n_sub == 50
+        for k in range(tree.n_steps):
+            full = bundle.block(k, np.arange(12))
+            for p in range(12):
+                assert np.array_equal(bundle.block(k, [p])[:, 0], full[:, p])
+                assert np.array_equal(bundle.block(k, [p, (p + 5) % 12])[:, 0], full[:, p])
 
-    monkeypatch.setattr(tree_module, "_draw_pool", tripwire)
-    # n_sub = 1: a free bundle, and a tree bundle at the tree's own step
+
+def test_blocks_and_free_marches_never_touch_the_draw_pool(split_draws, monkeypatch,
+                                                            unit_interval):
+    def tripwire():
+        raise AssertionError("the draw pool was used")
+
+    monkeypatch.setattr(tree_module, "draw_pool", tripwire)
+    # tree blocks of one step and of several are drawn in the calling thread
     rows = np.arange(30)
     for bundle in (free_paths(1.0, M=30, sigma=[0.6, 0.8], dt_mc=0.125, seed=1),
                    bridge_paths(build_tree(1, 4, 1.0), 3, M=30, sigma=[0.6, 0.8],
-                                dt_mc=0.25, seed=2)):
-        assert bundle.n_sub == 1
+                                dt_mc=0.25, seed=2), *split_bundles()):
         bundle.block(1, rows)
     # free draws of any size are drawn in the calling thread: spans of several
     # steps, and one step of more than SPAN_NORMALS paths
     free = free_paths(1.0, M=2 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=3)
     assert free.draw(0, rows)[1].shape == (tree_module.SPAN_MAX, 30)
     assert free.draw(4, np.arange(free.n_paths))[1].shape == (1, free.n_paths)
-    # one CPU: the block is drawn in the calling thread
-    monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)
-    bundle = split_bundles()[0]
-    assert np.array_equal(bundle.block(2, rows), serial_block(bundle, 2, rows))
+    # a free march stays one march in the calling thread
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
+    assert simulate(coeffs, 0.5, 0.0, free, unit_interval).normals_drawn > 0
+    # whereas a tree-bridged march splits its paths over the pool
+    with pytest.raises(AssertionError, match="draw pool"):
+        simulate(coeffs, 0.5, 0.0, split_bundles()[1], unit_interval)
 
 
 def test_d2_ito_isometry_and_clark_recovery():
