@@ -14,12 +14,10 @@ from .domain import (
     DomainSpec,
     Grid,
     GridError,
-    LambdaTransform,
     apply_A,
     apply_A_star,
     build_grid,
     h0_inner,
-    h0_norm,
 )
 from .fields import (
     SpaceTimeField,

@@ -7,16 +7,17 @@ generator
     A u = f du/dx + (1/2) b d2u/dx2,        b = beta beta^T,
 
 its discrete dual A* (the exact transpose of the interior matrix of A in
-the dx-weighted inner product), and the spectral smoothing operator
-Lambda = sqrt(I - Laplacian) realized in the Dirichlet sine basis.  Grid
-functions are plain numpy arrays with the grid nodes on axis 0 (batched
-values add trailing axes); Dirichlet fields carry zeros on the two
+the dx-weighted inner product), and the discrete H^-1, H^0 and H^1 norms.
+Grid functions are plain numpy arrays with the grid nodes on axis 0
+(batched values add trailing axes); Dirichlet fields carry zeros on the two
 boundary nodes.
 
-One banded core serves every solver: generator_bands alone turns drift and
-diffusion into the bands of A or A*, and thomas_rows is the only
-tridiagonal solve (odd-even cyclic reduction at every batch width).
-apply_A is an independent centered stencil (an oracle).
+One banded core serves every solver and every norm: generator_bands alone
+turns drift and diffusion into the bands of A or A*, thomas_rows is the
+only tridiagonal solve (odd-even cyclic reduction at every batch width),
+and hk_norm_sq takes the H^1 norm by the 3-point stencil and the H^-1 norm
+by one thomas_rows solve with I - Laplacian.  apply_A is an independent
+centered stencil (an oracle).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 
 
 class GridError(ValueError):
@@ -237,53 +237,33 @@ def apply_A_star(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[:, None])[:, 0]
 
 
-class LambdaTransform:
-    """Spectral realization of Lambda = sqrt(I - Laplacian) on a grid.
-
-    Uses the orthonormal type-I discrete sine transform, which diagonalizes
-    the Dirichlet Laplacian; eigenvalues of -Laplacian are
-    (2/dx^2) (1 - cos(m pi / (ni + 1))).
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        m = np.arange(1, grid.ni + 1)
-        self.eigenvalues = (2.0 / grid.dx**2) * (1.0 - np.cos(m * np.pi / (grid.ni + 1)))
-        self.eigenvalues.setflags(write=False)
-
-    def apply(self, u: np.ndarray, k: int) -> np.ndarray:
-        """Lambda^k u for k in {-1, 0, 1}; u may be batched on trailing axes."""
-        if k not in (-1, 0, 1):
-            raise GridError(f"Lambda power must be -1, 0 or 1, got {k}")
-        u = _check_grid_function(self.grid, u)
-        if k == 0:
-            return u.copy()
-        coef = dst(u[1:-1], type=1, norm="ortho", axis=0)
-        coef *= ((1.0 + self.eigenvalues) ** (0.5 * k)).reshape((-1,) + (1,) * (u.ndim - 1))
-        out = np.zeros_like(u)
-        out[1:-1] = dst(coef, type=1, norm="ortho", axis=0)
-        return out
-
-
 def h0_inner(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     """Discrete L2(D) inner product, dx-weighted over the nodes."""
     return float(grid.dx * np.dot(np.asarray(u), np.asarray(v)))
 
 
-def h0_norm(u: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(grid.dx) * np.linalg.norm(np.asarray(u)))
-
-
 def hk_norm_sq(u: np.ndarray, k: int, grid: Grid) -> np.ndarray:
     """Squared H^k norms of the columns of u (grid nodes on axis 0, boundary
-    rows not read), k in {-1, 0, 1}: the sine-coefficient weighted sum
-    dx * sum_m (1 + lambda_m)^k c_m^2, with c the orthonormal DST-I of the
-    interior values and lambda_m the eigenvalues of -Laplacian."""
+    rows not read), k in {-1, 0, 1}, with Laplacian the 3-point Dirichlet
+    stencil on the interior values ui:
+
+        k = 1:  dx (sum ui^2 + sum over the ni + 1 edges (u_{i+1} - u_i)^2 / dx^2)
+        k = 0:  dx sum ui^2
+        k = -1: dx ui^T (I - Laplacian)^-1 ui, one thomas_rows solve; the
+                matrix is strictly diagonally dominant.
+    """
     if k not in (-1, 0, 1):
         raise GridError(f"H^k norms need k in {{-1, 0, 1}}, got {k}")
-    coef = dst(u[1:-1], type=1, norm="ortho", axis=0)
-    weight = (1.0 + LambdaTransform(grid).eigenvalues) ** k
-    return grid.dx * np.einsum("m...,m->...", coef**2, weight)
+    ui, dx = np.asarray(u, dtype=float)[1:-1], grid.dx
+    if k == 1:
+        edges = np.diff(ui, axis=0, prepend=0.0, append=0.0)
+        return dx * ((ui * ui).sum(axis=0) + (edges * edges).sum(axis=0) / dx**2)
+    if k == 0:
+        return dx * (ui * ui).sum(axis=0)
+    w = np.array(ui.reshape(len(ui), 1, -1))
+    off = np.full((1, 1), -1.0 / dx**2)
+    thomas_rows(off, np.full((1, 1), 1.0 + 2.0 / dx**2), off, w)
+    return dx * (ui * w.reshape(ui.shape)).sum(axis=0)
 
 
 def dx_centered(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ and the norms weight the levels the same way.  `pair_x0_dual` pairs a
 backward-type field with a forward-marched one cell by cell (slice k
 against slice k+1), which aligns the two one-sided quadratures of the same
 time integral; it refuses a lattice.  `norm_xk` gives the X^-1 and X^1
-norms from the sine-coefficient sums of `domain.hk_norm_sq`, `norm_c0` the
-largest mean-square H0 norm over the levels.
+norms from the level slices' H^k norms (`domain.hk_norm_sq`: the H^1 norm
+by stencil, the H^-1 norm by one tridiagonal solve), `norm_c0` the largest
+mean-square H0 norm over the levels.
 """
 
 from __future__ import annotations

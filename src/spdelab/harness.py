@@ -167,6 +167,15 @@ MAX_NX = 10_001
 # lattice at fine_nx 201, holds 26.3M cells; a default level at most 330k.
 MAX_CELLS = 2**25
 
+# the most fine Monte Carlo steps over the horizon: a times array of 8 MB per
+# bundle, 262x the largest default's 4000 steps (feynman-kac-nonrandom)
+MAX_FINE_STEPS = 2**20
+
+# the most normals a run may draw, summed over its Monte Carlo estimates as
+# mc.paths times the fine steps, one normal per path and step: about 90 s of
+# draws; the largest default bound is feynman-kac-nonrandom's 4e8
+MAX_NORMALS = 2**32
+
 
 def _is_real(v) -> bool:
     """A finite int or float; a bool is not a number here."""
@@ -292,6 +301,25 @@ def _dt_mc_divides(cfg):
             raise ConfigError(f"mc.dt_mc: {exc}") from exc
 
 
+def _mc_work_bounded(cfg):
+    """The fine steps and the normals of the run's Monte Carlo estimates are
+    within MAX_FINE_STEPS and MAX_NORMALS; a run without mc.paths draws none."""
+    if "paths" not in cfg.mc:
+        return
+    horizon = float(cfg.tree["horizon"])
+    n_fine, _ = fine_steps(horizon, cfg.mc["dt_mc"], None)
+    if n_fine > MAX_FINE_STEPS:
+        raise ConfigError(f"mc.dt_mc={cfg.mc['dt_mc']:g} makes {n_fine:.3g} fine steps over the "
+                          f"horizon {horizon:g}, past the guard of {MAX_FINE_STEPS:,} fine steps")
+    estimates = EXPERIMENTS[cfg.experiment].estimates(cfg.params)
+    normals = estimates * cfg.mc["paths"] * n_fine
+    if normals > MAX_NORMALS:
+        raise ConfigError(f"the run's {estimates} Monte Carlo estimate(s) of "
+                          f"mc.paths={cfg.mc['paths']:,} paths over {n_fine:,} fine steps would "
+                          f"draw {normals:.3g} normals, past the work guard of {MAX_NORMALS:,} "
+                          f"normals")
+
+
 def _t_points_on_tree_times(cfg):
     """The density meets Monte Carlo at level-k nodes: t = k*dt, 0 <= k <= n_steps."""
     horizon, n_steps = float(cfg.tree["horizon"]), cfg.tree["n_steps"]
@@ -321,7 +349,8 @@ def _leaf_bits_name_a_leaf(cfg):
 
 
 RULES = (_oracle_family, _levels_dominant, _fine_not_coarser, _points_inside_domain,
-         _dt_mc_divides, _t_points_on_tree_times, _node_checks_fit, _leaf_bits_name_a_leaf)
+         _dt_mc_divides, _mc_work_bounded, _t_points_on_tree_times, _node_checks_fit,
+         _leaf_bits_name_a_leaf)
 
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
 
@@ -787,12 +816,14 @@ class Experiment:
     defaults are the acceptance settings; on_tree: it names a path or a node of
     the configured level, which is then built on the scenario tree, and its
     Monte Carlo paths follow that tree; superparabolic: it solves R*, L* or
-    the density equation."""
+    the density equation; estimates(params): how many Monte Carlo estimates
+    of mc.paths paths the run makes."""
 
     checks: Callable
     defaults: dict
     on_tree: bool = False
     superparabolic: bool = False
+    estimates: Callable = lambda params: 0
 
 
 _DRIFT_RANDOM = {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}
@@ -804,14 +835,14 @@ EXPERIMENTS = {
         "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
         "mc": {"paths": 100000, "dt_mc": 1.0e-3, "seed": 424242},
         "params": {"x0": 0.5},
-    }),
+    }, estimates=lambda params: 1),
     "representation-random": Experiment(_exp_representation_random, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    }, on_tree=True),
+    }, on_tree=True, estimates=lambda params: 2 * len(params["x_points"])),  # two families
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
@@ -838,7 +869,7 @@ EXPERIMENTS = {
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
-    }, on_tree=True, superparabolic=True),
+    }, on_tree=True, superparabolic=True, estimates=lambda params: 2),  # 6.4 and 6.5
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},

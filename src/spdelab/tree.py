@@ -543,6 +543,8 @@ def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[i
     """(n_fine, n_sub): fine steps over the horizon and per tree step (1
     without a tree).  Raises TreeError unless dt_mc divides both."""
     n_fine = horizon / dt_mc
+    if math.isinf(n_fine):
+        raise TreeError(f"dt_mc={dt_mc} is too small: horizon / dt_mc overflows")
     if abs(n_fine - round(n_fine)) > 1e-9:
         raise TreeError(f"dt_mc={dt_mc} does not divide the horizon {horizon}")
     n_fine = int(round(n_fine))

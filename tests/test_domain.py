@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 from spdelab import (
     DomainSpec,
     GridError,
-    LambdaTransform,
     apply_A,
     apply_A_star,
     build_grid,
     build_tree,
     h0_inner,
-    h0_norm,
     make_family,
 )
 from spdelab.domain import (
@@ -147,15 +146,28 @@ def test_apply_A_star_advection_on_quadratic(unit_interval, small_tree):
     assert np.allclose(out[2:-2], -2.0 * interior_x, atol=1e-10)
 
 
-def test_lambda_identity_and_inverse(unit_interval):
-    lam = LambdaTransform(unit_interval)
-    u = np.sin(np.pi * unit_interval.x)
-    u[0] = u[-1] = 0.0
-    assert np.allclose(lam.apply(u, 0), u)
-    roundtrip = lam.apply(lam.apply(u, 1), -1)
-    assert np.max(np.abs(roundtrip - u)) <= 1e-12 * np.max(np.abs(u))
-    with pytest.raises(GridError):
-        lam.apply(u, 2)
+def dst_norm_sq(u, k, grid):
+    """Oracle: the orthonormal DST-I diagonalizes the 3-point Dirichlet
+    Laplacian, with eigenvalues (2/dx^2)(1 - cos(m pi / (ni + 1))) of its
+    negative, so the squared H^k norm is dx sum_m (1 + lambda_m)^k c_m^2."""
+    m = np.arange(1, grid.ni + 1)
+    lam = (2.0 / grid.dx**2) * (1.0 - np.cos(m * np.pi / (grid.ni + 1)))
+    coef = dst(u[1:-1], type=1, norm="ortho", axis=0)
+    return grid.dx * np.einsum("m...,m->...", coef**2, (1.0 + lam) ** k)
+
+
+def test_hk_norms_match_a_sine_transform_oracle():
+    # an odd and an even interior count, one column and batches on one and
+    # two trailing axes; the boundary rows are not read
+    rng = np.random.default_rng(19)
+    for nx in (201, 202):
+        grid = build_grid(DomainSpec("truncated_line", -8.0, 8.0, 1.0), nx)
+        for shape in ((nx,), (nx, 300), (nx, 6, 5)):
+            u = rng.normal(size=shape)
+            for k in (-1, 0, 1):
+                got, want = hk_norm_sq(u, k, grid), dst_norm_sq(u, k, grid)
+                assert np.shape(got) == shape[1:]
+                assert np.max(np.abs(got - want) / want) <= 1e-13, (nx, shape, k)
 
 
 def test_lambda_norm_monotonicity(unit_interval):
@@ -168,19 +180,22 @@ def test_lambda_norm_monotonicity(unit_interval):
         n_plus = np.sqrt(hk_norm_sq(u, 1, unit_interval))
         assert n_minus <= n_zero <= n_plus
         assert n_minus > 0
+    with pytest.raises(GridError):
+        hk_norm_sq(u, 2, unit_interval)
 
 
-def test_lambda_duality(unit_interval):
-    # <u, v>_H0 = <Lambda u, Lambda^-1 v>_H0
+def test_hk_norms_are_dual(unit_interval):
+    # with v = (I - Laplacian) u, applied by the stencil, the H^-1 norm of v
+    # (a tridiagonal solve) equals the H^1 norm of u and <u, v>_H0
     rng = np.random.default_rng(13)
-    u = np.zeros(unit_interval.nx)
-    v = np.zeros(unit_interval.nx)
-    u[1:-1] = rng.normal(size=unit_interval.ni)
-    v[1:-1] = rng.normal(size=unit_interval.ni)
-    lhs = h0_inner(u, v, unit_interval)
-    lam = LambdaTransform(unit_interval)
-    rhs = h0_inner(lam.apply(u, 1), lam.apply(v, -1), unit_interval)
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    grid = unit_interval
+    u = np.zeros(grid.nx)
+    u[1:-1] = rng.normal(size=grid.ni)
+    v = u - np.diff(u, 2, prepend=0.0, append=0.0) / grid.dx**2
+    v[0] = v[-1] = 0.0
+    h1 = hk_norm_sq(u, 1, grid)
+    assert abs(hk_norm_sq(v, -1, grid) - h1) <= 1e-12 * h1
+    assert abs(h0_inner(u, v, grid) - h1) <= 1e-12 * h1
 
 
 def test_generator_convergence_rate():
@@ -292,8 +307,9 @@ def test_derivative_stencils(unit_interval):
 
 
 def test_h0_norm_matches_inner(unit_interval):
+    # the H0 norm sqrt(dx) |u| of every node, boundary rows included
     rng = np.random.default_rng(17)
     u = rng.normal(size=unit_interval.nx)
-    assert h0_norm(u, unit_interval) == pytest.approx(
-        np.sqrt(h0_inner(u, u, unit_interval))
+    assert np.sqrt(h0_inner(u, u, unit_interval)) == pytest.approx(
+        np.sqrt(unit_interval.dx) * np.linalg.norm(u)
     )

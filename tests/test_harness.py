@@ -188,10 +188,19 @@ BAD_AT_LOAD = [
       "params": {"fine_nx": 10001}}, "would hold 1,310,841,071 cells per field"),
     ({"experiment": "adjoint-suite", "params": {"fine_nx": 10001, "fine_n_steps": 510}},
      "would hold 1,308,290,816 cells per field"),
+    # the Monte Carlo work guard: 1e8 fine steps (an 800 MB times array per
+    # bundle), and 1e15 normals; the last raised OverflowError (exit 1)
+    ({"experiment": "representation-random", "mc": {"dt_mc": 1e-8}},
+     "makes 1e+08 fine steps over the horizon 1, past the guard of 1,048,576 fine steps"),
+    ({"experiment": "density-64-65", "mc": {"paths": 10**12}},
+     "would draw 1e+15 normals, past the work guard of 4,294,967,296 normals"),
+    ({"experiment": "feynman-kac-nonrandom", "mc": {"dt_mc": 5e-324}},
+     "mc.dt_mc: dt_mc=5e-324 is too small"),
 ], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "leaf_bits=abc", "nx=101.9",
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
-        "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice"])
+        "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice", "fine-steps",
+        "normals", "dt_mc=5e-324"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -244,6 +253,18 @@ def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
         built.clear()
         cfg = ExperimentConfig.from_dict({"experiment": name, **over})
         assert built == ([(cfg.d, cfg.tree["n_steps"])] if on_tree else [])
+
+
+@pytest.mark.parametrize("name, estimates, n_fine", [
+    ("feynman-kac-nonrandom", 1, 4000), ("representation-random", 10, 500),
+    ("density-64-65", 2, 500)])
+def test_work_guard_counts_every_estimate(name, estimates, n_fine):
+    # the most paths whose normals, summed over the run's estimates, fit the
+    # guard load; one more path does not
+    most = harness.MAX_NORMALS // (estimates * n_fine)
+    assert ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most}})
+    with pytest.raises(ConfigError, match=f"the run's {estimates} Monte Carlo estimate"):
+        ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most + 1}})
 
 
 def test_fine_levels_may_not_be_coarser():
