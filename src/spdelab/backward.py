@@ -144,7 +144,7 @@ def solve_backward_pathwise(
     U = np.zeros((N + 1, grid.nx))
     for k in range(N - 1, -1, -1):
         rhs = U[k + 1] + dt * g.levels[k][:, path[k]]
-        f = coeffs.drift(grid.x_interior[None, :], k * dt, tree.omega[k][path[k], 0])
+        f = coeffs.drift(grid.x_interior[None, :], k * dt, tree.w1[k][path[k]])
         lo, dg, up = generator_bands(grid, f, coeffs.b_total)
         U[k, 1:-1] = solve_tridiag(-dt * lo.T, 1.0 - dt * dg, -dt * up.T, rhs[1:-1])
     return U

@@ -115,7 +115,7 @@ class CoefficientSet:
         Returns (n_nodes(level), grid.ni), or (n_nodes(level), 1) for the
         families whose drift does not depend on x.
         """
-        w1 = tree.omega[level][:, :1]  # (n_nodes, 1)
+        w1 = tree.w1[level][:, None]  # (n_nodes, 1)
         x = grid.x_interior[None, :]
         if not self.drift_reads_x:
             x = x[:, :1]

@@ -35,20 +35,15 @@ class GridError(ValueError):
 class DomainSpec:
     """Spatial domain and time horizon of the cylinder D x (0, T).
 
-    kind is "interval" for a genuine bounded domain with absorbing
-    (Dirichlet) boundary, or "truncated_line" when the pair (a, b) is an
-    artificial truncation of the whole line; the discretization treats both
-    with a homogeneous Dirichlet condition.
+    The interval (a, b) carries a homogeneous Dirichlet (absorbing)
+    condition, whether it is a bounded domain or a truncation of the line.
     """
 
-    kind: str
     a: float
     b: float
     horizon: float
 
     def __post_init__(self):
-        if self.kind not in ("interval", "truncated_line"):
-            raise GridError(f"unknown domain kind {self.kind!r}")
         if not self.a < self.b:
             raise GridError(f"need a < b, got a={self.a}, b={self.b}")
         if not self.horizon > 0:
@@ -218,7 +213,7 @@ def apply_A(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     (including its boundary entries); boundary rows are zero.
     """
     u = _check_grid_function(grid, u)
-    f, b = coeffs.drift(grid.x_interior, t, tree.omega1(node)), coeffs.b_total
+    f, b = coeffs.drift(grid.x_interior, t, tree.w1[node.level][node.index]), coeffs.b_total
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
         raise GridError("coefficient evaluation returned non-finite values")
     out = np.zeros_like(u)
@@ -233,7 +228,7 @@ def apply_A_star(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     """Apply the dual generator: the exact transpose of the interior matrix
     of apply_A in the dx-weighted inner product."""
     u = _check_grid_function(grid, u)
-    f = coeffs.drift(grid.x_interior[None, :], t, tree.omega1(node))
+    f = coeffs.drift(grid.x_interior[None, :], t, tree.w1[node.level][node.index])
     return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[:, None])[:, 0]
 
 

@@ -74,7 +74,7 @@ class SpaceTimeField:
         """Evaluate fn(x_column, t, w1_row) on every level; fn must broadcast."""
         levels = []
         for k in range(tree.n_steps + 1):
-            w1 = tree.omega[k][:, 0][None, :]
+            w1 = tree.w1[k][None, :]
             vals = np.broadcast_to(
                 fn(grid.x[:, None], k * tree.dt, w1), (grid.nx, tree.n_nodes(k))
             )
@@ -197,7 +197,7 @@ def smooth_random_field(grid: Grid, tree: ScenarioTree, seed: int) -> SpaceTimeF
     horizon = tree.horizon
     levels = []
     for k in range(tree.n_steps + 1):
-        w1 = tree.omega[k][:, 0][None, :]
+        w1 = tree.w1[k][None, :]
         ramp = (k * tree.dt) / horizon
         weights = amp[0][:, None] + amp[1][:, None] * np.tanh(w1) + amp[2][:, None] * ramp
         level = modes.T @ weights  # (nx, m) @ (m, n_k)

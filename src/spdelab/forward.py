@@ -110,7 +110,8 @@ def step_forward(
             f"dw must be a d-vector of +-sqrt(dt)={tree.sqdt:g}, got {dw}"
         )
     digit = int(sum((1 << j) for j in range(tree.d) if dw[j] < 0))
-    child = TreeNode(state.node.level + 1, state.node.index * tree.branching + digit)
+    k, i = state.node
+    child = TreeNode(k + 1, i * tree.branching + digit)
     rhs = state.values.copy()
     if drift_source is not None:
         rhs += tree.dt * np.asarray(drift_source, dtype=float)
@@ -118,7 +119,7 @@ def step_forward(
         for j, src in enumerate(noise_sources):
             if src is not None:
                 rhs += np.asarray(src, dtype=float) * dw[j]
-    f = coeffs.drift(grid.x_interior[None, :], state.node.level * tree.dt, tree.omega1(state.node))
+    f = coeffs.drift(grid.x_interior[None, :], k * tree.dt, tree.w1[k][i])
     lo, dg, up = generator_bands(grid, f, coeffs.b_total, dual=True)
     new = np.zeros_like(rhs)
     new[1:-1] = solve_tridiag(-tree.dt * lo.T, 1.0 - tree.dt * dg, -tree.dt * up.T, rhs[1:-1])

@@ -208,8 +208,6 @@ CONFIG_KEYS = {
     ("coefficients", "kappa"): _REAL,
     ("coefficients", "a"): _REAL,
     ("coefficients", "eps"): _REAL,
-    ("domain", "kind"): (lambda v: v in ("interval", "truncated_line"),
-                         "be interval or truncated_line"),
     ("domain", "a"): _REAL,
     ("domain", "b"): _REAL,
     ("grid", "nx"): _count(1, MAX_NX),
@@ -428,7 +426,7 @@ class ExperimentConfig:
 
     def build_grid(self, nx=None):
         dom, horizon = self.domain, float(self.tree["horizon"])
-        domain = DomainSpec(dom["kind"], float(dom["a"]), float(dom["b"]), horizon)
+        domain = DomainSpec(float(dom["a"]), float(dom["b"]), horizon)
         return build_grid(domain, self.grid["nx"] if nx is None else nx)
 
     def build_tree(self, n_steps=None):
@@ -831,48 +829,48 @@ _DRIFT_RANDOM = {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "
 EXPERIMENTS = {
     "feynman-kac-nonrandom": Experiment(_exp_feynman_kac_nonrandom, {
         "coefficients": {"family": "constant", "f0": 0.0, "sigma": [1.0], "d": 1},
-        "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
+        "domain": {"a": 0.0, "b": 1.0},
         "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
         "mc": {"paths": 100000, "dt_mc": 1.0e-3, "seed": 424242},
         "params": {"x0": 0.5},
     }, estimates=lambda params: 1),
     "representation-random": Experiment(_exp_representation_random, {
         "coefficients": _DRIFT_RANDOM,
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "domain": {"a": -8.0, "b": 8.0},
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
     }, on_tree=True, estimates=lambda params: 2 * len(params["x_points"])),  # two families
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
-        "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
+        "domain": {"a": 0.0, "b": 8.0},
         "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 11},
         "params": {"fine_nx": 201, "fine_n_steps": 16, "n_draws": 3},
     }, superparabolic=True),
     "solvability-R": Experiment(_exp_solvability_R, {
         "coefficients": _DRIFT_RANDOM,
-        "domain": {"kind": "interval", "a": 0.0, "b": 8.0},
+        "domain": {"a": 0.0, "b": 8.0},
         "grid": {"nx": 101}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"seed": 2468},
     }),
     "duality-63": Experiment(_exp_duality_63, {
         "coefficients": _DRIFT_RANDOM,
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "domain": {"a": -8.0, "b": 8.0},
         "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 6},
         "params": {"fine_nx": 201, "fine_n_steps": 16, "p0_width": 0.5, "node_checks": 2},
     }, on_tree=True, superparabolic=True),
     "density-64-65": Experiment(_exp_density_64_65, {
         "coefficients": _DRIFT_RANDOM,
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "domain": {"a": -8.0, "b": 8.0},
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
     }, on_tree=True, superparabolic=True, estimates=lambda params: 2),  # 6.4 and 6.5
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
-        "domain": {"kind": "truncated_line", "a": -8.0, "b": 8.0},
+        "domain": {"a": -8.0, "b": 8.0},
         "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 100},
         "params": {"fine_nx": 201, "fine_n_steps": 12, "n_fields": 10},

@@ -57,7 +57,7 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A Monte Carlo mean and its standard error over n paths.
+    """A Monte Carlo mean and its standard error.
 
     A chunked estimator also records its marches: the paths per chunk, the
     normals drawn and the share of paths that exited before the horizon,
@@ -66,7 +66,6 @@ class EstimatorResult:
 
     value: float
     stderr: float
-    n: int
     chunks: tuple = ()
     normals_drawn: int = 0
     exit_frac: float = 0.0
@@ -189,8 +188,8 @@ def simulate(
     if per_block and paths.tree is None:
         fdt0 = np.asarray(coeffs.drift(0.0, m0 * dt, 0.0)) * dt
     elif per_block:
-        node_fdt = [np.asarray(coeffs.drift(0.0, k * paths.tree.dt, w[:, 0])) * dt
-                    for k, w in enumerate(paths.tree.omega[:-1])]
+        node_fdt = [np.asarray(coeffs.drift(0.0, k * paths.tree.dt, w)) * dt
+                    for k, w in enumerate(paths.tree.w1[:-1])]
 
     def march(lo, hi):
         """March paths lo .. hi - 1 from m0, writing only their rows of tau,
@@ -282,7 +281,7 @@ def _estimate(chunks) -> EstimatorResult:
         s1, s2, n = s1 + c1, s2 + c2, n + m
     mean = s1 / n
     var = max(s2 / n - mean**2, 0.0) * n / max(n - 1, 1)
-    return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)), n=n)
+    return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)))
 
 
 # paths per chunk of a chunked estimate

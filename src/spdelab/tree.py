@@ -24,10 +24,11 @@ encodes the sign of increment component c (bit 0 -> +sqrt(dt)).
 At any d the `Lattice` recombines the tree by its first component (Cox,
 Ross and Rubinstein 1979): state j of level k counts the down steps of w1,
 so w1 = sqrt(dt) (k - 2j).  Coefficients and test fields read the path only
-through w1, so a lattice field holds the tree field's conditional means
-given (k, w1).  Both classes give the solvers the level structure:
-`child(nxt, b, n_k)`, child b of every level-k node as an (nx, n_k) view of
-level k+1; `merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
+through w1, so both store w1 alone (`w1[k]`, one value per level-k node),
+and a lattice field holds the tree field's conditional means given (k, w1).
+Both classes give the solvers the level structure: `child(nxt, b, n_k)`,
+child b of every level-k node as an (nx, n_k) view of level k+1;
+`merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
 `weights(k)`, the level probabilities P_k.
 """
 
@@ -90,7 +91,7 @@ class ScenarioTree:
     dt: float
     sqdt: float
     digit_signs: np.ndarray  # (2**d, d), entries +-1
-    omega: tuple  # per level k: (2**(d k), d) cumulative Wiener state
+    w1: tuple  # per level k: (2**(d k),) first Wiener component at each node
     kind = "tree"  # a class attribute, not a field; the Lattice's is "lattice"
 
     @property
@@ -118,10 +119,6 @@ class ScenarioTree:
     def weights(self, level: int) -> float:
         """P_k: uniform, 1 / n_nodes(level) (a power of two, so exact)."""
         return 1.0 / self.n_nodes(level)
-
-    def omega1(self, node: TreeNode) -> float:
-        """First Wiener component at the node."""
-        return float(self.omega[node.level][node.index, 0])
 
     def ancestor_index(self, leaf_index, level: int):
         """Index of the level-`level` ancestor of the given leaf (vectorized)."""
@@ -171,12 +168,10 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     for c in range(d):
         digit_signs[:, c] = 1.0 - 2.0 * ((digits >> c) & 1)
     digit_signs.setflags(write=False)
-    omega = [np.zeros((1, d))]
+    w1 = [np.zeros(1)]
     for _ in range(n_steps):
-        prev = omega[-1]
-        nxt = prev[:, None, :] + digit_signs[None, :, :] * sqdt
-        omega.append(nxt.reshape(-1, d))
-    for arr in omega:
+        w1.append((w1[-1][:, None] + digit_signs[:, 0] * sqdt).reshape(-1))
+    for arr in w1:
         arr.setflags(write=False)
     return ScenarioTree(
         d=d,
@@ -185,7 +180,7 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
         dt=dt,
         sqdt=sqdt,
         digit_signs=digit_signs,
-        omega=tuple(omega),
+        w1=tuple(w1),
     )
 
 
@@ -200,7 +195,7 @@ class Lattice:
     dt: float
     sqdt: float
     digit_signs: np.ndarray  # (2, 1): child 0 steps up, child 1 down
-    omega: tuple  # per level k: (k + 1, 1), sqrt(dt) (k - 2j)
+    w1: tuple  # per level k: (k + 1,), sqrt(dt) (k - 2j)
 
     kind, d, branching = "lattice", 1, 2
 
@@ -235,10 +230,10 @@ def build_lattice(n_steps: int, horizon: float) -> Lattice:
                 (n_steps + 1) * (n_steps + 2) // 2 if n_steps < 2**32 else None)
     sqdt = float(np.sqrt(horizon / n_steps))
     signs = np.array([[1.0], [-1.0]])
-    omega = tuple(sqdt * (k - 2.0 * np.arange(k + 1))[:, None] for k in range(n_steps + 1))
-    for arr in (signs, *omega):
+    w1 = tuple(sqdt * (k - 2.0 * np.arange(k + 1)) for k in range(n_steps + 1))
+    for arr in (signs, *w1):
         arr.setflags(write=False)
-    return Lattice(n_steps, horizon, horizon / n_steps, sqdt, signs, omega)
+    return Lattice(n_steps, horizon, horizon / n_steps, sqdt, signs, w1)
 
 
 def require_tree(tree, what: str, error=TreeError):
@@ -470,7 +465,7 @@ class PathBundle:
         (None for a free bundle)."""
         if self.tree is None:
             return None
-        return self.tree.omega[level][self.nodes(level, rows), 0]
+        return self.tree.w1[level][self.nodes(level, rows)]
 
     @cached_property
     def _key(self) -> np.uint64:

@@ -23,7 +23,7 @@ if os.environ.get("CI"):
 @pytest.fixture
 def nonrandom_field():
     """Seeded nonrandom test field: smooth_random_field averaged over the
-    nodes of each level.  The node mean of tanh(omega_1) is 0, so what is
+    nodes of each level.  The node mean of tanh(w1) is 0, so what is
     left is the same sine modes and time ramp, equal at every node."""
 
     def make(grid, tree, seed):
@@ -36,8 +36,8 @@ def nonrandom_field():
 
 @pytest.fixture
 def split_draws(monkeypatch):
-    """Split the draws of every block of n_sub >= 2 steps over three
-    threads, whatever the CPU count, in a pool of the test's own."""
+    """Split every tree-bridged march into three groups of paths, whatever
+    the CPU count, marched in a pool of the test's own."""
     monkeypatch.setattr(tree_module, "draw_threads", lambda: 3)
     with ThreadPoolExecutor(3) as pool:
         monkeypatch.setattr(tree_module, "_pool", pool)
@@ -46,5 +46,6 @@ def split_draws(monkeypatch):
 
 @pytest.fixture
 def serial_draws(monkeypatch):
-    """Draw every block in the calling thread, whatever the CPU count."""
+    """March every tree-bridged march as one group of paths in the calling
+    thread, whatever the CPU count."""
     monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)

@@ -78,7 +78,7 @@ def test_criterion_1_exact_discrete_calculus():
 
 def test_criterion_2_kernels_vanish_for_nonrandom_data(nonrandom_field):
     start = time.perf_counter()
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 101)
     tree = build_tree(1, 10, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})

@@ -30,7 +30,7 @@ from spdelab.forward import (
 
 
 def make_setup(nx=41, n_steps=5, horizon=1.0, family="drift-random", domain=(0.0, 1.0)):
-    dom = DomainSpec("interval", domain[0], domain[1], horizon)
+    dom = DomainSpec(domain[0], domain[1], horizon)
     grid = build_grid(dom, nx)
     tree = build_tree(1, n_steps, horizon)
     if family == "drift-random":
@@ -58,7 +58,7 @@ def test_pathwise_zero_source():
 def test_pathwise_exit_time_oracle():
     # f=0, beta=1, g=1, T=4: U(x, 0) approaches x(1-x), the exit-time mean
     # of Brownian motion from the unit interval
-    dom = DomainSpec("interval", 0.0, 1.0, 4.0)
+    dom = DomainSpec(0.0, 1.0, 4.0)
     grid = build_grid(dom, 201)
     tree = build_tree(1, 8, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
@@ -172,7 +172,7 @@ def test_op_B_nonzero_and_scales():
 def test_op_B_is_nilpotent(space):
     # (B g)^k reads g only at levels after k, so B^N g == 0 bit for bit;
     # B^(N-1) g keeps level 0, so a zero B cannot pass
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 41)
     d = 2 if space == "tree-d2" else 1
     tree = build_lattice(8, 1.0) if space == "lattice" else build_tree(d, 5, 1.0)
@@ -234,7 +234,7 @@ def test_solve_R_nonconvergence_raises(monkeypatch):
 
 
 def test_op_L_structure_and_exit_oracle():
-    dom = DomainSpec("interval", 0.0, 1.0, 4.0)
+    dom = DomainSpec(0.0, 1.0, 4.0)
     grid = build_grid(dom, 201)
     tree = build_tree(1, 8, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
@@ -292,7 +292,7 @@ def test_residual_bspde_refinement_halving(nonrandom_field):
     # nonrandom data: the trapezoidal residual is O(dt), halving when dt and
     # dx^2 are halved together
     def resid(nx, n_steps):
-        dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+        dom = DomainSpec(0.0, 1.0, 1.0)
         grid = build_grid(dom, nx)
         tree = build_tree(1, n_steps, 1.0)
         coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
@@ -340,7 +340,7 @@ def test_norm_boundedness_probe():
     # ratio ||T g||_X1 / ||g||_X-1 stays bounded across refinement
     ratios = []
     for nx, n_steps in ((41, 4), (81, 8)):
-        dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+        dom = DomainSpec(0.0, 1.0, 1.0)
         grid = build_grid(dom, nx)
         tree = build_tree(1, n_steps, 1.0)
         coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})

@@ -7,7 +7,7 @@ from spdelab.coefficients import CoefficientError
 
 @pytest.fixture
 def grid():
-    return build_grid(DomainSpec("interval", 0.0, 1.0, 1.0), 21)
+    return build_grid(DomainSpec(0.0, 1.0, 1.0), 21)
 
 
 @pytest.fixture
@@ -90,11 +90,16 @@ def test_adaptedness_by_node_enumeration(grid, tree):
     vals = np.broadcast_to(vals, (tree.n_nodes(level), grid.ni))
     # descendants of node n at a deeper level evaluated AT level-t data:
     # adaptedness means the level-t value is a function of the level-t node only,
-    # which holds because evaluation reads tree.omega[level] alone
+    # so each deeper node's w1 is summed over its first `level` branch digits
     deeper = 7
-    anc = tree.ancestor_index(np.arange(tree.n_nodes(deeper)), level)
+    nodes = np.arange(tree.n_nodes(deeper))
+    w1 = np.zeros(nodes.size)
+    for j in range(level):
+        digit = (nodes >> (tree.d * (deeper - 1 - j))) % tree.branching
+        w1 = w1 + tree.digit_signs[digit, 0] * tree.sqdt
+    anc = nodes >> (tree.d * (deeper - level))  # each deeper node's level-`level` ancestor
     deep_vals = np.broadcast_to(
-        coeffs.drift(grid.x_interior[None, :], level * tree.dt, tree.omega[level][anc][:, :1]),
+        coeffs.drift(grid.x_interior[None, :], level * tree.dt, w1[:, None]),
         (tree.n_nodes(deeper), grid.ni),
     )
     assert np.array_equal(deep_vals, vals[anc])

@@ -42,7 +42,7 @@ def dense_generator(grid, fvals, bvals):
 
 @pytest.fixture
 def unit_interval():
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     return build_grid(dom, 41)
 
 
@@ -53,28 +53,26 @@ def small_tree():
 
 def test_domain_spec_validation():
     with pytest.raises(GridError):
-        DomainSpec("interval", 1.0, 0.0, 1.0)
+        DomainSpec(1.0, 0.0, 1.0)
     with pytest.raises(GridError):
-        DomainSpec("interval", 0.0, 1.0, -1.0)
-    with pytest.raises(GridError):
-        DomainSpec("disk", 0.0, 1.0, 1.0)
+        DomainSpec(0.0, 1.0, -1.0)
 
 
 def test_build_grid_rejects_small_nx():
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     with pytest.raises(GridError, match="nx too small"):
         build_grid(dom, 5)
 
 
 def test_build_grid_interval():
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 11)
     assert grid.dx == pytest.approx(0.1)
     assert np.allclose(grid.x, np.linspace(0, 1, 11))
 
 
 def test_build_grid_truncated_line():
-    dom = DomainSpec("truncated_line", -8.0, 8.0, 1.0)
+    dom = DomainSpec(-8.0, 8.0, 1.0)
     grid = build_grid(dom, 161)
     assert grid.dx == pytest.approx(0.1)
     assert grid.ni == 159
@@ -161,7 +159,7 @@ def test_hk_norms_match_a_sine_transform_oracle():
     # two trailing axes; the boundary rows are not read
     rng = np.random.default_rng(19)
     for nx in (201, 202):
-        grid = build_grid(DomainSpec("truncated_line", -8.0, 8.0, 1.0), nx)
+        grid = build_grid(DomainSpec(-8.0, 8.0, 1.0), nx)
         for shape in ((nx,), (nx, 300), (nx, 6, 5)):
             u = rng.normal(size=shape)
             for k in (-1, 0, 1):
@@ -200,7 +198,7 @@ def test_hk_norms_are_dual(unit_interval):
 
 def test_generator_convergence_rate():
     # A sin(pi x) with f=0, b=1 converges to -(pi^2/2) sin(pi x) at O(dx^2)
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     tree = build_tree(1, 2, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     errs = []

@@ -15,7 +15,7 @@ from spdelab.fields import (
 
 @pytest.fixture
 def setup():
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     return build_grid(dom, 17), build_tree(1, 4, 1.0)
 
 
@@ -125,7 +125,7 @@ def test_field_generators_deterministic(setup):
 def test_smooth_random_field_boundary_rows_are_zero():
     # sin(m pi) leaves up to 1.8e-16 at x = b on this grid; both boundary
     # rows must be exactly 0 for the field to be Dirichlet-compatible
-    grid = build_grid(DomainSpec("interval", 0.0, 8.0, 1.0), 201)
+    grid = build_grid(DomainSpec(0.0, 8.0, 1.0), 201)
     tree = build_tree(1, 4, 1.0)
     for seed in (1, 2, 3):
         for level in smooth_random_field(grid, tree, seed=seed).levels:

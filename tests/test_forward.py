@@ -27,7 +27,7 @@ from spdelab.tree import TreeNode
 
 
 def make_setup(nx=41, n_steps=5, horizon=1.0, family="drift-random", interval=(0.0, 1.0)):
-    dom = DomainSpec("interval", interval[0], interval[1], horizon)
+    dom = DomainSpec(interval[0], interval[1], horizon)
     grid = build_grid(dom, nx)
     tree = build_tree(1, n_steps, horizon)
     if family == "drift-random":
@@ -132,7 +132,7 @@ def test_T_star_time_reversal_identity():
 
 def test_adjoint_pairing_refinement_T():
     def mismatch(nx, n_steps):
-        dom = DomainSpec("interval", 0.0, 8.0, 1.0)
+        dom = DomainSpec(0.0, 8.0, 1.0)
         grid = build_grid(dom, nx)
         tree = build_tree(1, n_steps, 1.0)
         coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
@@ -197,7 +197,7 @@ def test_B_star_adjoint_to_op_B():
 
 
 def test_R_star_requires_superparabolic():
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 17)
     tree = build_tree(1, 3, 1.0)
     degenerate = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
@@ -289,7 +289,7 @@ def gaussian_on(grid, width):
 def test_density_gaussian_oracle():
     # E p solves the deterministic Fokker-Planck equation, so it matches the
     # closed-form Gaussian with variance width^2 + (sum sigma^2) t
-    dom = DomainSpec("truncated_line", -8.0, 8.0, 1.0)
+    dom = DomainSpec(-8.0, 8.0, 1.0)
     grid = build_grid(dom, 161)
     tree = build_tree(1, 10, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
@@ -302,7 +302,7 @@ def test_density_gaussian_oracle():
 
 
 def test_density_mass_audit():
-    dom = DomainSpec("truncated_line", -8.0, 8.0, 1.0)
+    dom = DomainSpec(-8.0, 8.0, 1.0)
     grid = build_grid(dom, 161)
     tree = build_tree(1, 8, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
@@ -315,7 +315,7 @@ def test_density_mass_audit():
 def test_density_frozen_dynamics():
     # f = 0, beta = 0: the density march leaves p frozen in time (beta = 0
     # is not superparabolic, so this marches past solve_density's checks)
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 21)
     tree = build_tree(1, 3, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
@@ -333,7 +333,7 @@ def test_density_frozen_dynamics():
 
 
 def test_density_input_validation():
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 21)
     tree = build_tree(1, 3, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.1, "sigma": [0.6, 0.8], "d": 1})
@@ -351,7 +351,7 @@ def test_density_input_validation():
 def test_density_blowup_guard(monkeypatch):
     # solve_density checks every level of the march against the guard; the
     # unit-mass p0 already exceeds 1e-3 at level 0
-    dom = DomainSpec("truncated_line", -8.0, 8.0, 1.0)
+    dom = DomainSpec(-8.0, 8.0, 1.0)
     grid = build_grid(dom, 41)
     tree = build_tree(1, 3, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})

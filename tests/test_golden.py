@@ -97,9 +97,11 @@ class ReadLog(dict):
 def test_every_param_and_mc_key_is_read(name):
     # no config knob the runner ignores
     cfg = default_config(name, **REDUCED[name])
-    cfg.params, cfg.mc = ReadLog(cfg.params), ReadLog(cfg.mc)
+    sections = ("domain", "grid", "tree", "mc", "params")
+    for section in sections:
+        setattr(cfg, section, ReadLog(getattr(cfg, section)))
     run(cfg, write=False)
-    for section in ("params", "mc"):
+    for section in sections:
         unread = set(EXPERIMENTS[name].defaults.get(section, {})) - getattr(cfg, section).read
         assert not unread, (section, sorted(unread))
 

@@ -196,11 +196,14 @@ BAD_AT_LOAD = [
      "would draw 1e+15 normals, past the work guard of 4,294,967,296 normals"),
     ({"experiment": "feynman-kac-nonrandom", "mc": {"dt_mc": 5e-324}},
      "mc.dt_mc: dt_mc=5e-324 is too small"),
+    # was checked and written to summary.json, but no solver read it
+    ({"experiment": "density-64-65", "domain": {"kind": "interval"}},
+     "unknown domain keys for density-64-65: ['kind']"),
 ], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "leaf_bits=abc", "nx=101.9",
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
         "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice", "fine-steps",
-        "normals", "dt_mc=5e-324"])
+        "normals", "dt_mc=5e-324", "domain.kind"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

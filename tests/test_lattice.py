@@ -61,7 +61,7 @@ def by_d(d1, d2):
 
 
 def setup(family, nx, n_steps, d=1):
-    grid = build_grid(DomainSpec("interval", 0.0, 8.0, 1.0), nx)
+    grid = build_grid(DomainSpec(0.0, 8.0, 1.0), nx)
     tree, lattice = build_tree(d, n_steps, 1.0), build_lattice(n_steps, 1.0)
     coeffs = make_family(family, {**FAMILIES[family], "sigma": SIGMA[d], "d": d})
     return coeffs, grid, tree, lattice
@@ -192,11 +192,11 @@ def test_duality_63_fine_pairing_matches_the_tree(d, n_steps):
 def test_lattice_levels_and_children():
     lattice = build_lattice(4, 1.0)
     assert [lattice.n_nodes(k) for k in range(5)] == [1, 2, 3, 4, 5]
-    np.testing.assert_allclose(lattice.omega[4][:, 0], 0.5 * np.array([4, 2, 0, -2, -4]))
+    np.testing.assert_allclose(lattice.w1[4], 0.5 * np.array([4, 2, 0, -2, -4]))
     nxt = np.arange(10.0).reshape(2, 5)
     np.testing.assert_array_equal(lattice.child(nxt, 1, 4), nxt[:, 1:])
     for b, sign in enumerate(lattice.digit_signs[:, 0]):
-        step = lattice.child(lattice.omega[4].T, b, 4) - lattice.omega[3].T
+        step = lattice.child(lattice.w1[4][None, :], b, 4) - lattice.w1[3][None, :]
         np.testing.assert_allclose(step, sign * lattice.sqdt)
     with pytest.raises(TreeError):
         build_lattice(0, 1.0)

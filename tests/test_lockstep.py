@@ -49,7 +49,7 @@ SINGLE = {
 def test_solve_duals_equals_the_single_marches_exactly(space, d, family, nx, n_steps):
     params = {"drift-random": {"kappa": 0.25}, "space-smooth": {"a": 0.3, "eps": 0.5}}[family]
     coeffs = make_family(family, {**params, "sigma": [0.5, 0.5, 0.6], "d": d})
-    grid = build_grid(DomainSpec("interval", 0.0, 4.0, 1.0), nx)
+    grid = build_grid(DomainSpec(0.0, 4.0, 1.0), nx)
     tree = build_lattice(n_steps, 1.0) if space == "lattice" else build_tree(d, n_steps, 1.0)
     h = smooth_random_field(grid, tree, seed=7)
     duals = solve_duals(h, coeffs, grid, tree)

@@ -69,12 +69,12 @@ def empirical_density(trajs, t, grid):
 
 @pytest.fixture
 def unit_domain():
-    return DomainSpec("interval", 0.0, 1.0, 1.0)
+    return DomainSpec(0.0, 1.0, 1.0)
 
 
 @pytest.fixture
 def line_domain():
-    return DomainSpec("truncated_line", -8.0, 8.0, 1.0)
+    return DomainSpec(-8.0, 8.0, 1.0)
 
 
 def test_simulate_frozen_dynamics(line_domain):
@@ -100,7 +100,7 @@ def test_simulate_gaussian_statistics(line_domain):
 def test_simulate_exit_time_oracle(unit_domain):
     # E tau for Brownian motion from x=0.5 in (0,1) is 0.25; mesh-point exit
     # detection biases it upward by O(sqrt(dt_mc))
-    dom = DomainSpec("interval", 0.0, 1.0, 4.0)
+    dom = DomainSpec(0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(4.0, M=20000, sigma=coeffs.sigma, dt_mc=2e-3, seed=3)
     trajs = simulate(coeffs, 0.5, 0.0, paths, dom)
@@ -131,7 +131,7 @@ def test_no_normals_drawn_for_exited_paths():
     # free paths: a draw spans a few fine steps of the paths live at its
     # start, so a path that exits inside a span leaves at most SPAN_MAX - 1
     # normals unused, and the march stops at the last exit
-    dom = DomainSpec("interval", 0.0, 1.0, 4.0)
+    dom = DomainSpec(0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(4.0, M=3000, sigma=coeffs.sigma, dt_mc=0.01, seed=20)
     # a snapshot at every mesh time is the fine history
@@ -341,7 +341,7 @@ def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
 
 
 def test_estimate_functional_zero_and_linearity(unit_domain):
-    dom = DomainSpec("interval", 0.0, 1.0, 1.0)
+    dom = DomainSpec(0.0, 1.0, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(1.0, M=500, sigma=coeffs.sigma, dt_mc=0.02, seed=5)
     trajs = simulate(
@@ -386,9 +386,9 @@ def test_exit_monotonicity(unit_domain):
     # shrinking the domain can only shorten each path's exit time
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(1.0, M=2000, sigma=coeffs.sigma, dt_mc=0.005, seed=8)
-    wide = simulate(coeffs, 0.5, 0.0, paths, DomainSpec("interval", 0.0, 1.0, 1.0))
+    wide = simulate(coeffs, 0.5, 0.0, paths, DomainSpec(0.0, 1.0, 1.0))
     paths2 = free_paths(1.0, M=2000, sigma=coeffs.sigma, dt_mc=0.005, seed=8)
-    narrow = simulate(coeffs, 0.5, 0.0, paths2, DomainSpec("interval", 0.25, 0.75, 1.0))
+    narrow = simulate(coeffs, 0.5, 0.0, paths2, DomainSpec(0.25, 0.75, 1.0))
     assert np.all(narrow.tau <= wide.tau + 1e-15)
 
 

@@ -112,7 +112,7 @@ def test_thomas_rows_solves_a_system_alone_as_in_a_wide_batch(n, m, at, seed):
 )
 def test_dual_bands_are_the_transpose_of_the_primal(nx, n, x_dependent, seed):
     rng = np.random.default_rng(seed)
-    grid = build_grid(DomainSpec("interval", -1.0, 2.0, 1.0), nx)
+    grid = build_grid(DomainSpec(-1.0, 2.0, 1.0), nx)
     f = rng.normal(scale=3.0, size=(n, grid.ni if x_dependent else 1))
     b = rng.uniform(0.05, 2.0)
     primal = [np.broadcast_to(a, (grid.ni, n)) for a in generator_bands(grid, f, b)]

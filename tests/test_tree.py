@@ -6,6 +6,7 @@ from spdelab import (
     DomainSpec,
     TreeError,
     bridge_paths,
+    build_lattice,
     build_tree,
     clark_decompose,
     cond_expect,
@@ -53,10 +54,17 @@ def bridged_sum(bundle, k, rows):
     return bundle.block(k, rows).sum(axis=0) - s_f * normals(bundle, k, rows).sum(axis=0)
 
 
+def edge_digits(tree, leaf):
+    """The branch digit of each edge of a leaf's path, (n_steps,): the leaf's
+    bits, d per step, the first step's the highest."""
+    shifts = tree.d * np.arange(tree.n_steps - 1, -1, -1)
+    return (int(leaf) >> shifts) % tree.branching
+
+
 def edge_targets(tree, sigma, leaf):
     """sigma[:d] . dW_tree on each edge of a leaf's path, (n_steps,)."""
-    omega = [tree.omega[k][i] for k, i in enumerate(tree.leaf_path(int(leaf)))]
-    return np.diff(np.array(omega), axis=0) @ np.asarray(sigma)[: tree.d]
+    dw = tree.digit_signs[edge_digits(tree, leaf)] * tree.sqdt
+    return dw @ np.asarray(sigma)[: tree.d]
 
 
 def brute_subtree_mean(tree, X, level, index):
@@ -78,7 +86,7 @@ def tree5():
 
 @pytest.fixture
 def unit_interval():
-    return DomainSpec("interval", 0.0, 1.0, 1.0)
+    return DomainSpec(0.0, 1.0, 1.0)
 
 
 def test_build_tree_counts(tree2):
@@ -105,11 +113,33 @@ def test_build_tree_guards():
         build_tree(2, 10**12, 1.0)
 
 
+def test_w1_bits_are_running_sums_of_branch_digits():
+    # each node's w1 is 0.0 plus sign * sqdt over its branch digits, added
+    # level by level: the same bits as an independent sum per node
+    for d, n_steps in ((1, 10), (2, 5)):
+        tree = build_tree(d, n_steps, 1.0)
+        for k in range(n_steps + 1):
+            assert tree.w1[k].shape == (tree.branching**k,)
+            expected = np.empty(tree.n_nodes(k))
+            for i in range(tree.n_nodes(k)):
+                w = 0.0
+                for j in range(k):
+                    digit = (i >> (d * (k - 1 - j))) % tree.branching
+                    w = w + tree.digit_signs[digit, 0] * tree.sqdt
+                expected[i] = w
+            assert np.array_equal(tree.w1[k], expected)
+    lattice = build_lattice(10, 1.0)
+    for k in range(11):
+        assert np.array_equal(lattice.w1[k], np.sqrt(0.1) * (k - 2.0 * np.arange(k + 1)))
+
+
 def test_increment_moments_exact():
     for d in (1, 2):
         tree = build_tree(d, 4, 2.0)
         for k in range(1, tree.n_steps + 1):
-            inc = tree.omega[k] - np.repeat(tree.omega[k - 1], tree.branching, axis=0)
+            # component 0 from the stored w1, the others from the branch digits
+            inc = np.tile(tree.digit_signs * tree.sqdt, (tree.n_nodes(k - 1), 1))
+            inc[:, 0] = tree.w1[k] - np.repeat(tree.w1[k - 1], tree.branching)
             assert np.abs(inc.mean(axis=0)).max() == 0.0
             assert np.allclose((inc**2).mean(axis=0), tree.dt, rtol=0, atol=1e-15)
             if d == 2:
@@ -158,7 +188,7 @@ def test_ito_integral_zero_and_telescoping(tree5):
     ones = [np.ones((tree5.n_nodes(k), 1)) for k in range(tree5.n_steps)]
     total = ito_integral(ones, tree5)
     # integrating 1 against domega telescopes to omega(T)
-    assert np.allclose(total, tree5.omega[tree5.n_steps][:, 0], atol=1e-14)
+    assert np.allclose(total, tree5.w1[tree5.n_steps], atol=1e-14)
     assert abs(total.mean()) < 1e-14
 
 
@@ -191,7 +221,7 @@ def test_ito_martingale_partial_sums(tree5):
 
 
 def test_clark_of_brownian_endpoint(tree5):
-    X = tree5.omega[tree5.n_steps][:, 0]
+    X = tree5.w1[tree5.n_steps]
     dec = clark_decompose(X, tree5)
     assert dec.mean == pytest.approx(0.0, abs=1e-15)
     for k in range(tree5.n_steps):
