@@ -27,6 +27,7 @@ mean-square H0 norm over the levels.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .domain import Grid, hk_norm_sq
 from .tree import ScenarioTree, require_tree
@@ -190,7 +191,7 @@ def smooth_random_field(grid: Grid, tree: ScenarioTree, seed: int) -> SpaceTimeF
     is Dirichlet-compatible.
     """
     n_modes = 4
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = default_rng(SeedSequence(seed))
     amp = rng.normal(size=(3, n_modes)) / np.arange(1, n_modes + 1)
     z = (grid.x - grid.domain.a) / (grid.domain.b - grid.domain.a)
     modes = np.sin(np.outer(np.arange(1, n_modes + 1), np.pi * z))  # (m, nx)

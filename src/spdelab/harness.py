@@ -46,7 +46,8 @@ from .fields import (
 )
 from .forward import solve_density, solve_duals
 from .montecarlo import conditional_functional, functional_estimate
-from .tree import TreeError, build_lattice, build_tree, draw_threads, fine_steps
+from .tree import (TreeError, build_lattice, build_tree, draw_threads, fine_steps,
+                   normal_transform)
 
 
 class ConfigError(ValueError):
@@ -318,6 +319,17 @@ def _mc_work_bounded(cfg):
                           f"normals")
 
 
+def _draws_transform_loaded(cfg):
+    """A run that draws resolves its normals' transform here, at load: its
+    import is paid before harness.run, never inside a run or a draw thread,
+    and a run that draws no normals never imports it."""
+    if EXPERIMENTS[cfg.experiment].estimates(cfg.params) > 0:
+        try:
+            normal_transform()
+        except ImportError as exc:
+            raise ConfigError(f"{cfg.experiment} draws normals: {exc}") from exc
+
+
 def _t_points_on_tree_times(cfg):
     """The density meets Monte Carlo at level-k nodes: t = k*dt, 0 <= k <= n_steps."""
     horizon, n_steps = float(cfg.tree["horizon"]), cfg.tree["n_steps"]
@@ -347,8 +359,8 @@ def _leaf_bits_name_a_leaf(cfg):
 
 
 RULES = (_oracle_family, _levels_dominant, _fine_not_coarser, _points_inside_domain,
-         _dt_mc_divides, _mc_work_bounded, _t_points_on_tree_times, _node_checks_fit,
-         _leaf_bits_name_a_leaf)
+         _dt_mc_divides, _mc_work_bounded, _draws_transform_loaded, _t_points_on_tree_times,
+         _node_checks_fit, _leaf_bits_name_a_leaf)
 
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
 

@@ -37,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import tree as tree_module
 from .coefficients import CoefficientSet
@@ -152,9 +153,7 @@ def simulate(
     else:
         if grid is None:
             raise SimulationError("density initial data needs the grid")
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed_entropy(paths.seed, 0xA11))
-        )
+        rng = default_rng(SeedSequence(seed_entropy(paths.seed, 0xA11)))
         y = sample_from_density(init, grid, M, rng)
     lo_x, hi_x = domain.a, domain.b
     if np.any((y < lo_x) | (y > hi_x)):
@@ -254,6 +253,9 @@ def simulate(
     # a tree-bridged march runs as contiguous groups of paths: the calling
     # thread marches the first and the draw pool the others.  Free marches
     # stay in the calling thread (path groups ran slower there, ROADMAP).
+    # The draws' transform is resolved here first, so no draw thread imports
+    # it, also for a caller that bypasses the harness's load.
+    tree_module.normal_transform()
     groups = 1 if paths.tree is None else max(1, min(tree_module.draw_threads(), M))
     cuts = [g * M // groups for g in range(groups + 1)]
     tasks = [tree_module.draw_pool().submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]

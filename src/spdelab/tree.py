@@ -15,7 +15,9 @@ fixed function of (key, counter), so a path's increments do not depend on
 which other paths are drawn with it: `montecarlo.simulate` splits a
 tree-bridged march into groups of paths over one shared pool of draw
 threads, one per CPU the process may run on, with the same bits for any
-CPU count.
+CPU count.  The inverse normal CDF is imported by `normal_transform` at
+its first call: at config load for the experiments that draw, and never by
+a run that draws no normals.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -40,11 +42,11 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import SeedSequence, default_rng
 
 # the most states (nodes summed over the levels) one level's state space may
 # hold: the d = 1 tree at 16 steps.  A tree stops at 16 steps when d = 1 and
@@ -341,6 +343,23 @@ class IncrementShape:
         return 8 * self.size
 
 
+@cache
+def normal_transform():
+    """The inverse normal CDF of every draw, imported at the first call: the
+    package's one use of scipy, whose absence the ImportError names.
+
+    A run that draws loads it while its config loads (`harness.RULES`), and
+    `montecarlo.simulate` before any draw thread starts, so no draw thread
+    imports it; a run that draws no normals never imports scipy.
+    """
+    try:
+        from scipy.special import ndtri
+    except ImportError as exc:
+        raise ImportError(f"the inverse normal CDF of the draws, scipy.special.ndtri, "
+                          f"cannot be imported: {exc}") from exc
+    return ndtri
+
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -351,8 +370,10 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
 
     Counter-based generation: the SplitMix64 output at position `counter`
     of the stream seeded by `key` (Steele, Lea and Flood, OOPSLA 2014) gives
-    53 uniform bits, mapped to a normal by the inverse CDF.  Any subset of
-    counters is evaluated on its own, so draws need no generator state.
+    53 uniform bits, mapped to a normal by the inverse CDF that
+    `normal_transform()` returns (resolved before any draw thread runs, so
+    this call imports nothing).  Any subset of counters is evaluated on its
+    own, so draws need no generator state.
     `counters` (uint64) is overwritten; the normals are written to `out`
     (float64, the counters' shape; a new array when None), whose bytes also
     hold the shifted words of the hash, so nothing else is allocated.
@@ -375,7 +396,7 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
     u *= 2.0**-53
     # the top 2^11 hashes round to u = 1 (ndtri = inf); every other u is <= 1 - 2^-52
     np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return ndtri(u, out=u)
+    return normal_transform()(u, out=u)
 
 
 # a free draw spans the fewest fine steps that hold SPAN_NORMALS normals
@@ -469,7 +490,7 @@ class PathBundle:
 
     @cached_property
     def _key(self) -> np.uint64:
-        return np.random.SeedSequence(seed_entropy(self.seed)).generate_state(1, np.uint64)[0]
+        return SeedSequence(seed_entropy(self.seed)).generate_state(1, np.uint64)[0]
 
     def block(self, k: int, rows) -> np.ndarray:
         """Increments sigma.dW of block k for the given path rows, (n_sub, rows),
@@ -590,6 +611,6 @@ def sample_tree_paths(tree: ScenarioTree, M: int, sigma, dt_mc: float, seed) -> 
     driving components and the coefficient process then share the same
     discrete noise, matching the solver side.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(seed, 0x1EAF)))
+    rng = default_rng(SeedSequence(seed_entropy(seed, 0x1EAF)))
     leaves = rng.integers(0, tree.n_leaves, size=M)
     return _bundle(tree.horizon, tree, None, leaves, M, sigma, dt_mc, seed)

@@ -1,18 +1,60 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and importing the package pulls in no heavy scipy subpackage.
+importing the package pulls in no heavy scipy subpackage, and scipy is
+loaded only by the runs that draw normals.
 
 The unused-import check parses with the standard library's ast, so it runs
 no package code; re-exports in __init__.py and __future__ imports are
-exempt.
+exempt.  The import checks each run in a fresh interpreter, so no other
+test's imports are counted:
+- a run that draws no normals loads no scipy module, and a reduced
+  adjoint-suite run imports no module at all (numpy's lazy numpy.random
+  included);
+- a run that draws loads scipy.special while its config loads, before
+  harness.run, and a march imports it in the calling thread, never in a
+  draw thread;
+- with scipy missing, a config that draws fails at load (exit 2), and the
+  runs that draw no normals still pass.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from spdelab.harness import EXPERIMENTS
+from test_golden import REDUCED
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "spdelab"
+
+# the experiments whose default run draws normals, and those that draw none
+DRAWING = sorted(n for n, e in EXPERIMENTS.items() if e.estimates(e.defaults.get("params", {})))
+PDE_ONLY = sorted(set(EXPERIMENTS) - set(DRAWING))
+
+# spdelab.cli.main on each argument list of argv[1] (JSON) in one
+# interpreter where scipy cannot be imported; one JSON line per call:
+# [exit code, stdout, stderr]
+CLI_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules['scipy'] = None
+from spdelab.cli import main
+for args in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def fresh(code, *args):
+    """Run code with args in a fresh interpreter that imports spdelab from
+    this source tree; the completed process, its output captured."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
 
 
 def unused_imports(path):
@@ -49,11 +91,121 @@ HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.fft")
 
 
 def test_importing_the_harness_loads_no_heavy_scipy_subpackage():
-    # a fresh interpreter, so no other test's imports are counted
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, spdelab.harness; print(' '.join(sys.modules))"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
-    ).stdout.split()
-    heavy = [m for m in loaded if any(m == h or m.startswith(h + ".") for h in HEAVY)]
+    done = fresh("import sys, spdelab.harness; print(' '.join(sys.modules))")
+    assert done.returncode == 0, done.stderr
+    heavy = [m for m in done.stdout.split() if any(m == h or m.startswith(h + ".") for h in HEAVY)]
     assert not heavy, heavy
+
+
+def test_the_experiments_that_draw():
+    assert DRAWING == ["density-64-65", "feynman-kac-nonrandom", "representation-random"]
+
+
+def test_runs_that_draw_no_normals_load_no_scipy():
+    done = fresh("""
+import json, sys
+import spdelab
+from spdelab.harness import default_config, run
+for name, reduced in json.loads(sys.argv[1]).items():
+    run(default_config(name, **reduced), write=False)
+print(' '.join(sys.modules))
+""", json.dumps({name: REDUCED[name] for name in PDE_ONLY}))
+    assert done.returncode == 0, done.stderr
+    scipy = [m for m in done.stdout.split() if m.split(".")[0] == "scipy"]
+    assert not scipy, scipy
+
+
+@pytest.mark.parametrize("name", DRAWING)
+def test_a_run_that_draws_loads_scipy_special_at_config_load(name):
+    done = fresh("""
+import sys
+from spdelab.harness import ExperimentConfig
+before = 'scipy.special' in sys.modules
+ExperimentConfig.from_dict({'experiment': sys.argv[1]})
+print(before, 'scipy.special' in sys.modules)
+""", name)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_a_run_that_draws_no_normals_imports_no_module(tmp_path):
+    # numpy imports numpy.random at its first use; the package imports it
+    # eagerly, so a run's wall time does not pay that import
+    done = fresh("""
+import json, sys
+from spdelab.harness import default_config, run
+config = default_config('adjoint-suite', output_dir=sys.argv[2], **json.loads(sys.argv[1]))
+before = set(sys.modules)
+run(config)
+print(' '.join(sorted(set(sys.modules) - before)))
+""", json.dumps(REDUCED["adjoint-suite"]), tmp_path / "out")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+    assert (tmp_path / "out" / "report.csv").exists()
+
+
+def cli_without_scipy(*argvs):
+    done = fresh(CLI_WITHOUT_SCIPY, json.dumps([list(map(str, argv)) for argv in argvs]))
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_without_scipy_a_config_that_draws_fails_at_load(tmp_path):
+    out = tmp_path / "out"
+    argvs = []
+    for name in DRAWING:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"experiment": name, "output_dir": str(out)}))
+        argvs += [("validate-config", config), ("run", config)]
+    for argv, (code, stdout, stderr) in zip(argvs, cli_without_scipy(*argvs)):
+        assert code == 2, (argv, stdout, stderr)
+        assert stderr.startswith("config error:") and "scipy.special.ndtri" in stderr, stderr
+    assert not out.exists()  # nothing ran
+
+
+def test_without_scipy_the_runs_that_draw_no_normals_pass(tmp_path):
+    argvs = []
+    for name in PDE_ONLY:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"experiment": name, "output_dir": str(tmp_path / name)}))
+        argvs.append(("run", config))
+    for name, (code, stdout, stderr) in zip(PDE_ONLY, cli_without_scipy(*argvs)):
+        assert code == 0 and f"PASS: {name}" in stdout, (name, stdout, stderr)
+
+
+def test_a_march_imports_scipy_in_the_calling_thread_not_a_draw_thread():
+    # no harness load and no scipy yet: the first draw resolves the transform.
+    # A finder first in sys.meta_path records the thread that imports each module.
+    done = fresh("""
+import sys, threading
+
+finder_threads = {}
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        finder_threads.setdefault(name, threading.current_thread().name)
+        return None
+
+sys.meta_path.insert(0, Recorder())
+import numpy as np
+from spdelab import DomainSpec, build_tree, make_family, sample_tree_paths, simulate
+from spdelab import tree
+assert 'scipy' not in sys.modules
+
+coeffs = make_family('drift-random', {'kappa': 0.7, 'sigma': [0.6, 0.8], 'd': 1})
+paths = sample_tree_paths(build_tree(1, 5, 1.0), 3000, coeffs.sigma, 0.01, seed=43)
+domain = DomainSpec(0.0, 1.0, 1.0)
+marches = []
+for threads in (3, 1):  # three groups of paths on the draw pool, then one
+    tree.draw_threads = lambda: threads
+    marches.append(simulate(coeffs, 0.5, 0.0, paths, domain))
+split, serial = marches
+assert tree._pool is not None  # the first march ran as groups on the pool
+for name in ('tau', 'snapshots', 'alive'):
+    assert np.array_equal(getattr(split, name), getattr(serial, name)), name
+assert split.normals_drawn == serial.normals_drawn
+print(finder_threads['scipy.special'], threading.main_thread().name)
+""")
+    assert done.returncode == 0, done.stderr
+    found_in, main = done.stdout.split()
+    assert found_in == main
