@@ -246,16 +246,18 @@ def _oracle_family(cfg):
 
 def _levels_dominant(cfg):
     """The coefficients (make_family checks the family's keys and d <= d0 =
-    len(sigma)) and both (nx, n_steps) levels build on the state spaces the
-    run builds them on (the configured level on the tree where a path or a
-    node on it is named), within the size guard, and on each I - dt*A is
-    diagonally dominant, as the tridiagonal solver (no pivoting) needs."""
+    len(sigma)) and both (nx, n_steps) levels build on the state spaces that
+    hold the run's fields, and the tree its paths follow (no field) within the
+    size guard, and on each I - dt*A is diagonally dominant, as the
+    tridiagonal solver (no pivoting) needs."""
     nx, n_steps = cfg.grid["nx"], cfg.tree["n_steps"]
     fine = (cfg.params.get("fine_nx", nx), cfg.params.get("fine_n_steps", n_steps))
-    on_tree = EXPERIMENTS[cfg.experiment].on_tree
+    exp = EXPERIMENTS[cfg.experiment]
     try:
-        levels = [_state_space(cfg, nx, n_steps, {}, lattice=not on_tree),
+        levels = [_state_space(cfg, nx, n_steps, {}, lattice=not exp.fields_on_tree),
                   _state_space(cfg, *fine, {})]
+        if exp.paths_on_tree and not exp.fields_on_tree:
+            cfg.build_tree()
     except (CoefficientError, GridError, TreeError) as exc:
         raise ConfigError(str(exc)) from exc
     for coeffs, grid, tree in levels:
@@ -267,6 +269,15 @@ def _levels_dominant(cfg):
                 f"tridiagonal solver (no pivoting) needs: "
                 f"2 dt (K1/(2dx) - b/(2dx^2)) = {value:.3g} > 1 "
                 f"(K1={k1:g}, b={b:g}); take more tree steps or a smaller drift")
+
+
+def _superparabolic_regime(cfg):
+    """R*, L* and the density equation need d < len(sigma), tail block nondegenerate."""
+    coeffs = cfg.build_coeffs()
+    if EXPERIMENTS[cfg.experiment].superparabolic and not coeffs.superparabolic():
+        raise ConfigError(f"{cfg.experiment} solves R*, L* or the density equation: it needs the "
+                          f"superparabolic regime, d < len(sigma) with a nondegenerate tail "
+                          f"block sigma[d:], got d={coeffs.d} and len(sigma)={coeffs.d0}")
 
 
 def _fine_not_coarser(cfg):
@@ -292,10 +303,9 @@ def _dt_mc_divides(cfg):
     """dt_mc divides the horizon, and the tree step when paths are bridged."""
     if "dt_mc" in cfg.mc:
         horizon = float(cfg.tree["horizon"])
+        bridged = EXPERIMENTS[cfg.experiment].paths_on_tree
         try:
-            fine_steps(horizon, cfg.mc["dt_mc"],
-                       horizon / cfg.tree["n_steps"] if EXPERIMENTS[cfg.experiment].on_tree
-                       else None)
+            fine_steps(horizon, cfg.mc["dt_mc"], horizon / cfg.tree["n_steps"] if bridged else None)
         except TreeError as exc:
             raise ConfigError(f"mc.dt_mc: {exc}") from exc
 
@@ -358,9 +368,9 @@ def _leaf_bits_name_a_leaf(cfg):
                           f"per driving component and tree step, got {len(bits)}: {bits!r}")
 
 
-RULES = (_oracle_family, _levels_dominant, _fine_not_coarser, _points_inside_domain,
-         _dt_mc_divides, _mc_work_bounded, _draws_transform_loaded, _t_points_on_tree_times,
-         _node_checks_fit, _leaf_bits_name_a_leaf)
+RULES = (_oracle_family, _levels_dominant, _superparabolic_regime, _fine_not_coarser,
+         _points_inside_domain, _dt_mc_divides, _mc_work_bounded, _draws_transform_loaded,
+         _t_points_on_tree_times, _node_checks_fit, _leaf_bits_name_a_leaf)
 
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
 
@@ -823,15 +833,17 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
 @dataclass(frozen=True)
 class Experiment:
     """checks(config, diagnostics) returns the rows, recording solver diagnostics;
-    defaults are the acceptance settings; on_tree: it names a path or a node of
-    the configured level, which is then built on the scenario tree, and its
-    Monte Carlo paths follow that tree; superparabolic: it solves R*, L* or
-    the density equation; estimates(params): how many Monte Carlo estimates
-    of mc.paths paths the run makes."""
+    defaults are the acceptance settings; fields_on_tree: it names a node or a
+    path's density of the configured level, whose fields it then holds on the
+    scenario tree; paths_on_tree: its Monte Carlo paths are bridged through
+    the scenario tree of the configured level; superparabolic: it solves R*,
+    L* or the density equation; estimates(params): how many Monte Carlo
+    estimates of mc.paths paths the run makes."""
 
     checks: Callable
     defaults: dict
-    on_tree: bool = False
+    fields_on_tree: bool = False
+    paths_on_tree: bool = False
     superparabolic: bool = False
     estimates: Callable = lambda params: 0
 
@@ -852,7 +864,7 @@ EXPERIMENTS = {
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    }, on_tree=True, estimates=lambda params: 2 * len(params["x_points"])),  # two families
+    }, paths_on_tree=True, estimates=lambda params: 2 * len(params["x_points"])),  # two families
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": 0.0, "b": 8.0},
@@ -872,14 +884,15 @@ EXPERIMENTS = {
         "grid": {"nx": 101}, "tree": {"n_steps": 8, "horizon": 1.0},
         "mc": {"seed": 6},
         "params": {"fine_nx": 201, "fine_n_steps": 16, "p0_width": 0.5, "node_checks": 2},
-    }, on_tree=True, superparabolic=True),
+    }, fields_on_tree=True, superparabolic=True),
     "density-64-65": Experiment(_exp_density_64_65, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
-    }, on_tree=True, superparabolic=True, estimates=lambda params: 2),  # 6.4 and 6.5
+    }, fields_on_tree=True, paths_on_tree=True, superparabolic=True,
+        estimates=lambda params: 2),  # 6.4 and 6.5
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},

@@ -26,9 +26,9 @@ snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are detected at mesh points
 only (no crossing correction; the O(sqrt(dt_mc)) under-detection bias is
 absorbed into the acceptance tolerances); exited paths freeze and their
-alive indicator flips once.  Estimates run in chunks of CHUNK paths whose
-generators derive from the user seed by the splitting rule in
-`tree.seed_entropy`, so results do not depend on the worker count.
+alive indicator flips once.  Estimates run in chunks of CHUNK paths; chunk
+i of an estimate is seeded (seed, tag, i), which SeedSequence flattens at any
+nesting (the rule in `tree`), so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .tree import (
     bridge_paths,
     free_paths,
     sample_tree_paths,
-    seed_entropy,
 )
 
 
@@ -153,7 +152,7 @@ def simulate(
     else:
         if grid is None:
             raise SimulationError("density initial data needs the grid")
-        rng = default_rng(SeedSequence(seed_entropy(paths.seed, 0xA11)))
+        rng = default_rng(SeedSequence((paths.seed, 0xA11)))
         y = sample_from_density(init, grid, M, rng)
     lo_x, hi_x = domain.a, domain.b
     if np.any((y < lo_x) | (y > hi_x)):
@@ -200,7 +199,6 @@ def simulate(
         live = np.arange(lo, hi)
         yl = y[lo:hi].copy()
         acc = {name: np.zeros(hi - lo) for name in integrands}
-        fdt = fdt0
         drawn = 0
         m = end = m0
         while True:
@@ -212,14 +210,13 @@ def simulate(
                 break
             t = m * dt
             if m == end:
-                block = None  # let the spent block go before its successor is drawn
-                k = m // paths.n_sub
-                w1 = paths.w1(k, live)
-                if node_fdt is not None:
-                    fdt = node_fdt[k][paths.nodes(k, live)]
+                block = w1 = fdt = None  # drop the spent block, its w1 and f dt, then draw
                 first, block = paths.draw(m, live)
                 end, cols = first + len(block), None
                 drawn += block.size
+                k = m // paths.n_sub
+                w1 = paths.w1(k, live)
+                fdt = fdt0 if node_fdt is None else node_fdt[k][paths.nodes(k, live)]
             j = m - first
             for name, fn in integrands.items():
                 acc[name] += np.asarray(fn(yl, t, w1)) * dt
@@ -237,7 +234,7 @@ def simulate(
                 keep = (~out).nonzero()[0]
                 live, yl = live[keep], yl[keep]
                 acc = {name: a[keep] for name, a in acc.items()}
-                if np.ndim(w1):  # per-path leaves: w1, and f dt with it, per path
+                if w1 is not None:  # on a tree w1, and f dt with it, is per path
                     w1 = w1[keep]
                     if per_block:
                         fdt = fdt[keep]
@@ -345,7 +342,7 @@ def conditional_functional(
     t_grid = np.asarray(t_grid, dtype=float)
 
     def job(i, m):
-        bundle = bridge_paths(tree, leaf, m, coeffs.sigma, dt_mc, seed_entropy(seed, 0xC0, i))
+        bundle = bridge_paths(tree, leaf, m, coeffs.sigma, dt_mc, (seed, 0xC0, i))
         trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=t_grid)
         vals = np.empty((t_grid.size, m))
         for a, t in enumerate(t_grid):
@@ -377,7 +374,7 @@ def functional_estimate(
     the noise); without one, plain Wiener increments are used.
     """
     def job(i, m):
-        chunk_seed = seed_entropy(seed, 0xF0, i)
+        chunk_seed = (seed, 0xF0, i)
         if tree is not None:
             bundle = sample_tree_paths(tree, m, coeffs.sigma, dt_mc, chunk_seed)
         else:

@@ -7,17 +7,18 @@ tree conditional expectation, the Ito integral and the martingale
 identities hold to round-off and discretization error is confined to space
 and time.  Fine-time Monte Carlo increments are the scalar noise sigma.dW,
 one normal per path and fine step, with the first d Wiener components
-bridged through a designated leaf path or per-path leaf draws; they are
-drawn for the paths still being marched, one rectangle of (fine steps,
-paths) at a time, in the calling thread: a tree step for tree-bridged
-paths, a span of up to SPAN_MAX fine steps for free ones.  Each normal is a
-fixed function of (key, counter), so a path's increments do not depend on
-which other paths are drawn with it: `montecarlo.simulate` splits a
-tree-bridged march into groups of paths over one shared pool of draw
-threads, one per CPU the process may run on, with the same bits for any
-CPU count.  The inverse normal CDF is imported by `normal_transform` at
-its first call: at config load for the experiments that draw, and never by
-a run that draws no normals.
+bridged through the tree path to each path's leaf; they are drawn for the
+paths still being marched, one rectangle of (fine steps, paths) at a time,
+in the calling thread: a tree step for tree-bridged paths, a span of up to
+SPAN_MAX fine steps for free ones.  Each normal is a fixed function of
+(key, counter), so a path's increments do not depend on which other paths
+are drawn with it: `montecarlo.simulate` splits a tree-bridged march into
+groups of paths over one shared pool of draw threads, one per CPU the
+process may run on, with the same bits for any CPU count.  Every stream is
+seeded by SeedSequence((seed, *tags)), which flattens nested tuples and
+lists of ints at any depth.  The inverse normal CDF is imported by
+`normal_transform` at its first call: at config load for the experiments
+that draw, and never by a run that draws no normals.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -66,18 +67,6 @@ def _size_guard(what: str, n_steps: int, states: int | None) -> None:
         held = "more than 2**63" if states is None else f"{states:,}"
         raise TreeError(f"{what} of n_steps={n_steps} would hold {held} states, past the "
                         f"size guard of {MAX_STATES:,} states")
-
-
-def seed_entropy(seed, *extra) -> tuple:
-    """Canonical entropy tuple for a seed that may itself be a tuple.
-
-    This is the documented splitting rule: derived streams append fixed
-    integer tags to the user seed, so chunked estimators are reproducible
-    and independent of worker count.
-    """
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed) + tuple(extra)
-    return (int(seed),) + tuple(extra)
 
 
 class TreeNode(NamedTuple):
@@ -446,8 +435,7 @@ class PathBundle:
     step carries all d0 components.  Block k holds fine steps k*n_sub ..
     (k+1)*n_sub - 1 (n_sub = 1 without a tree).  A free increment is
     |sigma| Z_m (sigma_0 Z_m when d0 = 1).  On a tree, W's first d components
-    are bridged through the path's edge (of the path to `leaf`, shared by
-    every path, or to its own leaf in `leaves`); with s = |sigma|, s_f = |sigma[d:]|,
+    are bridged through the edge of each path's leaf in `leaves`; with s = |sigma|, s_f = |sigma[d:]|,
 
         s Z_j - (s - s_f) mean_j(Z) + sigma[:d].dW_tree / n_sub
 
@@ -459,11 +447,10 @@ class PathBundle:
     """
 
     tree: ScenarioTree | None
-    leaf: int | None  # the leaf of every path
-    leaves: np.ndarray | None  # (n_paths,) leaf per path
+    leaves: np.ndarray | None  # (n_paths,) leaf per path; None without a tree
     sigma: np.ndarray  # (d0,) diffusion row the increments are built for
     dt_mc: float
-    seed: object
+    seed: object  # an int, or nested tuples and lists of ints: the key is SeedSequence((seed,))
     times: np.ndarray  # (n_fine + 1,)
     n_paths: int
     n_fine: int
@@ -474,10 +461,7 @@ class PathBundle:
         return IncrementShape((self.n_paths, self.n_fine))
 
     def nodes(self, level: int, rows=None):
-        """Active tree node at a level for the given path rows (all rows when
-        None); one shared index for a designated leaf."""
-        if self.leaves is None:
-            return self.tree.ancestor_index(self.leaf, level)
+        """Active tree node at a level for the given path rows (all rows when None)."""
         leaves = self.leaves if rows is None else self.leaves[rows]
         return self.tree.ancestor_index(leaves, level)
 
@@ -490,7 +474,7 @@ class PathBundle:
 
     @cached_property
     def _key(self) -> np.uint64:
-        return SeedSequence(seed_entropy(self.seed)).generate_state(1, np.uint64)[0]
+        return SeedSequence((self.seed,)).generate_state(1, np.uint64)[0]
 
     def block(self, k: int, rows) -> np.ndarray:
         """Increments sigma.dW of block k for the given path rows, (n_sub, rows),
@@ -521,8 +505,9 @@ class PathBundle:
             for row in part:  # numpy's mean of a single column would sum pairwise
                 total += row
         s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[tree.d :])
-        edge = tree.digit_signs[self.nodes(k + 1, rows) % tree.branching]
-        shift = (edge @ self.sigma[: tree.d]) * (tree.sqdt / n_sub)
+        edge = tree.digit_signs @ self.sigma[: tree.d]  # sigma[:d].dW_tree / sqdt, exact
+        shift = edge[self.nodes(k + 1, rows) % tree.branching]
+        shift *= tree.sqdt / n_sub
         shift -= (s - s_f) * (total / n_sub)
         z *= s
         z += shift
@@ -573,14 +558,13 @@ def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[i
     return n_fine, n_sub
 
 
-def _bundle(horizon, tree, leaf, leaves, M, sigma, dt_mc, seed) -> PathBundle:
+def _bundle(horizon, tree, leaves, M, sigma, dt_mc, seed) -> PathBundle:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.size < (1 if tree is None else tree.d):
         raise TreeError(f"need a diffusion row with d0 >= d >= 1 entries, got sigma={sigma}")
     n_fine, n_sub = fine_steps(horizon, dt_mc, None if tree is None else tree.dt)
     return PathBundle(
         tree=tree,
-        leaf=leaf,
         leaves=leaves,
         sigma=sigma,
         dt_mc=dt_mc,
@@ -596,12 +580,13 @@ def bridge_paths(tree: ScenarioTree, leaf: int, M: int, sigma, dt_mc: float, see
     """M paths of sigma.dW bridged through the tree path to one leaf, tail
     columns free.  Deterministic given seed.
     """
-    return _bundle(tree.horizon, tree, tree.leaf_index(leaf), None, M, sigma, dt_mc, seed)
+    leaves = np.full(M, tree.leaf_index(leaf))
+    return _bundle(tree.horizon, tree, leaves, M, sigma, dt_mc, seed)
 
 
 def free_paths(horizon: float, M: int, sigma, dt_mc: float, seed) -> PathBundle:
     """Unconstrained increments sigma.dW on the fine mesh."""
-    return _bundle(horizon, None, None, None, M, sigma, dt_mc, seed)
+    return _bundle(horizon, None, None, M, sigma, dt_mc, seed)
 
 
 def sample_tree_paths(tree: ScenarioTree, M: int, sigma, dt_mc: float, seed) -> PathBundle:
@@ -611,6 +596,5 @@ def sample_tree_paths(tree: ScenarioTree, M: int, sigma, dt_mc: float, seed) -> 
     driving components and the coefficient process then share the same
     discrete noise, matching the solver side.
     """
-    rng = default_rng(SeedSequence(seed_entropy(seed, 0x1EAF)))
-    leaves = rng.integers(0, tree.n_leaves, size=M)
-    return _bundle(tree.horizon, tree, None, leaves, M, sigma, dt_mc, seed)
+    leaves = default_rng(SeedSequence((seed, 0x1EAF))).integers(0, tree.n_leaves, size=M)
+    return _bundle(tree.horizon, tree, leaves, M, sigma, dt_mc, seed)

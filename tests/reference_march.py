@@ -13,7 +13,7 @@ import numpy as np
 from spdelab.coefficients import CoefficientSet
 from spdelab.domain import Grid
 from spdelab.montecarlo import SimulationError, TrajectorySet, sample_from_density
-from spdelab.tree import PathBundle, seed_entropy
+from spdelab.tree import PathBundle
 
 
 def reference_simulate(
@@ -56,9 +56,7 @@ def reference_simulate(
     else:
         if grid is None:
             raise SimulationError("density initial data needs the grid")
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed_entropy(paths.seed, 0xA11))
-        )
+        rng = np.random.default_rng(np.random.SeedSequence((paths.seed, 0xA11)))
         y = sample_from_density(init, grid, M, rng)
     lo, hi = domain.a, domain.b
     if np.any((y < lo) | (y > hi)):

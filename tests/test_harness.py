@@ -145,6 +145,14 @@ BAD_AT_LOAD = [
     {"match": "constant family", "config": {
         "experiment": "feynman-kac-nonrandom",
         "coefficients": {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}}},
+    # d = len(sigma) leaves no tail block: R*, L* and the density equation
+    # used to refuse it only once the run reached them (5 tree steps keep
+    # density-64-65's d = 2 tree within the size guard)
+    *({"match": "superparabolic regime, d < len[(]sigma[)].*got d=2 and len[(]sigma[)]=2",
+       "config": {"experiment": name, "tree": {"n_steps": 5},
+                  "coefficients": {"family": "drift-random", "kappa": 0.25,
+                                   "sigma": [0.6, 0.8], "d": 2}}}
+      for name in ("adjoint-suite", "duality-63", "density-64-65")),
 ]
 
 
@@ -239,9 +247,10 @@ def test_config_keys_type_every_default_and_are_documented():
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
     # loading builds each level on the state space its run solves it on: a
-    # tree only at the configured level of the three experiments that name a
-    # path or a node on it, the w1 lattice everywhere else, at d = 1 (the
-    # defaults) and at d = 2 (5 steps: the defaults' t_points and dt_mc fit it)
+    # tree only at the configured level of the two experiments that hold
+    # fields on it, the w1 lattice everywhere else, and the tree that
+    # representation-random's paths follow, at d = 1 (the defaults) and at
+    # d = 2 (5 steps: the defaults' t_points and dt_mc fit it)
     built, build_tree = [], harness.build_tree
 
     def counted(d, n_steps, horizon):
@@ -249,13 +258,30 @@ def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
         return build_tree(d, n_steps, horizon)
 
     monkeypatch.setattr(harness, "build_tree", counted)
+    assert EXPERIMENTS[name].fields_on_tree == (name in ("duality-63", "density-64-65"))
+    assert EXPERIMENTS[name].paths_on_tree == (name in ("representation-random", "density-64-65"))
     on_tree = name in ("representation-random", "duality-63", "density-64-65")
-    assert EXPERIMENTS[name].on_tree == on_tree
     for over in ({}, {"coefficients": {"sigma": [0.6, 0.8, 0.5], "d": 2},
                       "tree": {"n_steps": 5}}):
         built.clear()
         cfg = ExperimentConfig.from_dict({"experiment": name, **over})
         assert built == ([(cfg.d, cfg.tree["n_steps"])] if on_tree else [])
+
+
+def test_cell_guard_reads_the_state_space_that_holds_the_fields():
+    # representation-random holds its fields on the w1 lattice (91 states at
+    # 12 steps, 910,091 cells at nx 10001); only its paths follow the tree,
+    # which the cell guard used to count (81,918,191 cells).  dt_mc = 1/600
+    # divides the 12-step tree step.
+    over = {"grid": {"nx": 10001}, "mc": {"dt_mc": 1 / 600}}
+    cfg = ExperimentConfig.from_dict({"experiment": "representation-random",
+                                      "tree": {"n_steps": 12}, **over})
+    assert cfg.tree["n_steps"] == 12
+    # the tree the paths follow is still held to the size guard
+    with pytest.raises(ConfigError, match="d=1 tree of n_steps=17 would hold 262,143 states, "
+                                          "past the size guard"):
+        ExperimentConfig.from_dict({"experiment": "representation-random",
+                                    "tree": {"n_steps": 17}, **over})
 
 
 @pytest.mark.parametrize("name, estimates, n_fine", [
@@ -464,6 +490,24 @@ def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
         else:
             # nothing leaves [-8, 8]: one normal per path and fine step
             assert record["exit_frac"] == 0.0 and record["normals_drawn"] == paths * n_fine
+
+
+@pytest.mark.parametrize("name, over", [
+    ("representation-random", {**MC_SMALL, "params": {"x_points": [0.0]}}),
+    ("density-64-65", MC_SMALL),
+    ("feynman-kac-nonrandom", {"grid": {"nx": 41}, "tree": {"n_steps": 4},
+                               "mc": {"paths": 2000, "dt_mc": 1.0e-2}}),
+])
+def test_a_list_seed_runs_every_monte_carlo_experiment(name, over):
+    # the chunk seeds nest mc.seed at any depth ((seed, tag, ix), then the
+    # chunk's tags): a list seed used to stop representation-random and
+    # density-64-65 with a TypeError after their PDE phase.  [3, 4] and
+    # (3, 4) name the same streams.
+    rows = [run(ExperimentConfig.from_dict({"experiment": name, **over,
+                                            "mc": {**over["mc"], "seed": seed}}),
+                write=False).rows
+            for seed in ([3, 4], (3, 4))]
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("name, over, superparabolic", [

@@ -538,6 +538,30 @@ def test_conditional_functional_worker_independence(line_domain, monkeypatch, re
                                       workers=workers, **kw) == a
 
 
+def test_a_list_seed_draws_what_its_tuple_draws(line_domain, monkeypatch):
+    # each chunk seeds (seed, tag, chunk), which SeedSequence flattens at any
+    # depth: a list seed, which the config allows, names the streams of the
+    # tuple with its entries, over several chunks, bridged and free
+    monkeypatch.setattr(montecarlo, "CHUNK", 700)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    tree = build_tree(1, 4, 1.0)
+    grid = build_grid(line_domain, 81)
+    p0 = np.exp(-grid.x**2)
+    p0[0] = p0[-1] = 0.0
+    p0 /= grid.dx * p0[1:-1].sum()
+    phi = lambda x, t, w1: np.exp(-x**2) * (1.0 + w1)
+    cond = [conditional_functional(coeffs, phi, 5, [0.5, 1.0], 1500, seed,
+                                   tree=tree, grid=grid, p0=p0, dt_mc=0.05)
+            for seed in ([3, 4], (3, 4))]
+    assert cond[0][0].chunks == (700, 700, 100) and cond[0] == cond[1]
+    constant = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
+    for family, kw in ((coeffs, {"tree": tree}), (constant, {})):
+        est = [functional_estimate(family, lambda x, t, w1: np.exp(-x**2), p0, 1500, seed,
+                                   grid=grid, dt_mc=0.05, **kw)
+               for seed in ([3, 4], (3, 4))]
+        assert est[0] == est[1]
+
+
 def test_conditional_matches_density_solver(line_domain):
     # the (6.4)-style cross-check at moderate size: conditional Monte Carlo
     # against the density solver along the same leaf path

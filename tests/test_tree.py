@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 from scipy.special import ndtri
 
 from spdelab import (
@@ -288,6 +289,15 @@ def test_free_bundle_pins_the_counter_stream():
         counters = rows.astype(np.uint64) * np.uint64(bundle.n_fine) + np.uint64(k)
         expected = -1.3 * (np.sqrt(0.125) * _counter_normals(bundle._key, counters))
         assert np.array_equal(bundle.block(k, rows), expected[None, :])
+
+
+def test_a_bundle_key_is_the_seed_sequence_of_the_flat_seed():
+    # one rule seeds every stream: SeedSequence((seed, *tags)), which flattens
+    # nested tuples and lists of ints at any depth, also past 2**32
+    for seed, flat in [(7, (7,)), ((3, 4), (3, 4)), ([3, 4], (3, 4)), (2**40, (2**40,)),
+                       (((3, 4), 0xF0, 2), (3, 4, 0xF0, 2)), ([[3, [4]], 2**40], (3, 4, 2**40))]:
+        key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=seed)._key
+        assert key == SeedSequence(flat).generate_state(1, np.uint64)[0]
 
 
 def _counter_of_hash(key, h):
