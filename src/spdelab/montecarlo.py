@@ -8,8 +8,10 @@ with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
 coefficient process.  The march draws the scalar noise sigma . dW, one
 normal per path and fine step, one block at a time for the paths live at
-the block's start (`tree.PathBundle.draw`: a coarse step on a tree, or a
-span of a few fine steps of free paths); it stops as soon as every path has
+the block's start, by one routine, `tree.PathBundle.draw`: a block is a
+coarse step on a tree, or a span of a few fine steps of free paths, hashed
+`tree.HASH_NORMALS` normals per call and, on a tree, shifted by the bridge
+through each path's leaf.  The march stops as soon as every path has
 exited.  A tree-bridged march runs as contiguous groups of paths, one per
 draw thread: the calling thread marches the first and the shared draw pool
 the others, each group drawing its own blocks and writing only its own

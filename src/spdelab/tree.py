@@ -7,10 +7,12 @@ tree conditional expectation, the Ito integral and the martingale
 identities hold to round-off and discretization error is confined to space
 and time.  Fine-time Monte Carlo increments are the scalar noise sigma.dW,
 one normal per path and fine step, with the first d Wiener components
-bridged through the tree path to each path's leaf; they are drawn for the
-paths still being marched, one rectangle of (fine steps, paths) at a time,
-in the calling thread: a tree step for tree-bridged paths, a span of up to
-SPAN_MAX fine steps for free ones.  Each normal is a fixed function of
+bridged through the tree path to each path's leaf.  One routine,
+`PathBundle.draw`, draws them for the paths still being marched, one
+rectangle of (fine steps, paths) at a time, in the calling thread: a tree
+step for tree-bridged paths, a span of up to SPAN_MAX fine steps for free
+ones, hashed HASH_NORMALS normals per call and, on a tree, shifted by the
+bridge.  Each normal is a fixed function of
 (key, counter), so a path's increments do not depend on which other paths
 are drawn with it: `montecarlo.simulate` splits a tree-bridged march into
 groups of paths over one shared pool of draw threads, one per CPU the
@@ -398,11 +400,13 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
 SPAN_NORMALS = 2**12
 SPAN_MAX = 16
 
-# a tree block is hashed max(1, HASH_NORMALS // rows) fine steps per
-# _counter_normals call (5 steps at 12.5k rows), in a 512 kB scratch array
-# that each group of a march holds while it draws: few calls keep the GIL
-# hand-offs of concurrent groups few, and 100,000 normals per call were no
-# faster but put 3 groups of 20k paths past 1.5 blocks of peak memory
+# a draw is hashed max(1, HASH_NORMALS // rows) fine steps per
+# _counter_normals call (5 steps of a tree block at 12.5k rows; a free span,
+# at most SPAN_MAX steps of SPAN_NORMALS rows or one step, is one call), in a
+# 512 kB scratch array that each group of a march holds while it draws: few
+# calls keep the GIL hand-offs of concurrent groups few, and 100,000 normals
+# per call were no faster but put 3 groups of 20k paths past 1.5 blocks of
+# peak memory
 HASH_NORMALS = 2**16
 
 _pool = None  # the draw pool, created at the first split of a march
@@ -432,10 +436,13 @@ class PathBundle:
     of (fine steps, live paths) at a time.
 
     The state is scalar, so one normal Z_m ~ N(0, dt_mc) per path and fine
-    step carries all d0 components.  Block k holds fine steps k*n_sub ..
-    (k+1)*n_sub - 1 (n_sub = 1 without a tree).  A free increment is
-    |sigma| Z_m (sigma_0 Z_m when d0 = 1).  On a tree, W's first d components
-    are bridged through the edge of each path's leaf in `leaves`; with s = |sigma|, s_f = |sigma[d:]|,
+    step carries all d0 components.  `draw` is the one routine that hashes,
+    scales and bridges them: it picks a rectangle of fine steps, the tree
+    block k (steps k*n_sub .. (k+1)*n_sub - 1) or a span of free steps,
+    hashes it HASH_NORMALS normals per call and scales it.  A free increment
+    is |sigma| Z_m (sigma_0 Z_m when d0 = 1).  On a tree, W's first d
+    components are bridged through the edge of each path's leaf in `leaves`;
+    with s = |sigma|, s_f = |sigma[d:]|,
 
         s Z_j - (s - s_f) mean_j(Z) + sigma[:d].dW_tree / n_sub
 
@@ -476,68 +483,53 @@ class PathBundle:
     def _key(self) -> np.uint64:
         return SeedSequence((self.seed,)).generate_state(1, np.uint64)[0]
 
-    def block(self, k: int, rows) -> np.ndarray:
-        """Increments sigma.dW of block k for the given path rows, (n_sub, rows),
+    def draw(self, m: int, rows) -> tuple[int, np.ndarray]:
+        """(first, z): the increments z, (steps, rows), of the draw that holds
+        fine step m, for fine steps first, first + 1, ... and the given rows,
         drawn in the calling thread.
 
-        A tree block is hashed max(1, HASH_NORMALS // rows) fine steps per
-        call; each call's rows are scaled by sqrt(dt_mc) while they are in
-        cache, and the column sum the bridge needs is added up one step after
-        another, so a path's column has the same bits at any row count.
+        On a tree the draw is the block of m, its n_sub steps from
+        first = m - m % n_sub.  Free paths draw a span of
+        S = min(ceil(SPAN_NORMALS / rows), SPAN_MAX, n_fine - m) steps from m;
+        S depends on the row count only, never on the CPU count.  The draw is
+        hashed max(1, HASH_NORMALS // rows) steps per call, each call's rows
+        scaled by sqrt(dt_mc) while they are in cache.  A tree draw then adds
+        the bridge shift, whose column sum is added up one step after
+        another, so a path's column has the same bits at any row count.  A
+        free draw is scaled by sigma_0 or |sigma|.
         """
         tree = self.tree
-        if tree is None:
-            return self._free(k, 1, rows)
         rows = np.asarray(rows)
-        n_sub = self.n_sub
-        per_call = min(max(1, HASH_NORMALS // max(rows.size, 1)), n_sub)
+        if tree is None:
+            first, n = m, min(-(-SPAN_NORMALS // max(rows.size, 1)), SPAN_MAX, self.n_fine - m)
+        else:
+            first, n = m - m % self.n_sub, self.n_sub
+        per_call = max(1, min(HASH_NORMALS // max(rows.size, 1), n))
         # counter of (path p, fine step m): p * n_fine + m
         at_m0 = rows.astype(np.uint64) * np.uint64(self.n_fine)
-        steps = np.arange(k * n_sub, (k + 1) * n_sub, dtype=np.uint64)[:, None]
+        steps = np.arange(first, first + n, dtype=np.uint64)[:, None]
         counters = np.empty((per_call, rows.size), dtype=np.uint64)  # the one scratch array
-        z = np.empty((n_sub, rows.size))
-        total = np.zeros(rows.size)
-        for lo in range(0, n_sub, per_call):
-            hi = min(lo + per_call, n_sub)
+        z = np.empty((n, rows.size))
+        total = None if tree is None else np.zeros(rows.size)
+        for lo in range(0, n, per_call):
+            hi = min(lo + per_call, n)
             np.add(at_m0, steps[lo:hi], out=counters[: hi - lo])
             part = _counter_normals(self._key, counters[: hi - lo], out=z[lo:hi])
             part *= np.sqrt(self.dt_mc)
-            for row in part:  # numpy's mean of a single column would sum pairwise
-                total += row
+            if total is not None:
+                for row in part:  # numpy's mean of a single column would sum pairwise
+                    total += row
+        if tree is None:
+            z *= self.sigma[0] if self.sigma.size == 1 else np.linalg.norm(self.sigma)
+            return first, z
         s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[tree.d :])
         edge = tree.digit_signs @ self.sigma[: tree.d]  # sigma[:d].dW_tree / sqdt, exact
-        shift = edge[self.nodes(k + 1, rows) % tree.branching]
-        shift *= tree.sqdt / n_sub
-        shift -= (s - s_f) * (total / n_sub)
+        shift = edge[self.nodes(first // self.n_sub + 1, rows) % tree.branching]
+        shift *= tree.sqdt / n
+        shift -= (s - s_f) * (total / n)
         z *= s
         z += shift
-        return z
-
-    def draw(self, m: int, rows) -> tuple[int, np.ndarray]:
-        """(first, z): the increments z, (steps, rows), of the draw that holds
-        fine step m, for fine steps first, first + 1, ... and the given rows.
-
-        On a tree the draw is the block of m.  Free paths draw a span of
-        S = min(ceil(SPAN_NORMALS / rows), SPAN_MAX, n_fine - m) steps from m;
-        S depends on the row count only, never on the CPU count.
-        """
-        if self.tree is not None:
-            k = m // self.n_sub
-            return k * self.n_sub, self.block(k, rows)
-        span = min(-(-SPAN_NORMALS // max(np.size(rows), 1)), SPAN_MAX, self.n_fine - m)
-        return m, self._free(m, span, rows)
-
-    def _free(self, first: int, n: int, rows) -> np.ndarray:
-        """Free increments of fine steps first .. first + n - 1, (n, rows),
-        hashed in one call in the calling thread."""
-        rows = np.asarray(rows)
-        # counter of (path p, fine step m): p * n_fine + m
-        counters = rows.astype(np.uint64) * np.uint64(self.n_fine)
-        counters = counters + np.arange(first, first + n, dtype=np.uint64)[:, None]
-        z = _counter_normals(self._key, counters)
-        z *= np.sqrt(self.dt_mc)
-        z *= self.sigma[0] if self.sigma.size == 1 else np.linalg.norm(self.sigma)
-        return z
+        return first, z
 
 
 def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[int, int]:

@@ -3,7 +3,8 @@ the reference that `montecarlo.simulate` must match bit for bit.
 
 Each fine step evaluates the drift at every live path, and every exit
 compacts the live paths, their running integrals, their w1 and the current
-noise block with one boolean mask.
+noise block with one boolean mask.  A noise block is the first n_sub steps
+of a draw, so free paths are drawn one fine step at a time.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def reference_simulate(
         if j == 0 or m == m0:
             k = m // paths.n_sub
             block = None  # let the spent block go before its successor is drawn
-            block = paths.block(k, live)
+            block = paths.draw(k * paths.n_sub, live)[1][: paths.n_sub]
             drawn += block.size
             w1 = paths.w1(k, live)
         t = m * dt

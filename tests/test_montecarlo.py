@@ -243,14 +243,14 @@ def test_march_matches_the_reference_bit_for_bit(unit_domain, case, serial_draws
 def test_split_march_matches_the_reference_bit_for_bit(unit_domain, case, split_draws,
                                                        monkeypatch):
     # a tree-bridged march runs as three groups of paths, each drawing its
-    # own blocks: block widths are recorded from every thread
-    widths, block = [], PathBundle.block
+    # own blocks: draw widths are recorded from every thread
+    widths, draw = [], PathBundle.draw
 
-    def recorded(self, k, rows):
+    def recorded(self, m, rows):
         widths.append(np.size(rows))
-        return block(self, k, rows)
+        return draw(self, m, rows)
 
-    monkeypatch.setattr(PathBundle, "block", recorded)
+    monkeypatch.setattr(PathBundle, "draw", recorded)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the groups hand the GIL over often
     try:
@@ -307,6 +307,9 @@ def test_march_holds_one_noise_block_at_a_time(line_domain, split_draws, monkeyp
     # march's own arrays add about a third of that, in one march or in three
     # groups of paths that each hold their rows of a block.  Holding a view
     # of the spent block while its successor is drawn would double the peak.
+    # The inverse normal CDF is imported first, so scipy's import, which a
+    # first simulate of the process would make, is not counted.
+    tree_module.normal_transform()
     coeffs = make_family("drift-random", {"kappa": 0.5, "sigma": [0.6, 0.8], "d": 1})
     paths = bridge_paths(build_tree(1, 4, 1.0), 5, 20_000, coeffs.sigma, 0.005, seed=45)
     assert paths.n_sub == 50

@@ -22,10 +22,18 @@ from spdelab.tree import _GOLDEN, _MIX1, _MIX2, _counter_normals
 
 
 def drawn(bundle):
-    """Every increment sigma.dW of a bundle, (n_paths, n_fine), drawn block by block."""
-    rows = np.arange(bundle.n_paths)
-    blocks = [bundle.block(k, rows) for k in range(bundle.n_fine // bundle.n_sub)]
-    return np.concatenate(blocks, axis=0).T
+    """Every increment sigma.dW of a bundle, (n_paths, n_fine), walked draw by draw."""
+    rows, m, draws = np.arange(bundle.n_paths), 0, []
+    while m < bundle.n_fine:
+        first, z = bundle.draw(m, rows)
+        draws.append(z)
+        m = first + len(z)
+    return np.concatenate(draws, axis=0).T
+
+
+def tree_block(bundle, k, rows):
+    """Tree block k, (n_sub, rows): the draw of its first fine step."""
+    return bundle.draw(k * bundle.n_sub, rows)[1]
 
 
 def normals(bundle, k, rows):
@@ -39,7 +47,7 @@ def normals(bundle, k, rows):
 def serial_block(bundle, k, rows):
     """A tree block from the per-step reference draws, by the documented law
     s Z_j - (s - s_f) mean_j(Z) + sigma[:d] . dW_tree / n_sub, in the order
-    of operations of PathBundle.block."""
+    of operations of PathBundle.draw."""
     tree, sigma = bundle.tree, bundle.sigma
     z = normals(bundle, k, rows)
     s, s_f = np.linalg.norm(sigma), np.linalg.norm(sigma[tree.d :])
@@ -52,7 +60,7 @@ def bridged_sum(bundle, k, rows):
     """A tree block's sum less its free part s_f * sum_j Z_j: the part of the
     noise that runs through the tree edge."""
     s_f = np.linalg.norm(bundle.sigma[bundle.tree.d :])
-    return bundle.block(k, rows).sum(axis=0) - s_f * normals(bundle, k, rows).sum(axis=0)
+    return tree_block(bundle, k, rows).sum(axis=0) - s_f * normals(bundle, k, rows).sum(axis=0)
 
 
 def edge_digits(tree, leaf):
@@ -257,7 +265,7 @@ def test_bridge_paths_hit_constraints():
         for k in range(tree.n_steps):
             assert np.max(np.abs(bridged_sum(bundle, k, rows) - target[k])) < 1e-12
             if len(sigma) == d:
-                assert np.max(np.abs(bundle.block(k, rows).sum(axis=0) - target[k])) < 1e-12
+                assert np.max(np.abs(tree_block(bundle, k, rows).sum(axis=0) - target[k])) < 1e-12
 
 
 def test_block_law():
@@ -269,7 +277,7 @@ def test_block_law():
         leaf, M, dt_mc, k = 1, 100_000, 0.0625, 2
         bundle = bridge_paths(tree, leaf, M=M, sigma=sigma, dt_mc=dt_mc, seed=2024)
         n = bundle.n_sub
-        x = bundle.block(k, np.arange(M))
+        x = tree_block(bundle, k, np.arange(M))
         sigma = np.asarray(sigma)
         mean = edge_targets(tree, sigma, leaf)[k] / n
         cov = dt_mc * (sigma @ sigma * np.eye(n) - sigma[:d] @ sigma[:d] * np.ones((n, n)) / n)
@@ -288,7 +296,7 @@ def test_free_bundle_pins_the_counter_stream():
     for k in range(bundle.n_fine):
         counters = rows.astype(np.uint64) * np.uint64(bundle.n_fine) + np.uint64(k)
         expected = -1.3 * (np.sqrt(0.125) * _counter_normals(bundle._key, counters))
-        assert np.array_equal(bundle.block(k, rows), expected[None, :])
+        assert np.array_equal(bundle.draw(k, rows)[1][0], expected)
 
 
 def test_a_bundle_key_is_the_seed_sequence_of_the_flat_seed():
@@ -395,7 +403,7 @@ def test_free_paths_shape_and_determinism():
     assert np.array_equal(drawn(a), drawn(b))
     # d0 >= 2 without a tree: |sigma| Z
     rows = np.arange(6)
-    assert np.allclose(a.block(2, rows), 1.3 * normals(a, 2, rows), rtol=1e-15, atol=0)
+    assert np.allclose(a.draw(2, rows)[1][0], 1.3 * normals(a, 2, rows)[0], rtol=1e-15, atol=0)
 
 
 def test_sample_tree_paths_per_path_constraint(tree5):
@@ -418,10 +426,10 @@ def test_blocks_for_row_subsets(tree5):
     rng = np.random.default_rng(14)
     everyone = np.arange(bundle.n_paths)
     for k in range(tree5.n_steps):
-        full = bundle.block(k, everyone)
+        full = tree_block(bundle, k, everyone)
         assert full.shape == (bundle.n_sub, 40)
         rows = rng.choice(40, size=rng.integers(1, 40), replace=False)
-        part = bundle.block(k, rows)
+        part = tree_block(bundle, k, rows)
         assert np.array_equal(part, full[:, rows])
         target = np.array([edge_targets(tree5, sigma, leaf)[k] for leaf in bundle.leaves[rows]])
         assert np.max(np.abs(bridged_sum(bundle, k, rows) - target)) < 1e-12
@@ -449,31 +457,60 @@ def free_span(bundle, m, steps, rows):
 def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request, monkeypatch):
     request.getfixturevalue(draws)
     rows_sets = [np.arange(40), np.array([39, 2, 17, 5])]
-    # hash calls of one step, of three steps at 40 rows, and of the whole block
+    free = free_paths(1.0, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 64, seed=34)
+    big = free_paths(1.0, M=3 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=35)
+    # hash calls of one step, of three steps at 40 rows, and of the whole
+    # block or span
     for hash_normals in (1, 120, tree_module.HASH_NORMALS):
         monkeypatch.setattr(tree_module, "HASH_NORMALS", hash_normals)
         for bundle in split_bundles():
             for k in range(bundle.tree.n_steps):
                 for rows in rows_sets:
-                    assert np.array_equal(bundle.block(k, rows), serial_block(bundle, k, rows))
+                    block = tree_block(bundle, k, rows)
+                    assert np.array_equal(block, serial_block(bundle, k, rows))
                     # a draw at the block's last step is the block
                     first, z = bundle.draw((k + 1) * bundle.n_sub - 1, rows)
-                    assert first == k * bundle.n_sub and np.array_equal(z, bundle.block(k, rows))
-    # a free draw spans ceil(SPAN_NORMALS / rows) steps, at most SPAN_MAX
-    # and up to the horizon
-    bundle = free_paths(1.0, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 64, seed=34)
-    for rows in rows_sets:
-        for m in (0, 5, 60):
-            first, z = bundle.draw(m, rows)
-            span = min(-(-tree_module.SPAN_NORMALS // rows.size), tree_module.SPAN_MAX, 64 - m)
-            assert first == m and z.shape == (span, rows.size)
-            assert np.array_equal(z, free_span(bundle, m, span, rows))
-    big = free_paths(1.0, M=3 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=35)
-    for size in (tree_module.SPAN_NORMALS // 3, 3 * tree_module.SPAN_NORMALS):
+                    assert first == k * bundle.n_sub and np.array_equal(z, block)
+        # a free draw spans ceil(SPAN_NORMALS / rows) steps, at most SPAN_MAX
+        # and up to the horizon, with the same bits however many calls hash it
+        for rows in rows_sets:
+            for m in (0, 5, 60):
+                first, z = free.draw(m, rows)
+                span = min(-(-tree_module.SPAN_NORMALS // rows.size), tree_module.SPAN_MAX, 64 - m)
+                assert first == m and z.shape == (span, rows.size)
+                assert np.array_equal(z, free_span(free, m, span, rows))
+        for size in (tree_module.SPAN_NORMALS // 3, 3 * tree_module.SPAN_NORMALS):
+            rows = np.arange(size)
+            first, z = big.draw(2, rows)
+            assert z.shape == (-(-tree_module.SPAN_NORMALS // size), size)
+            assert np.array_equal(z, free_span(big, 2, len(z), rows))
+
+
+def test_a_draw_hashes_in_the_fewest_calls(monkeypatch):
+    # at the default constants a free span is one _counter_normals call at
+    # any row count, and a tree block of n_sub steps takes
+    # ceil(n_sub / max(1, HASH_NORMALS // rows)) calls
+    calls, counter_normals = [], tree_module._counter_normals
+
+    def counted(key, counters, out=None):
+        calls.append(counters.shape)
+        return counter_normals(key, counters, out=out)
+
+    monkeypatch.setattr(tree_module, "_counter_normals", counted)
+    free = free_paths(1.0, M=25_000, sigma=[0.6, 0.8], dt_mc=1 / 64, seed=38)
+    bridged = sample_tree_paths(build_tree(1, 4, 1.0), M=25_000, sigma=[0.6, 0.8],
+                                dt_mc=0.005, seed=39)
+    assert bridged.n_sub == 50
+    for size in (1, 30, 4095, 4096, 25_000):
         rows = np.arange(size)
-        first, z = big.draw(2, rows)
-        assert z.shape == (-(-tree_module.SPAN_NORMALS // size), size)
-        assert np.array_equal(z, free_span(big, 2, len(z), rows))
+        calls.clear()
+        free.draw(3, rows)
+        assert len(calls) == 1
+        calls.clear()
+        bridged.draw(60, rows)
+        per_call = max(1, tree_module.HASH_NORMALS // size)
+        assert len(calls) == -(-bridged.n_sub // per_call)
+        assert sum(steps for steps, _ in calls) == bridged.n_sub
 
 
 def test_a_path_has_the_same_column_at_every_width():
@@ -485,10 +522,11 @@ def test_a_path_has_the_same_column_at_every_width():
                    sample_tree_paths(tree, M=12, sigma=[0.6, 0.8], dt_mc=0.005, seed=37)):
         assert bundle.n_sub == 50
         for k in range(tree.n_steps):
-            full = bundle.block(k, np.arange(12))
+            full = tree_block(bundle, k, np.arange(12))
             for p in range(12):
-                assert np.array_equal(bundle.block(k, [p])[:, 0], full[:, p])
-                assert np.array_equal(bundle.block(k, [p, (p + 5) % 12])[:, 0], full[:, p])
+                assert np.array_equal(tree_block(bundle, k, [p])[:, 0], full[:, p])
+                assert np.array_equal(tree_block(bundle, k, [p, (p + 5) % 12])[:, 0],
+                                      full[:, p])
 
 
 def test_blocks_and_free_marches_never_touch_the_draw_pool(split_draws, monkeypatch,
@@ -502,7 +540,7 @@ def test_blocks_and_free_marches_never_touch_the_draw_pool(split_draws, monkeypa
     for bundle in (free_paths(1.0, M=30, sigma=[0.6, 0.8], dt_mc=0.125, seed=1),
                    bridge_paths(build_tree(1, 4, 1.0), 3, M=30, sigma=[0.6, 0.8],
                                 dt_mc=0.25, seed=2), *split_bundles()):
-        bundle.block(1, rows)
+        bundle.draw(bundle.n_sub, rows)
     # free draws of any size are drawn in the calling thread: spans of several
     # steps, and one step of more than SPAN_NORMALS paths
     free = free_paths(1.0, M=2 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=3)
