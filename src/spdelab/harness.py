@@ -173,8 +173,9 @@ MAX_CELLS = 2**25
 MAX_FINE_STEPS = 2**20
 
 # the most normals a run may draw, summed over its Monte Carlo estimates as
-# mc.paths times the fine steps, one normal per path and step: about 90 s of
-# draws; the largest default bound is feynman-kac-nonrandom's 4e8
+# each one's paths times its fine steps, one normal per path and step: about
+# 90 s of draws; the largest default bound is feynman-kac-nonrandom's 4e8
+# (representation-random's ten estimates 1e8, density-64-65's two 5.1e7)
 MAX_NORMALS = 2**32
 
 
@@ -256,7 +257,7 @@ def _levels_dominant(cfg):
     try:
         levels = [_state_space(cfg, nx, n_steps, {}, lattice=not exp.fields_on_tree),
                   _state_space(cfg, *fine, {})]
-        if exp.paths_on_tree and not exp.fields_on_tree:
+        if any(est.bridged for est in exp.estimates(cfg)) and not exp.fields_on_tree:
             cfg.build_tree()
     except (CoefficientError, GridError, TreeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -300,40 +301,39 @@ def _points_inside_domain(cfg):
 
 
 def _dt_mc_divides(cfg):
-    """dt_mc divides the horizon, and the tree step when paths are bridged."""
-    if "dt_mc" in cfg.mc:
-        horizon = float(cfg.tree["horizon"])
-        bridged = EXPERIMENTS[cfg.experiment].paths_on_tree
+    """Each estimate's step divides the horizon, and the tree step when its
+    paths are bridged."""
+    for est in EXPERIMENTS[cfg.experiment].estimates(cfg):
         try:
-            fine_steps(horizon, cfg.mc["dt_mc"], horizon / cfg.tree["n_steps"] if bridged else None)
+            _fine_steps(cfg, est)
         except TreeError as exc:
             raise ConfigError(f"mc.dt_mc: {exc}") from exc
 
 
 def _mc_work_bounded(cfg):
-    """The fine steps and the normals of the run's Monte Carlo estimates are
-    within MAX_FINE_STEPS and MAX_NORMALS; a run without mc.paths draws none."""
-    if "paths" not in cfg.mc:
-        return
-    horizon = float(cfg.tree["horizon"])
-    n_fine, _ = fine_steps(horizon, cfg.mc["dt_mc"], None)
-    if n_fine > MAX_FINE_STEPS:
-        raise ConfigError(f"mc.dt_mc={cfg.mc['dt_mc']:g} makes {n_fine:.3g} fine steps over the "
-                          f"horizon {horizon:g}, past the guard of {MAX_FINE_STEPS:,} fine steps")
-    estimates = EXPERIMENTS[cfg.experiment].estimates(cfg.params)
-    normals = estimates * cfg.mc["paths"] * n_fine
+    """Each Monte Carlo estimate's fine steps are within MAX_FINE_STEPS, and
+    the normals of all of them, each one's paths times its fine steps, within
+    MAX_NORMALS; a run that makes no estimate draws none."""
+    horizon, normals, each = float(cfg.tree["horizon"]), 0, []
+    for est in EXPERIMENTS[cfg.experiment].estimates(cfg):
+        n_fine = _fine_steps(cfg, est)
+        if n_fine > MAX_FINE_STEPS:
+            raise ConfigError(f"{est.name} at dt={est.dt:g} makes {n_fine:.3g} fine steps over "
+                              f"the horizon {horizon:g}, past the guard of {MAX_FINE_STEPS:,} "
+                              f"fine steps")
+        normals += est.paths * n_fine
+        each.append(f"{est.name}: {est.paths:,} paths over {n_fine:,} fine steps")
     if normals > MAX_NORMALS:
-        raise ConfigError(f"the run's {estimates} Monte Carlo estimate(s) of "
-                          f"mc.paths={cfg.mc['paths']:,} paths over {n_fine:,} fine steps would "
-                          f"draw {normals:.3g} normals, past the work guard of {MAX_NORMALS:,} "
-                          f"normals")
+        raise ConfigError(f"the run's {len(each)} Monte Carlo estimate(s) ({', '.join(each)}) "
+                          f"would draw {normals:.3g} normals, past the work guard of "
+                          f"{MAX_NORMALS:,} normals")
 
 
 def _draws_transform_loaded(cfg):
     """A run that draws resolves its normals' transform here, at load: its
     import is paid before harness.run, never inside a run or a draw thread,
     and a run that draws no normals never imports it."""
-    if EXPERIMENTS[cfg.experiment].estimates(cfg.params) > 0:
+    if EXPERIMENTS[cfg.experiment].estimates(cfg):
         try:
             normal_transform()
         except ImportError as exc:
@@ -487,6 +487,31 @@ def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
 
 # --- shared helpers ---------------------------------------------------------
 
+@dataclass(frozen=True)
+class Estimate:
+    """One Monte Carlo estimate of a run: its name in summary.json, its
+    paths, the step dt they march at (mc.dt_mc or the tree step) and
+    whether they are bridged through the scenario tree of the configured
+    level."""
+
+    name: str
+    paths: int
+    dt: float
+    bridged: bool
+
+
+def _fine_steps(cfg, est: Estimate) -> int:
+    """The fine steps est's paths march over the horizon; TreeError unless
+    est.dt divides it, and the tree step when the paths are bridged."""
+    horizon = float(cfg.tree["horizon"])
+    return fine_steps(horizon, est.dt, horizon / cfg.tree["n_steps"] if est.bridged else None)[0]
+
+
+def _node(grid, x: float) -> int:
+    """The grid node nearest x."""
+    return int(np.argmin(np.abs(grid.x - x)))
+
+
 def _state_space(cfg, nx, n_steps, diag, lattice=True):
     """(coeffs, grid, tree) at one level, on the w1 lattice at any d unless
     lattice is unset because the caller reads per-node or per-path values, on
@@ -563,11 +588,16 @@ def _expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float)
     return ((b - a) * np.expm1(-k * (x - a)) / np.expm1(-k * (b - a)) - (x - a)) / f0
 
 
+def _feynman_kac_estimates(cfg) -> list:
+    """The exit-time functional, on free paths at mc.dt_mc."""
+    return [Estimate("v-vs-monte-carlo", cfg.mc["paths"], float(cfg.mc["dt_mc"]), False)]
+
+
 def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
     phi = _dirichlet_profile(grid, tree, _unit)
     sol = op_L(phi, coeffs, grid, tree)
-    ix = int(np.argmin(np.abs(grid.x - cfg.params["x0"])))
+    ix = _node(grid, cfg.params["x0"])
     v_mid = float(sol.v.levels[0][ix, 0])
     oracle = float(_expected_exit_time(float(grid.x[ix]), grid.domain.a, grid.domain.b,
                                        cfg.coefficients["f0"], coeffs.b_total))
@@ -576,45 +606,55 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     kernel_ratio = norm_x0(sol.kernels[0]) / max(norm_x0(phi), 1e-300)
     rows.append(CheckRow(cfg.experiment, "kernels-vanish-nonrandom", "2.1",
                          kernel_ratio, 0.0, 1e-12, kernel_ratio <= 1e-12))
-    est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
-                              grid=grid, dt_mc=float(cfg.mc["dt_mc"]),
-                              tree=None, workers=cfg.workers)
-    diag["monte_carlo"] = {"v-vs-monte-carlo": est.marches()}
+    (mc,) = _feynman_kac_estimates(cfg)
+    est = functional_estimate(coeffs, _unit, float(grid.x[ix]), mc.paths, cfg.mc["seed"],
+                              grid=grid, dt_mc=mc.dt, tree=None, workers=cfg.workers)
+    diag["monte_carlo"] = {mc.name: est.marches()}
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "v-vs-monte-carlo", "1.3",
                          v_mid, est.value, tol, abs(v_mid - est.value) <= tol))
     return rows
 
 
+def _representation_estimates(cfg) -> list:
+    """Two estimates per x point, the control family's at each point and
+    then drift-random's, named at the grid node the point snaps to; their
+    running integrals march at mc.dt_mc, bridged through the tree."""
+    grid = cfg.build_grid()
+    xs = [float(grid.x[_node(grid, x)]) for x in cfg.params["x_points"]]
+    return [Estimate(f"{tag}-at-x={xv:+.2f}", cfg.mc["paths"], float(cfg.mc["dt_mc"]), True)
+            for tag in ("control", "v-vs-mc") for xv in xs]
+
+
 def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
     bridge = cfg.build_tree()  # the Monte Carlo paths follow the tree
     xs = cfg.params["x_points"]
+    estimates = _representation_estimates(cfg)
     dt_dx2 = tree.dt + grid.dx**2
     phi = _dirichlet_profile(grid, tree, _gaussian)
+    diag["monte_carlo"] = {}
 
-    def one_family(family, seed_tag):
+    def one_family(family, seed_tag, estimates):
         sol = op_L(phi, family, grid, tree)
         out = []
-        for xv in xs:
-            ix = int(np.argmin(np.abs(grid.x - xv)))
+        for xv, mc in zip(xs, estimates):
+            ix = _node(grid, xv)
             est = functional_estimate(
-                family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
+                family, _gaussian, float(grid.x[ix]), mc.paths,
                 (cfg.mc["seed"], seed_tag, ix), grid=grid,
-                dt_mc=float(cfg.mc["dt_mc"]), tree=bridge, workers=cfg.workers)
+                dt_mc=mc.dt, tree=bridge, workers=cfg.workers)
+            diag["monte_carlo"][mc.name] = est.marches()
             out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
         return out
 
     control = make_family("constant", {"f0": 0.0, "sigma": cfg.coefficients["sigma"],
                                        "d": cfg.d})
-    ctrl = one_family(control, 0)
+    ctrl = one_family(control, 0, estimates[:len(xs)])
     excess = [max(abs(v - est.value) - 3.0 * est.stderr, 0.0) for _, v, est in ctrl]
     C = max(2.0 * max(excess) / dt_dx2, 0.05)
     rows = []
-    rand = one_family(coeffs, 1)
-    diag["monte_carlo"] = {f"{tag}-at-x={xv:+.2f}": est.marches()
-                           for tag, runs in (("control", ctrl), ("v-vs-mc", rand))
-                           for xv, _, est in runs}
+    rand = one_family(coeffs, 1, estimates[len(xs):])
     for xv, v, est in rand:
         tol = 3.0 * est.stderr + C * dt_dx2
         rows.append(CheckRow(cfg.experiment, f"v-vs-mc-at-x={xv:+.2f}", "5.1a",
@@ -766,6 +806,19 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     return rows
 
 
+def _density_estimates(cfg) -> list:
+    """6.4's conditional estimate and 6.5's unconditional one, both bridged.
+    The conditional rows read snapshots at tree times only: for a drift that
+    does not read x its paths march at the tree step, since a tree block's
+    fine steps sum to the same law at any n_sub (README) and only exit
+    detection between tree times differs.  6.5's running integral, and a
+    drift that reads x, march at mc.dt_mc."""
+    dt_mc, tree_dt = float(cfg.mc["dt_mc"]), float(cfg.tree["horizon"]) / cfg.tree["n_steps"]
+    conditional = dt_mc if cfg.build_coeffs().drift_reads_x else tree_dt
+    return [Estimate("conditional-identity", cfg.mc["paths"], conditional, True),
+            Estimate("unconditional-identity", cfg.mc["paths"], dt_mc, True)]
+
+
 def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     nx, n_steps, p = cfg.grid["nx"], cfg.tree["n_steps"], cfg.params
     # the leaf-path density, its mass trace and per-node audit: the tree
@@ -783,19 +836,19 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     sol = op_L(_dirichlet_profile(grid, lattice, _gaussian), coeffs, grid, lattice)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     del dens, sol  # neither Monte Carlo estimate reads the solves
+    cond_mc, uncond_mc = _density_estimates(cfg)
     cond = conditional_functional(
-        coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
-        tree=tree, grid=grid, p0=p0, dt_mc=float(cfg.mc["dt_mc"]), workers=cfg.workers)
-    diag["monte_carlo"] = {"conditional-identity": cond[0].marches()}
+        coeffs, _gaussian, leaf, p["t_points"], cond_mc.paths, cfg.mc["seed"],
+        tree=tree, grid=grid, p0=p0, dt_mc=cond_mc.dt, workers=cfg.workers)
+    diag["monte_carlo"] = {cond_mc.name: cond[0].marches()}
     rows = []
     for est, t, pde in zip(cond, p["t_points"], pdes):
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
                              pde, est.value, 0.05, rel <= 0.05))
-    est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
-                              grid=grid, dt_mc=float(cfg.mc["dt_mc"]),
-                              tree=tree, workers=cfg.workers)
-    diag["monte_carlo"]["unconditional-identity"] = est.marches()
+    est = functional_estimate(coeffs, _gaussian, p0, uncond_mc.paths, (cfg.mc["seed"], 65),
+                              grid=grid, dt_mc=uncond_mc.dt, tree=tree, workers=cfg.workers)
+    diag["monte_carlo"][uncond_mc.name] = est.marches()
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "unconditional-identity", "6.5",
                          lhs, est.value, tol, abs(lhs - est.value) <= tol))
@@ -835,17 +888,17 @@ class Experiment:
     """checks(config, diagnostics) returns the rows, recording solver diagnostics;
     defaults are the acceptance settings; fields_on_tree: it names a node or a
     path's density of the configured level, whose fields it then holds on the
-    scenario tree; paths_on_tree: its Monte Carlo paths are bridged through
-    the scenario tree of the configured level; superparabolic: it solves R*,
-    L* or the density equation; estimates(params): how many Monte Carlo
-    estimates of mc.paths paths the run makes."""
+    scenario tree; superparabolic: it solves R*, L* or the density equation;
+    estimates(config): the run's Monte Carlo estimates in the order it makes
+    them, one Estimate each.  That table alone decides each estimate's paths,
+    mesh and bridge: the run passes them to the estimators, and the load
+    rules, the work guard and summary.json read them from it."""
 
     checks: Callable
     defaults: dict
     fields_on_tree: bool = False
-    paths_on_tree: bool = False
     superparabolic: bool = False
-    estimates: Callable = lambda params: 0
+    estimates: Callable = lambda config: []
 
 
 _DRIFT_RANDOM = {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}
@@ -857,14 +910,14 @@ EXPERIMENTS = {
         "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
         "mc": {"paths": 100000, "dt_mc": 1.0e-3, "seed": 424242},
         "params": {"x0": 0.5},
-    }, estimates=lambda params: 1),
+    }, estimates=_feynman_kac_estimates),
     "representation-random": Experiment(_exp_representation_random, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    }, paths_on_tree=True, estimates=lambda params: 2 * len(params["x_points"])),  # two families
+    }, estimates=_representation_estimates),
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": 0.0, "b": 8.0},
@@ -891,8 +944,7 @@ EXPERIMENTS = {
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
-    }, fields_on_tree=True, paths_on_tree=True, superparabolic=True,
-        estimates=lambda params: 2),  # 6.4 and 6.5
+    }, fields_on_tree=True, superparabolic=True, estimates=_density_estimates),
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},

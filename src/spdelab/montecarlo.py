@@ -63,7 +63,8 @@ class EstimatorResult:
 
     A chunked estimator also records its marches: the paths per chunk, the
     normals drawn and the share of paths that exited before the horizon,
-    summed over the chunks in chunk order, so the record is deterministic.
+    summed over the chunks in chunk order so the record is deterministic,
+    and the step dt and the fine steps over the horizon its paths marched.
     """
 
     value: float
@@ -71,11 +72,13 @@ class EstimatorResult:
     chunks: tuple = ()
     normals_drawn: int = 0
     exit_frac: float = 0.0
+    dt: float = 0.0
+    fine_steps: int = 0
 
     def marches(self) -> dict:
         """The record of the marches behind the estimate, for summary.json."""
         return {"chunks": list(self.chunks), "normals_drawn": self.normals_drawn,
-                "exit_frac": self.exit_frac}
+                "exit_frac": self.exit_frac, "dt": self.dt, "fine_steps": self.fine_steps}
 
 
 @dataclass
@@ -300,7 +303,8 @@ def _chunked(M: int, workers: int, job) -> list:
     def sums(i, m):
         vals, trajs, bundle = job(i, m)
         exited = int(np.count_nonzero(trajs.tau < bundle.times[-1]))
-        return vals.sum(axis=1), (vals**2).sum(axis=1), trajs.normals_drawn, exited
+        return (vals.sum(axis=1), (vals**2).sum(axis=1), trajs.normals_drawn, exited,
+                bundle.dt_mc, bundle.n_fine)
 
     sizes = [min(CHUNK, M - lo) for lo in range(0, M, CHUNK)]
     if workers <= 1:
@@ -309,9 +313,9 @@ def _chunked(M: int, workers: int, job) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             out = list(pool.map(sums, range(len(sizes)), sizes))
     record = dict(chunks=tuple(sizes), normals_drawn=sum(c[2] for c in out),
-                  exit_frac=sum(c[3] for c in out) / M)
+                  exit_frac=sum(c[3] for c in out) / M, dt=out[0][4], fine_steps=out[0][5])
     return [
-        replace(_estimate((s1[a], s2[a], m) for (s1, s2, _, _), m in zip(out, sizes)), **record)
+        replace(_estimate((c[0][a], c[1][a], m) for c, m in zip(out, sizes)), **record)
         for a in range(out[0][0].size)
     ]
 
@@ -333,6 +337,12 @@ def conditional_functional(
     """Common-noise estimate of E{ I_tau(t) phi(y(t), t) | leaf path } at the
     requested times: the driving components are bridged through the path to
     the leaf, the tail components and the initial draw from p0 stay free.
+
+    dt_mc is the step the paths march at; it must divide the tree step and
+    put every entry of t_grid on its mesh.  For a drift that does not read
+    x and t_grid on tree times, the tree step itself gives each snapshot the
+    law of any finer mesh (a block's steps sum to the same law), and exits
+    are then detected at tree times only.
 
     Returns one EstimatorResult per entry of t_grid; each carries the record
     of the same marches.

@@ -197,11 +197,12 @@ BAD_AT_LOAD = [
     ({"experiment": "adjoint-suite", "params": {"fine_nx": 10001, "fine_n_steps": 510}},
      "would hold 1,308,290,816 cells per field"),
     # the Monte Carlo work guard: 1e8 fine steps (an 800 MB times array per
-    # bundle), and 1e15 normals; the last raised OverflowError (exit 1)
+    # bundle), and 5.1e14 normals (1e12 paths over 10 tree steps and over 500
+    # fine steps); the last raised OverflowError (exit 1)
     ({"experiment": "representation-random", "mc": {"dt_mc": 1e-8}},
      "makes 1e+08 fine steps over the horizon 1, past the guard of 1,048,576 fine steps"),
     ({"experiment": "density-64-65", "mc": {"paths": 10**12}},
-     "would draw 1e+15 normals, past the work guard of 4,294,967,296 normals"),
+     "would draw 5.1e+14 normals, past the work guard of 4,294,967,296 normals"),
     ({"experiment": "feynman-kac-nonrandom", "mc": {"dt_mc": 5e-324}},
      "mc.dt_mc: dt_mc=5e-324 is too small"),
     # was checked and written to summary.json, but no solver read it
@@ -259,13 +260,14 @@ def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
 
     monkeypatch.setattr(harness, "build_tree", counted)
     assert EXPERIMENTS[name].fields_on_tree == (name in ("duality-63", "density-64-65"))
-    assert EXPERIMENTS[name].paths_on_tree == (name in ("representation-random", "density-64-65"))
     on_tree = name in ("representation-random", "duality-63", "density-64-65")
     for over in ({}, {"coefficients": {"sigma": [0.6, 0.8, 0.5], "d": 2},
                       "tree": {"n_steps": 5}}):
         built.clear()
         cfg = ExperimentConfig.from_dict({"experiment": name, **over})
         assert built == ([(cfg.d, cfg.tree["n_steps"])] if on_tree else [])
+        bridged = any(est.bridged for est in EXPERIMENTS[name].estimates(cfg))
+        assert bridged == (name in ("representation-random", "density-64-65"))
 
 
 def test_cell_guard_reads_the_state_space_that_holds_the_fields():
@@ -289,8 +291,11 @@ def test_cell_guard_reads_the_state_space_that_holds_the_fields():
     ("density-64-65", 2, 500)])
 def test_work_guard_counts_every_estimate(name, estimates, n_fine):
     # the most paths whose normals, summed over the run's estimates, fit the
-    # guard load; one more path does not
-    most = harness.MAX_NORMALS // (estimates * n_fine)
+    # guard load; one more path does not.  Each estimate marches the n_fine
+    # steps of mc.dt_mc, except density-64-65's conditional one, which
+    # marches the 10 tree steps
+    at_tree_step = 1 if name == "density-64-65" else 0
+    most = harness.MAX_NORMALS // ((estimates - at_tree_step) * n_fine + at_tree_step * 10)
     assert ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most}})
     with pytest.raises(ConfigError, match=f"the run's {estimates} Monte Carlo estimate"):
         ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most + 1}})
@@ -470,7 +475,8 @@ MC_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 5}, "mc": {"paths": 2000, "d
 ])
 def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
     # each estimator call records its chunk layout, the normals its marches
-    # drew and its exit fraction; a rerun writes the same summary.json bytes
+    # drew, its exit fraction, its step and its fine steps; a rerun writes the
+    # same summary.json bytes
     cfg = ExperimentConfig.from_dict({"experiment": name, "output_dir": str(tmp_path), **over})
     run(cfg)
     first = (tmp_path / "summary.json").read_bytes()
@@ -478,18 +484,45 @@ def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
     assert (tmp_path / "summary.json").read_bytes() == first
     marches = json.loads(first)["diagnostics"]["monte_carlo"]
     assert sorted(marches) == estimates
-    paths, n_fine = cfg.mc["paths"], round(cfg.tree["horizon"] / cfg.mc["dt_mc"])
-    for record in marches.values():
-        assert sorted(record) == ["chunks", "exit_frac", "normals_drawn"]
+    paths, horizon = cfg.mc["paths"], cfg.tree["horizon"]
+    # the conditional estimate reads tree times only and marches at the tree
+    # step; every other estimate marches at mc.dt_mc
+    tree_dt = horizon / cfg.tree["n_steps"]
+    for est, record in marches.items():
+        assert sorted(record) == ["chunks", "dt", "exit_frac", "fine_steps", "normals_drawn"]
+        assert record["dt"] == (tree_dt if est == "conditional-identity" else cfg.mc["dt_mc"])
+        assert record["fine_steps"] == round(horizon / record["dt"])
         # chunks of montecarlo.CHUNK paths in chunk order
         full, rest = divmod(paths, montecarlo.CHUNK)
         assert record["chunks"] == [montecarlo.CHUNK] * full + [rest] * (rest > 0)
         if name == "feynman-kac-nonrandom":
             # every path leaves (0, 1) well before t = 4: the march stops early
-            assert record["exit_frac"] == 1.0 and record["normals_drawn"] < paths * n_fine / 10
+            assert record["exit_frac"] == 1.0
+            assert record["normals_drawn"] < paths * record["fine_steps"] / 10
         else:
             # nothing leaves [-8, 8]: one normal per path and fine step
-            assert record["exit_frac"] == 0.0 and record["normals_drawn"] == paths * n_fine
+            assert record["exit_frac"] == 0.0
+            assert record["normals_drawn"] == paths * record["fine_steps"]
+
+
+def test_conditional_estimate_marches_at_the_tree_step_unless_the_drift_reads_x(tmp_path):
+    # density-64-65's conditional rows read tree times only: under
+    # drift-random its paths march at the tree step, 1,000,000 normals at the
+    # defaults instead of 50,000,000; a drift that reads x keeps mc.dt_mc
+    cfg = ExperimentConfig.from_dict({"experiment": "density-64-65"})
+    table = [(est.name, est.dt, est.paths * harness._fine_steps(cfg, est))
+             for est in EXPERIMENTS["density-64-65"].estimates(cfg)]
+    assert table == [("conditional-identity", 0.1, 1_000_000),
+                     ("unconditional-identity", 0.002, 50_000_000)]
+    smooth = {"family": "space-smooth", "a": 0.5, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1}
+    cfg = ExperimentConfig.from_dict({"experiment": "density-64-65", "output_dir": str(tmp_path),
+                                      "coefficients": smooth, **MC_SMALL})
+    run(cfg)
+    marches = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]["monte_carlo"]
+    assert sorted(marches) == ["conditional-identity", "unconditional-identity"]
+    for record in marches.values():
+        assert (record["dt"], record["fine_steps"]) == (cfg.mc["dt_mc"], 100)
+        assert record["normals_drawn"] == cfg.mc["paths"] * 100
 
 
 @pytest.mark.parametrize("name, over", [

@@ -25,13 +25,13 @@ from pathlib import Path
 
 import pytest
 
-from spdelab.harness import EXPERIMENTS
+from spdelab.harness import EXPERIMENTS, default_config
 from test_golden import REDUCED
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spdelab"
 
 # the experiments whose default run draws normals, and those that draw none
-DRAWING = sorted(n for n, e in EXPERIMENTS.items() if e.estimates(e.defaults.get("params", {})))
+DRAWING = sorted(n for n, e in EXPERIMENTS.items() if e.estimates(default_config(n)))
 PDE_ONLY = sorted(set(EXPERIMENTS) - set(DRAWING))
 
 # spdelab.cli.main on each argument list of argv[1] (JSON) in one

@@ -162,6 +162,28 @@ def test_bridged_blocks_drawn_only_for_live_paths(unit_domain):
     assert trajs.normals_drawn == paths.n_sub * blocks.sum()
 
 
+@pytest.mark.parametrize("n_sub", [1, 25])
+def test_bridged_snapshots_have_the_leaf_law_at_any_mesh(line_domain, n_sub):
+    # drift-random bridged to one leaf from a scalar start: a tree step's
+    # n_sub fine steps sum to s_f sum(Z) + sigma_0 dW_tree, so at every tree
+    # time, at any n_sub (1 marches at the tree step itself),
+    #   y(t_k) ~ N(y0 + sum_{j<k} kappa tanh(w1_j) dt + sigma_0 w1_k, s_f^2 t_k)
+    kappa, sigma, y0, M = 0.25, [0.6, 0.8], 0.3, 20000
+    coeffs = make_family("drift-random", {"kappa": kappa, "sigma": sigma, "d": 1})
+    tree = build_tree(1, 5, 1.0)
+    leaf = 0b10110
+    w1 = np.array([tree.w1[k][node] for k, node in enumerate(tree.leaf_path(leaf))])
+    paths = bridge_paths(tree, leaf, M, coeffs.sigma, tree.dt / n_sub, seed=(23, n_sub))
+    assert paths.n_sub == n_sub
+    trajs = simulate(coeffs, y0, 0.0, paths, line_domain)
+    assert trajs.alive.all()
+    mean = y0 + np.cumsum(kappa * np.tanh(w1[:-1]) * tree.dt) + sigma[0] * w1[1:]
+    var = sigma[1] ** 2 * tree.times()[1:]
+    y = trajs.snapshots[:, 1:]
+    assert np.all(np.abs(y.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / M))
+    assert np.all(np.abs(y.var(axis=0, ddof=1) - var) <= 4.0 * var * np.sqrt(2.0 / (M - 1)))
+
+
 def test_mid_block_start_hits_coarse_targets(line_domain):
     # zero drift, beta = 1 on the tree component: from a start inside block 1,
     # every later tree step moves y by exactly its per-path tree increment
@@ -531,7 +553,7 @@ def test_conditional_functional_worker_independence(line_domain, monkeypatch, re
     a = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, workers=1, **kw)
     b = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, workers=3, **kw)
     assert a[0].chunks == (700, 700, 600)
-    # value, stderr, n and the march record (chunks, normals_drawn, exit_frac)
+    # value, stderr and the march record (chunks, normals_drawn, exit_frac, dt, fine_steps)
     assert a == b
     # with each chunk's march split into three groups of paths over the draw
     # pool, which the chunk threads share
