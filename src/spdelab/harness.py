@@ -45,7 +45,7 @@ from .fields import (
     smooth_random_field,
 )
 from .forward import solve_density, solve_duals
-from .montecarlo import conditional_functional, functional_estimate
+from .montecarlo import conditional_functional, exit_bound, functional_estimate
 from .tree import (TreeError, build_lattice, build_tree, draw_threads, fine_steps,
                    normal_transform)
 
@@ -173,7 +173,7 @@ MAX_CELLS = 2**25
 MAX_FINE_STEPS = 2**20
 
 # the most normals a run may draw, summed over its Monte Carlo estimates as
-# each one's paths times its fine steps, one normal per path and step: about
+# mc.paths times each one's fine steps, one normal per path and step: about
 # 90 s of draws; the largest default bound is feynman-kac-nonrandom's 4e8
 # (representation-random's ten estimates 1e8, density-64-65's two 5.1e7)
 MAX_NORMALS = 2**32
@@ -321,8 +321,8 @@ def _mc_work_bounded(cfg):
             raise ConfigError(f"{est.name} at dt={est.dt:g} makes {n_fine:.3g} fine steps over "
                               f"the horizon {horizon:g}, past the guard of {MAX_FINE_STEPS:,} "
                               f"fine steps")
-        normals += est.paths * n_fine
-        each.append(f"{est.name}: {est.paths:,} paths over {n_fine:,} fine steps")
+        normals += cfg.mc["paths"] * n_fine
+        each.append(f"{est.name}: {cfg.mc['paths']:,} paths over {n_fine:,} fine steps")
     if normals > MAX_NORMALS:
         raise ConfigError(f"the run's {len(each)} Monte Carlo estimate(s) ({', '.join(each)}) "
                           f"would draw {normals:.3g} normals, past the work guard of "
@@ -489,13 +489,12 @@ def default_config(name: str, seed=None, **overrides) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """One Monte Carlo estimate of a run: its name in summary.json, its
-    paths, the step dt they march at (mc.dt_mc or the tree step) and
+    """One Monte Carlo estimate of a run, of mc.paths paths: its name in
+    summary.json, the step dt they march at (mc.dt_mc or the tree step) and
     whether they are bridged through the scenario tree of the configured
     level."""
 
     name: str
-    paths: int
     dt: float
     bridged: bool
 
@@ -590,7 +589,7 @@ def _expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float)
 
 def _feynman_kac_estimates(cfg) -> list:
     """The exit-time functional, on free paths at mc.dt_mc."""
-    return [Estimate("v-vs-monte-carlo", cfg.mc["paths"], float(cfg.mc["dt_mc"]), False)]
+    return [Estimate("v-vs-monte-carlo", float(cfg.mc["dt_mc"]), False)]
 
 
 def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
@@ -607,7 +606,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     rows.append(CheckRow(cfg.experiment, "kernels-vanish-nonrandom", "2.1",
                          kernel_ratio, 0.0, 1e-12, kernel_ratio <= 1e-12))
     (mc,) = _feynman_kac_estimates(cfg)
-    est = functional_estimate(coeffs, _unit, float(grid.x[ix]), mc.paths, cfg.mc["seed"],
+    est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
                               grid=grid, dt_mc=mc.dt, tree=None, workers=cfg.workers)
     diag["monte_carlo"] = {mc.name: est.marches()}
     tol = 3.0 * est.stderr + 0.02
@@ -616,48 +615,48 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     return rows
 
 
-def _representation_estimates(cfg) -> list:
-    """Two estimates per x point, the control family's at each point and
-    then drift-random's, named at the grid node the point snaps to; their
-    running integrals march at mc.dt_mc, bridged through the tree."""
+def _representation_estimates(cfg, nodes=False) -> list:
+    """Two estimates per x point, the control family's (seed tag 0) at each
+    point and then drift-random's (1), named at the grid node ix the point
+    snaps to; their running integrals march at mc.dt_mc, bridged through
+    the tree.  With nodes, (seed tag, ix, Estimate) triples."""
     grid = cfg.build_grid()
-    xs = [float(grid.x[_node(grid, x)]) for x in cfg.params["x_points"]]
-    return [Estimate(f"{tag}-at-x={xv:+.2f}", cfg.mc["paths"], float(cfg.mc["dt_mc"]), True)
-            for tag in ("control", "v-vs-mc") for xv in xs]
+    table = [(tag, ix, Estimate(f"{name}-at-x={grid.x[ix]:+.2f}", float(cfg.mc["dt_mc"]), True))
+             for tag, name in enumerate(("control", "v-vs-mc"))
+             for ix in [_node(grid, x) for x in cfg.params["x_points"]]]
+    return table if nodes else [est for _, _, est in table]
 
 
 def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
     bridge = cfg.build_tree()  # the Monte Carlo paths follow the tree
-    xs = cfg.params["x_points"]
-    estimates = _representation_estimates(cfg)
+    table = _representation_estimates(cfg, nodes=True)
     dt_dx2 = tree.dt + grid.dx**2
     phi = _dirichlet_profile(grid, tree, _gaussian)
     diag["monte_carlo"] = {}
 
-    def one_family(family, seed_tag, estimates):
+    def one_family(family, seed_tag):
         sol = op_L(phi, family, grid, tree)
         out = []
-        for xv, mc in zip(xs, estimates):
-            ix = _node(grid, xv)
-            est = functional_estimate(
-                family, _gaussian, float(grid.x[ix]), mc.paths,
-                (cfg.mc["seed"], seed_tag, ix), grid=grid,
-                dt_mc=mc.dt, tree=bridge, workers=cfg.workers)
-            diag["monte_carlo"][mc.name] = est.marches()
-            out.append((float(grid.x[ix]), float(sol.v.levels[0][ix, 0]), est))
+        for tag, ix, mc in table:
+            if tag == seed_tag:
+                est = functional_estimate(
+                    family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
+                    (cfg.mc["seed"], seed_tag, ix), grid=grid,
+                    dt_mc=mc.dt, tree=bridge, workers=cfg.workers)
+                diag["monte_carlo"][mc.name] = est.marches()
+                out.append((mc.name, float(sol.v.levels[0][ix, 0]), est))
         return out
 
     control = make_family("constant", {"f0": 0.0, "sigma": cfg.coefficients["sigma"],
                                        "d": cfg.d})
-    ctrl = one_family(control, 0, estimates[:len(xs)])
+    ctrl = one_family(control, 0)
     excess = [max(abs(v - est.value) - 3.0 * est.stderr, 0.0) for _, v, est in ctrl]
     C = max(2.0 * max(excess) / dt_dx2, 0.05)
     rows = []
-    rand = one_family(coeffs, 1, estimates[len(xs):])
-    for xv, v, est in rand:
+    for name, v, est in one_family(coeffs, 1):
         tol = 3.0 * est.stderr + C * dt_dx2
-        rows.append(CheckRow(cfg.experiment, f"v-vs-mc-at-x={xv:+.2f}", "5.1a",
+        rows.append(CheckRow(cfg.experiment, name, "5.1a",
                              v, est.value, tol, abs(v - est.value) <= tol))
     return rows
 
@@ -806,17 +805,32 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     return rows
 
 
+# the exit probability below which density-64-65's conditional paths march
+# at the tree step: the rows' integrand is at most 1, so a missed exit moves
+# a row by less, far below the standard error at any path count the work
+# guard admits (fewer than 2**32 paths: at least 1.5e-5 of the integrand's
+# spread)
+_EXIT_NEGLIGIBLE = 1e-9
+
+
 def _density_estimates(cfg) -> list:
     """6.4's conditional estimate and 6.5's unconditional one, both bridged.
-    The conditional rows read snapshots at tree times only: for a drift that
-    does not read x its paths march at the tree step, since a tree block's
-    fine steps sum to the same law at any n_sub (README) and only exit
-    detection between tree times differs.  6.5's running integral, and a
-    drift that reads x, march at mc.dt_mc."""
-    dt_mc, tree_dt = float(cfg.mc["dt_mc"]), float(cfg.tree["horizon"]) / cfg.tree["n_steps"]
-    conditional = dt_mc if cfg.build_coeffs().drift_reads_x else tree_dt
-    return [Estimate("conditional-identity", cfg.mc["paths"], conditional, True),
-            Estimate("unconditional-identity", cfg.mc["paths"], dt_mc, True)]
+    The conditional rows read snapshots at tree times only, and a tree
+    block's fine steps sum to the same law at any n_sub (README): for a
+    drift that does not read x its paths march at the tree step, unless
+    they may exit, which the tree step detects at tree times only, with
+    probability past _EXIT_NEGLIGIBLE (montecarlo.exit_bound).  6.5's
+    running integral and every other case march at mc.dt_mc."""
+    dt_mc, n_steps, coeffs = float(cfg.mc["dt_mc"]), cfg.tree["n_steps"], cfg.build_coeffs()
+    conditional = dt_mc
+    if not coeffs.drift_reads_x:
+        grid = cfg.build_grid()
+        p0 = _gaussian_density(grid, cfg.params["p0_width"])
+        if exit_bound(coeffs, int(cfg.params["leaf_bits"], 2), n_steps, p0,
+                      grid) <= _EXIT_NEGLIGIBLE:
+            conditional = float(cfg.tree["horizon"]) / n_steps
+    return [Estimate("conditional-identity", conditional, True),
+            Estimate("unconditional-identity", dt_mc, True)]
 
 
 def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
@@ -838,7 +852,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     del dens, sol  # neither Monte Carlo estimate reads the solves
     cond_mc, uncond_mc = _density_estimates(cfg)
     cond = conditional_functional(
-        coeffs, _gaussian, leaf, p["t_points"], cond_mc.paths, cfg.mc["seed"],
+        coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
         tree=tree, grid=grid, p0=p0, dt_mc=cond_mc.dt, workers=cfg.workers)
     diag["monte_carlo"] = {cond_mc.name: cond[0].marches()}
     rows = []
@@ -846,7 +860,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
         rel = abs(pde - est.value) / max(abs(pde), 1e-300)
         rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
                              pde, est.value, 0.05, rel <= 0.05))
-    est = functional_estimate(coeffs, _gaussian, p0, uncond_mc.paths, (cfg.mc["seed"], 65),
+    est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
                               grid=grid, dt_mc=uncond_mc.dt, tree=tree, workers=cfg.workers)
     diag["monte_carlo"][uncond_mc.name] = est.marches()
     tol = 3.0 * est.stderr + 0.02
@@ -890,9 +904,9 @@ class Experiment:
     path's density of the configured level, whose fields it then holds on the
     scenario tree; superparabolic: it solves R*, L* or the density equation;
     estimates(config): the run's Monte Carlo estimates in the order it makes
-    them, one Estimate each.  That table alone decides each estimate's paths,
-    mesh and bridge: the run passes them to the estimators, and the load
-    rules, the work guard and summary.json read them from it."""
+    them, one Estimate each, of mc.paths paths.  That table alone decides
+    each estimate's mesh and bridge: the run passes them to the estimators,
+    and the load rules, the work guard and summary.json read them from it."""
 
     checks: Callable
     defaults: dict

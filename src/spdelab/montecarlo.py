@@ -49,6 +49,7 @@ from .tree import (
     ScenarioTree,
     bridge_paths,
     free_paths,
+    leaf_walk,
     sample_tree_paths,
 )
 
@@ -320,6 +321,44 @@ def _chunked(M: int, workers: int, job) -> list:
     ]
 
 
+# the share of exit_bound spent on the bridges between tree times
+BRIDGE_SHARE = 1e-12
+
+
+def exit_bound(coeffs: CoefficientSet, leaf: int, n_steps: int, p0: np.ndarray,
+               grid: Grid) -> float:
+    """An upper bound on the probability that a path bridged to leaf of the
+    n_steps tree over the grid's horizon, from an initial draw from p0,
+    leaves the domain at any time before the horizon (not only at mesh
+    points), for a drift that does not read x.
+
+    Given the leaf, y(t) = y0 + m(t) + sigma[:d].B(t) + s_f W(t): m is
+    linear between the tree times, where it is
+    sum_{j<k} f_j dt + sigma[:d].w_k; B is a Brownian bridge on each tree
+    step and W a Brownian motion.  So y exits only if |sigma[:d].B| reaches
+    v on some step, with probability at most
+    2 n_steps exp(-2 v^2 / (|sigma[:d]|^2 dt)) = BRIDGE_SHARE for the v
+    taken here, or s_f W reaches b - y0 - max m - v (a - y0 - min m + v),
+    with probability at most exp(-u^2 / (2 s_f^2 horizon)) at distance
+    u >= 0 (reflection and the Gaussian tail).  y0 is uniform on each cell
+    (`sample_from_density`), taken at the cell's end nearer the exit.
+    """
+    if coeffs.drift_reads_x:
+        raise SimulationError("exit_bound needs a drift that does not read x")
+    sigma, d, horizon = coeffs.sigma, coeffs.d, grid.domain.horizon
+    dt = horizon / n_steps
+    w = leaf_walk(d, n_steps, horizon, leaf)
+    drift = [float(coeffs.drift(0.0, k * dt, w[k, 0])) for k in range(n_steps)]
+    m = np.concatenate([[0.0], np.cumsum(np.array(drift) * dt)]) + w @ sigma[:d]
+    v = np.linalg.norm(sigma[:d]) * np.sqrt(0.5 * dt * np.log(2 * n_steps / BRIDGE_SHARE))
+    up = np.maximum(grid.domain.b - grid.x[1:] - m.max() - v, 0.0)
+    down = np.maximum(grid.x[:-1] - grid.domain.a + m.min() - v, 0.0)
+    spread = max(2.0 * float(np.dot(sigma[d:], sigma[d:])) * horizon, 1e-300)
+    cells = 0.5 * (p0[1:] + p0[:-1])
+    tails = np.exp(-up**2 / spread) + np.exp(-down**2 / spread)
+    return min(1.0, BRIDGE_SHARE + float(cells @ tails / cells.sum()))
+
+
 def conditional_functional(
     coeffs: CoefficientSet,
     phi,
@@ -341,8 +380,9 @@ def conditional_functional(
     dt_mc is the step the paths march at; it must divide the tree step and
     put every entry of t_grid on its mesh.  For a drift that does not read
     x and t_grid on tree times, the tree step itself gives each snapshot the
-    law of any finer mesh (a block's steps sum to the same law), and exits
-    are then detected at tree times only.
+    law of any finer mesh (a block's steps sum to the same law), but exits
+    are then detected at tree times only: exit_bound tells where that is
+    negligible.
 
     Returns one EstimatorResult per entry of t_grid; each carries the record
     of the same marches.

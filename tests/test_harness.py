@@ -510,7 +510,7 @@ def test_conditional_estimate_marches_at_the_tree_step_unless_the_drift_reads_x(
     # drift-random its paths march at the tree step, 1,000,000 normals at the
     # defaults instead of 50,000,000; a drift that reads x keeps mc.dt_mc
     cfg = ExperimentConfig.from_dict({"experiment": "density-64-65"})
-    table = [(est.name, est.dt, est.paths * harness._fine_steps(cfg, est))
+    table = [(est.name, est.dt, cfg.mc["paths"] * harness._fine_steps(cfg, est))
              for est in EXPERIMENTS["density-64-65"].estimates(cfg)]
     assert table == [("conditional-identity", 0.1, 1_000_000),
                      ("unconditional-identity", 0.002, 50_000_000)]
@@ -523,6 +523,32 @@ def test_conditional_estimate_marches_at_the_tree_step_unless_the_drift_reads_x(
     for record in marches.values():
         assert (record["dt"], record["fine_steps"]) == (cfg.mc["dt_mc"], 100)
         assert record["normals_drawn"] == cfg.mc["paths"] * 100
+
+
+def test_conditional_estimate_keeps_dt_mc_where_paths_may_exit(tmp_path):
+    # on [-2, 2] a path bridged to the leaf may exit before the horizon
+    # (montecarlo.exit_bound 0.83; 1.5e-10 on [-8, 8] at this size), and at
+    # the tree step exits would show at tree times only: the conditional
+    # estimate keeps mc.dt_mc, its rows are those of a dt_mc march, and a
+    # march at the tree step sees fewer of its paths exit
+    cfg = ExperimentConfig.from_dict({"experiment": "density-64-65", "output_dir": str(tmp_path),
+                                      **MC_SMALL, "domain": {"a": -2.0, "b": 2.0}})
+    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(cfg)] == [0.01, 0.01]
+    rows = [row for row in run(cfg).rows if row.check.startswith("conditional-identity")]
+    record = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]["monte_carlo"]
+    assert (record["conditional-identity"]["dt"], record["conditional-identity"]["fine_steps"]) \
+        == (0.01, 100)
+    grid = cfg.build_grid()
+    fine, coarse = (montecarlo.conditional_functional(
+        cfg.build_coeffs(), harness._gaussian, int(cfg.params["leaf_bits"], 2),
+        cfg.params["t_points"], cfg.mc["paths"], cfg.mc["seed"], tree=cfg.build_tree(),
+        grid=grid, p0=harness._gaussian_density(grid, cfg.params["p0_width"]), dt_mc=dt)
+        for dt in (0.01, 0.2))
+    assert [row.rhs for row in rows] == [est.value for est in fine]
+    assert record["conditional-identity"]["exit_frac"] == fine[0].exit_frac > 0.05
+    assert coarse[0].exit_frac < 0.75 * fine[0].exit_frac
+    wide = ExperimentConfig.from_dict({"experiment": "density-64-65", **MC_SMALL})
+    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(wide)] == [0.2, 0.01]
 
 
 @pytest.mark.parametrize("name, over", [

@@ -184,6 +184,35 @@ def test_bridged_snapshots_have_the_leaf_law_at_any_mesh(line_domain, n_sub):
     assert np.all(np.abs(y.var(axis=0, ddof=1) - var) <= 4.0 * var * np.sqrt(2.0 / (M - 1)))
 
 
+@pytest.mark.parametrize("half_width", [2.0, 2.5, 3.0])
+def test_exit_bound_covers_the_exits_of_a_fine_march(half_width):
+    # drift-random bridged to one leaf from p0 on (-h, h): the share of paths
+    # a fine march sees exit (fewer than exit in continuous time) stays
+    # within exit_bound, which falls as the domain widens and is negligible
+    # on [-8, 8]
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    tree, leaf = build_tree(1, 10, 1.0), 0b1010101010
+
+    def bound(h):
+        """(exit_bound, p0, grid) on (-h, h) at dx = 0.1, p0 of width 0.5."""
+        grid = build_grid(DomainSpec(-h, h, 1.0), int(20 * h) + 1)
+        p0 = np.exp(-grid.x**2 / 0.5)
+        p0[0] = p0[-1] = 0.0
+        p0 /= grid.dx * p0.sum()
+        return montecarlo.exit_bound(coeffs, leaf, tree.n_steps, p0, grid), p0, grid
+
+    at, p0, grid = bound(half_width)
+    (est,) = conditional_functional(coeffs, lambda y, t, w1: np.ones_like(y), leaf, [1.0],
+                                    4000, (41, int(10 * half_width)), tree=tree, grid=grid,
+                                    p0=p0, dt_mc=0.002)
+    assert 0.0 < est.exit_frac <= at < 1.0
+    assert bound(half_width + 1.0)[0] < at
+    assert bound(8.0)[0] < 1e-9
+    smooth = make_family("space-smooth", {"a": 0.5, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1})
+    with pytest.raises(SimulationError, match="does not read x"):
+        montecarlo.exit_bound(smooth, leaf, tree.n_steps, p0, grid)
+
+
 def test_mid_block_start_hits_coarse_targets(line_domain):
     # zero drift, beta = 1 on the tree component: from a start inside block 1,
     # every later tree step moves y by exactly its per-path tree increment

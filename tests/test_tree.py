@@ -142,6 +142,24 @@ def test_w1_bits_are_running_sums_of_branch_digits():
         assert np.array_equal(lattice.w1[k], np.sqrt(0.1) * (k - 2.0 * np.arange(k + 1)))
 
 
+def test_leaf_walk_follows_the_tree_path_to_the_leaf():
+    # every component of W[:d] along root -> leaf, as the tree's branch
+    # digits add it up, for every leaf, without building the tree
+    for d, n_steps in ((1, 10), (2, 5)):
+        tree = build_tree(d, n_steps, 1.3)
+        for leaf in range(tree.n_leaves):
+            walk = tree_module.leaf_walk(d, n_steps, 1.3, leaf)
+            path = tree.leaf_path(leaf)
+            assert walk.shape == (n_steps + 1, d)
+            assert np.allclose(walk[:, 0], [tree.w1[k][i] for k, i in enumerate(path)],
+                               rtol=0.0, atol=1e-14)
+            steps = tree.digit_signs[path[1:] % tree.branching] * tree.sqdt
+            assert np.allclose(np.diff(walk, axis=0), steps, rtol=0.0, atol=1e-14)
+        # bits past the tree's d * n_steps are dropped, as modulo the leaf count
+        assert np.array_equal(tree_module.leaf_walk(d, n_steps, 1.3, 3 * tree.n_leaves + 5),
+                              tree_module.leaf_walk(d, n_steps, 1.3, 5))
+
+
 def test_increment_moments_exact():
     for d in (1, 2):
         tree = build_tree(d, 4, 2.0)
