@@ -45,7 +45,8 @@ from .fields import (
     smooth_random_field,
 )
 from .forward import solve_density, solve_duals
-from .montecarlo import conditional_functional, exit_bound, functional_estimate
+from .montecarlo import (conditional_functional, exit_bound, expected_exit_time,
+                         functional_estimate)
 from .tree import (TreeError, build_lattice, build_tree, draw_threads, fine_steps,
                    normal_transform)
 
@@ -117,19 +118,9 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
             {
                 "experiment": report.experiment,
                 "passed": report.passed,
-                "checks": [
-                    {
-                        "check": r.check,
-                        "paper_anchor": r.paper_anchor,
-                        "lhs": r.lhs,
-                        "rhs": r.rhs,
-                        "abs_err": r.abs_err,
-                        "rel_err": r.rel_err,
-                        "tol": r.tol,
-                        "pass": r.passed,
-                    }
-                    for r in report.rows
-                ],
+                # report.csv's columns but the experiment, values unformatted
+                "checks": [{key: getattr(r, "passed" if key == "pass" else key)
+                            for key in _CSV_COLUMNS[1:]} for r in report.rows],
                 "config": report.config,
                 "diagnostics": report.diagnostics,
             },
@@ -169,13 +160,13 @@ MAX_NX = 10_001
 MAX_CELLS = 2**25
 
 # the most fine Monte Carlo steps over the horizon: a times array of 8 MB per
-# bundle, 262x the largest default's 4000 steps (feynman-kac-nonrandom)
+# bundle, 1048x the largest default's 1000 steps (feynman-kac-nonrandom)
 MAX_FINE_STEPS = 2**20
 
 # the most normals a run may draw, summed over its Monte Carlo estimates as
 # mc.paths times each one's fine steps, one normal per path and step: about
-# 90 s of draws; the largest default bound is feynman-kac-nonrandom's 4e8
-# (representation-random's ten estimates 1e8, density-64-65's two 5.1e7)
+# 90 s of draws; the largest default bound is 1e8, feynman-kac-nonrandom's
+# one estimate and representation-random's ten (density-64-65's two 5.1e7)
 MAX_NORMALS = 2**32
 
 
@@ -270,6 +261,15 @@ def _levels_dominant(cfg):
                 f"tridiagonal solver (no pivoting) needs: "
                 f"2 dt (K1/(2dx) - b/(2dx^2)) = {value:.3g} > 1 "
                 f"(K1={k1:g}, b={b:g}); take more tree steps or a smaller drift")
+
+
+def _p0_has_mass(cfg):
+    """The initial density of p0_width has a finite, positive mass on the
+    grid of each level (density-64-65's estimate table, which reads it in
+    _levels_dominant, has then refused a width without one)."""
+    if "p0_width" in cfg.params:
+        for nx in (cfg.grid["nx"], cfg.params.get("fine_nx", cfg.grid["nx"])):
+            _gaussian_density(cfg.build_grid(nx), cfg.params["p0_width"])
 
 
 def _superparabolic_regime(cfg):
@@ -368,9 +368,10 @@ def _leaf_bits_name_a_leaf(cfg):
                           f"per driving component and tree step, got {len(bits)}: {bits!r}")
 
 
-RULES = (_oracle_family, _levels_dominant, _superparabolic_regime, _fine_not_coarser,
-         _points_inside_domain, _dt_mc_divides, _mc_work_bounded, _draws_transform_loaded,
-         _t_points_on_tree_times, _node_checks_fit, _leaf_bits_name_a_leaf)
+RULES = (_oracle_family, _levels_dominant, _p0_has_mass, _superparabolic_regime,
+         _fine_not_coarser, _points_inside_domain, _dt_mc_divides, _mc_work_bounded,
+         _draws_transform_loaded, _t_points_on_tree_times, _node_checks_fit,
+         _leaf_bits_name_a_leaf)
 
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
 
@@ -542,9 +543,15 @@ def _coefficient_diagnostics(cfg) -> dict:
 
 
 def _gaussian_density(grid, width: float) -> np.ndarray:
-    p0 = np.exp(-grid.x**2 / (2.0 * width**2))
-    p0[0] = p0[-1] = 0.0
-    p0 /= grid.dx * p0[1:-1].sum()
+    """exp(-x^2 / (2 width^2)) at the interior nodes, of unit mass;
+    ConfigError if it has no finite, positive mass on the grid."""
+    with np.errstate(all="ignore"):  # a width whose square underflows
+        p0 = np.exp(-grid.x**2 / (2.0 * width**2))
+        p0[0] = p0[-1] = 0.0
+        p0 /= grid.dx * p0[1:-1].sum()
+    if not np.isfinite(p0).all():
+        raise ConfigError(f"params.p0_width={width!r} leaves the initial density no finite, "
+                          f"positive mass on the grid of nx={grid.nx}")
     return p0
 
 
@@ -578,15 +585,6 @@ def _gaussian(x, t, w1):
 # --- experiments -------------------------------------------------------------
 
 
-def _expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float) -> float:
-    """E[exit time of (a, b)] from x for dX = f0 dt + sigma dW: the solution
-    of (b_total/2) u'' + f0 u' = -1 with u(a) = u(b) = 0."""
-    if f0 == 0.0:
-        return (x - a) * (b - x) / b_total
-    k = 2.0 * f0 / b_total
-    return ((b - a) * np.expm1(-k * (x - a)) / np.expm1(-k * (b - a)) - (x - a)) / f0
-
-
 def _feynman_kac_estimates(cfg) -> list:
     """The exit-time functional, on free paths at mc.dt_mc."""
     return [Estimate("v-vs-monte-carlo", float(cfg.mc["dt_mc"]), False)]
@@ -598,8 +596,8 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     sol = op_L(phi, coeffs, grid, tree)
     ix = _node(grid, cfg.params["x0"])
     v_mid = float(sol.v.levels[0][ix, 0])
-    oracle = float(_expected_exit_time(float(grid.x[ix]), grid.domain.a, grid.domain.b,
-                                       cfg.coefficients["f0"], coeffs.b_total))
+    oracle = float(expected_exit_time(float(grid.x[ix]), grid.domain.a, grid.domain.b,
+                                      cfg.coefficients["f0"], coeffs.b_total))
     rows = [CheckRow(cfg.experiment, "v-mid-vs-exit-time-oracle", "5.1c",
                      v_mid, oracle, 0.02, abs(v_mid - oracle) <= 0.02)]
     kernel_ratio = norm_x0(sol.kernels[0]) / max(norm_x0(phi), 1e-300)
@@ -608,7 +606,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     (mc,) = _feynman_kac_estimates(cfg)
     est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
                               grid=grid, dt_mc=mc.dt, tree=None, workers=cfg.workers)
-    diag["monte_carlo"] = {mc.name: est.marches()}
+    diag["monte_carlo"] = {mc.name: dict(est.marches(), exact=oracle)}
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "v-vs-monte-carlo", "1.3",
                          v_mid, est.value, tol, abs(v_mid - est.value) <= tol))
@@ -721,15 +719,10 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     # phi, so a phi start would retrace it and the agreement would read 0
     start = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], 1))
     g_b, info_b = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL, x0=start)
-    phi_norm = norm_x0(phi)
-    rows = [
-        CheckRow(cfg.experiment, "residual-from-zero-start", "4.1",
-                 info_a["residual"], 0.0, _RESIDUAL_TOL * phi_norm,
-                 info_a["residual"] <= _RESIDUAL_TOL * phi_norm),
-        CheckRow(cfg.experiment, "residual-from-random-start", "4.1",
-                 info_b["residual"], 0.0, _RESIDUAL_TOL * phi_norm,
-                 info_b["residual"] <= _RESIDUAL_TOL * phi_norm),
-    ]
+    tol = _RESIDUAL_TOL * norm_x0(phi)
+    rows = [CheckRow(cfg.experiment, f"residual-from-{name}-start", "4.1",
+                     info["residual"], 0.0, tol, info["residual"] <= tol)
+            for name, info in (("zero", info_a), ("random", info_b))]
     agreement = norm_x0(g_a - g_b) / max(norm_x0(g_a), 1e-300)
     rows.append(CheckRow(cfg.experiment, "iterate-agreement", "4.1",
                          agreement, 0.0, 1.0e-7, agreement <= 1.0e-7))
@@ -854,12 +847,12 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     cond = conditional_functional(
         coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
         tree=tree, grid=grid, p0=p0, dt_mc=cond_mc.dt, workers=cfg.workers)
-    diag["monte_carlo"] = {cond_mc.name: cond[0].marches()}
-    rows = []
-    for est, t, pde in zip(cond, p["t_points"], pdes):
-        rel = abs(pde - est.value) / max(abs(pde), 1e-300)
-        rows.append(CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4",
-                             pde, est.value, 0.05, rel <= 0.05))
+    # one march, one estimate per t_point
+    diag["monte_carlo"] = {cond_mc.name: dict(cond[0].marches(), value=[e.value for e in cond],
+                                              stderr=[e.stderr for e in cond])}
+    rows = [CheckRow(cfg.experiment, f"conditional-identity-t={t:g}", "6.4", pde, est.value,
+                     0.05, abs(pde - est.value) / max(abs(pde), 1e-300) <= 0.05)
+            for est, t, pde in zip(cond, p["t_points"], pdes)]
     est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
                               grid=grid, dt_mc=uncond_mc.dt, tree=tree, workers=cfg.workers)
     diag["monte_carlo"][uncond_mc.name] = est.marches()
@@ -922,7 +915,7 @@ EXPERIMENTS = {
         "coefficients": {"family": "constant", "f0": 0.0, "sigma": [1.0], "d": 1},
         "domain": {"a": 0.0, "b": 1.0},
         "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
-        "mc": {"paths": 100000, "dt_mc": 1.0e-3, "seed": 424242},
+        "mc": {"paths": 100000, "dt_mc": 4.0e-3, "seed": 424242},
         "params": {"x0": 0.5},
     }, estimates=_feynman_kac_estimates),
     "representation-random": Experiment(_exp_representation_random, {

@@ -25,12 +25,17 @@ index, while the block stays as drawn and a column index maps the live
 paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
-integrands registered with `simulate`.  Exits are detected at mesh points
-only (no crossing correction; the O(sqrt(dt_mc)) under-detection bias is
-absorbed into the acceptance tolerances); exited paths freeze and their
-alive indicator flips once.  Estimates run in chunks of CHUNK paths; chunk
-i of an estimate is seeded (seed, tag, i), which SeedSequence flattens at any
-nesting (the rule in `tree`), so results do not depend on the worker count.
+integrands registered with `simulate`.  Exits are tested at mesh points.
+Free paths test them against the domain shifted inwards by
+EXIT_SHIFT |sigma| sqrt(dt_mc) at each end, which removes the leading
+O(sqrt(dt_mc)) bias of the exits missed between mesh points; tree-bridged
+paths, whose block increments are conditioned on their sum, test them
+against the domain itself, and that bias stays in the acceptance
+tolerances (exit_bound says where it is negligible).  Exited paths freeze
+and their alive indicator flips once.  Estimates run in chunks of CHUNK
+paths; chunk i of an estimate is seeded (seed, tag, i), which SeedSequence
+flattens at any nesting (the rule in `tree`), so results do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ class SimulationError(ValueError):
     """Raised for inconsistent simulation inputs."""
 
 
+# beta = -zeta(1/2) / sqrt(2 pi).  A march that tests for an exit of (a, b)
+# at mesh points alone misses exits between them, an O(sqrt(dt)) bias;
+# testing against (a + beta |sigma| sqrt(dt), b - beta |sigma| sqrt(dt))
+# removes its leading term (Broadie, Glasserman and Kou, Math. Finance 7,
+# 1997; for general diffusions Gobet and Menozzi, Stoch. Proc. Appl. 120, 2010)
+EXIT_SHIFT = 0.5825971579390107
+
+
 @dataclass(frozen=True)
 class EstimatorResult:
     """A Monte Carlo mean and its standard error.
@@ -77,9 +90,10 @@ class EstimatorResult:
     fine_steps: int = 0
 
     def marches(self) -> dict:
-        """The record of the marches behind the estimate, for summary.json."""
-        return {"chunks": list(self.chunks), "normals_drawn": self.normals_drawn,
-                "exit_frac": self.exit_frac, "dt": self.dt, "fine_steps": self.fine_steps}
+        """The estimate and the record of the marches behind it, for summary.json."""
+        return {"value": self.value, "stderr": self.stderr, "chunks": list(self.chunks),
+                "normals_drawn": self.normals_drawn, "exit_frac": self.exit_frac,
+                "dt": self.dt, "fine_steps": self.fine_steps}
 
 
 @dataclass
@@ -163,6 +177,12 @@ def simulate(
     lo_x, hi_x = domain.a, domain.b
     if np.any((y < lo_x) | (y > hi_x)):
         raise SimulationError("initial value outside the closed domain")
+    if paths.tree is None:
+        # free paths test exits against the shifted band, which corrects the
+        # exits missed between mesh points; a bridged block's increments are
+        # conditioned on their sum, so its paths keep mesh-only exits
+        shift = EXIT_SHIFT * np.sqrt(coeffs.b_total * dt)
+        lo_x, hi_x = lo_x + shift, hi_x - shift
 
     horizon = paths.times[-1]
     if snapshot_times is None:
@@ -319,6 +339,16 @@ def _chunked(M: int, workers: int, job) -> list:
         replace(_estimate((c[0][a], c[1][a], m) for c, m in zip(out, sizes)), **record)
         for a in range(out[0][0].size)
     ]
+
+
+def expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float) -> float:
+    """E[exit time of (a, b)] from x for dX = f0 dt + sigma dW, b_total =
+    |sigma|^2: the solution of (b_total/2) u'' + f0 u' = -1 with
+    u(a) = u(b) = 0, the exact value of the exit-time functional."""
+    if f0 == 0.0:
+        return (x - a) * (b - x) / b_total
+    k = 2.0 * f0 / b_total
+    return ((b - a) * np.expm1(-k * (x - a)) / np.expm1(-k * (b - a)) - (x - a)) / f0
 
 
 # the share of exit_bound spent on the bridges between tree times

@@ -4,7 +4,9 @@ the reference that `montecarlo.simulate` must match bit for bit.
 Each fine step evaluates the drift at every live path, and every exit
 compacts the live paths, their running integrals, their w1 and the current
 noise block with one boolean mask.  A noise block is the first n_sub steps
-of a draw, so free paths are drawn one fine step at a time.
+of a draw, so free paths are drawn one fine step at a time.  Free paths
+test exits against the boundary-shifted band, bridged paths against the
+domain.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from spdelab.coefficients import CoefficientSet
 from spdelab.domain import Grid
-from spdelab.montecarlo import SimulationError, TrajectorySet, sample_from_density
+from spdelab.montecarlo import EXIT_SHIFT, SimulationError, TrajectorySet, sample_from_density
 from spdelab.tree import PathBundle
 
 
@@ -62,6 +64,9 @@ def reference_simulate(
     lo, hi = domain.a, domain.b
     if np.any((y < lo) | (y > hi)):
         raise SimulationError("initial value outside the closed domain")
+    if paths.tree is None:  # free paths exit at the boundary-shifted band
+        shift = EXIT_SHIFT * np.sqrt(coeffs.b_total * dt)
+        lo, hi = lo + shift, hi - shift
 
     horizon = paths.times[-1]
     if snapshot_times is None:

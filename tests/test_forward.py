@@ -23,6 +23,7 @@ from spdelab.backward import backward_sweep
 from spdelab.domain import dx_centered
 from spdelab.fields import inner_x0, norm_x0, smooth_random_field
 from spdelab.forward import _forward_march
+from spdelab.harness import _gaussian_density
 from spdelab.tree import TreeNode
 
 
@@ -368,3 +369,44 @@ def test_march_rejects_nonfinite_levels():
     h.levels[2][grid.nx // 2, 1] = np.nan  # enters the step from level 1 to 2
     with pytest.raises(ForwardSolverError, match="lost finiteness at level 2"):
         solve_T_star(h, coeffs, grid, tree)
+
+
+def kick_ratio_audit(sigma, d):
+    """(r, lobe, mass) of the density march on reduced density-64-65 (nx 41,
+    N 5, Gaussian p0 of width 0.5 on [-8, 8], drift-random): the kick ratio
+    r = (sum_{j<d} |sigma_j|)^2 / |sigma|^2, the most negative level minimum
+    over that level's peak, and the largest node mass."""
+    grid = build_grid(DomainSpec(-8.0, 8.0, 1.0), 41)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": sigma, "d": d})
+    dens = solve_density(_gaussian_density(grid, 0.5), coeffs, grid, build_tree(d, 5, 1.0))
+    s = np.abs(coeffs.sigma)
+    return (s[:d].sum() ** 2 / (s @ s), min(lev.min() / lev.max() for lev in dens.p.levels),
+            max(mass.max() for mass in dens.mass))
+
+
+# These pin a known fault of the density march (ROADMAP, "the density
+# march's noise kick outruns its implicit diffusion"): its explicit kick
+# (sum_{j<d} |sigma_j|) sqrt(dt) against the implicit diffusion of
+# |sigma|^2 leaves negative lobes whose size depends on r alone, not on d,
+# dt or dx, and past r 0.85 a node's mass above 1 on an absorbing domain.
+# A positivity-preserving kick is expected to change them.
+@pytest.mark.parametrize("d, sigmas", [
+    (1, ([0.6, 0.8], [1.2, 0.5], [1.2, 0.2])),  # r 0.36, 0.85, 0.97
+    (2, ([0.3, 0.4, 1.0], [0.6, 0.8, 1.5], [0.6, 0.8, 0.5])),  # r 0.39, 0.60, 1.57
+])
+def test_density_lobes_grow_with_the_kick_ratio(d, sigmas):
+    rs, lobes, masses = zip(*(kick_ratio_audit(sigma, d) for sigma in sigmas))
+    assert rs[0] < 0.4 < 0.85 < rs[2] and rs[0] < rs[1] < rs[2]
+    # min / peak: -0.005, -0.196, -0.235 at d = 1; -0.007, -0.081, -0.456 at d = 2
+    assert 0.0 > lobes[0] > -0.01 and lobes[0] > lobes[1] > lobes[2] and lobes[2] < -0.2
+    assert masses[0] <= 1.0 + 1e-12 < 1.0 + 1e-6 < masses[2]
+
+
+def test_density_lobes_depend_on_d_only_through_the_kick_ratio():
+    # r 0.852 at d = 1 and at d = 2: lobes of -0.196 and -0.199, where
+    # sigma and its tail block differ; both node masses pass 1 + 1e-6
+    (r1, lobe1, mass1), (r2, lobe2, mass2) = (kick_ratio_audit([1.2, 0.5], 1),
+                                              kick_ratio_audit([0.6, 0.8, 1.1404], 2))
+    assert r1 == pytest.approx(r2, abs=1e-4) and r1 > 0.85
+    assert lobe1 == pytest.approx(lobe2, rel=0.03)
+    assert min(mass1, mass2) > 1.0 + 1e-6

@@ -3,11 +3,13 @@
 The determinism test in test_harness.py compares two runs of one build;
 these goldens pin the values across changes to the solvers.  lhs, rhs and
 tol must agree to 1e-9 relative and the pass flags exactly.  An intended
-change of a report value regenerates the file,
+change of a report value regenerates the entries of the experiments it
+moves,
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-and lists the old and new values in CHANGES.md.
+(every experiment without a name; every other entry keeps its bytes) and
+lists the old and new values in CHANGES.md.
 """
 
 import json
@@ -107,6 +109,12 @@ def test_every_param_and_mc_key_is_read(name):
 
 
 if __name__ == "__main__":
-    rows = {name: report_rows(name) for name in sorted(REDUCED)}
-    GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
-    print(f"wrote {GOLDEN} ({sum(map(len, rows.values()))} rows)", file=sys.stderr)
+    names = sys.argv[1:] or sorted(REDUCED)
+    if set(names) - set(REDUCED):
+        sys.exit(f"unknown experiments {sorted(set(names) - set(REDUCED))}; "
+                 f"known: {sorted(REDUCED)}")
+    # a float read back from the file prints as it was written
+    rows = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    rows.update((name, report_rows(name)) for name in names)
+    GOLDEN.write_text(json.dumps(dict(sorted(rows.items())), indent=1) + "\n")
+    print(f"wrote {', '.join(names)} to {GOLDEN}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,15 @@ BAD_AT_LOAD = [
     ({"experiment": "density-64-65", "params": {"p0_width": 0}}, "params.p0_width"),
     ({"experiment": "duality-63", "params": {"p0_width": -1}}, "params.p0_width"),
     ({"experiment": "density-64-65", "params": {"p0_width": "x"}}, "params.p0_width"),
+    # a width whose square underflows leaves p0 no mass (0/0 at x = 0): the
+    # load printed numpy warnings and said "config ok", and the run failed
+    # after its PDE phase with "forward march lost finiteness at level 1"
+    ({"experiment": "density-64-65", "params": {"p0_width": 1e-300}},
+     "params.p0_width=1e-300 leaves the initial density no finite, positive mass"),
+    ({"experiment": "duality-63", "params": {"p0_width": 1e-300}}, "params.p0_width=1e-300"),
+    # each level's grid is checked: fine_nx 200 has no node within 0.04 of 0
+    ({"experiment": "duality-63", "params": {"p0_width": 1e-3, "fine_nx": 200}},
+     "no finite, positive mass on the grid of nx=200"),
     ({"experiment": "density-64-65", "params": {"leaf_bits": "abc"}}, "params.leaf_bits"),
     # int() would truncate it and run at nx = 101
     ({"experiment": "density-64-65", "grid": {"nx": 101.9}}, "grid.nx must be an integer"),
@@ -208,7 +218,8 @@ BAD_AT_LOAD = [
     # was checked and written to summary.json, but no solver read it
     ({"experiment": "density-64-65", "domain": {"kind": "interval"}},
      "unknown domain keys for density-64-65: ['kind']"),
-], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "leaf_bits=abc", "nx=101.9",
+], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "p0_width=1e-300", "p0_width=1e-300-duality",
+        "p0_width=1e-3-fine", "leaf_bits=abc", "nx=101.9",
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
         "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice", "fine-steps",
@@ -218,6 +229,19 @@ def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path.write_text(json.dumps(config))
     assert main(["validate-config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_p0_without_mass_is_refused_without_numpy_warnings():
+    # the check runs with numpy's floating-point warnings silenced, before
+    # density-64-65's estimate table reads p0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="params.p0_width=1e-300"):
+            ExperimentConfig.from_dict({"experiment": "density-64-65",
+                                        "params": {"p0_width": 1e-300}})
+        # a subnormal width squared is still a spike of finite mass at x = 0
+        assert ExperimentConfig.from_dict({"experiment": "duality-63",
+                                           "params": {"p0_width": 1e-160}})
 
 
 def test_default_leaf_follows_the_tree_depth():
@@ -287,7 +311,7 @@ def test_cell_guard_reads_the_state_space_that_holds_the_fields():
 
 
 @pytest.mark.parametrize("name, estimates, n_fine", [
-    ("feynman-kac-nonrandom", 1, 4000), ("representation-random", 10, 500),
+    ("feynman-kac-nonrandom", 1, 1000), ("representation-random", 10, 500),
     ("density-64-65", 2, 500)])
 def test_work_guard_counts_every_estimate(name, estimates, n_fine):
     # the most paths whose normals, summed over the run's estimates, fit the
@@ -474,11 +498,12 @@ MC_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 5}, "mc": {"paths": 2000, "d
                                "mc": {"paths": 30000, "dt_mc": 1.0e-2}}, ["v-vs-monte-carlo"]),
 ])
 def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
-    # each estimator call records its chunk layout, the normals its marches
-    # drew, its exit fraction, its step and its fine steps; a rerun writes the
-    # same summary.json bytes
+    # each estimator call records its value and standard error (one per
+    # row of the conditional estimate), its chunk layout, the normals its
+    # marches drew, its exit fraction, its step and its fine steps; a rerun
+    # writes the same summary.json bytes
     cfg = ExperimentConfig.from_dict({"experiment": name, "output_dir": str(tmp_path), **over})
-    run(cfg)
+    rows = {row.check: row for row in run(cfg).rows}
     first = (tmp_path / "summary.json").read_bytes()
     run(cfg)
     assert (tmp_path / "summary.json").read_bytes() == first
@@ -488,8 +513,17 @@ def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
     # the conditional estimate reads tree times only and marches at the tree
     # step; every other estimate marches at mc.dt_mc
     tree_dt = horizon / cfg.tree["n_steps"]
+    keys = ["chunks", "dt", "exit_frac", "fine_steps", "normals_drawn", "stderr", "value"]
     for est, record in marches.items():
-        assert sorted(record) == ["chunks", "dt", "exit_frac", "fine_steps", "normals_drawn"]
+        # feynman-kac-nonrandom's record also holds the exact E[tau] at the start
+        assert sorted(record) == sorted(keys + ["exact"] * (name == "feynman-kac-nonrandom"))
+        if est == "conditional-identity":
+            assert record["value"] == [rows[f"{est}-t={t:g}"].rhs for t in cfg.params["t_points"]]
+            assert len(record["stderr"]) == len(record["value"])
+        elif est in rows:  # a control estimate has no row of its own
+            assert record["value"] == rows[est].rhs
+        if name == "feynman-kac-nonrandom":
+            assert record["exact"] == rows["v-mid-vs-exit-time-oracle"].rhs
         assert record["dt"] == (tree_dt if est == "conditional-identity" else cfg.mc["dt_mc"])
         assert record["fine_steps"] == round(horizon / record["dt"])
         # chunks of montecarlo.CHUNK paths in chunk order

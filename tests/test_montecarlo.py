@@ -98,8 +98,8 @@ def test_simulate_gaussian_statistics(line_domain):
 
 
 def test_simulate_exit_time_oracle(unit_domain):
-    # E tau for Brownian motion from x=0.5 in (0,1) is 0.25; mesh-point exit
-    # detection biases it upward by O(sqrt(dt_mc))
+    # E tau for Brownian motion from x=0.5 in (0,1) is 0.25; the boundary
+    # shift leaves an o(sqrt(dt_mc)) bias
     dom = DomainSpec(0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(4.0, M=20000, sigma=coeffs.sigma, dt_mc=2e-3, seed=3)
@@ -110,6 +110,32 @@ def test_simulate_exit_time_oracle(unit_domain):
     # exited paths freeze: the alive indicator flips once and stays down
     flips = np.diff(trajs.alive.astype(int), axis=1)
     assert np.all(flips <= 0)
+
+
+def test_boundary_shift_is_minus_zeta_half_over_sqrt_two_pi():
+    special = pytest.importorskip("scipy.special")
+    beta = -special.zeta(0.5) / np.sqrt(2.0 * np.pi)
+    assert montecarlo.EXIT_SHIFT == pytest.approx(beta, rel=1e-15, abs=0.0)
+
+
+def test_shifted_exits_remove_the_mesh_bias(monkeypatch):
+    # Brownian motion from 0.5 on (0, 1), E tau = 0.25, at dt_mc 4e-3: the
+    # shifted band lands within 4 standard errors of it, mesh-only exits at
+    # the same draws (shift 0) more than 10 above it
+    dom = DomainSpec(0.0, 1.0, 4.0)
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
+    exact = montecarlo.expected_exit_time(0.5, 0.0, 1.0, 0.0, coeffs.b_total)
+    assert exact == 0.25
+
+    def misses():
+        paths = free_paths(4.0, M=20000, sigma=coeffs.sigma, dt_mc=4e-3, seed=48)
+        tau = simulate(coeffs, 0.5, 0.0, paths, dom).tau
+        assert tau.max() < 4.0  # every path exits
+        return (tau.mean() - exact) / (tau.std(ddof=1) / np.sqrt(tau.size))
+
+    assert abs(misses()) < 4.0
+    monkeypatch.setattr(montecarlo, "EXIT_SHIFT", 0.0)
+    assert misses() > 10.0
 
 
 def test_simulate_validations(unit_domain):
@@ -141,7 +167,8 @@ def test_no_normals_drawn_for_exited_paths():
     assert trajs.normals_drawn == sum(S * L for S, L in free_draws(paths, trajs.tau))
     assert 0 < trajs.normals_drawn - steps.sum() <= (tree_module.SPAN_MAX - 1) * steps.size
     last = trajs.snapshots[np.arange(trajs.n_paths), steps]
-    assert np.all((last < 0.0) | (last > 1.0))
+    shift = montecarlo.EXIT_SHIFT * np.sqrt(0.01)  # free paths exit the shifted band
+    assert np.all((last < shift) | (last > 1.0 - shift))
     # after the early stop the record holds the frozen exit values
     assert np.array_equal(trajs.snapshots[:, -1], last)
     assert not trajs.alive[:, -1].any()
@@ -344,6 +371,9 @@ def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
     assert [shape for _, _, shape in shapes] == free_draws(paths, trajs.tau)
     ref = reference_simulate(coeffs, 0.5, 0.0, paths, unit_domain)
     assert np.array_equal(trajs.tau, ref.tau) and np.array_equal(trajs.snapshots, ref.snapshots)
+    shift = montecarlo.EXIT_SHIFT * np.sqrt(2e-3)
+    exited = trajs.tau < 1.0
+    assert exited.any() and np.all(np.abs(trajs.snapshots[exited, -1] - 0.5) > 0.5 - shift)
     for m, first, (S, L) in shapes:
         assert first == m
         assert S * L <= span_normals + L
