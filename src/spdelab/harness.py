@@ -239,17 +239,12 @@ def _oracle_family(cfg):
 def _levels_dominant(cfg):
     """The coefficients (make_family checks the family's keys and d <= d0 =
     len(sigma)) and both (nx, n_steps) levels build on the state spaces that
-    hold the run's fields, and the tree its paths follow (no field) within the
-    size guard, and on each I - dt*A is diagonally dominant, as the
-    tridiagonal solver (no pivoting) needs."""
-    nx, n_steps = cfg.grid["nx"], cfg.tree["n_steps"]
-    fine = (cfg.params.get("fine_nx", nx), cfg.params.get("fine_n_steps", n_steps))
-    exp = EXPERIMENTS[cfg.experiment]
+    hold the run's fields, within the size guard, and on each I - dt*A is
+    diagonally dominant, as the tridiagonal solver (no pivoting) needs; it
+    reads no Monte Carlo estimate."""
     try:
-        levels = [_state_space(cfg, nx, n_steps, {}, lattice=not exp.fields_on_tree),
-                  _state_space(cfg, *fine, {})]
-        if any(est.bridged for est in exp.estimates(cfg)) and not exp.fields_on_tree:
-            cfg.build_tree()
+        levels = [_state_space(cfg, {}, lattice=not EXPERIMENTS[cfg.experiment].fields_on_tree),
+                  _state_space(cfg, {}, cfg.params.get("fine_nx"), cfg.params.get("fine_n_steps"))]
     except (CoefficientError, GridError, TreeError) as exc:
         raise ConfigError(str(exc)) from exc
     for coeffs, grid, tree in levels:
@@ -265,10 +260,9 @@ def _levels_dominant(cfg):
 
 def _p0_has_mass(cfg):
     """The initial density of p0_width has a finite, positive mass on the
-    grid of each level (density-64-65's estimate table, which reads it in
-    _levels_dominant, has then refused a width without one)."""
+    grid of each level."""
     if "p0_width" in cfg.params:
-        for nx in (cfg.grid["nx"], cfg.params.get("fine_nx", cfg.grid["nx"])):
+        for nx in (None, cfg.params.get("fine_nx")):
             _gaussian_density(cfg.build_grid(nx), cfg.params["p0_width"])
 
 
@@ -300,40 +294,45 @@ def _points_inside_domain(cfg):
                 f"params.{key} must {_INSIDE.format(domain=cfg.domain)}, got {points!r}")
 
 
-def _dt_mc_divides(cfg):
-    """Each estimate's step divides the horizon, and the tree step when its
-    paths are bridged."""
-    for est in EXPERIMENTS[cfg.experiment].estimates(cfg):
+def _estimates_fit(cfg):
+    """The run's table of Monte Carlo estimates, read once: the tree its
+    bridged paths follow is within the size guard (_levels_dominant builds
+    it only where it holds fields), each estimate's step divides the horizon,
+    and the tree step when its paths are bridged, its fine steps are within
+    MAX_FINE_STEPS and the normals of all of them, each one's paths times its
+    fine steps, within MAX_NORMALS, and each has its own name.  A run that
+    draws then resolves its normals' transform: the import is paid at load,
+    never inside a run or a draw thread, and a run that draws none never
+    imports it."""
+    exp, horizon = EXPERIMENTS[cfg.experiment], float(cfg.tree["horizon"])
+    table, paths = exp.estimates(cfg), cfg.mc.get("paths", 0)
+    if any(est.bridged for est in table) and not exp.fields_on_tree:
         try:
-            _fine_steps(cfg, est)
+            cfg.build_tree()
         except TreeError as exc:
-            raise ConfigError(f"mc.dt_mc: {exc}") from exc
-
-
-def _mc_work_bounded(cfg):
-    """Each Monte Carlo estimate's fine steps are within MAX_FINE_STEPS, and
-    the normals of all of them, each one's paths times its fine steps, within
-    MAX_NORMALS; a run that makes no estimate draws none."""
-    horizon, normals, each = float(cfg.tree["horizon"]), 0, []
-    for est in EXPERIMENTS[cfg.experiment].estimates(cfg):
-        n_fine = _fine_steps(cfg, est)
-        if n_fine > MAX_FINE_STEPS:
-            raise ConfigError(f"{est.name} at dt={est.dt:g} makes {n_fine:.3g} fine steps over "
+            raise ConfigError(str(exc)) from exc
+    try:
+        n_fine = [fine_steps(horizon, est.dt, horizon / cfg.tree["n_steps"] if est.bridged
+                             else None)[0] for est in table]
+    except TreeError as exc:
+        raise ConfigError(f"mc.dt_mc: {exc}") from exc
+    for est, n in zip(table, n_fine):
+        if n > MAX_FINE_STEPS:
+            raise ConfigError(f"{est.name} at dt={est.dt:g} makes {n:.3g} fine steps over "
                               f"the horizon {horizon:g}, past the guard of {MAX_FINE_STEPS:,} "
                               f"fine steps")
-        normals += cfg.mc["paths"] * n_fine
-        each.append(f"{est.name}: {cfg.mc['paths']:,} paths over {n_fine:,} fine steps")
-    if normals > MAX_NORMALS:
-        raise ConfigError(f"the run's {len(each)} Monte Carlo estimate(s) ({', '.join(each)}) "
-                          f"would draw {normals:.3g} normals, past the work guard of "
+    if paths * sum(n_fine) > MAX_NORMALS:
+        each = ", ".join(f"{est.name}: {paths:,} paths over {n:,} fine steps"
+                         for est, n in zip(table, n_fine))
+        raise ConfigError(f"the run's {len(table)} Monte Carlo estimate(s) ({each}) would draw "
+                          f"{paths * sum(n_fine):.3g} normals, past the work guard of "
                           f"{MAX_NORMALS:,} normals")
-
-
-def _draws_transform_loaded(cfg):
-    """A run that draws resolves its normals' transform here, at load: its
-    import is paid before harness.run, never inside a run or a draw thread,
-    and a run that draws no normals never imports it."""
-    if EXPERIMENTS[cfg.experiment].estimates(cfg):
+    names = [est.name for est in table]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"the Monte Carlo estimates need distinct names, one summary.json "
+                          f"record each, got {names}: points that snap to one grid node, or "
+                          f"to nodes equal at 2 decimals, name one estimate")
+    if table:
         try:
             normal_transform()
         except ImportError as exc:
@@ -341,13 +340,16 @@ def _draws_transform_loaded(cfg):
 
 
 def _t_points_on_tree_times(cfg):
-    """The density meets Monte Carlo at level-k nodes: t = k*dt, 0 <= k <= n_steps."""
+    """The density meets Monte Carlo at level-k nodes: distinct t = k*dt, 0 <= k <= n_steps."""
     horizon, n_steps = float(cfg.tree["horizon"]), cfg.tree["n_steps"]
     dt, t_points = horizon / n_steps, cfg.params.get("t_points", [])
     if not all(-1e-9 <= t <= horizon + 1e-9
                and abs(t - round(t / dt) * dt) <= 1e-9 for t in t_points):
         raise ConfigError(f"params.t_points must be tree times k*dt with dt={dt:g} and "
                           f"0 <= k <= {n_steps}, got {t_points!r}")
+    if len({round(t / dt) for t in t_points}) < len(t_points):
+        raise ConfigError(f"params.t_points must be distinct tree times, one report row each, "
+                          f"got {t_points!r}")
 
 
 def _node_checks_fit(cfg):
@@ -369,9 +371,8 @@ def _leaf_bits_name_a_leaf(cfg):
 
 
 RULES = (_oracle_family, _levels_dominant, _p0_has_mass, _superparabolic_regime,
-         _fine_not_coarser, _points_inside_domain, _dt_mc_divides, _mc_work_bounded,
-         _draws_transform_loaded, _t_points_on_tree_times, _node_checks_fit,
-         _leaf_bits_name_a_leaf)
+         _fine_not_coarser, _points_inside_domain, _estimates_fit, _t_points_on_tree_times,
+         _node_checks_fit, _leaf_bits_name_a_leaf)
 
 _SECTIONS = ("coefficients", "domain", "grid", "tree", "mc", "params")
 
@@ -500,26 +501,21 @@ class Estimate:
     bridged: bool
 
 
-def _fine_steps(cfg, est: Estimate) -> int:
-    """The fine steps est's paths march over the horizon; TreeError unless
-    est.dt divides it, and the tree step when the paths are bridged."""
-    horizon = float(cfg.tree["horizon"])
-    return fine_steps(horizon, est.dt, horizon / cfg.tree["n_steps"] if est.bridged else None)[0]
-
-
 def _node(grid, x: float) -> int:
     """The grid node nearest x."""
     return int(np.argmin(np.abs(grid.x - x)))
 
 
-def _state_space(cfg, nx, n_steps, diag, lattice=True):
-    """(coeffs, grid, tree) at one level, on the w1 lattice at any d unless
-    lattice is unset because the caller reads per-node or per-path values, on
-    the scenario tree then; the level goes to diag["state_space"].  The
-    lattice is exact: coefficients and test fields depend on the path only
-    through w1.  ConfigError if a field on the level would pass MAX_CELLS,
-    checked before any field is allocated."""
+def _state_space(cfg, diag, nx=None, n_steps=None, lattice=True):
+    """(coeffs, grid, tree) at one level (nx or n_steps None: the configured
+    one), on the w1 lattice at any d unless lattice is unset because the
+    caller reads per-node or per-path values, on the scenario tree then; the
+    level goes to diag["state_space"].  The lattice is exact: coefficients
+    and test fields depend on the path only through w1.  ConfigError if a
+    field on the level would pass MAX_CELLS, checked before any field is
+    allocated."""
     coeffs, grid = cfg.build_coeffs(), cfg.build_grid(nx)
+    n_steps = cfg.tree["n_steps"] if n_steps is None else n_steps
     tree = (build_lattice(n_steps, float(cfg.tree["horizon"])) if lattice
             else cfg.build_tree(n_steps))
     states = sum(tree.n_nodes(k) for k in range(tree.n_steps + 1))
@@ -537,7 +533,7 @@ def _state_space(cfg, nx, n_steps, diag, lattice=True):
 def _coefficient_diagnostics(cfg) -> dict:
     """The coefficient ValidationReport at the configured level, for
     summary.json; validation solves nothing, so the level is not recorded."""
-    level = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], {})
+    level = _state_space(cfg, {})
     report = validate(*level, require_superparabolic=EXPERIMENTS[cfg.experiment].superparabolic)
     return dict(asdict(report), passed=report.passed)
 
@@ -591,7 +587,7 @@ def _feynman_kac_estimates(cfg) -> list:
 
 
 def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
+    coeffs, grid, tree = _state_space(cfg, diag)
     phi = _dirichlet_profile(grid, tree, _unit)
     sol = op_L(phi, coeffs, grid, tree)
     ix = _node(grid, cfg.params["x0"])
@@ -626,7 +622,7 @@ def _representation_estimates(cfg, nodes=False) -> list:
 
 
 def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
+    coeffs, grid, tree = _state_space(cfg, diag)
     bridge = cfg.build_tree()  # the Monte Carlo paths follow the tree
     table = _representation_estimates(cfg, nodes=True)
     dt_dx2 = tree.dt + grid.dx**2
@@ -686,8 +682,7 @@ def _exp_adjoint_suite(cfg: ExperimentConfig, diag: dict) -> list:
     seed = cfg.mc["seed"]
     # field-draw seed pairs derive deterministically from the config seed
     seed_pairs = [((seed, 2 * i), (seed, 2 * i + 1)) for i in range(n_draws)]
-    levels = [_state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag),
-              _state_space(cfg, p["fine_nx"], p["fine_n_steps"], diag)]
+    levels = [_state_space(cfg, diag), _state_space(cfg, diag, p["fine_nx"], p["fine_n_steps"])]
     coarse, fine = ({k: 0.0 for k in "TGBRL"} for _ in range(2))
     for pair in seed_pairs:
         for level, mean in zip(levels, (coarse, fine)):
@@ -711,7 +706,7 @@ _RESIDUAL_TOL = 1.0e-8
 
 
 def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
-    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag)
+    coeffs, grid, tree = _state_space(cfg, diag)
     phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
     g_a, info_a = solve_R(phi, coeffs, grid, tree, tol=_RESIDUAL_TOL,
                           x0=SpaceTimeField.zeros(grid, tree))
@@ -763,8 +758,7 @@ def _duality_gap(cfg, coeffs, grid, tree):
 def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
     # the coarse level's node checks read per-node densities: the tree
-    coeffs, grid, tree = _state_space(cfg, cfg.grid["nx"], cfg.tree["n_steps"], diag,
-                                      lattice=False)
+    coeffs, grid, tree = _state_space(cfg, diag, lattice=False)
     lhs_c, rhs_c, sol, dens, phi = _duality_gap(cfg, coeffs, grid, tree)
     _record_density(diag, dens, grid, tree)
     gap_c = abs(lhs_c - rhs_c)
@@ -789,7 +783,7 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
                              lhs_n, rhs_n, node_budget,
                              abs(lhs_n - rhs_n) <= node_budget))
     del sol, dens, phi
-    coeffs, grid, tree = _state_space(cfg, p["fine_nx"], p["fine_n_steps"], diag)
+    coeffs, grid, tree = _state_space(cfg, diag, p["fine_nx"], p["fine_n_steps"])
     lhs_f, rhs_f, _, dens, _ = _duality_gap(cfg, coeffs, grid, tree)
     _record_density(diag, dens, grid, tree)
     gap_f = abs(lhs_f - rhs_f)
@@ -827,9 +821,9 @@ def _density_estimates(cfg) -> list:
 
 
 def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
-    nx, n_steps, p = cfg.grid["nx"], cfg.tree["n_steps"], cfg.params
+    p = cfg.params
     # the leaf-path density, its mass trace and per-node audit: the tree
-    coeffs, grid, tree = _state_space(cfg, nx, n_steps, diag, lattice=False)
+    coeffs, grid, tree = _state_space(cfg, diag, lattice=False)
     p0 = _gaussian_density(grid, p["p0_width"])
     leaf = int(p["leaf_bits"], 2)
     dens = solve_density(p0, coeffs, grid, tree)
@@ -839,7 +833,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     pdes = [h0_inner(dens.p.levels[k][:, anc[k]], _gaussian(grid.x, t, None), grid)
             for t, k in zip(p["t_points"], levels)]
     worst_mass = np.array([dens.mass[k].max() for k in range(tree.n_steps + 1)])
-    _, _, lattice = _state_space(cfg, nx, n_steps, diag)
+    _, _, lattice = _state_space(cfg, diag)
     sol = op_L(_dirichlet_profile(grid, lattice, _gaussian), coeffs, grid, lattice)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     del dens, sol  # neither Monte Carlo estimate reads the solves
@@ -870,7 +864,7 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
 
     def ratios(nx, n_steps):
-        coeffs, grid, tree = _state_space(cfg, nx, n_steps, diag)
+        coeffs, grid, tree = _state_space(cfg, diag, nx, n_steps)
         rc, rx = 0.0, 0.0
         for i in range(p["n_fields"]):
             phi = smooth_random_field(grid, tree, seed=(cfg.mc["seed"], i))
@@ -899,7 +893,8 @@ class Experiment:
     estimates(config): the run's Monte Carlo estimates in the order it makes
     them, one Estimate each, of mc.paths paths.  That table alone decides
     each estimate's mesh and bridge: the run passes them to the estimators,
-    and the load rules, the work guard and summary.json read them from it."""
+    one load rule (_estimates_fit) reads it, once per load, and summary.json
+    takes its names."""
 
     checks: Callable
     defaults: dict

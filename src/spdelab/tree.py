@@ -325,25 +325,6 @@ def clark_decompose(X, tree: ScenarioTree) -> MartingaleDecomposition:
     return MartingaleDecomposition(mean=float(m[0]), kernels=tuple(kernels))
 
 
-@dataclass(frozen=True)
-class IncrementShape:
-    """Nominal size of a bundle's increments, (n_paths, n_fine).
-
-    No array of this size exists: `PathBundle.draw` draws the increments a
-    few fine steps at a time, for the requested paths only.
-    """
-
-    shape: tuple
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-    @property
-    def nbytes(self) -> int:
-        return 8 * self.size
-
-
 @cache
 def normal_transform():
     """The inverse normal CDF of every draw, imported at the first call: the
@@ -474,8 +455,11 @@ class PathBundle:
     n_sub: int
 
     @property
-    def increments(self) -> IncrementShape:
-        return IncrementShape((self.n_paths, self.n_fine))
+    def increments(self) -> np.ndarray:
+        """A zero-stride (n_paths, n_fine) view of one 0.0 that allocates
+        nothing: the nominal size of the increments, which `draw` makes a
+        few fine steps at a time, for the requested paths only."""
+        return np.broadcast_to(np.float64(0.0), (self.n_paths, self.n_fine))
 
     def nodes(self, level: int, rows=None):
         """Active tree node at a level for the given path rows (all rows when None)."""

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from spdelab import harness, montecarlo
+from spdelab import harness, montecarlo, tree
 from spdelab.cli import main
 from spdelab.harness import (
     CONFIG_KEYS,
@@ -92,6 +94,7 @@ def test_config_validation_errors():
     for name, over in [("feynman-kac-nonrandom", {"tree": {"n_steps": 40}}),
                        ("solvability-R", {"tree": {"n_steps": 20}}),
                        ("adjoint-suite", {"params": {"fine_n_steps": 510}}),
+                       ("adjoint-suite", {"params": {"fine_n_steps": 510}, **d2}),
                        ("adjoint-suite", {"tree": {"n_steps": 9},
                                           "params": {"fine_n_steps": 510}, **d2})]:
         ExperimentConfig.from_dict({"experiment": name, **over})
@@ -154,6 +157,9 @@ BAD_AT_LOAD = [
                   "coefficients": {"family": "drift-random", "kappa": 0.25,
                                    "sigma": [0.6, 0.8], "d": 2}}}
       for name in ("adjoint-suite", "duality-63", "density-64-65")),
+    # at the default 8 tree steps too
+    {"match": "superparabolic regime", "config": {
+        "experiment": "adjoint-suite", "coefficients": {"sigma": [0.6, 0.8], "d": 2}}},
 ]
 
 
@@ -218,12 +224,23 @@ BAD_AT_LOAD = [
     # was checked and written to summary.json, but no solver read it
     ({"experiment": "density-64-65", "domain": {"kind": "interval"}},
      "unknown domain keys for density-64-65: ['kind']"),
+    # two points at one grid node (nodes 0.1 apart at nx 161), or at two nodes that
+    # print alike (nodes 5000 and 5001 at nx 10001): two estimates and two
+    # report rows of one name, of which summary.json kept one
+    ({"experiment": "representation-random", "params": {"x_points": [0.0, 0.01]}},
+     "the Monte Carlo estimates need distinct names"),
+    ({"experiment": "representation-random", "grid": {"nx": 10001},
+      "params": {"x_points": [0.0, 0.002]}}, "got ['control-at-x=+0.00', 'control-at-x=+0.00'"),
+    # two conditional-identity-t=0.4 rows
+    ({"experiment": "density-64-65", "params": {"t_points": [0.4, 0.4]}},
+     "params.t_points must be distinct tree times"),
 ], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "p0_width=1e-300", "p0_width=1e-300-duality",
         "p0_width=1e-3-fine", "leaf_bits=abc", "nx=101.9",
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
         "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice", "fine-steps",
-        "normals", "dt_mc=5e-324", "domain.kind"])
+        "normals", "dt_mc=5e-324", "domain.kind", "x_points-one-node", "x_points-one-name",
+        "t_points-twice"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -323,6 +340,38 @@ def test_work_guard_counts_every_estimate(name, estimates, n_fine):
     assert ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most}})
     with pytest.raises(ConfigError, match=f"the run's {estimates} Monte Carlo estimate"):
         ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most + 1}})
+
+
+def test_one_rule_reads_the_estimate_table_once(monkeypatch):
+    # a load reads each run's table of Monte Carlo estimates in one rule, once:
+    # density-64-65's table bounds its exits (montecarlo.exit_bound), which
+    # four rules used to run
+    readers, bounds = [], []
+    for name, exp in EXPERIMENTS.items():
+        def estimates(config, table=exp.estimates):
+            readers.append(sys._getframe(1).f_code.co_name)
+            return table(config)
+        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(exp, estimates=estimates))
+    exit_bound = harness.exit_bound
+    monkeypatch.setattr(harness, "exit_bound", lambda *a: bounds.append(a) or exit_bound(*a))
+    for name in EXPERIMENTS:
+        readers.clear()
+        bounds.clear()
+        ExperimentConfig.from_dict({"experiment": name})
+        assert readers == ["_estimates_fit"], name
+        assert len(bounds) == (name == "density-64-65"), name
+    assert harness._estimates_fit in harness.RULES
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_dominance_rule_reads_no_estimate(monkeypatch, name):
+    cfg = ExperimentConfig.from_dict({"experiment": name})
+
+    def estimates(config):
+        raise AssertionError("_levels_dominant read the estimate table")
+    monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(EXPERIMENTS[name],
+                                                               estimates=estimates))
+    harness._levels_dominant(cfg)
 
 
 def test_fine_levels_may_not_be_coarser():
@@ -544,7 +593,8 @@ def test_conditional_estimate_marches_at_the_tree_step_unless_the_drift_reads_x(
     # drift-random its paths march at the tree step, 1,000,000 normals at the
     # defaults instead of 50,000,000; a drift that reads x keeps mc.dt_mc
     cfg = ExperimentConfig.from_dict({"experiment": "density-64-65"})
-    table = [(est.name, est.dt, cfg.mc["paths"] * harness._fine_steps(cfg, est))
+    horizon, tree_dt = cfg.tree["horizon"], cfg.tree["horizon"] / cfg.tree["n_steps"]
+    table = [(est.name, est.dt, cfg.mc["paths"] * tree.fine_steps(horizon, est.dt, tree_dt)[0])
              for est in EXPERIMENTS["density-64-65"].estimates(cfg)]
     assert table == [("conditional-identity", 0.1, 1_000_000),
                      ("unconditional-identity", 0.002, 50_000_000)]
