@@ -24,7 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the JSON config file")
     p_run.add_argument("--seed", type=int, default=None, help="override mc.seed")
     p_run.add_argument("--out-dir", default=None, help="override the output directory")
-    p_run.add_argument("--workers", type=int, default=None, help="override worker count")
 
     sub.add_parser("list-experiments", help="list the known experiment names")
 
@@ -45,8 +44,6 @@ def main(argv=None) -> int:
             set_seed(raw, args.seed)
             if args.out_dir is not None:
                 raw["output_dir"] = args.out_dir
-            if args.workers is not None:
-                raw["workers"] = args.workers
         config = ExperimentConfig.from_dict(raw)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

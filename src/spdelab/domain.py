@@ -79,13 +79,21 @@ def build_grid(domain: DomainSpec, nx: int) -> Grid:
     ----------
     domain : DomainSpec
     nx : int
-        Node count including the two boundary nodes; at least 8.
+        Node count including the two boundary nodes; at least 8.  The
+        nodes must be finite and strictly increasing, and dx^2, which the
+        generator's bands divide by, finite and positive.
     """
     if nx < 8:
         raise GridError(f"nx too small: need nx >= 8, got {nx}")
-    x = np.linspace(domain.a, domain.b, nx)
+    with np.errstate(all="ignore"):  # b - a may overflow
+        x = np.linspace(domain.a, domain.b, nx)
     x.setflags(write=False)
-    return Grid(domain=domain, x=x, dx=(domain.b - domain.a) / (nx - 1))
+    dx = (domain.b - domain.a) / (nx - 1)
+    if not (np.isfinite(x).all() and (np.diff(x) > 0).all() and 0.0 < dx * dx < np.inf):
+        raise GridError(f"nx={nx} on [{domain.a!r}, {domain.b!r}] is no grid in floating "
+                        f"point: its nodes must be finite and strictly increasing and dx^2 "
+                        f"finite and positive, got dx={dx:g}")
+    return Grid(domain=domain, x=x, dx=dx)
 
 
 def _check_grid_function(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -222,7 +222,8 @@ CONFIG_KEYS = {
     ("params", "leaf_bits"): (lambda v: isinstance(v, str) and v != "" and set(v) <= {"0", "1"},
                               "be a non-empty string of 0s and 1s"),
     (None, "output_dir"): (lambda v: isinstance(v, str) and v != "", "be a non-empty string"),
-    (None, "workers"): _count(1),
+    (None, "workers"): (_count(1, 1)[0], "be the integer 1: Monte Carlo chunks run one after "
+                        "another, and a tree-bridged march uses every CPU by itself"),
 }
 
 
@@ -239,9 +240,11 @@ def _oracle_family(cfg):
 def _levels_dominant(cfg):
     """The coefficients (make_family checks the family's keys and d <= d0 =
     len(sigma)) and both (nx, n_steps) levels build on the state spaces that
-    hold the run's fields, within the size guard, and on each I - dt*A is
-    diagonally dominant, as the tridiagonal solver (no pivoting) needs; it
-    reads no Monte Carlo estimate."""
+    hold the run's fields, within the size guard (build_grid refuses a grid
+    floating point cannot hold), and on each the band coefficients
+    K1/(2dx) and b/(2dx^2) are finite and I - dt*A is diagonally dominant,
+    as the tridiagonal solver (no pivoting) needs; it reads no Monte Carlo
+    estimate."""
     try:
         levels = [_state_space(cfg, {}, lattice=not EXPERIMENTS[cfg.experiment].fields_on_tree),
                   _state_space(cfg, {}, cfg.params.get("fine_nx"), cfg.params.get("fine_n_steps"))]
@@ -249,7 +252,12 @@ def _levels_dominant(cfg):
         raise ConfigError(str(exc)) from exc
     for coeffs, grid, tree in levels:
         k1, b = coeffs.drift_bound(), coeffs.b_total
-        value = 2.0 * tree.dt * (k1 / (2.0 * grid.dx) - b / (2.0 * grid.dx**2))
+        adv, dif = k1 / (2.0 * grid.dx), b / (2.0 * grid.dx**2)
+        if not (math.isfinite(adv) and math.isfinite(dif)):
+            raise ConfigError(f"nx={grid.nx} on [{grid.domain.a!r}, {grid.domain.b!r}] makes "
+                              f"the band coefficients K1/(2dx) = {adv:g} and b/(2dx^2) = "
+                              f"{dif:g}: they must be finite (K1={k1:g}, b={b:g})")
+        value = 2.0 * tree.dt * (adv - dif)
         if value > 1.0:
             raise ConfigError(
                 f"nx={grid.nx} with n_steps={tree.n_steps} breaks the diagonal dominance the "
@@ -387,7 +395,7 @@ class ExperimentConfig:
     mc: dict
     params: dict = field(default_factory=dict)
     output_dir: str = "out"
-    workers: int = 1
+    workers: int = 1  # always 1, kept so that summary.json keeps its bytes
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -601,7 +609,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
                          kernel_ratio, 0.0, 1e-12, kernel_ratio <= 1e-12))
     (mc,) = _feynman_kac_estimates(cfg)
     est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
-                              grid=grid, dt_mc=mc.dt, tree=None, workers=cfg.workers)
+                              grid=grid, dt_mc=mc.dt, tree=None)
     diag["monte_carlo"] = {mc.name: dict(est.marches(), exact=oracle)}
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "v-vs-monte-carlo", "1.3",
@@ -637,7 +645,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
                 est = functional_estimate(
                     family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
                     (cfg.mc["seed"], seed_tag, ix), grid=grid,
-                    dt_mc=mc.dt, tree=bridge, workers=cfg.workers)
+                    dt_mc=mc.dt, tree=bridge)
                 diag["monte_carlo"][mc.name] = est.marches()
                 out.append((mc.name, float(sol.v.levels[0][ix, 0]), est))
         return out
@@ -840,7 +848,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     cond_mc, uncond_mc = _density_estimates(cfg)
     cond = conditional_functional(
         coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
-        tree=tree, grid=grid, p0=p0, dt_mc=cond_mc.dt, workers=cfg.workers)
+        tree=tree, grid=grid, p0=p0, dt_mc=cond_mc.dt)
     # one march, one estimate per t_point
     diag["monte_carlo"] = {cond_mc.name: dict(cond[0].marches(), value=[e.value for e in cond],
                                               stderr=[e.stderr for e in cond])}
@@ -848,7 +856,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
                      0.05, abs(pde - est.value) / max(abs(pde), 1e-300) <= 0.05)
             for est, t, pde in zip(cond, p["t_points"], pdes)]
     est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
-                              grid=grid, dt_mc=uncond_mc.dt, tree=tree, workers=cfg.workers)
+                              grid=grid, dt_mc=uncond_mc.dt, tree=tree)
     diag["monte_carlo"][uncond_mc.name] = est.marches()
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow(cfg.experiment, "unconditional-identity", "6.5",
@@ -960,6 +968,8 @@ EXPERIMENTS = {
 def run(config: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute the named experiment and (optionally) write its report files."""
     start = time.perf_counter()
+    if write:  # an output_dir that cannot be a directory fails before any solve
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     diagnostics = {"coefficients": _coefficient_diagnostics(config)}
     rows = EXPERIMENTS[config.experiment].checks(config, diagnostics)
     report = ExperimentReport(

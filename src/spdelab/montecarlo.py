@@ -13,16 +13,17 @@ coarse step on a tree, or a span of a few fine steps of free paths, hashed
 `tree.HASH_NORMALS` normals per call and, on a tree, shifted by the bridge
 through each path's leaf.  The march stops as soon as every path has
 exited.  A tree-bridged march runs as contiguous groups of paths, one per
-draw thread: the calling thread marches the first and the shared draw pool
-the others, each group drawing its own blocks and writing only its own
-rows, with the same bits for any group count; a free march stays one march
-in the calling thread.  Each fine step does only the update (y + f dt) +
-noise, the exit test and the integrands: a drift that does not read x is
-taken once per block at the block's w1, times dt_mc (on a tree from its
-values per node, evaluated in the calling thread), and an exit compacts the
-live paths' index, state, running integrals and w1 through one integer
-index, while the block stays as drawn and a column index maps the live
-paths to its columns.
+draw thread: the calling thread marches the first and threads that the
+march starts and joins itself the others (the only threads the package
+starts), each group drawing its own blocks and writing only its own rows,
+with the same bits for any group count; a free march, or a march of one
+group, stays in the calling thread.  Each fine step does only the update
+(y + f dt) + noise, the exit test and the integrands: a drift that does
+not read x is taken once per block at the block's w1, times dt_mc (on a
+tree from its values per node, evaluated in the calling thread), and an
+exit compacts the live paths' index, state, running integrals and w1
+through one integer index, while the block stays as drawn and a column
+index maps the live paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are tested at mesh points.
@@ -33,14 +34,13 @@ paths, whose block increments are conditioned on their sum, test them
 against the domain itself, and that bias stays in the acceptance
 tolerances (exit_bound says where it is negligible).  Exited paths freeze
 and their alive indicator flips once.  Estimates run in chunks of CHUNK
-paths; chunk i of an estimate is seeded (seed, tag, i), which SeedSequence
-flattens at any nesting (the rule in `tree`), so results do not depend on
-the worker count.
+paths, one after another; chunk i of an estimate is seeded (seed, tag, i),
+which SeedSequence flattens at any nesting (the rule in `tree`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -274,19 +274,20 @@ def simulate(
         return drawn
 
     # a tree-bridged march runs as contiguous groups of paths: the calling
-    # thread marches the first and the draw pool the others.  Free marches
-    # stay in the calling thread (path groups ran slower there, ROADMAP).
+    # thread marches the first and a pool of this march's own the others,
+    # joined before it returns.  Free marches stay in the calling thread
+    # (path groups ran slower there, ROADMAP), as does a march of one group.
     # The draws' transform is resolved here first, so no draw thread imports
     # it, also for a caller that bypasses the harness's load.
     tree_module.normal_transform()
     groups = 1 if paths.tree is None else max(1, min(tree_module.draw_threads(), M))
     cuts = [g * M // groups for g in range(groups + 1)]
-    tasks = [tree_module.draw_pool().submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
-    try:
-        drawn = march(cuts[0], cuts[1])
-    finally:
-        wait(tasks)
-    drawn += sum(task.result() for task in tasks)
+    if groups == 1:
+        drawn = march(0, M)
+    else:
+        with ThreadPoolExecutor(groups - 1, thread_name_prefix="spdelab-draw") as pool:
+            tasks = [pool.submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+            drawn = march(cuts[0], cuts[1]) + sum(task.result() for task in tasks)
     return TrajectorySet(
         snapshot_times=snapshot_times,
         snapshots=snapshots,
@@ -313,13 +314,14 @@ def _estimate(chunks) -> EstimatorResult:
 CHUNK = 25_000
 
 
-def _chunked(M: int, workers: int, job) -> list:
+def _chunked(M: int, job) -> list:
     """Deterministic chunked estimation: job(chunk_index, chunk_count) ->
     (vals, trajs, bundle) with vals of shape (n_est, chunk_count).
 
-    Each chunk is reduced to its sums as it finishes and the sums are added
-    in chunk order, whatever the worker count; returns one EstimatorResult
-    per row of vals, each carrying the record of the same marches.
+    The chunks run one after another, each reduced to its sums as it
+    finishes, and the sums are added in chunk order; returns one
+    EstimatorResult per row of vals, each carrying the record of the same
+    marches.
     """
     def sums(i, m):
         vals, trajs, bundle = job(i, m)
@@ -328,11 +330,7 @@ def _chunked(M: int, workers: int, job) -> list:
                 bundle.dt_mc, bundle.n_fine)
 
     sizes = [min(CHUNK, M - lo) for lo in range(0, M, CHUNK)]
-    if workers <= 1:
-        out = list(map(sums, range(len(sizes)), sizes))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(sums, range(len(sizes)), sizes))
+    out = list(map(sums, range(len(sizes)), sizes))
     record = dict(chunks=tuple(sizes), normals_drawn=sum(c[2] for c in out),
                   exit_frac=sum(c[3] for c in out) / M, dt=out[0][4], fine_steps=out[0][5])
     return [
@@ -401,7 +399,6 @@ def conditional_functional(
     grid: Grid,
     p0: np.ndarray,
     dt_mc: float,
-    workers: int = 1,
 ):
     """Common-noise estimate of E{ I_tau(t) phi(y(t), t) | leaf path } at the
     requested times: the driving components are bridged through the path to
@@ -434,7 +431,7 @@ def conditional_functional(
             )
         return vals, trajs, bundle
 
-    return _chunked(M, workers, job)
+    return _chunked(M, job)
 
 
 def functional_estimate(
@@ -447,7 +444,6 @@ def functional_estimate(
     grid: Grid,
     dt_mc: float,
     tree: ScenarioTree | None = None,
-    workers: int = 1,
 ) -> EstimatorResult:
     """Chunked unconditional estimate of E int_s^tau phi(y, t) dt at s = 0.
 
@@ -465,4 +461,4 @@ def functional_estimate(
                          integrands={"phi": phi}, snapshot_times=())
         return trajs.integrals["phi"][None], trajs, bundle
 
-    return _chunked(M, workers, job)[0]
+    return _chunked(M, job)[0]

@@ -15,10 +15,10 @@ ones, hashed HASH_NORMALS normals per call and, on a tree, shifted by the
 bridge.  Each normal is a fixed function of
 (key, counter), so a path's increments do not depend on which other paths
 are drawn with it: `montecarlo.simulate` splits a tree-bridged march into
-groups of paths over one shared pool of draw threads, one per CPU the
-process may run on, with the same bits for any CPU count.  Every stream is
-seeded by SeedSequence((seed, *tags)), which flattens nested tuples and
-lists of ints at any depth.  The inverse normal CDF is imported by
+groups of paths, one per CPU the process may run on (`draw_threads`), on
+threads it starts and joins itself, with the same bits for any CPU count.
+Every stream is seeded by SeedSequence((seed, *tags)), which flattens
+nested tuples and lists of ints at any depth.  The inverse normal CDF is imported by
 `normal_transform` at its first call: at config load for the experiments
 that draw, and never by a run that draws no normals.
 
@@ -42,8 +42,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple, Sequence
@@ -400,9 +398,6 @@ SPAN_MAX = 16
 # peak memory
 HASH_NORMALS = 2**16
 
-_pool = None  # the draw pool, created at the first split of a march
-_pool_lock = threading.Lock()
-
 
 def draw_threads() -> int:
     """Threads a march may use: the CPUs this process may run on."""
@@ -410,15 +405,6 @@ def draw_threads() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
-
-
-def draw_pool() -> ThreadPoolExecutor:
-    """The one draw pool every march and every chunk thread shares."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(draw_threads(), thread_name_prefix="spdelab-draw")
-        return _pool
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ cannot fail in CI on an example no local run has seen.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,11 +36,8 @@ def nonrandom_field():
 @pytest.fixture
 def split_draws(monkeypatch):
     """Split every tree-bridged march into three groups of paths, whatever
-    the CPU count, marched in a pool of the test's own."""
+    the CPU count: the calling thread and two threads the march starts."""
     monkeypatch.setattr(tree_module, "draw_threads", lambda: 3)
-    with ThreadPoolExecutor(3) as pool:
-        monkeypatch.setattr(tree_module, "_pool", pool)
-        yield
 
 
 @pytest.fixture

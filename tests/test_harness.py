@@ -224,6 +224,25 @@ BAD_AT_LOAD = [
     # was checked and written to summary.json, but no solver read it
     ({"experiment": "density-64-65", "domain": {"kind": "interval"}},
      "unknown domain keys for density-64-65: ['kind']"),
+    # domains floating point cannot grid: dx^2 overflowed (OverflowError,
+    # exit 1) or underflowed to 0 (ZeroDivisionError, exit 1); b - a
+    # overflowed (nodes nan, inf, ...) or the 101 nodes fell on 2 values,
+    # and the run passed; b/(2dx^2) overflowed, and norm-bounds passed on
+    # zeros while duality-63 lost finiteness after its solves
+    ({"experiment": "norm-bounds", "domain": {"a": 0, "b": 1e300}},
+     "nx=101 on [0.0, 1e+300] is no grid in floating point"),
+    ({"experiment": "norm-bounds", "domain": {"a": 0, "b": 1e-300}},
+     "nx=101 on [0.0, 1e-300] is no grid in floating point"),
+    ({"experiment": "norm-bounds", "domain": {"a": -1e308, "b": 1e308}},
+     "nx=101 on [-1e+308, 1e+308] is no grid in floating point"),
+    ({"experiment": "norm-bounds", "domain": {"a": 1e16, "b": 1e16 + 2}},
+     "nx=101 on [1e+16, 1.0000000000000002e+16] is no grid in floating point"),
+    ({"experiment": "norm-bounds", "domain": {"a": 0, "b": 1e-158}},
+     "b/(2dx^2) = inf: they must be finite"),
+    # chunks run one after another: 1 is the one value the key keeps
+    ({"experiment": "solvability-R", "workers": 2}, "workers must be the integer 1"),
+    ({"experiment": "solvability-R", "workers": True}, "workers must be the integer 1"),
+    ({"experiment": "solvability-R", "workers": 1.0}, "workers must be the integer 1"),
     # two points at one grid node (nodes 0.1 apart at nx 161), or at two nodes that
     # print alike (nodes 5000 and 5001 at nx 10001): two estimates and two
     # report rows of one name, of which summary.json kept one
@@ -239,8 +258,9 @@ BAD_AT_LOAD = [
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
         "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice", "fine-steps",
-        "normals", "dt_mc=5e-324", "domain.kind", "x_points-one-node", "x_points-one-name",
-        "t_points-twice"])
+        "normals", "dt_mc=5e-324", "domain.kind", "dx^2-overflows", "dx^2-underflows",
+        "b-a-overflows", "nodes-collapse", "bands-overflow", "workers=2", "workers=true",
+        "workers=1.0", "x_points-one-node", "x_points-one-name", "t_points-twice"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -805,10 +825,35 @@ def test_cli_overrides(tmp_path):
         "mc": {"seed": 1},
     }))
     out = tmp_path / "cli-out"
-    code = main([
-        "run", str(cfg_path), "--seed", "99", "--out-dir", str(out), "--workers", "2",
-    ])
+    code = main(["run", str(cfg_path), "--seed", "99", "--out-dir", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["mc"]["seed"] == 99
-    assert summary["config"]["workers"] == 2
+    assert summary["config"]["workers"] == 1
+    # there is no worker count to override: argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg_path), "--out-dir", str(tmp_path / "w2"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "w2").exists()
+
+
+def test_an_output_dir_that_is_a_file_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    # a run that does not write creates nothing
+    run(small_solvability(output_dir=str(tmp_path / "unwritten")), write=False)
+    assert not (tmp_path / "unwritten").exists()
+
+    # a file as output_dir used to pass validate-config and fail in
+    # write_report, after the run
+    def checks(cfg, diag):
+        raise AssertionError("the experiment ran")
+
+    name = "solvability-R"
+    monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(EXPERIMENTS[name], checks=checks))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": name, "output_dir": str(taken)}))
+    assert main(["validate-config", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: [Errno 17] File exists"), err

@@ -584,22 +584,24 @@ def test_conditional_vs_unconditional_coherence(line_domain):
     assert abs(avg - unc.mean()) <= tol
 
 
-def test_functional_estimate_worker_independence(line_domain, monkeypatch, split_draws):
-    # each chunk's march is split into three groups of paths, and the chunk
-    # threads share the draw pool
+def test_functional_estimate_worker_independence(line_domain, monkeypatch, request,
+                                                  serial_draws):
+    # each chunk's march as one group of paths, then split into three
     monkeypatch.setattr(montecarlo, "CHUNK", 1500)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
     grid = build_grid(line_domain, 161)
     kw = dict(grid=grid, dt_mc=0.05, tree=tree)
-    a = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, workers=1, **kw)
-    b = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, workers=3, **kw)
+    a = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, **kw)
+    request.getfixturevalue("split_draws")
+    b = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, **kw)
     assert a.chunks == (1500, 1500, 1500, 500)
     assert a == b
 
 
 def test_conditional_functional_worker_independence(line_domain, monkeypatch, request,
                                                     serial_draws):
+    # each chunk's march as one group of paths, then split into three
     monkeypatch.setattr(montecarlo, "CHUNK", 700)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
@@ -609,17 +611,12 @@ def test_conditional_functional_worker_independence(line_domain, monkeypatch, re
     p0 /= grid.dx * p0[1:-1].sum()
     kw = dict(tree=tree, grid=grid, p0=p0, dt_mc=0.05)
     phi = lambda x, t, w1: np.exp(-x**2) * (1.0 + w1)
-    a = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, workers=1, **kw)
-    b = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, workers=3, **kw)
+    a = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, **kw)
+    request.getfixturevalue("split_draws")
+    b = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, **kw)
     assert a[0].chunks == (700, 700, 600)
     # value, stderr and the march record (chunks, normals_drawn, exit_frac, dt, fine_steps)
     assert a == b
-    # with each chunk's march split into three groups of paths over the draw
-    # pool, which the chunk threads share
-    request.getfixturevalue("split_draws")
-    for workers in (1, 2):
-        assert conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20,
-                                      workers=workers, **kw) == a
 
 
 def test_a_list_seed_draws_what_its_tuple_draws(line_domain, monkeypatch):

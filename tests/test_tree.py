@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
@@ -547,12 +549,11 @@ def test_a_path_has_the_same_column_at_every_width():
                                       full[:, p])
 
 
-def test_blocks_and_free_marches_never_touch_the_draw_pool(split_draws, monkeypatch,
-                                                            unit_interval):
-    def tripwire():
-        raise AssertionError("the draw pool was used")
+def test_blocks_and_free_marches_start_no_thread(split_draws, monkeypatch, unit_interval):
+    def tripwire(self):
+        raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(tree_module, "draw_pool", tripwire)
+    monkeypatch.setattr(threading.Thread, "start", tripwire)
     # tree blocks of one step and of several are drawn in the calling thread
     rows = np.arange(30)
     for bundle in (free_paths(1.0, M=30, sigma=[0.6, 0.8], dt_mc=0.125, seed=1),
@@ -567,9 +568,12 @@ def test_blocks_and_free_marches_never_touch_the_draw_pool(split_draws, monkeypa
     # a free march stays one march in the calling thread
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     assert simulate(coeffs, 0.5, 0.0, free, unit_interval).normals_drawn > 0
-    # whereas a tree-bridged march splits its paths over the pool
-    with pytest.raises(AssertionError, match="draw pool"):
+    # whereas a tree-bridged march starts threads for its groups of paths,
+    # unless it is one group
+    with pytest.raises(AssertionError, match="a thread was started"):
         simulate(coeffs, 0.5, 0.0, split_bundles()[1], unit_interval)
+    monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)
+    assert simulate(coeffs, 0.5, 0.0, split_bundles()[1], unit_interval).normals_drawn > 0
 
 
 def test_d2_ito_isometry_and_clark_recovery():
