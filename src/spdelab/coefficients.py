@@ -1,13 +1,12 @@
 """Random coefficient fields with validated bounds.
 
-Three builtin families cover the regimes exercised by the experiments:
+Three builtin families, one row each of `FAMILIES`, cover the regimes
+exercised by the experiments; beta is the constant row sigma in all three:
 
-* ``constant``      -- f and beta nonrandom and frozen; the Bismut-type
-                       kernel vanishes identically downstream.
-* ``drift-random``  -- f(t, omega) = kappa * tanh(omega_1(t)), x-independent,
-                       beta a constant row with a nondegenerate tail block.
-* ``space-smooth``  -- f(x, t, omega) = a * sin(pi x) * (1 + eps * tanh(omega_1(t))),
-                       one space dimension, beta constant.
+* ``constant``      -- f = f0 nonrandom and frozen; the Bismut-type kernel
+                       vanishes identically downstream.
+* ``drift-random``  -- f(t, omega) = kappa * tanh(omega_1(t)), x-independent.
+* ``space-smooth``  -- f(x, t, omega) = a * sin(pi x) * (1 + eps * tanh(omega_1(t))).
 
 All randomness enters through the first driving component evaluated at the
 current tree node, so adaptedness holds by construction.  Bounds (the
@@ -18,6 +17,7 @@ grid x tree lattice by `validate`, as a guard rather than a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,35 @@ DEGENERACY_FLOOR = 1e-6
 
 class CoefficientError(ValueError):
     """Raised for unknown families or parameters outside documented ranges."""
+
+
+class Family(NamedTuple):
+    """A builtin family: its parameter keys, drift f(params, x, w1) (no family
+    reads t), analytic sup bound K1(params), and whether the drift reads x
+    (if not, it is constant on a tree node) and is random."""
+
+    keys: tuple
+    drift: Callable
+    bound: Callable
+    reads_x: bool
+    random: bool
+
+
+FAMILIES = {
+    "constant": Family(("f0",), lambda p, x, w1: np.float64(p["f0"]),
+                       lambda p: abs(p["f0"]), False, False),
+    "drift-random": Family(("kappa",), lambda p, x, w1: p["kappa"] * np.tanh(w1),
+                           lambda p: abs(p["kappa"]), False, True),
+    "space-smooth": Family(("a", "eps"),
+                           lambda p, x, w1: p["a"] * np.sin(np.pi * x) * (1.0 + p["eps"] * np.tanh(w1)),
+                           lambda p: abs(p["a"]) * (1.0 + abs(p["eps"])), True, True),
+}
+
+
+def _family(name) -> Family:
+    if name not in FAMILIES:
+        raise CoefficientError(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 @dataclass(frozen=True)
@@ -44,6 +73,9 @@ class CoefficientSet:
     d: int
     sigma: np.ndarray
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _family(self.family)
 
     @property
     def d0(self) -> int:
@@ -62,50 +94,29 @@ class CoefficientSet:
 
     @property
     def is_random(self) -> bool:
-        return self.family != "constant"
+        return FAMILIES[self.family].random
 
     @property
     def drift_reads_x(self) -> bool:
-        """Whether the drift reads x; when it does not, it is a function of
-        w1 alone (no family reads t), so it is constant on a tree node."""
-        return self.family == "space-smooth"
+        """Whether the drift reads x; if not, it is constant on a tree node."""
+        return FAMILIES[self.family].reads_x
 
     def superparabolic(self) -> bool:
         return self.d < self.d0 and self.tail_eig >= DEGENERACY_FLOOR
 
     def drift(self, x, t, w1):
         """Drift value; x and w1 broadcast (w1 is the first Wiener component
-        at the evaluation node)."""
+        at the evaluation node).  A drift that does not read x comes back as
+        a read-only broadcast to the shape of x and w1."""
         x = np.asarray(x, dtype=float)
         w1 = np.asarray(w1, dtype=float)
-        if self.family == "constant":
-            return np.broadcast_to(
-                np.float64(self.params["f0"]), np.broadcast_shapes(x.shape, w1.shape)
-            )
-        if self.family == "drift-random":
-            out = self.params["kappa"] * np.tanh(w1)
-            return np.broadcast_to(out, np.broadcast_shapes(x.shape, w1.shape))
-        if self.family == "space-smooth":
-            return (
-                self.params["a"]
-                * np.sin(np.pi * x)
-                * (1.0 + self.params["eps"] * np.tanh(w1))
-            )
-        raise CoefficientError(f"unknown family {self.family!r}")
-
-    def beta(self, x=None, t=None, w1=None) -> np.ndarray:
-        """Diffusion row (d0,); constant for every builtin family."""
-        return self.sigma
+        row = FAMILIES[self.family]
+        out = row.drift(self.params, x, w1)
+        return out if row.reads_x else np.broadcast_to(out, np.broadcast_shapes(x.shape, w1.shape))
 
     def drift_bound(self) -> float:
         """Analytic sup bound K1 for the family."""
-        if self.family == "constant":
-            return abs(float(self.params["f0"]))
-        if self.family == "drift-random":
-            return abs(float(self.params["kappa"]))
-        if self.family == "space-smooth":
-            return abs(self.params["a"]) * (1.0 + abs(self.params["eps"]))
-        raise CoefficientError(f"unknown family {self.family!r}")
+        return float(FAMILIES[self.family].bound(self.params))
 
     # Node-indexed evaluation used by the tree solvers -------------------
 
@@ -127,32 +138,25 @@ def make_family(name: str, params: dict) -> CoefficientSet:
 
     params must contain "sigma" (sequence of d0 diffusion entries) and may
     contain "d" (number of tree-driven components, default d0); remaining
-    keys are family specific: f0 (constant), kappa (drift-random),
-    a and eps (space-smooth).
+    keys are the family's keys in FAMILIES.
     """
     params = dict(params)
     sigma = np.asarray(params.pop("sigma", None), dtype=float)
-    if sigma is None or sigma.ndim != 1 or sigma.size == 0:
+    if sigma.ndim != 1 or sigma.size == 0:
         raise CoefficientError("params must provide a non-empty sigma row")
     d = int(params.pop("d", sigma.size))
     if not 1 <= d <= sigma.size:
         raise CoefficientError(f"need 1 <= d <= d0={sigma.size}, got d={d}")
     if np.dot(sigma, sigma) < DEGENERACY_FLOOR:
         raise CoefficientError("beta beta^T is degenerate (sigma too small)")
-    known = {
-        "constant": ("f0",),
-        "drift-random": ("kappa",),
-        "space-smooth": ("a", "eps"),
-    }
-    if name not in known:
-        raise CoefficientError(f"unknown family {name!r}")
-    missing = [k for k in known[name] if k not in params]
+    keys = _family(name).keys
+    missing = [k for k in keys if k not in params]
     if missing:
         raise CoefficientError(f"family {name!r} missing parameters {missing}")
-    extra = set(params) - set(known[name])
+    extra = set(params) - set(keys)
     if extra:
         raise CoefficientError(f"family {name!r} got unknown parameters {sorted(extra)}")
-    vals = {k: float(params[k]) for k in known[name]}
+    vals = {k: float(params[k]) for k in keys}
     if not all(np.isfinite(v) for v in vals.values()):
         raise CoefficientError("coefficient parameters must be finite")
     if name == "space-smooth" and abs(vals["eps"]) >= 1.0:
@@ -180,12 +184,8 @@ class ValidationReport:
         return all(self.flags.values())
 
 
-def validate(
-    coeffs: CoefficientSet,
-    grid: Grid,
-    tree: ScenarioTree,
-    require_superparabolic: bool = False,
-) -> ValidationReport:
+def validate(coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree,
+             require_superparabolic: bool = False) -> ValidationReport:
     """Measure coefficient bounds over the grid x tree lattice.
 
     Failures are reported as flags, never raised: delta_b must stay above
@@ -194,7 +194,6 @@ def validate(
     """
     k1 = 0.0
     lip = 0.0
-    xi = grid.x_interior
     for level in range(tree.n_steps + 1):
         f = np.broadcast_to(
             coeffs.drift_nodes(grid, tree, level), (tree.n_nodes(level), grid.ni)
@@ -203,13 +202,7 @@ def validate(
         if grid.ni > 1:
             lip = max(lip, float(np.abs(np.diff(f, axis=1)).max() / grid.dx))
     k2 = float(np.linalg.norm(coeffs.sigma))
-    # beta is sampled in x by finite differences even though the builtin
-    # families are x-independent, so K3 genuinely measures ~0 here.
-    beta_lo = coeffs.beta(xi[:-1], 0.0, 0.0)
-    beta_hi = coeffs.beta(xi[1:], 0.0, 0.0)
-    k3 = float(np.max(np.abs(np.atleast_1d(beta_hi) - np.atleast_1d(beta_lo))) / grid.dx)
     delta_b = coeffs.b_total
-    delta = coeffs.tail_eig
     flags = {
         "bounded": bool(np.isfinite(k1) and np.isfinite(k2)),
         "lipschitz": bool(np.isfinite(lip)),
@@ -225,13 +218,6 @@ def validate(
             )
     if not flags["elliptic"]:
         messages.append("beta beta^T eigenvalue below the degeneracy floor")
-    return ValidationReport(
-        delta=delta,
-        delta_b=delta_b,
-        k1=k1,
-        k2=k2,
-        k3=k3,
-        lipschitz_f=lip,
-        flags=flags,
-        messages=tuple(messages),
-    )
+    # k3, the Lipschitz constant of beta in x, is 0: beta is the constant row sigma
+    return ValidationReport(delta=coeffs.tail_eig, delta_b=delta_b, k1=k1, k2=k2, k3=0.0,
+                            lipschitz_f=lip, flags=flags, messages=tuple(messages))

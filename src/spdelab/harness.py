@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .backward import backward_sweep, op_L, solve_R
-from .coefficients import CoefficientError, make_family, validate
+from .coefficients import FAMILIES, CoefficientError, make_family, validate
 from .domain import DomainSpec, GridError, build_grid, h0_inner
 from .fields import (
     SpaceTimeField,
@@ -187,20 +187,19 @@ _REAL = (_is_real, "be a finite real number")
 _POSITIVE = (lambda v: _is_real(v) and v > 0, "be a positive finite real number")
 _REALS = (lambda v: isinstance(v, list) and v != [] and all(map(_is_real, v)),
           "be a non-empty list of finite real numbers")
-_INSIDE = "hold real numbers strictly inside the domain ({domain[a]:g}, {domain[b]:g})"
+_INSIDE = ("hold real numbers strictly inside the domain ({domain[a]:g}, {domain[b]:g}), "
+           "each nearest an interior grid node")
 
 # (section, key) -> (check, what): a value the config holds for the key must
 # pass check, else loading fails with "<section>.<key> must <what>"; what may
 # name values of sections checked before it (points name the domain bounds).
-# Section None is the top level; make_family decides a family's keys.
+# Section None is the top level; the coefficient parameters are those of
+# coefficients.FAMILIES, and make_family decides which keys a family takes.
 CONFIG_KEYS = {
     ("coefficients", "family"): (lambda v: isinstance(v, str), "be a family name"),
     ("coefficients", "sigma"): _REALS,
     ("coefficients", "d"): _count(1, 2),
-    ("coefficients", "f0"): _REAL,
-    ("coefficients", "kappa"): _REAL,
-    ("coefficients", "a"): _REAL,
-    ("coefficients", "eps"): _REAL,
+    **{("coefficients", key): _REAL for family in FAMILIES.values() for key in family.keys},
     ("domain", "a"): _REAL,
     ("domain", "b"): _REAL,
     ("grid", "nx"): _count(1, MAX_NX),
@@ -208,7 +207,7 @@ CONFIG_KEYS = {
     ("tree", "horizon"): _POSITIVE,
     ("mc", "seed"): (lambda v: all(map(_count(0)[0], v if isinstance(v, (list, tuple)) else [v])),
                      "be an integer >= 0 or a list of them"),
-    ("mc", "paths"): _count(1),
+    ("mc", "paths"): _count(2),
     ("mc", "dt_mc"): _POSITIVE,
     ("params", "x0"): (_is_real, _INSIDE),
     ("params", "x_points"): (_REALS[0], _INSIDE),
@@ -293,13 +292,17 @@ def _fine_not_coarser(cfg):
 
 
 def _points_inside_domain(cfg):
-    """A point on or past the boundary snaps to a boundary node, where v and the oracle are 0."""
-    a, b = cfg.domain["a"], cfg.domain["b"]
+    """The run reads each point at its nearest node of the configured grid; a
+    point on, past or merely near the boundary snaps to a boundary node,
+    where v and the oracle are 0 and the point's rows pass vacuously."""
+    grid = cfg.build_grid()
     for key in ("x0", "x_points"):
         points = cfg.params.get(key, [])
-        if not all(a < x < b for x in (points if isinstance(points, list) else [points])):
-            raise ConfigError(
-                f"params.{key} must {_INSIDE.format(domain=cfg.domain)}, got {points!r}")
+        for x in points if isinstance(points, list) else [points]:
+            ix = _node(grid, x)
+            if not 0 < ix < grid.nx - 1:
+                raise ConfigError(f"params.{key} must {_INSIDE.format(domain=cfg.domain)}, got "
+                                  f"{points!r}: {x!r} is nearest node {ix} of nx={grid.nx}")
 
 
 def _estimates_fit(cfg):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spdelab import DomainSpec, build_grid, build_tree, make_family, validate
-from spdelab.coefficients import CoefficientError
+from spdelab.coefficients import CoefficientError, CoefficientSet
 
 
 @pytest.fixture
@@ -80,6 +80,14 @@ def test_make_family_rejects_bad_input():
         make_family("constant", {"f0": np.inf, "sigma": [1.0]})
     with pytest.raises(CoefficientError):
         make_family("drift-random", {"kappa": 0.1, "sigma": [1.0], "d": 2})
+    with pytest.raises(CoefficientError, match=r"\|eps\| < 1"):
+        make_family("space-smooth", {"a": 0.3, "eps": -1.0, "sigma": [1.0]})
+    for sigma in ({}, {"sigma": []}):
+        with pytest.raises(CoefficientError, match="non-empty sigma row"):
+            make_family("constant", {"f0": 0.0, **sigma})
+    # built directly, past make_family: the family is checked all the same
+    with pytest.raises(CoefficientError, match="unknown family 'periodic'"):
+        CoefficientSet("periodic", 1, np.ones(1))
 
 
 def test_adaptedness_by_node_enumeration(grid, tree):

@@ -253,6 +253,19 @@ BAD_AT_LOAD = [
     # two conditional-identity-t=0.4 rows
     ({"experiment": "density-64-65", "params": {"t_points": [0.4, 0.4]}},
      "params.t_points must be distinct tree times"),
+    # points inside the domain whose nearest node is a boundary node, where v
+    # and the oracle are 0: each point's rows passed vacuously
+    ({"experiment": "feynman-kac-nonrandom", "params": {"x0": 0.002}},
+     "0.002 is nearest node 0 of nx=201"),
+    ({"experiment": "representation-random", "grid": {"nx": 41}, "params": {"x_points": [-7.96]}},
+     "-7.96 is nearest node 0 of nx=41"),
+    # one path has no sample variance: it reported a standard error of 0
+    ({"experiment": "representation-random", "mc": {"paths": 1}},
+     "mc.paths must be an integer >= 2, got 1"),
+    # make_family's |eps| < 1 rule, at load
+    ({"experiment": "norm-bounds", "coefficients": {"family": "space-smooth", "a": 0.3, "eps": 1.0,
+                                                    "sigma": [0.6, 0.8], "d": 1}},
+     "space-smooth needs |eps| < 1"),
 ], ids=["p0_width=0", "p0_width=-1", "p0_width=x", "p0_width=1e-300", "p0_width=1e-300-duality",
         "p0_width=1e-3-fine", "leaf_bits=abc", "nx=101.9",
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
@@ -260,7 +273,8 @@ BAD_AT_LOAD = [
         "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice", "fine-steps",
         "normals", "dt_mc=5e-324", "domain.kind", "dx^2-overflows", "dx^2-underflows",
         "b-a-overflows", "nodes-collapse", "bands-overflow", "workers=2", "workers=true",
-        "workers=1.0", "x_points-one-node", "x_points-one-name", "t_points-twice"])
+        "workers=1.0", "x_points-one-node", "x_points-one-name", "t_points-twice",
+        "x0-boundary-node", "x_points-boundary-node", "paths=1", "eps=1"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -405,7 +419,9 @@ def test_fine_levels_may_not_be_coarser():
 
 
 @pytest.mark.parametrize("name, key, a, b, inside, outside", [
-    ("feynman-kac-nonrandom", "x0", 0.0, 1.0, [1e-9, 0.999], [0.0, 1.0, -0.2, True, [0.5]]),
+    # 1e-9 and 0.999 lie inside (0, 1) but snap to nodes 0 and 200 of nx 201
+    ("feynman-kac-nonrandom", "x0", 0.0, 1.0, [0.003, 0.997],
+     [0.0, 1.0, -0.2, True, [0.5], 1e-9, 0.999]),
     # the bounds follow the configured domain
     ("feynman-kac-nonrandom", "x0", 1.0, 3.0, [2.5], [0.5, 3.0]),
     ("representation-random", "x_points", -8.0, 8.0, [[-7.9, 0, 7.9]],
