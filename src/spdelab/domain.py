@@ -148,7 +148,7 @@ def thomas_rows(L, D, U, X):
     and U[n-1] never influence the solution.  No pivoting: callers must
     supply diagonally dominant systems (I - dt*A is one when
     2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which the load rule
-    harness._levels_dominant in harness.RULES checks).  The name predates
+    config._levels_dominant in config.RULES checks).  The name predates
     the algorithm; callers and the benchmark tracer look it up by it.
 
     With a = -L, c = -U, row i reads -a_i x_{i-1} + D_i x_i - c_i x_{i+1}

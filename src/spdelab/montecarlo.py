@@ -306,7 +306,7 @@ def _estimate(chunks) -> EstimatorResult:
     for c1, c2, m in chunks:
         s1, s2, n = s1 + c1, s2 + c2, n + m
     mean = s1 / n
-    var = max(s2 / n - mean**2, 0.0) * n / max(n - 1, 1)
+    var = max(s2 / n - mean**2, 0.0) * n / (n - 1)
     return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)))
 
 
@@ -321,8 +321,11 @@ def _chunked(M: int, job) -> list:
     The chunks run one after another, each reduced to its sums as it
     finishes, and the sums are added in chunk order; returns one
     EstimatorResult per row of vals, each carrying the record of the same
-    marches.
+    marches.  SimulationError for M < 2: a standard error needs two paths.
     """
+    if M < 2:
+        raise SimulationError(f"an estimate needs at least 2 paths, got M={M}")
+
     def sums(i, m):
         vals, trajs, bundle = job(i, m)
         exited = int(np.count_nonzero(trajs.tau < bundle.times[-1]))

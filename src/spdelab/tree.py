@@ -328,7 +328,7 @@ def normal_transform():
     """The inverse normal CDF of every draw, imported at the first call: the
     package's one use of scipy, whose absence the ImportError names.
 
-    A run that draws loads it while its config loads (`harness.RULES`), and
+    A run that draws loads it while its config loads (`config.RULES`), and
     `montecarlo.simulate` before any draw thread starts, so no draw thread
     imports it; a run that draws no normals never imports scipy.
     """

@@ -7,16 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from spdelab import harness, montecarlo, tree
+from spdelab import config, harness, montecarlo, tree
 from spdelab.cli import main
 from spdelab.harness import (
     CONFIG_KEYS,
     EXPERIMENTS,
+    CheckRow,
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
     default_config,
     list_experiments,
     run,
+    write_report,
 )
 from spdelab.tree import draw_threads
 
@@ -370,7 +373,7 @@ def test_work_guard_counts_every_estimate(name, estimates, n_fine):
     # steps of mc.dt_mc, except density-64-65's conditional one, which
     # marches the 10 tree steps
     at_tree_step = 1 if name == "density-64-65" else 0
-    most = harness.MAX_NORMALS // ((estimates - at_tree_step) * n_fine + at_tree_step * 10)
+    most = config.MAX_NORMALS // ((estimates - at_tree_step) * n_fine + at_tree_step * 10)
     assert ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most}})
     with pytest.raises(ConfigError, match=f"the run's {estimates} Monte Carlo estimate"):
         ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most + 1}})
@@ -394,7 +397,7 @@ def test_one_rule_reads_the_estimate_table_once(monkeypatch):
         ExperimentConfig.from_dict({"experiment": name})
         assert readers == ["_estimates_fit"], name
         assert len(bounds) == (name == "density-64-65"), name
-    assert harness._estimates_fit in harness.RULES
+    assert config._estimates_fit in config.RULES
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -405,7 +408,7 @@ def test_dominance_rule_reads_no_estimate(monkeypatch, name):
         raise AssertionError("_levels_dominant read the estimate table")
     monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(EXPERIMENTS[name],
                                                                estimates=estimates))
-    harness._levels_dominant(cfg)
+    config._levels_dominant(cfg, EXPERIMENTS[name])
 
 
 def test_fine_levels_may_not_be_coarser():
@@ -502,6 +505,19 @@ def test_run_writes_deterministic_reports(tmp_path):
     # the draw threads vary with the machine, so only metadata.json names them
     assert meta["draw_threads"] == draw_threads() >= 1
     assert "draw_threads" not in (out_a / "summary.json").read_text()
+
+
+def test_a_row_passes_at_its_bound_unless_it_gives_its_own_verdict(tmp_path):
+    at, past = CheckRow("at", "0", 1.25, 1.0, 0.25), CheckRow("past", "0", 1.25, 1.0, 0.125)
+    assert at.abs_err == at.tol and at.passed is True and past.passed is False
+    # an explicit verdict stands whatever abs_err reads: a ratio row bounds rhs
+    ratio = CheckRow("ratio", "0", 4.0, 0.5, 4.0 / 1.7, 0.5 <= 4.0 / 1.7)
+    assert ratio.passed is True and ratio.abs_err > ratio.tol
+    assert CheckRow("verdict", "0", 1.0, 1.0, 0.5, False).passed is False
+    # the report, not the row, names the experiment in report.csv
+    write_report(ExperimentReport("norm-bounds", [at, ratio], {}, 0.0), tmp_path)
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[::8] for row in rows] == [["norm-bounds", "true"]] * 2
 
 
 @pytest.mark.parametrize("over, x", [

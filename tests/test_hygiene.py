@@ -18,6 +18,7 @@ test's imports are counted:
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from spdelab.config import RULES
 from spdelab.harness import EXPERIMENTS, default_config
 from test_golden import REDUCED
 
@@ -83,6 +85,20 @@ def test_the_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("import os\nimport numpy as np\nfrom math import pi, tau\n\nx = np.zeros(1) + pi\n")
     assert unused_imports(module) == ["mod.py:1 os", "mod.py:3 tau"]
+
+
+def test_the_config_layer_depends_on_nothing_of_the_harness():
+    # harness imports config, never the other way round: a load rule reads
+    # the experiment it checks only through the record it is handed
+    tree = ast.parse((SRC / "config.py").read_text(), filename="config.py")
+    imported = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert not [name for name in imported if "harness" in name.split(".")], imported
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "EXPERIMENTS" not in named
+    assert all(list(inspect.signature(rule).parameters) == ["cfg", "exp"] for rule in RULES)
 
 
 # scipy subpackages the package must not import: scipy.linalg alone raises a

@@ -663,3 +663,26 @@ def test_conditional_matches_density_solver(line_domain):
         k = int(round(t / tree.dt))
         pde = grid.dx * float((dens.p.levels[k][:, anc[k]] * np.exp(-grid.x**2))[1:-1].sum())
         assert abs(pde - r.value) / abs(pde) <= 0.05
+
+
+@pytest.mark.parametrize("M", [0, 1])
+def test_estimators_refuse_fewer_than_two_paths(unit_domain, line_domain, M):
+    # a standard error needs two paths: one path used to read stderr 0, and
+    # none divided by zero
+    constant = make_family("constant", {"f0": 0.0, "sigma": [1.0], "d": 1})
+    grid = build_grid(unit_domain, 41)
+    with pytest.raises(SimulationError, match=f"at least 2 paths, got M={M}"):
+        functional_estimate(constant, lambda x, t, w1: np.ones_like(x), 0.5, M, 1,
+                            grid=grid, dt_mc=0.01)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    grid = build_grid(line_domain, 41)
+    p0 = np.exp(-grid.x**2)
+    p0[0] = p0[-1] = 0.0
+    p0 /= grid.dx * p0[1:-1].sum()
+    with pytest.raises(SimulationError, match=f"at least 2 paths, got M={M}"):
+        conditional_functional(coeffs, lambda x, t, w1: np.ones_like(x), 1, [0.5], M, 1,
+                               tree=build_tree(1, 2, 1.0), grid=grid, p0=p0, dt_mc=0.05)
+    # two paths give a standard error
+    est = functional_estimate(constant, lambda x, t, w1: np.ones_like(x), 0.5, 2, 1,
+                              grid=build_grid(unit_domain, 41), dt_mc=0.01)
+    assert est.stderr > 0.0
