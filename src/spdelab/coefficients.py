@@ -33,14 +33,17 @@ class CoefficientError(ValueError):
 
 class Family(NamedTuple):
     """A builtin family: its parameter keys, drift f(params, x, w1) (no family
-    reads t), analytic sup bound K1(params), and whether the drift reads x
-    (if not, it is constant on a tree node) and is random."""
+    reads t), analytic sup bound K1(params), whether the drift reads x (if
+    not, it is constant on a tree node) and is random, and refuse(params),
+    what make_family's refusal says of parameters outside the family's
+    range (None inside it)."""
 
     keys: tuple
     drift: Callable
     bound: Callable
     reads_x: bool
     random: bool
+    refuse: Callable = lambda p: None
 
 
 FAMILIES = {
@@ -50,7 +53,9 @@ FAMILIES = {
                            lambda p: abs(p["kappa"]), False, True),
     "space-smooth": Family(("a", "eps"),
                            lambda p, x, w1: p["a"] * np.sin(np.pi * x) * (1.0 + p["eps"] * np.tanh(w1)),
-                           lambda p: abs(p["a"]) * (1.0 + abs(p["eps"])), True, True),
+                           lambda p: abs(p["a"]) * (1.0 + abs(p["eps"])), True, True,
+                           lambda p: "space-smooth needs |eps| < 1 to keep the drift sign fixed"
+                           if abs(p["eps"]) >= 1.0 else None),
 }
 
 
@@ -149,7 +154,8 @@ def make_family(name: str, params: dict) -> CoefficientSet:
         raise CoefficientError(f"need 1 <= d <= d0={sigma.size}, got d={d}")
     if np.dot(sigma, sigma) < DEGENERACY_FLOOR:
         raise CoefficientError("beta beta^T is degenerate (sigma too small)")
-    keys = _family(name).keys
+    row = _family(name)
+    keys = row.keys
     missing = [k for k in keys if k not in params]
     if missing:
         raise CoefficientError(f"family {name!r} missing parameters {missing}")
@@ -159,8 +165,9 @@ def make_family(name: str, params: dict) -> CoefficientSet:
     vals = {k: float(params[k]) for k in keys}
     if not all(np.isfinite(v) for v in vals.values()):
         raise CoefficientError("coefficient parameters must be finite")
-    if name == "space-smooth" and abs(vals["eps"]) >= 1.0:
-        raise CoefficientError("space-smooth needs |eps| < 1 to keep the drift sign fixed")
+    refusal = row.refuse(vals)
+    if refusal:
+        raise CoefficientError(refusal)
     sigma = sigma.copy()
     sigma.setflags(write=False)
     return CoefficientSet(family=name, d=d, sigma=sigma, params=vals)

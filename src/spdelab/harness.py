@@ -215,9 +215,10 @@ class ExperimentConfig:
 
     @property
     def d(self) -> int:
-        """How many sigma columns ride on the scenario tree; a level on the w1
-        lattice carries only the first, whatever d is."""
-        return self.coefficients.get("d", len(self.coefficients.get("sigma", ())))
+        """How many sigma columns ride on the scenario tree (the built
+        coefficients' d); a level on the w1 lattice carries only the first,
+        whatever d is."""
+        return self.build_coeffs().d
 
     # object builders -----------------------------------------------------
 
@@ -335,7 +336,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     (mc,) = _feynman_kac_estimates(cfg)
     est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
                               grid=grid, dt_mc=mc.dt, tree=None)
-    diag["monte_carlo"] = {mc.name: dict(est.marches(), exact=oracle)}
+    diag["monte_carlo"] = {mc.name: dict(asdict(est), exact=oracle)}
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow("v-vs-monte-carlo", "1.3", v_mid, est.value, tol))
     return rows
@@ -370,7 +371,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
                     family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
                     (cfg.mc["seed"], seed_tag, ix), grid=grid,
                     dt_mc=mc.dt, tree=bridge)
-                diag["monte_carlo"][mc.name] = est.marches()
+                diag["monte_carlo"][mc.name] = asdict(est)
                 out.append((mc.name, float(sol.v.levels[0][ix, 0]), est))
         return out
 
@@ -566,14 +567,14 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
         coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
         tree=tree, grid=grid, p0=p0, dt_mc=cond_mc.dt)
     # one march, one estimate per t_point
-    diag["monte_carlo"] = {cond_mc.name: dict(cond[0].marches(), value=[e.value for e in cond],
+    diag["monte_carlo"] = {cond_mc.name: dict(asdict(cond[0]), value=[e.value for e in cond],
                                               stderr=[e.stderr for e in cond])}
     rows = [CheckRow(f"conditional-identity-t={t:g}", "6.4", pde, est.value,
                      0.05, abs(pde - est.value) / max(abs(pde), 1e-300) <= 0.05)
             for est, t, pde in zip(cond, p["t_points"], pdes)]
     est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
                               grid=grid, dt_mc=uncond_mc.dt, tree=tree)
-    diag["monte_carlo"][uncond_mc.name] = est.marches()
+    diag["monte_carlo"][uncond_mc.name] = asdict(est)
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow("unconditional-identity", "6.5", lhs, est.value, tol))
     mass_ok = bool(np.all(np.diff(worst_mass) < 1e-8))

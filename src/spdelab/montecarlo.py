@@ -41,7 +41,7 @@ which SeedSequence flattens at any nesting (the rule in `tree`).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -73,27 +73,21 @@ EXIT_SHIFT = 0.5825971579390107
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A Monte Carlo mean and its standard error.
-
-    A chunked estimator also records its marches: the paths per chunk, the
-    normals drawn and the share of paths that exited before the horizon,
-    summed over the chunks in chunk order so the record is deterministic,
-    and the step dt and the fine steps over the horizon its paths marched.
+    """A Monte Carlo mean and its standard error, with the record of the
+    marches behind it: the paths per chunk, the normals drawn and the share
+    of paths that exited (on the last fine step too), summed over the chunks
+    in chunk order so the record is deterministic, and the step dt and the
+    fine steps over the horizon its paths marched.  summary.json prints it
+    as it is.
     """
 
     value: float
     stderr: float
-    chunks: tuple = ()
-    normals_drawn: int = 0
-    exit_frac: float = 0.0
-    dt: float = 0.0
-    fine_steps: int = 0
-
-    def marches(self) -> dict:
-        """The estimate and the record of the marches behind it, for summary.json."""
-        return {"value": self.value, "stderr": self.stderr, "chunks": list(self.chunks),
-                "normals_drawn": self.normals_drawn, "exit_frac": self.exit_frac,
-                "dt": self.dt, "fine_steps": self.fine_steps}
+    chunks: tuple
+    normals_drawn: int
+    exit_frac: float
+    dt: float
+    fine_steps: int
 
 
 @dataclass
@@ -103,19 +97,17 @@ class TrajectorySet:
     Integrands registered at simulation time are accumulated online, so no
     estimate needs the fine-mesh history; a fine history, when wanted, is
     the snapshot set at every mesh time.  `normals_drawn` counts the normals
-    the march drew, one per live path and fine step of each block it drew.
+    the march drew, one per live path and fine step of each block it drew,
+    and `exits` the paths that left the domain, each counted at its exit.
     """
 
     snapshot_times: np.ndarray  # (n_snap,)
     snapshots: np.ndarray  # (M, n_snap)
-    alive: np.ndarray  # (M, n_snap) bool, t <= tau
+    alive: np.ndarray  # (M, n_snap) bool, not exited by the snapshot time
     tau: np.ndarray  # (M,)
-    integrals: dict = field(default_factory=dict)  # name -> (M,) path integrals
-    normals_drawn: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.tau.size
+    integrals: dict  # name -> (M,) path integrals
+    normals_drawn: int
+    exits: int
 
 
 def sample_from_density(p0: np.ndarray, grid: Grid, n: int, rng) -> np.ndarray:
@@ -138,16 +130,18 @@ def simulate(
     domain,
     grid: Grid | None = None,
     integrands: dict | None = None,
-    snapshot_times=None,
+    snapshot_times=(),
 ) -> TrajectorySet:
     """Euler-Maruyama marching of (1.1)-type dynamics over a path bundle.
 
     init is either a point inside the closed domain or a gridded initial
     density (requires grid); integrands maps names to callables
     phi(y, t, w1) whose running integrals sum_{t < tau} phi dt_mc are
-    accumulated online.  On a tree the path groups call the integrands (and
-    a drift that reads x) from several threads at once, so they must not
-    keep state.  Deterministic given the bundle's seed.
+    accumulated online; snapshot_times are the mesh times in [s, horizon]
+    at which every path is recorded, none by default.  On a tree the path
+    groups call the integrands (and a drift that reads x) from several
+    threads at once, so they must not keep state.  Deterministic given the
+    bundle's seed.
     """
     if not np.array_equal(coeffs.sigma, paths.sigma):
         raise SimulationError(
@@ -185,9 +179,6 @@ def simulate(
         lo_x, hi_x = lo_x + shift, hi_x - shift
 
     horizon = paths.times[-1]
-    if snapshot_times is None:
-        snapshot_times = np.array([0.0, horizon]) if paths.tree is None else paths.tree.times()
-        snapshot_times = snapshot_times[snapshot_times >= s - 1e-9]
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     snap_idx = np.rint(snapshot_times / dt).astype(int)
     if np.any(np.abs(snap_idx * dt - snapshot_times) > 1e-9):
@@ -217,7 +208,8 @@ def simulate(
 
     def march(lo, hi):
         """March paths lo .. hi - 1 from m0, writing only their rows of tau,
-        y, snapshots, alive and totals; returns the normals drawn."""
+        y, snapshots, alive and totals; returns the normals drawn and the
+        paths that exited."""
         # live paths: index, state, running integrals.  The current noise
         # block holds fine steps first .. end - 1 and has a column per path
         # live when it was drawn; once one of them has exited, cols maps the
@@ -225,7 +217,7 @@ def simulate(
         live = np.arange(lo, hi)
         yl = y[lo:hi].copy()
         acc = {name: np.zeros(hi - lo) for name in integrands}
-        drawn = 0
+        drawn = exits = 0
         m = end = m0
         while True:
             if m in snap_of:
@@ -252,6 +244,7 @@ def simulate(
             out = (yl < lo_x) | (yl > hi_x)
             if out.any():
                 at = out.nonzero()[0]
+                exits += at.size
                 gone = live[at]
                 tau[gone] = m * dt
                 y[gone] = yl[at]
@@ -271,7 +264,7 @@ def simulate(
             totals[name][live] = acc[name]
         # after an early stop the later snapshots hold the frozen paths
         snapshots[lo:hi, snap_idx > m] = y[lo:hi, None]
-        return drawn
+        return drawn, exits
 
     # a tree-bridged march runs as contiguous groups of paths: the calling
     # thread marches the first and a pool of this march's own the others,
@@ -283,11 +276,12 @@ def simulate(
     groups = 1 if paths.tree is None else max(1, min(tree_module.draw_threads(), M))
     cuts = [g * M // groups for g in range(groups + 1)]
     if groups == 1:
-        drawn = march(0, M)
+        counts = [march(0, M)]
     else:
         with ThreadPoolExecutor(groups - 1, thread_name_prefix="spdelab-draw") as pool:
             tasks = [pool.submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
-            drawn = march(cuts[0], cuts[1]) + sum(task.result() for task in tasks)
+            counts = [march(cuts[0], cuts[1])] + [task.result() for task in tasks]
+    drawn, exits = map(sum, zip(*counts))
     return TrajectorySet(
         snapshot_times=snapshot_times,
         snapshots=snapshots,
@@ -295,19 +289,15 @@ def simulate(
         tau=tau,
         integrals=totals,
         normals_drawn=drawn,
+        exits=exits,
     )
 
 
-def _estimate(chunks) -> EstimatorResult:
-    """Sample mean and standard error from per-chunk (sum v, sum v^2, n)
-    triples, summed in chunk order."""
-    s1 = s2 = 0.0
-    n = 0
-    for c1, c2, m in chunks:
-        s1, s2, n = s1 + c1, s2 + c2, n + m
+def _estimate(s1: float, s2: float, n: int) -> tuple:
+    """Sample mean and standard error from the sums of v and v^2 over n paths."""
     mean = s1 / n
     var = max(s2 / n - mean**2, 0.0) * n / (n - 1)
-    return EstimatorResult(value=float(mean), stderr=float(np.sqrt(var / n)))
+    return float(mean), float(np.sqrt(var / n))
 
 
 # paths per chunk of a chunked estimate
@@ -325,21 +315,19 @@ def _chunked(M: int, job) -> list:
     """
     if M < 2:
         raise SimulationError(f"an estimate needs at least 2 paths, got M={M}")
-
-    def sums(i, m):
-        vals, trajs, bundle = job(i, m)
-        exited = int(np.count_nonzero(trajs.tau < bundle.times[-1]))
-        return (vals.sum(axis=1), (vals**2).sum(axis=1), trajs.normals_drawn, exited,
-                bundle.dt_mc, bundle.n_fine)
-
     sizes = [min(CHUNK, M - lo) for lo in range(0, M, CHUNK)]
-    out = list(map(sums, range(len(sizes)), sizes))
-    record = dict(chunks=tuple(sizes), normals_drawn=sum(c[2] for c in out),
-                  exit_frac=sum(c[3] for c in out) / M, dt=out[0][4], fine_steps=out[0][5])
-    return [
-        replace(_estimate((c[0][a], c[1][a], m) for c, m in zip(out, sizes)), **record)
-        for a in range(out[0][0].size)
-    ]
+    s1 = s2 = 0.0
+    normals_drawn = exits = 0
+    for i, m in enumerate(sizes):
+        vals, trajs, bundle = job(i, m)
+        s1, s2 = s1 + vals.sum(axis=1), s2 + (vals**2).sum(axis=1)
+        normals_drawn, exits = normals_drawn + trajs.normals_drawn, exits + trajs.exits
+        dt, fine_steps = bundle.dt_mc, bundle.n_fine
+        del vals, trajs, bundle  # one chunk's paths at a time
+    return [EstimatorResult(*_estimate(a, b, M), chunks=tuple(sizes),
+                            normals_drawn=normals_drawn, exit_frac=exits / M, dt=dt,
+                            fine_steps=fine_steps)
+            for a, b in zip(s1, s2)]
 
 
 def expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float) -> float:
@@ -461,7 +449,7 @@ def functional_estimate(
         else:
             bundle = free_paths(grid.domain.horizon, m, coeffs.sigma, dt_mc, chunk_seed)
         trajs = simulate(coeffs, init, 0.0, bundle, grid.domain, grid=grid,
-                         integrands={"phi": phi}, snapshot_times=())
+                         integrands={"phi": phi})
         return trajs.integrals["phi"][None], trajs, bundle
 
     return _chunked(M, job)[0]

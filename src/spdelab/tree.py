@@ -96,9 +96,6 @@ class ScenarioTree:
     def n_nodes(self, level: int) -> int:
         return self.branching**level
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
     def child(self, nxt, b: int, n_k: int) -> np.ndarray:
         """Child b of every level-k node, a strided view of level k+1."""
         return nxt.reshape(nxt.shape[0], n_k, self.branching)[:, :, b]

@@ -27,14 +27,15 @@ def reference_simulate(
     domain,
     grid: Grid | None = None,
     integrands: dict | None = None,
-    snapshot_times=None,
+    snapshot_times=(),
 ) -> TrajectorySet:
     """Euler-Maruyama marching of (1.1)-type dynamics over a path bundle.
 
     init is either a point inside the closed domain or a gridded initial
     density (requires grid); integrands maps names to callables
     phi(y, t, w1) whose running integrals sum_{t < tau} phi dt_mc are
-    accumulated online.  Deterministic given the bundle's seed.
+    accumulated online; snapshot_times are the mesh times at which every
+    path is recorded, none by default.  Deterministic given the bundle's seed.
     """
     if not np.array_equal(coeffs.sigma, paths.sigma):
         raise SimulationError(
@@ -69,9 +70,6 @@ def reference_simulate(
         lo, hi = lo + shift, hi - shift
 
     horizon = paths.times[-1]
-    if snapshot_times is None:
-        snapshot_times = np.array([0.0, horizon]) if paths.tree is None else paths.tree.times()
-        snapshot_times = snapshot_times[snapshot_times >= s - 1e-9]
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     snap_idx = np.rint(snapshot_times / dt).astype(int)
     if np.any(np.abs(snap_idx * dt - snapshot_times) > 1e-9):
@@ -92,7 +90,7 @@ def reference_simulate(
     live = np.arange(M)
     yl = y.copy()
     acc = {name: np.zeros(M) for name in integrands}
-    drawn = 0
+    drawn = exits = 0
     m = m0
     while True:
         if m in snap_of:
@@ -117,6 +115,7 @@ def reference_simulate(
         out = (yl < lo) | (yl > hi)
         if out.any():
             gone = live[out]
+            exits += gone.size
             tau[gone] = m * dt
             y[gone] = yl[out]
             for name in totals:
@@ -138,4 +137,5 @@ def reference_simulate(
         tau=tau,
         integrals=totals,
         normals_drawn=drawn,
+        exits=exits,
     )

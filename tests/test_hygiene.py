@@ -14,7 +14,8 @@ test's imports are counted:
   harness.run, and a march imports it in the calling thread, never in a
   draw thread;
 - with scipy missing, a config that draws fails at load (exit 2), and the
-  runs that draw no normals still pass.
+  runs that draw no normals still pass;
+- the default duality-63 run, through the CLI, peaks under 100 MB RSS.
 """
 
 import ast
@@ -54,9 +55,13 @@ for args in json.loads(sys.argv[1]):
 
 def fresh(code, *args):
     """Run code with args in a fresh interpreter that imports spdelab from
-    this source tree; the completed process, its output captured."""
+    this source tree; the completed process, its output captured.  A shell
+    starts the interpreter, so its peak RSS is its own: Linux carries a
+    process's ru_maxrss across exec, and a child exec'd straight from this
+    test process would report this process's peak."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+    return subprocess.run(["sh", "-c", '"$@"; exit', "sh", sys.executable, "-c", code,
+                           *map(str, args)],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
 
 
@@ -161,6 +166,18 @@ print(' '.join(sorted(set(sys.modules) - before)))
     assert (tmp_path / "out" / "report.csv").exists()
 
 
+def test_the_default_duality_63_run_peaks_under_100_mb(tmp_path):
+    # the lightest default run, through the CLI in a fresh interpreter: its
+    # peak RSS is the package's import and load cost plus one small solve
+    config = tmp_path / "duality-63.json"
+    config.write_text(json.dumps({"experiment": "duality-63", "output_dir": str(tmp_path / "out")}))
+    done = fresh("import runpy, sys; sys.argv[1:] = ['run', sys.argv[1]]; "
+                 "runpy.run_module('spdelab', run_name='__main__')", config)
+    assert done.returncode == 0, done.stderr
+    rss = json.loads((tmp_path / "out" / "metadata.json").read_text())["peak_rss_mb"]
+    assert rss < 100, rss
+
+
 def cli_without_scipy(*argvs):
     done = fresh(CLI_WITHOUT_SCIPY, json.dumps([list(map(str, argv)) for argv in argvs]))
     assert done.returncode == 0, done.stderr
@@ -223,7 +240,7 @@ marches, groups = [], []
 for threads in (3, 1):  # three groups of paths, two on the march's own threads, then one
     tree.draw_threads = lambda: threads
     drew_in.clear()
-    marches.append(simulate(coeffs, 0.5, 0.0, paths, domain))
+    marches.append(simulate(coeffs, 0.5, 0.0, paths, domain, snapshot_times=paths.times[::10]))
     groups.append(sorted(drew_in))
 split, serial = marches
 main = threading.main_thread().name
@@ -231,9 +248,8 @@ split_in, serial_in = groups
 assert main in split_in and len(split_in) > 1, groups
 assert all(n == main or n.startswith('spdelab-draw_') for n in split_in), groups
 assert serial_in == [main], groups
-for name in ('tau', 'snapshots', 'alive'):
+for name in ('tau', 'snapshots', 'alive', 'normals_drawn', 'exits'):
     assert np.array_equal(getattr(split, name), getattr(serial, name)), name
-assert split.normals_drawn == serial.normals_drawn
 print(finder_threads['scipy.special'], main)
 """)
     assert done.returncode == 0, done.stderr

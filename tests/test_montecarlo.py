@@ -51,10 +51,10 @@ def free_draws(paths, tau, s=0.0):
 
 
 def estimate_functional(trajs, name):
-    """E sum_{t < tau} phi(y(t), t) dt_mc for the integrand registered
-    under `name`, reduced as one chunk."""
+    """(mean, standard error) of sum_{t < tau} phi(y(t), t) dt_mc for the
+    integrand registered under `name`, reduced as one chunk."""
     vals = trajs.integrals[name]
-    return montecarlo._estimate([(vals.sum(), (vals**2).sum(), vals.size)])
+    return montecarlo._estimate(vals.sum(), (vals**2).sum(), vals.size)
 
 
 def empirical_density(trajs, t, grid):
@@ -64,7 +64,7 @@ def empirical_density(trajs, t, grid):
     edges = np.concatenate([[grid.x[0] - 0.5 * grid.dx], 0.5 * (grid.x[1:] + grid.x[:-1]),
                             [grid.x[-1] + 0.5 * grid.dx]])
     counts, _ = np.histogram(trajs.snapshots[ok, hit], bins=edges)
-    return counts / (trajs.n_paths * grid.dx)
+    return counts / (trajs.tau.size * grid.dx)
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ def test_simulate_frozen_dynamics(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1e-3]})
     # beta ~ 0 within the nondegeneracy floor; scale noise away by hand instead
     paths = silent_free_paths(1.0, M=64, sigma=coeffs.sigma, dt_mc=0.25)
-    trajs = simulate(coeffs, 0.3, 0.0, paths, line_domain)
+    trajs = simulate(coeffs, 0.3, 0.0, paths, line_domain, snapshot_times=[0.0, 1.0])
     assert np.all(trajs.snapshots == 0.3)
     assert np.all(trajs.tau == 1.0)
     assert np.all(trajs.alive)
@@ -90,9 +90,9 @@ def test_simulate_frozen_dynamics(line_domain):
 def test_simulate_gaussian_statistics(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(1.0, M=20000, sigma=coeffs.sigma, dt_mc=0.01, seed=2)
-    trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain)
+    trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain, snapshot_times=[1.0])
     yT = trajs.snapshots[:, -1]
-    m = trajs.n_paths
+    m = yT.size
     assert abs(yT.mean()) < 3.0 / np.sqrt(m)
     assert abs(yT.var() - 1.0) < 3.0 * np.sqrt(2.0 / (m - 1))
 
@@ -103,8 +103,8 @@ def test_simulate_exit_time_oracle(unit_domain):
     dom = DomainSpec(0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(4.0, M=20000, sigma=coeffs.sigma, dt_mc=2e-3, seed=3)
-    trajs = simulate(coeffs, 0.5, 0.0, paths, dom)
-    stderr = trajs.tau.std(ddof=1) / np.sqrt(trajs.n_paths)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=[0.0, 4.0])
+    stderr = trajs.tau.std(ddof=1) / np.sqrt(trajs.tau.size)
     bias_allowance = 0.6 * np.sqrt(2e-3) + 3 * stderr
     assert abs(trajs.tau.mean() - 0.25) <= bias_allowance
     # exited paths freeze: the alive indicator flips once and stays down
@@ -153,6 +153,27 @@ def test_simulate_validations(unit_domain):
         simulate(random_coeffs, 0.5, 0.0, paths, unit_domain)
 
 
+def test_exits_on_the_last_fine_step_are_counted():
+    # four fine steps from 0.5 on (0, 1): a path that exits on the last step
+    # has tau at the horizon, as a path that never exits does, and the march
+    # counts it as it leaves
+    dom = DomainSpec(0.0, 1.0, 0.04)
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
+    paths = free_paths(0.04, 20000, coeffs.sigma, 0.01, seed=3)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=[0.0, 0.04])
+    gone = np.count_nonzero(~trajs.alive[:, -1])
+    assert paths.n_fine == 4 and trajs.alive[:, 0].all()
+    assert trajs.exits == gone > np.count_nonzero(trajs.tau < 0.04) > 0
+    # the estimate's record counts them too: its one chunk marches the
+    # bundle seeded (seed, 0xF0, 0)
+    est = functional_estimate(coeffs, lambda y, t, w1: np.ones_like(y), 0.5, 20000, 3,
+                              grid=build_grid(dom, 21), dt_mc=0.01)
+    paths = free_paths(0.04, 20000, coeffs.sigma, 0.01, seed=(3, 0xF0, 0))
+    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=[0.04])
+    assert est.exit_frac == np.count_nonzero(~trajs.alive[:, -1]) / 20000
+    assert est.exit_frac > np.count_nonzero(trajs.tau < 0.04) / 20000
+
+
 def test_no_normals_drawn_for_exited_paths():
     # free paths: a draw spans a few fine steps of the paths live at its
     # start, so a path that exits inside a span leaves at most SPAN_MAX - 1
@@ -166,7 +187,7 @@ def test_no_normals_drawn_for_exited_paths():
     assert steps.max() < paths.n_fine  # every path exits before the horizon
     assert trajs.normals_drawn == sum(S * L for S, L in free_draws(paths, trajs.tau))
     assert 0 < trajs.normals_drawn - steps.sum() <= (tree_module.SPAN_MAX - 1) * steps.size
-    last = trajs.snapshots[np.arange(trajs.n_paths), steps]
+    last = trajs.snapshots[np.arange(paths.n_paths), steps]
     shift = montecarlo.EXIT_SHIFT * np.sqrt(0.01)  # free paths exit the shifted band
     assert np.all((last < shift) | (last > 1.0 - shift))
     # after the early stop the record holds the frozen exit values
@@ -202,10 +223,11 @@ def test_bridged_snapshots_have_the_leaf_law_at_any_mesh(line_domain, n_sub):
     w1 = np.array([tree.w1[k][node] for k, node in enumerate(tree.leaf_path(leaf))])
     paths = bridge_paths(tree, leaf, M, coeffs.sigma, tree.dt / n_sub, seed=(23, n_sub))
     assert paths.n_sub == n_sub
-    trajs = simulate(coeffs, y0, 0.0, paths, line_domain)
+    times = paths.times[::n_sub]  # the tree times
+    trajs = simulate(coeffs, y0, 0.0, paths, line_domain, snapshot_times=times)
     assert trajs.alive.all()
     mean = y0 + np.cumsum(kappa * np.tanh(w1[:-1]) * tree.dt) + sigma[0] * w1[1:]
-    var = sigma[1] ** 2 * tree.times()[1:]
+    var = sigma[1] ** 2 * times[1:]
     y = trajs.snapshots[:, 1:]
     assert np.all(np.abs(y.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / M))
     assert np.all(np.abs(y.var(axis=0, ddof=1) - var) <= 4.0 * var * np.sqrt(2.0 / (M - 1)))
@@ -262,19 +284,23 @@ def march_cases():
     most paths exit: every drift family, free paths, paths bridged through one
     leaf and through a leaf per path."""
     tree = build_tree(1, 5, 1.0)
+    tree_times = tree.dt * np.arange(tree.n_steps + 1)
     constant = make_family("constant", {"f0": 0.8, "sigma": [1.0]})
     smooth = make_family("space-smooth", {"a": 1.5, "eps": 0.4, "sigma": [0.6, 0.8], "d": 1})
     random = make_family("drift-random", {"kappa": 0.7, "sigma": [0.6, 0.8], "d": 1})
     return {
-        "free-constant": (constant, 0.5, 0.0, free_paths(1.0, 4000, [1.0], 1e-3, seed=40), None),
+        "free-constant": (constant, 0.5, 0.0, free_paths(1.0, 4000, [1.0], 1e-3, seed=40),
+                          [0.0, 1.0]),
         # a drift of w1 needs tree-bridged paths, here through one leaf
         "leaf-space-smooth": (smooth, 0.3, 0.0,
                               bridge_paths(tree, 6, 3000, smooth.sigma, 2e-3, seed=41),
                               np.linspace(0.0, 1.0, 11)),
         "leaf-drift-random": (random, 0.5, 0.0,
-                              bridge_paths(tree, 19, 3000, random.sigma, 0.01, seed=42), None),
+                              bridge_paths(tree, 19, 3000, random.sigma, 0.01, seed=42),
+                              tree_times),
         "per-path-leaves": (random, 0.5, 0.0,
-                            sample_tree_paths(tree, 3000, random.sigma, 0.01, seed=43), None),
+                            sample_tree_paths(tree, 3000, random.sigma, 0.01, seed=43),
+                            tree_times),
         "start-inside-a-block": (smooth, 0.4, 0.13,
                                  sample_tree_paths(tree, 3000, smooth.sigma, 0.01, seed=44),
                                  np.array([0.13, 0.2, 0.2, 0.55, 1.0])),
@@ -282,7 +308,7 @@ def march_cases():
         # at a block start while the others march on
         "one-live-path-in-a-group": (random, 0.5, 0.0,
                                      sample_tree_paths(tree, 9, random.sigma, 0.01, seed=47),
-                                     None),
+                                     tree_times),
     }
 
 
@@ -297,6 +323,7 @@ def check_march_against_the_reference(domain, case):
                       snapshot_times=times) for march in (simulate, reference_simulate))
     for name in ("tau", "snapshots", "alive"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    assert new.exits == ref.exits == np.count_nonzero(~new.alive[:, -1])
     assert new.integrals.keys() == ref.integrals.keys()
     for name in new.integrals:
         assert np.array_equal(new.integrals[name], ref.integrals[name]), name
@@ -366,10 +393,10 @@ def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
     monkeypatch.setattr(PathBundle, "draw", recorded)
     coeffs = make_family("constant", {"f0": 0.5, "sigma": [1.0]})
     paths = free_paths(1.0, 12_000, coeffs.sigma, 2e-3, seed=46)
-    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain, snapshot_times=[0.0, 1.0])
     span_normals, span_max = tree_module.SPAN_NORMALS, tree_module.SPAN_MAX
     assert [shape for _, _, shape in shapes] == free_draws(paths, trajs.tau)
-    ref = reference_simulate(coeffs, 0.5, 0.0, paths, unit_domain)
+    ref = reference_simulate(coeffs, 0.5, 0.0, paths, unit_domain, snapshot_times=[0.0, 1.0])
     assert np.array_equal(trajs.tau, ref.tau) and np.array_equal(trajs.snapshots, ref.snapshots)
     shift = montecarlo.EXIT_SHIFT * np.sqrt(2e-3)
     exited = trajs.tau < 1.0
@@ -399,7 +426,8 @@ def test_march_holds_one_noise_block_at_a_time(line_domain, split_draws, monkeyp
         monkeypatch.setattr(tree_module, "draw_threads", lambda: threads)
         tracemalloc.start()
         try:
-            simulate(coeffs, 0.0, 0.0, paths, line_domain)
+            simulate(coeffs, 0.0, 0.0, paths, line_domain,
+                     snapshot_times=paths.times[::paths.n_sub])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,11 +435,12 @@ def test_march_holds_one_noise_block_at_a_time(line_domain, split_draws, monkeyp
 
 
 def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
-    # the default tree snapshots start at s, so none is left unwritten
+    # by default no path is recorded; a snapshot at s holds the start
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     paths = sample_tree_paths(build_tree(1, 4, 1.0), 5, coeffs.sigma, 0.01, seed=21)
-    trajs = simulate(coeffs, 0.5, 0.5, paths, unit_domain)
-    assert np.allclose(trajs.snapshot_times, [0.5, 0.75, 1.0])
+    none = simulate(coeffs, 0.5, 0.5, paths, unit_domain)
+    assert none.snapshot_times.shape == (0,) and none.snapshots.shape == none.alive.shape == (5, 0)
+    trajs = simulate(coeffs, 0.5, 0.5, paths, unit_domain, snapshot_times=[0.5, 0.75, 1.0])
     assert np.all(trajs.snapshots[:, 0] == 0.5) and trajs.alive[:, 0].all()
     # explicit times before the start or past the horizon raise
     for times in ([0.25, 1.0], [0.5, 1.01]):
@@ -438,17 +467,16 @@ def test_estimate_functional_zero_and_linearity(unit_domain):
         },
         snapshot_times=paths.times,
     )
-    z = estimate_functional(trajs, "zero")
-    assert z.value == 0.0 and z.stderr == 0.0
-    one = estimate_functional(trajs, "one")
-    two = estimate_functional(trajs, "two")
-    assert two.value == pytest.approx(2.0 * one.value, rel=1e-14)
+    assert estimate_functional(trajs, "zero") == (0.0, 0.0)
+    one, _ = estimate_functional(trajs, "one")
+    two, _ = estimate_functional(trajs, "two")
+    assert two == pytest.approx(2.0 * one, rel=1e-14)
     # registered integral of 1 equals tau on the mesh
-    assert one.value == pytest.approx(trajs.tau.mean(), rel=1e-12)
+    assert one == pytest.approx(trajs.tau.mean(), rel=1e-12)
     # the running integral of y^2 against the sum over every mesh time before the exit
     before_exit = np.arange(paths.n_fine)[None, :] < np.rint(trajs.tau / 0.02)[:, None]
     direct = (trajs.snapshots[:, :-1] ** 2 * before_exit).sum(axis=1) * 0.02
-    assert estimate_functional(trajs, "sq").value == pytest.approx(direct.mean(), rel=1e-12)
+    assert estimate_functional(trajs, "sq")[0] == pytest.approx(direct.mean(), rel=1e-12)
 
 
 def test_reproducibility(line_domain):
@@ -458,7 +486,8 @@ def test_reproducibility(line_domain):
     def run():
         paths = sample_tree_paths(tree, 256, coeffs.sigma, 0.05, seed=7)
         return simulate(coeffs, 0.0, 0.0, paths, line_domain,
-                        integrands={"phi": lambda y, t, w1: np.exp(-y**2)})
+                        integrands={"phi": lambda y, t, w1: np.exp(-y**2)},
+                        snapshot_times=paths.times[::paths.n_sub])
 
     a, b = run(), run()
     assert np.array_equal(a.snapshots, b.snapshots)
@@ -483,7 +512,7 @@ def test_stderr_scaling(line_domain):
         paths = free_paths(1.0, M=M, sigma=coeffs.sigma, dt_mc=0.02, seed=9)
         trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain,
                          integrands={"phi": lambda y, t, w1: np.exp(-y**2)})
-        errs.append(estimate_functional(trajs, "phi").stderr)
+        errs.append(estimate_functional(trajs, "phi")[1])
     # quadrupling the sample halves the standard error, within 20%
     assert abs(errs[0] / errs[1] - 2.0) < 0.4
 
@@ -492,7 +521,7 @@ def test_empirical_density_spike(unit_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     grid = build_grid(unit_domain, 21)
     paths = silent_free_paths(1.0, M=100, sigma=coeffs.sigma, dt_mc=0.25)
-    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain, snapshot_times=[0.0])
     hist = empirical_density(trajs, 0.0, grid)
     ix = np.argmin(np.abs(grid.x - 0.5))
     assert hist[ix] == pytest.approx(1.0 / grid.dx)
@@ -504,7 +533,7 @@ def test_empirical_density_gaussian(line_domain):
     grid = build_grid(line_domain, 161)
     tree = build_tree(1, 4, 1.0)
     paths = sample_tree_paths(tree, 100000, coeffs.sigma, 0.01, seed=11)
-    trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain)
+    trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain, snapshot_times=[1.0])
     hist = empirical_density(trajs, 1.0, grid)
     ref = np.exp(-grid.x**2 / 2.0) / np.sqrt(2 * np.pi)
     assert grid.dx * np.abs(hist - ref).sum() <= 0.05
@@ -514,7 +543,7 @@ def test_empirical_density_mass_counts_alive(unit_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     grid = build_grid(unit_domain, 21)
     paths = free_paths(1.0, M=4000, sigma=coeffs.sigma, dt_mc=0.01, seed=12)
-    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain, snapshot_times=[1.0])
     hist = empirical_density(trajs, 1.0, grid)
     alive_fraction = trajs.alive[:, -1].mean()
     assert hist.sum() * grid.dx == pytest.approx(alive_fraction, abs=1e-12)
@@ -577,7 +606,7 @@ def test_conditional_vs_unconditional_coherence(line_domain):
     # unconditional side: integral estimator of phi at the same time via
     # simulate over sampled tree paths
     paths = sample_tree_paths(tree, 16000, coeffs.sigma, 0.05, seed=17)
-    trajs = simulate(coeffs, p0, 0.0, paths, line_domain, grid=grid)
+    trajs = simulate(coeffs, p0, 0.0, paths, line_domain, grid=grid, snapshot_times=[t_pt])
     yT = trajs.snapshots[:, -1]
     unc = (trajs.alive[:, -1] * np.exp(-yT**2))
     tol = 3.0 * np.sqrt(avg_err**2 + unc.std(ddof=1) ** 2 / unc.size)
