@@ -102,7 +102,6 @@ def _b_of_kernels(grid, sigma, kern):
     bg = np.zeros(kern.shape[1:])
     for j in range(kern.shape[0]):
         bg -= sigma[j] * dx_centered_onesided(grid, kern[j])
-    bg[[0, -1]] = 0.0
     return bg
 
 

@@ -227,12 +227,12 @@ def _estimates_fit(cfg, exp):
     """The run's table of Monte Carlo estimates, read once: the tree its
     bridged paths follow is within the size guard (_levels_dominant builds
     it only where it holds fields), each estimate's step divides the horizon,
-    and the tree step when its paths are bridged, its fine steps are within
-    MAX_FINE_STEPS and the normals of all of them, each one's paths times its
-    fine steps, within MAX_NORMALS, and each has its own name.  A run that
-    draws then resolves its normals' transform: the import is paid at load,
-    never inside a run or a draw thread, and a run that draws none never
-    imports it."""
+    and the tree step when its paths are bridged, at least once each, its
+    fine steps are within MAX_FINE_STEPS and the normals of all of them, each
+    one's paths times its fine steps, within MAX_NORMALS, and each has its
+    own name.  A run that draws then resolves its normals' transform: the
+    import is paid at load, never inside a run or a draw thread, and a run
+    that draws none never imports it."""
     horizon = float(cfg.tree["horizon"])
     table, paths = exp.estimates(cfg), cfg.mc.get("paths", 0)
     if any(est.bridged for est in table) and not exp.fields_on_tree:

@@ -98,6 +98,20 @@ def _fmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process image in MB: VmHWM where
+    /proc/self/status has it, else ru_maxrss (KiB), which Linux carries
+    across exec, so a run started by a larger process would read its peak."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def write_report(report: ExperimentReport, out_dir) -> dict:
     """Write report.csv, summary.json and metadata.json; returns file paths."""
     out = Path(out_dir)
@@ -137,8 +151,8 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                 "spdelab_version": __version__,
                 "numpy_version": np.__version__,
                 "python_version": platform.python_version(),
-                # peak resident set of this process so far (ru_maxrss is in KiB)
-                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                # peak resident set of this process image so far
+                "peak_rss_mb": _peak_rss_mb(),
                 # path groups a tree-bridged march runs as, one per thread
                 "draw_threads": draw_threads(),
             },

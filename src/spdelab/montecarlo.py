@@ -12,12 +12,12 @@ the block's start, by one routine, `tree.PathBundle.draw`: a block is a
 coarse step on a tree, or a span of a few fine steps of free paths, hashed
 `tree.HASH_NORMALS` normals per call and, on a tree, shifted by the bridge
 through each path's leaf.  The march stops as soon as every path has
-exited.  A tree-bridged march runs as contiguous groups of paths, one per
-draw thread: the calling thread marches the first and threads that the
-march starts and joins itself the others (the only threads the package
-starts), each group drawing its own blocks and writing only its own rows,
-with the same bits for any group count; a free march, or a march of one
-group, stays in the calling thread.  Each fine step does only the update
+exited.  A march runs as contiguous groups of paths, one per draw thread
+on a tree and one for free paths: the calling thread marches the first and
+a pool that the march opens and joins itself the others (the only threads
+the package starts), each group drawing its own blocks and writing only its
+own rows, with the same bits for any group count; a march of one group
+starts no thread.  Each fine step does only the update
 (y + f dt) + noise, the exit test and the integrands: a drift that does
 not read x is taken once per block at the block's w1, times dt_mc (on a
 tree from its values per node, evaluated in the calling thread), and an
@@ -266,21 +266,19 @@ def simulate(
         snapshots[lo:hi, snap_idx > m] = y[lo:hi, None]
         return drawn, exits
 
-    # a tree-bridged march runs as contiguous groups of paths: the calling
-    # thread marches the first and a pool of this march's own the others,
-    # joined before it returns.  Free marches stay in the calling thread
-    # (path groups ran slower there, ROADMAP), as does a march of one group.
-    # The draws' transform is resolved here first, so no draw thread imports
-    # it, also for a caller that bypasses the harness's load.
+    # the march runs as contiguous groups of paths: the calling thread
+    # marches the first and a pool of this march's own the others, joined
+    # before it returns.  A pool starts a thread only when a group is
+    # submitted, so a free march (one group: path groups ran slower there,
+    # ROADMAP) or a march of one group starts none.  The draws' transform is
+    # resolved here first, so no draw thread imports it, also for a caller
+    # that bypasses the harness's load.
     tree_module.normal_transform()
     groups = 1 if paths.tree is None else max(1, min(tree_module.draw_threads(), M))
     cuts = [g * M // groups for g in range(groups + 1)]
-    if groups == 1:
-        counts = [march(0, M)]
-    else:
-        with ThreadPoolExecutor(groups - 1, thread_name_prefix="spdelab-draw") as pool:
-            tasks = [pool.submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
-            counts = [march(cuts[0], cuts[1])] + [task.result() for task in tasks]
+    with ThreadPoolExecutor(groups, thread_name_prefix="spdelab-draw") as pool:
+        tasks = [pool.submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+        counts = [march(cuts[0], cuts[1])] + [task.result() for task in tasks]
     drawn, exits = map(sum, zip(*counts))
     return TrajectorySet(
         snapshot_times=snapshot_times,

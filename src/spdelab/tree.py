@@ -125,11 +125,7 @@ class ScenarioTree:
 
     def leaf_path(self, leaf) -> np.ndarray:
         """Node indices along the path root -> leaf, one per level."""
-        leaf = self.leaf_index(leaf)
-        return np.array(
-            [leaf >> (self.d * (self.n_steps - k)) for k in range(self.n_steps + 1)],
-            dtype=np.int64,
-        )
+        return self.ancestor_index(self.leaf_index(leaf), np.arange(self.n_steps + 1))
 
 
 def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
@@ -511,18 +507,23 @@ class PathBundle:
 
 def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[int, int]:
     """(n_fine, n_sub): fine steps over the horizon and per tree step (1
-    without a tree).  Raises TreeError unless dt_mc divides both."""
+    without a tree).  Raises TreeError unless dt_mc divides both, at least
+    once each."""
     n_fine = horizon / dt_mc
     if math.isinf(n_fine):
         raise TreeError(f"dt_mc={dt_mc} is too small: horizon / dt_mc overflows")
     if abs(n_fine - round(n_fine)) > 1e-9:
         raise TreeError(f"dt_mc={dt_mc} does not divide the horizon {horizon}")
+    if round(n_fine) < 1:
+        raise TreeError(f"dt_mc={dt_mc} is longer than the horizon {horizon}")
     n_fine = int(round(n_fine))
     n_sub = 1
     if dt_coarse is not None:
         n_sub = dt_coarse / dt_mc
         if abs(n_sub - round(n_sub)) > 1e-9:
             raise TreeError(f"dt_mc={dt_mc} does not divide the tree step {dt_coarse}")
+        if round(n_sub) < 1:
+            raise TreeError(f"dt_mc={dt_mc} is longer than the tree step {dt_coarse}")
         n_sub = int(round(n_sub))
     return n_fine, n_sub
 

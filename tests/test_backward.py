@@ -251,25 +251,55 @@ def test_op_L_structure_and_exit_oracle():
     assert norm_x0(sol.kernels[0]) <= 1e-12
 
 
+# op_L's exactness cases: a d = 1 tree, a d = 2 tree and the w1 lattice,
+# for each coefficient family
+OP_L_FAMILIES = {
+    "constant": {"f0": 0.3},
+    "drift-random": {"kappa": 0.25},
+    "space-smooth": {"a": 0.3, "eps": 0.5},
+}
+OP_L_SPACES = {
+    "tree": (1, lambda: build_tree(1, 5, 1.0)),
+    "d2-tree": (2, lambda: build_tree(2, 3, 1.0)),
+    "lattice": (1, lambda: build_lattice(5, 1.0)),
+}
+
+
+def op_L_cases(seed):
+    """(case, phi, op_L's solution, coeffs, grid, state space) per family
+    and state space."""
+    grid = build_grid(DomainSpec(0.0, 1.0, 1.0), 41)
+    for space, (d, build) in OP_L_SPACES.items():
+        tree = build()
+        phi = smooth_random_field(grid, tree, seed)
+        for family, params in OP_L_FAMILIES.items():
+            coeffs = make_family(family, {**params, "sigma": [0.6, 0.8, 0.5][: d + 1], "d": d})
+            yield (family, space), phi, op_L(phi, coeffs, grid, tree), coeffs, grid, tree
+
+
 def test_op_L_solves_I_plus_B_exactly():
-    # op_L's back-substitution against the B g of backward_sweep, an
-    # independent sweep, and against the undamped fixed point at a tight tolerance
+    # op_L's back-substitution is an exact fixed point of g = phi - B g at
+    # every level, with the B g of backward_sweep, an independent sweep
+    for case, phi, sol, coeffs, grid, tree in op_L_cases(seed=27):
+        bg = backward_sweep(sol.g, coeffs, grid, tree)[2]
+        for k, (g, p, b) in enumerate(zip(sol.g.levels, phi.levels, bg.levels)):
+            assert np.array_equal(g, p - b), (case, k)
+    # and it is the undamped fixed point, at a tight tolerance
     _, grid, tree, coeffs = make_setup()
     phi = smooth_random_field(grid, tree, seed=27)
-    sol = op_L(phi, coeffs, grid, tree)
-    residual = sol.g + backward_sweep(sol.g, coeffs, grid, tree)[2] - phi
-    assert norm_x0(residual) <= 1e-12 * norm_x0(phi)
     g_iter, _ = solve_R(phi, coeffs, grid, tree, tol=1e-11)
-    assert norm_x0(sol.g - g_iter) <= 1e-9 * norm_x0(sol.g)
+    g = op_L(phi, coeffs, grid, tree).g
+    assert norm_x0(g - g_iter) <= 1e-9 * norm_x0(g)
 
 
 def test_op_L_pair_is_the_sweep_of_R_phi():
-    _, grid, tree, coeffs = make_setup()
-    phi = smooth_random_field(grid, tree, seed=28)
-    sol = op_L(phi, coeffs, grid, tree)
-    v, kernels, _ = backward_sweep(sol.g, coeffs, grid, tree)
-    for a, b in [(sol.v, v), (sol.kernels[0], kernels[0])]:
-        assert norm_x0(a - b) <= 1e-14 * norm_x0(b)
+    # v and every kernel are the bits of the sweep of g = R phi
+    for case, _, sol, coeffs, grid, tree in op_L_cases(seed=28):
+        v, kernels, _ = backward_sweep(sol.g, coeffs, grid, tree)
+        assert len(sol.kernels) == len(kernels) == tree.d, case
+        for a, b in [(sol.v, v), *zip(sol.kernels, kernels)]:
+            for k, (x, y) in enumerate(zip(a.levels, b.levels)):
+                assert np.array_equal(x, y), (case, k)
 
 
 def test_op_L_zero():

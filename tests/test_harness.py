@@ -224,6 +224,11 @@ BAD_AT_LOAD = [
      "would draw 5.1e+14 normals, past the work guard of 4,294,967,296 normals"),
     ({"experiment": "feynman-kac-nonrandom", "mc": {"dt_mc": 5e-324}},
      "mc.dt_mc: dt_mc=5e-324 is too small"),
+    # horizon / dt_mc = 5e-10 rounded to 0 fine steps: each estimate drew
+    # nothing, read 0.0 and passed against v of about 1e-12
+    ({"experiment": "representation-random", "tree": {"horizon": 1e-12, "n_steps": 5},
+      "grid": {"nx": 41}, "mc": {"paths": 2000}},
+     "mc.dt_mc: dt_mc=0.002 is longer than the horizon 1e-12"),
     # was checked and written to summary.json, but no solver read it
     ({"experiment": "density-64-65", "domain": {"kind": "interval"}},
      "unknown domain keys for density-64-65: ['kind']"),
@@ -274,8 +279,8 @@ BAD_AT_LOAD = [
         "fine_nx<nx", "horizon=str", "horizon=true", "a=str", "b=str", "kappa=str",
         "kappa=true", "d=1.5", "family=list", "leaf_bits=11bits", "leaf_bits=1bit", "output_dir=5",
         "nx=1e13", "nx=1e9", "n_steps=1e12", "cells-tree", "cells-lattice", "fine-steps",
-        "normals", "dt_mc=5e-324", "domain.kind", "dx^2-overflows", "dx^2-underflows",
-        "b-a-overflows", "nodes-collapse", "bands-overflow", "workers=2", "workers=true",
+        "normals", "dt_mc=5e-324", "dt_mc>horizon", "domain.kind", "dx^2-overflows",
+        "dx^2-underflows", "b-a-overflows", "nodes-collapse", "bands-overflow", "workers=2", "workers=true",
         "workers=1.0", "x_points-one-node", "x_points-one-name", "t_points-twice",
         "x0-boundary-node", "x_points-boundary-node", "paths=1", "eps=1"])
 def test_bad_inputs_exit_2_at_load(tmp_path, capsys, config, message):
@@ -505,6 +510,27 @@ def test_run_writes_deterministic_reports(tmp_path):
     # the draw threads vary with the machine, so only metadata.json names them
     assert meta["draw_threads"] == draw_threads() >= 1
     assert "draw_threads" not in (out_a / "summary.json").read_text()
+
+
+@pytest.mark.parametrize("coefficients", [{}, {"sigma": [0.6, 0.8, 0.5], "d": 2}],
+                         ids=["d1", "d2"])
+@pytest.mark.parametrize("name", ["density-64-65", "representation-random"])
+def test_tree_bridged_reports_keep_their_bits_over_path_groups(tmp_path, request, name,
+                                                               coefficients, serial_draws):
+    # each tree-bridged march of 2000 paths as one group in the calling
+    # thread, then as three groups (the d = 2 tree's w1 is read by the
+    # groups too): report.csv and summary.json are the same bytes.  The test
+    # compares bits, not verdicts: at this size density-64-65 fails five
+    # rows at d = 2.  Both runs write to one output_dir, which summary.json
+    # records
+    reports, out = [], tmp_path / "out"
+    for draws in ("serial_draws", "split_draws"):
+        request.getfixturevalue(draws)
+        run(default_config(name, output_dir=str(out), coefficients=coefficients,
+                           grid={"nx": 41}, tree={"n_steps": 5},
+                           mc={"paths": 2000, "dt_mc": 0.01}))
+        reports.append([(out / file).read_bytes() for file in ("report.csv", "summary.json")])
+    assert reports[0] == reports[1]
 
 
 def test_a_row_passes_at_its_bound_unless_it_gives_its_own_verdict(tmp_path):
