@@ -12,8 +12,9 @@ versions and the draw threads (which change no result).
 Row semantics: lhs and rhs are the two quantities a check compares,
 abs_err = |lhs - rhs|, rel_err normalizes by the larger magnitude, and tol
 is the bound the check's metric was held to; the pass flag is
-abs_err <= tol unless the check gives its own verdict (ratio checks bound
-rhs by tol = lhs / 1.7, the conditional identity |lhs - rhs| / |lhs|).
+abs_err <= tol with lhs, rhs and tol finite, unless the check gives its
+own verdict (ratio checks bound rhs by a multiple of a finite, positive
+lhs, such as tol = lhs / 1.7; the conditional identity |lhs - rhs| / |lhs|).
 Each bound is fixed by its experiment; a config carries the experiment's
 inputs, not its verdicts.
 """
@@ -47,8 +48,7 @@ from .fields import (
     smooth_random_field,
 )
 from .forward import solve_density, solve_duals
-from .montecarlo import (conditional_functional, exit_bound, expected_exit_time,
-                         functional_estimate)
+from .montecarlo import conditional_functional, expected_exit_time, functional_estimate
 from .tree import build_tree, draw_threads
 
 
@@ -63,7 +63,7 @@ class CheckRow:
 
     def __post_init__(self):
         if self.passed is None:
-            self.passed = bool(self.abs_err <= self.tol)
+            self.passed = bool(self.abs_err <= self.tol < np.inf)  # and lhs, rhs finite
 
     @property
     def abs_err(self) -> float:
@@ -73,6 +73,12 @@ class CheckRow:
     def rel_err(self) -> float:
         scale = max(abs(self.lhs), abs(self.rhs), 1e-300)
         return self.abs_err / scale
+
+
+def _ratio_row(check: str, anchor: str, ref: float, value: float, tol: float) -> CheckRow:
+    """A ratio check: value within tol, a multiple of ref, which must be
+    finite and positive (a ref of 0 or inf would pass a value of 0 or any)."""
+    return CheckRow(check, anchor, ref, value, tol, bool(0.0 < ref < np.inf and value <= tol))
 
 
 @dataclass
@@ -438,9 +444,8 @@ def _exp_adjoint_suite(cfg: ExperimentConfig, diag: dict) -> list:
     rows = []
     for k in "TGBRL":
         anchor = _PAIR_ANCHORS[k]
-        factor_tol = coarse[k] / 1.7
-        rows.append(CheckRow(f"pair-{k}-refinement-decrease", anchor,
-                             coarse[k], fine[k], factor_tol, fine[k] <= factor_tol))
+        rows.append(_ratio_row(f"pair-{k}-refinement-decrease", anchor,
+                               coarse[k], fine[k], coarse[k] / 1.7))
         rows.append(CheckRow(f"pair-{k}-fine-level-mismatch", anchor, fine[k], 0.0, 5.0e-2))
     return rows
 
@@ -526,36 +531,20 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     lhs_f, rhs_f, _, dens, _ = _duality_gap(cfg, coeffs, grid, tree)
     _record_density(diag, dens, grid, tree)
     gap_f = abs(lhs_f - rhs_f)
-    rows.append(CheckRow("gap-halving-under-refinement", "6.3",
-                         gap_c, gap_f, 0.62 * gap_c, gap_f <= 0.62 * gap_c))
+    rows.append(_ratio_row("gap-halving-under-refinement", "6.3", gap_c, gap_f, 0.62 * gap_c))
     return rows
-
-
-# the exit probability below which density-64-65's conditional paths march
-# at the tree step: the rows' integrand is at most 1, so a missed exit moves
-# a row by less, far below the standard error at any path count the work
-# guard admits (fewer than 2**32 paths: at least 1.5e-5 of the integrand's
-# spread)
-_EXIT_NEGLIGIBLE = 1e-9
 
 
 def _density_estimates(cfg) -> list:
     """6.4's conditional estimate and 6.5's unconditional one, both bridged.
-    The conditional rows read snapshots at tree times only, and a tree
-    block's fine steps sum to the same law at any n_sub (README): for a
-    drift that does not read x its paths march at the tree step, unless
-    they may exit, which the tree step detects at tree times only, with
-    probability past _EXIT_NEGLIGIBLE (montecarlo.exit_bound).  6.5's
-    running integral and every other case march at mc.dt_mc."""
-    dt_mc, n_steps, coeffs = float(cfg.mc["dt_mc"]), cfg.tree["n_steps"], cfg.build_coeffs()
-    conditional = dt_mc
-    if not coeffs.drift_reads_x:
-        grid = cfg.build_grid()
-        p0 = _gaussian_density(grid, cfg.params["p0_width"])
-        if exit_bound(coeffs, int(cfg.params["leaf_bits"], 2), n_steps, p0,
-                      grid) <= _EXIT_NEGLIGIBLE:
-            conditional = float(cfg.tree["horizon"]) / n_steps
-    return [Estimate("conditional-identity", conditional, True),
+    The conditional rows read tree times only, and a tree block's fine
+    steps sum to the same law at any n_sub (README): for a drift that does
+    not read x they march at the tree step, each path weighed by its
+    bridges' survival (montecarlo.conditional_functional).  6.5's running
+    integral and every other case march at mc.dt_mc."""
+    dt_mc, tree_step = float(cfg.mc["dt_mc"]), float(cfg.tree["horizon"]) / cfg.tree["n_steps"]
+    return [Estimate("conditional-identity",
+                     dt_mc if cfg.build_coeffs().drift_reads_x else tree_step, True),
             Estimate("unconditional-identity", dt_mc, True)]
 
 
@@ -614,12 +603,8 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
 
     rc_c, rx_c = ratios(cfg.grid["nx"], cfg.tree["n_steps"])
     rc_f, rx_f = ratios(p["fine_nx"], p["fine_n_steps"])
-    return [
-        CheckRow("c0-over-x0-ratio-growth", "C5.1",
-                 rc_c, rc_f, 1.5 * rc_c, rc_f <= 1.5 * rc_c),
-        CheckRow("x1-over-x0-ratio-growth", "2.2",
-                 rx_c, rx_f, 1.5 * rx_c, rx_f <= 1.5 * rx_c),
-    ]
+    return [_ratio_row("c0-over-x0-ratio-growth", "C5.1", rc_c, rc_f, 1.5 * rc_c),
+            _ratio_row("x1-over-x0-ratio-growth", "2.2", rx_c, rx_f, 1.5 * rx_c)]
 
 
 @dataclass(frozen=True)

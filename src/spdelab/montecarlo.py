@@ -32,14 +32,17 @@ EXIT_SHIFT |sigma| sqrt(dt_mc) at each end, which removes the leading
 O(sqrt(dt_mc)) bias of the exits missed between mesh points; tree-bridged
 paths, whose block increments are conditioned on their sum, test them
 against the domain itself, and that bias stays in the acceptance
-tolerances (exit_bound says where it is negligible).  Exited paths freeze
-and their alive indicator flips once.  Estimates run in chunks of CHUNK
-paths, one after another; chunk i of an estimate is seeded (seed, tag, i),
-which SeedSequence flattens at any nesting (the rule in `tree`).
+tolerances, except in the conditional estimate at the tree step, which
+weighs each path by the survival of its bridges between tree times
+(`conditional_functional`).  Exited paths freeze and their alive indicator
+flips once.  Estimates run in chunks of CHUNK paths, one after another;
+chunk i of an estimate is seeded (seed, tag, i), which SeedSequence
+flattens at any nesting (the rule in `tree`).
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,7 +57,6 @@ from .tree import (
     ScenarioTree,
     bridge_paths,
     free_paths,
-    leaf_walk,
     sample_tree_paths,
 )
 
@@ -331,49 +333,54 @@ def _chunked(M: int, job) -> list:
 def expected_exit_time(x: float, a: float, b: float, f0: float, b_total: float) -> float:
     """E[exit time of (a, b)] from x for dX = f0 dt + sigma dW, b_total =
     |sigma|^2: the solution of (b_total/2) u'' + f0 u' = -1 with
-    u(a) = u(b) = 0, the exact value of the exit-time functional."""
+    u(a) = u(b) = 0, the exact value of the exit-time functional, as
+    u = (2 p q / b_total) (-D) / phi(k L): p = x - a, q = b - x, L = b - a,
+    k = 2 f0 / b_total, phi(z) = (1 - e^-z) / z and D phi's divided
+    difference over [k p, k L], which neither cancels as f0 -> 0 nor
+    overflows at f0 > 0 (f0 < 0 is its mirror x -> a + b - x)."""
     if f0 == 0.0:
         return (x - a) * (b - x) / b_total
+    p, q = x - a, b - x
+    if f0 < 0.0:
+        p, q, f0 = q, p, -f0
+    if p <= 0.0 or q <= 0.0:  # on a wall the path has exited
+        return 0.0
     k = 2.0 * f0 / b_total
-    return ((b - a) * np.expm1(-k * (x - a)) / np.expm1(-k * (b - a)) - (x - a)) / f0
+    z, z_L = k * p, k * (b - a)
+    if z_L < 1.0:
+        # D = sum_{n >= 1} (-1)^n h_{n-1} / (n + 1)!, h_n = sum_j z^j z_L^(n-j);
+        # the first term left out is below 2^-64 of the first
+        D, h, z_Ln = 0.0, 1.0, 1.0
+        for n in range(1, 21):
+            D += (-1) ** n * h / math.factorial(n + 1)
+            z_Ln *= z_L
+            h = z_Ln + z * h
+    else:  # phi(z) - phi(z_L) without its cancellation near b
+        D = (z * math.exp(-z) * _phi(k * q) + math.expm1(-z)) / (z * z_L)
+    return 2.0 * p * q / b_total * -D / _phi(z_L)
 
 
-# the share of exit_bound spent on the bridges between tree times
-BRIDGE_SHARE = 1e-12
+def _phi(z: float) -> float:
+    """(1 - e^-z) / z, 1 at z = 0."""
+    return -math.expm1(-z) / z if z else 1.0
 
 
-def exit_bound(coeffs: CoefficientSet, leaf: int, n_steps: int, p0: np.ndarray,
-               grid: Grid) -> float:
-    """An upper bound on the probability that a path bridged to leaf of the
-    n_steps tree over the grid's horizon, from an initial draw from p0,
-    leaves the domain at any time before the horizon (not only at mesh
-    points), for a drift that does not read x.
+def _bridge_survival(y0, y1, a: float, b: float, c: float):
+    """The probability that a bridge of rate 2 / (c dt) from y0 to y1 over a
+    step dt stays inside (a, b), one wall at a time:
+    (1 - exp(-c (y0 - a)(y1 - a))) (1 - exp(-c (b - y0)(b - y1))), and 0 for
+    an end on or past a wall (clipped, so no exponential overflows).
 
-    Given the leaf, y(t) = y0 + m(t) + sigma[:d].B(t) + s_f W(t): m is
-    linear between the tree times, where it is
-    sum_{j<k} f_j dt + sigma[:d].w_k; B is a Brownian bridge on each tree
-    step and W a Brownian motion.  So y exits only if |sigma[:d].B| reaches
-    v on some step, with probability at most
-    2 n_steps exp(-2 v^2 / (|sigma[:d]|^2 dt)) = BRIDGE_SHARE for the v
-    taken here, or s_f W reaches b - y0 - max m - v (a - y0 - min m + v),
-    with probability at most exp(-u^2 / (2 s_f^2 horizon)) at distance
-    u >= 0 (reflection and the Gaussian tail).  y0 is uniform on each cell
-    (`sample_from_density`), taken at the cell's end nearer the exit.
+    Between two tree times a tree-bridged path is such a bridge, exactly for
+    a drift that does not read x, at d = 1 and d = 2: the driving part is
+    pinned by the tree increment, and the free part once y1 is known.  One
+    wall at a time errs by at most about exp(-(b - a)^2 / (|sigma|^2 dt)) per
+    step: e^-2560 at density-64-65's defaults, e^-160 on (-2, 2).  A factor
+    is exactly 1.0 once both exponents pass 37.4, where exp(-u) < 2^-54.
     """
-    if coeffs.drift_reads_x:
-        raise SimulationError("exit_bound needs a drift that does not read x")
-    sigma, d, horizon = coeffs.sigma, coeffs.d, grid.domain.horizon
-    dt = horizon / n_steps
-    w = leaf_walk(d, n_steps, horizon, leaf)
-    drift = [float(coeffs.drift(0.0, k * dt, w[k, 0])) for k in range(n_steps)]
-    m = np.concatenate([[0.0], np.cumsum(np.array(drift) * dt)]) + w @ sigma[:d]
-    v = np.linalg.norm(sigma[:d]) * np.sqrt(0.5 * dt * np.log(2 * n_steps / BRIDGE_SHARE))
-    up = np.maximum(grid.domain.b - grid.x[1:] - m.max() - v, 0.0)
-    down = np.maximum(grid.x[:-1] - grid.domain.a + m.min() - v, 0.0)
-    spread = max(2.0 * float(np.dot(sigma[d:], sigma[d:])) * horizon, 1e-300)
-    cells = 0.5 * (p0[1:] + p0[:-1])
-    tails = np.exp(-up**2 / spread) + np.exp(-down**2 / spread)
-    return min(1.0, BRIDGE_SHARE + float(cells @ tails / cells.sum()))
+    lo = np.maximum(y0 - a, 0.0) * np.maximum(y1 - a, 0.0)
+    hi = np.maximum(b - y0, 0.0) * np.maximum(b - y1, 0.0)
+    return np.expm1(-c * lo) * np.expm1(-c * hi)  # (1 - e^-u)(1 - e^-v)
 
 
 def conditional_functional(
@@ -396,9 +403,11 @@ def conditional_functional(
     dt_mc is the step the paths march at; it must divide the tree step and
     put every entry of t_grid on its mesh.  For a drift that does not read
     x and t_grid on tree times, the tree step itself gives each snapshot the
-    law of any finer mesh (a block's steps sum to the same law), but exits
-    are then detected at tree times only: exit_bound tells where that is
-    negligible.
+    law of any finer mesh (a block's steps sum to the same law).  It tests
+    exits at tree times only, so each path's value at t is weighed by the
+    survival of its bridges between the tree times before t
+    (_bridge_survival), for the paths that come within sqrt(40 / c) of a
+    wall, c = 2 / (|sigma|^2 dt): every other factor is exactly 1.0.
 
     Returns one EstimatorResult per entry of t_grid; each carries the record
     of the same marches.
@@ -408,16 +417,31 @@ def conditional_functional(
             "conditional estimates need d < d0 with a nondegenerate tail block"
         )
     t_grid = np.asarray(t_grid, dtype=float)
+    levels = [min(int(round(t / tree.dt)), tree.n_steps) for t in t_grid]
+    a, b = grid.domain.a, grid.domain.b
+    c = 2.0 / (coeffs.b_total * tree.dt)
+    mid, inner = 0.5 * (a + b), 0.5 * (b - a) - np.sqrt(40.0 / c)
 
     def job(i, m):
         bundle = bridge_paths(tree, leaf, m, coeffs.sigma, dt_mc, (seed, 0xC0, i))
-        trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=t_grid)
-        vals = np.empty((t_grid.size, m))
-        for a, t in enumerate(t_grid):
-            w1 = bundle.w1(min(int(round(t / tree.dt)), tree.n_steps))
-            vals[a] = trajs.alive[:, a] * np.asarray(
-                phi(trajs.snapshots[:, a], t, w1)
-            )
+        tree_step = bundle.n_sub == 1
+        snaps, cols = (bundle.times.copy(), levels) if tree_step else (t_grid, range(t_grid.size))
+        if tree_step:  # every tree time, t_grid's entries as given (simulate checks them)
+            snaps[levels] = t_grid
+        trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=snaps)
+        y = trajs.snapshots
+        vals = np.reshape([trajs.alive[:, j] * np.asarray(phi(y[:, j], t, bundle.w1(k)))
+                           for t, k, j in zip(t_grid, levels, cols)], (t_grid.size, m))
+        if tree_step:
+            reach = np.abs(y[:, 0] - mid)  # a loop over columns beats a max over rows
+            for col in y.T[1:]:
+                np.maximum(reach, np.abs(col - mid), out=reach)
+            near = reach > inner
+            y = y[near]
+            survival = np.ones_like(y)
+            np.cumprod(_bridge_survival(y[:, :-1], y[:, 1:], a, b, c), axis=1,
+                       out=survival[:, 1:])
+            vals[:, near] *= survival[:, levels].T
         return vals, trajs, bundle
 
     return _chunked(M, job)

@@ -168,16 +168,6 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     )
 
 
-def leaf_walk(d: int, n_steps: int, horizon: float, leaf: int) -> np.ndarray:
-    """(n_steps + 1, d): the driving components W[:d] at each level's node
-    on the path root -> leaf of build_tree(d, n_steps, horizon), without
-    building the tree; bits of leaf past its d * n_steps are dropped, as the
-    leaf index modulo the leaf count."""
-    digits = np.array([(leaf >> (d * (n_steps - 1 - k))) % 2**d for k in range(n_steps)])
-    signs = 1.0 - 2.0 * ((digits[:, None] >> np.arange(d)) & 1)
-    return math.sqrt(horizon / n_steps) * np.vstack([np.zeros(d), np.cumsum(signs, axis=0)])
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Recombining w1 lattice, a drop-in `tree` for the level solvers at any

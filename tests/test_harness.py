@@ -385,23 +385,17 @@ def test_work_guard_counts_every_estimate(name, estimates, n_fine):
 
 
 def test_one_rule_reads_the_estimate_table_once(monkeypatch):
-    # a load reads each run's table of Monte Carlo estimates in one rule, once:
-    # density-64-65's table bounds its exits (montecarlo.exit_bound), which
-    # four rules used to run
-    readers, bounds = [], []
+    # a load reads each run's table of Monte Carlo estimates in one rule, once
+    readers = []
     for name, exp in EXPERIMENTS.items():
         def estimates(config, table=exp.estimates):
             readers.append(sys._getframe(1).f_code.co_name)
             return table(config)
         monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(exp, estimates=estimates))
-    exit_bound = harness.exit_bound
-    monkeypatch.setattr(harness, "exit_bound", lambda *a: bounds.append(a) or exit_bound(*a))
     for name in EXPERIMENTS:
         readers.clear()
-        bounds.clear()
         ExperimentConfig.from_dict({"experiment": name})
         assert readers == ["_estimates_fit"], name
-        assert len(bounds) == (name == "density-64-65"), name
     assert config._estimates_fit in config.RULES
 
 
@@ -536,6 +530,10 @@ def test_tree_bridged_reports_keep_their_bits_over_path_groups(tmp_path, request
 def test_a_row_passes_at_its_bound_unless_it_gives_its_own_verdict(tmp_path):
     at, past = CheckRow("at", "0", 1.25, 1.0, 0.25), CheckRow("past", "0", 1.25, 1.0, 0.125)
     assert at.abs_err == at.tol and at.passed is True and past.passed is False
+    # a row whose sides or bound are not finite fails
+    inf, nan = math.inf, math.nan
+    assert not any(CheckRow("x", "0", *values).passed
+                   for values in ((0.0, 0.0, inf), (inf, inf, inf), (nan, 0.0, 1.0)))
     # an explicit verdict stands whatever abs_err reads: a ratio row bounds rhs
     ratio = CheckRow("ratio", "0", 4.0, 0.5, 4.0 / 1.7, 0.5 <= 4.0 / 1.7)
     assert ratio.passed is True and ratio.abs_err > ratio.tol
@@ -544,6 +542,29 @@ def test_a_row_passes_at_its_bound_unless_it_gives_its_own_verdict(tmp_path):
     write_report(ExperimentReport("norm-bounds", [at, ratio], {}, 0.0), tmp_path)
     rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
     assert [row.split(",")[::8] for row in rows] == [["norm-bounds", "true"]] * 2
+
+
+PAIRS = [f"pair-{k}-refinement-decrease" for k in "TGBRL"]
+
+
+@pytest.mark.parametrize("name, over, failing", [
+    ("adjoint-suite", {"grid": {"nx": 21}, "tree": {"n_steps": 3, "horizon": 1e-300},
+                       "params": {"fine_nx": 41, "fine_n_steps": 6, "n_draws": 1}}, PAIRS),
+    ("norm-bounds", {"grid": {"nx": 31}, "tree": {"n_steps": 4, "horizon": 1e-300},
+                     "params": {"fine_nx": 61, "fine_n_steps": 8, "n_fields": 3}},
+     ["c0-over-x0-ratio-growth", "x1-over-x0-ratio-growth"]),
+    ("duality-63", {"tree": {"horizon": 1e-300}}, ["gap-halving-under-refinement"]),
+    ("duality-63", {"grid": {"nx": 41}, "tree": {"n_steps": 4, "horizon": 1e300},
+                    "params": {"fine_nx": 81, "fine_n_steps": 8}},
+     ["gap-at-s0-coarse", "gap-at-node-2:0", "gap-at-node-2:1"]),
+])
+def test_rows_fail_on_zeros_and_infinities(name, over, failing):
+    # at horizon 1e-300 both sides of a ratio row underflow to 0, and 0 is
+    # not within a multiple of 0; at 1e300 the duality budgets are inf.  Each
+    # of these rows passed before (the adjoint pairs' fine-level mismatch of
+    # 0 within 0.05 still does)
+    rows = run(ExperimentConfig.from_dict({"experiment": name, **over}), write=False).rows
+    assert [row.check for row in rows if not row.passed] == failing
 
 
 @pytest.mark.parametrize("over, x", [
@@ -569,6 +590,23 @@ def test_exit_time_oracle_follows_the_config(over, x):
                                         - x / f0, rel=1e-12)
     # the tree solver is an independent check of the formula
     assert abs(row.lhs - row.rhs) < 1e-3
+
+
+@pytest.mark.parametrize("over, oracle", [
+    ({"coefficients": {"f0": -20.0}, "domain": {"a": 0.0, "b": 100.0},
+      "tree": {"n_steps": 200, "horizon": 4.0}, "params": {"x0": 50.0},
+      "mc": {"paths": 2000, "dt_mc": 4.0e-3}}, 2.5),
+    ({"coefficients": {"f0": 1e-16}, "grid": {"nx": 41}, "tree": {"n_steps": 4},
+      "mc": {"paths": 2000, "dt_mc": 1.0e-2}}, 0.25),
+])
+def test_exit_time_oracle_holds_where_its_closed_form_overflows_or_cancels(over, oracle):
+    # the closed form's expm1 overflowed at f0 = -20 on (0, 100) (rhs nan)
+    # and cancelled at f0 = 1e-16 (rhs 1.11), where the PDE and Monte Carlo
+    # agree on 2.5 and 0.25
+    rows = run(ExperimentConfig.from_dict({"experiment": "feynman-kac-nonrandom", **over}),
+               write=False).rows
+    assert rows[0].check == "v-mid-vs-exit-time-oracle" and rows[0].passed
+    assert rows[0].rhs == pytest.approx(oracle, rel=1e-12)
 
 
 def test_summary_config_loads_back(tmp_path):
@@ -687,28 +725,37 @@ def test_conditional_estimate_marches_at_the_tree_step_unless_the_drift_reads_x(
         assert record["normals_drawn"] == cfg.mc["paths"] * 100
 
 
-def test_conditional_estimate_keeps_dt_mc_where_paths_may_exit(tmp_path):
-    # on [-2, 2] a path bridged to the leaf may exit before the horizon
-    # (montecarlo.exit_bound 0.83; 1.5e-10 on [-8, 8] at this size), and at
-    # the tree step exits would show at tree times only: the conditional
-    # estimate keeps mc.dt_mc, its rows are those of a dt_mc march, and a
-    # march at the tree step sees fewer of its paths exit
-    cfg = ExperimentConfig.from_dict({"experiment": "density-64-65", "output_dir": str(tmp_path),
-                                      **MC_SMALL, "domain": {"a": -2.0, "b": 2.0}})
-    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(cfg)] == [0.01, 0.01]
+def test_conditional_estimate_weighs_its_bridges_where_paths_may_exit(tmp_path):
+    # on [-2, 2] a path bridged to the leaf may exit between tree times, which
+    # a march at the tree step does not see.  The conditional estimate still
+    # marches at the tree step, and its rows are that march's, each path
+    # weighed by its bridges' survival; with the weights it agrees with a
+    # dt_mc 2.5e-4 march, and its unweighted survival (0.945 against 0.918)
+    # would not
+    narrow = {"experiment": "density-64-65", "domain": {"a": -2.0, "b": 2.0}}
+    cfg = ExperimentConfig.from_dict({**narrow, "output_dir": str(tmp_path), **MC_SMALL})
+    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(cfg)] == [0.2, 0.01]
     rows = [row for row in run(cfg).rows if row.check.startswith("conditional-identity")]
     record = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]["monte_carlo"]
     assert (record["conditional-identity"]["dt"], record["conditional-identity"]["fine_steps"]) \
-        == (0.01, 100)
-    grid = cfg.build_grid()
-    fine, coarse = (montecarlo.conditional_functional(
-        cfg.build_coeffs(), harness._gaussian, int(cfg.params["leaf_bits"], 2),
-        cfg.params["t_points"], cfg.mc["paths"], cfg.mc["seed"], tree=cfg.build_tree(),
-        grid=grid, p0=harness._gaussian_density(grid, cfg.params["p0_width"]), dt_mc=dt)
-        for dt in (0.01, 0.2))
-    assert [row.rhs for row in rows] == [est.value for est in fine]
-    assert record["conditional-identity"]["exit_frac"] == fine[0].exit_frac > 0.05
-    assert coarse[0].exit_frac < 0.75 * fine[0].exit_frac
+        == (0.2, 5)
+
+    def estimate(cfg, phi, t_points, M, dt):
+        grid = cfg.build_grid()
+        return montecarlo.conditional_functional(
+            cfg.build_coeffs(), phi, int(cfg.params["leaf_bits"], 2), t_points, M,
+            cfg.mc["seed"], tree=cfg.build_tree(), grid=grid,
+            p0=harness._gaussian_density(grid, cfg.params["p0_width"]), dt_mc=dt)
+
+    at_tree_step = estimate(cfg, harness._gaussian, cfg.params["t_points"], cfg.mc["paths"], 0.2)
+    assert [row.rhs for row in rows] == [est.value for est in at_tree_step]
+    assert record["conditional-identity"]["exit_frac"] == at_tree_step[0].exit_frac > 0.02
+    cfg = ExperimentConfig.from_dict({**narrow, "grid": {"nx": 41}})
+    (weighted,), (fine,) = (estimate(cfg, harness._unit, [1.0], M, dt)
+                            for M, dt in ((200_000, 0.1), (20_000, 2.5e-4)))
+    spread = 4.0 * math.hypot(weighted.stderr, fine.stderr)
+    assert abs(weighted.value - fine.value) < spread
+    assert 1.0 - weighted.exit_frac - fine.value > spread
     wide = ExperimentConfig.from_dict({"experiment": "density-64-65", **MC_SMALL})
     assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(wide)] == [0.2, 0.01]
 

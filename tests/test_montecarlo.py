@@ -1,6 +1,9 @@
 import dataclasses
+import decimal
+import itertools
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +113,41 @@ def test_simulate_exit_time_oracle(unit_domain):
     # exited paths freeze: the alive indicator flips once and stays down
     flips = np.diff(trajs.alive.astype(int), axis=1)
     assert np.all(flips <= 0)
+
+
+def _exit_time_reference(x, a, b, f0, b_total):
+    """The closed form of expected_exit_time in 800-digit decimals."""
+    with decimal.localcontext(decimal.Context(prec=800)):
+        x, a, b, f0, b_total = map(decimal.Decimal, (x, a, b, f0, b_total))
+        if f0 == 0:
+            return float((x - a) * (b - x) / b_total)
+        k = 2 * f0 / b_total
+        return float(((b - a) * ((-k * (x - a)).exp() - 1) / ((-k * (b - a)).exp() - 1)
+                      - (x - a)) / f0)
+
+
+@pytest.mark.parametrize("x, a, b", [(0.5, 0.0, 1.0), (0.3, 0.0, 1.0), (1e-9, 0.0, 1.0),
+                                     (0.999999, 0.0, 1.0), (50.0, 0.0, 100.0), (-1.0, -2.0, 2.0)])
+def test_exit_time_oracle_neither_cancels_nor_overflows(x, a, b):
+    # the closed form's subtraction cancelled as f0 -> 0 (0.0, 1.11 and 0.244
+    # for 0.25 at f0 = 1e-300, 1e-16, 1e-14) and its expm1 overflowed at
+    # k (b - a) past 709 (nan)
+    for f0 in (0.0, 1e-300, 1e-16, 1e-12, 1e-8, 1e-4, 0.1, 0.5, 1.0, 3.0, 20.0):
+        for f, b_total in itertools.product((f0, -f0), (1.0, 0.36)):
+            assert montecarlo.expected_exit_time(x, a, b, f, b_total) == pytest.approx(
+                _exit_time_reference(x, a, b, f, b_total), rel=1e-14, abs=0.0), (f, b_total)
+    # the f0 -> 0 limit is the driftless (x - a)(b - x) / b_total
+    for f0 in (1e-300, -1e-300, 1e-16, -1e-16, 1e-14):
+        assert montecarlo.expected_exit_time(x, a, b, f0, 1.0) == pytest.approx(
+            (x - a) * (b - x), rel=1e-12, abs=0.0)
+
+
+def test_exit_time_oracle_is_mirror_symmetric():
+    # x -> a + b - x turns the drift around (exact mirrors of x here)
+    for x, a, b in ((0.25, 0.0, 1.0), (50.0, 0.0, 100.0), (-1.0, -2.0, 2.0)):
+        for f0 in (1e-16, 0.1, 0.5, 3.0, 20.0):
+            assert montecarlo.expected_exit_time(x, a, b, f0, 0.36) \
+                == montecarlo.expected_exit_time(a + b - x, a, b, -f0, 0.36)
 
 
 def test_boundary_shift_is_minus_zeta_half_over_sqrt_two_pi():
@@ -233,33 +271,39 @@ def test_bridged_snapshots_have_the_leaf_law_at_any_mesh(line_domain, n_sub):
     assert np.all(np.abs(y.var(axis=0, ddof=1) - var) <= 4.0 * var * np.sqrt(2.0 / (M - 1)))
 
 
-@pytest.mark.parametrize("half_width", [2.0, 2.5, 3.0])
-def test_exit_bound_covers_the_exits_of_a_fine_march(half_width):
-    # drift-random bridged to one leaf from p0 on (-h, h): the share of paths
-    # a fine march sees exit (fewer than exit in continuous time) stays
-    # within exit_bound, which falls as the domain widens and is negligible
-    # on [-8, 8]
-    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
-    tree, leaf = build_tree(1, 10, 1.0), 0b1010101010
+def test_bridge_survival_is_one_past_the_screen_and_zero_past_a_wall():
+    # c = 20: density-64-65's tree step.  Ends at least sqrt(40 / c) from both
+    # walls give exactly 1.0 (what lets conditional_functional skip them);
+    # nearer ends less; an end on or past a wall 0, with no warning
+    a, b, c = -2.0, 2.0, 20.0
+    r = np.sqrt(40.0 / c)
+    y0 = np.array([a + r, b - r, 0.0, a + 0.5 * r, 0.0, b + 0.1, a])
+    y1 = np.array([b - r, a + r, b - r, 0.0, a - 0.3, b + 0.1, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = montecarlo._bridge_survival(y0, y1, a, b, c)
+    assert np.array_equal(f[:3], [1.0, 1.0, 1.0])
+    assert 0.0 < f[3] < 1.0
+    assert np.array_equal(f[4:], [0.0, 0.0, 0.0])
 
-    def bound(h):
-        """(exit_bound, p0, grid) on (-h, h) at dx = 0.1, p0 of width 0.5."""
-        grid = build_grid(DomainSpec(-h, h, 1.0), int(20 * h) + 1)
-        p0 = np.exp(-grid.x**2 / 0.5)
-        p0[0] = p0[-1] = 0.0
-        p0 /= grid.dx * p0.sum()
-        return montecarlo.exit_bound(coeffs, leaf, tree.n_steps, p0, grid), p0, grid
 
-    at, p0, grid = bound(half_width)
-    (est,) = conditional_functional(coeffs, lambda y, t, w1: np.ones_like(y), leaf, [1.0],
-                                    4000, (41, int(10 * half_width)), tree=tree, grid=grid,
-                                    p0=p0, dt_mc=0.002)
-    assert 0.0 < est.exit_frac <= at < 1.0
-    assert bound(half_width + 1.0)[0] < at
-    assert bound(8.0)[0] < 1e-9
-    smooth = make_family("space-smooth", {"a": 0.5, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1})
-    with pytest.raises(SimulationError, match="does not read x"):
-        montecarlo.exit_bound(smooth, leaf, tree.n_steps, p0, grid)
+def test_bridge_weights_hold_at_d2():
+    # at d = 2 the tree-bridged path between tree times is a bridge of rate
+    # |sigma|^2 too: on (-2, 2) the weighed march at the tree step agrees with
+    # a fine march, which its unweighted survival does not
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8, 0.5], "d": 2})
+    tree = build_tree(2, 5, 1.0)
+    grid = build_grid(DomainSpec(-2.0, 2.0, 1.0), 41)
+    p0 = np.exp(-grid.x**2 / 0.5)
+    p0[[0, -1]] = 0.0
+    p0 /= grid.dx * p0.sum()
+    (weighted,), (fine,) = (
+        conditional_functional(coeffs, lambda y, t, w1: np.ones_like(y), 0b1001110010, [1.0],
+                               M, 8, tree=tree, grid=grid, p0=p0, dt_mc=dt)
+        for M, dt in ((200_000, 0.2), (20_000, 2.5e-4)))
+    spread = 4.0 * np.hypot(weighted.stderr, fine.stderr)
+    assert abs(weighted.value - fine.value) < spread
+    assert 1.0 - weighted.exit_frac - fine.value > spread
 
 
 def test_mid_block_start_hits_coarse_targets(line_domain):
@@ -579,6 +623,10 @@ def test_conditional_functional_trivials(line_domain):
     for r in ones:
         # no exits on the wide truncated line: I_tau is identically one
         assert r.value == pytest.approx(1.0, abs=1e-12)
+    # at the tree step too, a time off the mesh is refused, not rounded
+    with pytest.raises(SimulationError, match="fine mesh"):
+        conditional_functional(coeffs, lambda x, t, w1: np.ones_like(x), 3, [0.3], 10, 1,
+                               tree=tree, grid=grid, p0=p0, dt_mc=0.25)
 
 
 def test_conditional_vs_unconditional_coherence(line_domain):
