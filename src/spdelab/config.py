@@ -40,7 +40,8 @@ MAX_FINE_STEPS = 2**20
 # the most normals a run may draw, summed over its Monte Carlo estimates as
 # mc.paths times each one's fine steps, one normal per path and step: about
 # 90 s of draws; the largest default bound is 1e8, feynman-kac-nonrandom's
-# one estimate and representation-random's ten (density-64-65's two 5.1e7)
+# one estimate (representation-random's ten and density-64-65's two march at
+# the tree step: 2e6 each)
 MAX_NORMALS = 2**32
 
 
@@ -226,30 +227,37 @@ def _points_inside_domain(cfg, exp):
 def _estimates_fit(cfg, exp):
     """The run's table of Monte Carlo estimates, read once: the tree its
     bridged paths follow is within the size guard (_levels_dominant builds
-    it only where it holds fields), each estimate's step divides the horizon,
-    and the tree step when its paths are bridged, at least once each, its
-    fine steps are within MAX_FINE_STEPS and the normals of all of them, each
-    one's paths times its fine steps, within MAX_NORMALS, and each has its
-    own name.  A run that draws then resolves its normals' transform: the
-    import is paid at load, never inside a run or a draw thread, and a run
-    that draws none never imports it."""
+    it only where it holds fields), each estimate's step and mc.dt_mc
+    divide the horizon, and the tree step when its paths are bridged, at
+    least once each, their fine steps are within MAX_FINE_STEPS and the
+    normals of all the estimates, each one's paths times its fine steps,
+    within MAX_NORMALS, and each has its own name.  A run that draws then
+    resolves its normals' transform: the import is paid at load, never
+    inside a run or a draw thread, and a run that draws none never imports
+    it."""
     horizon = float(cfg.tree["horizon"])
     table, paths = exp.estimates(cfg), cfg.mc.get("paths", 0)
-    if any(est.bridged for est in table) and not exp.fields_on_tree:
+    bridged = any(est.bridged for est in table)
+    if bridged and not exp.fields_on_tree:
         try:
             cfg.build_tree()
         except TreeError as exc:
             raise ConfigError(str(exc)) from exc
+    # mc.dt_mc must make a mesh even where every row marches at the tree step
+    # (a drift that does not read x): the family decides, not the knob
+    meshes = [(est.name, est.dt, est.bridged) for est in table]
+    meshes += [("mc.dt_mc", float(cfg.mc["dt_mc"]), bridged)] if table else []
     try:
-        n_fine = [fine_steps(horizon, est.dt, horizon / cfg.tree["n_steps"] if est.bridged
-                             else None)[0] for est in table]
+        n_fine = [fine_steps(horizon, dt, horizon / cfg.tree["n_steps"] if on_tree
+                             else None)[0] for _, dt, on_tree in meshes]
     except TreeError as exc:
         raise ConfigError(f"mc.dt_mc: {exc}") from exc
-    for est, n in zip(table, n_fine):
+    for (name, dt, _), n in zip(meshes, n_fine):
         if n > MAX_FINE_STEPS:
-            raise ConfigError(f"{est.name} at dt={est.dt:g} makes {n:.3g} fine steps over "
+            raise ConfigError(f"{name} at dt={dt:g} makes {n:.3g} fine steps over "
                               f"the horizon {horizon:g}, past the guard of {MAX_FINE_STEPS:,} "
                               f"fine steps")
+    n_fine = n_fine[:len(table)]
     if paths * sum(n_fine) > MAX_NORMALS:
         each = ", ".join(f"{est.name}: {paths:,} paths over {n:,} fine steps"
                          for est, n in zip(table, n_fine))

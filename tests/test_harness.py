@@ -215,13 +215,14 @@ BAD_AT_LOAD = [
       "params": {"fine_nx": 10001}}, "would hold 1,310,841,071 cells per field"),
     ({"experiment": "adjoint-suite", "params": {"fine_nx": 10001, "fine_n_steps": 510}},
      "would hold 1,308,290,816 cells per field"),
-    # the Monte Carlo work guard: 1e8 fine steps (an 800 MB times array per
-    # bundle), and 5.1e14 normals (1e12 paths over 10 tree steps and over 500
-    # fine steps); the last raised OverflowError (exit 1)
+    # the Monte Carlo work guard: 1e8 fine steps of mc.dt_mc (an 800 MB
+    # times array per bundle), refused though drift-random marches the tree
+    # step, and 2e13 normals (1e12 paths over 10 tree steps, twice); the
+    # last raised OverflowError (exit 1)
     ({"experiment": "representation-random", "mc": {"dt_mc": 1e-8}},
      "makes 1e+08 fine steps over the horizon 1, past the guard of 1,048,576 fine steps"),
     ({"experiment": "density-64-65", "mc": {"paths": 10**12}},
-     "would draw 5.1e+14 normals, past the work guard of 4,294,967,296 normals"),
+     "would draw 2e+13 normals, past the work guard of 4,294,967,296 normals"),
     ({"experiment": "feynman-kac-nonrandom", "mc": {"dt_mc": 5e-324}},
      "mc.dt_mc: dt_mc=5e-324 is too small"),
     # horizon / dt_mc = 5e-10 rounded to 0 fine steps: each estimate drew
@@ -370,15 +371,14 @@ def test_cell_guard_reads_the_state_space_that_holds_the_fields():
 
 
 @pytest.mark.parametrize("name, estimates, n_fine", [
-    ("feynman-kac-nonrandom", 1, 1000), ("representation-random", 10, 500),
-    ("density-64-65", 2, 500)])
+    ("feynman-kac-nonrandom", 1, 1000), ("representation-random", 10, 10),
+    ("density-64-65", 2, 10)])
 def test_work_guard_counts_every_estimate(name, estimates, n_fine):
     # the most paths whose normals, summed over the run's estimates, fit the
-    # guard load; one more path does not.  Each estimate marches the n_fine
-    # steps of mc.dt_mc, except density-64-65's conditional one, which
-    # marches the 10 tree steps
-    at_tree_step = 1 if name == "density-64-65" else 0
-    most = config.MAX_NORMALS // ((estimates - at_tree_step) * n_fine + at_tree_step * 10)
+    # guard load; one more path does not.  Each estimate marches n_fine
+    # steps: feynman-kac-nonrandom's free one the 1000 of mc.dt_mc, the
+    # bridged ones under drift-random the 10 tree steps
+    most = config.MAX_NORMALS // (estimates * n_fine)
     assert ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most}})
     with pytest.raises(ConfigError, match=f"the run's {estimates} Monte Carlo estimate"):
         ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most + 1}})
@@ -544,7 +544,11 @@ def test_a_row_passes_at_its_bound_unless_it_gives_its_own_verdict(tmp_path):
     assert [row.split(",")[::8] for row in rows] == [["norm-bounds", "true"]] * 2
 
 
-PAIRS = [f"pair-{k}-refinement-decrease" for k in "TGBRL"]
+# at horizon 1e-300 every refinement ratio is 0 over 0, and every fine-level
+# pairing but R's, 2.5e-300 on both sides, underflows to 0
+PAIRS = [row for k in "TGBRL"
+         for row in (f"pair-{k}-refinement-decrease", f"pair-{k}-fine-level-mismatch")
+         if row != "pair-R-fine-level-mismatch"]
 
 
 @pytest.mark.parametrize("name, over, failing", [
@@ -560,9 +564,9 @@ PAIRS = [f"pair-{k}-refinement-decrease" for k in "TGBRL"]
 ])
 def test_rows_fail_on_zeros_and_infinities(name, over, failing):
     # at horizon 1e-300 both sides of a ratio row underflow to 0, and 0 is
-    # not within a multiple of 0; at 1e300 the duality budgets are inf.  Each
-    # of these rows passed before (the adjoint pairs' fine-level mismatch of
-    # 0 within 0.05 still does)
+    # not within a multiple of 0, nor is the mismatch of two pairings that are
+    # 0 a check; at 1e300 the duality budgets are inf.  Each of these rows
+    # passed before
     rows = run(ExperimentConfig.from_dict({"experiment": name, **over}), write=False).rows
     assert [row.check for row in rows if not row.passed] == failing
 
@@ -675,8 +679,8 @@ def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
     marches = json.loads(first)["diagnostics"]["monte_carlo"]
     assert sorted(marches) == estimates
     paths, horizon = cfg.mc["paths"], cfg.tree["horizon"]
-    # the conditional estimate reads tree times only and marches at the tree
-    # step; every other estimate marches at mc.dt_mc
+    # a bridged estimate under drift-random marches at the tree step; the
+    # free one at mc.dt_mc
     tree_dt = horizon / cfg.tree["n_steps"]
     keys = ["chunks", "dt", "exit_frac", "fine_steps", "normals_drawn", "stderr", "value"]
     for est, record in marches.items():
@@ -689,7 +693,7 @@ def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
             assert record["value"] == rows[est].rhs
         if name == "feynman-kac-nonrandom":
             assert record["exact"] == rows["v-mid-vs-exit-time-oracle"].rhs
-        assert record["dt"] == (tree_dt if est == "conditional-identity" else cfg.mc["dt_mc"])
+        assert record["dt"] == (cfg.mc["dt_mc"] if name == "feynman-kac-nonrandom" else tree_dt)
         assert record["fine_steps"] == round(horizon / record["dt"])
         # chunks of montecarlo.CHUNK paths in chunk order
         full, rest = divmod(paths, montecarlo.CHUNK)
@@ -705,15 +709,16 @@ def test_monte_carlo_diagnostics(tmp_path, name, over, estimates):
 
 
 def test_conditional_estimate_marches_at_the_tree_step_unless_the_drift_reads_x(tmp_path):
-    # density-64-65's conditional rows read tree times only: under
-    # drift-random its paths march at the tree step, 1,000,000 normals at the
-    # defaults instead of 50,000,000; a drift that reads x keeps mc.dt_mc
+    # under drift-random density-64-65's paths march at the tree step, the
+    # conditional rows reading tree times only and the unconditional one
+    # integrating each block's bridge: 1,000,000 normals each at the defaults
+    # instead of 50,000,000; a drift that reads x keeps mc.dt_mc
     cfg = ExperimentConfig.from_dict({"experiment": "density-64-65"})
     horizon, tree_dt = cfg.tree["horizon"], cfg.tree["horizon"] / cfg.tree["n_steps"]
     table = [(est.name, est.dt, cfg.mc["paths"] * tree.fine_steps(horizon, est.dt, tree_dt)[0])
              for est in EXPERIMENTS["density-64-65"].estimates(cfg)]
     assert table == [("conditional-identity", 0.1, 1_000_000),
-                     ("unconditional-identity", 0.002, 50_000_000)]
+                     ("unconditional-identity", 0.1, 1_000_000)]
     smooth = {"family": "space-smooth", "a": 0.5, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1}
     cfg = ExperimentConfig.from_dict({"experiment": "density-64-65", "output_dir": str(tmp_path),
                                       "coefficients": smooth, **MC_SMALL})
@@ -734,7 +739,7 @@ def test_conditional_estimate_weighs_its_bridges_where_paths_may_exit(tmp_path):
     # would not
     narrow = {"experiment": "density-64-65", "domain": {"a": -2.0, "b": 2.0}}
     cfg = ExperimentConfig.from_dict({**narrow, "output_dir": str(tmp_path), **MC_SMALL})
-    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(cfg)] == [0.2, 0.01]
+    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(cfg)] == [0.2, 0.2]
     rows = [row for row in run(cfg).rows if row.check.startswith("conditional-identity")]
     record = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]["monte_carlo"]
     assert (record["conditional-identity"]["dt"], record["conditional-identity"]["fine_steps"]) \
@@ -757,7 +762,27 @@ def test_conditional_estimate_weighs_its_bridges_where_paths_may_exit(tmp_path):
     assert abs(weighted.value - fine.value) < spread
     assert 1.0 - weighted.exit_frac - fine.value > spread
     wide = ExperimentConfig.from_dict({"experiment": "density-64-65", **MC_SMALL})
-    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(wide)] == [0.2, 0.01]
+    assert [est.dt for est in EXPERIMENTS["density-64-65"].estimates(wide)] == [0.2, 0.2]
+
+
+def test_bridge_integral_agrees_with_a_fine_march_where_paths_exit():
+    # on (-2, 2) 12% of density-64-65's paths exit by t = 1 (16% seen by a
+    # fine march).  The unconditional estimate at the tree step weighs each
+    # block's bridge integral by its survival and agrees with a dt_mc 2.5e-4
+    # march, which carries its own O(sqrt(dt)) mesh-exit bias
+    cfg = ExperimentConfig.from_dict({"experiment": "density-64-65", "grid": {"nx": 81},
+                                      "domain": {"a": -2.0, "b": 2.0}})
+    grid = cfg.build_grid()
+    p0 = harness._gaussian_density(grid, cfg.params["p0_width"])
+    at_tree_step, fine = (
+        montecarlo.functional_estimate(cfg.build_coeffs(), harness._gaussian, p0, M,
+                                       (cfg.mc["seed"], 65), grid=grid, dt_mc=dt,
+                                       tree=cfg.build_tree())
+        for M, dt in ((200_000, 0.1), (40_000, 2.5e-4)))
+    assert (at_tree_step.dt, at_tree_step.fine_steps) == (0.1, 10)
+    assert at_tree_step.exit_frac > 0.1
+    assert abs(at_tree_step.value - fine.value) < 4.0 * math.hypot(at_tree_step.stderr,
+                                                                   fine.stderr)
 
 
 @pytest.mark.parametrize("name, over", [

@@ -24,6 +24,7 @@ from spdelab import (
 )
 from spdelab import montecarlo
 from spdelab import tree as tree_module
+from spdelab.harness import _gaussian
 from spdelab.montecarlo import SimulationError, sample_from_density
 from spdelab.tree import PathBundle
 
@@ -304,6 +305,39 @@ def test_bridge_weights_hold_at_d2():
     spread = 4.0 * np.hypot(weighted.stderr, fine.stderr)
     assert abs(weighted.value - fine.value) < spread
     assert 1.0 - weighted.exit_frac - fine.value > spread
+
+
+def test_bridge_integral_matches_the_leaf_enumeration(line_domain):
+    # representation-random's control (constant, f0 0, sigma [0.6, 0.8]) from
+    # x = 0 on its tree (N 10): given its leaf a path is Gaussian at every t,
+    # mean 0.6 W1(t), W1 linear between tree times, and variance
+    # 0.36 tau (dt - tau) / dt + 0.64 t at tau past the last tree time, so
+    # E int_0^1 exp(-y^2) dt averages a closed form over the 1,024 leaves,
+    # here by 16 Gauss-Legendre nodes per block.  sqrt(3) - 1 = 0.732051 is
+    # the Brownian value; the tree's binomial W1 moves it by 0.0009.  The
+    # estimator's own 4-point rule is leggauss(4), in closed form
+    x, w = np.polynomial.legendre.leggauss(4)
+    np.testing.assert_allclose(montecarlo.BRIDGE_NODES, (x + 1.0) / 2.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(montecarlo.BRIDGE_WEIGHTS, w / 2.0, rtol=0, atol=1e-15)
+    tree = build_tree(1, 10, 1.0)
+    s1, s2 = 0.6, 0.8
+    u, w = np.polynomial.legendre.leggauss(16)
+    leaves = np.arange(tree.n_leaves)
+    w1 = [tree.w1[k][tree.ancestor_index(leaves, k)] for k in range(tree.n_steps + 1)]
+    exact = 0.0
+    for k in range(tree.n_steps):
+        for uj, wj in zip((u + 1.0) / 2.0, w / 2.0):
+            mean = s1 * (w1[k] + uj * (w1[k + 1] - w1[k]))
+            var = s1**2 * tree.dt * uj * (1.0 - uj) + s2**2 * (k + uj) * tree.dt
+            spread = 1.0 + 2.0 * var
+            exact += wj * tree.dt * np.mean(np.exp(-mean**2 / spread) / np.sqrt(spread))
+    assert exact == pytest.approx(0.731120, abs=5e-7)
+    control = make_family("constant", {"f0": 0.0, "sigma": [s1, s2], "d": 1})
+    # the control's own stream at x = 0 in representation-random, 10x its paths
+    est = functional_estimate(control, _gaussian, 0.0, 200_000, (1357, 0, 80),
+                              grid=build_grid(line_domain, 161), dt_mc=tree.dt, tree=tree)
+    assert (est.dt, est.normals_drawn) == (tree.dt, 200_000 * 10)
+    assert abs(est.value - exact) < 4.0 * est.stderr
 
 
 def test_mid_block_start_hits_coarse_targets(line_domain):
