@@ -34,14 +34,14 @@ MAX_NX = 10_001
 MAX_CELLS = 2**25
 
 # the most fine Monte Carlo steps over the horizon: a times array of 8 MB per
-# bundle, 1048x the largest default's 1000 steps (feynman-kac-nonrandom)
+# bundle, 2097x the finest default mesh's 500 steps (mc.dt_mc 2e-3)
 MAX_FINE_STEPS = 2**20
 
 # the most normals a run may draw, summed over its Monte Carlo estimates as
 # mc.paths times each one's fine steps, one normal per path and step: about
-# 90 s of draws; the largest default bound is 1e8, feynman-kac-nonrandom's
-# one estimate (representation-random's ten and density-64-65's two march at
-# the tree step: 2e6 each)
+# 90 s of draws; the largest default bound is 1e7, feynman-kac-nonrandom's
+# one estimate over 100 steps (representation-random's ten and
+# density-64-65's two march at the tree step: 2e6 each)
 MAX_NORMALS = 2**32
 
 

@@ -654,7 +654,7 @@ EXPERIMENTS = {
         "coefficients": {"family": "constant", "f0": 0.0, "sigma": [1.0], "d": 1},
         "domain": {"a": 0.0, "b": 1.0},
         "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
-        "mc": {"paths": 100000, "dt_mc": 4.0e-3, "seed": 424242},
+        "mc": {"paths": 100000, "dt_mc": 0.04, "seed": 424242},
         "params": {"x0": 0.5},
     }, estimates=_feynman_kac_estimates),
     "representation-random": Experiment(_exp_representation_random, {

@@ -18,31 +18,28 @@ a pool that the march opens and joins itself the others (the only threads
 the package starts), each group drawing its own blocks and writing only its
 own rows, with the same bits for any group count; a march of one group
 starts no thread.  Each fine step does only the update
-(y + f dt) + noise, the exit test and the integrands: a drift that does
-not read x is taken once per block at the block's w1, times dt_mc (on a
-tree from its values per node, evaluated in the calling thread), and an
-exit compacts the live paths' index, state, running integrals and w1
-through one integer index, while the block stays as drawn and a column
-index maps the live paths to its columns.
+(y + f dt) + noise, the weights, the exit test and the integrands: a drift
+that does not read x is taken once per block at the block's w1, times dt_mc
+(on a tree from its values per node, evaluated in the calling thread), and
+an exit compacts the live paths' index, state, weight, running integrals
+and w1 through one integer index, while the block stays as drawn and a
+column index maps the live paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
-integrands registered with `simulate`, sums of phi(y_m) dt_mc over the mesh
-points.  Tree-bridged estimates under a drift that does not read x march at
-the tree step instead, snapshot every tree time and take what lies between
-two of them from the Brownian bridge that a path is there: a running
-integral is integrated over each block's bridge in closed form
-(`functional_estimate`).  Exits are tested at mesh points.
-Free paths test them against the domain shifted inwards by
-EXIT_SHIFT |sigma| sqrt(dt_mc) at each end, which removes the leading
-O(sqrt(dt_mc)) bias of the exits missed between mesh points; tree-bridged
-paths, whose block increments are conditioned on their sum, test them
-against the domain itself, and that bias stays in the acceptance
-tolerances, except in the estimates at the tree step, which weigh each
-path by the survival of its bridges between tree times
-(`_bridge_survival`).  Exited paths freeze and their alive indicator
-flips once.  Estimates run in chunks of CHUNK paths, one after another;
-chunk i of an estimate is seeded (seed, tag, i), which SeedSequence
-flattens at any nesting (the rule in `tree`).
+integrands registered with `simulate`.  Exits are tested at mesh points, and
+between two of them each path is weighed by the survival of its Brownian
+bridge (`_bridge_survival`), the one exit rule of every march: a path's
+weight is the product of its factors, its running integrals sum
+phi(y_m) dt_mc (w_m + w_{m+1}) / 2, and an estimate weighs a snapshot by
+the weight there.  A path with both ends of a step at least sqrt(40 / c)
+inside the walls takes the factor 1.0 without computing it.  Tree-bridged
+estimates under a drift that does not read x march at the tree step and
+take what lies between two tree times from the bridge: a running integral
+is integrated over each step's bridge in closed form (`functional_estimate`,
+`_bridge_step`).  Exited paths freeze, their alive indicator
+flips once and their weight is 0.  Estimates run in chunks of CHUNK paths,
+one after another; chunk i of an estimate is seeded (seed, tag, i), which
+SeedSequence flattens at any nesting (the rule in `tree`).
 """
 
 from __future__ import annotations
@@ -70,14 +67,6 @@ class SimulationError(ValueError):
     """Raised for inconsistent simulation inputs."""
 
 
-# beta = -zeta(1/2) / sqrt(2 pi).  A march that tests for an exit of (a, b)
-# at mesh points alone misses exits between them, an O(sqrt(dt)) bias;
-# testing against (a + beta |sigma| sqrt(dt), b - beta |sigma| sqrt(dt))
-# removes its leading term (Broadie, Glasserman and Kou, Math. Finance 7,
-# 1997; for general diffusions Gobet and Menozzi, Stoch. Proc. Appl. 120, 2010)
-EXIT_SHIFT = 0.5825971579390107
-
-
 @dataclass(frozen=True)
 class EstimatorResult:
     """A Monte Carlo mean and its standard error, with the record of the
@@ -103,14 +92,17 @@ class TrajectorySet:
 
     Integrands registered at simulation time are accumulated online, so no
     estimate needs the fine-mesh history; a fine history, when wanted, is
-    the snapshot set at every mesh time.  `normals_drawn` counts the normals
-    the march drew, one per live path and fine step of each block it drew,
-    and `exits` the paths that left the domain, each counted at its exit.
+    the snapshot set at every mesh time.  A path's weight is the survival
+    of its bridges between the mesh points so far, 0 once it has exited.
+    `normals_drawn` counts the normals the march drew, one per live path and
+    fine step of each block it drew, and `exits` the paths that left the
+    domain, each counted at its exit.
     """
 
     snapshot_times: np.ndarray  # (n_snap,)
     snapshots: np.ndarray  # (M, n_snap)
     alive: np.ndarray  # (M, n_snap) bool, not exited by the snapshot time
+    weights: np.ndarray  # (M, n_snap) survival weight at the snapshot time
     tau: np.ndarray  # (M,)
     integrals: dict  # name -> (M,) path integrals
     normals_drawn: int
@@ -138,18 +130,29 @@ def simulate(
     grid: Grid | None = None,
     integrands: dict | None = None,
     snapshot_times=(),
+    bridge_steps: bool = False,
 ) -> TrajectorySet:
     """Euler-Maruyama marching of (1.1)-type dynamics over a path bundle.
 
     init is either a point inside the closed domain or a gridded initial
     density (requires grid); integrands maps names to callables
-    phi(y, t, w1) whose running integrals sum_{t < tau} phi dt_mc are
-    accumulated online (an integrand's optional var stays 0 here);
-    snapshot_times are the mesh times in [s, horizon] at which every path is
-    recorded, none by default.  On a tree the path
+    phi(y, t, w1) whose running integrals
+    sum_{t < tau} phi_m dt_mc (w_m + w_{m+1}) / 2 are accumulated online,
+    phi_m = phi(y_m, t_m, w1), or with bridge_steps the mean of phi over the
+    step's Brownian bridge (_bridge_step, which passes phi a var);
+    snapshot_times are the mesh times in [s, horizon] at which every path
+    is recorded, none by default.  On a tree the path
     groups call the integrands (and a drift that reads x) from several
     threads at once, so they must not keep state.  Deterministic given the
     bundle's seed.
+
+    Each step multiplies a path's weight w by the survival of the bridge
+    between its two ends (_bridge_survival, c = 2 / (|sigma|^2 dt_mc)).
+    With the drift frozen on the step that law is exact for free paths, and
+    on a tree for a drift that does not read x, at any n_sub: each
+    component minus its linear interpolation on a sub-step is a standard
+    bridge.  For a drift that reads x (space-smooth) freezing it is an
+    approximation, O(dt_mc) (Gobet, Stoch. Proc. Appl. 87, 2000).
     """
     if not np.array_equal(coeffs.sigma, paths.sigma):
         raise SimulationError(
@@ -179,12 +182,10 @@ def simulate(
     lo_x, hi_x = domain.a, domain.b
     if np.any((y < lo_x) | (y > hi_x)):
         raise SimulationError("initial value outside the closed domain")
-    if paths.tree is None:
-        # free paths test exits against the shifted band, which corrects the
-        # exits missed between mesh points; a bridged block's increments are
-        # conditioned on their sum, so its paths keep mesh-only exits
-        shift = EXIT_SHIFT * np.sqrt(coeffs.b_total * dt)
-        lo_x, hi_x = lo_x + shift, hi_x - shift
+    # a step whose two ends lie in [lo_r, hi_r], at least sqrt(40 / c) inside
+    # both walls, survives with probability exactly 1.0 (_bridge_survival)
+    c = 2.0 / (coeffs.b_total * dt)
+    lo_r, hi_r = lo_x + math.sqrt(40.0 / c), hi_x - math.sqrt(40.0 / c)
 
     horizon = paths.times[-1]
     snapshot_times = np.asarray(snapshot_times, dtype=float)
@@ -200,6 +201,7 @@ def simulate(
     tau = np.full(M, horizon)
     snapshots = np.empty((M, snapshot_times.size))
     alive = np.zeros((M, snapshot_times.size), dtype=bool)
+    weights = np.zeros((M, snapshot_times.size))
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
     # f dt, taken once per block when f reads neither x nor t: for free paths
@@ -216,14 +218,17 @@ def simulate(
 
     def march(lo, hi):
         """March paths lo .. hi - 1 from m0, writing only their rows of tau,
-        y, snapshots, alive and totals; returns the normals drawn and the
-        paths that exited."""
-        # live paths: index, state, running integrals.  The current noise
-        # block holds fine steps first .. end - 1 and has a column per path
-        # live when it was drawn; once one of them has exited, cols maps the
-        # live paths to their columns (None until then).
+        y, snapshots, alive, weights and totals; returns the normals drawn
+        and the paths that exited."""
+        # live paths: index, state, weight, whether outside [lo_r, hi_r],
+        # running integrals.  The current noise block holds fine steps
+        # first .. end - 1 and has a column per path live when it was drawn;
+        # once one of them has exited, cols maps the live paths to their
+        # columns (None until then).
         live = np.arange(lo, hi)
         yl = y[lo:hi].copy()
+        wl = np.ones(hi - lo)
+        near = (yl < lo_r) | (yl > hi_r)
         acc = {name: np.zeros(hi - lo) for name in integrands}
         drawn = exits = 0
         m = end = m0
@@ -232,6 +237,7 @@ def simulate(
                 y[live] = yl
                 snapshots[lo:hi, snap_of[m]] = y[lo:hi, None]
                 alive[np.ix_(live, snap_of[m])] = True
+                weights[np.ix_(live, snap_of[m])] = wl[:, None]
             if m == n_fine or live.size == 0:
                 break
             t = m * dt
@@ -244,13 +250,25 @@ def simulate(
                 w1 = paths.w1(k, live)
                 fdt = fdt0 if node_fdt is None else node_fdt[k][paths.nodes(k, live)]
             j = m - first
-            for name, fn in integrands.items():
-                acc[name] += np.asarray(fn(yl, t, w1)) * dt
-            yl += fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt
+            y0, w0 = yl, wl  # the step's start
+            yl = yl + (fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt)
             yl += block[j] if cols is None else block[j][cols]  # half the cost of block[j, cols]
             m += 1
-            out = (yl < lo_x) | (yl > hi_x)
-            if out.any():
+            # only a path with an end outside [lo_r, hi_r] is weighed, and
+            # only such a path can be outside the domain
+            was, near = near, (yl < lo_r) | (yl > hi_r)
+            weigh = was | near
+            if weigh.all():
+                wl = wl * _bridge_survival(y0, yl, lo_x, hi_x, c)
+            elif weigh.any():  # weigh those paths only
+                at = weigh.nonzero()[0]
+                wl = wl.copy()
+                wl[at] *= _bridge_survival(y0[at], yl[at], lo_x, hi_x, c)
+            for fn, a in zip(integrands.values(), acc.values()):
+                a += (_bridge_step(fn, y0, yl, t, w1, dt, coeffs.b_total) if bridge_steps
+                      else np.asarray(fn(y0, t, w1))) * dt * (0.5 * (w0 + wl))
+            del y0, w0  # neither is held through the next draw
+            if near.any() and (out := (yl < lo_x) | (yl > hi_x)).any():
                 at = out.nonzero()[0]
                 exits += at.size
                 gone = live[at]
@@ -259,7 +277,7 @@ def simulate(
                 for name in totals:
                     totals[name][gone] = acc[name][at]
                 keep = (~out).nonzero()[0]
-                live, yl = live[keep], yl[keep]
+                live, yl, wl, near = live[keep], yl[keep], wl[keep], near[keep]
                 acc = {name: a[keep] for name, a in acc.items()}
                 if w1 is not None:  # on a tree w1, and f dt with it, is per path
                     w1 = w1[keep]
@@ -292,6 +310,7 @@ def simulate(
         snapshot_times=snapshot_times,
         snapshots=snapshots,
         alive=alive,
+        weights=weights,
         tau=tau,
         integrals=totals,
         normals_drawn=drawn,
@@ -377,16 +396,28 @@ def _bridge_survival(y0, y1, a: float, b: float, c: float):
     (1 - exp(-c (y0 - a)(y1 - a))) (1 - exp(-c (b - y0)(b - y1))), and 0 for
     an end on or past a wall (clipped, so no exponential overflows).
 
-    Between two tree times a tree-bridged path is such a bridge, exactly for
-    a drift that does not read x, at d = 1 and d = 2: the driving part is
-    pinned by the tree increment, and the free part once y1 is known.  One
-    wall at a time errs by at most about exp(-(b - a)^2 / (|sigma|^2 dt)) per
-    step: e^-2560 at density-64-65's defaults, e^-160 on (-2, 2).  A factor
-    is exactly 1.0 once both exponents pass 37.4, where exp(-u) < 2^-54.
+    Between two mesh points a path of a march is such a bridge, exactly for
+    a drift that does not read x (simulate): on a tree, at d = 1 and d = 2,
+    the driving part is pinned by the tree increment and the free part once
+    y1 is known.  One wall at a time errs by at most about
+    exp(-(b - a)^2 / (|sigma|^2 dt)) per step: e^-2560 at density-64-65's
+    tree step, e^-160 on (-2, 2).  A factor is exactly 1.0 once both
+    exponents pass 37.4, where exp(-u) < 2^-54.
     """
-    lo = np.maximum(y0 - a, 0.0) * np.maximum(y1 - a, 0.0)
-    hi = np.maximum(b - y0, 0.0) * np.maximum(b - y1, 0.0)
-    return np.expm1(-c * lo) * np.expm1(-c * hi)  # (1 - e^-u)(1 - e^-v)
+    f, v = y0 - a, y1 - a  # worked in place: a march holds few arrays
+    np.maximum(f, 0.0, out=f)
+    np.maximum(v, 0.0, out=v)
+    f *= v
+    f *= -c
+    np.expm1(f, out=f)  # e^-u - 1
+    u = np.subtract(b, y0, out=v)
+    np.maximum(u, 0.0, out=u)
+    v = b - y1
+    np.maximum(v, 0.0, out=v)
+    u *= v
+    u *= -c
+    f *= np.expm1(u, out=u)  # (e^-u - 1)(e^-v - 1) = (1 - e^-u)(1 - e^-v)
+    return f
 
 
 def conditional_functional(
@@ -409,11 +440,9 @@ def conditional_functional(
     dt_mc is the step the paths march at; it must divide the tree step and
     put every entry of t_grid on its mesh.  For a drift that does not read
     x and t_grid on tree times, the tree step itself gives each snapshot the
-    law of any finer mesh (a block's steps sum to the same law).  It tests
-    exits at tree times only, so each path's value at t is weighed by the
-    survival of its bridges between the tree times before t
-    (_bridge_survival), for the paths that come within sqrt(40 / c) of a
-    wall, c = 2 / (|sigma|^2 dt): every other factor is exactly 1.0.
+    law of any finer mesh (a block's steps sum to the same law).  Each
+    path's value at t is weighed by its weight there (simulate): the
+    survival of its bridges between the mesh points before t.
 
     Returns one EstimatorResult per entry of t_grid; each carries the record
     of the same marches.
@@ -424,36 +453,19 @@ def conditional_functional(
         )
     t_grid = np.asarray(t_grid, dtype=float)
     levels = [min(int(round(t / tree.dt)), tree.n_steps) for t in t_grid]
-    a, b = grid.domain.a, grid.domain.b
-    c = 2.0 / (coeffs.b_total * tree.dt)
-    mid, inner = 0.5 * (a + b), 0.5 * (b - a) - np.sqrt(40.0 / c)
 
     def job(i, m):
         bundle = bridge_paths(tree, leaf, m, coeffs.sigma, dt_mc, (seed, 0xC0, i))
-        tree_step = bundle.n_sub == 1
-        snaps, cols = (bundle.times.copy(), levels) if tree_step else (t_grid, range(t_grid.size))
-        if tree_step:  # every tree time, t_grid's entries as given (simulate checks them)
-            snaps[levels] = t_grid
-        trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=snaps)
-        y = trajs.snapshots
-        vals = np.reshape([trajs.alive[:, j] * np.asarray(phi(y[:, j], t, bundle.w1(k)))
-                           for t, k, j in zip(t_grid, levels, cols)], (t_grid.size, m))
-        if tree_step:
-            reach = np.abs(y[:, 0] - mid)  # a loop over columns beats a max over rows
-            for col in y.T[1:]:
-                np.maximum(reach, np.abs(col - mid), out=reach)
-            near = reach > inner
-            y = y[near]
-            survival = np.ones_like(y)
-            np.cumprod(_bridge_survival(y[:, :-1], y[:, 1:], a, b, c), axis=1,
-                       out=survival[:, 1:])
-            vals[:, near] *= survival[:, levels].T
+        trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=t_grid)
+        y, w = trajs.snapshots, trajs.weights
+        vals = np.reshape([w[:, j] * np.asarray(phi(y[:, j], t, bundle.w1(k)))
+                           for j, (t, k) in enumerate(zip(t_grid, levels))], (t_grid.size, m))
         return vals, trajs, bundle
 
     return _chunked(M, job)
 
 
-# the nodes u and weights of a tree block's bridge integral: the 4-point
+# the nodes u and weights of a step's bridge integral: the 4-point
 # Gauss-Legendre rule moved to [0, 1], nodes (1 -+ x) / 2 and weights w / 2
 # for x = sqrt(3/7 -+ 2/7 sqrt(6/5)) and w = (18 +- sqrt(30)) / 36, in closed
 # form: numpy.polynomial.legendre.leggauss(4) would import about 0.8 MB into
@@ -464,30 +476,16 @@ BRIDGE_NODES = np.array([1 - _X[1], 1 - _X[0], 1 + _X[0], 1 + _X[1]]) / 2
 BRIDGE_WEIGHTS = np.array([_W[1], _W[0], _W[0], _W[1]]) / 2
 
 
-def _bridge_integrals(phi, y: np.ndarray, bundle: PathBundle, b_total: float,
-                      domain) -> np.ndarray:
-    """Each path's int_0^tau phi(y, t) dt, given its values y_k at every tree
-    time, y (paths, tree times): block k adds Delta sum_j w_j phi(m_j, t_k + u_j Delta, w1_k, v_j),
-    m_j = y_k + u_j (y_{k+1} - y_k) and v_j = |sigma|^2 Delta u_j (1 - u_j),
-    the bridge's mean and variance at the Gauss-Legendre nodes u_j, weighed
-    by (S_k + S_{k+1}) / 2, S_k the survival of the path's bridges before
-    t_k (_bridge_survival).  One block column, (paths,) arrays, at a time,
-    each snapshot column copied once out of its strided rows."""
-    dt = bundle.dt_mc
-    c = 2.0 / (b_total * dt)
-    total, survival = np.zeros(bundle.n_paths), np.ones(bundle.n_paths)
-    y1 = y[:, 0].copy()
-    for k in range(bundle.n_fine):
-        y0, y1, w1 = y1, y[:, k + 1].copy(), bundle.w1(k)
-        dy = y1 - y0
-        block = np.zeros(bundle.n_paths)
-        for u, w in zip(BRIDGE_NODES, BRIDGE_WEIGHTS):
-            block += w * np.asarray(phi(y0 + u * dy, bundle.times[k] + u * dt, w1,
-                                        b_total * dt * u * (1.0 - u)))
-        after = survival * _bridge_survival(y0, y1, domain.a, domain.b, c)
-        total += 0.5 * dt * (survival + after) * block
-        survival = after
-    return total
+def _bridge_step(phi, y0, y1, t: float, w1, dt: float, b_total: float) -> np.ndarray:
+    """The mean of phi over a step dt on the Brownian bridge of rate b_total
+    from y0 to y1: sum_j w_j phi(m_j, t + u_j dt, w1, v_j), with
+    m_j = y0 + u_j (y1 - y0) and v_j = b_total dt u_j (1 - u_j) the bridge's
+    mean and variance at the Gauss-Legendre nodes u_j."""
+    dy = y1 - y0
+    mean = np.zeros(np.shape(y0))
+    for u, w in zip(BRIDGE_NODES, BRIDGE_WEIGHTS):
+        mean += w * np.asarray(phi(y0 + u * dy, t + u * dt, w1, b_total * dt * u * (1.0 - u)))
+    return mean
 
 
 def functional_estimate(
@@ -511,12 +509,13 @@ def functional_estimate(
     Bridged paths at the tree step (dt_mc the tree step) under a drift that
     does not read x march only the tree times: between two of them a path is
     a Brownian bridge of rate |sigma|^2 (see _bridge_survival), so each
-    block's integral is taken in closed form over the bridge, by
-    _bridge_integrals.  This is conditional Monte Carlo over the bridge
+    block's integral is taken in closed form over the bridge (simulate's
+    bridge_steps).  This is conditional Monte Carlo over the bridge
     (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, ch. 3-4):
     it estimates the continuous-time integral and draws one normal per path
     and tree step.  Every other case sums phi(y_m) dt_mc over the mesh points
-    before the exit.
+    before the exit.  Either sum weighs a step by the trapezoid of the
+    path's survival weights at its ends.
     """
     def job(i, m):
         chunk_seed = (seed, 0xF0, i)
@@ -524,13 +523,9 @@ def functional_estimate(
             bundle = sample_tree_paths(tree, m, coeffs.sigma, dt_mc, chunk_seed)
         else:
             bundle = free_paths(grid.domain.horizon, m, coeffs.sigma, dt_mc, chunk_seed)
-        if tree is None or bundle.n_sub > 1 or coeffs.drift_reads_x:
-            trajs = simulate(coeffs, init, 0.0, bundle, grid.domain, grid=grid,
-                             integrands={"phi": phi})
-            return trajs.integrals["phi"][None], trajs, bundle
+        bridged = tree is not None and bundle.n_sub == 1 and not coeffs.drift_reads_x
         trajs = simulate(coeffs, init, 0.0, bundle, grid.domain, grid=grid,
-                         snapshot_times=bundle.times)
-        vals = _bridge_integrals(phi, trajs.snapshots, bundle, coeffs.b_total, grid.domain)
-        return vals[None], trajs, bundle
+                         integrands={"phi": phi}, bridge_steps=bridged)
+        return trajs.integrals["phi"][None], trajs, bundle
 
     return _chunked(M, job)[0]

@@ -373,13 +373,13 @@ SPAN_NORMALS = 2**12
 SPAN_MAX = 16
 
 # a draw is hashed max(1, HASH_NORMALS // rows) fine steps per
-# _counter_normals call (5 steps of a tree block at 12.5k rows; a free span,
+# _counter_normals call (2 steps of a tree block at 12.5k rows; a free span,
 # at most SPAN_MAX steps of SPAN_NORMALS rows or one step, is one call), in a
-# 512 kB scratch array that each group of a march holds while it draws: few
-# calls keep the GIL hand-offs of concurrent groups few, and 100,000 normals
-# per call were no faster but put 3 groups of 20k paths past 1.5 blocks of
-# peak memory
-HASH_NORMALS = 2**16
+# 256 kB scratch array that each group of a march holds while it draws: few
+# calls keep the GIL hand-offs of concurrent groups few, and 2**16 normals
+# per call put 3 groups of 20k paths past 1.5 blocks of peak memory once the
+# march recorded survival weights at its snapshots
+HASH_NORMALS = 2**15
 
 
 def draw_threads() -> int:

@@ -4,9 +4,9 @@ the reference that `montecarlo.simulate` must match bit for bit.
 Each fine step evaluates the drift at every live path, and every exit
 compacts the live paths, their running integrals, their w1 and the current
 noise block with one boolean mask.  A noise block is the first n_sub steps
-of a draw, so free paths are drawn one fine step at a time.  Free paths
-test exits against the boundary-shifted band, bridged paths against the
-domain.
+of a draw, so free paths are drawn one fine step at a time.  Every path
+tests exits against the domain at mesh points, and every step multiplies
+every live path's weight by the survival of its bridge, with no screen.
 """
 
 from __future__ import annotations
@@ -15,8 +15,17 @@ import numpy as np
 
 from spdelab.coefficients import CoefficientSet
 from spdelab.domain import Grid
-from spdelab.montecarlo import EXIT_SHIFT, SimulationError, TrajectorySet, sample_from_density
+from spdelab.montecarlo import SimulationError, TrajectorySet, sample_from_density
 from spdelab.tree import PathBundle
+
+
+def bridge_survival(y0, y1, a, b, c):
+    """(1 - exp(-c (y0 - a)(y1 - a))) (1 - exp(-c (b - y0)(b - y1))), each
+    distance clipped at 0, in the one expression montecarlo's in-place
+    _bridge_survival must match."""
+    lo = np.maximum(y0 - a, 0.0) * np.maximum(y1 - a, 0.0)
+    hi = np.maximum(b - y0, 0.0) * np.maximum(b - y1, 0.0)
+    return np.expm1(-c * lo) * np.expm1(-c * hi)
 
 
 def reference_simulate(
@@ -33,9 +42,10 @@ def reference_simulate(
 
     init is either a point inside the closed domain or a gridded initial
     density (requires grid); integrands maps names to callables
-    phi(y, t, w1) whose running integrals sum_{t < tau} phi dt_mc are
-    accumulated online; snapshot_times are the mesh times at which every
-    path is recorded, none by default.  Deterministic given the bundle's seed.
+    phi(y, t, w1) whose running integrals sum_{t < tau} phi dt_mc
+    (w_m + w_{m+1}) / 2 are accumulated online; snapshot_times are the mesh
+    times at which every path is recorded, none by default.  Deterministic
+    given the bundle's seed.
     """
     if not np.array_equal(coeffs.sigma, paths.sigma):
         raise SimulationError(
@@ -65,9 +75,7 @@ def reference_simulate(
     lo, hi = domain.a, domain.b
     if np.any((y < lo) | (y > hi)):
         raise SimulationError("initial value outside the closed domain")
-    if paths.tree is None:  # free paths exit at the boundary-shifted band
-        shift = EXIT_SHIFT * np.sqrt(coeffs.b_total * dt)
-        lo, hi = lo + shift, hi - shift
+    c = 2.0 / (coeffs.b_total * dt)
 
     horizon = paths.times[-1]
     snapshot_times = np.asarray(snapshot_times, dtype=float)
@@ -83,12 +91,14 @@ def reference_simulate(
     tau = np.full(M, horizon)
     snapshots = np.empty((M, snapshot_times.size))
     alive = np.zeros((M, snapshot_times.size), dtype=bool)
+    weights = np.zeros((M, snapshot_times.size))
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
 
-    # live paths, compacted: index, state, running integrals, current block
+    # live paths, compacted: index, state, weight, running integrals, current block
     live = np.arange(M)
     yl = y.copy()
+    wl = np.ones(M)
     acc = {name: np.zeros(M) for name in integrands}
     drawn = exits = 0
     m = m0
@@ -97,6 +107,7 @@ def reference_simulate(
             y[live] = yl
             snapshots[:, snap_of[m]] = y[:, None]
             alive[np.ix_(live, snap_of[m])] = True
+            weights[np.ix_(live, snap_of[m])] = wl[:, None]
         if m == n_fine or live.size == 0:
             break
         j = m % paths.n_sub
@@ -107,10 +118,13 @@ def reference_simulate(
             drawn += block.size
             w1 = paths.w1(k, live)
         t = m * dt
-        for name, fn in integrands.items():
-            acc[name] += np.asarray(fn(yl, t, w1)) * dt
+        vals = {name: np.asarray(fn(yl, t, w1)) * dt for name, fn in integrands.items()}
         drift = coeffs.drift(yl, t, 0.0 if w1 is None else w1)
+        y0, w0 = yl, wl
         yl = yl + drift * dt + block[j]
+        wl = wl * bridge_survival(y0, yl, lo, hi, c)
+        for name in integrands:
+            acc[name] += vals[name] * (0.5 * (w0 + wl))
         m += 1
         out = (yl < lo) | (yl > hi)
         if out.any():
@@ -121,7 +135,7 @@ def reference_simulate(
             for name in totals:
                 totals[name][gone] = acc[name][out]
             keep = ~out
-            live, yl, block = live[keep], yl[keep], block[:, keep]
+            live, yl, wl, block = live[keep], yl[keep], wl[keep], block[:, keep]
             acc = {name: a[keep] for name, a in acc.items()}
             if np.ndim(w1):
                 w1 = w1[keep]
@@ -134,6 +148,7 @@ def reference_simulate(
         snapshot_times=snapshot_times,
         snapshots=snapshots,
         alive=alive,
+        weights=weights,
         tau=tau,
         integrals=totals,
         normals_drawn=drawn,

@@ -371,12 +371,12 @@ def test_cell_guard_reads_the_state_space_that_holds_the_fields():
 
 
 @pytest.mark.parametrize("name, estimates, n_fine", [
-    ("feynman-kac-nonrandom", 1, 1000), ("representation-random", 10, 10),
+    ("feynman-kac-nonrandom", 1, 100), ("representation-random", 10, 10),
     ("density-64-65", 2, 10)])
 def test_work_guard_counts_every_estimate(name, estimates, n_fine):
     # the most paths whose normals, summed over the run's estimates, fit the
     # guard load; one more path does not.  Each estimate marches n_fine
-    # steps: feynman-kac-nonrandom's free one the 1000 of mc.dt_mc, the
+    # steps: feynman-kac-nonrandom's free one the 100 of mc.dt_mc, the
     # bridged ones under drift-random the 10 tree steps
     most = config.MAX_NORMALS // (estimates * n_fine)
     assert ExperimentConfig.from_dict({"experiment": name, "mc": {"paths": most}})
@@ -769,7 +769,7 @@ def test_bridge_integral_agrees_with_a_fine_march_where_paths_exit():
     # on (-2, 2) 12% of density-64-65's paths exit by t = 1 (16% seen by a
     # fine march).  The unconditional estimate at the tree step weighs each
     # block's bridge integral by its survival and agrees with a dt_mc 2.5e-4
-    # march, which carries its own O(sqrt(dt)) mesh-exit bias
+    # march, whose steps are weighed by the same rule
     cfg = ExperimentConfig.from_dict({"experiment": "density-64-65", "grid": {"nx": 81},
                                       "domain": {"a": -2.0, "b": 2.0}})
     grid = cfg.build_grid()

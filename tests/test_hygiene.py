@@ -249,7 +249,7 @@ split_in, serial_in = groups
 assert main in split_in and len(split_in) > 1, groups
 assert all(n == main or n.startswith('spdelab-draw_') for n in split_in), groups
 assert serial_in == [main], groups
-for name in ('tau', 'snapshots', 'alive', 'normals_drawn', 'exits'):
+for name in ('tau', 'snapshots', 'alive', 'weights', 'normals_drawn', 'exits'):
     assert np.array_equal(getattr(split, name), getattr(serial, name)), name
 print(finder_threads['scipy.special'], main)
 """)

@@ -102,15 +102,16 @@ def test_simulate_gaussian_statistics(line_domain):
 
 
 def test_simulate_exit_time_oracle(unit_domain):
-    # E tau for Brownian motion from x=0.5 in (0,1) is 0.25; the boundary
-    # shift leaves an o(sqrt(dt_mc)) bias
+    # E tau for Brownian motion from x=0.5 in (0,1) is 0.25; the weighted
+    # running integral of 1 leaves an O(dt_mc) bias
     dom = DomainSpec(0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     paths = free_paths(4.0, M=20000, sigma=coeffs.sigma, dt_mc=2e-3, seed=3)
-    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=[0.0, 4.0])
-    stderr = trajs.tau.std(ddof=1) / np.sqrt(trajs.tau.size)
-    bias_allowance = 0.6 * np.sqrt(2e-3) + 3 * stderr
-    assert abs(trajs.tau.mean() - 0.25) <= bias_allowance
+    trajs = simulate(coeffs, 0.5, 0.0, paths, dom, snapshot_times=[0.0, 4.0],
+                     integrands={"one": lambda y, t, w1: np.ones_like(y)})
+    value, stderr = estimate_functional(trajs, "one")
+    bias_allowance = 2e-3 + 3 * stderr
+    assert abs(value - 0.25) <= bias_allowance
     # exited paths freeze: the alive indicator flips once and stays down
     flips = np.diff(trajs.alive.astype(int), axis=1)
     assert np.all(flips <= 0)
@@ -151,30 +152,21 @@ def test_exit_time_oracle_is_mirror_symmetric():
                 == montecarlo.expected_exit_time(a + b - x, a, b, -f0, 0.36)
 
 
-def test_boundary_shift_is_minus_zeta_half_over_sqrt_two_pi():
-    special = pytest.importorskip("scipy.special")
-    beta = -special.zeta(0.5) / np.sqrt(2.0 * np.pi)
-    assert montecarlo.EXIT_SHIFT == pytest.approx(beta, rel=1e-15, abs=0.0)
-
-
-def test_shifted_exits_remove_the_mesh_bias(monkeypatch):
-    # Brownian motion from 0.5 on (0, 1), E tau = 0.25, at dt_mc 4e-3: the
-    # shifted band lands within 4 standard errors of it, mesh-only exits at
-    # the same draws (shift 0) more than 10 above it
+def test_bridge_weights_remove_the_mesh_bias_at_a_coarse_step():
+    # Brownian motion from 0.5 on (0, 1), E tau = 0.25, at dt_mc 0.04: the
+    # exit-time functional of 1M weighted paths lands within 4 standard
+    # errors of it, where the mesh-point exit times alone read more than 10
+    # standard errors above it
     dom = DomainSpec(0.0, 1.0, 4.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     exact = montecarlo.expected_exit_time(0.5, 0.0, 1.0, 0.0, coeffs.b_total)
     assert exact == 0.25
-
-    def misses():
-        paths = free_paths(4.0, M=20000, sigma=coeffs.sigma, dt_mc=4e-3, seed=48)
-        tau = simulate(coeffs, 0.5, 0.0, paths, dom).tau
-        assert tau.max() < 4.0  # every path exits
-        return (tau.mean() - exact) / (tau.std(ddof=1) / np.sqrt(tau.size))
-
-    assert abs(misses()) < 4.0
-    monkeypatch.setattr(montecarlo, "EXIT_SHIFT", 0.0)
-    assert misses() > 10.0
+    est = functional_estimate(coeffs, lambda y, t, w1: np.ones_like(y), 0.5, 1_000_000, 48,
+                              grid=build_grid(dom, 21), dt_mc=0.04)
+    assert est.fine_steps == 100
+    assert abs(est.value - exact) < 4.0 * est.stderr
+    tau = simulate(coeffs, 0.5, 0.0, free_paths(4.0, 20000, coeffs.sigma, 0.04, seed=48), dom).tau
+    assert tau.mean() - exact > 10.0 * tau.std(ddof=1) / np.sqrt(tau.size)
 
 
 def test_simulate_validations(unit_domain):
@@ -227,8 +219,7 @@ def test_no_normals_drawn_for_exited_paths():
     assert trajs.normals_drawn == sum(S * L for S, L in free_draws(paths, trajs.tau))
     assert 0 < trajs.normals_drawn - steps.sum() <= (tree_module.SPAN_MAX - 1) * steps.size
     last = trajs.snapshots[np.arange(paths.n_paths), steps]
-    shift = montecarlo.EXIT_SHIFT * np.sqrt(0.01)  # free paths exit the shifted band
-    assert np.all((last < shift) | (last > 1.0 - shift))
+    assert np.all((last < 0.0) | (last > 1.0))  # a path exits outside the domain
     # after the early stop the record holds the frozen exit values
     assert np.array_equal(trajs.snapshots[:, -1], last)
     assert not trajs.alive[:, -1].any()
@@ -307,6 +298,28 @@ def test_bridge_weights_hold_at_d2():
     assert 1.0 - weighted.exit_frac - fine.value > spread
 
 
+def test_bridge_steps_integrate_each_step_over_its_bridge(unit_domain):
+    # at the tree step a running integral with bridge_steps adds, per step,
+    # the Gauss-Legendre mean of phi over the step's bridge times dt, weighed
+    # by the trapezoid of the survival weights at the step's ends: the sum
+    # over the snapshots and weights at every tree time, bit for bit, on
+    # (0, 1), where most paths are weighed and exit
+    coeffs = make_family("drift-random", {"kappa": 0.7, "sigma": [0.6, 0.8], "d": 1})
+    paths = sample_tree_paths(build_tree(1, 10, 1.0), 4000, coeffs.sigma, 0.1, seed=50)
+    trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain, integrands={"phi": _gaussian},
+                     snapshot_times=paths.times, bridge_steps=True)
+    y, w, dt = trajs.snapshots, trajs.weights, paths.dt_mc
+    direct = np.zeros(paths.n_paths)
+    for k in range(paths.n_fine):
+        mean = np.zeros(paths.n_paths)
+        for u, wj in zip(montecarlo.BRIDGE_NODES, montecarlo.BRIDGE_WEIGHTS):
+            mean += wj * _gaussian(y[:, k] + u * (y[:, k + 1] - y[:, k]), k * dt + u * dt,
+                                   paths.w1(k), coeffs.b_total * dt * u * (1.0 - u))
+        direct += mean * dt * (0.5 * (w[:, k] + w[:, k + 1]))
+    assert trajs.exits > 2000 and np.any((w > 0.0) & (w < 1.0))
+    assert np.array_equal(trajs.integrals["phi"], direct)
+
+
 def test_bridge_integral_matches_the_leaf_enumeration(line_domain):
     # representation-random's control (constant, f0 0, sigma [0.6, 0.8]) from
     # x = 0 on its tree (N 10): given its leaf a path is Gaussian at every t,
@@ -366,9 +379,14 @@ def march_cases():
     constant = make_family("constant", {"f0": 0.8, "sigma": [1.0]})
     smooth = make_family("space-smooth", {"a": 1.5, "eps": 0.4, "sigma": [0.6, 0.8], "d": 1})
     random = make_family("drift-random", {"kappa": 0.7, "sigma": [0.6, 0.8], "d": 1})
+    drifting = make_family("constant", {"f0": 0.8, "sigma": [0.06, 0.08], "d": 1})
     return {
         "free-constant": (constant, 0.5, 0.0, free_paths(1.0, 4000, [1.0], 1e-3, seed=40),
                           [0.0, 1.0]),
+        # every path's every step is weighed, and exits come within a few steps
+        "free-coarse-step": (make_family("constant", {"f0": 0.0, "sigma": [1.0]}), 0.5, 0.0,
+                             free_paths(1.0, 4000, [1.0], 0.04, seed=48),
+                             np.linspace(0.0, 1.0, 6)),
         # a drift of w1 needs tree-bridged paths, here through one leaf
         "leaf-space-smooth": (smooth, 0.3, 0.0,
                               bridge_paths(tree, 6, 3000, smooth.sigma, 2e-3, seed=41),
@@ -382,6 +400,10 @@ def march_cases():
         "start-inside-a-block": (smooth, 0.4, 0.13,
                                  sample_tree_paths(tree, 3000, smooth.sigma, 0.01, seed=44),
                                  np.array([0.13, 0.2, 0.2, 0.55, 1.0])),
+        # sigma 0.1: near a wall a step is weighed, away from both it is not
+        "near-a-wall-n_sub-20": (drifting, 0.5, 0.0,
+                                 sample_tree_paths(tree, 3000, drifting.sigma, 0.01, seed=49),
+                                 tree_times),
         # nine paths: split into three groups, a group reaches one live path
         # at a block start while the others march on
         "one-live-path-in-a-group": (random, 0.5, 0.0,
@@ -399,7 +421,7 @@ def check_march_against_the_reference(domain, case):
     integrands = {"one": lambda y, t, w1: np.ones_like(y), "phi": _reads_y_t_w1}
     new, ref = (march(coeffs, init, s, paths, domain, integrands=integrands,
                       snapshot_times=times) for march in (simulate, reference_simulate))
-    for name in ("tau", "snapshots", "alive"):
+    for name in ("tau", "snapshots", "alive", "weights"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
     assert new.exits == ref.exits == np.count_nonzero(~new.alive[:, -1])
     assert new.integrals.keys() == ref.integrals.keys()
@@ -413,6 +435,7 @@ def check_march_against_the_reference(domain, case):
     exit_step = np.rint(new.tau / paths.dt_mc).astype(int)
     exited = exit_step < paths.n_fine
     assert exited.mean() > 0.5
+    assert np.any(new.weights[new.alive] < 1.0)  # live paths were weighed
     if paths.n_sub > 1:  # paths exit inside blocks, while others march on
         assert np.any(exited & (exit_step % paths.n_sub != 0))
 
@@ -476,9 +499,8 @@ def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
     assert [shape for _, _, shape in shapes] == free_draws(paths, trajs.tau)
     ref = reference_simulate(coeffs, 0.5, 0.0, paths, unit_domain, snapshot_times=[0.0, 1.0])
     assert np.array_equal(trajs.tau, ref.tau) and np.array_equal(trajs.snapshots, ref.snapshots)
-    shift = montecarlo.EXIT_SHIFT * np.sqrt(2e-3)
     exited = trajs.tau < 1.0
-    assert exited.any() and np.all(np.abs(trajs.snapshots[exited, -1] - 0.5) > 0.5 - shift)
+    assert exited.any() and np.all(np.abs(trajs.snapshots[exited, -1] - 0.5) > 0.5)
     for m, first, (S, L) in shapes:
         assert first == m
         assert S * L <= span_normals + L
@@ -549,11 +571,15 @@ def test_estimate_functional_zero_and_linearity(unit_domain):
     one, _ = estimate_functional(trajs, "one")
     two, _ = estimate_functional(trajs, "two")
     assert two == pytest.approx(2.0 * one, rel=1e-14)
-    # registered integral of 1 equals tau on the mesh
-    assert one == pytest.approx(trajs.tau.mean(), rel=1e-12)
-    # the running integral of y^2 against the sum over every mesh time before the exit
-    before_exit = np.arange(paths.n_fine)[None, :] < np.rint(trajs.tau / 0.02)[:, None]
-    direct = (trajs.snapshots[:, :-1] ** 2 * before_exit).sum(axis=1) * 0.02
+    # a running integral sums phi(y_m) dt_mc by the trapezoid of the weights
+    # at the step's ends, 0 once a path has exited
+    w = trajs.weights
+    assert np.all(w[trajs.alive] > 0.0) and np.all(w[~trajs.alive] == 0.0)
+    assert np.all(np.diff(w, axis=1) <= 0.0)
+    trap = 0.5 * (w[:, :-1] + w[:, 1:])
+    assert one == pytest.approx((trap.sum(axis=1) * 0.02).mean(), rel=1e-12)
+    assert one < trajs.tau.mean()  # the weights count the exits between mesh points
+    direct = (trajs.snapshots[:, :-1] ** 2 * trap).sum(axis=1) * 0.02
     assert estimate_functional(trajs, "sq")[0] == pytest.approx(direct.mean(), rel=1e-12)
 
 
