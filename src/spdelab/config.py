@@ -233,8 +233,7 @@ def _estimates_fit(cfg, exp):
     normals of all the estimates, each one's paths times its fine steps,
     within MAX_NORMALS, and each has its own name.  A run that draws then
     resolves its normals' transform: the import is paid at load, never
-    inside a run or a draw thread, and a run that draws none never imports
-    it."""
+    inside a run, and a run that draws none never imports it."""
     horizon = float(cfg.tree["horizon"])
     table, paths = exp.estimates(cfg), cfg.mc.get("paths", 0)
     bridged = any(est.bridged for est in table)

@@ -6,8 +6,8 @@ checks and emits one CheckRow per check.  Reports are a CSV body
 (deterministic for a given config: no timestamps, fixed float formatting),
 a JSON summary with the coefficient validation report and the solver
 diagnostics an experiment records (also deterministic), and a separate
-metadata file carrying the volatile environment stamp: wall time, peak RSS,
-versions and the draw threads (which change no result).
+metadata file carrying the volatile environment stamp: wall time, peak RSS
+and versions.
 
 Row semantics: lhs and rhs are the two quantities a check compares,
 abs_err = |lhs - rhs|, rel_err normalizes by the larger magnitude, and tol
@@ -49,7 +49,7 @@ from .fields import (
 )
 from .forward import solve_density, solve_duals
 from .montecarlo import conditional_functional, expected_exit_time, functional_estimate
-from .tree import build_tree, draw_threads
+from .tree import build_tree
 
 
 @dataclass
@@ -159,8 +159,6 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                 "python_version": platform.python_version(),
                 # peak resident set of this process image so far
                 "peak_rss_mb": _peak_rss_mb(),
-                # path groups a tree-bridged march runs as, one per thread
-                "draw_threads": draw_threads(),
             },
             fh,
             indent=2,

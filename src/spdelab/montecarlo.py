@@ -12,18 +12,14 @@ the block's start, by one routine, `tree.PathBundle.draw`: a block is a
 coarse step on a tree, or a span of a few fine steps of free paths, hashed
 `tree.HASH_NORMALS` normals per call and, on a tree, shifted by the bridge
 through each path's leaf.  The march stops as soon as every path has
-exited.  A march runs as contiguous groups of paths, one per draw thread
-on a tree and one for free paths: the calling thread marches the first and
-a pool that the march opens and joins itself the others (the only threads
-the package starts), each group drawing its own blocks and writing only its
-own rows, with the same bits for any group count; a march of one group
-starts no thread.  Each fine step does only the update
-(y + f dt) + noise, the weights, the exit test and the integrands: a drift
-that does not read x is taken once per block at the block's w1, times dt_mc
-(on a tree from its values per node, evaluated in the calling thread), and
-an exit compacts the live paths' index, state, weight, running integrals
-and w1 through one integer index, while the block stays as drawn and a
-column index maps the live paths to its columns.
+exited.  A march is one loop in the calling thread.  Each fine step does
+only the update (y + f dt) + noise, the weights, the exit test and the
+integrands: a drift that does not read x is taken once per block at the
+block's w1, times dt_mc (on a tree from its values per node, read at the
+block's nodes, which are looked up once), and an exit compacts the live
+paths' index, state, weight, running integrals and w1 through one integer
+index, while the block stays as drawn and a column index maps the live
+paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are tested at mesh points, and
@@ -45,13 +41,11 @@ SeedSequence flattens at any nesting (the rule in `tree`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from . import tree as tree_module
 from .coefficients import CoefficientSet
 from .domain import Grid
 from .tree import (
@@ -141,10 +135,7 @@ def simulate(
     phi_m = phi(y_m, t_m, w1), or with bridge_steps the mean of phi over the
     step's Brownian bridge (_bridge_step, which passes phi a var);
     snapshot_times are the mesh times in [s, horizon] at which every path
-    is recorded, none by default.  On a tree the path
-    groups call the integrands (and a drift that reads x) from several
-    threads at once, so they must not keep state.  Deterministic given the
-    bundle's seed.
+    is recorded, none by default.  Deterministic given the bundle's seed.
 
     Each step multiplies a path's weight w by the survival of the bridge
     between its two ends (_bridge_survival, c = 2 / (|sigma|^2 dt_mc)).
@@ -205,9 +196,8 @@ def simulate(
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
     # f dt, taken once per block when f reads neither x nor t: for free paths
-    # one value, on a tree one per node of each level, evaluated once here in
-    # the calling thread (not once per group, and benchmarks/tracer.py
-    # traces drift calls from one thread) and looked up at each block's nodes
+    # one value, on a tree one per node of each level, evaluated once here and
+    # looked up at each block's nodes
     per_block = not coeffs.drift_reads_x
     fdt0 = node_fdt = None
     if per_block and paths.tree is None:
@@ -216,96 +206,79 @@ def simulate(
         node_fdt = [np.asarray(coeffs.drift(0.0, k * paths.tree.dt, w)) * dt
                     for k, w in enumerate(paths.tree.w1[:-1])]
 
-    def march(lo, hi):
-        """March paths lo .. hi - 1 from m0, writing only their rows of tau,
-        y, snapshots, alive, weights and totals; returns the normals drawn
-        and the paths that exited."""
-        # live paths: index, state, weight, whether outside [lo_r, hi_r],
-        # running integrals.  The current noise block holds fine steps
-        # first .. end - 1 and has a column per path live when it was drawn;
-        # once one of them has exited, cols maps the live paths to their
-        # columns (None until then).
-        live = np.arange(lo, hi)
-        yl = y[lo:hi].copy()
-        wl = np.ones(hi - lo)
-        near = (yl < lo_r) | (yl > hi_r)
-        acc = {name: np.zeros(hi - lo) for name in integrands}
-        drawn = exits = 0
-        m = end = m0
-        while True:
-            if m in snap_of:
-                y[live] = yl
-                snapshots[lo:hi, snap_of[m]] = y[lo:hi, None]
-                alive[np.ix_(live, snap_of[m])] = True
-                weights[np.ix_(live, snap_of[m])] = wl[:, None]
-            if m == n_fine or live.size == 0:
-                break
-            t = m * dt
-            if m == end:
-                block = w1 = fdt = None  # drop the spent block, its w1 and f dt, then draw
-                first, block = paths.draw(m, live)
-                end, cols = first + len(block), None
-                drawn += block.size
-                k = m // paths.n_sub
-                w1 = paths.w1(k, live)
-                fdt = fdt0 if node_fdt is None else node_fdt[k][paths.nodes(k, live)]
-            j = m - first
-            y0, w0 = yl, wl  # the step's start
-            yl = yl + (fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt)
-            yl += block[j] if cols is None else block[j][cols]  # half the cost of block[j, cols]
-            m += 1
-            # only a path with an end outside [lo_r, hi_r] is weighed, and
-            # only such a path can be outside the domain
-            was, near = near, (yl < lo_r) | (yl > hi_r)
-            weigh = was | near
-            if weigh.all():
-                wl = wl * _bridge_survival(y0, yl, lo_x, hi_x, c)
-            elif weigh.any():  # weigh those paths only
-                at = weigh.nonzero()[0]
-                wl = wl.copy()
-                wl[at] *= _bridge_survival(y0[at], yl[at], lo_x, hi_x, c)
-            for fn, a in zip(integrands.values(), acc.values()):
-                a += (_bridge_step(fn, y0, yl, t, w1, dt, coeffs.b_total) if bridge_steps
-                      else np.asarray(fn(y0, t, w1))) * dt * (0.5 * (w0 + wl))
-            del y0, w0  # neither is held through the next draw
-            if near.any() and (out := (yl < lo_x) | (yl > hi_x)).any():
-                at = out.nonzero()[0]
-                exits += at.size
-                gone = live[at]
-                tau[gone] = m * dt
-                y[gone] = yl[at]
-                for name in totals:
-                    totals[name][gone] = acc[name][at]
-                keep = (~out).nonzero()[0]
-                live, yl, wl, near = live[keep], yl[keep], wl[keep], near[keep]
-                acc = {name: a[keep] for name, a in acc.items()}
-                if w1 is not None:  # on a tree w1, and f dt with it, is per path
-                    w1 = w1[keep]
-                    if per_block:
-                        fdt = fdt[keep]
-                if m < end:  # the block has steps left; a spent one is dropped
-                    cols = keep if cols is None else cols[keep]
-        y[live] = yl
-        for name in totals:
-            totals[name][live] = acc[name]
-        # after an early stop the later snapshots hold the frozen paths
-        snapshots[lo:hi, snap_idx > m] = y[lo:hi, None]
-        return drawn, exits
-
-    # the march runs as contiguous groups of paths: the calling thread
-    # marches the first and a pool of this march's own the others, joined
-    # before it returns.  A pool starts a thread only when a group is
-    # submitted, so a free march (one group: path groups ran slower there,
-    # ROADMAP) or a march of one group starts none.  The draws' transform is
-    # resolved here first, so no draw thread imports it, also for a caller
-    # that bypasses the harness's load.
-    tree_module.normal_transform()
-    groups = 1 if paths.tree is None else max(1, min(tree_module.draw_threads(), M))
-    cuts = [g * M // groups for g in range(groups + 1)]
-    with ThreadPoolExecutor(groups, thread_name_prefix="spdelab-draw") as pool:
-        tasks = [pool.submit(march, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
-        counts = [march(cuts[0], cuts[1])] + [task.result() for task in tasks]
-    drawn, exits = map(sum, zip(*counts))
+    # live paths: index, state, weight, whether outside [lo_r, hi_r], running
+    # integrals.  The current noise block holds fine steps first .. end - 1
+    # and has a column per path live when it was drawn; once one of them has
+    # exited, cols maps the live paths to their columns (None until then).
+    live = np.arange(M)
+    yl = y.copy()
+    wl = np.ones(M)
+    near = (yl < lo_r) | (yl > hi_r)
+    acc = {name: np.zeros(M) for name in integrands}
+    drawn = exits = 0
+    m = end = m0
+    while True:
+        if m in snap_of:
+            y[live] = yl
+            snapshots[:, snap_of[m]] = y[:, None]
+            alive[np.ix_(live, snap_of[m])] = True
+            weights[np.ix_(live, snap_of[m])] = wl[:, None]
+        if m == n_fine or live.size == 0:
+            break
+        t = m * dt
+        if m == end:
+            block = w1 = fdt = None  # drop the spent block, its w1 and f dt, then draw
+            first, block = paths.draw(m, live)
+            end, cols = first + len(block), None
+            drawn += block.size
+            k = m // paths.n_sub
+            if paths.tree is None:
+                fdt = fdt0
+            else:  # the block's tree nodes, looked up once
+                nodes = paths.nodes(k, live)
+                w1 = paths.tree.w1[k][nodes]
+                fdt = node_fdt[k][nodes] if per_block else None
+        j = m - first
+        y0, w0 = yl, wl  # the step's start
+        yl = yl + (fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt)
+        yl += block[j] if cols is None else block[j][cols]  # half the cost of block[j, cols]
+        m += 1
+        # only a path with an end outside [lo_r, hi_r] is weighed, and only
+        # such a path can be outside the domain
+        was, near = near, (yl < lo_r) | (yl > hi_r)
+        weigh = was | near
+        if weigh.all():
+            wl = wl * _bridge_survival(y0, yl, lo_x, hi_x, c)
+        elif weigh.any():  # weigh those paths only
+            at = weigh.nonzero()[0]
+            wl = wl.copy()
+            wl[at] *= _bridge_survival(y0[at], yl[at], lo_x, hi_x, c)
+        for fn, a in zip(integrands.values(), acc.values()):
+            a += (_bridge_step(fn, y0, yl, t, w1, dt, coeffs.b_total) if bridge_steps
+                  else np.asarray(fn(y0, t, w1))) * dt * (0.5 * (w0 + wl))
+        del y0, w0  # neither is held through the next draw
+        if near.any() and (out := (yl < lo_x) | (yl > hi_x)).any():
+            at = out.nonzero()[0]
+            exits += at.size
+            gone = live[at]
+            tau[gone] = m * dt
+            y[gone] = yl[at]
+            for name in totals:
+                totals[name][gone] = acc[name][at]
+            keep = (~out).nonzero()[0]
+            live, yl, wl, near = live[keep], yl[keep], wl[keep], near[keep]
+            acc = {name: a[keep] for name, a in acc.items()}
+            if w1 is not None:  # on a tree w1, and f dt with it, is per path
+                w1 = w1[keep]
+                if per_block:
+                    fdt = fdt[keep]
+            if m < end:  # the block has steps left; a spent one is dropped
+                cols = keep if cols is None else cols[keep]
+    y[live] = yl
+    for name in totals:
+        totals[name][live] = acc[name]
+    # after an early stop the later snapshots hold the frozen paths
+    snapshots[:, snap_idx > m] = y[:, None]
     return TrajectorySet(
         snapshot_times=snapshot_times,
         snapshots=snapshots,

@@ -9,18 +9,15 @@ and time.  Fine-time Monte Carlo increments are the scalar noise sigma.dW,
 one normal per path and fine step, with the first d Wiener components
 bridged through the tree path to each path's leaf.  One routine,
 `PathBundle.draw`, draws them for the paths still being marched, one
-rectangle of (fine steps, paths) at a time, in the calling thread: a tree
-step for tree-bridged paths, a span of up to SPAN_MAX fine steps for free
-ones, hashed HASH_NORMALS normals per call and, on a tree, shifted by the
-bridge.  Each normal is a fixed function of
-(key, counter), so a path's increments do not depend on which other paths
-are drawn with it: `montecarlo.simulate` splits a tree-bridged march into
-groups of paths, one per CPU the process may run on (`draw_threads`), on
-threads it starts and joins itself, with the same bits for any CPU count.
-Every stream is seeded by SeedSequence((seed, *tags)), which flattens
-nested tuples and lists of ints at any depth.  The inverse normal CDF is imported by
-`normal_transform` at its first call: at config load for the experiments
-that draw, and never by a run that draws no normals.
+rectangle of (fine steps, paths) at a time: a tree step for tree-bridged
+paths, a span of up to SPAN_MAX fine steps for free ones, hashed
+HASH_NORMALS normals per call and, on a tree, shifted by the bridge.  Each
+normal is a fixed function of (key, counter), so a path's increments do not
+depend on which other paths are drawn with it.  Every stream is seeded by
+SeedSequence((seed, *tags)), which flattens nested tuples and lists of ints
+at any depth.  The inverse normal CDF is imported by `normal_transform` at
+its first call: at config load for the experiments that draw, and never by
+a run that draws no normals.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple, Sequence
@@ -312,8 +308,8 @@ def normal_transform():
     package's one use of scipy, whose absence the ImportError names.
 
     A run that draws loads it while its config loads (`config.RULES`), and
-    `montecarlo.simulate` before any draw thread starts, so no draw thread
-    imports it; a run that draws no normals never imports scipy.
+    any other caller at its first draw; a run that draws no normals never
+    imports scipy.
     """
     try:
         from scipy.special import ndtri
@@ -334,8 +330,7 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
     Counter-based generation: the SplitMix64 output at position `counter`
     of the stream seeded by `key` (Steele, Lea and Flood, OOPSLA 2014) gives
     53 uniform bits, mapped to a normal by the inverse CDF that
-    `normal_transform()` returns (resolved before any draw thread runs, so
-    this call imports nothing).  Any subset of counters is evaluated on its
+    `normal_transform()` returns.  Any subset of counters is evaluated on its
     own, so draws need no generator state.
     `counters` (uint64) is overwritten; the normals are written to `out`
     (float64, the counters' shape; a new array when None), whose bytes also
@@ -375,19 +370,8 @@ SPAN_MAX = 16
 # a draw is hashed max(1, HASH_NORMALS // rows) fine steps per
 # _counter_normals call (2 steps of a tree block at 12.5k rows; a free span,
 # at most SPAN_MAX steps of SPAN_NORMALS rows or one step, is one call), in a
-# 256 kB scratch array that each group of a march holds while it draws: few
-# calls keep the GIL hand-offs of concurrent groups few, and 2**16 normals
-# per call put 3 groups of 20k paths past 1.5 blocks of peak memory once the
-# march recorded survival weights at its snapshots
+# 256 kB scratch array that the march holds while it draws
 HASH_NORMALS = 2**15
-
-
-def draw_threads() -> int:
-    """Threads a march may use: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -410,7 +394,7 @@ class PathBundle:
     - |sigma[:d]|^2 11^T / n_sub), and the bridged part of the block sum is
     exactly sigma[:d].dW_tree.  The increment of path p and step m is a fixed
     function of (seed, p, m), whichever other paths and steps are drawn with
-    it and whichever thread draws it.
+    it.
     """
 
     tree: ScenarioTree | None
@@ -448,18 +432,16 @@ class PathBundle:
 
     def draw(self, m: int, rows) -> tuple[int, np.ndarray]:
         """(first, z): the increments z, (steps, rows), of the draw that holds
-        fine step m, for fine steps first, first + 1, ... and the given rows,
-        drawn in the calling thread.
+        fine step m, for fine steps first, first + 1, ... and the given rows.
 
         On a tree the draw is the block of m, its n_sub steps from
         first = m - m % n_sub.  Free paths draw a span of
-        S = min(ceil(SPAN_NORMALS / rows), SPAN_MAX, n_fine - m) steps from m;
-        S depends on the row count only, never on the CPU count.  The draw is
-        hashed max(1, HASH_NORMALS // rows) steps per call, each call's rows
-        scaled by sqrt(dt_mc) while they are in cache.  A tree draw then adds
-        the bridge shift, whose column sum is added up one step after
-        another, so a path's column has the same bits at any row count.  A
-        free draw is scaled by sigma_0 or |sigma|.
+        S = min(ceil(SPAN_NORMALS / rows), SPAN_MAX, n_fine - m) steps from m.
+        The draw is hashed max(1, HASH_NORMALS // rows) steps per call, each
+        call's rows scaled by sqrt(dt_mc) while they are in cache.  A tree
+        draw then adds the bridge shift, whose column sum is added up one
+        step after another, so a path's column has the same bits at any row
+        count.  A free draw is scaled by sigma_0 or |sigma|.
         """
         tree = self.tree
         rows = np.asarray(rows)
@@ -487,7 +469,9 @@ class PathBundle:
             return first, z
         s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[tree.d :])
         edge = tree.digit_signs @ self.sigma[: tree.d]  # sigma[:d].dW_tree / sqdt, exact
-        shift = edge[self.nodes(first // self.n_sub + 1, rows) % tree.branching]
+        # each edge's branch digit: the node index modulo 2**d, as a mask (a
+        # tenth of the cost of %)
+        shift = edge[self.nodes(first // self.n_sub + 1, rows) & (tree.branching - 1)]
         shift *= tree.sqdt / n
         shift -= (s - s_f) * (total / n)
         z *= s

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import settings
 
 from spdelab import SpaceTimeField, smooth_random_field
-from spdelab import tree as tree_module
 
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("CI"):
@@ -31,17 +30,3 @@ def nonrandom_field():
                                            for k, m in enumerate(means)])
 
     return make
-
-
-@pytest.fixture
-def split_draws(monkeypatch):
-    """Split every tree-bridged march into three groups of paths, whatever
-    the CPU count: the calling thread and two threads the march starts."""
-    monkeypatch.setattr(tree_module, "draw_threads", lambda: 3)
-
-
-@pytest.fixture
-def serial_draws(monkeypatch):
-    """March every tree-bridged march as one group of paths in the calling
-    thread, whatever the CPU count."""
-    monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)

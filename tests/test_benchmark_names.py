@@ -4,7 +4,8 @@ benchmarks/tracer.py wraps "module:attribute" targets in every spdelab
 module namespace that holds them and reads named arguments of the wrapped
 calls, so renaming or deleting one of them under src/ breaks
 `benchmarks/run.py --trace` without failing any package test.  These tests
-import the tracer (without editing it) and check its names still resolve.
+import the tracer (without editing it) and check its names still resolve,
+and that a march it traces stays in the one thread it accepts.
 """
 
 import importlib
@@ -13,6 +14,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from spdelab import DomainSpec, build_tree, make_family, montecarlo, sample_tree_paths
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -65,3 +68,15 @@ def test_callers_hold_the_traced_functions_as_globals(module, name, home):
     # own module globals
     holder = importlib.import_module("spdelab." + module)
     assert vars(holder).get(name) is getattr(importlib.import_module("spdelab." + home), name)
+
+
+def test_a_traced_march_of_a_drift_that_reads_x_stays_in_one_thread(tracer):
+    # the tracer raises for a traced call from a second thread; space-smooth
+    # evaluates its drift at every fine step of a tree-bridged march
+    coeffs = make_family("space-smooth", {"a": 1.5, "eps": 0.4, "sigma": [0.6, 0.8], "d": 1})
+    paths = sample_tree_paths(build_tree(1, 5, 1.0), 3000, coeffs.sigma, 0.01, seed=43)
+    with tracer.Tracer() as trace:
+        trajs = montecarlo.simulate(coeffs, 0.3, 0.0, paths, DomainSpec(0.0, 1.0, 1.0))
+    counts = trace.counts()
+    assert counts["montecarlo.simulate.calls"] == 1
+    assert counts["coefficients.drift.calls"] > 1 and trajs.normals_drawn > 0

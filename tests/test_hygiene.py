@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 importing the package pulls in no heavy scipy subpackage, scipy is loaded
-only by the runs that draw normals, and only `montecarlo.simulate` starts
-threads.
+only by the runs that draw normals, and no module starts a thread or a
+process.
 
 The unused-import check parses with the standard library's ast, so it runs
 no package code; re-exports in __init__.py and __future__ imports are
@@ -11,8 +11,7 @@ test's imports are counted:
   adjoint-suite run imports no module at all (numpy's lazy numpy.random
   included);
 - a run that draws loads scipy.special while its config loads, before
-  harness.run, and a march imports it in the calling thread, never in a
-  draw thread;
+  harness.run;
 - with scipy missing, a config that draws fails at load (exit 2), and the
   runs that draw no normals still pass;
 - the default duality-63 run, through the CLI, peaks under 100 MB RSS,
@@ -208,76 +207,19 @@ def test_without_scipy_the_runs_that_draw_no_normals_pass(tmp_path):
         assert code == 0 and f"PASS: {name}" in stdout, (name, stdout, stderr)
 
 
-def test_a_march_imports_scipy_in_the_calling_thread_not_a_draw_thread():
-    # no harness load and no scipy yet: the first draw resolves the transform.
-    # A finder first in sys.meta_path records the thread that imports each module.
-    done = fresh("""
-import sys, threading
-
-finder_threads = {}
-
-class Recorder:
-    def find_spec(self, name, path=None, target=None):
-        finder_threads.setdefault(name, threading.current_thread().name)
-        return None
-
-sys.meta_path.insert(0, Recorder())
-import numpy as np
-from spdelab import DomainSpec, build_tree, make_family, sample_tree_paths, simulate
-from spdelab import tree
-assert 'scipy' not in sys.modules
-
-drew_in, draw = set(), tree.PathBundle.draw  # the threads that draw blocks
-
-def recorded(self, m, rows):
-    drew_in.add(threading.current_thread().name)
-    return draw(self, m, rows)
-
-tree.PathBundle.draw = recorded
-coeffs = make_family('drift-random', {'kappa': 0.7, 'sigma': [0.6, 0.8], 'd': 1})
-paths = sample_tree_paths(build_tree(1, 5, 1.0), 3000, coeffs.sigma, 0.01, seed=43)
-domain = DomainSpec(0.0, 1.0, 1.0)
-marches, groups = [], []
-for threads in (3, 1):  # three groups of paths, two on the march's own threads, then one
-    tree.draw_threads = lambda: threads
-    drew_in.clear()
-    marches.append(simulate(coeffs, 0.5, 0.0, paths, domain, snapshot_times=paths.times[::10]))
-    groups.append(sorted(drew_in))
-split, serial = marches
-main = threading.main_thread().name
-split_in, serial_in = groups
-assert main in split_in and len(split_in) > 1, groups
-assert all(n == main or n.startswith('spdelab-draw_') for n in split_in), groups
-assert serial_in == [main], groups
-for name in ('tau', 'snapshots', 'alive', 'weights', 'normals_drawn', 'exits'):
-    assert np.array_equal(getattr(split, name), getattr(serial, name)), name
-print(finder_threads['scipy.special'], main)
-""")
-    assert done.returncode == 0, done.stderr
-    found_in, main = done.stdout.split()
-    assert found_in == main
-
-
 # modules whose names start threads or processes
 PARALLEL = ("threading", "_thread", "multiprocessing", "concurrent")
 
 
-def test_only_simulate_starts_threads():
-    # the package's one parallel mechanism is the pool that simulate opens
-    # and joins for the path groups of a tree-bridged march: no module
-    # imports threading or multiprocessing, and ThreadPoolExecutor is named
-    # in simulate alone
-    imports, uses = [], []
+def test_no_module_starts_a_thread():
+    # every march is one loop in the calling thread: no module imports a
+    # module that starts threads or processes
+    imports = []
     for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Import):
-                    imports += [f"{path.name} {alias.name}" for alias in node.names
-                                if alias.name.split(".")[0] in PARALLEL]
-                elif (isinstance(node, ast.ImportFrom)
-                      and (node.module or "").split(".")[0] in PARALLEL):
-                    imports += [f"{path.name} {node.module}.{alias.name}" for alias in node.names]
-                elif isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor":
-                    uses.append(f"{path.name} {getattr(top, 'name', None)}")
-    assert imports == ["montecarlo.py concurrent.futures.ThreadPoolExecutor"]
-    assert uses == ["montecarlo.py simulate"]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imports += [f"{path.name} {alias.name}" for alias in node.names
+                            if alias.name.split(".")[0] in PARALLEL]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in PARALLEL:
+                imports.append(f"{path.name} {node.module}")
+    assert imports == []

@@ -1,7 +1,6 @@
 import dataclasses
 import decimal
 import itertools
-import sys
 import tracemalloc
 import warnings
 
@@ -404,8 +403,7 @@ def march_cases():
         "near-a-wall-n_sub-20": (drifting, 0.5, 0.0,
                                  sample_tree_paths(tree, 3000, drifting.sigma, 0.01, seed=49),
                                  tree_times),
-        # nine paths: split into three groups, a group reaches one live path
-        # at a block start while the others march on
+        # nine paths: blocks of a few live paths (9, 5 and 2 at the block starts)
         "one-live-path-in-a-group": (random, 0.5, 0.0,
                                      sample_tree_paths(tree, 9, random.sigma, 0.01, seed=47),
                                      tree_times),
@@ -441,43 +439,8 @@ def check_march_against_the_reference(domain, case):
 
 
 @pytest.mark.parametrize("case", list(march_cases()))
-def test_march_matches_the_reference_bit_for_bit(unit_domain, case, serial_draws):
+def test_march_matches_the_reference_bit_for_bit(unit_domain, case):
     check_march_against_the_reference(unit_domain, case)
-
-
-@pytest.mark.parametrize("case", list(march_cases()))
-def test_split_march_matches_the_reference_bit_for_bit(unit_domain, case, split_draws,
-                                                       monkeypatch):
-    # a tree-bridged march runs as three groups of paths, each drawing its
-    # own blocks: draw widths are recorded from every thread
-    widths, draw = [], PathBundle.draw
-
-    def recorded(self, m, rows):
-        widths.append(np.size(rows))
-        return draw(self, m, rows)
-
-    monkeypatch.setattr(PathBundle, "draw", recorded)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # the groups hand the GIL over often
-    try:
-        check_march_against_the_reference(unit_domain, case)
-    finally:
-        sys.setswitchinterval(interval)
-    if case == "one-live-path-in-a-group":
-        assert 1 in widths
-
-
-def test_normals_drawn_do_not_depend_on_the_draw_threads(unit_domain, request, serial_draws):
-    # n_sub times the live rows at each block start, summed over the groups
-    cases = {name: c for name, c in march_cases().items() if c[3].tree is not None}
-
-    def drawn():
-        return [simulate(coeffs, init, s, paths, unit_domain, snapshot_times=times).normals_drawn
-                for coeffs, init, s, paths, times in cases.values()]
-
-    serial = drawn()
-    request.getfixturevalue("split_draws")
-    assert drawn() == serial
 
 
 def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
@@ -510,11 +473,10 @@ def test_free_draws_hold_at_most_a_span_of_normals(unit_domain, monkeypatch):
     assert any(1 < S < span_max for _, _, (S, _) in shapes)
 
 
-def test_march_holds_one_noise_block_at_a_time(line_domain, split_draws, monkeypatch):
+def test_march_holds_one_noise_block_at_a_time(line_domain):
     # 20k bridged paths, 50 fine steps per block: a block is 8 MB, and the
-    # march's own arrays add about a third of that, in one march or in three
-    # groups of paths that each hold their rows of a block.  Holding a view
-    # of the spent block while its successor is drawn would double the peak.
+    # march's own arrays add about a third of that.  Holding a view of the
+    # spent block while its successor is drawn would double the peak.
     # The inverse normal CDF is imported first, so scipy's import, which a
     # first simulate of the process would make, is not counted.
     tree_module.normal_transform()
@@ -522,16 +484,13 @@ def test_march_holds_one_noise_block_at_a_time(line_domain, split_draws, monkeyp
     paths = bridge_paths(build_tree(1, 4, 1.0), 5, 20_000, coeffs.sigma, 0.005, seed=45)
     assert paths.n_sub == 50
     block_bytes = 8 * paths.n_sub * paths.n_paths
-    for threads in (1, 3):
-        monkeypatch.setattr(tree_module, "draw_threads", lambda: threads)
-        tracemalloc.start()
-        try:
-            simulate(coeffs, 0.0, 0.0, paths, line_domain,
-                     snapshot_times=paths.times[::paths.n_sub])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert block_bytes < peak < 1.5 * block_bytes
+    tracemalloc.start()
+    try:
+        simulate(coeffs, 0.0, 0.0, paths, line_domain, snapshot_times=paths.times[::paths.n_sub])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block_bytes < peak < 1.5 * block_bytes
 
 
 def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
@@ -721,24 +680,23 @@ def test_conditional_vs_unconditional_coherence(line_domain):
     assert abs(avg - unc.mean()) <= tol
 
 
-def test_functional_estimate_worker_independence(line_domain, monkeypatch, request,
-                                                  serial_draws):
-    # each chunk's march as one group of paths, then split into three
+def test_functional_estimate_worker_independence(line_domain, monkeypatch):
+    # chunks of CHUNK paths, the last one short, and the same record from a
+    # second run of the same estimate
     monkeypatch.setattr(montecarlo, "CHUNK", 1500)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
     grid = build_grid(line_domain, 161)
     kw = dict(grid=grid, dt_mc=0.05, tree=tree)
     a = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, **kw)
-    request.getfixturevalue("split_draws")
     b = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, **kw)
     assert a.chunks == (1500, 1500, 1500, 500)
     assert a == b
 
 
-def test_conditional_functional_worker_independence(line_domain, monkeypatch, request,
-                                                    serial_draws):
-    # each chunk's march as one group of paths, then split into three
+def test_conditional_functional_worker_independence(line_domain, monkeypatch):
+    # chunks of CHUNK paths, the last one short, and the same record from a
+    # second run of the same estimate
     monkeypatch.setattr(montecarlo, "CHUNK", 700)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
@@ -749,7 +707,6 @@ def test_conditional_functional_worker_independence(line_domain, monkeypatch, re
     kw = dict(tree=tree, grid=grid, p0=p0, dt_mc=0.05)
     phi = lambda x, t, w1: np.exp(-x**2) * (1.0 + w1)
     a = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, **kw)
-    request.getfixturevalue("split_draws")
     b = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, **kw)
     assert a[0].chunks == (700, 700, 600)
     # value, stderr and the march record (chunks, normals_drawn, exit_frac, dt, fine_steps)

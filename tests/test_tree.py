@@ -455,9 +455,7 @@ def free_span(bundle, m, steps, rows):
     return z * np.linalg.norm(bundle.sigma)
 
 
-@pytest.mark.parametrize("draws", ["serial_draws", "split_draws"])
-def test_blocks_hold_the_bits_of_the_per_step_reference(draws, request, monkeypatch):
-    request.getfixturevalue(draws)
+def test_blocks_hold_the_bits_of_the_per_step_reference(monkeypatch):
     rows_sets = [np.arange(40), np.array([39, 2, 17, 5])]
     free = free_paths(1.0, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 64, seed=34)
     big = free_paths(1.0, M=3 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=35)
@@ -531,7 +529,7 @@ def test_a_path_has_the_same_column_at_every_width():
                                       full[:, p])
 
 
-def test_blocks_and_free_marches_start_no_thread(split_draws, monkeypatch, unit_interval):
+def test_blocks_and_free_marches_start_no_thread(monkeypatch, unit_interval):
     def tripwire(self):
         raise AssertionError("a thread was started")
 
@@ -547,14 +545,9 @@ def test_blocks_and_free_marches_start_no_thread(split_draws, monkeypatch, unit_
     free = free_paths(1.0, M=2 * tree_module.SPAN_NORMALS, sigma=[0.6, 0.8], dt_mc=1 / 16, seed=3)
     assert free.draw(0, rows)[1].shape == (tree_module.SPAN_MAX, 30)
     assert free.draw(4, np.arange(free.n_paths))[1].shape == (1, free.n_paths)
-    # a free march stays one march in the calling thread
+    # free and tree-bridged marches are one march in the calling thread
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     assert simulate(coeffs, 0.5, 0.0, free, unit_interval).normals_drawn > 0
-    # whereas a tree-bridged march starts threads for its groups of paths,
-    # unless it is one group
-    with pytest.raises(AssertionError, match="a thread was started"):
-        simulate(coeffs, 0.5, 0.0, split_bundles()[1], unit_interval)
-    monkeypatch.setattr(tree_module, "draw_threads", lambda: 1)
     assert simulate(coeffs, 0.5, 0.0, split_bundles()[1], unit_interval).normals_drawn > 0
 
 
