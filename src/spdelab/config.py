@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import FAMILIES, CoefficientError
 from .domain import GridError
-from .tree import TreeError, build_lattice, fine_steps, normal_transform
+from .tree import TreeError, build_lattice, fine_steps
 
 
 class ConfigError(ValueError):
@@ -97,7 +97,7 @@ CONFIG_KEYS = {
                               "be a non-empty string of 0s and 1s"),
     (None, "output_dir"): (lambda v: isinstance(v, str) and v != "", "be a non-empty string"),
     (None, "workers"): (_count(1, 1)[0], "be the integer 1: Monte Carlo chunks run one after "
-                        "another, and a tree-bridged march uses every CPU by itself"),
+                        "another, and every march is one loop in the calling thread"),
 }
 
 
@@ -231,9 +231,7 @@ def _estimates_fit(cfg, exp):
     divide the horizon, and the tree step when its paths are bridged, at
     least once each, their fine steps are within MAX_FINE_STEPS and the
     normals of all the estimates, each one's paths times its fine steps,
-    within MAX_NORMALS, and each has its own name.  A run that draws then
-    resolves its normals' transform: the import is paid at load, never
-    inside a run, and a run that draws none never imports it."""
+    within MAX_NORMALS, and each has its own name."""
     horizon = float(cfg.tree["horizon"])
     table, paths = exp.estimates(cfg), cfg.mc.get("paths", 0)
     bridged = any(est.bridged for est in table)
@@ -268,11 +266,6 @@ def _estimates_fit(cfg, exp):
         raise ConfigError(f"the Monte Carlo estimates need distinct names, one summary.json "
                           f"record each, got {names}: points that snap to one grid node, or "
                           f"to nodes equal at 2 decimals, name one estimate")
-    if table:
-        try:
-            normal_transform()
-        except ImportError as exc:
-            raise ConfigError(f"{cfg.experiment} draws normals: {exc}") from exc
 
 
 def _t_points_on_tree_times(cfg, exp):

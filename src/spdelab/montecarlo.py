@@ -207,12 +207,15 @@ def simulate(
                     for k, w in enumerate(paths.tree.w1[:-1])]
 
     # live paths: index, state, weight, whether outside [lo_r, hi_r], running
-    # integrals.  The current noise block holds fine steps first .. end - 1
-    # and has a column per path live when it was drawn; once one of them has
-    # exited, cols maps the live paths to their columns (None until then).
+    # integrals and, on a tree, leaf (so a block finds its nodes by a shift,
+    # and the draw makes the block's one gather of leaves).  The current
+    # noise block holds fine steps first .. end - 1 and has a column per path
+    # live when it was drawn; once one of them has exited, cols maps the live
+    # paths to their columns (None until then).
     live = np.arange(M)
     yl = y.copy()
     wl = np.ones(M)
+    ll = paths.leaves
     near = (yl < lo_r) | (yl > hi_r)
     acc = {name: np.zeros(M) for name in integrands}
     drawn = exits = 0
@@ -235,7 +238,7 @@ def simulate(
             if paths.tree is None:
                 fdt = fdt0
             else:  # the block's tree nodes, looked up once
-                nodes = paths.nodes(k, live)
+                nodes = paths.tree.ancestor_index(ll, k)
                 w1 = paths.tree.w1[k][nodes]
                 fdt = node_fdt[k][nodes] if per_block else None
         j = m - first
@@ -268,8 +271,8 @@ def simulate(
             keep = (~out).nonzero()[0]
             live, yl, wl, near = live[keep], yl[keep], wl[keep], near[keep]
             acc = {name: a[keep] for name, a in acc.items()}
-            if w1 is not None:  # on a tree w1, and f dt with it, is per path
-                w1 = w1[keep]
+            if w1 is not None:  # on a tree the leaf, w1 and f dt with it are per path
+                ll, w1 = ll[keep], w1[keep]
                 if per_block:
                     fdt = fdt[keep]
             if m < end:  # the block has steps left; a spent one is dropped

@@ -15,9 +15,8 @@ HASH_NORMALS normals per call and, on a tree, shifted by the bridge.  Each
 normal is a fixed function of (key, counter), so a path's increments do not
 depend on which other paths are drawn with it.  Every stream is seeded by
 SeedSequence((seed, *tags)), which flattens nested tuples and lists of ints
-at any depth.  The inverse normal CDF is imported by `normal_transform` at
-its first call: at config load for the experiments that draw, and never by
-a run that draws no normals.
+at any depth.  The inverse normal CDF, `ndtri`, is a numpy port of cephes'
+ndtri, so the package needs numpy alone.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -39,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -302,21 +301,127 @@ def clark_decompose(X, tree: ScenarioTree) -> MartingaleDecomposition:
     return MartingaleDecomposition(mean=float(m[0]), kernels=tuple(kernels))
 
 
-@cache
-def normal_transform():
-    """The inverse normal CDF of every draw, imported at the first call: the
-    package's one use of scipy, whose absence the ImportError names.
+# Moshier's Cephes ndtri (Methods and Programs for Mathematical Functions,
+# 1989), the rational approximations scipy.special.ndtri evaluates, with its
+# coefficients: y + y y^2 P0(y^2) / Q0(y^2), y = u - 1/2, times sqrt(2 pi) in
+# the centre, exp(-2) < u <= 1 - exp(-2); in the tails x = sqrt(-2 log y),
+# y = min(u, 1 - u), and x - log(x) / x - z P(z) / Q(z), z = 1 / x, with
+# (P1, Q1) for x < 8 and (P2, Q2) for x >= 8.  Each Q has a leading 1.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
 
-    A run that draws loads it while its config loads (`config.RULES`), and
-    any other caller at its first draw; a run that draws no normals never
-    imports scipy.
+
+def _coefficients(*values):
+    """values as 0-d float64 arrays, which a ufunc takes with less overhead
+    than Python floats (about 0.3 us a call), the same bits"""
+    return tuple(np.array(v) for v in values)
+
+
+_P0 = _coefficients(-5.99633501014107895267e1, 9.80010754185999661536e1,
+                    -5.66762857469070293439e1, 1.39312609387279679503e1,
+                    -1.23916583867381258016e0)
+_Q0 = _coefficients(1.95448858338141759834e0, 4.67627912898881538453e0,
+                    8.63602421390890590575e1, -2.25462687854119370527e2,
+                    2.00260212380060660359e2, -8.20372256168333339912e1,
+                    1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = _coefficients(4.05544892305962419923e0, 3.15251094599893866154e1,
+                    5.71628192246421288162e1, 4.40805073893200834700e1,
+                    1.46849561928858024014e1, 2.18663306850790267539e0,
+                    -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+                    -8.57456785154685413611e-4)
+_Q1 = _coefficients(1.57799883256466749731e1, 4.53907635128879210584e1,
+                    4.13172038254672030440e1, 1.50425385692907503408e1,
+                    2.50464946208309415979e0, -1.42182922854787788574e-1,
+                    -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = _coefficients(3.23774891776946035970e0, 6.91522889068984211695e0,
+                    3.93881025292474443415e0, 1.33303460815807542389e0,
+                    2.01485389549179081538e-1, 1.23716634817820021358e-2,
+                    3.01581553508235416007e-4, 2.65806974686737550832e-6,
+                    6.23974539184983293730e-9)
+_Q2 = _coefficients(6.02427039364742014255e0, 3.67983563856160859403e0,
+                    1.37702099489081330271e0, 2.16236993594496635890e-1,
+                    1.34204006088543189037e-2, 3.28014464682127739104e-4,
+                    2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coeffs, out, monic=False):
+    """The polynomial coeffs[0] x^n + ... + coeffs[n] (with a leading x^(n+1)
+    term when monic) written to out, in the order of cephes' polevl and
+    p1evl: c0 x + c1 first, then one rounded multiply and add per step."""
+    if monic:
+        np.add(x, coeffs[0], out)
+    else:
+        np.multiply(x, coeffs[0], out)
+        np.add(out, coeffs[1], out)
+    for c in coeffs[1 if monic else 2:]:
+        np.multiply(out, x, out)
+        np.add(out, c, out)
+    return out
+
+
+# the centre is evaluated at most _CENTRE_VALUES values at a time, so its
+# two temporaries stay at 120 kB, under the 128 kB above which glibc's malloc
+# maps an allocation afresh by default: in one piece, a call on 25,000
+# normals met about 100 page faults, and feynman-kac-nonrandom's default run
+# met 2,019 in ndtri (5,970 in all) against 308 (4,386) in pieces, on a
+# 2-vCPU Xeon KVM guest where a fault costs about 3 us
+_CENTRE_VALUES = 120 * 1024 // 8
+
+
+def ndtri(u, out=None, scratch=None):
+    """The inverse standard normal CDF of u, 0 < u < 1, by the steps of
+    cephes' ndtri: the bits of scipy.special.ndtri in the centre; in the
+    tails numpy's log, which may differ from the C library's in the last
+    bit, moves a few of them by a few ulp.
+
+    u, out (u's shape; a new array when None; it may be u) and scratch (a
+    float64 array of u's shape that the call overwrites; a new one when
+    None) are C-contiguous.  The tail values are taken and finished first,
+    on a copy of the tail alone, so the centre can overwrite out.
     """
-    try:
-        from scipy.special import ndtri
-    except ImportError as exc:
-        raise ImportError(f"the inverse normal CDF of the draws, scipy.special.ndtri, "
-                          f"cannot be imported: {exc}") from exc
-    return ndtri
+    out = np.empty(u.shape) if out is None else out
+    u, flat = u.reshape(-1), out.reshape(-1)
+    tail = ((u <= _EXP_M2) | (u > 1.0 - _EXP_M2)).nonzero()[0]
+    if tail.size:
+        sign = u[tail]
+        x = np.subtract(1.0, sign)
+        np.minimum(sign, x, out=x)  # y = min(u, 1 - u), exact
+        sign -= 0.5
+        np.log(x, out=x)
+        x *= -2.0
+        np.sqrt(x, out=x)
+        z = np.divide(1.0, x)
+        far = (x >= 8.0).nonzero()[0] if x.max() >= 8.0 else None
+        x1 = np.log(x)
+        x1 /= x
+        x -= x1  # x0 = x - log(x) / x
+        _horner(z, _P1, x1)
+        x1 *= z
+        x1 /= _horner(z, _Q1, np.empty(z.shape), monic=True)
+        if far is not None:  # u within exp(-32) of 0 or 1
+            zf = z[far]
+            x1[far] = (zf * _horner(zf, _P2, np.empty(zf.shape))
+                       / _horner(zf, _Q2, np.empty(zf.shape), monic=True))
+        x -= x1
+        np.copysign(x, sign, out=x)
+        del z, x1, sign
+    y = np.subtract(u, 0.5, out=flat)
+    y2 = np.multiply(y, y, out=None if scratch is None else scratch.reshape(-1))
+    piece_size = min(y.size, _CENTRE_VALUES)
+    r, q = np.empty(piece_size), np.empty(piece_size)
+    for lo in range(0, y.size, _CENTRE_VALUES):
+        piece = slice(lo, lo + _CENTRE_VALUES)
+        yp, y2p = y[piece], y2[piece]
+        rp, qp = r[: yp.size], q[: yp.size]
+        _horner(y2p, _P0, rp)
+        rp *= y2p
+        rp /= _horner(y2p, _Q0, qp, monic=True)
+        rp *= yp
+        rp += yp  # y + y r
+        np.multiply(rp, _S2PI, out=yp)
+    if tail.size:
+        flat[tail] = x
+    return out
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -329,12 +434,12 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
 
     Counter-based generation: the SplitMix64 output at position `counter`
     of the stream seeded by `key` (Steele, Lea and Flood, OOPSLA 2014) gives
-    53 uniform bits, mapped to a normal by the inverse CDF that
-    `normal_transform()` returns.  Any subset of counters is evaluated on its
-    own, so draws need no generator state.
-    `counters` (uint64) is overwritten; the normals are written to `out`
-    (float64, the counters' shape; a new array when None), whose bytes also
-    hold the shifted words of the hash, so nothing else is allocated.
+    53 uniform bits, mapped to a normal by `ndtri`.  Any subset of counters
+    is evaluated on its own, so draws need no generator state.
+    `counters` (uint64, C-contiguous) is overwritten; the normals are written
+    to `out` (float64, the counters' shape, C-contiguous; a new array when
+    None), whose bytes also hold the shifted words of the hash.  Once the
+    uniforms are formed, `ndtri` takes the counters' bytes as its scratch.
     """
     z = counters
     u = np.empty(z.shape) if out is None else out
@@ -354,7 +459,7 @@ def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarr
     u *= 2.0**-53
     # the top 2^11 hashes round to u = 1 (ndtri = inf); every other u is <= 1 - 2^-52
     np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return normal_transform()(u, out=u)
+    return ndtri(u, out=u, scratch=z.view(np.float64))
 
 
 # a free draw spans the fewest fine steps that hold SPAN_NORMALS normals

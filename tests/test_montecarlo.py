@@ -477,9 +477,6 @@ def test_march_holds_one_noise_block_at_a_time(line_domain):
     # 20k bridged paths, 50 fine steps per block: a block is 8 MB, and the
     # march's own arrays add about a third of that.  Holding a view of the
     # spent block while its successor is drawn would double the peak.
-    # The inverse normal CDF is imported first, so scipy's import, which a
-    # first simulate of the process would make, is not counted.
-    tree_module.normal_transform()
     coeffs = make_family("drift-random", {"kappa": 0.5, "sigma": [0.6, 0.8], "d": 1})
     paths = bridge_paths(build_tree(1, 4, 1.0), 5, 20_000, coeffs.sigma, 0.005, seed=45)
     assert paths.n_sub == 50

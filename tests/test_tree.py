@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -336,6 +337,69 @@ def test_counter_normals_top_counter_is_finite():
     z = _counter_normals(key, np.array([_counter_of_hash(key, h) for h in hashes], dtype=np.uint64))
     assert z[0] == z[1] == ndtri(1.0 - 2.0**-53) < np.inf
     assert z[2] == ndtri(1.0 - 2.0**-52) < z[0]
+
+
+def cephes_ndtri(u):
+    """Cephes' ndtri of one u, step for step in Python floats, with the C
+    library's log (math.log): polevl and p1evl by Horner's rule."""
+    def horner(x, coeffs, monic=False):
+        coeffs = [float(c) for c in coeffs]
+        acc = x + coeffs[0] if monic else coeffs[0]
+        for c in coeffs[1:]:
+            acc = acc * x + c
+        return acc
+
+    t = tree_module
+    y, negate = u, True
+    if y > 1.0 - t._EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > t._EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * horner(y2, t._P0) / horner(y2, t._Q0, monic=True))
+        return x * t._S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    P, Q = (t._P1, t._Q1) if x < 8.0 else (t._P2, t._Q2)
+    x = x0 - z * horner(z, P) / horner(z, Q, monic=True)
+    return -x if negate else x
+
+
+def test_ndtri_has_the_bits_of_scipy(monkeypatch):
+    # 2^21 hashed uniforms, the uniforms of the draws, and the branch edges:
+    # the centre is scipy's bits; the tails are within 8 ulp, and every tail
+    # value that differs is the cephes steps' with the C library's log, so
+    # numpy's log is the only difference
+    monkeypatch.setattr(tree_module, "ndtri", lambda u, out, scratch: out)
+    key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=47)._key
+    hashed = _counter_normals(key, np.arange(2**21, dtype=np.uint64))
+    monkeypatch.undo()
+    e2 = tree_module._EXP_M2
+    edges = [e2, 1.0 - e2, 0.5, 2.0**-54, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    edges += [np.nextafter(e, side) for e in (e2, 1.0 - e2) for side in (0.0, 1.0)]
+    u = np.concatenate([hashed, edges])
+    assert np.all((u > 0.0) & (u < 1.0))
+    z, expected = tree_module.ndtri(u), ndtri(u)
+    bits, expected_bits = z.view(np.int64), expected.view(np.int64)
+    centre = (u > e2) & (u <= 1.0 - e2)
+    assert 0.7 < centre.mean() < 0.75
+    assert np.array_equal(bits[centre], expected_bits[centre])
+    assert np.all(np.sign(z) == np.sign(u - 0.5))
+    assert np.abs(bits - expected_bits).max() <= 8
+    differ = (bits != expected_bits).nonzero()[0]
+    assert all(cephes_ndtri(float(u[i])) == expected[i] for i in differ), differ
+    # the smallest uniform of a draw, 2^-54, and the largest reach x >= 8
+    assert np.all(np.abs(z[-len(edges):][[3, 6]]) > 8.0)
+    assert all(cephes_ndtri(float(e)) == ndtri(e) for e in edges)
+    # the values are written to out, which may be u, as _counter_normals
+    # calls it with the counters' bytes as scratch
+    out = np.empty_like(u)
+    assert tree_module.ndtri(u, out=out) is out and np.array_equal(out, z)
+    block = u[:20_000].reshape(2, -1).copy()
+    scratch = np.empty(block.shape, dtype=np.uint64)
+    assert tree_module.ndtri(block, out=block, scratch=scratch.view(np.float64)) is block
+    assert np.array_equal(block.reshape(-1), z[:20_000])
 
 
 def allocating_counter_normals(key, counters):
