@@ -1,6 +1,16 @@
 """spdelab: backward/forward stochastic parabolic solvers on a scenario
 tree, cross-verified against first-exit-time Monte Carlo."""
 
+import os
+
+# numpy's bundled OpenBLAS starts a worker thread per extra CPU as it loads,
+# and each busy-waits about 0.1 s before it sleeps; the package's largest
+# BLAS call is a small matrix product.  On 2 vCPUs `import spdelab.harness`
+# took 0.32 s of CPU with the worker and 0.16 s without.  This takes effect
+# only when spdelab loads numpy first (`spdelab run`, `python -m spdelab`),
+# and a value the caller has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .backward import (
     BackwardSolution,
     ConvergenceError,

@@ -6,8 +6,8 @@ checks and emits one CheckRow per check.  Reports are a CSV body
 (deterministic for a given config: no timestamps, fixed float formatting),
 a JSON summary with the coefficient validation report and the solver
 diagnostics an experiment records (also deterministic), and a separate
-metadata file carrying the volatile environment stamp: wall time, peak RSS
-and versions.
+metadata file carrying the volatile environment stamp: wall time, the
+process's peak RSS, CPU time and OS thread count, and versions.
 
 Row semantics: lhs and rhs are the two quantities a check compares,
 abs_err = |lhs - rhs|, rel_err normalizes by the larger magnitude, and tol
@@ -104,18 +104,25 @@ def _fmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
-def _peak_rss_mb() -> float:
-    """Peak resident set of this process image in MB: VmHWM where
-    /proc/self/status has it, else ru_maxrss (KiB), which Linux carries
-    across exec, so a run started by a larger process would read its peak."""
+def _process_status() -> tuple[float, int | None]:
+    """Peak resident set of this process image in MB and its OS thread
+    count, from one read of /proc/self/status.  Without that file the peak
+    is ru_maxrss (KiB), which Linux carries across exec, so a run started by
+    a larger process would read its peak, and the thread count is None."""
+    fields = {}
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
+                key, _, value = line.partition(":")
+                if key in ("VmHWM", "Threads"):
+                    fields[key] = int(value.split()[0])
     except OSError:
         pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    if "VmHWM" in fields:
+        peak = fields["VmHWM"] / 1024.0
+    else:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return peak, fields.get("Threads")
 
 
 def write_report(report: ExperimentReport, out_dir) -> dict:
@@ -149,6 +156,8 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
             sort_keys=True,
         )
     meta_path = out / "metadata.json"
+    peak_rss_mb, os_threads = _process_status()
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     with open(meta_path, "w") as fh:
         json.dump(
             {
@@ -158,7 +167,11 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                 "numpy_version": np.__version__,
                 "python_version": platform.python_version(),
                 # peak resident set of this process image so far
-                "peak_rss_mb": _peak_rss_mb(),
+                "peak_rss_mb": peak_rss_mb,
+                # user + sys CPU time of this process so far, all its threads
+                "cpu_s": usage.ru_utime + usage.ru_stime,
+                # OS threads of this process now, None without /proc
+                "os_threads": os_threads,
             },
             fh,
             indent=2,

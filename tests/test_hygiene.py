@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no run loads scipy, and no module starts a thread or a process.
+no run loads scipy, no module starts a thread or a process, and a run holds
+one OS thread.
 
 The unused-import check parses with the standard library's ast, so it runs
 no package code; re-exports in __init__.py and __future__ imports are
@@ -13,7 +14,10 @@ test's imports are counted:
 - with scipy missing, the runs that draw no normals pass, and a config
   that draws validates and runs;
 - the default duality-63 run, through the CLI, peaks under 100 MB RSS,
-  started from a process that holds more.
+  started from a process that holds more;
+- a reduced adjoint-suite and feynman-kac-nonrandom run through the CLI,
+  started without a BLAS thread count in the environment, hold one OS
+  thread, and a thread count the caller has set is kept.
 """
 
 import ast
@@ -52,12 +56,14 @@ for args in json.loads(sys.argv[1]):
 """
 
 
-def fresh(code, *args):
+def fresh(code, *args, env=None):
     """Run code with args in a fresh interpreter that imports spdelab from
-    this source tree; the completed process, its output captured."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    this source tree, in env (default: this process's environment); the
+    completed process, its output captured."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
 
 
 def unused_imports(path):
@@ -234,7 +240,9 @@ PARALLEL = ("threading", "_thread", "multiprocessing", "concurrent")
 
 def test_no_module_starts_a_thread():
     # every march is one loop in the calling thread: no module imports a
-    # module that starts threads or processes
+    # module that starts threads or processes.  Threads started outside
+    # Python, such as OpenBLAS's workers, are counted by
+    # test_a_run_holds_one_os_thread
     imports = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -244,3 +252,40 @@ def test_no_module_starts_a_thread():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in PARALLEL:
                 imports.append(f"{path.name} {node.module}")
     assert imports == []
+
+
+# environment variables that set the thread count of numpy's BLAS
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_a_run_holds_one_os_thread(tmp_path):
+    # OpenBLAS starts a worker per extra CPU as numpy loads, unless spdelab
+    # loads numpy first and sets its thread count; this process imported
+    # numpy before spdelab, and spdelab set the variable here, so the
+    # fresh interpreter starts without it.  adjoint-suite reaches the
+    # package's matrix product, feynman-kac-nonrandom draws and marches.
+    # The test counts threads, not verdicts: the reduced adjoint-suite
+    # fails three rows, so run exits 1, and 2 would be an error
+    argvs = []
+    for name in ("adjoint-suite", "feynman-kac-nonrandom"):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"experiment": name, "output_dir": str(tmp_path / name),
+                                      **REDUCED[name]}))
+        argvs.append(["run", str(config)])
+    done = fresh("""
+import json, sys
+from spdelab.cli import main
+for args in json.loads(sys.argv[1]):
+    assert main(args) in (0, 1), args
+""", json.dumps(argvs), env={k: v for k, v in os.environ.items() if k not in BLAS_THREADS})
+    assert done.returncode == 0, done.stderr
+    for name in ("adjoint-suite", "feynman-kac-nonrandom"):
+        meta = json.loads((tmp_path / name / "metadata.json").read_text())
+        assert meta["os_threads"] == 1, (name, meta)
+
+
+def test_a_blas_thread_count_the_caller_set_wins():
+    done = fresh("import os, spdelab; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                 env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]

@@ -404,7 +404,9 @@ def test_ndtri_has_the_bits_of_scipy(monkeypatch):
 
 def allocating_counter_normals(key, counters):
     """_counter_normals as written before it filled its output in place: a
-    temporary per shift and a new array for the uniforms."""
+    temporary per shift and a new array for the uniforms.  It maps them
+    through the package's own ndtri, so the test compares the two forms of
+    the hash alone; test_ndtri_has_the_bits_of_scipy holds ndtri to scipy's."""
     z = counters
     z *= _GOLDEN
     z += key
@@ -417,7 +419,7 @@ def allocating_counter_normals(key, counters):
     u += 0.5
     u *= 2.0**-53
     np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return ndtri(u, out=u)
+    return tree_module.ndtri(u, out=u)
 
 
 def test_counter_normals_in_place_match_the_allocating_form():
