@@ -27,7 +27,6 @@ mean-square H0 norm over the levels.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from .domain import Grid, hk_norm_sq
 from .tree import ScenarioTree, require_tree
@@ -190,6 +189,8 @@ def smooth_random_field(grid: Grid, tree: ScenarioTree, seed: int) -> SpaceTimeF
     boundary rows are set to exactly zero (sin(m pi) is not), so the field
     is Dirichlet-compatible.
     """
+    from numpy.random import SeedSequence, default_rng
+
     n_modes = 4
     rng = default_rng(SeedSequence(seed))
     amp = rng.normal(size=(3, n_modes)) / np.arange(1, n_modes + 1)

@@ -7,7 +7,8 @@ checks and emits one CheckRow per check.  Reports are a CSV body
 a JSON summary with the coefficient validation report and the solver
 diagnostics an experiment records (also deterministic), and a separate
 metadata file carrying the volatile environment stamp: wall time, the
-process's peak RSS, CPU time and OS thread count, and versions.
+process's peak RSS, CPU time, OS thread count and minor page faults, and
+versions.
 
 Row semantics: lhs and rhs are the two quantities a check compares,
 abs_err = |lhs - rhs|, rel_err normalizes by the larger magnitude, and tol
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import importlib
 import json
 import platform
 import resource
@@ -172,6 +174,8 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                 "cpu_s": usage.ru_utime + usage.ru_stime,
                 # OS threads of this process now, None without /proc
                 "os_threads": os_threads,
+                # minor page faults of this process so far
+                "minor_faults": usage.ru_minflt,
             },
             fh,
             indent=2,
@@ -238,6 +242,11 @@ class ExperimentConfig:
                 n_bits = cfg.d * cfg.tree["n_steps"]
                 cfg.params["leaf_bits"] = cfg.params["leaf_bits"][-n_bits:].zfill(n_bits)
             rule(cfg, EXPERIMENTS[name])
+        if EXPERIMENTS[name].numpy_random:
+            # the run draws from numpy.random, which numpy imports at first
+            # use: importing it here keeps its 10-15 ms out of the run's wall
+            # time, and the run imports no module
+            importlib.import_module("numpy.random")
         return cfg
 
     @classmethod
@@ -649,13 +658,17 @@ class Experiment:
     them, one Estimate each, of mc.paths paths.  That table alone decides
     each estimate's mesh and bridge: the run passes them to the estimators,
     one load rule (config._estimates_fit) reads it, once per load, and
-    summary.json takes its names."""
+    summary.json takes its names; numpy_random: it draws test fields,
+    sampled leaves or density start points from numpy.random, which its
+    config load then imports (feynman-kac-nonrandom alone draws none: its
+    normals are tree.PathBundle's own counter hash, keyed by tree.seed_key)."""
 
     checks: Callable
     defaults: dict
     fields_on_tree: bool = False
     superparabolic: bool = False
     estimates: Callable = lambda config: []
+    numpy_random: bool = True
 
 
 _DRIFT_RANDOM = {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}
@@ -667,7 +680,7 @@ EXPERIMENTS = {
         "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
         "mc": {"paths": 100000, "dt_mc": 0.04, "seed": 424242},
         "params": {"x0": 0.5},
-    }, estimates=_feynman_kac_estimates),
+    }, estimates=_feynman_kac_estimates, numpy_random=False),
     "representation-random": Experiment(_exp_representation_random, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},

@@ -35,7 +35,9 @@ is integrated over each step's bridge in closed form (`functional_estimate`,
 `_bridge_step`).  Exited paths freeze, their alive indicator
 flips once and their weight is 0.  Estimates run in chunks of CHUNK paths,
 one after another; chunk i of an estimate is seeded (seed, tag, i), which
-SeedSequence flattens at any nesting (the rule in `tree`).
+SeedSequence flattens at any nesting, and its normals are keyed by
+`tree.seed_key` (the rule in `tree`).  Density start points alone draw from
+numpy.random, imported where `simulate` draws them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from .coefficients import CoefficientSet
 from .domain import Grid
@@ -168,6 +169,8 @@ def simulate(
     else:
         if grid is None:
             raise SimulationError("density initial data needs the grid")
+        from numpy.random import SeedSequence, default_rng
+
         rng = default_rng(SeedSequence((paths.seed, 0xA11)))
         y = sample_from_density(init, grid, M, rng)
     lo_x, hi_x = domain.a, domain.b

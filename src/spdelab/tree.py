@@ -14,9 +14,12 @@ paths, a span of up to SPAN_MAX fine steps for free ones, hashed
 HASH_NORMALS normals per call and, on a tree, shifted by the bridge.  Each
 normal is a fixed function of (key, counter), so a path's increments do not
 depend on which other paths are drawn with it.  Every stream is seeded by
-SeedSequence((seed, *tags)), which flattens nested tuples and lists of ints
-at any depth.  The inverse normal CDF, `ndtri`, is a numpy port of cephes'
-ndtri, so the package needs numpy alone.
+numpy's SeedSequence((seed, *tags)), which flattens nested tuples and lists
+of ints at any depth.  The normals' key, `seed_key(seed)`, is a bit-exact
+port of SeedSequence((seed,)).generate_state(1, np.uint64)[0], so they
+need no numpy.random; sampled leaves (`sample_tree_paths`) draw from its
+PCG64, imported where they are drawn.  The inverse normal CDF, `ndtri`, is
+a numpy port of cephes' ndtri, so the package needs numpy alone.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -42,7 +45,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 # the most states (nodes summed over the levels) one level's state space may
 # hold: the d = 1 tree at 16 steps.  A tree stops at 16 steps when d = 1 and
@@ -424,6 +426,67 @@ def ndtri(u, out=None, scratch=None):
     return out
 
 
+# numpy's SeedSequence (bit_generator.pyx, O'Neill's seed_seq_fe) with its
+# default pool of 4 words, in Python ints mod 2^32
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _entropy_words(entropy) -> list:
+    """entropy's 32-bit words as SeedSequence coerces it: an int as its
+    little-endian words ([0] for 0), a sequence as its items' words in
+    order, at any nesting depth."""
+    if isinstance(entropy, (str, bytes)):
+        raise TypeError(f"a seed is an int or a sequence of them, got {entropy!r}")
+    try:
+        n = operator.index(entropy)
+    except TypeError:
+        return [word for item in entropy for word in _entropy_words(item)]
+    if n < 0:
+        raise ValueError(f"a seed is non-negative, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def seed_key(seed) -> np.uint64:
+    """SeedSequence((seed,)).generate_state(1, np.uint64)[0], bit for bit,
+    without numpy.random: the entropy mixed into a 4-word pool, of which two
+    generated words form one little-endian uint64."""
+    entropy = _entropy_words((seed,))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, key = _INIT_B, 0
+    for i, word in enumerate(pool[:2]):
+        word ^= hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        word = word * hash_const & _M32
+        key |= (word ^ word >> 16) << 32 * i
+    return np.uint64(key)
+
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -506,7 +569,7 @@ class PathBundle:
     leaves: np.ndarray | None  # (n_paths,) leaf per path; None without a tree
     sigma: np.ndarray  # (d0,) diffusion row the increments are built for
     dt_mc: float
-    seed: object  # an int, or nested tuples and lists of ints: the key is SeedSequence((seed,))
+    seed: object  # an int, or nested tuples and lists of ints: the key is seed_key(seed)
     times: np.ndarray  # (n_fine + 1,)
     n_paths: int
     n_fine: int
@@ -533,7 +596,7 @@ class PathBundle:
 
     @cached_property
     def _key(self) -> np.uint64:
-        return SeedSequence((self.seed,)).generate_state(1, np.uint64)[0]
+        return seed_key(self.seed)
 
     def draw(self, m: int, rows) -> tuple[int, np.ndarray]:
         """(first, z): the increments z, (steps, rows), of the draw that holds
@@ -645,5 +708,7 @@ def sample_tree_paths(tree: ScenarioTree, M: int, sigma, dt_mc: float, seed) -> 
     driving components and the coefficient process then share the same
     discrete noise, matching the solver side.
     """
+    from numpy.random import SeedSequence, default_rng
+
     leaves = default_rng(SeedSequence((seed, 0x1EAF))).integers(0, tree.n_leaves, size=M)
     return _bundle(tree.horizon, tree, leaves, M, sigma, dt_mc, seed)

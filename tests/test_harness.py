@@ -499,8 +499,8 @@ def test_run_writes_deterministic_reports(tmp_path):
     assert header == "experiment,check,paper_anchor,lhs,rhs,abs_err,rel_err,tol,pass"
     meta = json.loads((out_a / "metadata.json").read_text())
     assert set(meta) == {"elapsed_seconds", "timestamp", "spdelab_version", "numpy_version",
-                         "python_version", "peak_rss_mb", "cpu_s", "os_threads"}
-    assert meta["peak_rss_mb"] > 0 and meta["cpu_s"] > 0
+                         "python_version", "peak_rss_mb", "cpu_s", "os_threads", "minor_faults"}
+    assert meta["peak_rss_mb"] > 0 and meta["cpu_s"] > 0 and meta["minor_faults"] > 0
 
 
 @pytest.mark.parametrize("coefficients", [{}, {"sigma": [0.6, 0.8, 0.5], "d": 2}],

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no run loads scipy, no module starts a thread or a process, and a run holds
-one OS thread.
+no run loads scipy, feynman-kac-nonrandom does not load numpy.random, no
+module starts a thread or a process, and a run holds one OS thread.
 
 The unused-import check parses with the standard library's ast, so it runs
 no package code; re-exports in __init__.py and __future__ imports are
@@ -9,10 +9,15 @@ test's imports are counted:
 - importing the harness loads no heavy scipy subpackage, and no run,
   whether it draws normals or not, loads any scipy module, neither while
   its config loads nor while it runs;
-- a reduced adjoint-suite or feynman-kac-nonrandom run imports no module
-  at all (numpy's lazy numpy.random included);
+- the reduced run of each of the seven experiments imports no module at
+  all: numpy imports numpy.random at its first use, so the config load of
+  every experiment that draws from it (harness.Experiment.numpy_random)
+  imports it first;
 - with scipy missing, the runs that draw no normals pass, and a config
   that draws validates and runs;
+- with numpy.random missing, the default feynman-kac-nonrandom validates
+  and runs, and where it is present neither the load nor the run imports
+  it;
 - the default duality-63 run, through the CLI, peaks under 100 MB RSS,
   started from a process that holds more;
 - a reduced adjoint-suite and feynman-kac-nonrandom run through the CLI,
@@ -41,18 +46,20 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spdelab"
 DRAWING = sorted(n for n, e in EXPERIMENTS.items() if e.estimates(default_config(n)))
 PDE_ONLY = sorted(set(EXPERIMENTS) - set(DRAWING))
 
-# spdelab.cli.main on each argument list of argv[1] (JSON) in one
-# interpreter where scipy cannot be imported; one JSON line per call:
-# [exit code, stdout, stderr]
-CLI_WITHOUT_SCIPY = """
+# spdelab.cli.main on each argument list of argv[2] (JSON) in one
+# interpreter where the modules named in argv[1] (JSON) cannot be imported;
+# one JSON line per call: [exit code, stdout, stderr, the modules loaded]
+CLI_WITHOUT = """
 import contextlib, io, json, sys
-sys.modules['scipy'] = None
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None
 from spdelab.cli import main
-for args in json.loads(sys.argv[1]):
+for args in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
-    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+    loaded = sorted(name for name, module in sys.modules.items() if module is not None)
+    print(json.dumps([code, out.getvalue(), err.getvalue(), loaded]))
 """
 
 
@@ -177,14 +184,20 @@ print(' '.join(sorted(set(sys.modules) - before)))
 
 
 def test_a_run_that_draws_no_normals_imports_no_module(tmp_path):
-    # numpy imports numpy.random at its first use; the package imports it
-    # eagerly, so a run's wall time does not pay that import
-    assert modules_a_run_imports("adjoint-suite", tmp_path / "out") == []
+    # numpy imports numpy.random at its first use; the config load of an
+    # experiment whose test fields draw from it imports it, so a run's wall
+    # time does not pay that import.  One marked as drawing none would
+    # import it here
+    for name in PDE_ONLY:
+        assert modules_a_run_imports(name, tmp_path / name) == [], name
 
 
 def test_a_run_that_draws_imports_no_module(tmp_path):
-    # nor does a run that draws normals import one for their inverse CDF
-    assert modules_a_run_imports("feynman-kac-nonrandom", tmp_path / "out") == []
+    # nor does a run that draws normals import one for their inverse CDF or
+    # their key; representation-random's leaves and density-64-65's start
+    # points draw from numpy.random, which their config load imports
+    for name in DRAWING:
+        assert modules_a_run_imports(name, tmp_path / name) == [], name
 
 
 def test_the_default_duality_63_run_peaks_under_100_mb(tmp_path):
@@ -202,8 +215,8 @@ def test_the_default_duality_63_run_peaks_under_100_mb(tmp_path):
     assert rss < 100, rss
 
 
-def cli_without_scipy(*argvs):
-    done = fresh(CLI_WITHOUT_SCIPY, json.dumps([list(map(str, argv)) for argv in argvs]))
+def cli_without(blocked, *argvs):
+    done = fresh(CLI_WITHOUT, json.dumps(blocked), json.dumps([list(map(str, a)) for a in argvs]))
     assert done.returncode == 0, done.stderr
     return [json.loads(line) for line in done.stdout.splitlines()]
 
@@ -214,9 +227,9 @@ def test_without_scipy_a_config_that_draws_validates_and_runs(tmp_path):
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps({"experiment": name, "output_dir": str(tmp_path / name)}))
         argvs += [("validate-config", config), ("run", config)]
-    results = cli_without_scipy(*argvs)
+    results = cli_without(["scipy"], *argvs)
     assert len(results) == 2 * len(DRAWING)
-    for argv, (code, stdout, stderr) in zip(argvs, results):
+    for argv, (code, stdout, stderr, _) in zip(argvs, results):
         assert code == 0, (argv, stdout, stderr)
         name = Path(argv[1]).stem
         if argv[0] == "run":
@@ -230,8 +243,27 @@ def test_without_scipy_the_runs_that_draw_no_normals_pass(tmp_path):
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps({"experiment": name, "output_dir": str(tmp_path / name)}))
         argvs.append(("run", config))
-    for name, (code, stdout, stderr) in zip(PDE_ONLY, cli_without_scipy(*argvs)):
+    for name, (code, stdout, stderr, _) in zip(PDE_ONLY, cli_without(["scipy"], *argvs)):
         assert code == 0 and f"PASS: {name}" in stdout, (name, stdout, stderr)
+
+
+def test_without_numpy_random_feynman_kac_nonrandom_validates_and_runs(tmp_path):
+    # its normals are the counter hash keyed by tree.seed_key, a port of
+    # numpy's SeedSequence: with numpy.random missing the default config
+    # validates and runs, and with it present neither the load nor the run
+    # imports it
+    config = tmp_path / "feynman-kac-nonrandom.json"
+    config.write_text(json.dumps({"experiment": "feynman-kac-nonrandom",
+                                  "output_dir": str(tmp_path / "out")}))
+    argvs = [("validate-config", config), ("run", config)]
+    for blocked in (["numpy.random"], []):
+        (code_v, out_v, err_v, loaded_v), (code_r, out_r, err_r, loaded_r) = \
+            cli_without(blocked, *argvs)
+        assert code_v == 0 and "config ok" in out_v, (blocked, out_v, err_v)
+        assert code_r == 0 and "PASS: feynman-kac-nonrandom" in out_r, (blocked, out_r, err_r)
+        for loaded in (loaded_v, loaded_r):
+            assert "numpy" in loaded
+            assert not [m for m in loaded if m.startswith("numpy.random")], blocked
 
 
 # modules whose names start threads or processes

@@ -21,7 +21,9 @@ from spdelab import (
     simulate,
 )
 from spdelab import tree as tree_module
-from spdelab.tree import _GOLDEN, _MIX1, _MIX2, _counter_normals
+from spdelab.harness import _representation_estimates, default_config
+from spdelab.montecarlo import CHUNK
+from spdelab.tree import _GOLDEN, _MIX1, _MIX2, _counter_normals, seed_key
 
 
 def drawn(bundle):
@@ -309,6 +311,55 @@ def test_a_bundle_key_is_the_seed_sequence_of_the_flat_seed():
                        (((3, 4), 0xF0, 2), (3, 4, 0xF0, 2)), ([[3, [4]], 2**40], (3, 4, 2**40))]:
         key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=seed)._key
         assert key == SeedSequence(flat).generate_state(1, np.uint64)[0]
+
+
+def seed_sequence_key(seed):
+    return SeedSequence((seed,)).generate_state(1, np.uint64)[0]
+
+
+def default_chunk_seeds():
+    """Every chunk seed the seven default runs build: feynman-kac-nonrandom's
+    (seed, 0xF0, i), density-64-65's conditional (seed, 0xC0, i) and
+    unconditional ((seed, 65), 0xF0, i), and representation-random's
+    ((seed, tag, ix), 0xF0, i); the other four draw no normals."""
+    def chunks(cfg):
+        return range(-(-cfg.mc["paths"] // CHUNK))
+
+    fk, dens = default_config("feynman-kac-nonrandom"), default_config("density-64-65")
+    rep = default_config("representation-random")
+    seeds = [(fk.mc["seed"], 0xF0, i) for i in chunks(fk)]
+    seeds += [(dens.mc["seed"], 0xC0, i) for i in chunks(dens)]
+    seeds += [((dens.mc["seed"], 65), 0xF0, i) for i in chunks(dens)]
+    seeds += [((rep.mc["seed"], tag, ix), 0xF0, i)
+              for tag, ix, _ in _representation_estimates(rep, nodes=True) for i in chunks(rep)]
+    return seeds
+
+
+def test_seed_key_has_the_bits_of_the_seed_sequence():
+    # tree.seed_key ports SeedSequence((seed,)).generate_state(1, np.uint64)[0]
+    # to Python ints: random tuples of up to 14 words (the pool holds 4),
+    # nesting, ints past 2**32 and 2**64, numpy integers, the empty seeds,
+    # and every chunk seed of the default runs
+    rng = np.random.default_rng(20240)
+    seeds = [tuple(int(v) for v in rng.integers(0, 2**62, size=rng.integers(0, 8)))
+             for _ in range(2000)]
+    seeds += [[[3, [4]], 2**40], [(), [[], [0]]], (((1,),),), [[2**33, 5], (7, [2**65 + 9])]]
+    seeds += [2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**64, 2**70, 2**200 + 1]
+    seeds += [np.int64(5), np.uint32(2**32 - 1), np.uint64(2**63 + 7), [np.int8(3), np.uint16(9)]]
+    seeds += [0, [], [0], ((),)]
+    chunk_seeds = default_chunk_seeds()
+    assert len(chunk_seeds) == 4 + 4 + 4 + 10
+    for seed in seeds + chunk_seeds:
+        key = seed_key(seed)
+        assert type(key) is np.uint64 and key == seed_sequence_key(seed), seed
+
+
+def test_seed_key_refuses_what_the_seed_sequence_refuses():
+    for seed in (-1, [3, -2], 1.5):
+        with pytest.raises((TypeError, ValueError)):
+            seed_sequence_key(seed)
+        with pytest.raises((TypeError, ValueError)):
+            seed_key(seed)
 
 
 def _counter_of_hash(key, h):
