@@ -17,13 +17,15 @@ same sweep from the child spread,
 
 Levels are x-major, (nx, n_nodes(k)), children are read through tree.child
 (tree or w1 lattice), and solve_level applies S_k in place at every node of
-a level; the forward marcher reuses it with A*'s bands.
+a level, from factors (level_factors) that serve any number of solves; the
+forward marcher reuses it with A*'s bands.
 
 Since (B g)^k is built from X^k, which depends only on g at later levels,
 B is strictly block-triangular in time and B^N = 0: op_L inverts I + B by
-back-substitution in its own backward sweep, and solve_R's undamped
-fixed-point iteration, whose convergence is itself a checked claim, ends
-within N + 1 sweeps.
+back-substitution in a backward sweep, and solve_R's undamped fixed-point
+iteration, whose convergence is itself a checked claim, ends within N + 1
+sweeps.  backward_sweep marches T, G, B and L in lockstep, with one
+factorization and two solves per level.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .coefficients import CoefficientSet
 from .domain import (
     Grid,
     apply_bands,
+    cr_factors,
     dx_centered_onesided,
     generator_bands,
-    solve_tridiag,
     thomas_rows,
 )
 from .fields import SpaceTimeField, norm_x0
@@ -64,20 +66,27 @@ class BackwardSolution:
     g: SpaceTimeField | None = None
 
 
+def level_factors(bands, dt, ni):
+    """cr_factors of (I - dt A) from a level's bands (generator_bands, of A or A*)."""
+    lo, dg, up = bands
+    return cr_factors(-dt * lo, 1.0 - dt * dg, -dt * up, ni)
+
+
 def solve_level(bands, dt, rhs):
     """Solve (I - dt A) u = rhs in place at every node of one tree level.
 
     bands are the level's rows-layout bands from generator_bands (of A or
-    of A*); rhs is x-major, (nx, n), or (nx, n, m, ...) with right-hand
-    sides per node on the trailing axes, any strides.  Its interior rows
-    are solved where they lie (thomas_rows gets a view) and its boundary
-    rows zeroed; returns rhs.
+    of A*), or, with dt None, their level_factors: the band half of the
+    cyclic reduction, done once for any number of solves.  rhs is x-major,
+    (nx, n), or (nx, n, m, ...) with right-hand sides per node on the
+    trailing axes, any strides; its interior rows are solved where they lie
+    (thomas_rows, the right-hand-side half, gets a view) and its boundary
+    rows zeroed; returns rhs.  Keep the node axis innermost in memory (a
+    plane (nx, n) per right-hand side): the factors, one per row and node,
+    then broadcast along the trailing axes at unit stride.
     """
-    ni, n = rhs.shape[0] - 2, rhs.shape[1]
-    lo, dg, up = bands
-    # scale before broadcasting, so x-independent bands stay (1, n) views
-    L, D, U = (np.broadcast_to(a, (ni, n)) for a in (-dt * lo, 1.0 - dt * dg, -dt * up))
-    thomas_rows(L, D, U, rhs[1:-1])
+    factors = bands if dt is None else level_factors(bands, dt, len(rhs) - 2)
+    thomas_rows(factors, None, None, rhs[1:-1])
     rhs[[0, -1]] = 0.0
     return rhs
 
@@ -105,33 +114,44 @@ def _b_of_kernels(grid, sigma, kern):
     return bg
 
 
-def backward_sweep(g: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree):
+def backward_sweep(g: SpaceTimeField | None, coeffs: CoefficientSet, grid: Grid,
+                   tree: ScenarioTree, phi: SpaceTimeField | None = None):
     """One backward pass over the tree; returns (v, kernels, bg): T g = E{ U | F_t }
     of the pathwise solutions U, the representation kernels G g = [X_j], and
-    B g = - sum_j beta_j dX_j/dx (one-sided at the first interior nodes)."""
+    B g = - sum_j beta_j dX_j/dx (one-sided at the first interior nodes).
+    With phi, op_L(phi)'s solution follows as a fourth item (g may be None,
+    and the first three with it).  Each level, factored once, solves all
+    planes but L's v, then L's v, which needs (R phi)^k first."""
     N, d, dt = tree.n_steps, tree.d, tree.dt
-    # level k of v and of the d kernels, stacked: one solve covers them
-    sol = [None] * N + [np.zeros((1 + d, grid.nx, tree.n_nodes(N)))]
-    bg = [None] * N + [np.zeros((grid.nx, tree.n_nodes(N)))]
+    lq, tq = (0 if f is None else 1 + d for f in (phi, g))  # planes of L and of T
+    sol = [None] * N + [np.zeros((lq + tq, grid.nx, tree.n_nodes(N)))]
+    bg = [None] * N + [np.zeros((grid.nx, tree.n_nodes(N))) if tq else None]
+    rphi = [None] * N + [None if phi is None else phi.levels[N].copy()]
     for k in range(N - 1, -1, -1):
-        sol[k] = np.empty((1 + d, grid.nx, tree.n_nodes(k)))
-        _children_into(tree, sol[k + 1][0], sol[k])
-        sol[k][0] += dt * g.levels[k]
+        sol[k] = np.empty((lq + tq, grid.nx, tree.n_nodes(k)))
+        for p in range(0, lq + tq, 1 + d):
+            _children_into(tree, sol[k + 1][p], sol[k][p : p + 1 + d])
+        if g is not None:
+            sol[k][lq] += dt * g.levels[k]
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
-        solve_level(bands, dt, sol[k].transpose(1, 2, 0))
-        bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[k][1:])
-    v = SpaceTimeField(grid, tree, [s[0] for s in sol])
-    kernels = [SpaceTimeField(grid, tree, [s[1 + j] for s in sol]) for j in range(d)]
-    return v, kernels, SpaceTimeField(grid, tree, bg)
+        factors = level_factors(bands, dt, grid.ni)
+        solve_level(factors, None, sol[k][1 if lq else 0:].transpose(1, 2, 0))
+        if g is not None:
+            bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[k][lq + 1:])
+        if phi is not None:
+            rphi[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, sol[k][1:lq])
+            sol[k][0] += dt * rphi[k]
+            solve_level(factors, None, sol[k][0])
+    planes = [SpaceTimeField(grid, tree, [s[p] for s in sol]) for p in range(lq + tq)]
+    out = (None,) * 3 if g is None else (
+        planes[lq], planes[lq + 1:], SpaceTimeField(grid, tree, bg))
+    if phi is None:
+        return out
+    return (*out, BackwardSolution(planes[0], planes[1:lq], SpaceTimeField(grid, tree, rphi)))
 
 
-def solve_backward_pathwise(
-    g: SpaceTimeField,
-    coeffs: CoefficientSet,
-    leaf: int,
-    grid: Grid,
-    tree: ScenarioTree,
-) -> np.ndarray:
+def solve_backward_pathwise(g: SpaceTimeField, coeffs: CoefficientSet, leaf: int, grid: Grid,
+                            tree: ScenarioTree) -> np.ndarray:
     """March the terminal-value problem down the path to one leaf.
 
     Returns U of shape (n_steps + 1, nx) with U[N] = 0 and zero boundary
@@ -144,19 +164,12 @@ def solve_backward_pathwise(
     for k in range(N - 1, -1, -1):
         rhs = U[k + 1] + dt * g.levels[k][:, path[k]]
         f = coeffs.drift(grid.x_interior[None, :], k * dt, tree.w1[k][path[k]])
-        lo, dg, up = generator_bands(grid, f, coeffs.b_total)
-        U[k, 1:-1] = solve_tridiag(-dt * lo.T, 1.0 - dt * dg, -dt * up.T, rhs[1:-1])
+        U[k] = solve_level(generator_bands(grid, f, coeffs.b_total), dt, rhs[:, None])[:, 0]
     return U
 
 
-def solve_R(
-    phi: SpaceTimeField,
-    coeffs: CoefficientSet,
-    grid: Grid,
-    tree: ScenarioTree,
-    tol: float = 1e-8,
-    x0: SpaceTimeField | None = None,
-):
+def solve_R(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree,
+            tol: float = 1e-8, x0: SpaceTimeField | None = None):
     """Solve (I + B) g = phi by the undamped fixed-point iteration g <- phi - B g.
 
     Returns (g, info) where info reports the iteration count and residual
@@ -195,12 +208,8 @@ def solve_R(
     )
 
 
-def op_L(
-    phi: SpaceTimeField,
-    coeffs: CoefficientSet,
-    grid: Grid,
-    tree: ScenarioTree,
-) -> BackwardSolution:
+def op_L(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid,
+         tree: ScenarioTree) -> BackwardSolution:
     """L phi = T R phi: the generalized solution pair (v, X) representing
     the conditional functional with integrand phi, and g = R phi.
 
@@ -208,31 +217,11 @@ def op_L(
     spread of v^{k+1}, then g^k = phi^k - (B g)^k, then v^k; this solves
     (I + B) g = phi exactly by back-substitution.
     """
-    N, d, dt = tree.n_steps, tree.d, tree.dt
-    sol = [None] * N + [np.zeros((1 + d, grid.nx, tree.n_nodes(N)))]  # v^k, X_j^k stacked
-    g = [None] * N + [phi.levels[N].copy()]
-    for k in range(N - 1, -1, -1):
-        sol[k] = np.empty((1 + d, grid.nx, tree.n_nodes(k)))
-        _children_into(tree, sol[k + 1][0], sol[k])
-        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
-        solve_level(bands, dt, sol[k][1:].transpose(1, 2, 0))
-        g[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, sol[k][1:])
-        sol[k][0] += dt * g[k]
-        solve_level(bands, dt, sol[k][0])
-    return BackwardSolution(
-        v=SpaceTimeField(grid, tree, [s[0] for s in sol]),
-        kernels=[SpaceTimeField(grid, tree, [s[1 + j] for s in sol]) for j in range(d)],
-        g=SpaceTimeField(grid, tree, g),
-    )
+    return backward_sweep(None, coeffs, grid, tree, phi)[3]
 
 
-def residual_bspde(
-    sol: BackwardSolution,
-    g: SpaceTimeField,
-    coeffs: CoefficientSet,
-    grid: Grid,
-    tree: ScenarioTree,
-) -> float:
+def residual_bspde(sol: BackwardSolution, g: SpaceTimeField, coeffs: CoefficientSet, grid: Grid,
+                   tree: ScenarioTree) -> float:
     """X0 norm of the discrete residual of the integrated backward relation
 
         v(t) = int_t^T [A v + g] - int_t^T X domega,

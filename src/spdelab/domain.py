@@ -14,7 +14,8 @@ boundary nodes.
 
 One banded core serves every solver and every norm: generator_bands alone
 turns drift and diffusion into the bands of A or A*, thomas_rows is the
-only tridiagonal solve (odd-even cyclic reduction at every batch width),
+only tridiagonal solve (odd-even cyclic reduction at every batch width,
+its band half cr_factors reusable across solves),
 and hk_norm_sq takes the H^1 norm by the 3-point stencil and the H^-1 norm
 by one thomas_rows solve with I - Laplacian.  apply_A is an independent
 centered stencil (an oracle).
@@ -138,56 +139,68 @@ def apply_bands(bands, u):
     return out
 
 
-def thomas_rows(L, D, U, X):
-    """Tridiagonal solve in rows layout: system axis first, by odd-even
-    cyclic reduction, in place on X.
-
-    L, D, U broadcastable to (n, nb); X is (n, nb) or (n, nb, m1, m2, ...),
-    any strides, and is overwritten with the solution: every trailing index
-    is one right-hand side sharing system nb's matrix.  The values of L[0]
-    and U[n-1] never influence the solution.  No pivoting: callers must
-    supply diagonally dominant systems (I - dt*A is one when
-    2 dt (|f|/(2dx) - b/(2dx^2)) <= 1, which the load rule
-    config._levels_dominant in config.RULES checks).  The name predates
-    the algorithm; callers and the benchmark tracer look it up by it.
-
-    With a = -L, c = -U, row i reads -a_i x_{i-1} + D_i x_i - c_i x_{i+1}
-    = X_i.  Each stage adds multiples of the even rows 2k and 2k+2 to the
-    odd row 2k+1 so that its even neighbours drop out, which leaves the odd
-    rows as a tridiagonal system of half the size; diagonal dominance
-    survives the step (Heller 1976).  The reduced right-hand sides stay in
-    the odd rows of the stage's view of X.  Once one row is left, the
-    stages are undone in reverse: each even row follows from its two odd
-    neighbours.  A few whole-array operations per halving, every one
-    elementwise across systems and right-hand sides, so each solution is
-    bit-identical whatever else is solved with it, in the batch or on the
-    trailing axes.
-    """
-    n = X.shape[0]
-    w = (n,) + np.broadcast_shapes(L.shape[1:], D.shape[1:], U.shape[1:])
-    col = (slice(None), slice(None)) + (None,) * (X.ndim - 2)  # bands against X
+def cr_factors(L, D, U, n):
+    """The band half of thomas_rows for n-row systems with bands L, D, U
+    broadcastable to (n, nb): per halving, the multipliers alpha, gamma and
+    the even rows ae, be, ce of the bands; then the diagonal of the row left."""
+    w = (n,) + np.broadcast_shapes(*(np.shape(a)[1:] for a in (L, D, U)))
     a, c = np.negative(np.broadcast_to(L, w)), np.negative(np.broadcast_to(U, w))
     a[0] = c[-1] = 0.0
-    b, d = np.broadcast_to(D, w), X
-    stages = []
+    b, stages = np.broadcast_to(D, w), []
     while len(b) > 1:
         ne, no = len(b) - len(b) // 2, len(b) // 2  # even and odd rows
-        ae, be, ce, de = a[0::2], b[0::2], c[0::2], d[0::2]
-        stages.append((ae, be, ce, d))
+        ae, be, ce = a[0::2], b[0::2], c[0::2]
         # alpha eliminates the left even neighbour of every odd row, gamma
-        # the right one, which the last odd row lacks when len(b) is even
-        alpha = a[1::2] / be[:no]
-        gamma = c[1::2][: ne - 1] / be[1:]
+        # the right one, which the last odd row lacks when len(b) is even;
+        # both overwrite the odd rows of a and c, which nothing reads again
+        alpha = np.divide(a[1::2], be[:no], out=a[1::2])
+        gamma = np.divide(c[1::2][: ne - 1], be[1:], out=c[1::2][: ne - 1])
+        stages.append((alpha, gamma, ae, be, ce))
         a = alpha * ae[:no]
         b = b[1::2] - alpha * ce[:no]
         b[: ne - 1] -= gamma * ae[1:]
         c = np.zeros_like(b)
         np.multiply(gamma, ce[1:], out=c[: ne - 1])
-        d = d[1::2]
-        d += alpha[col] * de[:no]
-        d[: ne - 1] += gamma[col] * de[1:]
-    np.divide(d, b[col], out=d)
-    for ae, be, ce, level in reversed(stages):
+    return stages, b
+
+
+def thomas_rows(L, D, U, X):
+    """Tridiagonal solve in rows layout: system axis first, by odd-even
+    cyclic reduction, in place on X.
+
+    L, D, U broadcastable to (n, nb), or L the cr_factors of them and D, U
+    None; X is (n, nb) or (n, nb, m1, m2, ...), any strides, and is
+    overwritten with the solution: every trailing index is one right-hand
+    side sharing system nb's matrix.  The values of L[0] and U[n-1] never
+    influence the solution.  No pivoting: callers must supply diagonally
+    dominant systems (I - dt*A is one when 2 dt (|f|/(2dx) - b/(2dx^2)) <= 1,
+    which the load rule config._levels_dominant in config.RULES checks).
+    The name predates the algorithm; callers and the benchmark tracer look
+    it up by it.
+
+    With a = -L, c = -U, row i reads -a_i x_{i-1} + D_i x_i - c_i x_{i+1}
+    = X_i.  Each stage adds multiples of the even rows 2k and 2k+2 to the
+    odd row 2k+1 so that its even neighbours drop out, which leaves the odd
+    rows as a tridiagonal system of half the size; diagonal dominance
+    survives the step (Heller 1976).  The band half, cr_factors, reduces the
+    bands; this half applies its multipliers to the odd rows of each stage's
+    view of X.  Once one row is left, the stages are undone in reverse: each
+    even row follows from its two odd neighbours.  Every operation is
+    elementwise across systems and right-hand sides, so each solution is
+    bit-identical whatever else is solved with it, fresh or reused factors.
+    Factors broadcast along X's trailing axes: with nb innermost in memory,
+    the loops run along nb, not along a short axis against a zero stride.
+    """
+    stages, last = L if D is None else cr_factors(L, D, U, len(X))
+    col = (slice(None), slice(None)) + (None,) * (X.ndim - 2)  # bands against X
+    d, levels = X, []
+    for alpha, gamma, *_ in stages:
+        levels.append(d)
+        de, d = d[0::2], d[1::2]
+        d += alpha[col] * de[: len(alpha)]
+        d[: len(gamma)] += gamma[col] * de[1:]
+    np.divide(d, last[col], out=d)
+    for (_, _, ae, be, ce), level in zip(reversed(stages), reversed(levels)):
         # the odd rows of level hold this stage's solution, d
         xe = level[0::2]
         xe[1:] += ae[1:][col] * d[: len(be) - 1]

@@ -14,7 +14,7 @@ the operator with the very increment it multiplies and leave a drift-scale
 bias in the duality pairings that refinement cannot remove.  Solutions stay
 adapted because each child of a node gets its own increment.  Homogeneous
 Dirichlet data are imposed at every step.  A step builds the right-hand
-side of every child as one (nx, n_k, br) array, solves it in place with the
+side of every child as one (br, nx, n_k) array, solves it in place with the
 parent's bands, and merges it into the (nx, n_{k+1}) next level
 (tree.merge: on the w1 lattice, conditional means given the state).
 
@@ -137,9 +137,10 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
     state: drift holds the level-(k+1) source slice entering the implicit
     half (or None), noise a list per driving component of level-k slices for
     the explicit kick (or None).  A level's right-hand sides fill one
-    problem-major (S, nx, n_k, br) block, solved by one solve_level call
-    through its x-major (nx, n_k, S, br) view; block[s] is C-contiguous, so
-    on the tree merge returns a view of it.
+    (S, br, nx, n_k) block, solved by one solve_level call through its
+    x-major (nx, n_k, S, br) view: the node axis innermost, so the solve's
+    loops run along the nodes, not along the children against a zero-stride
+    factor.
     """
     N, br = tree.n_steps, tree.branching
     root = np.zeros((grid.nx, 1)) if state0 is None else np.asarray(state0, dtype=float)
@@ -148,13 +149,13 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
     fields = [[root.copy()] for _ in sources]
     for k in range(N):
         n_k = tree.n_nodes(k)
-        block = np.empty((len(sources), grid.nx, n_k, br))
+        block = np.empty((len(sources), br, grid.nx, n_k))
         for rhs, source, levels in zip(block, sources, fields):
             _children_rhs(tree, k, levels[-1], source, rhs)
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual=True)
-        solve_level(bands, tree.dt, block.transpose(1, 2, 0, 3))
+        solve_level(bands, tree.dt, block.transpose(2, 3, 0, 1))
         for rhs, levels in zip(block, fields):
-            state = tree.merge(rhs)
+            state = tree.merge(rhs.transpose(1, 2, 0))
             if not np.all(np.isfinite(state)):
                 raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
             levels.append(state)
@@ -163,16 +164,15 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
 
 def _children_rhs(tree, k, state, source, out):
     """Write the right-hand side of every child of the level-k nodes into out
-    (nx, n_k, br); the sources' temporaries die on return."""
-    n_k, br = out.shape[1:]
+    (br, nx, n_k); the sources' temporaries die on return."""
+    n_k = out.shape[2]
     drift, noise = source(k, state)
-    for b in range(br):  # child b of every node: a strided (nx, n_k) view
-        np.add(state, 0.0 if drift is None else tree.dt * tree.child(drift, b, n_k),
-               out=out[:, :, b])
+    for b, plane in enumerate(out):  # child b of every node: a contiguous (nx, n_k) plane
+        np.add(state, 0.0 if drift is None else tree.dt * tree.child(drift, b, n_k), out=plane)
         kicks = [src * (tree.digit_signs[b, j] * tree.sqdt)
                  for j, src in enumerate(noise or []) if src is not None]
         if kicks:
-            out[:, :, b] += sum(kicks[1:], kicks[0])
+            plane += sum(kicks[1:], kicks[0])
 
 
 # Sources of the forward duals, one per operator: source(k, state) -> (drift,

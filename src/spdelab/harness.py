@@ -445,18 +445,16 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
 def _adjoint_pairings(coeffs, grid, tree, seed_pair):
     """{operator: (primal, dual) pairing} for one draw of the test fields
     g and h, and the scale ||g|| ||h|| of their mismatches.  The five duals
-    march in lockstep and each is dropped once paired, before the primal
-    sweeps run."""
+    march in lockstep and each is dropped once paired, before the five
+    primals march in lockstep too."""
     g = smooth_random_field(grid, tree, seed=seed_pair[0])
     h = smooth_random_field(grid, tree, seed=seed_pair[1])
     scale = norm_x0(g) * norm_x0(h)
     duals = solve_duals(h, coeffs, grid, tree)
     dual = {k: inner_x0(g, duals.pop(k)) for k in "TGBRL"}
-    v, kernels, bg = backward_sweep(g, coeffs, grid, tree)
-    primal = {"T": inner_x0(v, h), "G": inner_x0(kernels[0], h), "B": inner_x0(bg, h)}
-    del v, kernels, bg
-    sol = op_L(g, coeffs, grid, tree)
-    primal["R"], primal["L"] = inner_x0(sol.g, h), inner_x0(sol.v, h)
+    v, kernels, bg, sol = backward_sweep(g, coeffs, grid, tree, phi=g)
+    primal = {"T": inner_x0(v, h), "G": inner_x0(kernels[0], h), "B": inner_x0(bg, h),
+              "R": inner_x0(sol.g, h), "L": inner_x0(sol.v, h)}
     return {k: (primal[k], dual[k]) for k in "TGBRL"}, scale
 
 

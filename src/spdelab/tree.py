@@ -98,8 +98,8 @@ class ScenarioTree:
         return nxt.reshape(nxt.shape[0], n_k, self.branching)[:, :, b]
 
     def merge(self, rhs) -> np.ndarray:
-        """Level k+1 from the values (nx, n_k, br) of each node's children."""
-        return rhs.reshape(rhs.shape[0], -1)
+        """Level k+1, C-contiguous, from the values (nx, n_k, br) of every child."""
+        return np.ascontiguousarray(rhs).reshape(rhs.shape[0], -1)
 
     def weights(self, level: int) -> float:
         """P_k: uniform, 1 / n_nodes(level) (a power of two, so exact)."""

@@ -12,8 +12,10 @@ from spdelab import (
     h0_inner,
     make_family,
 )
+from spdelab import domain
 from spdelab.domain import (
     apply_bands,
+    cr_factors,
     dx_centered,
     dx_centered_onesided,
     generator_bands,
@@ -21,7 +23,9 @@ from spdelab.domain import (
     solve_tridiag,
     thomas_rows,
 )
-from spdelab.backward import solve_level
+from spdelab import backward
+from spdelab.backward import op_L, solve_level
+from spdelab.fields import smooth_random_field
 from spdelab.tree import TreeNode
 
 
@@ -248,6 +252,50 @@ def test_thomas_rows_against_dense():
     for b in range(nb):
         ref = np.linalg.solve(dense(lo1[:, b], dg1[:, b], up1[:, b]), rhs[:, b])
         assert np.allclose(X[:, b], ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("full_bands", [False, True])
+@pytest.mark.parametrize("strided", [False, True])
+def test_reused_factors_solve_like_a_fresh_one_shot_solve(trailing, full_bands, strided):
+    # one factorization applied to many right-hand sides gives each the bits
+    # of a fresh one-shot solve, for X (n, nb), (n, nb, m) and (n, nb, m1, m2)
+    rng = np.random.default_rng(6)
+    n, nb = 13, 5
+    rows = n if full_bands else 1
+    lo, up = (0.2 * rng.normal(size=(rows, nb)) for _ in range(2))
+    dg = 2.0 + np.abs(rng.normal(size=(rows, nb)))
+    factors = cr_factors(lo, dg, up, n)
+    for seed in range(3):
+        rhs = np.random.default_rng(seed).normal(size=(n, nb) + trailing)
+        if strided:  # the same values, Fortran-ordered: the system axis innermost
+            rhs = np.asfortranarray(rhs)
+        reused, fresh = rhs.copy(order="K"), rhs.copy(order="K")
+        assert thomas_rows(factors, None, None, reused) is reused
+        thomas_rows(lo, dg, up, fresh)
+        assert np.array_equal(reused, fresh)
+
+
+def test_op_L_factors_each_level_once(monkeypatch):
+    # op_L's 2N level solves (kernels, then v) share N factorizations
+    grid = build_grid(DomainSpec(0.0, 4.0, 1.0), 21)
+    tree = build_tree(1, 4, 1.0)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    phi = smooth_random_field(grid, tree, seed=3)
+    factored, solved = [], []
+
+    def counting(fn, log):
+        def wrapper(*args):
+            log.append(1)
+            return fn(*args)
+        return wrapper
+
+    factor = counting(domain.cr_factors, factored)
+    for module in (domain, backward):
+        monkeypatch.setattr(module, "cr_factors", factor)
+    monkeypatch.setattr(backward, "thomas_rows", counting(domain.thomas_rows, solved))
+    op_L(phi, coeffs, grid, tree)
+    assert (len(factored), len(solved)) == (tree.n_steps, 2 * tree.n_steps)
 
 
 def test_solve_level_x_dependent_against_dense(unit_interval):

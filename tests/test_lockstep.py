@@ -1,11 +1,13 @@
-"""The lockstep march of the five forward duals.
+"""The lockstep marches of the five forward duals and of the five primals.
 
 solve_duals marches T*, G_0*, B*, R* and L* together, one banded solve per
-level for all five.  The tridiagonal solver keeps columns independent and
-every other step is elementwise, so each dual equals its own solve_*_star
-call bit for bit, on the w1 lattice and on the tree for d = 1 and d = 2;
-and the adjoint suite makes half the level solves it made with five
-separate marches.
+level for all five; backward_sweep(g, ..., phi) marches T g, G g, B g and
+L phi together, one factorization and two solves per level.  The
+tridiagonal solver keeps columns independent and every other step is
+elementwise, so each operator equals its own call bit for bit, on the w1
+lattice and on the tree for d = 1 and d = 2; and the adjoint suite makes
+three level solves and two factorizations per level where five separate
+marches and two separate sweeps made eight of each.
 """
 
 import numpy as np
@@ -24,7 +26,8 @@ from spdelab import (
     solve_R_star,
     solve_T_star,
 )
-from spdelab import backward
+from spdelab import backward, domain
+from spdelab.backward import backward_sweep, op_L
 from spdelab.fields import smooth_random_field
 from spdelab.harness import default_config, run
 from test_golden import REDUCED
@@ -38,7 +41,7 @@ SINGLE = {
 }
 
 
-@pytest.mark.parametrize("space, d, family, nx, n_steps", [
+CASES = pytest.mark.parametrize("space, d, family, nx, n_steps", [
     ("lattice", 1, "drift-random", 21, 4),
     ("lattice", 1, "space-smooth", 31, 6),
     ("tree", 1, "drift-random", 21, 4),
@@ -46,11 +49,19 @@ SINGLE = {
     ("tree", 2, "drift-random", 21, 3),
     ("tree", 2, "space-smooth", 17, 2),
 ])
-def test_solve_duals_equals_the_single_marches_exactly(space, d, family, nx, n_steps):
+
+
+def _state_space(space, d, family, nx, n_steps):
     params = {"drift-random": {"kappa": 0.25}, "space-smooth": {"a": 0.3, "eps": 0.5}}[family]
     coeffs = make_family(family, {**params, "sigma": [0.5, 0.5, 0.6], "d": d})
     grid = build_grid(DomainSpec(0.0, 4.0, 1.0), nx)
     tree = build_lattice(n_steps, 1.0) if space == "lattice" else build_tree(d, n_steps, 1.0)
+    return coeffs, grid, tree
+
+
+@CASES
+def test_solve_duals_equals_the_single_marches_exactly(space, d, family, nx, n_steps):
+    coeffs, grid, tree = _state_space(space, d, family, nx, n_steps)
     h = smooth_random_field(grid, tree, seed=7)
     duals = solve_duals(h, coeffs, grid, tree)
     assert list(duals) == list("TGBRL")
@@ -61,21 +72,49 @@ def test_solve_duals_equals_the_single_marches_exactly(space, d, family, nx, n_s
             assert np.array_equal(a, b), (name, k)
 
 
+@CASES
+def test_primal_march_equals_the_single_sweeps_exactly(space, d, family, nx, n_steps):
+    coeffs, grid, tree = _state_space(space, d, family, nx, n_steps)
+    g = smooth_random_field(grid, tree, seed=8)
+    phi = smooth_random_field(grid, tree, seed=9)
+    v, kernels, bg, sol = backward_sweep(g, coeffs, grid, tree, phi)
+    alone = backward_sweep(g, coeffs, grid, tree)
+    L = op_L(phi, coeffs, grid, tree)
+    pairs = [("T", v, alone[0]), ("B", bg, alone[2]), ("Lv", sol.v, L.v), ("Lg", sol.g, L.g)]
+    pairs += [(f"G{j}", a, b) for j, (a, b) in enumerate(zip(kernels, alone[1]))]
+    pairs += [(f"LX{j}", a, b) for j, (a, b) in enumerate(zip(sol.kernels, L.kernels))]
+    assert len(pairs) == 4 + 2 * d
+    for name, march, single in pairs:
+        assert np.abs(march.levels[0]).max() > 0.0, name
+        for k, (a, b) in enumerate(zip(march.levels, single.levels)):
+            assert np.array_equal(a, b), (name, k)
+
+
 def test_adjoint_suite_makes_one_dual_solve_per_level(monkeypatch):
-    # per level and draw: one backward_sweep solve, two op_L solves and one
-    # lockstep solve of the five duals (eight with five separate marches)
-    calls = []
-    thomas = backward.thomas_rows
+    # per level and draw: two solves of the primal march (T's v and kernels
+    # with L's kernels, then L's v) under one factorization, and one
+    # lockstep solve of the five duals under another (four solves and four
+    # factorizations with separate primal sweeps, eight of each with five
+    # separate dual marches as well)
+    calls, factored = [], []
+    thomas, factor = backward.thomas_rows, domain.cr_factors
 
     def counted(*args):
         calls.append(args[3].shape)
         return thomas(*args)
 
+    def counted_factors(*args):
+        factored.append(1)
+        return factor(*args)
+
     monkeypatch.setattr(backward, "thomas_rows", counted)
+    for module in (domain, backward):
+        monkeypatch.setattr(module, "cr_factors", counted_factors)
     over = REDUCED["adjoint-suite"]
     report = run(default_config("adjoint-suite", **over), write=False)
     assert report.rows
     n_steps = over["tree"]["n_steps"] + over["params"]["fine_n_steps"]
-    assert len(calls) == 4 * n_steps * over["params"]["n_draws"]
+    assert len(calls) == 3 * n_steps * over["params"]["n_draws"]
+    assert len(factored) == 2 * n_steps * over["params"]["n_draws"]
     # the dual solves carry five problems of br = 2 children per node
     assert sum(shape[2:] == (5, 2) for shape in calls) == n_steps * over["params"]["n_draws"]
