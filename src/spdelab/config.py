@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import FAMILIES, CoefficientError
 from .domain import GridError
-from .tree import TreeError, build_lattice, fine_steps
+from .tree import TreeError, build_lattice, fine_steps, leaf_count
 
 
 class ConfigError(ValueError):
@@ -225,19 +225,19 @@ def _points_inside_domain(cfg, exp):
 
 
 def _estimates_fit(cfg, exp):
-    """The run's table of Monte Carlo estimates, read once: the tree its
-    bridged paths follow is within the size guard (_levels_dominant builds
-    it only where it holds fields), each estimate's step and mc.dt_mc
-    divide the horizon, and the tree step when its paths are bridged, at
-    least once each, their fine steps are within MAX_FINE_STEPS and the
-    normals of all the estimates, each one's paths times its fine steps,
-    within MAX_NORMALS, and each has its own name."""
+    """The run's table of Monte Carlo estimates, read once: the leaves its
+    bridged paths follow have int64 indices (tree.leaf_count; the paths
+    carry no tree, so no size guard bounds them), each estimate's step and
+    mc.dt_mc divide the horizon, and the tree step when its paths are
+    bridged, at least once each, their fine steps are within
+    MAX_FINE_STEPS and the normals of all the estimates, each one's paths
+    times its fine steps, within MAX_NORMALS, and each has its own name."""
     horizon = float(cfg.tree["horizon"])
     table, paths = exp.estimates(cfg), cfg.mc.get("paths", 0)
     bridged = any(est.bridged for est in table)
-    if bridged and not exp.fields_on_tree:
+    if bridged:
         try:
-            cfg.build_tree()
+            leaf_count(cfg.d, cfg.tree["n_steps"])
         except TreeError as exc:
             raise ConfigError(str(exc)) from exc
     # mc.dt_mc must make a mesh even where every row marches at the tree step

@@ -387,7 +387,7 @@ def _exp_feynman_kac_nonrandom(cfg: ExperimentConfig, diag: dict) -> list:
     rows.append(CheckRow("kernels-vanish-nonrandom", "2.1", kernel_ratio, 0.0, 1e-12))
     (mc,) = _feynman_kac_estimates(cfg)
     est = functional_estimate(coeffs, _unit, float(grid.x[ix]), cfg.mc["paths"], cfg.mc["seed"],
-                              grid=grid, dt_mc=mc.dt, tree=None)
+                              grid=grid, dt_mc=mc.dt)
     diag["monte_carlo"] = {mc.name: dict(asdict(est), exact=oracle)}
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow("v-vs-monte-carlo", "1.3", v_mid, est.value, tol))
@@ -411,7 +411,8 @@ def _representation_estimates(cfg, nodes=False) -> list:
 
 def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
     coeffs, grid, tree = _state_space(cfg, diag)
-    bridge = cfg.build_tree()  # the Monte Carlo paths follow the tree
+    # the Monte Carlo paths are bridged through the tree of this shape
+    shape = (cfg.d, cfg.tree["n_steps"], float(cfg.tree["horizon"]))
     table = _representation_estimates(cfg, nodes=True)
     dt_dx2 = tree.dt + grid.dx**2
     phi = _dirichlet_profile(grid, tree, _gaussian)
@@ -425,7 +426,7 @@ def _exp_representation_random(cfg: ExperimentConfig, diag: dict) -> list:
                 est = functional_estimate(
                     family, _gaussian, float(grid.x[ix]), cfg.mc["paths"],
                     (cfg.mc["seed"], seed_tag, ix), grid=grid,
-                    dt_mc=mc.dt, tree=bridge)
+                    dt_mc=mc.dt, shape=shape)
                 diag["monte_carlo"][mc.name] = asdict(est)
                 out.append((mc.name, float(sol.v.levels[0][ix, 0]), est))
         return out
@@ -607,7 +608,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
     cond_mc, uncond_mc = _density_estimates(cfg)
     cond = conditional_functional(
         coeffs, _gaussian, leaf, p["t_points"], cfg.mc["paths"], cfg.mc["seed"],
-        tree=tree, grid=grid, p0=p0, dt_mc=cond_mc.dt)
+        shape=tree.shape, grid=grid, p0=p0, dt_mc=cond_mc.dt)
     # one march, one estimate per t_point
     diag["monte_carlo"] = {cond_mc.name: dict(asdict(cond[0]), value=[e.value for e in cond],
                                               stderr=[e.stderr for e in cond])}
@@ -615,7 +616,7 @@ def _exp_density_64_65(cfg: ExperimentConfig, diag: dict) -> list:
                      0.05, abs(pde - est.value) / max(abs(pde), 1e-300) <= 0.05)
             for est, t, pde in zip(cond, p["t_points"], pdes)]
     est = functional_estimate(coeffs, _gaussian, p0, cfg.mc["paths"], (cfg.mc["seed"], 65),
-                              grid=grid, dt_mc=uncond_mc.dt, tree=tree)
+                              grid=grid, dt_mc=uncond_mc.dt, shape=tree.shape)
     diag["monte_carlo"][uncond_mc.name] = asdict(est)
     tol = 3.0 * est.stderr + 0.02
     rows.append(CheckRow("unconditional-identity", "6.5", lhs, est.value, tol))

@@ -6,20 +6,21 @@ Paths follow
 
 with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
-coefficient process.  The march draws the scalar noise sigma . dW, one
-normal per path and fine step, one block at a time for the paths live at
-the block's start, by one routine, `tree.PathBundle.draw`: a block is a
-coarse step on a tree, or a span of a few fine steps of free paths, hashed
-`tree.HASH_NORMALS` normals per call and, on a tree, shifted by the bridge
-through each path's leaf.  The march stops as soon as every path has
-exited.  A march is one loop in the calling thread.  Each fine step does
-only the update (y + f dt) + noise, the weights, the exit test and the
-integrands: a drift that does not read x is taken once per block at the
-block's w1, times dt_mc (on a tree from its values per node, read at the
-block's nodes, which are looked up once), and an exit compacts the live
-paths' index, state, weight, running integrals and w1 through one integer
-index, while the block stays as drawn and a column index maps the live
-paths to its columns.
+coefficient process; a bridged path carries that node's w1 as a running sum
+of its leaf's branch digits (`tree.PathBundle.w1`), and no march holds a
+tree.  The march draws the scalar noise sigma . dW, one normal per path and
+fine step, one block at a time for the paths live at the block's start, by
+one routine, `tree.PathBundle.draw`: a block is a coarse step on a tree, or
+a span of a few fine steps of free paths, hashed `tree.HASH_NORMALS`
+normals per call and, on a tree, shifted by the bridge through each path's
+leaf.  The march stops as soon as every path has exited.  A march is one
+loop in the calling thread.  Each fine step does only the update
+(y + f dt) + noise, the weights, the exit test and the integrands: a drift
+that does not read x is taken once per block at the block's w1, times
+dt_mc, and an exit compacts the live paths' index, state, weight, running
+integrals and, on a tree, leaf, w1 and f dt through one integer index,
+while the block stays as drawn and a column index maps the live paths to
+its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are tested at mesh points, and
@@ -49,13 +50,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .domain import Grid
-from .tree import (
-    PathBundle,
-    ScenarioTree,
-    bridge_paths,
-    free_paths,
-    sample_tree_paths,
-)
+from .tree import PathBundle, bridge_paths, free_paths, sample_tree_paths
 
 
 class SimulationError(ValueError):
@@ -116,17 +111,9 @@ def sample_from_density(p0: np.ndarray, grid: Grid, n: int, rng) -> np.ndarray:
     return np.interp(rng.uniform(size=n), cdf, grid.x)
 
 
-def simulate(
-    coeffs: CoefficientSet,
-    init,
-    s: float,
-    paths: PathBundle,
-    domain,
-    grid: Grid | None = None,
-    integrands: dict | None = None,
-    snapshot_times=(),
-    bridge_steps: bool = False,
-) -> TrajectorySet:
+def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
+             grid: Grid | None = None, integrands: dict | None = None, snapshot_times=(),
+             bridge_steps: bool = False) -> TrajectorySet:
     """Euler-Maruyama marching of (1.1)-type dynamics over a path bundle.
 
     init is either a point inside the closed domain or a gridded initial
@@ -147,15 +134,12 @@ def simulate(
     approximation, O(dt_mc) (Gobet, Stoch. Proc. Appl. 87, 2000).
     """
     if not np.array_equal(coeffs.sigma, paths.sigma):
-        raise SimulationError(
-            f"coefficients have sigma={coeffs.sigma} but the bundle was built for "
-            f"sigma={paths.sigma}"
-        )
-    if coeffs.is_random and paths.tree is None:
-        raise SimulationError(
-            "random coefficients require tree-constrained paths (bridge_paths "
-            "or sample_tree_paths), otherwise the drift noise state is undefined"
-        )
+        raise SimulationError(f"coefficients have sigma={coeffs.sigma} but the bundle was "
+                              f"built for sigma={paths.sigma}")
+    if coeffs.is_random and paths.leaves is None:
+        raise SimulationError("random coefficients require tree-constrained paths (bridge_paths "
+                              "or sample_tree_paths), otherwise the drift noise state is "
+                              "undefined")
     M = paths.n_paths
     n_fine = paths.n_fine
     dt = paths.dt_mc
@@ -198,27 +182,23 @@ def simulate(
     weights = np.zeros((M, snapshot_times.size))
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
-    # f dt, taken once per block when f reads neither x nor t: for free paths
-    # one value, on a tree one per node of each level, evaluated once here and
-    # looked up at each block's nodes
+    # f dt, taken once per block when f does not read x: for free paths one
+    # value, on a tree one per path at the block's w1
     per_block = not coeffs.drift_reads_x
-    fdt0 = node_fdt = None
-    if per_block and paths.tree is None:
+    fdt0 = None
+    if per_block and paths.leaves is None:
         fdt0 = np.asarray(coeffs.drift(0.0, m0 * dt, 0.0)) * dt
-    elif per_block:
-        node_fdt = [np.asarray(coeffs.drift(0.0, k * paths.tree.dt, w)) * dt
-                    for k, w in enumerate(paths.tree.w1[:-1])]
 
     # live paths: index, state, weight, whether outside [lo_r, hi_r], running
-    # integrals and, on a tree, leaf (so a block finds its nodes by a shift,
-    # and the draw makes the block's one gather of leaves).  The current
-    # noise block holds fine steps first .. end - 1 and has a column per path
-    # live when it was drawn; once one of them has exited, cols maps the live
+    # integrals and, on a tree, leaf and w1 at the current block's level (the
+    # level of the start's block, then a step per block).  The current noise
+    # block holds fine steps first .. end - 1 and has a column per path live
+    # when it was drawn; once one of them has exited, cols maps the live
     # paths to their columns (None until then).
     live = np.arange(M)
     yl = y.copy()
     wl = np.ones(M)
-    ll = paths.leaves
+    ll, w1 = paths.leaves, paths.w1(m0 // paths.n_sub)
     near = (yl < lo_r) | (yl > hi_r)
     acc = {name: np.zeros(M) for name in integrands}
     drawn = exits = 0
@@ -233,17 +213,19 @@ def simulate(
             break
         t = m * dt
         if m == end:
-            block = w1 = fdt = None  # drop the spent block, its w1 and f dt, then draw
+            block = fdt = None  # drop the spent block and its f dt, then draw
             first, block = paths.draw(m, live)
             end, cols = first + len(block), None
             drawn += block.size
-            k = m // paths.n_sub
-            if paths.tree is None:
+            if w1 is None:
                 fdt = fdt0
-            else:  # the block's tree nodes, looked up once
-                nodes = paths.tree.ancestor_index(ll, k)
-                w1 = paths.tree.w1[k][nodes]
-                fdt = node_fdt[k][nodes] if per_block else None
+            else:  # on a tree, w1 and f dt at the block's level
+                k = m // paths.n_sub
+                if m > m0:  # the last block's edge; f dt is written over its step
+                    fdt = paths.w1_step(k - 1, ll)
+                    w1 += fdt
+                fdt = (np.multiply(coeffs.drift(0.0, k * paths.dt, w1), dt, out=fdt)
+                       if per_block else None)
         j = m - first
         y0, w0 = yl, wl  # the step's start
         yl = yl + (fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt)
@@ -285,16 +267,7 @@ def simulate(
         totals[name][live] = acc[name]
     # after an early stop the later snapshots hold the frozen paths
     snapshots[:, snap_idx > m] = y[:, None]
-    return TrajectorySet(
-        snapshot_times=snapshot_times,
-        snapshots=snapshots,
-        alive=alive,
-        weights=weights,
-        tau=tau,
-        integrals=totals,
-        normals_drawn=drawn,
-        exits=exits,
-    )
+    return TrajectorySet(snapshot_times, snapshots, alive, weights, tau, totals, drawn, exits)
 
 
 def _estimate(s1: float, s2: float, n: int) -> tuple:
@@ -399,22 +372,12 @@ def _bridge_survival(y0, y1, a: float, b: float, c: float):
     return f
 
 
-def conditional_functional(
-    coeffs: CoefficientSet,
-    phi,
-    leaf,
-    t_grid,
-    M: int,
-    seed,
-    *,
-    tree: ScenarioTree,
-    grid: Grid,
-    p0: np.ndarray,
-    dt_mc: float,
-):
+def conditional_functional(coeffs: CoefficientSet, phi, leaf, t_grid, M: int, seed, *,
+                           shape: tuple, grid: Grid, p0: np.ndarray, dt_mc: float):
     """Common-noise estimate of E{ I_tau(t) phi(y(t), t) | leaf path } at the
     requested times: the driving components are bridged through the path to
-    the leaf, the tail components and the initial draw from p0 stay free.
+    the leaf of the tree of shape (d, n_steps, horizon), the tail components
+    and the initial draw from p0 stay free.
 
     dt_mc is the step the paths march at; it must divide the tree step and
     put every entry of t_grid on its mesh.  For a drift that does not read
@@ -431,13 +394,15 @@ def conditional_functional(
             "conditional estimates need d < d0 with a nondegenerate tail block"
         )
     t_grid = np.asarray(t_grid, dtype=float)
-    levels = [min(int(round(t / tree.dt)), tree.n_steps) for t in t_grid]
+    _, n_steps, horizon = shape
+    levels = [min(int(round(t / (horizon / n_steps))), n_steps) for t in t_grid]
 
     def job(i, m):
-        bundle = bridge_paths(tree, leaf, m, coeffs.sigma, dt_mc, (seed, 0xC0, i))
+        bundle = bridge_paths(shape, leaf, m, coeffs.sigma, dt_mc, (seed, 0xC0, i))
         trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=t_grid)
         y, w = trajs.snapshots, trajs.weights
-        vals = np.reshape([w[:, j] * np.asarray(phi(y[:, j], t, bundle.w1(k)))
+        # every path follows the one leaf: its w1 at level k, one value for all
+        vals = np.reshape([w[:, j] * np.asarray(phi(y[:, j], t, bundle.w1(k, [0])))
                            for j, (t, k) in enumerate(zip(t_grid, levels))], (t_grid.size, m))
         return vals, trajs, bundle
 
@@ -467,22 +432,14 @@ def _bridge_step(phi, y0, y1, t: float, w1, dt: float, b_total: float) -> np.nda
     return mean
 
 
-def functional_estimate(
-    coeffs: CoefficientSet,
-    phi,
-    init,
-    M: int,
-    seed,
-    *,
-    grid: Grid,
-    dt_mc: float,
-    tree: ScenarioTree | None = None,
-) -> EstimatorResult:
+def functional_estimate(coeffs: CoefficientSet, phi, init, M: int, seed, *, grid: Grid,
+                        dt_mc: float, shape: tuple | None = None) -> EstimatorResult:
     """Chunked unconditional estimate of E int_s^tau phi(y, t) dt at s = 0.
 
-    With a tree, leaves are sampled uniformly per path and the driving
-    components bridged through them (so adapted coefficients stay coupled to
-    the noise); without one, plain Wiener increments are used.  phi(y, t, w1,
+    With the shape (d, n_steps, horizon) of a tree, leaves are sampled
+    uniformly per path and the driving components bridged through them (so
+    adapted coefficients stay coupled to the noise); without one, plain
+    Wiener increments are used.  phi(y, t, w1,
     var=0.0) returns E phi(Y) for Y ~ N(y, var).
 
     Bridged paths at the tree step (dt_mc the tree step) under a drift that
@@ -498,11 +455,11 @@ def functional_estimate(
     """
     def job(i, m):
         chunk_seed = (seed, 0xF0, i)
-        if tree is not None:
-            bundle = sample_tree_paths(tree, m, coeffs.sigma, dt_mc, chunk_seed)
+        if shape is not None:
+            bundle = sample_tree_paths(shape, m, coeffs.sigma, dt_mc, chunk_seed)
         else:
             bundle = free_paths(grid.domain.horizon, m, coeffs.sigma, dt_mc, chunk_seed)
-        bridged = tree is not None and bundle.n_sub == 1 and not coeffs.drift_reads_x
+        bridged = shape is not None and bundle.n_sub == 1 and not coeffs.drift_reads_x
         trajs = simulate(coeffs, init, 0.0, bundle, grid.domain, grid=grid,
                          integrands={"phi": phi}, bridge_steps=bridged)
         return trajs.integrals["phi"][None], trajs, bundle

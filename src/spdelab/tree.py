@@ -23,7 +23,9 @@ a numpy port of cephes' ndtri, so the package needs numpy alone.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
-encodes the sign of increment component c (bit 0 -> +sqrt(dt)).
+encodes the sign of increment component c (bit 0 -> +sqrt(dt)).  So a
+leaf's index holds its path's digits (`branch_digits`), and a path bundle
+holds leaves and no tree: a path's w1 sums its digits' steps (`PathBundle.w1`).
 
 At any d the `Lattice` recombines the tree by its first component (Cox,
 Ross and Rubinstein 1979): state j of level k counts the down steps of w1,
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -110,19 +112,51 @@ class ScenarioTree:
         shift = self.d * (self.n_steps - level)
         return np.asarray(leaf_index) >> shift
 
-    def leaf_index(self, leaf) -> int:
-        """leaf as an int; TreeError unless it is an integer index of a leaf."""
-        try:
-            index = operator.index(leaf)
-        except TypeError:
-            raise TreeError(f"a leaf must be an integer index, got {leaf!r}") from None
-        if not 0 <= index < self.n_leaves:
-            raise TreeError(f"leaf index {index} out of range")
-        return index
+    @property
+    def shape(self) -> tuple:
+        """(d, n_steps, horizon): what a path bundle bridged through it needs."""
+        return self.d, self.n_steps, self.horizon
 
     def leaf_path(self, leaf) -> np.ndarray:
         """Node indices along the path root -> leaf, one per level."""
-        return self.ancestor_index(self.leaf_index(leaf), np.arange(self.n_steps + 1))
+        return self.ancestor_index(_leaf_index(leaf, self.n_leaves), np.arange(self.n_steps + 1))
+
+
+def _leaf_index(leaf, n_leaves: int) -> int:
+    """leaf as an int; TreeError unless it is an integer index below n_leaves."""
+    try:
+        index = operator.index(leaf)
+    except TypeError:
+        raise TreeError(f"a leaf must be an integer index, got {leaf!r}") from None
+    if not 0 <= index < n_leaves:
+        raise TreeError(f"leaf index {index} out of range")
+    return index
+
+
+def _steps(d: int, n_steps: int, horizon: float) -> tuple:
+    """(dt, sqdt, digit_signs) of a tree and of the bundles bridged through it;
+    TreeError unless d is 1 or 2, n_steps >= 1 and horizon > 0."""
+    if d not in (1, 2):
+        raise TreeError(f"driving dimension d must be 1 or 2, got {d}")
+    if n_steps < 1:
+        raise TreeError("n_steps must be positive")
+    if horizon <= 0:
+        raise TreeError("horizon must be positive")
+    dt = horizon / n_steps
+    digits = np.arange(2**d)
+    digit_signs = np.empty((2**d, d))
+    for c in range(d):
+        digit_signs[:, c] = 1.0 - 2.0 * ((digits >> c) & 1)
+    digit_signs.setflags(write=False)
+    return dt, float(np.sqrt(dt)), digit_signs
+
+
+def branch_digits(leaves, d: int, n_steps: int, k: int) -> np.ndarray:
+    """The branch digit of edge k, level k -> k+1, on the path to each leaf:
+    the low d bits of its level-(k+1) ancestor's index (a new array)."""
+    digits = np.right_shift(leaves, d * (n_steps - k - 1))
+    digits &= 2**d - 1
+    return digits
 
 
 def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
@@ -132,37 +166,16 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     (2**(d (n_steps+1)) - 1) / (2**d - 1): n_steps <= 16 for d=1 and <= 8
     for d=2.
     """
-    if d not in (1, 2):
-        raise TreeError(f"driving dimension d must be 1 or 2, got {d}")
-    if n_steps < 1:
-        raise TreeError("n_steps must be positive")
+    dt, sqdt, digit_signs = _steps(d, n_steps, horizon)
     # more than 2**(d n_steps) nodes: none are counted past 2**63
     _size_guard(f"a d={d} tree", n_steps,
                 (2**(d * (n_steps + 1)) - 1) // (2**d - 1) if d * n_steps < 63 else None)
-    if horizon <= 0:
-        raise TreeError("horizon must be positive")
-    dt = horizon / n_steps
-    sqdt = float(np.sqrt(dt))
-    br = 2**d
-    digits = np.arange(br)
-    digit_signs = np.empty((br, d))
-    for c in range(d):
-        digit_signs[:, c] = 1.0 - 2.0 * ((digits >> c) & 1)
-    digit_signs.setflags(write=False)
     w1 = [np.zeros(1)]
     for _ in range(n_steps):
         w1.append((w1[-1][:, None] + digit_signs[:, 0] * sqdt).reshape(-1))
     for arr in w1:
         arr.setflags(write=False)
-    return ScenarioTree(
-        d=d,
-        n_steps=n_steps,
-        horizon=horizon,
-        dt=dt,
-        sqdt=sqdt,
-        digit_signs=digit_signs,
-        w1=tuple(w1),
-    )
+    return ScenarioTree(d, n_steps, horizon, dt, sqdt, digit_signs, tuple(w1))
 
 
 @dataclass(frozen=True)
@@ -196,9 +209,13 @@ class Lattice:
         out[:, 1:] += rhs[:, :, 1] * (np.arange(1, n_k + 1) / n_k)
         return out
 
-    def weights(self, level: int) -> np.ndarray:
-        """P_k(j) = C(k, j) / 2**k."""
-        return np.array([math.comb(level, j) for j in range(level + 1)]) / 2.0**level
+    @staticmethod
+    @cache
+    def weights(level: int) -> np.ndarray:
+        """P_k(j) = C(k, j) / 2**k, computed once per level (read-only)."""
+        weights = np.array([math.comb(level, j) for j in range(level + 1)]) / 2.0**level
+        weights.setflags(write=False)
+        return weights
 
 
 def build_lattice(n_steps: int, horizon: float) -> Lattice:
@@ -552,9 +569,11 @@ class PathBundle:
     scales and bridges them: it picks a rectangle of fine steps, the tree
     block k (steps k*n_sub .. (k+1)*n_sub - 1) or a span of free steps,
     hashes it HASH_NORMALS normals per call and scales it.  A free increment
-    is |sigma| Z_m (sigma_0 Z_m when d0 = 1).  On a tree, W's first d
-    components are bridged through the edge of each path's leaf in `leaves`;
-    with s = |sigma|, s_f = |sigma[d:]|,
+    is |sigma| Z_m (sigma_0 Z_m when d0 = 1).  Bridged paths carry the shape
+    of their tree, d, n_steps, dt, sqdt and digit_signs (None on free
+    paths), and no tree: W's first d components are bridged through the
+    edges of each path's leaf in `leaves`, whose branch digits
+    (`branch_digits`) name them; with s = |sigma|, s_f = |sigma[d:]|,
 
         s Z_j - (s - s_f) mean_j(Z) + sigma[:d].dW_tree / n_sub
 
@@ -565,8 +584,12 @@ class PathBundle:
     it.
     """
 
-    tree: ScenarioTree | None
-    leaves: np.ndarray | None  # (n_paths,) leaf per path; None without a tree
+    leaves: np.ndarray | None  # (n_paths,) leaf per path; None on free paths
+    d: int | None
+    n_steps: int | None
+    dt: float | None  # the tree step
+    sqdt: float | None
+    digit_signs: np.ndarray | None  # (2**d, d), entries +-1
     sigma: np.ndarray  # (d0,) diffusion row the increments are built for
     dt_mc: float
     seed: object  # an int, or nested tuples and lists of ints: the key is seed_key(seed)
@@ -582,17 +605,22 @@ class PathBundle:
         few fine steps at a time, for the requested paths only."""
         return np.broadcast_to(np.float64(0.0), (self.n_paths, self.n_fine))
 
-    def nodes(self, level: int, rows=None):
-        """Active tree node at a level for the given path rows (all rows when None)."""
-        leaves = self.leaves if rows is None else self.leaves[rows]
-        return self.tree.ancestor_index(leaves, level)
+    def w1_step(self, k: int, leaves) -> np.ndarray:
+        """w1's step over edge k, level k -> k+1, on the path to each leaf."""
+        step = self.digit_signs[:, 0].take(branch_digits(leaves, self.d, self.n_steps, k))
+        step *= self.sqdt
+        return step
 
     def w1(self, level: int, rows=None):
-        """First Wiener component at the active node of a level, per row
-        (None for a free bundle)."""
-        if self.tree is None:
+        """w1 at the level's node of each row's path (all rows when None; None
+        for a free bundle): 0.0 plus its steps in order, build_tree's bits."""
+        if self.leaves is None:
             return None
-        return self.tree.w1[level][self.nodes(level, rows)]
+        leaves = self.leaves if rows is None else self.leaves[rows]
+        w = np.zeros(leaves.shape)
+        for k in range(level):
+            w += self.w1_step(k, leaves)
+        return w
 
     @cached_property
     def _key(self) -> np.uint64:
@@ -611,9 +639,9 @@ class PathBundle:
         step after another, so a path's column has the same bits at any row
         count.  A free draw is scaled by sigma_0 or |sigma|.
         """
-        tree = self.tree
+        free = self.leaves is None
         rows = np.asarray(rows)
-        if tree is None:
+        if free:
             first, n = m, min(-(-SPAN_NORMALS // max(rows.size, 1)), SPAN_MAX, self.n_fine - m)
         else:
             first, n = m - m % self.n_sub, self.n_sub
@@ -623,7 +651,7 @@ class PathBundle:
         steps = np.arange(first, first + n, dtype=np.uint64)[:, None]
         counters = np.empty((per_call, rows.size), dtype=np.uint64)  # the one scratch array
         z = np.empty((n, rows.size))
-        total = None if tree is None else np.zeros(rows.size)
+        total = None if free else np.zeros(rows.size)
         for lo in range(0, n, per_call):
             hi = min(lo + per_call, n)
             np.add(at_m0, steps[lo:hi], out=counters[: hi - lo])
@@ -632,15 +660,14 @@ class PathBundle:
             if total is not None:
                 for row in part:  # numpy's mean of a single column would sum pairwise
                     total += row
-        if tree is None:
+        if free:
             z *= self.sigma[0] if self.sigma.size == 1 else np.linalg.norm(self.sigma)
             return first, z
-        s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[tree.d :])
-        edge = tree.digit_signs @ self.sigma[: tree.d]  # sigma[:d].dW_tree / sqdt, exact
-        # each edge's branch digit: the node index modulo 2**d, as a mask (a
-        # tenth of the cost of %)
-        shift = edge[self.nodes(first // self.n_sub + 1, rows) & (tree.branching - 1)]
-        shift *= tree.sqdt / n
+        s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[self.d :])
+        edge = self.digit_signs @ self.sigma[: self.d]  # sigma[:d].dW_tree / sqdt, exact
+        digits = branch_digits(self.leaves[rows], self.d, self.n_steps, first // self.n_sub)
+        shift = edge[digits]
+        shift *= self.sqdt / n
         shift -= (s - s_f) * (total / n)
         z *= s
         z += shift
@@ -670,39 +697,45 @@ def fine_steps(horizon: float, dt_mc: float, dt_coarse: float | None) -> tuple[i
     return n_fine, n_sub
 
 
-def _bundle(horizon, tree, leaves, M, sigma, dt_mc, seed) -> PathBundle:
+def leaf_count(d: int, n_steps: int) -> int:
+    """2**(d n_steps), the leaves of a d-component tree of n_steps steps;
+    TreeError unless a leaf index, d bits per step, fits an int64."""
+    if d * n_steps > 63:
+        raise TreeError(f"a d={d} bridge of n_steps={n_steps} names its leaves by "
+                        f"{d * n_steps} bits, past the int64 leaf bound of 63 bits")
+    return 2**(d * n_steps)
+
+
+def _bundle(horizon, M, sigma, dt_mc, seed, shape=None, leaves=None) -> PathBundle:
+    """M paths over horizon, free or bridged through the leaves of a tree of shape."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 1 or sigma.size < (1 if tree is None else tree.d):
+    d = n_steps = dt = sqdt = digit_signs = None
+    if shape is not None:
+        d, n_steps, _ = shape
+        dt, sqdt, digit_signs = _steps(d, n_steps, horizon)
+    if sigma.ndim != 1 or sigma.size < (d or 1):
         raise TreeError(f"need a diffusion row with d0 >= d >= 1 entries, got sigma={sigma}")
-    n_fine, n_sub = fine_steps(horizon, dt_mc, None if tree is None else tree.dt)
-    return PathBundle(
-        tree=tree,
-        leaves=leaves,
-        sigma=sigma,
-        dt_mc=dt_mc,
-        seed=seed,
-        times=dt_mc * np.arange(n_fine + 1),
-        n_paths=M,
-        n_fine=n_fine,
-        n_sub=n_sub,
-    )
+    n_fine, n_sub = fine_steps(horizon, dt_mc, dt)
+    return PathBundle(leaves, d, n_steps, dt, sqdt, digit_signs, sigma, dt_mc, seed,
+                      dt_mc * np.arange(n_fine + 1), M, n_fine, n_sub)
 
 
-def bridge_paths(tree: ScenarioTree, leaf: int, M: int, sigma, dt_mc: float, seed) -> PathBundle:
-    """M paths of sigma.dW bridged through the tree path to one leaf, tail
-    columns free.  Deterministic given seed.
+def bridge_paths(shape: tuple, leaf: int, M: int, sigma, dt_mc: float, seed) -> PathBundle:
+    """M paths of sigma.dW bridged through the path to one leaf of the tree of
+    shape (d, n_steps, horizon), tail columns free.  Deterministic given seed.
     """
-    leaves = np.full(M, tree.leaf_index(leaf))
-    return _bundle(tree.horizon, tree, leaves, M, sigma, dt_mc, seed)
+    leaves = np.full(M, _leaf_index(leaf, leaf_count(*shape[:2])))
+    return _bundle(shape[2], M, sigma, dt_mc, seed, shape, leaves)
 
 
 def free_paths(horizon: float, M: int, sigma, dt_mc: float, seed) -> PathBundle:
     """Unconstrained increments sigma.dW on the fine mesh."""
-    return _bundle(horizon, None, None, M, sigma, dt_mc, seed)
+    return _bundle(horizon, M, sigma, dt_mc, seed)
 
 
-def sample_tree_paths(tree: ScenarioTree, M: int, sigma, dt_mc: float, seed) -> PathBundle:
-    """Bundle with leaves drawn uniformly per path and bridged increments.
+def sample_tree_paths(shape: tuple, M: int, sigma, dt_mc: float, seed) -> PathBundle:
+    """Bundle with leaves of the tree of shape (d, n_steps, horizon) drawn
+    uniformly per path and bridged increments.
 
     Used for unconditional estimates under tree-adapted coefficients: the
     driving components and the coefficient process then share the same
@@ -710,5 +743,5 @@ def sample_tree_paths(tree: ScenarioTree, M: int, sigma, dt_mc: float, seed) -> 
     """
     from numpy.random import SeedSequence, default_rng
 
-    leaves = default_rng(SeedSequence((seed, 0x1EAF))).integers(0, tree.n_leaves, size=M)
-    return _bundle(tree.horizon, tree, leaves, M, sigma, dt_mc, seed)
+    leaves = default_rng(SeedSequence((seed, 0x1EAF))).integers(0, leaf_count(*shape[:2]), size=M)
+    return _bundle(shape[2], M, sigma, dt_mc, seed, shape, leaves)

@@ -3,7 +3,8 @@ the reference that `montecarlo.simulate` must match bit for bit.
 
 Each fine step evaluates the drift at every live path, and every exit
 compacts the live paths, their running integrals, their w1 and the current
-noise block with one boolean mask.  A noise block is the first n_sub steps
+noise block with one boolean mask.  A bridged path's w1 is read from the
+table of a scenario tree built here, at the path's node of each level.  A noise block is the first n_sub steps
 of a draw, so free paths are drawn one fine step at a time.  Every path
 tests exits against the domain at mesh points, and every step multiplies
 every live path's weight by the survival of its bridge, with no screen.
@@ -16,7 +17,7 @@ import numpy as np
 from spdelab.coefficients import CoefficientSet
 from spdelab.domain import Grid
 from spdelab.montecarlo import SimulationError, TrajectorySet, sample_from_density
-from spdelab.tree import PathBundle
+from spdelab.tree import PathBundle, build_tree
 
 
 def bridge_survival(y0, y1, a, b, c):
@@ -52,7 +53,7 @@ def reference_simulate(
             f"coefficients have sigma={coeffs.sigma} but the bundle was built for "
             f"sigma={paths.sigma}"
         )
-    if coeffs.is_random and paths.tree is None:
+    if coeffs.is_random and paths.leaves is None:
         raise SimulationError(
             "random coefficients require tree-constrained paths (bridge_paths "
             "or sample_tree_paths), otherwise the drift noise state is undefined"
@@ -95,6 +96,12 @@ def reference_simulate(
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
 
+    # w1 at each path's node from the tree its leaves name, built here
+    tree = None
+    if paths.leaves is not None:
+        tree = build_tree(paths.d, paths.n_steps, paths.times[-1])
+        assert (tree.dt, tree.sqdt) == (paths.dt, paths.sqdt)
+
     # live paths, compacted: index, state, weight, running integrals, current block
     live = np.arange(M)
     yl = y.copy()
@@ -116,7 +123,7 @@ def reference_simulate(
             block = None  # let the spent block go before its successor is drawn
             block = paths.draw(k * paths.n_sub, live)[1][: paths.n_sub]
             drawn += block.size
-            w1 = paths.w1(k, live)
+            w1 = None if tree is None else tree.w1[k][tree.ancestor_index(paths.leaves[live], k)]
         t = m * dt
         vals = {name: np.asarray(fn(yl, t, w1)) * dt for name, fn in integrands.items()}
         drift = coeffs.drift(yl, t, 0.0 if w1 is None else w1)

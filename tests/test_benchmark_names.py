@@ -74,7 +74,7 @@ def test_a_traced_march_of_a_drift_that_reads_x_stays_in_one_thread(tracer):
     # the tracer raises for a traced call from a second thread; space-smooth
     # evaluates its drift at every fine step of a tree-bridged march
     coeffs = make_family("space-smooth", {"a": 1.5, "eps": 0.4, "sigma": [0.6, 0.8], "d": 1})
-    paths = sample_tree_paths(build_tree(1, 5, 1.0), 3000, coeffs.sigma, 0.01, seed=43)
+    paths = sample_tree_paths((1, 5, 1.0), 3000, coeffs.sigma, 0.01, seed=43)
     with tracer.Tracer() as trace:
         trajs = montecarlo.simulate(coeffs, 0.3, 0.0, paths, DomainSpec(0.0, 1.0, 1.0))
     counts = trace.counts()

@@ -332,9 +332,9 @@ def test_config_keys_type_every_default_and_are_documented():
 def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
     # loading builds each level on the state space its run solves it on: a
     # tree only at the configured level of the two experiments that hold
-    # fields on it, the w1 lattice everywhere else, and the tree that
-    # representation-random's paths follow, at d = 1 (the defaults) and at
-    # d = 2 (5 steps: the defaults' t_points and dt_mc fit it)
+    # fields on it, the w1 lattice everywhere else, at d = 1 (the defaults)
+    # and at d = 2 (5 steps: the defaults' t_points and dt_mc fit it).
+    # Bridged paths carry no tree, so representation-random's builds none
     built, build_tree = [], harness.build_tree
 
     def counted(d, n_steps, horizon):
@@ -343,7 +343,7 @@ def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
 
     monkeypatch.setattr(harness, "build_tree", counted)
     assert EXPERIMENTS[name].fields_on_tree == (name in ("duality-63", "density-64-65"))
-    on_tree = name in ("representation-random", "duality-63", "density-64-65")
+    on_tree = EXPERIMENTS[name].fields_on_tree
     for over in ({}, {"coefficients": {"sigma": [0.6, 0.8, 0.5], "d": 2},
                       "tree": {"n_steps": 5}}):
         built.clear()
@@ -357,16 +357,16 @@ def test_cell_guard_reads_the_state_space_that_holds_the_fields():
     # representation-random holds its fields on the w1 lattice (91 states at
     # 12 steps, 910,091 cells at nx 10001); only its paths follow the tree,
     # which the cell guard used to count (81,918,191 cells).  dt_mc = 1/600
-    # divides the 12-step tree step.
+    # divides the 12- and 20-step tree steps.
     over = {"grid": {"nx": 10001}, "mc": {"dt_mc": 1 / 600}}
     cfg = ExperimentConfig.from_dict({"experiment": "representation-random",
                                       "tree": {"n_steps": 12}, **over})
     assert cfg.tree["n_steps"] == 12
-    # the tree the paths follow is still held to the size guard
-    with pytest.raises(ConfigError, match="d=1 tree of n_steps=17 would hold 262,143 states, "
-                                          "past the size guard"):
-        ExperimentConfig.from_dict({"experiment": "representation-random",
-                                    "tree": {"n_steps": 17}, **over})
+    # the paths carry no tree, so no size guard bounds them: at 20 steps
+    # (a 2,097,151-node tree) the 231-state lattice loads
+    cfg = ExperimentConfig.from_dict({"experiment": "representation-random",
+                                      "tree": {"n_steps": 20}, **over})
+    assert cfg.tree["n_steps"] == 20
 
 
 @pytest.mark.parametrize("name, estimates, n_fine", [
@@ -743,7 +743,7 @@ def test_conditional_estimate_weighs_its_bridges_where_paths_may_exit(tmp_path):
         grid = cfg.build_grid()
         return montecarlo.conditional_functional(
             cfg.build_coeffs(), phi, int(cfg.params["leaf_bits"], 2), t_points, M,
-            cfg.mc["seed"], tree=cfg.build_tree(), grid=grid,
+            cfg.mc["seed"], shape=cfg.build_tree().shape, grid=grid,
             p0=harness._gaussian_density(grid, cfg.params["p0_width"]), dt_mc=dt)
 
     at_tree_step = estimate(cfg, harness._gaussian, cfg.params["t_points"], cfg.mc["paths"], 0.2)
@@ -771,7 +771,7 @@ def test_bridge_integral_agrees_with_a_fine_march_where_paths_exit():
     at_tree_step, fine = (
         montecarlo.functional_estimate(cfg.build_coeffs(), harness._gaussian, p0, M,
                                        (cfg.mc["seed"], 65), grid=grid, dt_mc=dt,
-                                       tree=cfg.build_tree())
+                                       shape=cfg.build_tree().shape)
         for M, dt in ((200_000, 0.1), (40_000, 2.5e-4)))
     assert (at_tree_step.dt, at_tree_step.fine_steps) == (0.1, 10)
     assert at_tree_step.exit_frac > 0.1
@@ -880,6 +880,58 @@ def test_state_space_diagnostics(tmp_path, name, over, kind, states):
                   for key in where.values() for a in diagnostics.get(key, [])]
         assert audits == [(lv["nx"], lv["n_steps"], lv["kind"], where[lv["kind"]])
                           for lv in levels]
+
+
+def test_representation_random_loads_and_runs_past_the_tree_guard(tmp_path):
+    # at 20 tree steps its paths used to follow a 2,097,151-node tree, past
+    # the size guard; they carry their w1 now, and the fields sit on the
+    # 231-state lattice.  mc.dt_mc 2e-3 divides the 0.05 tree step
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "representation-random", "tree": {"n_steps": 20}}))
+    assert main(["validate-config", str(path)]) == 0
+    report = run(default_config("representation-random", tree={"n_steps": 20},
+                                mc={"paths": 2000}), write=False)
+    assert report.diagnostics["state_space"] == [
+        {"nx": 161, "n_steps": 20, "kind": "lattice", "states": 231}]
+    assert [row.check for row in report.rows] == [
+        f"v-vs-mc-at-x={x:+.2f}" for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    assert report.passed
+    for record in report.diagnostics["monte_carlo"].values():
+        assert (record["fine_steps"], record["normals_drawn"]) == (20, 2000 * 20)
+
+
+@pytest.mark.parametrize("over", [
+    {"tree": {"n_steps": 64}},
+    {"coefficients": {"sigma": [0.6, 0.8, 0.5], "d": 2}, "tree": {"n_steps": 32}},
+], ids=["d=1", "d=2"])
+def test_bridged_leaves_past_int64_exit_2_at_load(tmp_path, capsys, over):
+    # a bridged path names its leaf by d bits per tree step in an int64: 64
+    # bits are refused at load, whatever the lattice that holds the fields
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "representation-random", **over}))
+    assert main(["validate-config", str(path)]) == 2
+    assert "names its leaves by 64 bits, past the int64 leaf bound of 63 bits" in (
+        capsys.readouterr().err)
+
+
+def test_representation_random_builds_no_tree(monkeypatch):
+    # its fields sit on the w1 lattice and its bridged paths carry no tree:
+    # neither its load nor its run builds a scenario tree
+    calls, build_tree = [], tree.build_tree
+
+    def counted(*args):
+        calls.append(args)
+        return build_tree(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spdelab" and vars(module).get("build_tree") is build_tree:
+            monkeypatch.setattr(module, "build_tree", counted)
+    cfg = ExperimentConfig.from_dict({"experiment": "representation-random", **MC_SMALL})
+    report = run(cfg, write=False)
+    assert calls == [] and len(report.rows) == 5
+    # the counter sees the trees a run does build
+    run(ExperimentConfig.from_dict({"experiment": "density-64-65", **MC_SMALL}), write=False)
+    assert calls
 
 
 def test_solvability_R_runs_a_lattice_past_the_tree_guard():

@@ -8,6 +8,8 @@ with the tree's to round-off, whatever d is.  solve_density marches either
 state space; the entry points that need per-path values refuse a lattice.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,19 @@ def test_lattice_levels_and_children():
         np.testing.assert_allclose(step, sign * lattice.sqdt)
     with pytest.raises(TreeError):
         build_lattice(0, 1.0)
+
+
+def test_lattice_weights_are_computed_once_per_level():
+    # P_k(j) = C(k, j) / 2**k, the per-call expression's bits at every level
+    # a lattice may hold, one read-only array per level whichever lattice asks
+    lattice, other = build_lattice(510, 1.0), build_lattice(12, 3.0)
+    for k in range(511):
+        weights = lattice.weights(k)
+        expected = np.array([math.comb(k, j) for j in range(k + 1)]) / 2.0**k
+        assert np.array_equal(weights, expected) and not weights.flags.writeable
+        assert lattice.weights(k) is weights
+        if k <= 12:
+            assert other.weights(k) is weights
 
 
 def test_lattice_size_guard_edges():

@@ -229,7 +229,7 @@ def test_bridged_blocks_drawn_only_for_live_paths(unit_domain):
     # for each path still alive when the block starts, here from mid-block
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
-    paths = sample_tree_paths(tree, 2000, coeffs.sigma, 0.01, seed=21)
+    paths = sample_tree_paths(tree.shape, 2000, coeffs.sigma, 0.01, seed=21)
     s = 0.13
     trajs = simulate(coeffs, 0.5, s, paths, unit_domain)
     exit_step = np.rint(trajs.tau / 0.01).astype(int)
@@ -250,7 +250,7 @@ def test_bridged_snapshots_have_the_leaf_law_at_any_mesh(line_domain, n_sub):
     tree = build_tree(1, 5, 1.0)
     leaf = 0b10110
     w1 = np.array([tree.w1[k][node] for k, node in enumerate(tree.leaf_path(leaf))])
-    paths = bridge_paths(tree, leaf, M, coeffs.sigma, tree.dt / n_sub, seed=(23, n_sub))
+    paths = bridge_paths(tree.shape, leaf, M, coeffs.sigma, tree.dt / n_sub, seed=(23, n_sub))
     assert paths.n_sub == n_sub
     times = paths.times[::n_sub]  # the tree times
     trajs = simulate(coeffs, y0, 0.0, paths, line_domain, snapshot_times=times)
@@ -290,7 +290,7 @@ def test_bridge_weights_hold_at_d2():
     p0 /= grid.dx * p0.sum()
     (weighted,), (fine,) = (
         conditional_functional(coeffs, lambda y, t, w1: np.ones_like(y), 0b1001110010, [1.0],
-                               M, 8, tree=tree, grid=grid, p0=p0, dt_mc=dt)
+                               M, 8, shape=tree.shape, grid=grid, p0=p0, dt_mc=dt)
         for M, dt in ((200_000, 0.2), (20_000, 2.5e-4)))
     spread = 4.0 * np.hypot(weighted.stderr, fine.stderr)
     assert abs(weighted.value - fine.value) < spread
@@ -304,7 +304,7 @@ def test_bridge_steps_integrate_each_step_over_its_bridge(unit_domain):
     # over the snapshots and weights at every tree time, bit for bit, on
     # (0, 1), where most paths are weighed and exit
     coeffs = make_family("drift-random", {"kappa": 0.7, "sigma": [0.6, 0.8], "d": 1})
-    paths = sample_tree_paths(build_tree(1, 10, 1.0), 4000, coeffs.sigma, 0.1, seed=50)
+    paths = sample_tree_paths((1, 10, 1.0), 4000, coeffs.sigma, 0.1, seed=50)
     trajs = simulate(coeffs, 0.5, 0.0, paths, unit_domain, integrands={"phi": _gaussian},
                      snapshot_times=paths.times, bridge_steps=True)
     y, w, dt = trajs.snapshots, trajs.weights, paths.dt_mc
@@ -347,7 +347,7 @@ def test_bridge_integral_matches_the_leaf_enumeration(line_domain):
     control = make_family("constant", {"f0": 0.0, "sigma": [s1, s2], "d": 1})
     # the control's own stream at x = 0 in representation-random, 10x its paths
     est = functional_estimate(control, _gaussian, 0.0, 200_000, (1357, 0, 80),
-                              grid=build_grid(line_domain, 161), dt_mc=tree.dt, tree=tree)
+                              grid=build_grid(line_domain, 161), dt_mc=tree.dt, shape=tree.shape)
     assert (est.dt, est.normals_drawn) == (tree.dt, 200_000 * 10)
     assert abs(est.value - exact) < 4.0 * est.stderr
 
@@ -357,7 +357,7 @@ def test_mid_block_start_hits_coarse_targets(line_domain):
     # every later tree step moves y by exactly its per-path tree increment
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0], "d": 1})
     tree = build_tree(1, 4, 1.0)
-    paths = sample_tree_paths(tree, 300, coeffs.sigma, 0.025, seed=22)
+    paths = sample_tree_paths(tree.shape, 300, coeffs.sigma, 0.025, seed=22)
     trajs = simulate(coeffs, 0.0, 0.35, paths, line_domain, snapshot_times=paths.times[14:])
     coarse = trajs.snapshots[:, [20 - 14, 30 - 14, 40 - 14]]  # t = 0.5, 0.75, 1.0
     w1 = np.stack([paths.w1(k) for k in range(2, tree.n_steps + 1)], axis=1)
@@ -388,24 +388,24 @@ def march_cases():
                              np.linspace(0.0, 1.0, 6)),
         # a drift of w1 needs tree-bridged paths, here through one leaf
         "leaf-space-smooth": (smooth, 0.3, 0.0,
-                              bridge_paths(tree, 6, 3000, smooth.sigma, 2e-3, seed=41),
+                              bridge_paths(tree.shape, 6, 3000, smooth.sigma, 2e-3, seed=41),
                               np.linspace(0.0, 1.0, 11)),
         "leaf-drift-random": (random, 0.5, 0.0,
-                              bridge_paths(tree, 19, 3000, random.sigma, 0.01, seed=42),
+                              bridge_paths(tree.shape, 19, 3000, random.sigma, 0.01, seed=42),
                               tree_times),
         "per-path-leaves": (random, 0.5, 0.0,
-                            sample_tree_paths(tree, 3000, random.sigma, 0.01, seed=43),
+                            sample_tree_paths(tree.shape, 3000, random.sigma, 0.01, seed=43),
                             tree_times),
         "start-inside-a-block": (smooth, 0.4, 0.13,
-                                 sample_tree_paths(tree, 3000, smooth.sigma, 0.01, seed=44),
+                                 sample_tree_paths(tree.shape, 3000, smooth.sigma, 0.01, seed=44),
                                  np.array([0.13, 0.2, 0.2, 0.55, 1.0])),
         # sigma 0.1: near a wall a step is weighed, away from both it is not
         "near-a-wall-n_sub-20": (drifting, 0.5, 0.0,
-                                 sample_tree_paths(tree, 3000, drifting.sigma, 0.01, seed=49),
+                                 sample_tree_paths(tree.shape, 3000, drifting.sigma, 0.01, seed=49),
                                  tree_times),
         # nine paths: blocks of a few live paths (9, 5 and 2 at the block starts)
         "one-live-path-in-a-group": (random, 0.5, 0.0,
-                                     sample_tree_paths(tree, 9, random.sigma, 0.01, seed=47),
+                                     sample_tree_paths(tree.shape, 9, random.sigma, 0.01, seed=47),
                                      tree_times),
     }
 
@@ -425,7 +425,7 @@ def check_march_against_the_reference(domain, case):
     assert new.integrals.keys() == ref.integrals.keys()
     for name in new.integrals:
         assert np.array_equal(new.integrals[name], ref.integrals[name]), name
-    if paths.tree is None:  # spans, where the reference draws step by step
+    if paths.leaves is None:  # spans, where the reference draws step by step
         assert new.normals_drawn == sum(S * L for S, L in free_draws(paths, new.tau, s))
         assert new.normals_drawn > ref.normals_drawn
     else:
@@ -478,7 +478,7 @@ def test_march_holds_one_noise_block_at_a_time(line_domain):
     # march's own arrays add about a third of that.  Holding a view of the
     # spent block while its successor is drawn would double the peak.
     coeffs = make_family("drift-random", {"kappa": 0.5, "sigma": [0.6, 0.8], "d": 1})
-    paths = bridge_paths(build_tree(1, 4, 1.0), 5, 20_000, coeffs.sigma, 0.005, seed=45)
+    paths = bridge_paths((1, 4, 1.0), 5, 20_000, coeffs.sigma, 0.005, seed=45)
     assert paths.n_sub == 50
     block_bytes = 8 * paths.n_sub * paths.n_paths
     tracemalloc.start()
@@ -493,7 +493,7 @@ def test_march_holds_one_noise_block_at_a_time(line_domain):
 def test_snapshot_times_lie_between_start_and_horizon(unit_domain):
     # by default no path is recorded; a snapshot at s holds the start
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
-    paths = sample_tree_paths(build_tree(1, 4, 1.0), 5, coeffs.sigma, 0.01, seed=21)
+    paths = sample_tree_paths((1, 4, 1.0), 5, coeffs.sigma, 0.01, seed=21)
     none = simulate(coeffs, 0.5, 0.5, paths, unit_domain)
     assert none.snapshot_times.shape == (0,) and none.snapshots.shape == none.alive.shape == (5, 0)
     trajs = simulate(coeffs, 0.5, 0.5, paths, unit_domain, snapshot_times=[0.5, 0.75, 1.0])
@@ -544,7 +544,7 @@ def test_reproducibility(line_domain):
     tree = build_tree(1, 4, 1.0)
 
     def run():
-        paths = sample_tree_paths(tree, 256, coeffs.sigma, 0.05, seed=7)
+        paths = sample_tree_paths(tree.shape, 256, coeffs.sigma, 0.05, seed=7)
         return simulate(coeffs, 0.0, 0.0, paths, line_domain,
                         integrands={"phi": lambda y, t, w1: np.exp(-y**2)},
                         snapshot_times=paths.times[::paths.n_sub])
@@ -592,7 +592,7 @@ def test_empirical_density_gaussian(line_domain):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
     grid = build_grid(line_domain, 161)
     tree = build_tree(1, 4, 1.0)
-    paths = sample_tree_paths(tree, 100000, coeffs.sigma, 0.01, seed=11)
+    paths = sample_tree_paths(tree.shape, 100000, coeffs.sigma, 0.01, seed=11)
     trajs = simulate(coeffs, 0.0, 0.0, paths, line_domain, snapshot_times=[1.0])
     hist = empirical_density(trajs, 1.0, grid)
     ref = np.exp(-grid.x**2 / 2.0) / np.sqrt(2 * np.pi)
@@ -629,12 +629,12 @@ def test_conditional_functional_trivials(line_domain):
     p0 /= grid.dx * p0[1:-1].sum()
     zero = conditional_functional(
         coeffs, lambda x, t, w1: np.zeros_like(x), 3, [0.5, 1.0], 500, 14,
-        tree=tree, grid=grid, p0=p0, dt_mc=0.05,
+        shape=tree.shape, grid=grid, p0=p0, dt_mc=0.05,
     )
     assert all(r.value == 0.0 for r in zero)
     ones = conditional_functional(
         coeffs, lambda x, t, w1: np.ones_like(x), 3, [0.5, 1.0], 4000, 15,
-        tree=tree, grid=grid, p0=p0, dt_mc=0.05,
+        shape=tree.shape, grid=grid, p0=p0, dt_mc=0.05,
     )
     for r in ones:
         # no exits on the wide truncated line: I_tau is identically one
@@ -642,7 +642,7 @@ def test_conditional_functional_trivials(line_domain):
     # at the tree step too, a time off the mesh is refused, not rounded
     with pytest.raises(SimulationError, match="fine mesh"):
         conditional_functional(coeffs, lambda x, t, w1: np.ones_like(x), 3, [0.3], 10, 1,
-                               tree=tree, grid=grid, p0=p0, dt_mc=0.25)
+                               shape=tree.shape, grid=grid, p0=p0, dt_mc=0.25)
 
 
 def test_conditional_vs_unconditional_coherence(line_domain):
@@ -660,7 +660,7 @@ def test_conditional_vs_unconditional_coherence(line_domain):
     for leaf in range(tree.n_leaves):
         r = conditional_functional(
             coeffs, phi, leaf, [t_pt], 4000, (16, leaf),
-            tree=tree, grid=grid, p0=p0, dt_mc=0.05,
+            shape=tree.shape, grid=grid, p0=p0, dt_mc=0.05,
         )[0]
         cond_vals.append(r.value)
         cond_errs.append(r.stderr)
@@ -669,7 +669,7 @@ def test_conditional_vs_unconditional_coherence(line_domain):
 
     # unconditional side: integral estimator of phi at the same time via
     # simulate over sampled tree paths
-    paths = sample_tree_paths(tree, 16000, coeffs.sigma, 0.05, seed=17)
+    paths = sample_tree_paths(tree.shape, 16000, coeffs.sigma, 0.05, seed=17)
     trajs = simulate(coeffs, p0, 0.0, paths, line_domain, grid=grid, snapshot_times=[t_pt])
     yT = trajs.snapshots[:, -1]
     unc = (trajs.alive[:, -1] * np.exp(-yT**2))
@@ -684,7 +684,7 @@ def test_functional_estimate_worker_independence(line_domain, monkeypatch):
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     tree = build_tree(1, 4, 1.0)
     grid = build_grid(line_domain, 161)
-    kw = dict(grid=grid, dt_mc=0.05, tree=tree)
+    kw = dict(grid=grid, dt_mc=0.05, shape=tree.shape)
     a = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, **kw)
     b = functional_estimate(coeffs, lambda y, t, w1: np.exp(-y**2), 0.0, 5000, 18, **kw)
     assert a.chunks == (1500, 1500, 1500, 500)
@@ -701,7 +701,7 @@ def test_conditional_functional_worker_independence(line_domain, monkeypatch):
     p0 = np.exp(-grid.x**2)
     p0[0] = p0[-1] = 0.0
     p0 /= grid.dx * p0[1:-1].sum()
-    kw = dict(tree=tree, grid=grid, p0=p0, dt_mc=0.05)
+    kw = dict(shape=tree.shape, grid=grid, p0=p0, dt_mc=0.05)
     phi = lambda x, t, w1: np.exp(-x**2) * (1.0 + w1)
     a = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, **kw)
     b = conditional_functional(coeffs, phi, 5, [0.25, 0.5, 1.0], 2000, 20, **kw)
@@ -723,11 +723,11 @@ def test_a_list_seed_draws_what_its_tuple_draws(line_domain, monkeypatch):
     p0 /= grid.dx * p0[1:-1].sum()
     phi = lambda x, t, w1: np.exp(-x**2) * (1.0 + w1)
     cond = [conditional_functional(coeffs, phi, 5, [0.5, 1.0], 1500, seed,
-                                   tree=tree, grid=grid, p0=p0, dt_mc=0.05)
+                                   shape=tree.shape, grid=grid, p0=p0, dt_mc=0.05)
             for seed in ([3, 4], (3, 4))]
     assert cond[0][0].chunks == (700, 700, 100) and cond[0] == cond[1]
     constant = make_family("constant", {"f0": 0.0, "sigma": [0.6, 0.8], "d": 1})
-    for family, kw in ((coeffs, {"tree": tree}), (constant, {})):
+    for family, kw in ((coeffs, {"shape": tree.shape}), (constant, {})):
         est = [functional_estimate(family, lambda x, t, w1: np.exp(-x**2), p0, 1500, seed,
                                    grid=grid, dt_mc=0.05, **kw)
                for seed in ([3, 4], (3, 4))]
@@ -748,7 +748,7 @@ def test_conditional_matches_density_solver(line_domain):
     anc = tree.leaf_path(leaf)
     res = conditional_functional(
         coeffs, lambda x, t, w1: np.exp(-x**2), leaf, [0.5, 1.0], 30000, 19,
-        tree=tree, grid=grid, p0=p0, dt_mc=0.0025,
+        shape=tree.shape, grid=grid, p0=p0, dt_mc=0.0025,
     )
     for r, t in zip(res, [0.5, 1.0]):
         k = int(round(t / tree.dt))
@@ -772,7 +772,7 @@ def test_estimators_refuse_fewer_than_two_paths(unit_domain, line_domain, M):
     p0 /= grid.dx * p0[1:-1].sum()
     with pytest.raises(SimulationError, match=f"at least 2 paths, got M={M}"):
         conditional_functional(coeffs, lambda x, t, w1: np.ones_like(x), 1, [0.5], M, 1,
-                               tree=build_tree(1, 2, 1.0), grid=grid, p0=p0, dt_mc=0.05)
+                               shape=(1, 2, 1.0), grid=grid, p0=p0, dt_mc=0.05)
     # two paths give a standard error
     est = functional_estimate(constant, lambda x, t, w1: np.ones_like(x), 0.5, 2, 1,
                               grid=build_grid(unit_domain, 41), dt_mc=0.01)

@@ -53,18 +53,19 @@ def serial_block(bundle, k, rows):
     """A tree block from the per-step reference draws, by the documented law
     s Z_j - (s - s_f) mean_j(Z) + sigma[:d] . dW_tree / n_sub, in the order
     of operations of PathBundle.draw."""
-    tree, sigma = bundle.tree, bundle.sigma
+    d, sigma = bundle.d, bundle.sigma
     z = normals(bundle, k, rows)
-    s, s_f = np.linalg.norm(sigma), np.linalg.norm(sigma[tree.d :])
-    edge = tree.digit_signs[bundle.nodes(k + 1, rows) % tree.branching]
-    shift = (edge @ sigma[: tree.d]) * (tree.sqdt / bundle.n_sub) - (s - s_f) * z.mean(axis=0)
+    s, s_f = np.linalg.norm(sigma), np.linalg.norm(sigma[d:])
+    digits = (bundle.leaves[rows] >> d * (bundle.n_steps - 1 - k)) % 2**d
+    edge = bundle.digit_signs[digits]
+    shift = (edge @ sigma[:d]) * (bundle.sqdt / bundle.n_sub) - (s - s_f) * z.mean(axis=0)
     return s * z + shift
 
 
 def bridged_sum(bundle, k, rows):
     """A tree block's sum less its free part s_f * sum_j Z_j: the part of the
     noise that runs through the tree edge."""
-    s_f = np.linalg.norm(bundle.sigma[bundle.tree.d :])
+    s_f = np.linalg.norm(bundle.sigma[bundle.d :])
     return tree_block(bundle, k, rows).sum(axis=0) - s_f * normals(bundle, k, rows).sum(axis=0)
 
 
@@ -145,6 +146,50 @@ def test_w1_bits_are_running_sums_of_branch_digits():
     lattice = build_lattice(10, 1.0)
     for k in range(11):
         assert np.array_equal(lattice.w1[k], np.sqrt(0.1) * (k - 2.0 * np.arange(k + 1)))
+
+
+@pytest.mark.parametrize("d, n_steps", [(1, 16), (2, 8)])
+def test_a_bundle_sums_the_bits_of_the_tree_tables(d, n_steps):
+    # a bridged path carries no tree: its w1 is 0.0 plus one step per level
+    # from its leaf's branch digits (PathBundle.w1, and the march's update
+    # by w1_step), and its drift times dt_mc is taken per path.  Over 100,003
+    # random leaves both have the bits of the tree's w1 and of its per-node
+    # drift table at the path's node, at every level and at array offsets
+    # 0, 1, 3 and 7, where numpy's vector loops start elsewhere
+    tree = build_tree(d, n_steps, 1.0)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8, 0.5], "d": d})
+    bundle = sample_tree_paths(tree.shape, 100_003, coeffs.sigma, tree.dt / 4, seed=52)
+    assert (bundle.d, bundle.n_steps, bundle.dt, bundle.sqdt) == (d, n_steps, tree.dt, tree.sqdt)
+    assert np.array_equal(bundle.digit_signs, tree.digit_signs)
+    w1, dt = np.zeros(bundle.n_paths), bundle.dt_mc
+    for k in range(n_steps + 1):
+        nodes = tree.ancestor_index(bundle.leaves, k)
+        assert np.array_equal(w1.view(np.uint64), tree.w1[k][nodes].view(np.uint64))
+        assert np.array_equal(bundle.w1(k).view(np.uint64), w1.view(np.uint64))
+        table = (np.asarray(coeffs.drift(0.0, k * tree.dt, tree.w1[k])) * dt)[nodes]
+        for offset in (0, 1, 3, 7):
+            moved = np.empty(offset + w1.size)[offset:]
+            moved[:] = w1
+            per_path = np.multiply(coeffs.drift(0.0, k * bundle.dt, moved), dt)
+            assert np.array_equal(per_path.view(np.uint64), table.view(np.uint64))
+        if k < n_steps:
+            w1 += bundle.w1_step(k, bundle.leaves)
+
+
+def test_bridged_leaves_fit_int64():
+    # a leaf index holds d bits per tree step in an int64: 63 bits draw and
+    # bridge, 64 are refused before any leaf is drawn
+    for d, n_steps in ((1, 63), (2, 31)):
+        shape = (d, n_steps, 1.0)
+        sampled = sample_tree_paths(shape, 4, [0.6, 0.8, 0.5], 1.0 / n_steps, seed=1)
+        assert sampled.leaves.dtype == np.int64 and sampled.leaves.min() >= 0
+        leaf = 2**(d * n_steps) - 1
+        assert bridge_paths(shape, leaf, 4, [0.6, 0.8, 0.5], 1.0 / n_steps, seed=1).leaves[0] == leaf
+    for d, n_steps in ((1, 64), (2, 32)):
+        for make in (lambda shape: sample_tree_paths(shape, 4, [0.6, 0.8, 0.5], 1.0, seed=1),
+                     lambda shape: bridge_paths(shape, 0, 4, [0.6, 0.8, 0.5], 1.0, seed=1)):
+            with pytest.raises(TreeError, match="past the int64 leaf bound of 63 bits"):
+                make((d, n_steps, 1.0))
 
 
 def test_increment_moments_exact():
@@ -264,7 +309,7 @@ def test_bridge_paths_hit_constraints():
     for d, sigma in [(1, [0.7]), (1, [0.6, 0.8]), (2, [0.6, -0.8, 0.5]), (2, [0.6, 0.8])]:
         tree = build_tree(d, 4, 1.0)
         leaf = tree.n_leaves - 3
-        bundle = bridge_paths(tree, leaf, M=16, sigma=sigma, dt_mc=0.025, seed=42)
+        bundle = bridge_paths(tree.shape, leaf, M=16, sigma=sigma, dt_mc=0.025, seed=42)
         rows = np.arange(16)
         target = edge_targets(tree, sigma, leaf)
         for k in range(tree.n_steps):
@@ -280,7 +325,7 @@ def test_block_law():
     for d, sigma in [(1, [0.6, 0.8]), (2, [0.6, -0.8, 0.5])]:
         tree = build_tree(d, 4, 1.0)
         leaf, M, dt_mc, k = 1, 100_000, 0.0625, 2
-        bundle = bridge_paths(tree, leaf, M=M, sigma=sigma, dt_mc=dt_mc, seed=2024)
+        bundle = bridge_paths(tree.shape, leaf, M=M, sigma=sigma, dt_mc=dt_mc, seed=2024)
         n = bundle.n_sub
         x = tree_block(bundle, k, np.arange(M))
         sigma = np.asarray(sigma)
@@ -491,27 +536,27 @@ def test_counter_normals_in_place_match_the_allocating_form():
 
 
 def test_bridge_paths_deterministic(tree5):
-    a = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
-    b = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
+    a = bridge_paths(tree5.shape, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
+    b = bridge_paths(tree5.shape, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=123)
     assert np.array_equal(drawn(a), drawn(b))
     assert np.array_equal(drawn(a), drawn(a))  # drawing again repeats
-    c = bridge_paths(tree5, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=124)
+    c = bridge_paths(tree5.shape, 11, M=8, sigma=[0.6, 0.8], dt_mc=0.1, seed=124)
     assert not np.array_equal(drawn(a), drawn(c))
 
 
 def test_bridge_paths_rejects_bad_steps(tree5):
     with pytest.raises(TreeError):
-        bridge_paths(tree5, 0, M=4, sigma=[0.6, 0.8], dt_mc=0.15, seed=1)
+        bridge_paths(tree5.shape, 0, M=4, sigma=[0.6, 0.8], dt_mc=0.15, seed=1)
     with pytest.raises(TreeError, match="d0 >= d"):
-        bridge_paths(tree5, 0, M=4, sigma=[], dt_mc=0.1, seed=1)
+        bridge_paths(tree5.shape, 0, M=4, sigma=[], dt_mc=0.1, seed=1)
     with pytest.raises(TreeError, match="d0 >= d"):
-        bridge_paths(build_tree(2, 2, 1.0), 0, M=4, sigma=[1.0], dt_mc=0.1, seed=1)
+        bridge_paths((2, 2, 1.0), 0, M=4, sigma=[1.0], dt_mc=0.1, seed=1)
     # a path is named by one leaf index; per-path leaf draws are
     # sample_tree_paths' job
     with pytest.raises(TreeError, match="integer index"):
-        bridge_paths(tree5, np.arange(4), M=4, sigma=[0.6, 0.8], dt_mc=0.1, seed=1)
+        bridge_paths(tree5.shape, np.arange(4), M=4, sigma=[0.6, 0.8], dt_mc=0.1, seed=1)
     with pytest.raises(TreeError, match="out of range"):
-        bridge_paths(tree5, tree5.n_leaves, M=4, sigma=[0.6, 0.8], dt_mc=0.1, seed=1)
+        bridge_paths(tree5.shape, tree5.n_leaves, M=4, sigma=[0.6, 0.8], dt_mc=0.1, seed=1)
 
 
 def test_free_paths_shape_and_determinism():
@@ -529,7 +574,7 @@ def test_sample_tree_paths_per_path_constraint(tree5):
     # M = n_steps + 1: the leaf draws must not be taken for one node sequence
     sigma = [0.6, 0.8]
     for M in (32, tree5.n_steps + 1):
-        bundle = sample_tree_paths(tree5, M=M, sigma=sigma, dt_mc=0.1, seed=9)
+        bundle = sample_tree_paths(tree5.shape, M=M, sigma=sigma, dt_mc=0.1, seed=9)
         rows = np.arange(M)
         sums = np.array([bridged_sum(bundle, k, rows) for k in range(tree5.n_steps)])
         for p in range(M):
@@ -541,7 +586,7 @@ def test_blocks_for_row_subsets(tree5):
     # a block drawn for any subset of paths holds exactly those paths'
     # columns of the full block, each running through its own tree edge
     sigma = [0.6, 0.8]
-    bundle = sample_tree_paths(tree5, M=40, sigma=sigma, dt_mc=0.025, seed=13)
+    bundle = sample_tree_paths(tree5.shape, M=40, sigma=sigma, dt_mc=0.025, seed=13)
     rng = np.random.default_rng(14)
     everyone = np.arange(bundle.n_paths)
     for k in range(tree5.n_steps):
@@ -559,9 +604,9 @@ def split_bundles():
     splits evenly and unevenly into hash calls of three steps."""
     tree1, tree2 = build_tree(1, 5, 1.0), build_tree(2, 3, 1.0)
     return [
-        bridge_paths(tree1, 19, M=40, sigma=[0.6, 0.8], dt_mc=0.025, seed=31),
-        sample_tree_paths(tree1, M=40, sigma=[0.6, 0.8], dt_mc=0.04, seed=32),
-        sample_tree_paths(tree2, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 12, seed=33),
+        bridge_paths(tree1.shape, 19, M=40, sigma=[0.6, 0.8], dt_mc=0.025, seed=31),
+        sample_tree_paths(tree1.shape, M=40, sigma=[0.6, 0.8], dt_mc=0.04, seed=32),
+        sample_tree_paths(tree2.shape, M=40, sigma=[0.6, -0.8, 0.5], dt_mc=1 / 12, seed=33),
     ]
 
 
@@ -581,7 +626,7 @@ def test_blocks_hold_the_bits_of_the_per_step_reference(monkeypatch):
     for hash_normals in (1, 120, tree_module.HASH_NORMALS):
         monkeypatch.setattr(tree_module, "HASH_NORMALS", hash_normals)
         for bundle in split_bundles():
-            for k in range(bundle.tree.n_steps):
+            for k in range(bundle.n_steps):
                 for rows in rows_sets:
                     block = tree_block(bundle, k, rows)
                     assert np.array_equal(block, serial_block(bundle, k, rows))
@@ -615,7 +660,7 @@ def test_a_draw_hashes_in_the_fewest_calls(monkeypatch):
 
     monkeypatch.setattr(tree_module, "_counter_normals", counted)
     free = free_paths(1.0, M=25_000, sigma=[0.6, 0.8], dt_mc=1 / 64, seed=38)
-    bridged = sample_tree_paths(build_tree(1, 4, 1.0), M=25_000, sigma=[0.6, 0.8],
+    bridged = sample_tree_paths((1, 4, 1.0), M=25_000, sigma=[0.6, 0.8],
                                 dt_mc=0.005, seed=39)
     assert bridged.n_sub == 50
     for size in (1, 30, 4095, 4096, 25_000):
@@ -635,8 +680,8 @@ def test_a_path_has_the_same_column_at_every_width():
     # (where numpy's mean would sum pairwise) gets the column it has in a
     # block of two paths or of all of them; n_sub = 50, both bundle kinds
     tree = build_tree(1, 4, 1.0)
-    for bundle in (bridge_paths(tree, 5, M=12, sigma=[0.6, 0.8], dt_mc=0.005, seed=36),
-                   sample_tree_paths(tree, M=12, sigma=[0.6, 0.8], dt_mc=0.005, seed=37)):
+    for bundle in (bridge_paths(tree.shape, 5, M=12, sigma=[0.6, 0.8], dt_mc=0.005, seed=36),
+                   sample_tree_paths(tree.shape, M=12, sigma=[0.6, 0.8], dt_mc=0.005, seed=37)):
         assert bundle.n_sub == 50
         for k in range(tree.n_steps):
             full = tree_block(bundle, k, np.arange(12))
@@ -654,7 +699,7 @@ def test_blocks_and_free_marches_start_no_thread(monkeypatch, unit_interval):
     # tree blocks of one step and of several are drawn in the calling thread
     rows = np.arange(30)
     for bundle in (free_paths(1.0, M=30, sigma=[0.6, 0.8], dt_mc=0.125, seed=1),
-                   bridge_paths(build_tree(1, 4, 1.0), 3, M=30, sigma=[0.6, 0.8],
+                   bridge_paths((1, 4, 1.0), 3, M=30, sigma=[0.6, 0.8],
                                 dt_mc=0.25, seed=2), *split_bundles()):
         bundle.draw(bundle.n_sub, rows)
     # free draws of any size are drawn in the calling thread: spans of several
