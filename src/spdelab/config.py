@@ -34,7 +34,7 @@ MAX_NX = 10_001
 MAX_CELLS = 2**25
 
 # the most fine Monte Carlo steps over the horizon: a times array of 8 MB per
-# bundle, 2097x the finest default mesh's 500 steps (mc.dt_mc 2e-3)
+# bundle, 10,486x the finest default mesh (feynman-kac-nonrandom's 100 steps)
 MAX_FINE_STEPS = 2**20
 
 # the most normals a run may draw, summed over its Monte Carlo estimates as
@@ -71,7 +71,8 @@ _INSIDE = ("hold real numbers strictly inside the domain ({domain[a]:g}, {domain
 # Section None is the top level; the coefficient parameters are those of
 # coefficients.FAMILIES, and make_family decides which keys a family takes.
 CONFIG_KEYS = {
-    ("coefficients", "family"): (lambda v: isinstance(v, str), "be a family name"),
+    ("coefficients", "family"): (lambda v: isinstance(v, str) and v in FAMILIES,
+                                 f"be a row of coefficients.FAMILIES: {', '.join(FAMILIES)}"),
     ("coefficients", "sigma"): _REALS,
     ("coefficients", "d"): _count(1, 2),
     **{("coefficients", key): _REAL for family in FAMILIES.values() for key in family.keys},
@@ -227,34 +228,29 @@ def _points_inside_domain(cfg, exp):
 def _estimates_fit(cfg, exp):
     """The run's table of Monte Carlo estimates, read once: the leaves its
     bridged paths follow have int64 indices (tree.leaf_count; the paths
-    carry no tree, so no size guard bounds them), each estimate's step and
-    mc.dt_mc divide the horizon, and the tree step when its paths are
-    bridged, at least once each, their fine steps are within
-    MAX_FINE_STEPS and the normals of all the estimates, each one's paths
-    times its fine steps, within MAX_NORMALS, and each has its own name."""
+    carry no tree, so no size guard bounds them), each estimate's step
+    divides the horizon, and the tree step when its paths are bridged, at
+    least once each (only a step of mc.dt_mc may not), their fine steps are
+    within MAX_FINE_STEPS and the normals of all the estimates, each one's
+    paths times its fine steps, within MAX_NORMALS, and each has its own
+    name."""
     horizon = float(cfg.tree["horizon"])
     table, paths = exp.estimates(cfg), cfg.mc.get("paths", 0)
-    bridged = any(est.bridged for est in table)
-    if bridged:
+    if any(est.bridged for est in table):
         try:
             leaf_count(cfg.d, cfg.tree["n_steps"])
         except TreeError as exc:
             raise ConfigError(str(exc)) from exc
-    # mc.dt_mc must make a mesh even where every row marches at the tree step
-    # (a drift that does not read x): the family decides, not the knob
-    meshes = [(est.name, est.dt, est.bridged) for est in table]
-    meshes += [("mc.dt_mc", float(cfg.mc["dt_mc"]), bridged)] if table else []
     try:
-        n_fine = [fine_steps(horizon, dt, horizon / cfg.tree["n_steps"] if on_tree
-                             else None)[0] for _, dt, on_tree in meshes]
+        n_fine = [fine_steps(horizon, est.dt, horizon / cfg.tree["n_steps"] if est.bridged
+                             else None)[0] for est in table]
     except TreeError as exc:
         raise ConfigError(f"mc.dt_mc: {exc}") from exc
-    for (name, dt, _), n in zip(meshes, n_fine):
+    for est, n in zip(table, n_fine):
         if n > MAX_FINE_STEPS:
-            raise ConfigError(f"{name} at dt={dt:g} makes {n:.3g} fine steps over "
+            raise ConfigError(f"{est.name} at dt={est.dt:g} makes {n:.3g} fine steps over "
                               f"the horizon {horizon:g}, past the guard of {MAX_FINE_STEPS:,} "
                               f"fine steps")
-    n_fine = n_fine[:len(table)]
     if paths * sum(n_fine) > MAX_NORMALS:
         each = ", ".join(f"{est.name}: {paths:,} paths over {n:,} fine steps"
                          for est, n in zip(table, n_fine))

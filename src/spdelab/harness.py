@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .backward import backward_sweep, op_L, solve_R
-from .coefficients import make_family, validate
+from .coefficients import FAMILIES, make_family, validate
 from .config import (CONFIG_KEYS, RULES, ConfigError, _gaussian_density, _leaf_bits_name_a_leaf,
                      _node, _state_space)
 from .domain import DomainSpec, build_grid, h0_inner
@@ -203,7 +203,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """The experiment's defaults overlaid with raw, every key typed by
-        CONFIG_KEYS, then checked by RULES, each handed the config and the
+        CONFIG_KEYS, mc.dt_mc dropped (refused if given) where no estimate
+        marches at it, then checked by RULES, each handed the config and the
         experiment's record; ConfigError names the first fault."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
@@ -234,6 +235,12 @@ class ExperimentConfig:
                 label = key if section is None else f"{section}.{key}"
                 raise ConfigError(
                     f"{label} must {what.format(**vars(cfg))}, got {values[key]!r}")
+        if "dt_mc" in cfg.mc and not EXPERIMENTS[name].marches_at_dt_mc(cfg):
+            if "dt_mc" in raw.get("mc", {}):
+                raise ConfigError(f"mc.dt_mc is no key of {name} under the "
+                                  f"{cfg.coefficients['family']} family: its drift does not "
+                                  f"read x, so every bridged estimate marches at the tree step")
+            del cfg.mc["dt_mc"]
         default_leaf = "leaf_bits" in cfg.params and "leaf_bits" not in raw.get("params", {})
         for rule in RULES:
             if rule is _leaf_bits_name_a_leaf and default_leaf:
@@ -358,12 +365,19 @@ def _gaussian(x, t, w1, var=0.0):
     return np.exp(-(x**2) / spread) / np.sqrt(spread)
 
 
+def _drift_reads_x(cfg) -> bool:
+    """Whether the family's drift reads x: only then do the bridged estimates
+    of representation-random and density-64-65 march at mc.dt_mc, and only
+    then does their config hold it (Experiment.marches_at_dt_mc)."""
+    return FAMILIES[cfg.coefficients["family"]].reads_x
+
+
 def _bridged_dt(cfg, reads_x: bool) -> float:
     """The step a bridged estimate marches at: mc.dt_mc for a drift that
-    reads x, else the tree step, between whose times each path is a Brownian
-    bridge that montecarlo integrates over and weighs by its survival."""
-    dt_mc = float(cfg.mc["dt_mc"])
-    return dt_mc if reads_x else float(cfg.tree["horizon"]) / cfg.tree["n_steps"]
+    reads x, frozen on each step at an O(dt_mc) error (Gobet, 2000); else the
+    tree step, between whose times each path is a Brownian bridge that
+    montecarlo integrates over and weighs by its survival."""
+    return float(cfg.mc["dt_mc"]) if reads_x else float(cfg.tree["horizon"]) / cfg.tree["n_steps"]
 
 
 # --- experiments -------------------------------------------------------------
@@ -402,7 +416,7 @@ def _representation_estimates(cfg, nodes=False) -> list:
     family's drift reads x (the control's never does): then at mc.dt_mc.
     With nodes, (seed tag, ix, Estimate) triples."""
     grid = cfg.build_grid()
-    steps = [_bridged_dt(cfg, reads_x) for reads_x in (False, cfg.build_coeffs().drift_reads_x)]
+    steps = [_bridged_dt(cfg, reads_x) for reads_x in (False, _drift_reads_x(cfg))]
     table = [(tag, ix, Estimate(f"{name}-at-x={grid.x[ix]:+.2f}", steps[tag], True))
              for tag, name in enumerate(("control", "v-vs-mc"))
              for ix in [_node(grid, x) for x in cfg.params["x_points"]]]
@@ -583,7 +597,7 @@ def _density_estimates(cfg) -> list:
     integral takes each block's bridge in closed form, weighed the same way
     (montecarlo.functional_estimate).  A drift that reads x marches both at
     mc.dt_mc."""
-    dt = _bridged_dt(cfg, cfg.build_coeffs().drift_reads_x)
+    dt = _bridged_dt(cfg, _drift_reads_x(cfg))
     return [Estimate("conditional-identity", dt, True),
             Estimate("unconditional-identity", dt, True)]
 
@@ -657,7 +671,9 @@ class Experiment:
     them, one Estimate each, of mc.paths paths.  That table alone decides
     each estimate's mesh and bridge: the run passes them to the estimators,
     one load rule (config._estimates_fit) reads it, once per load, and
-    summary.json takes its names; numpy_random: it draws test fields,
+    summary.json takes its names; marches_at_dt_mc(config): whether an
+    estimate marches at mc.dt_mc, which the config holds only then (where
+    the defaults do); numpy_random: it draws test fields,
     sampled leaves or density start points from numpy.random, which its
     config load then imports (feynman-kac-nonrandom alone draws none: its
     normals are tree.PathBundle's own counter hash, keyed by tree.seed_key)."""
@@ -667,6 +683,7 @@ class Experiment:
     fields_on_tree: bool = False
     superparabolic: bool = False
     estimates: Callable = lambda config: []
+    marches_at_dt_mc: Callable = lambda config: True
     numpy_random: bool = True
 
 
@@ -686,7 +703,7 @@ EXPERIMENTS = {
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    }, estimates=_representation_estimates),
+    }, estimates=_representation_estimates, marches_at_dt_mc=_drift_reads_x),
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": 0.0, "b": 8.0},
@@ -713,7 +730,8 @@ EXPERIMENTS = {
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
-    }, fields_on_tree=True, superparabolic=True, estimates=_density_estimates),
+    }, fields_on_tree=True, superparabolic=True, estimates=_density_estimates,
+        marches_at_dt_mc=_drift_reads_x),
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},

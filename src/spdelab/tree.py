@@ -212,8 +212,9 @@ class Lattice:
     @staticmethod
     @cache
     def weights(level: int) -> np.ndarray:
-        """P_k(j) = C(k, j) / 2**k, computed once per level (read-only)."""
-        weights = np.array([math.comb(level, j) for j in range(level + 1)]) / 2.0**level
+        """P_k(j) = C(k, j) / 2**k in float64, computed once per level
+        (read-only); each quotient is rounded once, as Python divides ints."""
+        weights = np.array([math.comb(level, j) / 2**level for j in range(level + 1)])
         weights.setflags(write=False)
         return weights
 

@@ -105,6 +105,10 @@ def test_config_validation_errors():
             ExperimentConfig.from_dict(bad["config"])
 
 
+# a family whose drift reads x: representation-random and density-64-65
+# march their bridged estimates at mc.dt_mc under it
+SMOOTH = {"family": "space-smooth", "a": 0.5, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1}
+
 # settings that used to pass validation and fail only after the solver work,
 # or, for the tridiagonal solver's dominance check, solve without pivoting on a matrix
 # that is not diagonally dominant
@@ -118,11 +122,19 @@ BAD_AT_LOAD = [
         "grid": {"nx": 21}, "tree": {"n_steps": 3}}},
     {"match": "mc.paths", "config": {"experiment": "representation-random", "mc": {"paths": 2.5}}},
     {"match": "mc.dt_mc", "config": {"experiment": "density-64-65", "mc": {"dt_mc": 0}}},
+    # a bridged estimate marches at mc.dt_mc only where the drift reads x
     {"match": "divide the horizon", "config": {
-        "experiment": "density-64-65", "mc": {"dt_mc": 0.003},
+        "experiment": "density-64-65", "mc": {"dt_mc": 0.003}, "coefficients": SMOOTH,
         "grid": {"nx": 21}, "tree": {"n_steps": 3}}},
     {"match": "divide the tree step", "config": {
-        "experiment": "representation-random", "mc": {"dt_mc": 0.01}, "tree": {"n_steps": 3}}},
+        "experiment": "representation-random", "mc": {"dt_mc": 0.01}, "coefficients": SMOOTH,
+        "tree": {"n_steps": 3}}},
+    # elsewhere every bridged estimate marches at the tree step, and the key
+    # moved no byte
+    *({"match": f"mc.dt_mc is no key of {name} under the drift-random family: its drift does "
+                "not read x, so every bridged estimate marches at the tree step",
+       "config": {"experiment": name, "mc": {"dt_mc": 0.002}}}
+      for name in ("representation-random", "density-64-65")),
     # 0.45 is not a tree time (dt = 0.1), 1.5 is past the horizon
     {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 0.45]}}},
     {"match": "t_points", "config": {"experiment": "density-64-65", "params": {"t_points": [0.4, 1.5]}}},
@@ -215,11 +227,11 @@ BAD_AT_LOAD = [
     ({"experiment": "adjoint-suite", "params": {"fine_nx": 10001, "fine_n_steps": 510}},
      "would hold 1,308,290,816 cells per field"),
     # the Monte Carlo work guard: 1e8 fine steps of mc.dt_mc (an 800 MB
-    # times array per bundle), refused though drift-random marches the tree
-    # step, and 2e13 normals (1e12 paths over 10 tree steps, twice); the
-    # last raised OverflowError (exit 1)
-    ({"experiment": "representation-random", "mc": {"dt_mc": 1e-8}},
-     "makes 1e+08 fine steps over the horizon 1, past the guard of 1,048,576 fine steps"),
+    # times array per bundle) and 2e13 normals (1e12 paths over 10 tree
+    # steps, twice); the last raised OverflowError (exit 1)
+    ({"experiment": "representation-random", "mc": {"dt_mc": 1e-8}, "coefficients": SMOOTH},
+     "v-vs-mc-at-x=-1.00 at dt=1e-08 makes 1e+08 fine steps over the horizon 1, past the guard "
+     "of 1,048,576 fine steps"),
     ({"experiment": "density-64-65", "mc": {"paths": 10**12}},
      "would draw 2e+13 normals, past the work guard of 4,294,967,296 normals"),
     ({"experiment": "feynman-kac-nonrandom", "mc": {"dt_mc": 5e-324}},
@@ -227,7 +239,7 @@ BAD_AT_LOAD = [
     # horizon / dt_mc = 5e-10 rounded to 0 fine steps: each estimate drew
     # nothing, read 0.0 and passed against v of about 1e-12
     ({"experiment": "representation-random", "tree": {"horizon": 1e-12, "n_steps": 5},
-      "grid": {"nx": 41}, "mc": {"paths": 2000}},
+      "grid": {"nx": 41}, "mc": {"paths": 2000}, "coefficients": SMOOTH},
      "mc.dt_mc: dt_mc=0.002 is longer than the horizon 1e-12"),
     # was checked and written to summary.json, but no solver read it
     ({"experiment": "density-64-65", "domain": {"kind": "interval"}},
@@ -333,7 +345,7 @@ def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
     # loading builds each level on the state space its run solves it on: a
     # tree only at the configured level of the two experiments that hold
     # fields on it, the w1 lattice everywhere else, at d = 1 (the defaults)
-    # and at d = 2 (5 steps: the defaults' t_points and dt_mc fit it).
+    # and at d = 2 (5 steps: the defaults' t_points fit it).
     # Bridged paths carry no tree, so representation-random's builds none
     built, build_tree = [], harness.build_tree
 
@@ -356,9 +368,8 @@ def test_load_builds_a_tree_only_where_a_path_is_named(monkeypatch, name):
 def test_cell_guard_reads_the_state_space_that_holds_the_fields():
     # representation-random holds its fields on the w1 lattice (91 states at
     # 12 steps, 910,091 cells at nx 10001); only its paths follow the tree,
-    # which the cell guard used to count (81,918,191 cells).  dt_mc = 1/600
-    # divides the 12- and 20-step tree steps.
-    over = {"grid": {"nx": 10001}, "mc": {"dt_mc": 1 / 600}}
+    # which the cell guard used to count (81,918,191 cells)
+    over = {"grid": {"nx": 10001}}
     cfg = ExperimentConfig.from_dict({"experiment": "representation-random",
                                       "tree": {"n_steps": 12}, **over})
     assert cfg.tree["n_steps"] == 12
@@ -465,6 +476,33 @@ def test_free_paths_need_only_the_horizon_divided():
     assert cfg.mc["dt_mc"] == 0.01
 
 
+@pytest.mark.parametrize("name", ["representation-random", "density-64-65"])
+def test_mc_dt_mc_is_a_key_only_where_an_estimate_marches_at_it(tmp_path, name):
+    # every bridged estimate marches at the tree step unless the family's
+    # drift reads x: under drift-random (the defaults) and constant the
+    # loaded config and its summary.json echo hold no mc.dt_mc, and giving
+    # one exits 2 at load; space-smooth keeps the key and its default 2e-3
+    constant = {"family": "constant", "f0": 0.1, "sigma": [0.6, 0.8], "d": 1}
+    for coefficients in ({}, constant):
+        cfg = default_config(name, coefficients=coefficients)
+        assert "dt_mc" not in cfg.mc and not EXPERIMENTS[name].marches_at_dt_mc(cfg)
+        family = cfg.coefficients["family"]
+        with pytest.raises(ConfigError, match=f"mc.dt_mc is no key of {name} under the {family}"):
+            default_config(name, coefficients=coefficients, mc={"dt_mc": 0.1})
+    for given, dt_mc in (({}, 2e-3), ({"dt_mc": 0.01}, 0.01)):
+        cfg = default_config(name, coefficients=SMOOTH, mc=given)
+        assert cfg.mc["dt_mc"] == dt_mc and EXPERIMENTS[name].marches_at_dt_mc(cfg)
+        assert {est.dt for est in EXPERIMENTS[name].estimates(cfg)} == (
+            {0.1, dt_mc} if name == "representation-random" else {dt_mc})
+    points = {"x_points": [0.0]} if name == "representation-random" else {}
+    cfg = ExperimentConfig.from_dict({"experiment": name, "output_dir": str(tmp_path), **MC_SMALL,
+                                      "params": points})
+    run(cfg)
+    echo = json.loads((tmp_path / "summary.json").read_text())["config"]
+    assert echo["mc"] == {"paths": 2000, "seed": cfg.mc["seed"]}
+    assert ExperimentConfig.from_dict(echo) == cfg
+
+
 def test_config_switches_coefficient_family():
     cfg = ExperimentConfig.from_dict({
         "experiment": "norm-bounds",
@@ -515,8 +553,7 @@ def test_tree_bridged_reports_are_deterministic(tmp_path, name, coefficients):
     reports, out = [], tmp_path / "out"
     for _ in range(2):
         run(default_config(name, output_dir=str(out), coefficients=coefficients,
-                           grid={"nx": 41}, tree={"n_steps": 5},
-                           mc={"paths": 2000, "dt_mc": 0.01}))
+                           grid={"nx": 41}, tree={"n_steps": 5}, mc={"paths": 2000}))
         reports.append([(out / file).read_bytes() for file in ("report.csv", "summary.json")])
     assert reports[0] == reports[1]
 
@@ -650,7 +687,7 @@ def test_summary_diagnostics(tmp_path):
         assert len(audit["min_density"]) == audit["n_steps"] + 1
 
 
-MC_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 5}, "mc": {"paths": 2000, "dt_mc": 1.0e-2}}
+MC_SMALL = {"grid": {"nx": 41}, "tree": {"n_steps": 5}, "mc": {"paths": 2000}}
 
 
 @pytest.mark.parametrize("name, over, estimates", [
@@ -706,16 +743,18 @@ def test_conditional_estimate_marches_at_the_tree_step_unless_the_drift_reads_x(
     # under drift-random density-64-65's paths march at the tree step, the
     # conditional rows reading tree times only and the unconditional one
     # integrating each block's bridge: 1,000,000 normals each at the defaults
-    # instead of 50,000,000; a drift that reads x keeps mc.dt_mc
+    # instead of 50,000,000, and its config holds no mc.dt_mc; a drift that
+    # reads x keeps mc.dt_mc
     cfg = ExperimentConfig.from_dict({"experiment": "density-64-65"})
+    assert "dt_mc" not in cfg.mc
     horizon, tree_dt = cfg.tree["horizon"], cfg.tree["horizon"] / cfg.tree["n_steps"]
     table = [(est.name, est.dt, cfg.mc["paths"] * tree.fine_steps(horizon, est.dt, tree_dt)[0])
              for est in EXPERIMENTS["density-64-65"].estimates(cfg)]
     assert table == [("conditional-identity", 0.1, 1_000_000),
                      ("unconditional-identity", 0.1, 1_000_000)]
-    smooth = {"family": "space-smooth", "a": 0.5, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1}
     cfg = ExperimentConfig.from_dict({"experiment": "density-64-65", "output_dir": str(tmp_path),
-                                      "coefficients": smooth, **MC_SMALL})
+                                      "coefficients": SMOOTH, **MC_SMALL,
+                                      "mc": {"paths": 2000, "dt_mc": 1.0e-2}})
     run(cfg)
     marches = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]["monte_carlo"]
     assert sorted(marches) == ["conditional-identity", "unconditional-identity"]
@@ -885,7 +924,7 @@ def test_state_space_diagnostics(tmp_path, name, over, kind, states):
 def test_representation_random_loads_and_runs_past_the_tree_guard(tmp_path):
     # at 20 tree steps its paths used to follow a 2,097,151-node tree, past
     # the size guard; they carry their w1 now, and the fields sit on the
-    # 231-state lattice.  mc.dt_mc 2e-3 divides the 0.05 tree step
+    # 231-state lattice
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": "representation-random", "tree": {"n_steps": 20}}))
     assert main(["validate-config", str(path)]) == 0

@@ -206,12 +206,15 @@ def test_lattice_levels_and_children():
 
 def test_lattice_weights_are_computed_once_per_level():
     # P_k(j) = C(k, j) / 2**k, the per-call expression's bits at every level
-    # a lattice may hold, one read-only array per level whichever lattice asks
+    # a lattice may hold, one read-only float64 array per level whichever
+    # lattice asks: past level 67 the binomials outgrow int64, and an array
+    # of them holds Python ints, which a level's dot product summed one by one
     lattice, other = build_lattice(510, 1.0), build_lattice(12, 3.0)
     for k in range(511):
         weights = lattice.weights(k)
         expected = np.array([math.comb(k, j) for j in range(k + 1)]) / 2.0**k
         assert np.array_equal(weights, expected) and not weights.flags.writeable
+        assert weights.dtype == np.float64, k
         assert lattice.weights(k) is weights
         if k <= 12:
             assert other.weights(k) is weights
