@@ -250,9 +250,9 @@ class ExperimentConfig:
                 cfg.params["leaf_bits"] = cfg.params["leaf_bits"][-n_bits:].zfill(n_bits)
             rule(cfg, EXPERIMENTS[name])
         if EXPERIMENTS[name].numpy_random:
-            # the run draws from numpy.random, which numpy imports at first
-            # use: importing it here keeps its 10-15 ms out of the run's wall
-            # time, and the run imports no module
+            # the run draws test fields from numpy.random, which numpy
+            # imports at first use: importing it here keeps its 10-15 ms out
+            # of the run's wall time, and the run imports no module
             importlib.import_module("numpy.random")
         return cfg
 
@@ -360,9 +360,16 @@ def _unit(x, t, w1, var=0.0):
 def _gaussian(x, t, w1, var=0.0):
     """The integrand exp(-x^2), or with var its mean over Y ~ N(x, var),
     exp(-x^2 / (1 + 2 var)) / sqrt(1 + 2 var): at var = 0 the bits of
-    exp(-x^2), which the PDE side and the conditional rows read."""
+    exp(-x^2), which the PDE side and the conditional rows read.  x is an
+    array; the value is worked in one new array, so a march's step maps no
+    temporaries afresh."""
     spread = 1.0 + 2.0 * var
-    return np.exp(-(x**2) / spread) / np.sqrt(spread)
+    out = np.square(x)
+    np.negative(out, out=out)
+    out /= spread
+    np.exp(out, out=out)
+    out /= np.sqrt(spread)
+    return out
 
 
 def _drift_reads_x(cfg) -> bool:
@@ -673,10 +680,13 @@ class Experiment:
     one load rule (config._estimates_fit) reads it, once per load, and
     summary.json takes its names; marches_at_dt_mc(config): whether an
     estimate marches at mc.dt_mc, which the config holds only then (where
-    the defaults do); numpy_random: it draws test fields,
-    sampled leaves or density start points from numpy.random, which its
-    config load then imports (feynman-kac-nonrandom alone draws none: its
-    normals are tree.PathBundle's own counter hash, keyed by tree.seed_key)."""
+    the defaults do); numpy_random: it draws test fields
+    (fields.smooth_random_field's normals) from numpy.random, which its
+    config load then imports.  The Monte Carlo draws need none: the normals
+    are tree.PathBundle's own counter hash, keyed by tree.seed_key, and
+    sampled leaves and density start points come from tree's bit-exact port
+    of numpy 2.x's PCG64 and SeedSequence (tree.pcg64_integers,
+    tree.pcg64_uniform)."""
 
     checks: Callable
     defaults: dict
@@ -703,7 +713,8 @@ EXPERIMENTS = {
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    }, estimates=_representation_estimates, marches_at_dt_mc=_drift_reads_x),
+    }, estimates=_representation_estimates, marches_at_dt_mc=_drift_reads_x,
+        numpy_random=False),
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": 0.0, "b": 8.0},
@@ -731,7 +742,7 @@ EXPERIMENTS = {
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
     }, fields_on_tree=True, superparabolic=True, estimates=_density_estimates,
-        marches_at_dt_mc=_drift_reads_x),
+        marches_at_dt_mc=_drift_reads_x, numpy_random=False),
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},

@@ -37,8 +37,8 @@ is integrated over each step's bridge in closed form (`functional_estimate`,
 flips once and their weight is 0.  Estimates run in chunks of CHUNK paths,
 one after another; chunk i of an estimate is seeded (seed, tag, i), which
 SeedSequence flattens at any nesting, and its normals are keyed by
-`tree.seed_key` (the rule in `tree`).  Density start points alone draw from
-numpy.random, imported where `simulate` draws them.
+`tree.seed_key` (the rule in `tree`).  Density start points are
+`tree.pcg64_uniform`'s uniforms, numpy.random's bits without numpy.random.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .domain import Grid
-from .tree import PathBundle, bridge_paths, free_paths, sample_tree_paths
+from .tree import PathBundle, bridge_paths, free_paths, pcg64_uniform, sample_tree_paths
 
 
 class SimulationError(ValueError):
@@ -99,8 +99,19 @@ class TrajectorySet:
     exits: int
 
 
-def sample_from_density(p0: np.ndarray, grid: Grid, n: int, rng) -> np.ndarray:
-    """Draw from a gridded density by inverse CDF on the node values."""
+# sample_from_density reads each draw's CDF interval from a table of
+# _CDF_BUCKETS equal buckets of [0, 1): on 25,000 draws over 161 nodes it took
+# 0.36 ms against 1.0 ms for np.interp, whose binary search was most of it
+# (2-vCPU Xeon KVM guest)
+_CDF_BUCKETS = 1024
+
+
+def sample_from_density(p0: np.ndarray, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Draws from a gridded density, one per uniform in u (in [0, 1)), by
+    inverse CDF on the node values: np.interp(u, cdf, grid.x), bit for bit,
+    where cdf is nondecreasing.  u's interval j, the last with cdf[j] <= u,
+    is the one at the start of u's bucket, searched for only where u is past
+    its end; the draw is slope_j (u - cdf[j]) + x[j], np.interp's expression."""
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (grid.nx,) or p0.min() < -1e-12:
         raise SimulationError("p0 must be a nonnegative grid function")
@@ -108,7 +119,17 @@ def sample_from_density(p0: np.ndarray, grid: Grid, n: int, rng) -> np.ndarray:
     if cdf[-1] <= 0:
         raise SimulationError("p0 has no mass")
     cdf /= cdf[-1]
-    return np.interp(rng.uniform(size=n), cdf, grid.x)
+    k = _CDF_BUCKETS
+    first = np.searchsorted(cdf, np.arange(k) / k, side="right") - 1
+    j = first[(u * k).astype(np.intp)]
+    past = (cdf[1:][j] <= u).nonzero()[0]  # cdf[j + 1] <= u
+    j[past] = np.searchsorted(cdf, u[past], side="right") - 1
+    with np.errstate(divide="ignore"):  # no u falls in an interval of no mass
+        slope = np.diff(grid.x) / np.diff(cdf)
+    y = np.subtract(u, cdf[j])
+    y *= slope[j]
+    y += grid.x[j]
+    return y
 
 
 def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
@@ -153,10 +174,7 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
     else:
         if grid is None:
             raise SimulationError("density initial data needs the grid")
-        from numpy.random import SeedSequence, default_rng
-
-        rng = default_rng(SeedSequence((paths.seed, 0xA11)))
-        y = sample_from_density(init, grid, M, rng)
+        y = sample_from_density(init, grid, pcg64_uniform((paths.seed, 0xA11), M))
     lo_x, hi_x = domain.a, domain.b
     if np.any((y < lo_x) | (y > hi_x)):
         raise SimulationError("initial value outside the closed domain")
@@ -424,11 +442,16 @@ def _bridge_step(phi, y0, y1, t: float, w1, dt: float, b_total: float) -> np.nda
     """The mean of phi over a step dt on the Brownian bridge of rate b_total
     from y0 to y1: sum_j w_j phi(m_j, t + u_j dt, w1, v_j), with
     m_j = y0 + u_j (y1 - y0) and v_j = b_total dt u_j (1 - u_j) the bridge's
-    mean and variance at the Gauss-Legendre nodes u_j."""
+    mean and variance at the Gauss-Legendre nodes u_j.  Each node's point,
+    then its weighted value, is written to one buffer of the paths' size."""
     dy = y1 - y0
     mean = np.zeros(np.shape(y0))
+    point = np.empty(np.shape(y0))
     for u, w in zip(BRIDGE_NODES, BRIDGE_WEIGHTS):
-        mean += w * np.asarray(phi(y0 + u * dy, t + u * dt, w1, b_total * dt * u * (1.0 - u)))
+        np.multiply(u, dy, out=point)
+        point += y0
+        mean += np.multiply(phi(point, t + u * dt, w1, b_total * dt * u * (1.0 - u)), w,
+                            out=point)
     return mean
 
 

@@ -16,10 +16,12 @@ normal is a fixed function of (key, counter), so a path's increments do not
 depend on which other paths are drawn with it.  Every stream is seeded by
 numpy's SeedSequence((seed, *tags)), which flattens nested tuples and lists
 of ints at any depth.  The normals' key, `seed_key(seed)`, is a bit-exact
-port of SeedSequence((seed,)).generate_state(1, np.uint64)[0], so they
-need no numpy.random; sampled leaves (`sample_tree_paths`) draw from its
-PCG64, imported where they are drawn.  The inverse normal CDF, `ndtri`, is
-a numpy port of cephes' ndtri, so the package needs numpy alone.
+port of SeedSequence((seed,)).generate_state(1, np.uint64)[0]; sampled
+leaves (`sample_tree_paths`) and density start points draw from its PCG64,
+default_rng(SeedSequence((seed, tag))), through a bit-exact port of numpy
+2.x's PCG64 (`pcg64_integers`, `pcg64_uniform`), so no Monte Carlo draw
+needs numpy.random.  The inverse normal CDF, `ndtri`, is a numpy port of
+cephes' ndtri, so the package needs numpy alone.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit
@@ -470,11 +472,12 @@ def _entropy_words(entropy) -> list:
     return words
 
 
-def seed_key(seed) -> np.uint64:
-    """SeedSequence((seed,)).generate_state(1, np.uint64)[0], bit for bit,
-    without numpy.random: the entropy mixed into a 4-word pool, of which two
-    generated words form one little-endian uint64."""
-    entropy = _entropy_words((seed,))
+def _generate_state(seed, n_words: int) -> list:
+    """SeedSequence(seed).generate_state(n_words, np.uint64) as Python ints,
+    bit for bit, without numpy.random: the entropy mixed into a 4-word pool,
+    cycled through to generate 32-bit words, two of which form each
+    little-endian uint64."""
+    entropy = _entropy_words(seed)
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -496,13 +499,161 @@ def seed_key(seed) -> np.uint64:
     for word in entropy[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, key = _INIT_B, 0
-    for i, word in enumerate(pool[:2]):
-        word ^= hash_const
+    hash_const, words = _INIT_B, []
+    for i in range(2 * n_words):
+        word = pool[i % 4] ^ hash_const
         hash_const = hash_const * _MULT_B & _M32
         word = word * hash_const & _M32
-        key |= (word ^ word >> 16) << 32 * i
-    return np.uint64(key)
+        words.append(word ^ word >> 16)
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+
+
+def seed_key(seed) -> np.uint64:
+    """SeedSequence((seed,)).generate_state(1, np.uint64)[0], bit for bit."""
+    return np.uint64(_generate_state((seed,), 1)[0])
+
+
+# numpy's PCG64 (O'Neill, PCG: A Family of Simple Fast Space-Efficient
+# Statistically Good Algorithms for Random Number Generation, HMC-CS-2014-0905):
+# a 128-bit LCG state s -> s A + inc whose output is XSL-RR of the new state
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64, _M128 = 2**64 - 1, 2**128 - 1
+_LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
+_SHIFT58, _LOW6 = np.uint64(58), np.uint64(63)
+
+
+def _affine128(hi, lo, a: int, c: int, out_hi, out_lo) -> None:
+    """out = (hi, lo) a + c mod 2^128 on 128-bit states held as uint64
+    halves; the high half of lo a_lo is built from 32-bit limbs."""
+    a_lo, a_hi = np.uint64(a & _M64), np.uint64(a >> 64)
+    b0, b1 = np.uint64(a & _M32), np.uint64(a >> 32 & _M32)
+    c_lo = np.uint64(c & _M64)
+    x0 = np.bitwise_and(lo, _LOW32)
+    x1 = np.right_shift(lo, _SHIFT32)
+    t = np.multiply(x0, b0, out=out_hi)
+    t >>= _SHIFT32
+    u = np.multiply(x1, b0)
+    u += t  # x1 b0 + (x0 b0 >> 32) < 2^64
+    x0 *= b1
+    x0 += np.bitwise_and(u, _LOW32, out=t)  # w = (u & M32) + x0 b1 < 2^64
+    x1 *= b1
+    u >>= _SHIFT32
+    x1 += u
+    x0 >>= _SHIFT32
+    x1 += x0  # the high half of lo a_lo
+    np.multiply(lo, a_hi, out=out_hi)
+    out_hi += x1
+    out_hi += np.multiply(hi, a_lo, out=x1)
+    np.multiply(lo, a_lo, out=out_lo)
+    out_lo += c_lo
+    out_hi += np.uint64(c >> 64)
+    out_hi += out_lo < c_lo  # the carry of the low half
+
+
+def _pcg64_seeded(seed) -> tuple:
+    """(state, inc) of PCG64(SeedSequence(seed)), as numpy's srandom sets
+    them from the generated words v0..v3: inc = 2 (v2 2^64 + v3) + 1 and,
+    from state 0, a step, + v0 2^64 + v1, a step."""
+    v0, v1, v2, v3 = _generate_state(seed, 4)
+    inc = ((v2 << 64 | v3) << 1 | 1) & _M128
+    return (inc + (v0 << 64 | v1)) * _PCG_MULT + inc & _M128, inc
+
+
+def _pcg64_jump(steps: int, inc: int) -> tuple:
+    """(A, C): s -> A s + C mod 2^128 is `steps` steps of the LCG, by squaring."""
+    a, c, jump_a, jump_c = _PCG_MULT, inc, 1, 0
+    while steps:
+        if steps & 1:
+            jump_a, jump_c = jump_a * a & _M128, (jump_c * a + c) & _M128
+        a, c, steps = a * a & _M128, (a * c + c) & _M128, steps >> 1
+    return jump_a, jump_c
+
+
+def _xsl_rr(hi, lo, out) -> None:
+    """out = PCG64's output of the states (hi, lo): hi ^ lo rotated right by
+    the top 6 bits of hi."""
+    np.bitwise_xor(hi, lo, out=out)
+    rot = np.right_shift(hi, _SHIFT58)
+    left = np.negative(rot)
+    left &= _LOW6
+    np.left_shift(out, left, out=left)
+    out >>= rot
+    out |= left
+
+
+# the first states are stepped in Python ints, fewer than a doubling pass's
+# ufunc calls (about 30 us) would make; then states are made and output
+# _PCG_BLOCK at a time, in 64 kB scratch arrays: under the 128 kB above
+# which glibc's malloc maps an allocation afresh (_CENTRE_VALUES).  On a
+# 2-vCPU Xeon KVM guest 25,000 outputs took 0.44 ms in blocks of 2**13
+# states, 0.60 ms in blocks of 2**11 and 0.47 ms in one piece; in a process
+# without numpy.random one piece met 115 page faults a call, blocks 77
+_BASE_STATES = 64
+_PCG_BLOCK = 2**13
+
+
+def _pcg64_outputs(seed, n: int) -> np.ndarray:
+    """The first n outputs, uint64, of default_rng(SeedSequence(seed)),
+    bit for bit: output i is XSL-RR of state s_i = A s_(i-1) + inc, from the
+    seeded s_0.  The first block's states past the Python-stepped ones come
+    by jump-ahead doubling (Brown, Trans. Am. Nucl. Soc. 71, 1994):
+    s_(h+1..2h) = A_h s_(1..h) + C_h, with (A_2h, C_2h) = (A_h^2, A_h C_h + C_h);
+    block j is the first block jumped j _PCG_BLOCK steps ahead."""
+    state, inc = _pcg64_seeded(seed)
+    size = min(n, _PCG_BLOCK)
+    hi, lo = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    states = []
+    for _ in range(min(size, _BASE_STATES)):
+        state = state * _PCG_MULT + inc & _M128
+        states.append(state)
+    h = len(states)
+    hi[:h], lo[:h] = [s >> 64 for s in states], [s & _M64 for s in states]
+    a, c = _pcg64_jump(h, inc)
+    while h < size:
+        k = min(h, size - h)
+        _affine128(hi[:k], lo[:k], a, c, hi[h : h + k], lo[h : h + k])
+        a, c, h = a * a & _M128, (a * c + c) & _M128, 2 * h
+    out = np.empty(n, dtype=np.uint64)
+    _xsl_rr(hi, lo, out[:size])
+    if n > size:
+        block_hi, block_lo = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        step_a, step_c = a, c = _pcg64_jump(size, inc)
+        for first in range(size, n, size):
+            k = min(size, n - first)
+            _affine128(hi[:k], lo[:k], a, c, block_hi[:k], block_lo[:k])
+            _xsl_rr(block_hi[:k], block_lo[:k], out[first : first + k])
+            a, c = a * step_a & _M128, (step_a * c + step_c) & _M128
+    return out
+
+
+def pcg64_uniform(seed, n: int) -> np.ndarray:
+    """default_rng(SeedSequence(seed)).uniform(size=n), bit for bit: each
+    output's top 53 bits times 2^-53."""
+    out = _pcg64_outputs(seed, n)
+    out >>= np.uint64(11)
+    return np.multiply(out, 2.0**-53, out=out.view(np.float64))
+
+
+def pcg64_integers(seed, high: int, n: int) -> np.ndarray:
+    """default_rng(SeedSequence(seed)).integers(0, high, size=n), int64, bit
+    for bit, for high a power of two up to 2**63.  numpy's Lemire method
+    never rejects in a power-of-two range 2**b: b = 0 draws nothing; for
+    b <= 32 each output gives its low 32-bit word, then its high one, each
+    shifted right by 32 - b; past 32 an output gives its top b bits."""
+    bits = high.bit_length() - 1
+    if bits == 0:
+        return np.zeros(n, dtype=np.int64)
+    if bits > 32:
+        out = _pcg64_outputs(seed, n)
+        out >>= np.uint64(64 - bits)
+        return out.view(np.int64)
+    out = _pcg64_outputs(seed, -(-n // 2))
+    words = np.empty((out.size, 2), dtype=np.uint64)
+    np.bitwise_and(out, _LOW32, out=words[:, 0])
+    np.right_shift(out, _SHIFT32, out=words[:, 1])
+    words = words.reshape(-1)[:n]
+    words >>= np.uint64(32 - bits)
+    return words.view(np.int64)
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -742,7 +893,5 @@ def sample_tree_paths(shape: tuple, M: int, sigma, dt_mc: float, seed) -> PathBu
     driving components and the coefficient process then share the same
     discrete noise, matching the solver side.
     """
-    from numpy.random import SeedSequence, default_rng
-
-    leaves = default_rng(SeedSequence((seed, 0x1EAF))).integers(0, leaf_count(*shape[:2]), size=M)
+    leaves = pcg64_integers((seed, 0x1EAF), leaf_count(*shape[:2]), M)
     return _bundle(shape[2], M, sigma, dt_mc, seed, shape, leaves)

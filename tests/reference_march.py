@@ -71,8 +71,9 @@ def reference_simulate(
     else:
         if grid is None:
             raise SimulationError("density initial data needs the grid")
+        # numpy.random itself, so the match checks montecarlo's port of it
         rng = np.random.default_rng(np.random.SeedSequence((paths.seed, 0xA11)))
-        y = sample_from_density(init, grid, M, rng)
+        y = sample_from_density(init, grid, rng.uniform(size=M))
     lo, hi = domain.a, domain.b
     if np.any((y < lo) | (y > hi)):
         raise SimulationError("initial value outside the closed domain")

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no run loads scipy, feynman-kac-nonrandom does not load numpy.random, no
-module starts a thread or a process, and a run holds one OS thread.
+no run loads scipy, no Monte Carlo run loads numpy.random, no module starts
+a thread or a process, and a run holds one OS thread.
 
 The unused-import check parses with the standard library's ast, so it runs
 no package code; re-exports in __init__.py and __future__ imports are
@@ -11,13 +11,13 @@ test's imports are counted:
   its config loads nor while it runs;
 - the reduced run of each of the seven experiments imports no module at
   all: numpy imports numpy.random at its first use, so the config load of
-  every experiment that draws from it (harness.Experiment.numpy_random)
-  imports it first;
+  every experiment that draws test fields from it
+  (harness.Experiment.numpy_random) imports it first;
 - with scipy missing, the runs that draw no normals pass, and a config
   that draws validates and runs;
-- with numpy.random missing, the default feynman-kac-nonrandom validates
-  and runs, and where it is present neither the load nor the run imports
-  it;
+- with numpy.random missing, the default config of each of the three
+  experiments that draw no test fields validates and runs, and where it is
+  present neither the load nor the run imports it;
 - the default duality-63 run, through the CLI, peaks under 100 MB RSS,
   started from a process that holds more;
 - a reduced adjoint-suite and feynman-kac-nonrandom run through the CLI,
@@ -193,9 +193,9 @@ def test_a_run_that_draws_no_normals_imports_no_module(tmp_path):
 
 
 def test_a_run_that_draws_imports_no_module(tmp_path):
-    # nor does a run that draws normals import one for their inverse CDF or
-    # their key; representation-random's leaves and density-64-65's start
-    # points draw from numpy.random, which their config load imports
+    # nor does a run that draws normals import one for their inverse CDF,
+    # their key, representation-random's and density-64-65's sampled leaves
+    # or density-64-65's start points: each is the package's own port
     for name in DRAWING:
         assert modules_a_run_imports(name, tmp_path / name) == [], name
 
@@ -247,23 +247,37 @@ def test_without_scipy_the_runs_that_draw_no_normals_pass(tmp_path):
         assert code == 0 and f"PASS: {name}" in stdout, (name, stdout, stderr)
 
 
-def test_without_numpy_random_feynman_kac_nonrandom_validates_and_runs(tmp_path):
-    # its normals are the counter hash keyed by tree.seed_key, a port of
-    # numpy's SeedSequence: with numpy.random missing the default config
-    # validates and runs, and with it present neither the load nor the run
-    # imports it
-    config = tmp_path / "feynman-kac-nonrandom.json"
-    config.write_text(json.dumps({"experiment": "feynman-kac-nonrandom",
-                                  "output_dir": str(tmp_path / "out")}))
-    argvs = [("validate-config", config), ("run", config)]
+def test_the_experiments_that_draw_test_fields_from_numpy_random():
+    assert sorted(n for n, e in EXPERIMENTS.items() if e.numpy_random) == [
+        "adjoint-suite", "duality-63", "norm-bounds", "solvability-R"]
+
+
+NO_NUMPY_RANDOM = sorted(n for n, e in EXPERIMENTS.items() if not e.numpy_random)
+
+
+def test_without_numpy_random_the_experiments_that_draw_no_test_fields_validate_and_run(
+        tmp_path):
+    # normals are the counter hash keyed by tree.seed_key, and sampled leaves
+    # and density start points tree's port of numpy's PCG64: with
+    # numpy.random missing each default config validates and runs, and with
+    # it present neither the load nor the run imports it
+    assert NO_NUMPY_RANDOM == ["density-64-65", "feynman-kac-nonrandom", "representation-random"]
+    argvs = []
+    for name in NO_NUMPY_RANDOM:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"experiment": name, "output_dir": str(tmp_path / name)}))
+        argvs += [("validate-config", config), ("run", config)]
     for blocked in (["numpy.random"], []):
-        (code_v, out_v, err_v, loaded_v), (code_r, out_r, err_r, loaded_r) = \
-            cli_without(blocked, *argvs)
-        assert code_v == 0 and "config ok" in out_v, (blocked, out_v, err_v)
-        assert code_r == 0 and "PASS: feynman-kac-nonrandom" in out_r, (blocked, out_r, err_r)
-        for loaded in (loaded_v, loaded_r):
-            assert "numpy" in loaded
-            assert not [m for m in loaded if m.startswith("numpy.random")], blocked
+        results = cli_without(blocked, *argvs)
+        assert len(results) == len(argvs)
+        for name, (validated, ran) in zip(NO_NUMPY_RANDOM, zip(results[::2], results[1::2])):
+            code, out, err, _ = validated
+            assert code == 0 and "config ok" in out, (blocked, name, out, err)
+            code, out, err, _ = ran
+            assert code == 0 and f"PASS: {name}" in out, (blocked, name, out, err)
+            for *_, loaded in (validated, ran):
+                assert "numpy" in loaded
+                assert not [m for m in loaded if m.startswith("numpy.random")], (blocked, name)
 
 
 # modules whose names start threads or processes

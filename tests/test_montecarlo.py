@@ -372,7 +372,9 @@ def _reads_y_t_w1(y, t, w1):
 def march_cases():
     """(coeffs, init, s, paths, snapshot_times) on the unit interval, where
     most paths exit: every drift family, free paths, paths bridged through one
-    leaf and through a leaf per path."""
+    leaf and through a leaf per path, and start points drawn from a density
+    on 41 nodes (the march draws them from tree.pcg64_uniform, the
+    reference from numpy.random)."""
     tree = build_tree(1, 5, 1.0)
     tree_times = tree.dt * np.arange(tree.n_steps + 1)
     constant = make_family("constant", {"f0": 0.8, "sigma": [1.0]})
@@ -403,6 +405,9 @@ def march_cases():
         "near-a-wall-n_sub-20": (drifting, 0.5, 0.0,
                                  sample_tree_paths(tree.shape, 3000, drifting.sigma, 0.01, seed=49),
                                  tree_times),
+        "density-start": (random, np.sin(np.linspace(0.0, np.pi, 41)) ** 2, 0.0,
+                          sample_tree_paths(tree.shape, 3000, random.sigma, 0.01, seed=50),
+                          tree_times),
         # nine paths: blocks of a few live paths (9, 5 and 2 at the block starts)
         "one-live-path-in-a-group": (random, 0.5, 0.0,
                                      sample_tree_paths(tree.shape, 9, random.sigma, 0.01, seed=47),
@@ -416,8 +421,9 @@ def check_march_against_the_reference(domain, case):
     bundle one fine step at a time and compacts the block on every exit
     (tests/reference_march.py)."""
     coeffs, init, s, paths, times = march_cases()[case]
+    grid = None if np.isscalar(init) else build_grid(domain, init.size)
     integrands = {"one": lambda y, t, w1: np.ones_like(y), "phi": _reads_y_t_w1}
-    new, ref = (march(coeffs, init, s, paths, domain, integrands=integrands,
+    new, ref = (march(coeffs, init, s, paths, domain, grid=grid, integrands=integrands,
                       snapshot_times=times) for march in (simulate, reference_simulate))
     for name in ("tau", "snapshots", "alive", "weights"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
@@ -614,10 +620,28 @@ def test_sample_from_density_matches_cdf(line_domain):
     p0 = np.exp(-((grid.x - 1.0) ** 2) / 0.5)
     p0[0] = p0[-1] = 0.0
     p0 /= grid.dx * p0[1:-1].sum()
-    rng = np.random.default_rng(13)
-    draws = sample_from_density(p0, grid, 50000, rng)
+    draws = sample_from_density(p0, grid, np.random.default_rng(13).uniform(size=50000))
     assert abs(draws.mean() - 1.0) < 0.02
     assert abs(draws.var() - 0.25) < 0.02
+
+
+def test_sample_from_density_has_the_bits_of_np_interp(line_domain):
+    # the bucketed interval search against np.interp(u, cdf, grid.x): a
+    # narrow Gaussian whose tails hold intervals of no mass in float64, a
+    # density that is zero over a stretch, and uniforms at, just above and
+    # just below every CDF node as well as random ones
+    grid = build_grid(line_domain, 161)
+    gap = np.where(np.abs(grid.x - 1.0) < 2.0, 0.0, np.exp(-grid.x**2 / 8.0))
+    for p0 in (np.exp(-grid.x**2 / 0.5), gap):
+        p0[0] = p0[-1] = 0.0
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p0[1:] + p0[:-1]) * grid.dx)])
+        cdf /= cdf[-1]
+        u = np.concatenate([cdf, np.nextafter(cdf, 1.0), np.nextafter(cdf, 0.0),
+                            np.random.default_rng(7).uniform(size=20_000), [1.0 - 2.0**-53]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = np.interp(u, cdf, grid.x)
+        assert np.array_equal(sample_from_density(p0, grid, u).view(np.uint64),
+                              expected.view(np.uint64))
 
 
 def test_conditional_functional_trivials(line_domain):

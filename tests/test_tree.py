@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence
+from numpy.random import PCG64, SeedSequence, default_rng
 from scipy.special import ndtri
 
 from spdelab import (
@@ -23,7 +23,8 @@ from spdelab import (
 from spdelab import tree as tree_module
 from spdelab.harness import _representation_estimates, default_config
 from spdelab.montecarlo import CHUNK
-from spdelab.tree import _GOLDEN, _MIX1, _MIX2, _counter_normals, seed_key
+from spdelab.tree import (_GOLDEN, _MIX1, _MIX2, _counter_normals, _pcg64_seeded, pcg64_integers,
+                          pcg64_uniform, seed_key)
 
 
 def drawn(bundle):
@@ -177,12 +178,15 @@ def test_a_bundle_sums_the_bits_of_the_tree_tables(d, n_steps):
 
 
 def test_bridged_leaves_fit_int64():
-    # a leaf index holds d bits per tree step in an int64: 63 bits draw and
+    # a leaf index holds d bits per tree step in an int64: 63 bits draw (the
+    # leaves numpy.random draws, through the port's 64-bit branch) and
     # bridge, 64 are refused before any leaf is drawn
     for d, n_steps in ((1, 63), (2, 31)):
         shape = (d, n_steps, 1.0)
         sampled = sample_tree_paths(shape, 4, [0.6, 0.8, 0.5], 1.0 / n_steps, seed=1)
         assert sampled.leaves.dtype == np.int64 and sampled.leaves.min() >= 0
+        assert np.array_equal(sampled.leaves, default_rng(SeedSequence((1, 0x1EAF))).integers(
+            0, 2**(d * n_steps), size=4))
         leaf = 2**(d * n_steps) - 1
         assert bridge_paths(shape, leaf, 4, [0.6, 0.8, 0.5], 1.0 / n_steps, seed=1).leaves[0] == leaf
     for d, n_steps in ((1, 64), (2, 32)):
@@ -405,6 +409,54 @@ def test_seed_key_refuses_what_the_seed_sequence_refuses():
             seed_sequence_key(seed)
         with pytest.raises((TypeError, ValueError)):
             seed_key(seed)
+
+
+# seeds of the PCG64 port: an int, a tuple, nested tuples (a chunk's start
+# points are seeded (chunk seed, 0xA11)) and ints past 2**32
+PCG_SEEDS = [5, (12, 3), (97531, 0xA11), ((97531, 65, 2), 0xA11), 2**40 + 7,
+             ((2**33, (7, 2**65 + 9)), 0x1EAF)]
+
+
+@pytest.mark.parametrize("seed", PCG_SEEDS)
+def test_the_pcg64_port_seeds_numpys_state(seed):
+    # numpy's srandom from SeedSequence(seed).generate_state(4, np.uint64)
+    state = PCG64(SeedSequence(seed)).state["state"]
+    assert _pcg64_seeded(seed) == (state["state"], state["inc"])
+
+
+@pytest.mark.parametrize("seed", PCG_SEEDS)
+def test_pcg64_uniform_has_numpys_bits(seed):
+    # n from one state, past the Python-stepped states, and odd sizes around
+    # the doubling passes and a chunk of montecarlo.CHUNK paths
+    for n in (1, 2, 3, 4097, 25_000, 25_001):
+        expected = default_rng(SeedSequence(seed)).uniform(size=n)
+        got = pcg64_uniform(seed, n)
+        assert got.dtype == np.float64 and got.shape == (n,), n
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("seed", PCG_SEEDS)
+def test_pcg64_integers_have_numpys_values(seed):
+    # a power-of-two range: no draw at b = 0, 32-bit words up to b = 32 (an
+    # odd n leaves one half unused), whole outputs past it, up to 63 bits
+    for bits in (0, 1, 10, 31, 32, 33, 63):
+        for n in (1, 3, 4097, 25_001):
+            expected = default_rng(SeedSequence(seed)).integers(0, 2**bits, size=n)
+            got = pcg64_integers(seed, 2**bits, n)
+            assert got.dtype == expected.dtype == np.int64, (bits, n)
+            assert np.array_equal(got, expected), (bits, n)
+
+
+def test_pcg64_port_pins_its_first_values():
+    # literal values, which hold whatever numpy a later test runs against:
+    # density-64-65's start points of conditional chunk 0 and leaves of
+    # unconditional chunk 0 (10 bits), and 63-bit leaves of the same stream
+    assert pcg64_uniform(((97531, 0xC0, 0), 0xA11), 4).tolist() == [
+        0.09609360032148728, 0.8138972619407319, 0.7490538117713543, 0.5901065118039391]
+    leaf_seed = (((97531, 65), 0xF0, 0), 0x1EAF)
+    assert pcg64_integers(leaf_seed, 2**10, 6).tolist() == [667, 203, 633, 329, 488, 116]
+    assert pcg64_integers(leaf_seed, 2**63, 2).tolist() == [1831907431222281470,
+                                                            2966646904674919304]
 
 
 def _counter_of_hash(key, h):
