@@ -8,8 +8,7 @@ is a C-contiguous (nx, n_nodes(k)) array, so the interior rows [1:-1] are
 the contiguous system-axis-first block the tridiagonal solver (no
 pivoting) works on in place, and the children of node n are the
 contiguous columns levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].
-On the w1 lattice column j of level k is the conditional mean given
-w1 = sqrt(dt) (k - 2j).
+On the w1 lattice column j of level k is the conditional mean given its w1.
 The X0 inner product discretizes the time integral with the left rule over
 the n_steps cells, weighting level k by P_k = tree.weights(k),
 
@@ -114,11 +113,10 @@ class SpaceTimeField:
 
 
 def _check_compatible(F: SpaceTimeField, G: SpaceTimeField):
-    if F.grid is not G.grid and F.grid.nx != G.grid.nx:
+    if F.grid is not G.grid and not np.array_equal(F.grid.x, G.grid.x):
         raise FieldError("fields live on different grids")
-    if F.tree is not G.tree and (
-        F.tree.n_steps != G.tree.n_steps or F.tree.d != G.tree.d or F.tree.kind != G.tree.kind
-    ):
+    if F.tree is not G.tree and any(getattr(F.tree, key) != getattr(G.tree, key)
+                                    for key in ("kind", "d", "n_steps", "horizon")):
         raise FieldError("fields live on different trees")
 
 

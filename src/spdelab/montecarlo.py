@@ -6,21 +6,21 @@ Paths follow
 
 with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
-coefficient process; a bridged path carries that node's w1 as a running sum
-of its leaf's branch digits (`tree.PathBundle.w1`), and no march holds a
-tree.  The march draws the scalar noise sigma . dW, one normal per path and
-fine step, one block at a time for the paths live at the block's start, by
-one routine, `tree.PathBundle.draw`: a block is a coarse step on a tree, or
-a span of a few fine steps of free paths, hashed `tree.HASH_NORMALS`
-normals per call and, on a tree, shifted by the bridge through each path's
-leaf.  The march stops as soon as every path has exited.  A march is one
-loop in the calling thread.  Each fine step does only the update
-(y + f dt) + noise, the weights, the exit test and the integrands: a drift
-that does not read x is taken once per block at the block's w1, times
-dt_mc, and an exit compacts the live paths' index, state, weight, running
-integrals and, on a tree, leaf, w1 and f dt through one integer index,
-while the block stays as drawn and a column index maps the live paths to
-its columns.
+coefficient process; a bridged path carries that node's j (the down steps of
+its first component, one edge's bit of its leaf added per block) and w1
+(`tree.w1_at`), and no march holds a tree.  The march draws the scalar noise
+sigma . dW, one normal per path and fine step, one block at a time for the
+paths live at the block's start, by one routine, `tree.PathBundle.draw`: a
+block is a coarse step on a tree, or a span of a few fine steps of free
+paths, hashed `tree.HASH_NORMALS` normals per call and, on a tree, shifted
+by the bridge through each path's leaf.  The march stops as soon as every
+path has exited.  A march is one loop in the calling thread.  Each fine step
+does only the update (y + f dt) + noise, the weights, the exit test and the
+integrands: a drift that does not read x is taken once per block at the
+block's w1, times dt_mc, and an exit compacts the live paths' index, state,
+weight, running integrals and, on a tree, leaf, j, w1 and f dt through one
+integer index, while the block stays as drawn and a column index maps the
+live paths to its columns.
 No fine-mesh history is stored: a path is recorded at the requested
 snapshot times, at its exit, and through the running integrals of the
 integrands registered with `simulate`.  Exits are tested at mesh points, and
@@ -50,7 +50,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .domain import Grid
-from .tree import PathBundle, bridge_paths, free_paths, pcg64_uniform, sample_tree_paths
+from .tree import (PathBundle, branch_digits, bridge_paths, free_paths, pcg64_uniform,
+                   sample_tree_paths, w1_at)
 
 
 class SimulationError(ValueError):
@@ -208,15 +209,15 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
         fdt0 = np.asarray(coeffs.drift(0.0, m0 * dt, 0.0)) * dt
 
     # live paths: index, state, weight, whether outside [lo_r, hi_r], running
-    # integrals and, on a tree, leaf and w1 at the current block's level (the
-    # level of the start's block, then a step per block).  The current noise
-    # block holds fine steps first .. end - 1 and has a column per path live
-    # when it was drawn; once one of them has exited, cols maps the live
-    # paths to their columns (None until then).
+    # integrals and, on a tree, leaf, j and w1 at the current block's level
+    # (the level of the start's block, then a step per block; w1 is written
+    # at each draw).  The current noise block holds fine steps first .. end - 1
+    # and has a column per path live when it was drawn; once one of them has
+    # exited, cols maps the live paths to their columns (None until then).
     live = np.arange(M)
     yl = y.copy()
     wl = np.ones(M)
-    ll, w1 = paths.leaves, paths.w1(m0 // paths.n_sub)
+    ll, jl, w1 = paths.leaves, paths.down_steps(m0 // paths.n_sub), None
     near = (yl < lo_r) | (yl > hi_r)
     acc = {name: np.zeros(M) for name in integrands}
     drawn = exits = 0
@@ -235,15 +236,14 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
             first, block = paths.draw(m, live)
             end, cols = first + len(block), None
             drawn += block.size
-            if w1 is None:
+            if jl is None:
                 fdt = fdt0
-            else:  # on a tree, w1 and f dt at the block's level
+            else:  # on a tree, j, w1 and f dt at the block's level
                 k = m // paths.n_sub
-                if m > m0:  # the last block's edge; f dt is written over its step
-                    fdt = paths.w1_step(k - 1, ll)
-                    w1 += fdt
-                fdt = (np.multiply(coeffs.drift(0.0, k * paths.dt, w1), dt, out=fdt)
-                       if per_block else None)
+                if m > m0:  # the last block's edge adds its down bit to j
+                    jl += branch_digits(ll, paths.d, paths.n_steps, k - 1, mask=1)
+                w1 = w1_at(k, jl, paths.sqdt, out=w1)
+                fdt = np.multiply(coeffs.drift(0.0, k * paths.dt, w1), dt) if per_block else None
         j = m - first
         y0, w0 = yl, wl  # the step's start
         yl = yl + (fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt)
@@ -274,8 +274,8 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
             keep = (~out).nonzero()[0]
             live, yl, wl, near = live[keep], yl[keep], wl[keep], near[keep]
             acc = {name: a[keep] for name, a in acc.items()}
-            if w1 is not None:  # on a tree the leaf, w1 and f dt with it are per path
-                ll, w1 = ll[keep], w1[keep]
+            if jl is not None:  # on a tree leaf, j, w1 (w1_at of j) and f dt are per path
+                ll, jl, w1 = ll[keep], jl[keep], w1[keep]
                 if per_block:
                     fdt = fdt[keep]
             if m < end:  # the block has steps left; a spent one is dropped

@@ -24,16 +24,17 @@ needs numpy.random.  The inverse normal CDF, `ndtri`, is a numpy port of
 cephes' ndtri, so the package needs numpy alone.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
-reaches child i * 2**d + j through branch digit j; bit c of the digit
-encodes the sign of increment component c (bit 0 -> +sqrt(dt)).  So a
-leaf's index holds its path's digits (`branch_digits`), and a path bundle
-holds leaves and no tree: a path's w1 sums its digits' steps (`PathBundle.w1`).
+reaches child i * 2**d + j through branch digit j; bit c of the digit encodes
+the sign of increment component c (bit 0 -> +sqrt(dt)).  So a leaf's index
+holds its path's digits (`branch_digits`), and a path bundle holds leaves and
+no tree.
 
-At any d the `Lattice` recombines the tree by its first component (Cox,
-Ross and Rubinstein 1979): state j of level k counts the down steps of w1,
-so w1 = sqrt(dt) (k - 2j).  Coefficients and test fields read the path only
-through w1, so both store w1 alone (`w1[k]`, one value per level-k node),
-and a lattice field holds the tree field's conditional means given (k, w1).
+At any d the `Lattice` recombines the tree by its first component (Cox, Ross
+and Rubinstein 1979): state j of level k counts the down steps of w1, and one
+rule, `w1_at`, sets w1 = sqrt(dt) (k - 2j) at a tree node's, a lattice state's
+and a path's j.  Coefficients and test fields read the path only through w1,
+so both store w1 alone (`w1[k]`), and a lattice field holds the tree field's
+conditional means given (k, w1).
 Both classes give the solvers the level structure: `child(nxt, b, n_k)`,
 child b of every level-k node as an (nx, n_k) view of level k+1;
 `merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
@@ -136,8 +137,8 @@ def _leaf_index(leaf, n_leaves: int) -> int:
 
 
 def _steps(d: int, n_steps: int, horizon: float) -> tuple:
-    """(dt, sqdt, digit_signs) of a tree and of the bundles bridged through it;
-    TreeError unless d is 1 or 2, n_steps >= 1 and horizon > 0."""
+    """(dt, sqdt, digit_signs) of a tree, the lattice (d = 1) and bridged
+    bundles; TreeError unless d is 1 or 2, n_steps >= 1 and horizon > 0."""
     if d not in (1, 2):
         raise TreeError(f"driving dimension d must be 1 or 2, got {d}")
     if n_steps < 1:
@@ -145,20 +146,26 @@ def _steps(d: int, n_steps: int, horizon: float) -> tuple:
     if horizon <= 0:
         raise TreeError("horizon must be positive")
     dt = horizon / n_steps
-    digits = np.arange(2**d)
-    digit_signs = np.empty((2**d, d))
-    for c in range(d):
-        digit_signs[:, c] = 1.0 - 2.0 * ((digits >> c) & 1)
+    # in Python ints, as the tables' j is float64: a run that marches no bridged path
+    # calls no integer ufunc, whose first call maps its code in (0.1-0.2 MB peak RSS)
+    digit_signs = np.array([[1.0 - 2.0 * (j >> c & 1) for c in range(d)] for j in range(2**d)])
     digit_signs.setflags(write=False)
     return dt, float(np.sqrt(dt)), digit_signs
 
 
-def branch_digits(leaves, d: int, n_steps: int, k: int) -> np.ndarray:
+def branch_digits(leaves, d: int, n_steps: int, k: int, mask: int | None = None) -> np.ndarray:
     """The branch digit of edge k, level k -> k+1, on the path to each leaf:
-    the low d bits of its level-(k+1) ancestor's index (a new array)."""
+    the low d bits of its level-(k+1) ancestor's index, or those in mask (1:
+    the first component's down bit), as a new array."""
     digits = np.right_shift(leaves, d * (n_steps - k - 1))
-    digits &= 2**d - 1
+    digits &= 2**d - 1 if mask is None else mask
     return digits
+
+
+def w1_at(level: int, down, sqdt: float, out=None) -> np.ndarray:
+    """The one w1 rule, sqdt (level - 2 down), sqdt times an exact integer rounded once;
+    down is whole: float64 in the tables, int8 (any j of a 63-step path) on paths."""
+    return np.multiply(level - 2 * down, sqdt, out=out, dtype=np.float64)
 
 
 def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
@@ -172,9 +179,10 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     # more than 2**(d n_steps) nodes: none are counted past 2**63
     _size_guard(f"a d={d} tree", n_steps,
                 (2**(d * (n_steps + 1)) - 1) // (2**d - 1) if d * n_steps < 63 else None)
-    w1 = [np.zeros(1)]
+    down = [np.zeros(1)]  # each node's j, level by level (float64: see _steps)
     for _ in range(n_steps):
-        w1.append((w1[-1][:, None] + digit_signs[:, 0] * sqdt).reshape(-1))
+        down.append((down[-1][:, None] + (digit_signs[:, 0] < 0)).reshape(-1))
+    w1 = [w1_at(k, j, sqdt) for k, j in enumerate(down)]
     for arr in w1:
         arr.setflags(write=False)
     return ScenarioTree(d, n_steps, horizon, dt, sqdt, digit_signs, tuple(w1))
@@ -191,7 +199,7 @@ class Lattice:
     dt: float
     sqdt: float
     digit_signs: np.ndarray  # (2, 1): child 0 steps up, child 1 down
-    w1: tuple  # per level k: (k + 1,), sqrt(dt) (k - 2j)
+    w1: tuple  # per level k: (k + 1,), w1_at(k, j) for j = 0 .. k
 
     kind, d, branching = "lattice", 1, 2
 
@@ -224,17 +232,14 @@ class Lattice:
 def build_lattice(n_steps: int, horizon: float) -> Lattice:
     """The w1 lattice with the time grid of build_tree(1, n_steps, horizon);
     its (n_steps+1)(n_steps+2)/2 states must fit MAX_STATES: n_steps <= 510."""
-    if n_steps < 1 or horizon <= 0:
-        raise TreeError("the lattice needs n_steps >= 1 and horizon > 0")
+    dt, sqdt, digit_signs = _steps(1, n_steps, horizon)
     # more than n_steps**2 / 2 states: none are counted past 2**63
     _size_guard("the w1 lattice", n_steps,
                 (n_steps + 1) * (n_steps + 2) // 2 if n_steps < 2**32 else None)
-    sqdt = float(np.sqrt(horizon / n_steps))
-    signs = np.array([[1.0], [-1.0]])
-    w1 = tuple(sqdt * (k - 2.0 * np.arange(k + 1)) for k in range(n_steps + 1))
-    for arr in (signs, *w1):
+    w1 = tuple(w1_at(k, np.arange(k + 1.0), sqdt) for k in range(n_steps + 1))
+    for arr in w1:
         arr.setflags(write=False)
-    return Lattice(n_steps, horizon, horizon / n_steps, sqdt, signs, w1)
+    return Lattice(n_steps, horizon, dt, sqdt, digit_signs, w1)
 
 
 def require_tree(tree, what: str, error=TreeError):
@@ -757,22 +762,19 @@ class PathBundle:
         few fine steps at a time, for the requested paths only."""
         return np.broadcast_to(np.float64(0.0), (self.n_paths, self.n_fine))
 
-    def w1_step(self, k: int, leaves) -> np.ndarray:
-        """w1's step over edge k, level k -> k+1, on the path to each leaf."""
-        step = self.digit_signs[:, 0].take(branch_digits(leaves, self.d, self.n_steps, k))
-        step *= self.sqdt
-        return step
-
-    def w1(self, level: int, rows=None):
-        """w1 at the level's node of each row's path (all rows when None; None
-        for a free bundle): 0.0 plus its steps in order, build_tree's bits."""
+    def down_steps(self, level: int, rows=slice(None)):
+        """j, int8, at the level's node of each row's path (None on free paths)."""
         if self.leaves is None:
             return None
-        leaves = self.leaves if rows is None else self.leaves[rows]
-        w = np.zeros(leaves.shape)
+        leaves = self.leaves[rows]
+        down = np.zeros(leaves.shape, dtype=np.int8)
         for k in range(level):
-            w += self.w1_step(k, leaves)
-        return w
+            down += branch_digits(leaves, self.d, self.n_steps, k, mask=1)
+        return down
+
+    def w1(self, level: int, rows=slice(None)) -> np.ndarray:
+        """w1_at of the rows' down_steps: the tree's w1 at their paths' nodes."""
+        return w1_at(level, self.down_steps(level, rows), self.sqdt)
 
     @cached_property
     def _key(self) -> np.uint64:

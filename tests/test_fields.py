@@ -66,6 +66,22 @@ def test_shape_mismatch_raises(setup):
         SpaceTimeField(grid, tree, [np.zeros((grid.nx, 1))])
 
 
+def test_fields_on_other_nodes_or_horizons_do_not_pair():
+    # the same nx on another interval, or the same tree shape over another
+    # horizon, would pair to a value that depends on the argument order
+    tree = build_tree(1, 4, 1.0)
+    grid, wide = build_grid(DomainSpec(0.0, 1.0, 1.0), 11), build_grid(DomainSpec(0.0, 2.0, 1.0), 11)
+    F = smooth_random_field(grid, tree, seed=1)
+    with pytest.raises(FieldError, match="different grids"):
+        inner_x0(F, smooth_random_field(wide, tree, seed=2))
+    with pytest.raises(FieldError, match="different trees"):
+        inner_x0(F, smooth_random_field(grid, build_tree(1, 4, 2.0), seed=2))
+    # equal grids and trees built apart, as each _state_space call builds its own, pair
+    again = build_grid(DomainSpec(0.0, 1.0, 1.0), 11)
+    G = smooth_random_field(again, build_tree(1, 4, 1.0), seed=2)
+    assert again is not grid and inner_x0(F, G) == inner_x0(G, F)
+
+
 def test_norms_consistent(setup):
     grid, tree = setup
     F = smooth_random_field(grid, tree, seed=6)

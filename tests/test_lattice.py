@@ -69,14 +69,19 @@ def setup(family, nx, n_steps, d=1):
     return coeffs, grid, tree, lattice
 
 
+def node_states(tree, k):
+    """The w1 state j of every level-k tree node: the down steps of component
+    0, the set bits of its index at bit 0 of each d-bit digit (the popcount
+    of n & 0x5555... at d = 2)."""
+    mask = sum(1 << (tree.d * m) for m in range(k))
+    return np.array([bin(n & mask).count("1") for n in range(tree.n_nodes(k))])
+
+
 def per_state(field):
-    """Tree field levels averaged over the nodes of each w1 state: a node's
-    state counts the down steps of component 0, the set bits of its index at
-    bit 0 of each d-bit digit (the popcount of n & 0x5555... at d = 2)."""
-    d, out = field.tree.d, []
+    """Tree field levels averaged over the nodes of each w1 state."""
+    out = []
     for k, level in enumerate(field.levels):
-        mask = sum(1 << (d * m) for m in range(k))
-        j = np.array([bin(n & mask).count("1") for n in range(level.shape[1])])
+        j = node_states(field.tree, k)
         out.append(np.stack([level[:, j == s].mean(axis=1) for s in range(k + 1)], axis=1))
     return out
 
@@ -189,6 +194,29 @@ def test_duality_63_fine_pairing_matches_the_tree(d, n_steps):
         assert rel(a, b) <= 1e-12
     # the lattice density is the tree density's conditional mean per state
     assert_levels_match(on_tree[3].p, on_lattice[3].p)
+
+
+@pytest.mark.parametrize("d, n_steps", [(1, 10), (2, 8)])
+def test_tree_drift_and_fields_are_the_lattice_values_at_each_nodes_state(d, n_steps):
+    # why the lattice is exact: coefficients and test fields read the path
+    # only through w1, and a tree node's w1 has its lattice state's bits, so
+    # every family's drift row and a field's column at each tree node are
+    # the lattice's at the node's j, bit for bit (at an irrational sqrt(dt))
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    def fn(x, t, w1):
+        return np.sin(x) * np.tanh(w1) + t * w1
+
+    for family in sorted(FAMILIES):
+        coeffs, grid, tree, lattice = setup(family, 41, n_steps, d)
+        on_tree = SpaceTimeField.from_function(grid, tree, fn)
+        on_lattice = SpaceTimeField.from_function(grid, lattice, fn)
+        for k in range(n_steps + 1):
+            j = node_states(tree, k)
+            assert np.array_equal(bits(coeffs.drift_nodes(grid, tree, k)),
+                                  bits(coeffs.drift_nodes(grid, lattice, k))[j]), (family, k)
+            assert np.array_equal(bits(on_tree.levels[k]), bits(on_lattice.levels[k])[:, j]), k
 
 
 def test_lattice_levels_and_children():

@@ -129,52 +129,59 @@ def test_build_tree_guards():
         build_tree(2, 10**12, 1.0)
 
 
-def test_w1_bits_are_running_sums_of_branch_digits():
-    # each node's w1 is 0.0 plus sign * sqdt over its branch digits, added
-    # level by level: the same bits as an independent sum per node
-    for d, n_steps in ((1, 10), (2, 5)):
-        tree = build_tree(d, n_steps, 1.0)
-        for k in range(n_steps + 1):
-            assert tree.w1[k].shape == (tree.branching**k,)
-            expected = np.empty(tree.n_nodes(k))
-            for i in range(tree.n_nodes(k)):
-                w = 0.0
-                for j in range(k):
-                    digit = (i >> (d * (k - 1 - j))) % tree.branching
-                    w = w + tree.digit_signs[digit, 0] * tree.sqdt
-                expected[i] = w
-            assert np.array_equal(tree.w1[k], expected)
-    lattice = build_lattice(10, 1.0)
-    for k in range(11):
-        assert np.array_equal(lattice.w1[k], np.sqrt(0.1) * (k - 2.0 * np.arange(k + 1)))
+def down_steps(index, d: int, level: int):
+    """j of the level's node with the given index: the 1-bits among bit 0 of
+    its branch digits, counted digit by digit."""
+    return sum(((index >> (d * e)) & 1 for e in range(level)), np.zeros_like(index))
+
+
+@pytest.mark.parametrize("d, n_steps, horizon", [(1, 10, 1.0), (1, 16, 1.0), (2, 8, 1.0),
+                                                 (1, 10, 0.7)])
+def test_tree_w1_is_the_lattice_w1_at_each_nodes_down_steps(d, n_steps, horizon):
+    # one rule, sqrt(dt) (k - 2j): a tree node's w1 has the bits of the
+    # lattice state j its first component's down steps name, at an
+    # irrational sqrt(dt) too, where sums of +-sqrt(dt) would round apart
+    tree, lattice = build_tree(d, n_steps, horizon), build_lattice(n_steps, horizon)
+    assert (lattice.dt, lattice.sqdt) == (tree.dt, tree.sqdt)
+    assert np.array_equal(lattice.digit_signs, tree.digit_signs[:2, :1])
+    for k in range(n_steps + 1):
+        assert tree.w1[k].shape == (tree.branching**k,) and lattice.w1[k].shape == (k + 1,)
+        expected = np.sqrt(horizon / n_steps) * (k - 2.0 * np.arange(k + 1))
+        assert np.array_equal(lattice.w1[k].view(np.uint64), expected.view(np.uint64))
+        j = down_steps(np.arange(tree.n_nodes(k)), d, k)
+        assert np.array_equal(tree.w1[k].view(np.uint64), lattice.w1[k][j].view(np.uint64))
 
 
 @pytest.mark.parametrize("d, n_steps", [(1, 16), (2, 8)])
-def test_a_bundle_sums_the_bits_of_the_tree_tables(d, n_steps):
-    # a bridged path carries no tree: its w1 is 0.0 plus one step per level
-    # from its leaf's branch digits (PathBundle.w1, and the march's update
-    # by w1_step), and its drift times dt_mc is taken per path.  Over 100,003
-    # random leaves both have the bits of the tree's w1 and of its per-node
-    # drift table at the path's node, at every level and at array offsets
-    # 0, 1, 3 and 7, where numpy's vector loops start elsewhere
+def test_a_bundle_holds_the_tree_w1_at_each_paths_node(d, n_steps):
+    # a bridged path carries no tree: its j counts the down bits of its
+    # leaf's branch digits (PathBundle.down_steps, as the march adds them
+    # one edge per block), its w1 is the one rule at j, and its drift times
+    # dt_mc is taken per path.  Over 100,003 random leaves both have the
+    # bits of the tree's w1 and of its per-node drift table at the path's
+    # node, at every level and at array offsets 0, 1, 3 and 7, where numpy's
+    # vector loops start elsewhere
     tree = build_tree(d, n_steps, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8, 0.5], "d": d})
     bundle = sample_tree_paths(tree.shape, 100_003, coeffs.sigma, tree.dt / 4, seed=52)
     assert (bundle.d, bundle.n_steps, bundle.dt, bundle.sqdt) == (d, n_steps, tree.dt, tree.sqdt)
     assert np.array_equal(bundle.digit_signs, tree.digit_signs)
-    w1, dt = np.zeros(bundle.n_paths), bundle.dt_mc
+    dt, rows = bundle.dt_mc, np.arange(0, bundle.n_paths, 7)
     for k in range(n_steps + 1):
         nodes = tree.ancestor_index(bundle.leaves, k)
+        assert bundle.down_steps(k).dtype == np.int8
+        assert np.array_equal(bundle.down_steps(k), down_steps(nodes, d, k))
+        w1 = bundle.w1(k)
         assert np.array_equal(w1.view(np.uint64), tree.w1[k][nodes].view(np.uint64))
-        assert np.array_equal(bundle.w1(k).view(np.uint64), w1.view(np.uint64))
+        assert np.array_equal(bundle.w1(k, rows), w1[rows])
         table = (np.asarray(coeffs.drift(0.0, k * tree.dt, tree.w1[k])) * dt)[nodes]
         for offset in (0, 1, 3, 7):
             moved = np.empty(offset + w1.size)[offset:]
             moved[:] = w1
             per_path = np.multiply(coeffs.drift(0.0, k * bundle.dt, moved), dt)
             assert np.array_equal(per_path.view(np.uint64), table.view(np.uint64))
-        if k < n_steps:
-            w1 += bundle.w1_step(k, bundle.leaves)
+    free = free_paths(1.0, 3, coeffs.sigma, 0.25, seed=52)
+    assert free.down_steps(2) is None
 
 
 def test_bridged_leaves_fit_int64():
