@@ -18,7 +18,11 @@ same sweep from the child spread,
 Levels are x-major, (nx, n_nodes(k)), children are read through tree.child
 (tree or w1 lattice), and solve_level applies S_k in place at every node of
 a level, from factors (level_factors) that serve any number of solves; the
-forward marcher reuses it with A*'s bands.
+forward marcher reuses it with A*'s bands.  A's coefficients read the path
+only through w1, so a tree level has the k + 1 distinct matrices of its
+lattice states (tree.lattice): it factors those, and each node's solve
+gathers the factors of its state (tree.states(k)); on the lattice the
+states are the nodes.
 
 Since (B g)^k is built from X^k, which depends only on g at later levels,
 B is strictly block-triangular in time and B^N = 0: op_L inverts I + B by
@@ -72,21 +76,24 @@ def level_factors(bands, dt, ni):
     return cr_factors(-dt * lo, 1.0 - dt * dg, -dt * up, ni)
 
 
-def solve_level(bands, dt, rhs):
+def solve_level(bands, dt, rhs, states=None):
     """Solve (I - dt A) u = rhs in place at every node of one tree level.
 
     bands are the level's rows-layout bands from generator_bands (of A or
     of A*), or, with dt None, their level_factors: the band half of the
-    cyclic reduction, done once for any number of solves.  rhs is x-major,
-    (nx, n), or (nx, n, m, ...) with right-hand sides per node on the
-    trailing axes, any strides; its interior rows are solved where they lie
-    (thomas_rows, the right-hand-side half, gets a view) and its boundary
-    rows zeroed; returns rhs.  Keep the node axis innermost in memory (a
-    plane (nx, n) per right-hand side): the factors, one per row and node,
-    then broadcast along the trailing axes at unit stride.
+    cyclic reduction, done once for any number of solves.  Without states
+    the bands have a column per node; with states, one per lattice state,
+    and node i solves with column states[i] (tree.states(k)).  rhs is
+    x-major, (nx, n), or (nx, n, m, ...) with right-hand sides per node on
+    the trailing axes, any strides; its interior rows are solved where they
+    lie (thomas_rows, the right-hand-side half, gets a view) and its
+    boundary rows zeroed; returns rhs.  Keep the node axis innermost in
+    memory (a plane (nx, n) per right-hand side): the factors, gathered to
+    one per row and node a stage at a time, then broadcast along the
+    trailing axes at unit stride.
     """
     factors = bands if dt is None else level_factors(bands, dt, len(rhs) - 2)
-    thomas_rows(factors, None, None, rhs[1:-1])
+    thomas_rows(factors, None, None, rhs[1:-1], states)
     rhs[[0, -1]] = 0.0
     return rhs
 
@@ -120,8 +127,9 @@ def backward_sweep(g: SpaceTimeField | None, coeffs: CoefficientSet, grid: Grid,
     of the pathwise solutions U, the representation kernels G g = [X_j], and
     B g = - sum_j beta_j dX_j/dx (one-sided at the first interior nodes).
     With phi, op_L(phi)'s solution follows as a fourth item (g may be None,
-    and the first three with it).  Each level, factored once, solves all
-    planes but L's v, then L's v, which needs (R phi)^k first."""
+    and the first three with it).  Each level, factored once at its lattice
+    states, solves all planes but L's v, then L's v, which needs (R phi)^k
+    first."""
     N, d, dt = tree.n_steps, tree.d, tree.dt
     lq, tq = (0 if f is None else 1 + d for f in (phi, g))  # planes of L and of T
     sol = [None] * N + [np.zeros((lq + tq, grid.nx, tree.n_nodes(N)))]
@@ -133,15 +141,15 @@ def backward_sweep(g: SpaceTimeField | None, coeffs: CoefficientSet, grid: Grid,
             _children_into(tree, sol[k + 1][p], sol[k][p : p + 1 + d])
         if g is not None:
             sol[k][lq] += dt * g.levels[k]
-        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
-        factors = level_factors(bands, dt, grid.ni)
-        solve_level(factors, None, sol[k][1 if lq else 0:].transpose(1, 2, 0))
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree.lattice, k), coeffs.b_total)
+        factors, states = level_factors(bands, dt, grid.ni), tree.states(k)
+        solve_level(factors, None, sol[k][1 if lq else 0:].transpose(1, 2, 0), states)
         if g is not None:
             bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[k][lq + 1:])
         if phi is not None:
             rphi[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, sol[k][1:lq])
             sol[k][0] += dt * rphi[k]
-            solve_level(factors, None, sol[k][0])
+            solve_level(factors, None, sol[k][0], states)
     planes = [SpaceTimeField(grid, tree, [s[p] for s in sol]) for p in range(lq + tq)]
     out = (None,) * 3 if g is None else (
         planes[lq], planes[lq + 1:], SpaceTimeField(grid, tree, bg))

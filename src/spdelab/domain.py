@@ -164,14 +164,18 @@ def cr_factors(L, D, U, n):
     return stages, b
 
 
-def thomas_rows(L, D, U, X):
+def thomas_rows(L, D, U, X, states=None):
     """Tridiagonal solve in rows layout: system axis first, by odd-even
     cyclic reduction, in place on X.
 
     L, D, U broadcastable to (n, nb), or L the cr_factors of them and D, U
     None; X is (n, nb) or (n, nb, m1, m2, ...), any strides, and is
     overwritten with the solution: every trailing index is one right-hand
-    side sharing system nb's matrix.  The values of L[0] and U[n-1] never
+    side sharing system nb's matrix.  With states, an index per system of
+    X into the bands' columns, system i of X solves with column states[i],
+    and X's nb is len(states): each stage's factors are gathered by state
+    just before they are applied, one array at a time, so factors are never
+    held with a column per system.  The values of L[0] and U[n-1] never
     influence the solution.  No pivoting: callers must supply diagonally
     dominant systems (I - dt*A is one when 2 dt (|f|/(2dx) - b/(2dx^2)) <= 1,
     which the load rule config._levels_dominant in config.RULES checks).
@@ -187,25 +191,32 @@ def thomas_rows(L, D, U, X):
     view of X.  Once one row is left, the stages are undone in reverse: each
     even row follows from its two odd neighbours.  Every operation is
     elementwise across systems and right-hand sides, so each solution is
-    bit-identical whatever else is solved with it, fresh or reused factors.
-    Factors broadcast along X's trailing axes: with nb innermost in memory,
-    the loops run along nb, not along a short axis against a zero stride.
+    bit-identical whatever else is solved with it, fresh, reused or
+    gathered factors.  Factors broadcast along X's trailing axes: with nb
+    innermost in memory, the loops run along nb, not along a short axis
+    against a zero stride.
     """
     stages, last = L if D is None else cr_factors(L, D, U, len(X))
     col = (slice(None), slice(None)) + (None,) * (X.ndim - 2)  # bands against X
+
+    def at(a):  # a factor against X, its columns gathered by state
+        if states is not None:  # a broadcast factor has one column's values
+            a = a[:, :1] if a.strides[1] == 0 else np.take(a, states, axis=1)
+        return a[col]
+
     d, levels = X, []
     for alpha, gamma, *_ in stages:
         levels.append(d)
         de, d = d[0::2], d[1::2]
-        d += alpha[col] * de[: len(alpha)]
-        d[: len(gamma)] += gamma[col] * de[1:]
-    np.divide(d, last[col], out=d)
+        d += at(alpha) * de[: len(alpha)]
+        d[: len(gamma)] += at(gamma) * de[1:]
+    np.divide(d, at(last), out=d)
     for (_, _, ae, be, ce), level in zip(reversed(stages), reversed(levels)):
         # the odd rows of level hold this stage's solution, d
         xe = level[0::2]
-        xe[1:] += ae[1:][col] * d[: len(be) - 1]
-        xe[: len(d)] += ce[: len(d)][col] * d
-        xe /= be[col]
+        xe[1:] += at(ae[1:]) * d[: len(be) - 1]
+        xe[: len(d)] += at(ce[: len(d)]) * d
+        xe /= at(be)
         d = level
     return X
 

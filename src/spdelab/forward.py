@@ -15,8 +15,10 @@ bias in the duality pairings that refinement cannot remove.  Solutions stay
 adapted because each child of a node gets its own increment.  Homogeneous
 Dirichlet data are imposed at every step.  A step builds the right-hand
 side of every child as one (br, nx, n_k) array, solves it in place with the
-parent's bands, and merges it into the (nx, n_{k+1}) next level
-(tree.merge: on the w1 lattice, conditional means given the state).
+parent's matrix, and merges it into the (nx, n_{k+1}) next level
+(tree.merge: on the w1 lattice, conditional means given the state).  A*
+reads the path only through w1, so a tree level factors the bands of its
+k + 1 lattice states and each node's solve gathers its state's factors.
 
 Problems that share the generator march in lockstep: solve_duals advances
 T*, G_0*, B*, R* and L* of one h together, and every level's right-hand
@@ -138,9 +140,9 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
     half (or None), noise a list per driving component of level-k slices for
     the explicit kick (or None).  A level's right-hand sides fill one
     (S, br, nx, n_k) block, solved by one solve_level call through its
-    x-major (nx, n_k, S, br) view: the node axis innermost, so the solve's
-    loops run along the nodes, not along the children against a zero-stride
-    factor.
+    x-major (nx, n_k, S, br) view, with the factors of the level's lattice
+    states: the node axis innermost, so the solve's loops run along the
+    nodes, not along the children against a zero-stride factor.
     """
     N, br = tree.n_steps, tree.branching
     root = np.zeros((grid.nx, 1)) if state0 is None else np.asarray(state0, dtype=float)
@@ -152,8 +154,9 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
         block = np.empty((len(sources), br, grid.nx, n_k))
         for rhs, source, levels in zip(block, sources, fields):
             _children_rhs(tree, k, levels[-1], source, rhs)
-        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual=True)
-        solve_level(bands, tree.dt, block.transpose(2, 3, 0, 1))
+        drift = coeffs.drift_nodes(grid, tree.lattice, k)
+        bands = generator_bands(grid, drift, coeffs.b_total, dual=True)
+        solve_level(bands, tree.dt, block.transpose(2, 3, 0, 1), tree.states(k))
         for rhs, levels in zip(block, fields):
             state = tree.merge(rhs.transpose(1, 2, 0))
             if not np.all(np.isfinite(state)):

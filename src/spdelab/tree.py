@@ -33,8 +33,11 @@ At any d the `Lattice` recombines the tree by its first component (Cox, Ross
 and Rubinstein 1979): state j of level k counts the down steps of w1, and one
 rule, `w1_at`, sets w1 = sqrt(dt) (k - 2j) at a tree node's, a lattice state's
 and a path's j.  Coefficients and test fields read the path only through w1,
-so both store w1 alone (`w1[k]`), and a lattice field holds the tree field's
-conditional means given (k, w1).
+so both store w1 (`w1[k]`), and a lattice field holds the tree field's
+conditional means given (k, w1).  A tree node's matrices are those of its
+state, so the tree also keeps each node's j (`states(k)`): a level solve
+factors the k + 1 states of its `lattice` and gathers each node's factors
+by its j.
 Both classes give the solvers the level structure: `child(nxt, b, n_k)`,
 child b of every level-k node as an (nx, n_k) view of level k+1;
 `merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
@@ -85,6 +88,7 @@ class ScenarioTree:
     sqdt: float
     digit_signs: np.ndarray  # (2**d, d), entries +-1
     w1: tuple  # per level k: (2**(d k),) first Wiener component at each node
+    down: tuple  # per level k: (2**(d k),) intp, each node's j, its lattice state
     kind = "tree"  # a class attribute, not a field; the Lattice's is "lattice"
 
     @property
@@ -109,6 +113,16 @@ class ScenarioTree:
     def weights(self, level: int) -> float:
         """P_k: uniform, 1 / n_nodes(level) (a power of two, so exact)."""
         return 1.0 / self.n_nodes(level)
+
+    @cached_property
+    def lattice(self) -> "Lattice":
+        """The w1 lattice of this time grid: its level-k states are the k + 1
+        distinct w1 of the level's nodes, with their bits."""
+        return build_lattice(self.n_steps, self.horizon)
+
+    def states(self, level: int) -> np.ndarray:
+        """Each level-`level` node's state j in `lattice`."""
+        return self.down[level]
 
     def ancestor_index(self, leaf_index, level: int):
         """Index of the level-`level` ancestor of the given leaf (vectorized)."""
@@ -153,11 +167,13 @@ def _steps(d: int, n_steps: int, horizon: float) -> tuple:
     return dt, float(np.sqrt(dt)), digit_signs
 
 
-def branch_digits(leaves, d: int, n_steps: int, k: int, mask: int | None = None) -> np.ndarray:
+def branch_digits(leaves, d: int, n_steps: int, k: int, mask: int | None = None,
+                  out=None) -> np.ndarray:
     """The branch digit of edge k, level k -> k+1, on the path to each leaf:
     the low d bits of its level-(k+1) ancestor's index, or those in mask (1:
-    the first component's down bit), as a new array."""
-    digits = np.right_shift(leaves, d * (n_steps - k - 1))
+    the first component's down bit), in out (int64, leaves' shape) or a new
+    array."""
+    digits = np.right_shift(leaves, d * (n_steps - k - 1), out=out)
     digits &= 2**d - 1 if mask is None else mask
     return digits
 
@@ -183,9 +199,10 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     for _ in range(n_steps):
         down.append((down[-1][:, None] + (digit_signs[:, 0] < 0)).reshape(-1))
     w1 = [w1_at(k, j, sqdt) for k, j in enumerate(down)]
-    for arr in w1:
+    down = [j.astype(np.intp) for j in down]  # a cast, no integer ufunc
+    for arr in w1 + down:
         arr.setflags(write=False)
-    return ScenarioTree(d, n_steps, horizon, dt, sqdt, digit_signs, tuple(w1))
+    return ScenarioTree(d, n_steps, horizon, dt, sqdt, digit_signs, tuple(w1), tuple(down))
 
 
 @dataclass(frozen=True)
@@ -205,6 +222,14 @@ class Lattice:
 
     def n_nodes(self, level: int) -> int:
         return level + 1
+
+    @property
+    def lattice(self) -> "Lattice":
+        """Itself: each node is its own state (states(k) is None)."""
+        return self
+
+    def states(self, level: int) -> None:
+        return None
 
     def child(self, nxt, b: int, n_k: int) -> np.ndarray:
         """Child b of every level-k state j: state j + b of level k+1."""
@@ -772,9 +797,11 @@ class PathBundle:
             down += branch_digits(leaves, self.d, self.n_steps, k, mask=1)
         return down
 
-    def w1(self, level: int, rows=slice(None)) -> np.ndarray:
-        """w1_at of the rows' down_steps: the tree's w1 at their paths' nodes."""
-        return w1_at(level, self.down_steps(level, rows), self.sqdt)
+    def w1(self, level: int, rows=slice(None)) -> np.ndarray | None:
+        """w1_at of the rows' down_steps: the tree's w1 at their paths' nodes
+        (None on free paths)."""
+        down = self.down_steps(level, rows)
+        return None if down is None else w1_at(level, down, self.sqdt)
 
     @cached_property
     def _key(self) -> np.uint64:
@@ -790,25 +817,27 @@ class PathBundle:
         The draw is hashed max(1, HASH_NORMALS // rows) steps per call, each
         call's rows scaled by sqrt(dt_mc) while they are in cache.  A tree
         draw then adds the bridge shift, whose column sum is added up one
-        step after another, so a path's column has the same bits at any row
-        count.  A free draw is scaled by sigma_0 or |sigma|.
+        step after another (a block of one step is its own mean), so a
+        path's column has the same bits at any row count.  Once hashed, the
+        counters' bytes hold the leaf digits, then the shift's mean term.  A
+        free draw is scaled by sigma_0 or |sigma|.
         """
         free = self.leaves is None
-        rows = np.asarray(rows)
+        rows = np.asarray(rows, dtype=np.int64)
         if free:
             first, n = m, min(-(-SPAN_NORMALS // max(rows.size, 1)), SPAN_MAX, self.n_fine - m)
         else:
             first, n = m - m % self.n_sub, self.n_sub
         per_call = max(1, min(HASH_NORMALS // max(rows.size, 1), n))
-        # counter of (path p, fine step m): p * n_fine + m
-        at_m0 = rows.astype(np.uint64) * np.uint64(self.n_fine)
         steps = np.arange(first, first + n, dtype=np.uint64)[:, None]
         counters = np.empty((per_call, rows.size), dtype=np.uint64)  # the one scratch array
         z = np.empty((n, rows.size))
-        total = None if free else np.zeros(rows.size)
+        total = None if free or n == 1 else np.zeros(rows.size)
         for lo in range(0, n, per_call):
             hi = min(lo + per_call, n)
-            np.add(at_m0, steps[lo:hi], out=counters[: hi - lo])
+            # counter of (path p, fine step m): p * n_fine + m
+            np.multiply(rows.view(np.uint64), np.uint64(self.n_fine), out=counters[: hi - lo])
+            counters[: hi - lo] += steps[lo:hi]
             part = _counter_normals(self._key, counters[: hi - lo], out=z[lo:hi])
             part *= np.sqrt(self.dt_mc)
             if total is not None:
@@ -819,10 +848,13 @@ class PathBundle:
             return first, z
         s, s_f = np.linalg.norm(self.sigma), np.linalg.norm(self.sigma[self.d :])
         edge = self.digit_signs @ self.sigma[: self.d]  # sigma[:d].dW_tree / sqdt, exact
-        digits = branch_digits(self.leaves[rows], self.d, self.n_steps, first // self.n_sub)
+        scratch = counters[0]
+        digits = branch_digits(self.leaves[rows], self.d, self.n_steps, first // self.n_sub,
+                               out=scratch.view(np.int64))
         shift = edge[digits]
         shift *= self.sqdt / n
-        shift -= (s - s_f) * (total / n)
+        mean = z[0] if total is None else np.divide(total, n, out=total)
+        shift -= np.multiply(mean, s - s_f, out=scratch.view(np.float64))
         z *= s
         z += shift
         return first, z
@@ -878,7 +910,7 @@ def bridge_paths(shape: tuple, leaf: int, M: int, sigma, dt_mc: float, seed) -> 
     """M paths of sigma.dW bridged through the path to one leaf of the tree of
     shape (d, n_steps, horizon), tail columns free.  Deterministic given seed.
     """
-    leaves = np.full(M, _leaf_index(leaf, leaf_count(*shape[:2])))
+    leaves = np.broadcast_to(np.int64(_leaf_index(leaf, leaf_count(*shape[:2]))), (M,))
     return _bundle(shape[2], M, sigma, dt_mc, seed, shape, leaves)
 
 

@@ -1,0 +1,82 @@
+"""The tree engine at the north star's fine level: time, peak memory and a bound.
+
+solve_density and op_L march the d = 1 scenario tree of 16 steps (2^16
+leaves) on a grid of 201 nodes over (-8, 8), under drift-random.
+Each call is run once; the script prints its wall time, its tracemalloc
+peak and the bytes of what it returns, and exits 1 when op_L's peak exceeds
+what it returns by more than 10%.  A tree level factors its k + 1 lattice
+states and gathers their factors by each node's state, so no factor set of
+a level's size is held next to the solution.  The run takes about 1.5 s and
+0.9 GB:
+
+    PYTHONPATH=src python tests/fine_tree_engine.py
+
+`measure` serves the tier-1 test of the same bound on a smaller tree.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from spdelab import DomainSpec, build_grid, build_tree, make_family
+from spdelab.backward import op_L
+from spdelab.config import _gaussian_density
+from spdelab.fields import SpaceTimeField
+from spdelab.forward import solve_density
+
+# op_L's peak over the bytes it returns
+OP_L_BOUND = 1.10
+
+
+def _levels_bytes(*fields) -> int:
+    return sum(level.nbytes for field in fields for level in field.levels)
+
+
+def _traced(call):
+    """(result, seconds, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        out = call()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, seconds, peak
+
+
+def measure(n_steps: int = 16, nx: int = 201) -> dict:
+    """{name: (seconds, peak bytes, bytes returned)} of one solve_density
+    and one op_L call on the d = 1 tree of n_steps steps, grid of nx nodes."""
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    grid = build_grid(DomainSpec(-8.0, 8.0, 1.0), nx)
+    tree = build_tree(1, n_steps, 1.0)
+    p0 = _gaussian_density(grid, 0.5)
+    density, seconds, peak = _traced(lambda: solve_density(p0, coeffs, grid, tree))
+    out = {"solve_density": (seconds, peak, _levels_bytes(density.p))}
+    del density
+    phi = SpaceTimeField.from_function(grid, tree, lambda x, t, w1: np.exp(-x * x) * np.cos(w1 + t))
+    sol, seconds, peak = _traced(lambda: op_L(phi, coeffs, grid, tree))
+    out["op_L"] = (seconds, peak, _levels_bytes(sol.v, *sol.kernels, sol.g))
+    return out
+
+
+def main() -> int:
+    results = measure()
+    for name, (seconds, peak, held) in results.items():
+        print(f"{name}: {seconds:.3f} s, tracemalloc peak {peak / 1e6:.1f} MB, "
+              f"returns {held / 1e6:.1f} MB")
+    seconds, peak, held = results["op_L"]
+    if peak > OP_L_BOUND * held:
+        print(f"op_L's peak is {peak / held:.3f} times what it returns, "
+              f"past the bound of {OP_L_BOUND}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,9 +24,11 @@ from spdelab.domain import (
     thomas_rows,
 )
 from spdelab import backward
-from spdelab.backward import op_L, solve_level
+from spdelab.backward import level_factors, op_L, solve_level
 from spdelab.fields import smooth_random_field
+from spdelab.forward import solve_density
 from spdelab.tree import TreeNode
+from fine_tree_engine import OP_L_BOUND, measure
 
 
 def dense_generator(grid, fvals, bvals):
@@ -276,26 +278,97 @@ def test_reused_factors_solve_like_a_fresh_one_shot_solve(trailing, full_bands, 
         assert np.array_equal(reused, fresh)
 
 
-def test_op_L_factors_each_level_once(monkeypatch):
-    # op_L's 2N level solves (kernels, then v) share N factorizations
+def _count_level_solves(monkeypatch):
+    """(columns, solved): the column count of every factorization and one
+    entry per level solve the backward module makes from now on."""
+    columns, solved = [], []
+    factor, thomas = domain.cr_factors, domain.thomas_rows
+
+    def counted_factors(*args):
+        stages, last = factor(*args)
+        columns.append(last.shape[1])
+        return stages, last
+
+    def counted_solve(*args):
+        solved.append(1)
+        return thomas(*args)
+
+    for module in (domain, backward):
+        monkeypatch.setattr(module, "cr_factors", counted_factors)
+    monkeypatch.setattr(backward, "thomas_rows", counted_solve)
+    return columns, solved
+
+
+def _small_tree():
     grid = build_grid(DomainSpec(0.0, 4.0, 1.0), 21)
     tree = build_tree(1, 4, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
+    return grid, tree, coeffs
+
+
+def test_op_L_factors_each_level_once(monkeypatch):
+    # op_L's 2N level solves (kernels, then v) share N factorizations, each
+    # of the k + 1 lattice states of its level, not of its 2^k nodes
+    grid, tree, coeffs = _small_tree()
     phi = smooth_random_field(grid, tree, seed=3)
-    factored, solved = [], []
-
-    def counting(fn, log):
-        def wrapper(*args):
-            log.append(1)
-            return fn(*args)
-        return wrapper
-
-    factor = counting(domain.cr_factors, factored)
-    for module in (domain, backward):
-        monkeypatch.setattr(module, "cr_factors", factor)
-    monkeypatch.setattr(backward, "thomas_rows", counting(domain.thomas_rows, solved))
+    columns, solved = _count_level_solves(monkeypatch)
     op_L(phi, coeffs, grid, tree)
-    assert (len(factored), len(solved)) == (tree.n_steps, 2 * tree.n_steps)
+    assert columns == [k + 1 for k in reversed(range(tree.n_steps))]
+    assert len(solved) == 2 * tree.n_steps
+
+
+def test_solve_density_factors_each_level_once(monkeypatch):
+    # the density march solves each level once, with the factors of its
+    # k + 1 lattice states
+    grid, tree, coeffs = _small_tree()
+    p0 = np.zeros(grid.nx)
+    p0[1:-1] = 1.0 / (grid.dx * grid.ni)
+    columns, solved = _count_level_solves(monkeypatch)
+    solve_density(p0, coeffs, grid, tree)
+    assert columns == [k + 1 for k in range(tree.n_steps)]
+    assert len(solved) == tree.n_steps
+
+
+@pytest.mark.parametrize("d, n_steps", [(1, 10), (2, 6)])
+@pytest.mark.parametrize("family", ["drift-random", "space-smooth"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_level_solved_with_its_states_factors_equals_the_per_node_solve(d, n_steps, family,
+                                                                          dual):
+    # a tree node's drift row has its lattice state's bits, and cyclic
+    # reduction is elementwise across systems: the factors of the k + 1
+    # states, gathered by each node's j, solve every node as its own
+    # factors do, bit for bit, for A and A*, from bands or from factors,
+    # with right-hand sides on trailing (S, br) axes as the marches lay them
+    params = {"drift-random": {"kappa": 0.25}, "space-smooth": {"a": 0.3, "eps": 0.5}}[family]
+    coeffs = make_family(family, {**params, "sigma": [0.6, 0.8, 0.5], "d": d})
+    grid = build_grid(DomainSpec(-4.0, 4.0, 1.0), 33)
+    tree = build_tree(d, n_steps, 1.0)
+    rng = np.random.default_rng(17)
+    for k in range(n_steps + 1):
+        per_node, per_state = (
+            generator_bands(grid, coeffs.drift_nodes(grid, space, k), coeffs.b_total, dual)
+            for space in (tree, tree.lattice))
+        factors = level_factors(per_state, tree.dt, grid.ni)
+        assert factors[1].shape == (1, k + 1)
+        block = rng.normal(size=(3, tree.branching, grid.nx, tree.n_nodes(k)))
+        alone = solve_level(per_node, tree.dt, block.copy().transpose(2, 3, 0, 1))
+        assert np.abs(alone).max() > 0.0
+        for gathered in (per_state, factors):
+            rhs = block.copy().transpose(2, 3, 0, 1)
+            solved = solve_level(gathered, None if gathered is factors else tree.dt, rhs,
+                                 tree.states(k))
+            assert np.array_equal(solved, alone), k
+
+
+def test_a_tree_solve_holds_no_factors_of_a_levels_size():
+    # on the d = 1 tree of 12 steps at nx 101, op_L's tracemalloc peak is
+    # within 10% of the pair it returns and solve_density's under twice its
+    # field; factors with a column per node lifted them to 1.43 and 2.46
+    results = measure(n_steps=12, nx=101)
+    _, peak, held = results["op_L"]
+    assert peak <= OP_L_BOUND * held
+    _, peak, held = results["solve_density"]
+    assert peak < 2.0 * held
 
 
 def test_solve_level_x_dependent_against_dense(unit_interval):

@@ -181,7 +181,7 @@ def test_a_bundle_holds_the_tree_w1_at_each_paths_node(d, n_steps):
             per_path = np.multiply(coeffs.drift(0.0, k * bundle.dt, moved), dt)
             assert np.array_equal(per_path.view(np.uint64), table.view(np.uint64))
     free = free_paths(1.0, 3, coeffs.sigma, 0.25, seed=52)
-    assert free.down_steps(2) is None
+    assert free.down_steps(2) is None and free.w1(2) is None
 
 
 def test_bridged_leaves_fit_int64():
