@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Grid, hk_norm_sq
+from .rng import pcg64_normal
 from .tree import ScenarioTree, require_tree
 
 
@@ -187,11 +188,8 @@ def smooth_random_field(grid: Grid, tree: ScenarioTree, seed: int) -> SpaceTimeF
     boundary rows are set to exactly zero (sin(m pi) is not), so the field
     is Dirichlet-compatible.
     """
-    from numpy.random import SeedSequence, default_rng
-
     n_modes = 4
-    rng = default_rng(SeedSequence(seed))
-    amp = rng.normal(size=(3, n_modes)) / np.arange(1, n_modes + 1)
+    amp = pcg64_normal(seed, 3 * n_modes).reshape(3, n_modes) / np.arange(1, n_modes + 1)
     z = (grid.x - grid.domain.a) / (grid.domain.b - grid.domain.a)
     modes = np.sin(np.outer(np.arange(1, n_modes + 1), np.pi * z))  # (m, nx)
     horizon = tree.horizon

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import importlib
 import json
 import platform
 import resource
@@ -249,11 +248,6 @@ class ExperimentConfig:
                 n_bits = cfg.d * cfg.tree["n_steps"]
                 cfg.params["leaf_bits"] = cfg.params["leaf_bits"][-n_bits:].zfill(n_bits)
             rule(cfg, EXPERIMENTS[name])
-        if EXPERIMENTS[name].numpy_random:
-            # the run draws test fields from numpy.random, which numpy
-            # imports at first use: importing it here keeps its 10-15 ms out
-            # of the run's wall time, and the run imports no module
-            importlib.import_module("numpy.random")
         return cfg
 
     @classmethod
@@ -680,13 +674,7 @@ class Experiment:
     one load rule (config._estimates_fit) reads it, once per load, and
     summary.json takes its names; marches_at_dt_mc(config): whether an
     estimate marches at mc.dt_mc, which the config holds only then (where
-    the defaults do); numpy_random: it draws test fields
-    (fields.smooth_random_field's normals) from numpy.random, which its
-    config load then imports.  The Monte Carlo draws need none: the normals
-    are tree.PathBundle's own counter hash, keyed by tree.seed_key, and
-    sampled leaves and density start points come from tree's bit-exact port
-    of numpy 2.x's PCG64 and SeedSequence (tree.pcg64_integers,
-    tree.pcg64_uniform)."""
+    the defaults do)."""
 
     checks: Callable
     defaults: dict
@@ -694,7 +682,6 @@ class Experiment:
     superparabolic: bool = False
     estimates: Callable = lambda config: []
     marches_at_dt_mc: Callable = lambda config: True
-    numpy_random: bool = True
 
 
 _DRIFT_RANDOM = {"family": "drift-random", "kappa": 0.25, "sigma": [0.6, 0.8], "d": 1}
@@ -706,15 +693,14 @@ EXPERIMENTS = {
         "grid": {"nx": 201}, "tree": {"n_steps": 8, "horizon": 4.0},
         "mc": {"paths": 100000, "dt_mc": 0.04, "seed": 424242},
         "params": {"x0": 0.5},
-    }, estimates=_feynman_kac_estimates, numpy_random=False),
+    }, estimates=_feynman_kac_estimates),
     "representation-random": Experiment(_exp_representation_random, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},
         "grid": {"nx": 161}, "tree": {"n_steps": 10, "horizon": 1.0},
         "mc": {"paths": 20000, "dt_mc": 2.0e-3, "seed": 1357},
         "params": {"x_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    }, estimates=_representation_estimates, marches_at_dt_mc=_drift_reads_x,
-        numpy_random=False),
+    }, estimates=_representation_estimates, marches_at_dt_mc=_drift_reads_x),
     "adjoint-suite": Experiment(_exp_adjoint_suite, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": 0.0, "b": 8.0},
@@ -742,7 +728,7 @@ EXPERIMENTS = {
         "mc": {"paths": 100000, "dt_mc": 2.0e-3, "seed": 97531},
         "params": {"p0_width": 0.5, "t_points": [0.4, 0.6, 0.8, 1.0], "leaf_bits": "1010101010"},
     }, fields_on_tree=True, superparabolic=True, estimates=_density_estimates,
-        marches_at_dt_mc=_drift_reads_x, numpy_random=False),
+        marches_at_dt_mc=_drift_reads_x),
     "norm-bounds": Experiment(_exp_norm_bounds, {
         "coefficients": _DRIFT_RANDOM,
         "domain": {"a": -8.0, "b": 8.0},

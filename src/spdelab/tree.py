@@ -19,8 +19,8 @@ of ints at any depth.  The normals' key, `seed_key(seed)`, is a bit-exact
 port of SeedSequence((seed,)).generate_state(1, np.uint64)[0]; sampled
 leaves (`sample_tree_paths`) and density start points draw from its PCG64,
 default_rng(SeedSequence((seed, tag))), through a bit-exact port of numpy
-2.x's PCG64 (`pcg64_integers`, `pcg64_uniform`), so no Monte Carlo draw
-needs numpy.random.  The inverse normal CDF, `ndtri`, is a numpy port of
+2.x's PCG64 (`pcg64_integers`, `pcg64_uniform`), so no draw needs
+numpy.random.  The inverse normal CDF, `ndtri`, is a numpy port of
 cephes' ndtri, so the package needs numpy alone.
 
 Node addressing: the node with index i at level k has parent i // 2**d and

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no run loads scipy, no Monte Carlo run loads numpy.random, no module starts
-a thread or a process, and a run holds one OS thread.
+no run loads scipy or numpy.random, no module starts a thread or a
+process, and a run holds one OS thread.
 
 The unused-import check parses with the standard library's ast, so it runs
 no package code; re-exports in __init__.py and __future__ imports are
@@ -10,14 +10,12 @@ test's imports are counted:
   whether it draws normals or not, loads any scipy module, neither while
   its config loads nor while it runs;
 - the reduced run of each of the seven experiments imports no module at
-  all: numpy imports numpy.random at its first use, so the config load of
-  every experiment that draws test fields from it
-  (harness.Experiment.numpy_random) imports it first;
+  all;
 - with scipy missing, the runs that draw no normals pass, and a config
   that draws validates and runs;
-- with numpy.random missing, the default config of each of the three
-  experiments that draw no test fields validates and runs, and where it is
-  present neither the load nor the run imports it;
+- no module of the package reaches numpy.random (an ast scan), and with
+  numpy.random missing each of the seven default configs validates and
+  runs, and where it is present neither the load nor the run imports it;
 - the default duality-63 run, through the CLI, peaks under 100 MB RSS,
   started from a process that holds more;
 - a reduced adjoint-suite and feynman-kac-nonrandom run through the CLI,
@@ -184,10 +182,8 @@ print(' '.join(sorted(set(sys.modules) - before)))
 
 
 def test_a_run_that_draws_no_normals_imports_no_module(tmp_path):
-    # numpy imports numpy.random at its first use; the config load of an
-    # experiment whose test fields draw from it imports it, so a run's wall
-    # time does not pay that import.  One marked as drawing none would
-    # import it here
+    # test fields draw their normals from rng.pcg64_normal, which fields
+    # imports with the package: a run imports neither it nor numpy.random
     for name in PDE_ONLY:
         assert modules_a_run_imports(name, tmp_path / name) == [], name
 
@@ -247,30 +243,61 @@ def test_without_scipy_the_runs_that_draw_no_normals_pass(tmp_path):
         assert code == 0 and f"PASS: {name}" in stdout, (name, stdout, stderr)
 
 
-def test_the_experiments_that_draw_test_fields_from_numpy_random():
-    assert sorted(n for n, e in EXPERIMENTS.items() if e.numpy_random) == [
-        "adjoint-suite", "duality-63", "norm-bounds", "solvability-R"]
+def numpy_random_uses(path):
+    """Where a module reaches numpy.random: an import of it or from it, a
+    call handed its name (importlib.import_module), or numpy's random
+    attribute, which imports it at first use."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call):
+            names = [arg.value for arg in node.args
+                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        elif isinstance(node, ast.Attribute) and node.attr == "random" and \
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            names = ["numpy.random"]
+        if any(name == "numpy.random" or name.startswith("numpy.random.") for name in names):
+            uses.append(f"{path.name}:{node.lineno}")
+    return uses
 
 
-NO_NUMPY_RANDOM = sorted(n for n, e in EXPERIMENTS.items() if not e.numpy_random)
+def test_no_module_reaches_numpy_random():
+    # test fields draw their normals from rng.pcg64_normal, sampled leaves
+    # and density start points from tree's PCG64 port, and the Monte Carlo
+    # normals are tree's counter hash: numpy.random is the tests' oracle
+    # only.  Docstrings and comments may name it
+    modules = sorted(SRC.glob("*.py"))
+    uses = [use for path in modules for use in numpy_random_uses(path)]
+    assert modules and uses == [], uses
 
 
-def test_without_numpy_random_the_experiments_that_draw_no_test_fields_validate_and_run(
-        tmp_path):
-    # normals are the counter hash keyed by tree.seed_key, and sampled leaves
-    # and density start points tree's port of numpy's PCG64: with
-    # numpy.random missing each default config validates and runs, and with
-    # it present neither the load nor the run imports it
-    assert NO_NUMPY_RANDOM == ["density-64-65", "feynman-kac-nonrandom", "representation-random"]
+def test_the_numpy_random_check_sees_each_way_in(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text('"""Draws nothing from numpy.random."""\n'
+                      "import importlib\nimport numpy as np\nimport numpy.random\n"
+                      "from numpy.random import default_rng\nfrom numpy import random\n"
+                      "importlib.import_module('numpy.random')\nrng = np.random.default_rng(1)\n"
+                      "# numpy.random stays out\n")
+    assert numpy_random_uses(module) == [f"mod.py:{line}" for line in (4, 5, 6, 7, 8)]
+
+
+def test_without_numpy_random_every_default_config_validates_and_runs(tmp_path):
+    # with numpy.random missing each default config validates and runs, and
+    # with it present neither the load nor the run imports it
     argvs = []
-    for name in NO_NUMPY_RANDOM:
+    for name in EXPERIMENTS:
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps({"experiment": name, "output_dir": str(tmp_path / name)}))
         argvs += [("validate-config", config), ("run", config)]
     for blocked in (["numpy.random"], []):
         results = cli_without(blocked, *argvs)
-        assert len(results) == len(argvs)
-        for name, (validated, ran) in zip(NO_NUMPY_RANDOM, zip(results[::2], results[1::2])):
+        assert len(results) == len(argvs) == 2 * 7
+        for name, (validated, ran) in zip(EXPERIMENTS, zip(results[::2], results[1::2])):
             code, out, err, _ = validated
             assert code == 0 and "config ok" in out, (blocked, name, out, err)
             code, out, err, _ = ran
