@@ -297,7 +297,8 @@ def dx_centered(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Centered first derivative along axis 0; boundary rows zero; u may be
     batched on trailing axes."""
     out = np.empty_like(u)
-    np.divide(u[2:] - u[:-2], 2.0 * grid.dx, out=out[1:-1])
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * grid.dx
     out[[0, -1]] = 0.0
     return out
 

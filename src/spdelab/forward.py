@@ -159,7 +159,7 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
         solve_level(bands, tree.dt, block.transpose(2, 3, 0, 1), tree.states(k))
         for rhs, levels in zip(block, fields):
             state = tree.merge(rhs.transpose(1, 2, 0))
-            if not np.all(np.isfinite(state)):
+            if not (np.isfinite(state.max()) and np.isfinite(state.min())):
                 raise ForwardSolverError(f"forward march lost finiteness at level {k + 1}")
             levels.append(state)
     return [SpaceTimeField(grid, tree, levels) for levels in fields]
@@ -167,7 +167,8 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
 
 def _children_rhs(tree, k, state, source, out):
     """Write the right-hand side of every child of the level-k nodes into out
-    (br, nx, n_k); the sources' temporaries die on return."""
+    (br, nx, n_k); the sources' temporaries die on return, and a child's
+    kicks are dropped before the next child's are formed."""
     n_k = out.shape[2]
     drift, noise = source(k, state)
     for b, plane in enumerate(out):  # child b of every node: a contiguous (nx, n_k) plane
@@ -176,6 +177,7 @@ def _children_rhs(tree, k, state, source, out):
                  for j, src in enumerate(noise or []) if src is not None]
         if kicks:
             plane += sum(kicks[1:], kicks[0])
+        del kicks
 
 
 # Sources of the forward duals, one per operator: source(k, state) -> (drift,
@@ -213,7 +215,7 @@ def _L_source(xi, sigma, grid, d):
     """L* xi; with xi None, the density equation."""
     return lambda k, state: (
         None if xi is None else xi.levels[k + 1],
-        [-dx_centered(grid, sigma[j] * state) for j in range(d)])
+        [np.negative(u, out=u) for u in (dx_centered(grid, sigma[j] * state) for j in range(d))])
 
 
 def solve_T_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
@@ -296,7 +298,7 @@ def solve_density(
     start[[0, -1]] = 0.0
     p = _forward_march(coeffs, grid, tree, [_L_source(None, coeffs.sigma, grid, tree.d)], start)[0]
     for level, state in enumerate(p.levels):
-        if np.abs(state).max() > _BLOWUP_GUARD:
+        if state.max() > _BLOWUP_GUARD or state.min() < -_BLOWUP_GUARD:
             raise ForwardSolverError(f"density blow-up at level {level}")
     mass = [grid.dx * state[1:-1].sum(axis=0) for state in p.levels]
     min_density = [float(state.min()) for state in p.levels]

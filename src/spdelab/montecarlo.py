@@ -8,7 +8,8 @@ with the drift's noise state taken from the tree node active on the coarse
 step containing t_m, so Monte Carlo and the tree solvers see the same
 coefficient process; a bridged path carries that node's j (the down steps of
 its first component, one edge's bit of its leaf added per block) and w1
-(`tree.w1_at`), and no march holds a tree.  The march draws the scalar noise
+(`tree.w1_at`) where an integrand or the drift reads it, and no march holds
+a tree.  The march draws the scalar noise
 sigma . dW, one normal per path and fine step, one block at a time for the
 paths live at the block's start, by one routine, `tree.PathBundle.draw`: a
 block is a coarse step on a tree, or a span of a few fine steps of free
@@ -16,14 +17,16 @@ paths, hashed `tree.HASH_NORMALS` normals per call and, on a tree, shifted
 by the bridge through each path's leaf.  The march stops as soon as every
 path has exited.  A march is one loop in the calling thread.  Each fine step
 does only the update (y + f dt) + noise, the weights, the exit test and the
-integrands: a drift that does not read x is taken once per block at the
-block's w1, times dt_mc, and an exit compacts the live paths' index, state,
+integrands: a drift that does not read x is taken once per block, times
+dt_mc, on a tree at the k + 1 lattice states of the block's level and read
+by each path's j, and an exit compacts the live paths' index, state,
 weight, running integrals and, on a tree, leaf, j, w1 and f dt through one
 integer index, while the block stays as drawn and a column index maps the
 live paths to its columns.
-No fine-mesh history is stored: a path is recorded at the requested
-snapshot times, at its exit, and through the running integrals of the
-integrands registered with `simulate`.  Exits are tested at mesh points, and
+No fine-mesh history is stored, and the live state is the only copy of the
+path positions: a path is recorded at the requested snapshot times, at its
+exit into every snapshot still to come, and through the running integrals
+of the integrands registered with `simulate`.  Exits are tested at mesh points, and
 between two of them each path is weighed by the survival of its Brownian
 bridge (`_bridge_survival`), the one exit rule of every march: a path's
 weight is the product of its factors, its running integrals sum
@@ -171,13 +174,13 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
     m0 = int(round(m0))
 
     if np.isscalar(init):
-        y = np.full(M, float(init))
+        yl = np.full(M, float(init))
     else:
         if grid is None:
             raise SimulationError("density initial data needs the grid")
-        y = sample_from_density(init, grid, pcg64_uniform((paths.seed, 0xA11), M))
+        yl = sample_from_density(init, grid, pcg64_uniform((paths.seed, 0xA11), M))
     lo_x, hi_x = domain.a, domain.b
-    if np.any((y < lo_x) | (y > hi_x)):
+    if np.any((yl < lo_x) | (yl > hi_x)):
         raise SimulationError("initial value outside the closed domain")
     # a step whose two ends lie in [lo_r, hi_r], at least sqrt(40 / c) inside
     # both walls, survives with probability exactly 1.0 (_bridge_survival)
@@ -202,7 +205,8 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
     integrands = integrands or {}
     totals = {name: np.zeros(M) for name in integrands}
     # f dt, taken once per block when f does not read x: for free paths one
-    # value, on a tree one per path at the block's w1
+    # value, on a tree one per lattice state of the block's level, gathered
+    # by each path's j
     per_block = not coeffs.drift_reads_x
     fdt0 = None
     if per_block and paths.leaves is None:
@@ -211,12 +215,13 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
     # live paths: index, state, weight, whether outside [lo_r, hi_r], running
     # integrals and, on a tree, leaf, j and w1 at the current block's level
     # (the level of the start's block, then a step per block; w1 is written
-    # at each draw).  The current noise block holds fine steps first .. end - 1
-    # and has a column per path live when it was drawn; once one of them has
-    # exited, cols maps the live paths to their columns (None until then).
+    # at each draw, and only where an integrand or the drift reads it).  The
+    # current noise block holds fine steps first .. end - 1 and has a column
+    # per path live when it was drawn; once one of them has exited, cols maps
+    # the live paths to their columns (None until then).
     live = np.arange(M)
-    yl = y.copy()
     wl = np.ones(M)
+    reads_w1 = bool(integrands) or not per_block
     ll, jl, w1 = paths.leaves, paths.down_steps(m0 // paths.n_sub), None
     near = (yl < lo_r) | (yl > hi_r)
     acc = {name: np.zeros(M) for name in integrands}
@@ -224,8 +229,7 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
     m = end = m0
     while True:
         if m in snap_of:
-            y[live] = yl
-            snapshots[:, snap_of[m]] = y[:, None]
+            snapshots[np.ix_(live, snap_of[m])] = yl[:, None]
             alive[np.ix_(live, snap_of[m])] = True
             weights[np.ix_(live, snap_of[m])] = wl[:, None]
         if m == n_fine or live.size == 0:
@@ -242,8 +246,11 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
                 k = m // paths.n_sub
                 if m > m0:  # the last block's edge adds its down bit to j
                     jl += branch_digits(ll, paths.d, paths.n_steps, k - 1, mask=1)
-                w1 = w1_at(k, jl, paths.sqdt, out=w1)
-                fdt = np.multiply(coeffs.drift(0.0, k * paths.dt, w1), dt) if per_block else None
+                if reads_w1:
+                    w1 = w1_at(k, jl, paths.sqdt, out=w1)
+                if per_block:
+                    states = w1_at(k, np.arange(k + 1), paths.sqdt)
+                    fdt = np.multiply(coeffs.drift(0.0, k * paths.dt, states), dt)[jl]
         j = m - first
         y0, w0 = yl, wl  # the step's start
         yl = yl + (fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt)
@@ -268,23 +275,23 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
             exits += at.size
             gone = live[at]
             tau[gone] = m * dt
-            y[gone] = yl[at]
+            if snapshots.size:  # the exit point fills every snapshot still to come
+                snapshots[np.ix_(gone, (snap_idx >= m).nonzero()[0])] = yl[at, None]
             for name in totals:
                 totals[name][gone] = acc[name][at]
             keep = (~out).nonzero()[0]
             live, yl, wl, near = live[keep], yl[keep], wl[keep], near[keep]
             acc = {name: a[keep] for name, a in acc.items()}
             if jl is not None:  # on a tree leaf, j, w1 (w1_at of j) and f dt are per path
-                ll, jl, w1 = ll[keep], jl[keep], w1[keep]
+                ll, jl = ll[keep], jl[keep]
+                if reads_w1:
+                    w1 = w1[keep]
                 if per_block:
                     fdt = fdt[keep]
             if m < end:  # the block has steps left; a spent one is dropped
                 cols = keep if cols is None else cols[keep]
-    y[live] = yl
     for name in totals:
         totals[name][live] = acc[name]
-    # after an early stop the later snapshots hold the frozen paths
-    snapshots[:, snap_idx > m] = y[:, None]
     return TrajectorySet(snapshot_times, snapshots, alive, weights, tau, totals, drawn, exits)
 
 
@@ -419,9 +426,10 @@ def conditional_functional(coeffs: CoefficientSet, phi, leaf, t_grid, M: int, se
         bundle = bridge_paths(shape, leaf, m, coeffs.sigma, dt_mc, (seed, 0xC0, i))
         trajs = simulate(coeffs, p0, 0.0, bundle, grid.domain, grid=grid, snapshot_times=t_grid)
         y, w = trajs.snapshots, trajs.weights
-        # every path follows the one leaf: its w1 at level k, one value for all
-        vals = np.reshape([w[:, j] * np.asarray(phi(y[:, j], t, bundle.w1(k, [0])))
-                           for j, (t, k) in enumerate(zip(t_grid, levels))], (t_grid.size, m))
+        vals = np.empty((t_grid.size, m))
+        for j, (t, k) in enumerate(zip(t_grid, levels)):
+            # every path follows the one leaf: its w1 at level k, one value for all
+            np.multiply(w[:, j], phi(y[:, j], t, bundle.w1(k, [0])), out=vals[j])
         return vals, trajs, bundle
 
     return _chunked(M, job)

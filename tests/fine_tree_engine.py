@@ -4,10 +4,12 @@ solve_density and op_L march the d = 1 scenario tree of 16 steps (2^16
 leaves) on a grid of 201 nodes over (-8, 8), under drift-random.
 Each call is run once; the script prints its wall time, its tracemalloc
 peak and the bytes of what it returns, and exits 1 when op_L's peak exceeds
-what it returns by more than 10%.  A tree level factors its k + 1 lattice
-states and gathers their factors by each node's state, so no factor set of
-a level's size is held next to the solution.  The run takes about 1.5 s and
-0.9 GB:
+what it returns by more than 10% or solve_density's exceeds 1.55 times its
+field.  A tree level factors its k + 1 lattice states and gathers their
+factors by each node's state, so no factor set of a level's size is held
+next to the solution; the density march peaks at its field's earlier
+levels plus the last level's block and the level merged out of it.  The
+run takes about 2 s and 0.64 GB of resident memory:
 
     PYTHONPATH=src python tests/fine_tree_engine.py
 
@@ -28,8 +30,9 @@ from spdelab.config import _gaussian_density
 from spdelab.fields import SpaceTimeField
 from spdelab.forward import solve_density
 
-# op_L's peak over the bytes it returns
+# op_L's peak over the bytes it returns, and solve_density's over its field
 OP_L_BOUND = 1.10
+DENSITY_BOUND = 1.55
 
 
 def _levels_bytes(*fields) -> int:
@@ -70,12 +73,14 @@ def main() -> int:
     for name, (seconds, peak, held) in results.items():
         print(f"{name}: {seconds:.3f} s, tracemalloc peak {peak / 1e6:.1f} MB, "
               f"returns {held / 1e6:.1f} MB")
-    seconds, peak, held = results["op_L"]
-    if peak > OP_L_BOUND * held:
-        print(f"op_L's peak is {peak / held:.3f} times what it returns, "
-              f"past the bound of {OP_L_BOUND}")
-        return 1
-    return 0
+    status = 0
+    for name, bound in (("op_L", OP_L_BOUND), ("solve_density", DENSITY_BOUND)):
+        _, peak, held = results[name]
+        if peak > bound * held:
+            print(f"{name}'s peak is {peak / held:.3f} times what it returns, "
+                  f"past the bound of {bound}")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

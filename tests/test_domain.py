@@ -28,7 +28,7 @@ from spdelab.backward import level_factors, op_L, solve_level
 from spdelab.fields import smooth_random_field
 from spdelab.forward import solve_density
 from spdelab.tree import TreeNode
-from fine_tree_engine import OP_L_BOUND, measure
+from fine_tree_engine import DENSITY_BOUND, OP_L_BOUND, measure
 
 
 def dense_generator(grid, fvals, bvals):
@@ -362,13 +362,15 @@ def test_a_level_solved_with_its_states_factors_equals_the_per_node_solve(d, n_s
 
 def test_a_tree_solve_holds_no_factors_of_a_levels_size():
     # on the d = 1 tree of 12 steps at nx 101, op_L's tracemalloc peak is
-    # within 10% of the pair it returns and solve_density's under twice its
-    # field; factors with a column per node lifted them to 1.43 and 2.46
+    # within 10% of the pair it returns and solve_density's within 1.55 times
+    # its field: the earlier levels, the last level's block and the level
+    # merged out of it, 1.50; factors with a column per node lifted them to
+    # 1.43 and 2.46, and level-sized noise-source temporaries the density to 1.75
     results = measure(n_steps=12, nx=101)
     _, peak, held = results["op_L"]
     assert peak <= OP_L_BOUND * held
     _, peak, held = results["solve_density"]
-    assert peak < 2.0 * held
+    assert peak <= DENSITY_BOUND * held
 
 
 def test_solve_level_x_dependent_against_dense(unit_interval):

@@ -408,7 +408,9 @@ def march_cases():
         "density-start": (random, np.sin(np.linspace(0.0, np.pi, 41)) ** 2, 0.0,
                           sample_tree_paths(tree.shape, 3000, random.sigma, 0.01, seed=50),
                           tree_times),
-        # nine paths: blocks of a few live paths (9, 5 and 2 at the block starts)
+        # nine paths: blocks of a few live paths (9, 5 and 2 at the block
+        # starts); all are out by t = 0.52, an early stop before the last
+        # three snapshots, which hold the exit points
         "one-live-path-in-a-group": (random, 0.5, 0.0,
                                      sample_tree_paths(tree.shape, 9, random.sigma, 0.01, seed=47),
                                      tree_times),
@@ -494,6 +496,45 @@ def test_march_holds_one_noise_block_at_a_time(line_domain):
     finally:
         tracemalloc.stop()
     assert block_bytes < peak < 1.5 * block_bytes
+
+
+def test_a_free_march_holds_no_copy_of_its_paths(unit_domain):
+    # 25,000 free paths with one integrand and no snapshot times: the march
+    # holds its per-path state, weights, running integral and outputs, the
+    # noise block and a step's temporaries, under 14 per-path float64 arrays:
+    # 13.4 with the live state as the only copy of the positions, 14.4 with
+    # a second copy beside it
+    coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
+    paths = free_paths(1.0, 25_000, coeffs.sigma, 0.04, seed=3)
+    tracemalloc.start()
+    try:
+        simulate(coeffs, 0.5, 0.0, paths, unit_domain,
+                 integrands={"one": lambda y, t, w1: np.ones_like(y)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 8 * paths.n_paths
+
+
+def test_a_bridged_march_takes_f_dt_per_lattice_state(line_domain, monkeypatch):
+    # under a drift that does not read x, a tree block's f dt is a table over
+    # the k + 1 lattice states of its level, gathered by each path's j: with
+    # no integrand to read it, the march forms w1 at those states only, never
+    # per path; an integrand gets the per-path w1
+    formed, w1_at = [], montecarlo.w1_at
+
+    def recorded(level, down, sqdt, out=None):
+        formed.append((level, np.size(down)))
+        return w1_at(level, down, sqdt, out=out)
+
+    monkeypatch.setattr(montecarlo, "w1_at", recorded)
+    coeffs = make_family("drift-random", {"kappa": 0.7, "sigma": [0.6, 0.8], "d": 1})
+    paths = sample_tree_paths((1, 5, 1.0), 300, coeffs.sigma, 0.05, seed=43)
+    simulate(coeffs, 0.0, 0.0, paths, line_domain, snapshot_times=[1.0])
+    assert formed == [(k, k + 1) for k in range(5)]
+    formed.clear()
+    simulate(coeffs, 0.0, 0.0, paths, line_domain, integrands={"phi": _reads_y_t_w1})
+    assert formed == [(k, n) for k in range(5) for n in (300, k + 1)]
 
 
 def test_snapshot_times_lie_between_start_and_horizon(unit_domain):

@@ -24,7 +24,7 @@ from spdelab import tree as tree_module
 from spdelab.harness import _representation_estimates, default_config
 from spdelab.montecarlo import CHUNK
 from spdelab.tree import (_GOLDEN, _MIX1, _MIX2, _counter_normals, _pcg64_seeded, pcg64_integers,
-                          pcg64_uniform, seed_key)
+                          pcg64_uniform, seed_key, w1_at)
 
 
 def drawn(bundle):
@@ -152,15 +152,16 @@ def test_tree_w1_is_the_lattice_w1_at_each_nodes_down_steps(d, n_steps, horizon)
         assert np.array_equal(tree.w1[k].view(np.uint64), lattice.w1[k][j].view(np.uint64))
 
 
-@pytest.mark.parametrize("d, n_steps", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("d, n_steps", [(1, 10), (2, 6), (1, 16), (2, 8)])
 def test_a_bundle_holds_the_tree_w1_at_each_paths_node(d, n_steps):
     # a bridged path carries no tree: its j counts the down bits of its
     # leaf's branch digits (PathBundle.down_steps, as the march adds them
-    # one edge per block), its w1 is the one rule at j, and its drift times
-    # dt_mc is taken per path.  Over 100,003 random leaves both have the
-    # bits of the tree's w1 and of its per-node drift table at the path's
-    # node, at every level and at array offsets 0, 1, 3 and 7, where numpy's
-    # vector loops start elsewhere
+    # one edge per block) and its w1 is the one rule at j.  Its drift times
+    # dt_mc, taken per path, and the march's table of it over the level's
+    # k + 1 lattice states, gathered by j, are one value.  Over 100,003
+    # random leaves all have the bits of the tree's w1 and of its per-node
+    # drift table at the path's node, at every level and at array offsets
+    # 0, 1, 3 and 7, where numpy's vector loops start elsewhere
     tree = build_tree(d, n_steps, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8, 0.5], "d": d})
     bundle = sample_tree_paths(tree.shape, 100_003, coeffs.sigma, tree.dt / 4, seed=52)
@@ -175,6 +176,9 @@ def test_a_bundle_holds_the_tree_w1_at_each_paths_node(d, n_steps):
         assert np.array_equal(w1.view(np.uint64), tree.w1[k][nodes].view(np.uint64))
         assert np.array_equal(bundle.w1(k, rows), w1[rows])
         table = (np.asarray(coeffs.drift(0.0, k * tree.dt, tree.w1[k])) * dt)[nodes]
+        states = w1_at(k, np.arange(k + 1), bundle.sqdt)
+        by_state = np.multiply(coeffs.drift(0.0, k * bundle.dt, states), dt)[bundle.down_steps(k)]
+        assert np.array_equal(by_state.view(np.uint64), table.view(np.uint64))
         for offset in (0, 1, 3, 7):
             moved = np.empty(offset + w1.size)[offset:]
             moved[:] = w1
