@@ -38,10 +38,7 @@ take what lies between two tree times from the bridge: a running integral
 is integrated over each step's bridge in closed form (`functional_estimate`,
 `_bridge_step`).  Exited paths freeze, their alive indicator
 flips once and their weight is 0.  Estimates run in chunks of CHUNK paths,
-one after another; chunk i of an estimate is seeded (seed, tag, i), which
-SeedSequence flattens at any nesting, and its normals are keyed by
-`tree.seed_key` (the rule in `tree`).  Density start points are
-`tree.pcg64_uniform`'s uniforms, numpy.random's bits without numpy.random.
+one after another; `rng` says how a chunk is seeded and what it draws.
 """
 
 from __future__ import annotations
@@ -53,8 +50,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .domain import Grid
-from .tree import (PathBundle, branch_digits, bridge_paths, free_paths, pcg64_uniform,
-                   sample_tree_paths, w1_at)
+from .rng import pcg64_uniform
+from .tree import PathBundle, branch_digits, bridge_paths, free_paths, sample_tree_paths, w1_at
 
 
 class SimulationError(ValueError):

@@ -13,15 +13,8 @@ rectangle of (fine steps, paths) at a time: a tree step for tree-bridged
 paths, a span of up to SPAN_MAX fine steps for free ones, hashed
 HASH_NORMALS normals per call and, on a tree, shifted by the bridge.  Each
 normal is a fixed function of (key, counter), so a path's increments do not
-depend on which other paths are drawn with it.  Every stream is seeded by
-numpy's SeedSequence((seed, *tags)), which flattens nested tuples and lists
-of ints at any depth.  The normals' key, `seed_key(seed)`, is a bit-exact
-port of SeedSequence((seed,)).generate_state(1, np.uint64)[0]; sampled
-leaves (`sample_tree_paths`) and density start points draw from its PCG64,
-default_rng(SeedSequence((seed, tag))), through a bit-exact port of numpy
-2.x's PCG64 (`pcg64_integers`, `pcg64_uniform`), so no draw needs
-numpy.random.  The inverse normal CDF, `ndtri`, is a numpy port of
-cephes' ndtri, so the package needs numpy alone.
+depend on which other paths are drawn with it; `rng` says which stream each
+draw takes.
 
 Node addressing: the node with index i at level k has parent i // 2**d and
 reaches child i * 2**d + j through branch digit j; bit c of the digit encodes
@@ -53,6 +46,8 @@ from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .rng import counter_normals, pcg64_integers, seed_key
 
 # the most states (nodes summed over the levels) one level's state space may
 # hold: the d = 1 tree at 16 steps.  A tree stops at 16 steps when d = 1 and
@@ -353,377 +348,6 @@ def clark_decompose(X, tree: ScenarioTree) -> MartingaleDecomposition:
     return MartingaleDecomposition(mean=float(m[0]), kernels=tuple(kernels))
 
 
-# Moshier's Cephes ndtri (Methods and Programs for Mathematical Functions,
-# 1989), the rational approximations scipy.special.ndtri evaluates, with its
-# coefficients: y + y y^2 P0(y^2) / Q0(y^2), y = u - 1/2, times sqrt(2 pi) in
-# the centre, exp(-2) < u <= 1 - exp(-2); in the tails x = sqrt(-2 log y),
-# y = min(u, 1 - u), and x - log(x) / x - z P(z) / Q(z), z = 1 / x, with
-# (P1, Q1) for x < 8 and (P2, Q2) for x >= 8.  Each Q has a leading 1.
-_EXP_M2 = 0.13533528323661269189
-_S2PI = 2.50662827463100050242
-
-
-def _coefficients(*values):
-    """values as 0-d float64 arrays, which a ufunc takes with less overhead
-    than Python floats (about 0.3 us a call), the same bits"""
-    return tuple(np.array(v) for v in values)
-
-
-_P0 = _coefficients(-5.99633501014107895267e1, 9.80010754185999661536e1,
-                    -5.66762857469070293439e1, 1.39312609387279679503e1,
-                    -1.23916583867381258016e0)
-_Q0 = _coefficients(1.95448858338141759834e0, 4.67627912898881538453e0,
-                    8.63602421390890590575e1, -2.25462687854119370527e2,
-                    2.00260212380060660359e2, -8.20372256168333339912e1,
-                    1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = _coefficients(4.05544892305962419923e0, 3.15251094599893866154e1,
-                    5.71628192246421288162e1, 4.40805073893200834700e1,
-                    1.46849561928858024014e1, 2.18663306850790267539e0,
-                    -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-                    -8.57456785154685413611e-4)
-_Q1 = _coefficients(1.57799883256466749731e1, 4.53907635128879210584e1,
-                    4.13172038254672030440e1, 1.50425385692907503408e1,
-                    2.50464946208309415979e0, -1.42182922854787788574e-1,
-                    -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = _coefficients(3.23774891776946035970e0, 6.91522889068984211695e0,
-                    3.93881025292474443415e0, 1.33303460815807542389e0,
-                    2.01485389549179081538e-1, 1.23716634817820021358e-2,
-                    3.01581553508235416007e-4, 2.65806974686737550832e-6,
-                    6.23974539184983293730e-9)
-_Q2 = _coefficients(6.02427039364742014255e0, 3.67983563856160859403e0,
-                    1.37702099489081330271e0, 2.16236993594496635890e-1,
-                    1.34204006088543189037e-2, 3.28014464682127739104e-4,
-                    2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _horner(x, coeffs, out, monic=False):
-    """The polynomial coeffs[0] x^n + ... + coeffs[n] (with a leading x^(n+1)
-    term when monic) written to out, in the order of cephes' polevl and
-    p1evl: c0 x + c1 first, then one rounded multiply and add per step."""
-    if monic:
-        np.add(x, coeffs[0], out)
-    else:
-        np.multiply(x, coeffs[0], out)
-        np.add(out, coeffs[1], out)
-    for c in coeffs[1 if monic else 2:]:
-        np.multiply(out, x, out)
-        np.add(out, c, out)
-    return out
-
-
-# the centre is evaluated at most _CENTRE_VALUES values at a time, so its
-# two temporaries stay at 120 kB, under the 128 kB above which glibc's malloc
-# maps an allocation afresh by default: in one piece, a call on 25,000
-# normals met about 100 page faults, and feynman-kac-nonrandom's default run
-# met 2,019 in ndtri (5,970 in all) against 308 (4,386) in pieces, on a
-# 2-vCPU Xeon KVM guest where a fault costs about 3 us
-_CENTRE_VALUES = 120 * 1024 // 8
-
-
-def ndtri(u, out=None, scratch=None):
-    """The inverse standard normal CDF of u, 0 < u < 1, by the steps of
-    cephes' ndtri: the bits of scipy.special.ndtri in the centre; in the
-    tails numpy's log, which may differ from the C library's in the last
-    bit, moves a few of them by a few ulp.
-
-    u, out (u's shape; a new array when None; it may be u) and scratch (a
-    float64 array of u's shape that the call overwrites; a new one when
-    None) are C-contiguous.  The tail values are taken and finished first,
-    on a copy of the tail alone, so the centre can overwrite out.
-    """
-    out = np.empty(u.shape) if out is None else out
-    u, flat = u.reshape(-1), out.reshape(-1)
-    tail = ((u <= _EXP_M2) | (u > 1.0 - _EXP_M2)).nonzero()[0]
-    if tail.size:
-        sign = u[tail]
-        x = np.subtract(1.0, sign)
-        np.minimum(sign, x, out=x)  # y = min(u, 1 - u), exact
-        sign -= 0.5
-        np.log(x, out=x)
-        x *= -2.0
-        np.sqrt(x, out=x)
-        z = np.divide(1.0, x)
-        far = (x >= 8.0).nonzero()[0] if x.max() >= 8.0 else None
-        x1 = np.log(x)
-        x1 /= x
-        x -= x1  # x0 = x - log(x) / x
-        _horner(z, _P1, x1)
-        x1 *= z
-        x1 /= _horner(z, _Q1, np.empty(z.shape), monic=True)
-        if far is not None:  # u within exp(-32) of 0 or 1
-            zf = z[far]
-            x1[far] = (zf * _horner(zf, _P2, np.empty(zf.shape))
-                       / _horner(zf, _Q2, np.empty(zf.shape), monic=True))
-        x -= x1
-        np.copysign(x, sign, out=x)
-        del z, x1, sign
-    y = np.subtract(u, 0.5, out=flat)
-    y2 = np.multiply(y, y, out=None if scratch is None else scratch.reshape(-1))
-    piece_size = min(y.size, _CENTRE_VALUES)
-    r, q = np.empty(piece_size), np.empty(piece_size)
-    for lo in range(0, y.size, _CENTRE_VALUES):
-        piece = slice(lo, lo + _CENTRE_VALUES)
-        yp, y2p = y[piece], y2[piece]
-        rp, qp = r[: yp.size], q[: yp.size]
-        _horner(y2p, _P0, rp)
-        rp *= y2p
-        rp /= _horner(y2p, _Q0, qp, monic=True)
-        rp *= yp
-        rp += yp  # y + y r
-        np.multiply(rp, _S2PI, out=yp)
-    if tail.size:
-        flat[tail] = x
-    return out
-
-
-# numpy's SeedSequence (bit_generator.pyx, O'Neill's seed_seq_fe) with its
-# default pool of 4 words, in Python ints mod 2^32
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-
-
-def _entropy_words(entropy) -> list:
-    """entropy's 32-bit words as SeedSequence coerces it: an int as its
-    little-endian words ([0] for 0), a sequence as its items' words in
-    order, at any nesting depth."""
-    if isinstance(entropy, (str, bytes)):
-        raise TypeError(f"a seed is an int or a sequence of them, got {entropy!r}")
-    try:
-        n = operator.index(entropy)
-    except TypeError:
-        return [word for item in entropy for word in _entropy_words(item)]
-    if n < 0:
-        raise ValueError(f"a seed is non-negative, got {n}")
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
-def _generate_state(seed, n_words: int) -> list:
-    """SeedSequence(seed).generate_state(n_words, np.uint64) as Python ints,
-    bit for bit, without numpy.random: the entropy mixed into a 4-word pool,
-    cycled through to generate 32-bit words, two of which form each
-    little-endian uint64."""
-    entropy = _entropy_words(seed)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, words = _INIT_B, []
-    for i in range(2 * n_words):
-        word = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _M32
-        word = word * hash_const & _M32
-        words.append(word ^ word >> 16)
-    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
-
-
-def seed_key(seed) -> np.uint64:
-    """SeedSequence((seed,)).generate_state(1, np.uint64)[0], bit for bit."""
-    return np.uint64(_generate_state((seed,), 1)[0])
-
-
-# numpy's PCG64 (O'Neill, PCG: A Family of Simple Fast Space-Efficient
-# Statistically Good Algorithms for Random Number Generation, HMC-CS-2014-0905):
-# a 128-bit LCG state s -> s A + inc whose output is XSL-RR of the new state
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M64, _M128 = 2**64 - 1, 2**128 - 1
-_LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
-_SHIFT58, _LOW6 = np.uint64(58), np.uint64(63)
-
-
-def _affine128(hi, lo, a: int, c: int, out_hi, out_lo) -> None:
-    """out = (hi, lo) a + c mod 2^128 on 128-bit states held as uint64
-    halves; the high half of lo a_lo is built from 32-bit limbs."""
-    a_lo, a_hi = np.uint64(a & _M64), np.uint64(a >> 64)
-    b0, b1 = np.uint64(a & _M32), np.uint64(a >> 32 & _M32)
-    c_lo = np.uint64(c & _M64)
-    x0 = np.bitwise_and(lo, _LOW32)
-    x1 = np.right_shift(lo, _SHIFT32)
-    t = np.multiply(x0, b0, out=out_hi)
-    t >>= _SHIFT32
-    u = np.multiply(x1, b0)
-    u += t  # x1 b0 + (x0 b0 >> 32) < 2^64
-    x0 *= b1
-    x0 += np.bitwise_and(u, _LOW32, out=t)  # w = (u & M32) + x0 b1 < 2^64
-    x1 *= b1
-    u >>= _SHIFT32
-    x1 += u
-    x0 >>= _SHIFT32
-    x1 += x0  # the high half of lo a_lo
-    np.multiply(lo, a_hi, out=out_hi)
-    out_hi += x1
-    out_hi += np.multiply(hi, a_lo, out=x1)
-    np.multiply(lo, a_lo, out=out_lo)
-    out_lo += c_lo
-    out_hi += np.uint64(c >> 64)
-    out_hi += out_lo < c_lo  # the carry of the low half
-
-
-def _pcg64_seeded(seed) -> tuple:
-    """(state, inc) of PCG64(SeedSequence(seed)), as numpy's srandom sets
-    them from the generated words v0..v3: inc = 2 (v2 2^64 + v3) + 1 and,
-    from state 0, a step, + v0 2^64 + v1, a step."""
-    v0, v1, v2, v3 = _generate_state(seed, 4)
-    inc = ((v2 << 64 | v3) << 1 | 1) & _M128
-    return (inc + (v0 << 64 | v1)) * _PCG_MULT + inc & _M128, inc
-
-
-def _pcg64_jump(steps: int, inc: int) -> tuple:
-    """(A, C): s -> A s + C mod 2^128 is `steps` steps of the LCG, by squaring."""
-    a, c, jump_a, jump_c = _PCG_MULT, inc, 1, 0
-    while steps:
-        if steps & 1:
-            jump_a, jump_c = jump_a * a & _M128, (jump_c * a + c) & _M128
-        a, c, steps = a * a & _M128, (a * c + c) & _M128, steps >> 1
-    return jump_a, jump_c
-
-
-def _xsl_rr(hi, lo, out) -> None:
-    """out = PCG64's output of the states (hi, lo): hi ^ lo rotated right by
-    the top 6 bits of hi."""
-    np.bitwise_xor(hi, lo, out=out)
-    rot = np.right_shift(hi, _SHIFT58)
-    left = np.negative(rot)
-    left &= _LOW6
-    np.left_shift(out, left, out=left)
-    out >>= rot
-    out |= left
-
-
-# the first states are stepped in Python ints, fewer than a doubling pass's
-# ufunc calls (about 30 us) would make; then states are made and output
-# _PCG_BLOCK at a time, in 64 kB scratch arrays: under the 128 kB above
-# which glibc's malloc maps an allocation afresh (_CENTRE_VALUES).  On a
-# 2-vCPU Xeon KVM guest 25,000 outputs took 0.44 ms in blocks of 2**13
-# states, 0.60 ms in blocks of 2**11 and 0.47 ms in one piece; in a process
-# without numpy.random one piece met 115 page faults a call, blocks 77
-_BASE_STATES = 64
-_PCG_BLOCK = 2**13
-
-
-def _pcg64_outputs(seed, n: int) -> np.ndarray:
-    """The first n outputs, uint64, of default_rng(SeedSequence(seed)),
-    bit for bit: output i is XSL-RR of state s_i = A s_(i-1) + inc, from the
-    seeded s_0.  The first block's states past the Python-stepped ones come
-    by jump-ahead doubling (Brown, Trans. Am. Nucl. Soc. 71, 1994):
-    s_(h+1..2h) = A_h s_(1..h) + C_h, with (A_2h, C_2h) = (A_h^2, A_h C_h + C_h);
-    block j is the first block jumped j _PCG_BLOCK steps ahead."""
-    state, inc = _pcg64_seeded(seed)
-    size = min(n, _PCG_BLOCK)
-    hi, lo = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    states = []
-    for _ in range(min(size, _BASE_STATES)):
-        state = state * _PCG_MULT + inc & _M128
-        states.append(state)
-    h = len(states)
-    hi[:h], lo[:h] = [s >> 64 for s in states], [s & _M64 for s in states]
-    a, c = _pcg64_jump(h, inc)
-    while h < size:
-        k = min(h, size - h)
-        _affine128(hi[:k], lo[:k], a, c, hi[h : h + k], lo[h : h + k])
-        a, c, h = a * a & _M128, (a * c + c) & _M128, 2 * h
-    out = np.empty(n, dtype=np.uint64)
-    _xsl_rr(hi, lo, out[:size])
-    if n > size:
-        block_hi, block_lo = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-        step_a, step_c = a, c = _pcg64_jump(size, inc)
-        for first in range(size, n, size):
-            k = min(size, n - first)
-            _affine128(hi[:k], lo[:k], a, c, block_hi[:k], block_lo[:k])
-            _xsl_rr(block_hi[:k], block_lo[:k], out[first : first + k])
-            a, c = a * step_a & _M128, (step_a * c + step_c) & _M128
-    return out
-
-
-def pcg64_uniform(seed, n: int) -> np.ndarray:
-    """default_rng(SeedSequence(seed)).uniform(size=n), bit for bit: each
-    output's top 53 bits times 2^-53."""
-    out = _pcg64_outputs(seed, n)
-    out >>= np.uint64(11)
-    return np.multiply(out, 2.0**-53, out=out.view(np.float64))
-
-
-def pcg64_integers(seed, high: int, n: int) -> np.ndarray:
-    """default_rng(SeedSequence(seed)).integers(0, high, size=n), int64, bit
-    for bit, for high a power of two up to 2**63.  numpy's Lemire method
-    never rejects in a power-of-two range 2**b: b = 0 draws nothing; for
-    b <= 32 each output gives its low 32-bit word, then its high one, each
-    shifted right by 32 - b; past 32 an output gives its top b bits."""
-    bits = high.bit_length() - 1
-    if bits == 0:
-        return np.zeros(n, dtype=np.int64)
-    if bits > 32:
-        out = _pcg64_outputs(seed, n)
-        out >>= np.uint64(64 - bits)
-        return out.view(np.int64)
-    out = _pcg64_outputs(seed, -(-n // 2))
-    words = np.empty((out.size, 2), dtype=np.uint64)
-    np.bitwise_and(out, _LOW32, out=words[:, 0])
-    np.right_shift(out, _SHIFT32, out=words[:, 1])
-    words = words.reshape(-1)[:n]
-    words >>= np.uint64(32 - bits)
-    return words.view(np.int64)
-
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _counter_normals(key: np.uint64, counters: np.ndarray, out=None) -> np.ndarray:
-    """Standard normals that are a fixed function of (key, counter).
-
-    Counter-based generation: the SplitMix64 output at position `counter`
-    of the stream seeded by `key` (Steele, Lea and Flood, OOPSLA 2014) gives
-    53 uniform bits, mapped to a normal by `ndtri`.  Any subset of counters
-    is evaluated on its own, so draws need no generator state.
-    `counters` (uint64, C-contiguous) is overwritten; the normals are written
-    to `out` (float64, the counters' shape, C-contiguous; a new array when
-    None), whose bytes also hold the shifted words of the hash.  Once the
-    uniforms are formed, `ndtri` takes the counters' bytes as its scratch.
-    """
-    z = counters
-    u = np.empty(z.shape) if out is None else out
-    shifted = u.view(np.uint64)
-    z *= _GOLDEN
-    z += key
-    np.right_shift(z, np.uint64(30), out=shifted)
-    z ^= shifted
-    z *= _MIX1
-    np.right_shift(z, np.uint64(27), out=shifted)
-    z ^= shifted
-    z *= _MIX2
-    np.right_shift(z, np.uint64(31), out=shifted)
-    z ^= shifted
-    z >>= np.uint64(11)
-    np.add(z, 0.5, out=u)  # z < 2^53 converts exactly
-    u *= 2.0**-53
-    # the top 2^11 hashes round to u = 1 (ndtri = inf); every other u is <= 1 - 2^-52
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return ndtri(u, out=u, scratch=z.view(np.float64))
-
-
 # a free draw spans the fewest fine steps that hold SPAN_NORMALS normals
 # of its paths, at most SPAN_MAX: a draw of few paths pays the fixed cost of
 # a draw once for up to SPAN_MAX steps.  A span costs the march a gather per
@@ -735,7 +359,7 @@ SPAN_NORMALS = 2**12
 SPAN_MAX = 16
 
 # a draw is hashed max(1, HASH_NORMALS // rows) fine steps per
-# _counter_normals call (2 steps of a tree block at 12.5k rows; a free span,
+# counter_normals call (2 steps of a tree block at 12.5k rows; a free span,
 # at most SPAN_MAX steps of SPAN_NORMALS rows or one step, is one call), in a
 # 256 kB scratch array that the march holds while it draws
 HASH_NORMALS = 2**15
@@ -838,7 +462,7 @@ class PathBundle:
             # counter of (path p, fine step m): p * n_fine + m
             np.multiply(rows.view(np.uint64), np.uint64(self.n_fine), out=counters[: hi - lo])
             counters[: hi - lo] += steps[lo:hi]
-            part = _counter_normals(self._key, counters[: hi - lo], out=z[lo:hi])
+            part = counter_normals(self._key, counters[: hi - lo], out=z[lo:hi])
             part *= np.sqrt(self.dt_mc)
             if total is not None:
                 for row in part:  # numpy's mean of a single column would sum pairwise

@@ -13,6 +13,8 @@ test's imports are counted:
   all;
 - with scipy missing, the runs that draw no normals pass, and a config
   that draws validates and runs;
+- rng, which holds every generator, imports no module of the package,
+  and no module takes an underscore name from it (an ast scan);
 - no module of the package reaches numpy.random (an ast scan), and with
   numpy.random missing each of the seven default configs validates and
   runs, and where it is present neither the load nor the run imports it;
@@ -268,8 +270,8 @@ def numpy_random_uses(path):
 
 def test_no_module_reaches_numpy_random():
     # test fields draw their normals from rng.pcg64_normal, sampled leaves
-    # and density start points from tree's PCG64 port, and the Monte Carlo
-    # normals are tree's counter hash: numpy.random is the tests' oracle
+    # and density start points from rng's PCG64 port, and the Monte Carlo
+    # normals are rng's counter hash: numpy.random is the tests' oracle
     # only.  Docstrings and comments may name it
     modules = sorted(SRC.glob("*.py"))
     uses = [use for path in modules for use in numpy_random_uses(path)]
@@ -284,6 +286,56 @@ def test_the_numpy_random_check_sees_each_way_in(tmp_path):
                       "importlib.import_module('numpy.random')\nrng = np.random.default_rng(1)\n"
                       "# numpy.random stays out\n")
     assert numpy_random_uses(module) == [f"mod.py:{line}" for line in (4, 5, 6, 7, 8)]
+
+
+def package_imports(path):
+    """Where a module imports the package: a relative import, or an import
+    of spdelab or from it."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["spdelab" if node.level else node.module]
+        if any(name == "spdelab" or name.startswith("spdelab.") for name in names):
+            uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
+def private_rng_names(path):
+    """Where a module takes an underscore name from rng: an import of it
+    from rng, or an attribute of a name rng."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("rng", "spdelab.rng"):
+            private = any(alias.name.startswith("_") for alias in node.names)
+        else:
+            private = isinstance(node, ast.Attribute) and node.attr.startswith("_") and \
+                isinstance(node.value, ast.Name) and node.value.id == "rng"
+        if private:
+            uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
+def test_rng_stands_alone_and_lends_public_names_only():
+    # every generator lives in rng, which reads no tree: it imports the
+    # standard library and numpy alone, and the other modules take its
+    # public names only
+    assert package_imports(SRC / "rng.py") == []
+    uses = [use for path in sorted(SRC.glob("*.py")) for use in private_rng_names(path)]
+    assert uses == [], uses
+
+
+def test_the_rng_checks_see_each_way_in(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text('"""Takes nothing private from rng."""\n'
+                      "import numpy as np\nfrom .tree import PathBundle\nfrom . import rng\n"
+                      "import spdelab.fields\nfrom spdelab.rng import seed_key\n"
+                      "from .rng import _M64, pcg64_uniform\nfrom spdelab.rng import _pcg64_seeded\n"
+                      "x = rng._tables()\n# rng._PCG_MULT stays out\n")
+    assert package_imports(module) == [f"mod.py:{line}" for line in (3, 4, 5, 6, 7, 8)]
+    assert private_rng_names(module) == [f"mod.py:{line}" for line in (7, 8, 9)]
 
 
 def test_without_numpy_random_every_default_config_validates_and_runs(tmp_path):

@@ -373,7 +373,7 @@ def march_cases():
     """(coeffs, init, s, paths, snapshot_times) on the unit interval, where
     most paths exit: every drift family, free paths, paths bridged through one
     leaf and through a leaf per path, and start points drawn from a density
-    on 41 nodes (the march draws them from tree.pcg64_uniform, the
+    on 41 nodes (the march draws them from rng.pcg64_uniform, the
     reference from numpy.random)."""
     tree = build_tree(1, 5, 1.0)
     tree_times = tree.dt * np.arange(tree.n_steps + 1)

@@ -1,10 +1,8 @@
-import math
 import threading
 
 import numpy as np
 import pytest
-from numpy.random import PCG64, SeedSequence, default_rng
-from scipy.special import ndtri
+from numpy.random import SeedSequence, default_rng
 
 from spdelab import (
     DomainSpec,
@@ -21,10 +19,8 @@ from spdelab import (
     simulate,
 )
 from spdelab import tree as tree_module
-from spdelab.harness import _representation_estimates, default_config
-from spdelab.montecarlo import CHUNK
-from spdelab.tree import (_GOLDEN, _MIX1, _MIX2, _counter_normals, _pcg64_seeded, pcg64_integers,
-                          pcg64_uniform, seed_key, w1_at)
+from spdelab.rng import counter_normals
+from spdelab.tree import w1_at
 
 
 def drawn(bundle):
@@ -47,7 +43,7 @@ def normals(bundle, k, rows):
     counter normal of (path p, fine step m) at counter p * n_fine + m."""
     m = k * bundle.n_sub + np.arange(bundle.n_sub, dtype=np.uint64)[:, None]
     counters = np.asarray(rows, dtype=np.uint64) * np.uint64(bundle.n_fine) + m
-    return np.sqrt(bundle.dt_mc) * _counter_normals(bundle._key, counters)
+    return np.sqrt(bundle.dt_mc) * counter_normals(bundle._key, counters)
 
 
 def serial_block(bundle, k, rows):
@@ -360,7 +356,7 @@ def test_free_bundle_pins_the_counter_stream():
     rows = np.array([5, 0, 3])
     for k in range(bundle.n_fine):
         counters = rows.astype(np.uint64) * np.uint64(bundle.n_fine) + np.uint64(k)
-        expected = -1.3 * (np.sqrt(0.125) * _counter_normals(bundle._key, counters))
+        expected = -1.3 * (np.sqrt(0.125) * counter_normals(bundle._key, counters))
         assert np.array_equal(bundle.draw(k, rows)[1][0], expected)
 
 
@@ -371,231 +367,6 @@ def test_a_bundle_key_is_the_seed_sequence_of_the_flat_seed():
                        (((3, 4), 0xF0, 2), (3, 4, 0xF0, 2)), ([[3, [4]], 2**40], (3, 4, 2**40))]:
         key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=seed)._key
         assert key == SeedSequence(flat).generate_state(1, np.uint64)[0]
-
-
-def seed_sequence_key(seed):
-    return SeedSequence((seed,)).generate_state(1, np.uint64)[0]
-
-
-def default_chunk_seeds():
-    """Every chunk seed the seven default runs build: feynman-kac-nonrandom's
-    (seed, 0xF0, i), density-64-65's conditional (seed, 0xC0, i) and
-    unconditional ((seed, 65), 0xF0, i), and representation-random's
-    ((seed, tag, ix), 0xF0, i); the other four draw no normals."""
-    def chunks(cfg):
-        return range(-(-cfg.mc["paths"] // CHUNK))
-
-    fk, dens = default_config("feynman-kac-nonrandom"), default_config("density-64-65")
-    rep = default_config("representation-random")
-    seeds = [(fk.mc["seed"], 0xF0, i) for i in chunks(fk)]
-    seeds += [(dens.mc["seed"], 0xC0, i) for i in chunks(dens)]
-    seeds += [((dens.mc["seed"], 65), 0xF0, i) for i in chunks(dens)]
-    seeds += [((rep.mc["seed"], tag, ix), 0xF0, i)
-              for tag, ix, _ in _representation_estimates(rep, nodes=True) for i in chunks(rep)]
-    return seeds
-
-
-def test_seed_key_has_the_bits_of_the_seed_sequence():
-    # tree.seed_key ports SeedSequence((seed,)).generate_state(1, np.uint64)[0]
-    # to Python ints: random tuples of up to 14 words (the pool holds 4),
-    # nesting, ints past 2**32 and 2**64, numpy integers, the empty seeds,
-    # and every chunk seed of the default runs
-    rng = np.random.default_rng(20240)
-    seeds = [tuple(int(v) for v in rng.integers(0, 2**62, size=rng.integers(0, 8)))
-             for _ in range(2000)]
-    seeds += [[[3, [4]], 2**40], [(), [[], [0]]], (((1,),),), [[2**33, 5], (7, [2**65 + 9])]]
-    seeds += [2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**64, 2**70, 2**200 + 1]
-    seeds += [np.int64(5), np.uint32(2**32 - 1), np.uint64(2**63 + 7), [np.int8(3), np.uint16(9)]]
-    seeds += [0, [], [0], ((),)]
-    chunk_seeds = default_chunk_seeds()
-    assert len(chunk_seeds) == 4 + 4 + 4 + 10
-    for seed in seeds + chunk_seeds:
-        key = seed_key(seed)
-        assert type(key) is np.uint64 and key == seed_sequence_key(seed), seed
-
-
-def test_seed_key_refuses_what_the_seed_sequence_refuses():
-    for seed in (-1, [3, -2], 1.5):
-        with pytest.raises((TypeError, ValueError)):
-            seed_sequence_key(seed)
-        with pytest.raises((TypeError, ValueError)):
-            seed_key(seed)
-
-
-# seeds of the PCG64 port: an int, a tuple, nested tuples (a chunk's start
-# points are seeded (chunk seed, 0xA11)) and ints past 2**32
-PCG_SEEDS = [5, (12, 3), (97531, 0xA11), ((97531, 65, 2), 0xA11), 2**40 + 7,
-             ((2**33, (7, 2**65 + 9)), 0x1EAF)]
-
-
-@pytest.mark.parametrize("seed", PCG_SEEDS)
-def test_the_pcg64_port_seeds_numpys_state(seed):
-    # numpy's srandom from SeedSequence(seed).generate_state(4, np.uint64)
-    state = PCG64(SeedSequence(seed)).state["state"]
-    assert _pcg64_seeded(seed) == (state["state"], state["inc"])
-
-
-@pytest.mark.parametrize("seed", PCG_SEEDS)
-def test_pcg64_uniform_has_numpys_bits(seed):
-    # n from one state, past the Python-stepped states, and odd sizes around
-    # the doubling passes and a chunk of montecarlo.CHUNK paths
-    for n in (1, 2, 3, 4097, 25_000, 25_001):
-        expected = default_rng(SeedSequence(seed)).uniform(size=n)
-        got = pcg64_uniform(seed, n)
-        assert got.dtype == np.float64 and got.shape == (n,), n
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), n
-
-
-@pytest.mark.parametrize("seed", PCG_SEEDS)
-def test_pcg64_integers_have_numpys_values(seed):
-    # a power-of-two range: no draw at b = 0, 32-bit words up to b = 32 (an
-    # odd n leaves one half unused), whole outputs past it, up to 63 bits
-    for bits in (0, 1, 10, 31, 32, 33, 63):
-        for n in (1, 3, 4097, 25_001):
-            expected = default_rng(SeedSequence(seed)).integers(0, 2**bits, size=n)
-            got = pcg64_integers(seed, 2**bits, n)
-            assert got.dtype == expected.dtype == np.int64, (bits, n)
-            assert np.array_equal(got, expected), (bits, n)
-
-
-def test_pcg64_port_pins_its_first_values():
-    # literal values, which hold whatever numpy a later test runs against:
-    # density-64-65's start points of conditional chunk 0 and leaves of
-    # unconditional chunk 0 (10 bits), and 63-bit leaves of the same stream
-    assert pcg64_uniform(((97531, 0xC0, 0), 0xA11), 4).tolist() == [
-        0.09609360032148728, 0.8138972619407319, 0.7490538117713543, 0.5901065118039391]
-    leaf_seed = (((97531, 65), 0xF0, 0), 0x1EAF)
-    assert pcg64_integers(leaf_seed, 2**10, 6).tolist() == [667, 203, 633, 329, 488, 116]
-    assert pcg64_integers(leaf_seed, 2**63, 2).tolist() == [1831907431222281470,
-                                                            2966646904674919304]
-
-
-def _counter_of_hash(key, h):
-    """The counter whose SplitMix64 hash under key is h: each xorshift and
-    each odd multiply of the finalizer is invertible mod 2^64."""
-    mask = 2**64 - 1
-
-    def unshift(x, s):
-        y = x
-        for _ in range(64 // s):
-            y = x ^ (y >> s)
-        return y
-
-    for shift, mult in ((31, _MIX2), (27, _MIX1), (30, None)):
-        h = unshift(h, shift)
-        if mult is not None:
-            h = h * pow(int(mult), -1, 2**64) & mask
-    return (h - int(key)) * pow(int(_GOLDEN), -1, 2**64) & mask
-
-
-def test_counter_normals_top_counter_is_finite():
-    # the hashes 2^64 - 2^11 .. 2^64 - 1 share the top 53 bits, which round
-    # to u = 1; the clamp moves only them, and the next hash keeps u = 1 - 2^-52
-    key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=7)._key
-    hashes = (2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1)
-    z = _counter_normals(key, np.array([_counter_of_hash(key, h) for h in hashes], dtype=np.uint64))
-    assert z[0] == z[1] == ndtri(1.0 - 2.0**-53) < np.inf
-    assert z[2] == ndtri(1.0 - 2.0**-52) < z[0]
-
-
-def cephes_ndtri(u):
-    """Cephes' ndtri of one u, step for step in Python floats, with the C
-    library's log (math.log): polevl and p1evl by Horner's rule."""
-    def horner(x, coeffs, monic=False):
-        coeffs = [float(c) for c in coeffs]
-        acc = x + coeffs[0] if monic else coeffs[0]
-        for c in coeffs[1:]:
-            acc = acc * x + c
-        return acc
-
-    t = tree_module
-    y, negate = u, True
-    if y > 1.0 - t._EXP_M2:
-        y, negate = 1.0 - y, False
-    if y > t._EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * horner(y2, t._P0) / horner(y2, t._Q0, monic=True))
-        return x * t._S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    P, Q = (t._P1, t._Q1) if x < 8.0 else (t._P2, t._Q2)
-    x = x0 - z * horner(z, P) / horner(z, Q, monic=True)
-    return -x if negate else x
-
-
-def test_ndtri_has_the_bits_of_scipy(monkeypatch):
-    # 2^21 hashed uniforms, the uniforms of the draws, and the branch edges:
-    # the centre is scipy's bits; the tails are within 8 ulp, and every tail
-    # value that differs is the cephes steps' with the C library's log, so
-    # numpy's log is the only difference
-    monkeypatch.setattr(tree_module, "ndtri", lambda u, out, scratch: out)
-    key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=47)._key
-    hashed = _counter_normals(key, np.arange(2**21, dtype=np.uint64))
-    monkeypatch.undo()
-    e2 = tree_module._EXP_M2
-    edges = [e2, 1.0 - e2, 0.5, 2.0**-54, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
-    edges += [np.nextafter(e, side) for e in (e2, 1.0 - e2) for side in (0.0, 1.0)]
-    u = np.concatenate([hashed, edges])
-    assert np.all((u > 0.0) & (u < 1.0))
-    z, expected = tree_module.ndtri(u), ndtri(u)
-    bits, expected_bits = z.view(np.int64), expected.view(np.int64)
-    centre = (u > e2) & (u <= 1.0 - e2)
-    assert 0.7 < centre.mean() < 0.75
-    assert np.array_equal(bits[centre], expected_bits[centre])
-    assert np.all(np.sign(z) == np.sign(u - 0.5))
-    assert np.abs(bits - expected_bits).max() <= 8
-    differ = (bits != expected_bits).nonzero()[0]
-    assert all(cephes_ndtri(float(u[i])) == expected[i] for i in differ), differ
-    # the smallest uniform of a draw, 2^-54, and the largest reach x >= 8
-    assert np.all(np.abs(z[-len(edges):][[3, 6]]) > 8.0)
-    assert all(cephes_ndtri(float(e)) == ndtri(e) for e in edges)
-    # the values are written to out, which may be u, as _counter_normals
-    # calls it with the counters' bytes as scratch
-    out = np.empty_like(u)
-    assert tree_module.ndtri(u, out=out) is out and np.array_equal(out, z)
-    block = u[:20_000].reshape(2, -1).copy()
-    scratch = np.empty(block.shape, dtype=np.uint64)
-    assert tree_module.ndtri(block, out=block, scratch=scratch.view(np.float64)) is block
-    assert np.array_equal(block.reshape(-1), z[:20_000])
-
-
-def allocating_counter_normals(key, counters):
-    """_counter_normals as written before it filled its output in place: a
-    temporary per shift and a new array for the uniforms.  It maps them
-    through the package's own ndtri, so the test compares the two forms of
-    the hash alone; test_ndtri_has_the_bits_of_scipy holds ndtri to scipy's."""
-    z = counters
-    z *= _GOLDEN
-    z += key
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    u = (z >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return tree_module.ndtri(u, out=u)
-
-
-def test_counter_normals_in_place_match_the_allocating_form():
-    # random counters and the counters of the top 2^11 + 2 hashes, where the
-    # uniforms round to 1 and are clamped; two arguments or an output row
-    key = free_paths(1.0, M=1, sigma=[1.0], dt_mc=0.5, seed=7)._key
-    top = [_counter_of_hash(key, h) for h in range(2**64 - 2**11 - 2, 2**64)]
-    counters = np.concatenate([
-        np.random.default_rng(46).integers(0, 2**64, size=5000, dtype=np.uint64),
-        np.array(top, dtype=np.uint64)])
-    expected = allocating_counter_normals(key, counters.copy())
-    assert np.isfinite(expected).all()
-    assert np.array_equal(_counter_normals(key, counters.copy()), expected)
-    block = np.empty((2, counters.size))
-    row = block[1]
-    assert _counter_normals(key, counters.copy(), out=row) is row
-    assert np.array_equal(block[1], expected)
 
 
 def test_bridge_paths_deterministic(tree5):
@@ -712,16 +483,16 @@ def test_blocks_hold_the_bits_of_the_per_step_reference(monkeypatch):
 
 
 def test_a_draw_hashes_in_the_fewest_calls(monkeypatch):
-    # at the default constants a free span is one _counter_normals call at
+    # at the default constants a free span is one counter_normals call at
     # any row count, and a tree block of n_sub steps takes
     # ceil(n_sub / max(1, HASH_NORMALS // rows)) calls
-    calls, counter_normals = [], tree_module._counter_normals
+    calls = []
 
     def counted(key, counters, out=None):
         calls.append(counters.shape)
         return counter_normals(key, counters, out=out)
 
-    monkeypatch.setattr(tree_module, "_counter_normals", counted)
+    monkeypatch.setattr(tree_module, "counter_normals", counted)
     free = free_paths(1.0, M=25_000, sigma=[0.6, 0.8], dt_mc=1 / 64, seed=38)
     bridged = sample_tree_paths((1, 4, 1.0), M=25_000, sigma=[0.6, 0.8],
                                 dt_mc=0.005, seed=39)
