@@ -141,7 +141,7 @@ def backward_sweep(g: SpaceTimeField | None, coeffs: CoefficientSet, grid: Grid,
             _children_into(tree, sol[k + 1][p], sol[k][p : p + 1 + d])
         if g is not None:
             sol[k][lq] += dt * g.levels[k]
-        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree.lattice, k), coeffs.b_total)
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
         factors, states = level_factors(bands, dt, grid.ni), tree.states(k)
         solve_level(factors, None, sol[k][1 if lq else 0:].transpose(1, 2, 0), states)
         if g is not None:
@@ -171,7 +171,8 @@ def solve_backward_pathwise(g: SpaceTimeField, coeffs: CoefficientSet, leaf: int
     U = np.zeros((N + 1, grid.nx))
     for k in range(N - 1, -1, -1):
         rhs = U[k + 1] + dt * g.levels[k][:, path[k]]
-        f = coeffs.drift(grid.x_interior[None, :], k * dt, tree.w1[k][path[k]])
+        w1 = tree.lattice.w1[k][tree.states(k)[path[k]]]
+        f = coeffs.drift(grid.x_interior[None, :], k * dt, w1)
         U[k] = solve_level(generator_bands(grid, f, coeffs.b_total), dt, rhs[:, None])[:, 0]
     return U
 
@@ -243,8 +244,9 @@ def residual_bspde(sol: BackwardSolution, g: SpaceTimeField, coeffs: Coefficient
     drift_acc = np.zeros((grid.nx, tree.n_leaves))
     noise_acc = np.zeros((grid.nx, tree.n_leaves))
 
-    def drift_term(k):
-        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
+    def drift_term(k):  # each node's drift row is its lattice state's
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k)[tree.states(k)],
+                                coeffs.b_total)
         av = apply_bands(bands, sol.v.levels[k]) + g.levels[k]
         return av[:, tree.ancestor_index(leaves, k)]
 

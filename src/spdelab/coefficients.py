@@ -9,9 +9,10 @@ exercised by the experiments; beta is the constant row sigma in all three:
 * ``space-smooth``  -- f(x, t, omega) = a * sin(pi x) * (1 + eps * tanh(omega_1(t))).
 
 All randomness enters through the first driving component evaluated at the
-current tree node, so adaptedness holds by construction.  Bounds (the
+current tree node, so adaptedness holds by construction, and a drift takes
+one value per state of the w1 lattice (`drift_nodes`).  Bounds (the
 ellipticity constants and sup/Lipschitz constants) are sampled over the
-grid x tree lattice by `validate`, as a guard rather than a proof.
+grid x w1 lattice by `validate`, as a guard rather than a proof.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domain import Grid
-from .tree import ScenarioTree
 
 DEGENERACY_FLOOR = 1e-6
 
@@ -123,19 +123,21 @@ class CoefficientSet:
         """Analytic sup bound K1 for the family."""
         return float(FAMILIES[self.family].bound(self.params))
 
-    # Node-indexed evaluation used by the tree solvers -------------------
+    # State-indexed evaluation used by the level solvers -----------------
 
-    def drift_nodes(self, grid: Grid, tree: ScenarioTree, level: int) -> np.ndarray:
-        """Drift on the interior nodes for every level-`level` tree node.
+    def drift_nodes(self, grid: Grid, space, level: int) -> np.ndarray:
+        """Drift on the interior nodes at every level-`level` state of the w1
+        lattice of space (a tree or the lattice itself); a tree node's row
+        is that of its state, tree.states(level).
 
-        Returns (n_nodes(level), grid.ni), or (n_nodes(level), 1) for the
-        families whose drift does not depend on x.
+        Returns (level + 1, grid.ni), or (level + 1, 1) for the families
+        whose drift does not depend on x.
         """
-        w1 = tree.w1[level][:, None]  # (n_nodes, 1)
+        w1 = space.lattice.w1[level][:, None]  # (level + 1, 1)
         x = grid.x_interior[None, :]
         if not self.drift_reads_x:
             x = x[:, :1]
-        return np.atleast_2d(self.drift(x, level * tree.dt, w1))
+        return np.atleast_2d(self.drift(x, level * space.dt, w1))
 
 
 def make_family(name: str, params: dict) -> CoefficientSet:
@@ -191,9 +193,10 @@ class ValidationReport:
         return all(self.flags.values())
 
 
-def validate(coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree,
+def validate(coeffs: CoefficientSet, grid: Grid, space,
              require_superparabolic: bool = False) -> ValidationReport:
-    """Measure coefficient bounds over the grid x tree lattice.
+    """Measure coefficient bounds over the grid x w1 lattice of space (a
+    tree or the lattice itself), whose states hold every node's drift.
 
     Failures are reported as flags, never raised: delta_b must stay above
     the degeneracy floor, sampled sup bounds must be finite, and when the
@@ -201,10 +204,8 @@ def validate(coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree,
     """
     k1 = 0.0
     lip = 0.0
-    for level in range(tree.n_steps + 1):
-        f = np.broadcast_to(
-            coeffs.drift_nodes(grid, tree, level), (tree.n_nodes(level), grid.ni)
-        )
+    for level in range(space.n_steps + 1):
+        f = np.broadcast_to(coeffs.drift_nodes(grid, space, level), (level + 1, grid.ni))
         k1 = max(k1, float(np.abs(f).max()))
         if grid.ni > 1:
             lip = max(lip, float(np.abs(np.diff(f, axis=1)).max() / grid.dx))

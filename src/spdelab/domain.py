@@ -110,7 +110,7 @@ def generator_bands(grid: Grid, f, b, dual=False):
     """Interior tridiagonal bands of A = f d/dx + (1/2) b d2/dx2, or of its
     dual A* (the exact transpose of that interior matrix) when dual is set.
 
-    Rows layout, system axis first: f holds one drift row per tree node,
+    Rows layout, system axis first: f holds one drift row per system,
     shape (n, ni), or (n, 1) when the drift does not depend on x; b is the
     scalar beta beta^T.  Returns (lower, diag, upper), each broadcastable to
     (ni, n): lower[i] couples interior row i to i-1, upper[i] couples it to
@@ -238,14 +238,15 @@ def solve_tridiag(lower, diag, upper, rhs):
     return np.moveaxis(X.reshape((n,) + shape[:-1]), 0, -1)
 
 
-def apply_A(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
-    """Apply the generator at time t and tree node by centered differences.
+def apply_A(coeffs, u, t, w1, grid: Grid) -> np.ndarray:
+    """Apply the generator at time t and first Wiener component w1 by
+    centered differences.
 
     Interior nodes get f u' + (1/2) b u'' using the stored values of u
     (including its boundary entries); boundary rows are zero.
     """
     u = _check_grid_function(grid, u)
-    f, b = coeffs.drift(grid.x_interior, t, tree.w1[node.level][node.index]), coeffs.b_total
+    f, b = coeffs.drift(grid.x_interior, t, w1), coeffs.b_total
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
         raise GridError("coefficient evaluation returned non-finite values")
     out = np.zeros_like(u)
@@ -256,11 +257,11 @@ def apply_A(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
     return out
 
 
-def apply_A_star(coeffs, u, t, node, grid: Grid, tree) -> np.ndarray:
+def apply_A_star(coeffs, u, t, w1, grid: Grid) -> np.ndarray:
     """Apply the dual generator: the exact transpose of the interior matrix
     of apply_A in the dx-weighted inner product."""
     u = _check_grid_function(grid, u)
-    f = coeffs.drift(grid.x_interior[None, :], t, tree.w1[node.level][node.index])
+    f = coeffs.drift(grid.x_interior[None, :], t, w1)
     return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[:, None])[:, 0]
 
 

@@ -9,6 +9,9 @@ the contiguous system-axis-first block the tridiagonal solver (no
 pivoting) works on in place, and the children of node n are the
 contiguous columns levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].
 On the w1 lattice column j of level k is the conditional mean given its w1.
+A field that reads the path only through w1, one built by `from_function`
+or `smooth_random_field`, is evaluated on the lattice alone; on a tree it is
+that lattice field gathered by each node's state (`on`).
 The X0 inner product discretizes the time integral with the left rule over
 the n_steps cells, weighting level k by P_k = tree.weights(k),
 
@@ -70,16 +73,25 @@ class SpaceTimeField:
         )
 
     @classmethod
-    def from_function(cls, grid: Grid, tree: ScenarioTree, fn) -> "SpaceTimeField":
-        """Evaluate fn(x_column, t, w1_row) on every level; fn must broadcast."""
-        levels = []
-        for k in range(tree.n_steps + 1):
-            w1 = tree.w1[k][None, :]
-            vals = np.broadcast_to(
-                fn(grid.x[:, None], k * tree.dt, w1), (grid.nx, tree.n_nodes(k))
-            )
-            levels.append(np.array(vals, dtype=float))
-        return cls(grid, tree, levels)
+    def from_function(cls, grid: Grid, space, fn) -> "SpaceTimeField":
+        """Evaluate fn(x_column, t, w1_row) at every state of space's w1
+        lattice, on space (a tree or the lattice itself); fn must broadcast."""
+        lattice = space.lattice
+        levels = [np.array(np.broadcast_to(fn(grid.x[:, None], k * lattice.dt, w1[None, :]),
+                                           (grid.nx, k + 1)), dtype=float)
+                  for k, w1 in enumerate(lattice.w1)]
+        return cls(grid, lattice, levels).on(space)
+
+    def on(self, space) -> "SpaceTimeField":
+        """This w1-lattice field on space: itself on its own lattice; on a
+        tree, level k's column n is state space.states(k)[n], C-contiguous.
+        FieldError unless the field lives on space's lattice."""
+        if not _same_space(self.tree, space.lattice):
+            raise FieldError("only a field on a space's w1 lattice gathers onto it")
+        if space.kind == "lattice":
+            return self
+        return SpaceTimeField(self.grid, space, [np.take(a, space.states(k), axis=1)
+                                                 for k, a in enumerate(self.levels)])
 
     def copy(self) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.tree, [a.copy() for a in self.levels])
@@ -113,11 +125,16 @@ class SpaceTimeField:
         return self * (-1.0)
 
 
+def _same_space(a, b) -> bool:
+    """Whether two trees or lattices are one state space and time grid."""
+    return a is b or all(getattr(a, key) == getattr(b, key)
+                         for key in ("kind", "d", "n_steps", "horizon"))
+
+
 def _check_compatible(F: SpaceTimeField, G: SpaceTimeField):
     if F.grid is not G.grid and not np.array_equal(F.grid.x, G.grid.x):
         raise FieldError("fields live on different grids")
-    if F.tree is not G.tree and any(getattr(F.tree, key) != getattr(G.tree, key)
-                                    for key in ("kind", "d", "n_steps", "horizon")):
+    if not _same_space(F.tree, G.tree):
         raise FieldError("fields live on different trees")
 
 
@@ -179,8 +196,10 @@ def norm_c0(F: SpaceTimeField) -> float:
     return float(np.sqrt(worst))
 
 
-def smooth_random_field(grid: Grid, tree: ScenarioTree, seed: int) -> SpaceTimeField:
-    """Seeded random test field: smooth sine profile in x, adapted in time.
+def smooth_random_field(grid: Grid, space, seed: int) -> SpaceTimeField:
+    """Seeded random test field on space (a tree or a lattice): smooth sine
+    profile in x, adapted in time, evaluated at the states of space's w1
+    lattice.
 
     Each of four sine modes carries a constant part, a bounded function of
     the Brownian state (genuinely random across nodes) and a slow
@@ -192,13 +211,12 @@ def smooth_random_field(grid: Grid, tree: ScenarioTree, seed: int) -> SpaceTimeF
     amp = pcg64_normal(seed, 3 * n_modes).reshape(3, n_modes) / np.arange(1, n_modes + 1)
     z = (grid.x - grid.domain.a) / (grid.domain.b - grid.domain.a)
     modes = np.sin(np.outer(np.arange(1, n_modes + 1), np.pi * z))  # (m, nx)
-    horizon = tree.horizon
+    lattice = space.lattice
     levels = []
-    for k in range(tree.n_steps + 1):
-        w1 = tree.w1[k][None, :]
-        ramp = (k * tree.dt) / horizon
-        weights = amp[0][:, None] + amp[1][:, None] * np.tanh(w1) + amp[2][:, None] * ramp
-        level = modes.T @ weights  # (nx, m) @ (m, n_k)
+    for k, w1 in enumerate(lattice.w1):
+        ramp = (k * lattice.dt) / lattice.horizon
+        weights = amp[0][:, None] + amp[1][:, None] * np.tanh(w1[None, :]) + amp[2][:, None] * ramp
+        level = modes.T @ weights  # (nx, m) @ (m, k + 1)
         level[[0, -1]] = 0.0
         levels.append(level)
-    return SpaceTimeField(grid, tree, levels)
+    return SpaceTimeField(grid, lattice, levels).on(space)

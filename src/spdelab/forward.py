@@ -100,19 +100,24 @@ def step_forward(
     """One semi-implicit step along a tree edge selected by dw.
 
     Solves (I - dt A*) u = state + dt * drift_source + sum_j noise_j * dw[j]
-    with the dual generator frozen predictably at the current node.  dw must
-    be a tree edge increment (each component +-sqrt(dt)); the child node is
-    inferred from its sign pattern.  noise_sources holds one grid function
-    per driving component (entries may be None).
+    with the dual generator frozen predictably at the current node, a node
+    of a level 0 .. n_steps - 1, whose w1 is its lattice state's.  dw must
+    be a tree edge increment (each component +-sqrt(dt) to a relative
+    1e-12); the child node is inferred from its sign pattern.
+    noise_sources holds one grid function per driving component (entries
+    may be None).
     """
     require_tree(tree, "step_forward", ForwardSolverError)
     dw = np.asarray(dw, dtype=float)
-    if dw.shape != (tree.d,) or not np.allclose(np.abs(dw), tree.sqdt, rtol=1e-12):
+    if dw.shape != (tree.d,) or not np.allclose(np.abs(dw), tree.sqdt, rtol=1e-12, atol=0.0):
         raise ForwardSolverError(
             f"dw must be a d-vector of +-sqrt(dt)={tree.sqdt:g}, got {dw}"
         )
     digit = int(sum((1 << j) for j in range(tree.d) if dw[j] < 0))
     k, i = state.node
+    if not (0 <= k < tree.n_steps and 0 <= i < tree.n_nodes(k)):
+        raise ForwardSolverError(f"node {state.node} has no step on a tree of "
+                                 f"{tree.n_steps} steps")
     child = TreeNode(k + 1, i * tree.branching + digit)
     rhs = state.values.copy()
     if drift_source is not None:
@@ -121,7 +126,7 @@ def step_forward(
         for j, src in enumerate(noise_sources):
             if src is not None:
                 rhs += np.asarray(src, dtype=float) * dw[j]
-    f = coeffs.drift(grid.x_interior[None, :], k * tree.dt, tree.w1[k][i])
+    f = coeffs.drift(grid.x_interior[None, :], k * tree.dt, tree.lattice.w1[k][tree.states(k)[i]])
     lo, dg, up = generator_bands(grid, f, coeffs.b_total, dual=True)
     new = np.zeros_like(rhs)
     new[1:-1] = solve_tridiag(-tree.dt * lo.T, 1.0 - tree.dt * dg, -tree.dt * up.T, rhs[1:-1])
@@ -154,8 +159,7 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
         block = np.empty((len(sources), br, grid.nx, n_k))
         for rhs, source, levels in zip(block, sources, fields):
             _children_rhs(tree, k, levels[-1], source, rhs)
-        drift = coeffs.drift_nodes(grid, tree.lattice, k)
-        bands = generator_bands(grid, drift, coeffs.b_total, dual=True)
+        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual=True)
         solve_level(bands, tree.dt, block.transpose(2, 3, 0, 1), tree.states(k))
         for rhs, levels in zip(block, fields):
             state = tree.merge(rhs.transpose(1, 2, 0))

@@ -544,14 +544,17 @@ def _exp_solvability_R(cfg: ExperimentConfig, diag: dict) -> list:
     return rows
 
 
-def _duality_gap(cfg, coeffs, grid, tree):
-    """(lhs, rhs, sol, dens, phi) of the duality identity at one level; on
-    the w1 lattice both sides are exact, since phi and p0 read the path only
-    through w1."""
+def _duality_gap(cfg, coeffs, grid, space):
+    """(lhs, rhs, sol, dens, phi) of the duality identity at one level.  The
+    density marches on space (a tree or the w1 lattice); phi and op_L(phi)
+    read the path only through w1, so they are solved on space's lattice,
+    and phi is gathered onto space to pair with the density.  On the
+    lattice both sides are exact, since p0 reads no path either."""
     p0 = _gaussian_density(grid, cfg.params["p0_width"])
-    phi = smooth_random_field(grid, tree, seed=cfg.mc["seed"])
-    sol = op_L(phi, coeffs, grid, tree)
-    dens = solve_density(p0, coeffs, grid, tree)
+    phi = smooth_random_field(grid, space.lattice, seed=cfg.mc["seed"])
+    sol = op_L(phi, coeffs, grid, space.lattice)
+    dens = solve_density(p0, coeffs, grid, space)
+    phi = phi.on(space)
     lhs = h0_inner(p0, sol.v.levels[0][:, 0], grid)
     rhs = inner_x0(dens.p, phi)
     return lhs, rhs, sol, dens, phi
@@ -559,7 +562,8 @@ def _duality_gap(cfg, coeffs, grid, tree):
 
 def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
     p = cfg.params
-    # the coarse level's node checks read per-node densities: the tree
+    # the coarse level's node checks read per-node densities: the tree (op_L
+    # runs on its lattice)
     coeffs, grid, tree = _state_space(cfg, diag, lattice=False)
     lhs_c, rhs_c, sol, dens, phi = _duality_gap(cfg, coeffs, grid, tree)
     _record_density(diag, dens, grid, tree)
@@ -578,7 +582,8 @@ def _exp_duality_63(cfg: ExperimentConfig, diag: dict) -> list:
         cond[m] = per_node + child_mean
     node_budget = 2.0 * budget
     for node in range(p["node_checks"]):
-        lhs_n = h0_inner(dens.p.levels[k][:, node], sol.v.levels[k][:, node], grid)
+        v_node = sol.v.levels[k][:, tree.states(k)[node]]
+        lhs_n = h0_inner(dens.p.levels[k][:, node], v_node, grid)
         rhs_n = float(cond[k][node])
         rows.append(CheckRow(f"gap-at-node-{k}:{node}", "6.3", lhs_n, rhs_n, node_budget))
     del sol, dens, phi
@@ -666,8 +671,10 @@ def _exp_norm_bounds(cfg: ExperimentConfig, diag: dict) -> list:
 class Experiment:
     """checks(config, diagnostics) returns the rows, recording solver diagnostics;
     defaults are the acceptance settings; fields_on_tree: it names a node or a
-    path's density of the configured level, whose fields it then holds on the
-    scenario tree; superparabolic: it solves R*, L* or the density equation;
+    path's density of the configured level, which it then marches on the
+    scenario tree (its test fields and backward solves, which read the path
+    only through w1, stay on the lattice and are gathered where they meet
+    the density); superparabolic: it solves R*, L* or the density equation;
     estimates(config): the run's Monte Carlo estimates in the order it makes
     them, one Estimate each, of mc.paths paths.  That table alone decides
     each estimate's mesh and bridge: the run passes them to the estimators,

@@ -24,13 +24,14 @@ no tree.
 
 At any d the `Lattice` recombines the tree by its first component (Cox, Ross
 and Rubinstein 1979): state j of level k counts the down steps of w1, and one
-rule, `w1_at`, sets w1 = sqrt(dt) (k - 2j) at a tree node's, a lattice state's
-and a path's j.  Coefficients and test fields read the path only through w1,
-so both store w1 (`w1[k]`), and a lattice field holds the tree field's
-conditional means given (k, w1).  A tree node's matrices are those of its
-state, so the tree also keeps each node's j (`states(k)`): a level solve
-factors the k + 1 states of its `lattice` and gathers each node's factors
-by its j.
+rule, `w1_at`, sets w1 = sqrt(dt) (k - 2j) at a lattice state's and a path's
+j.  Only the lattice stores w1 (`w1[k]`); a tree keeps each node's j
+(`states(k)`), so a node's w1 is `lattice.w1[k][states(k)]`.  Coefficients
+and test fields read the path only through w1, so they are evaluated at the
+lattice states alone: a lattice field holds the tree field's conditional
+means given (k, w1), a tree field built from w1 is its lattice field
+gathered by each node's j, and a level solve factors the k + 1 states of
+its `lattice` and gathers each node's factors by its j.
 Both classes give the solvers the level structure: `child(nxt, b, n_k)`,
 child b of every level-k node as an (nx, n_k) view of level k+1;
 `merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
@@ -82,7 +83,6 @@ class ScenarioTree:
     dt: float
     sqdt: float
     digit_signs: np.ndarray  # (2**d, d), entries +-1
-    w1: tuple  # per level k: (2**(d k),) first Wiener component at each node
     down: tuple  # per level k: (2**(d k),) intp, each node's j, its lattice state
     kind = "tree"  # a class attribute, not a field; the Lattice's is "lattice"
 
@@ -193,11 +193,10 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
     down = [np.zeros(1)]  # each node's j, level by level (float64: see _steps)
     for _ in range(n_steps):
         down.append((down[-1][:, None] + (digit_signs[:, 0] < 0)).reshape(-1))
-    w1 = [w1_at(k, j, sqdt) for k, j in enumerate(down)]
     down = [j.astype(np.intp) for j in down]  # a cast, no integer ufunc
-    for arr in w1 + down:
+    for arr in down:
         arr.setflags(write=False)
-    return ScenarioTree(d, n_steps, horizon, dt, sqdt, digit_signs, tuple(w1), tuple(down))
+    return ScenarioTree(d, n_steps, horizon, dt, sqdt, digit_signs, tuple(down))
 
 
 @dataclass(frozen=True)
@@ -422,7 +421,7 @@ class PathBundle:
         return down
 
     def w1(self, level: int, rows=slice(None)) -> np.ndarray | None:
-        """w1_at of the rows' down_steps: the tree's w1 at their paths' nodes
+        """w1_at of the rows' down_steps: the lattice w1 of their paths' nodes
         (None on free paths)."""
         down = self.down_steps(level, rows)
         return None if down is None else w1_at(level, down, self.sqdt)

@@ -124,7 +124,8 @@ def reference_simulate(
             block = None  # let the spent block go before its successor is drawn
             block = paths.draw(k * paths.n_sub, live)[1][: paths.n_sub]
             drawn += block.size
-            w1 = None if tree is None else tree.w1[k][tree.ancestor_index(paths.leaves[live], k)]
+            nodes = None if tree is None else tree.ancestor_index(paths.leaves[live], k)
+            w1 = None if tree is None else tree.lattice.w1[k][tree.states(k)[nodes]]
         t = m * dt
         vals = {name: np.asarray(fn(yl, t, w1)) * dt for name, fn in integrands.items()}
         drift = coeffs.drift(yl, t, 0.0 if w1 is None else w1)

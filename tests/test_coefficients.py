@@ -94,7 +94,7 @@ def test_adaptedness_by_node_enumeration(grid, tree):
     # two nodes sharing the path prefix up to level t give identical values
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     level = 4
-    vals = coeffs.drift_nodes(grid, tree, level)
+    vals = coeffs.drift_nodes(grid, tree, level)[tree.states(level)]  # each node's state's row
     vals = np.broadcast_to(vals, (tree.n_nodes(level), grid.ni))
     # descendants of node n at a deeper level evaluated AT level-t data:
     # adaptedness means the level-t value is a function of the level-t node only,

@@ -27,7 +27,6 @@ from spdelab import backward
 from spdelab.backward import level_factors, op_L, solve_level
 from spdelab.fields import smooth_random_field
 from spdelab.forward import solve_density
-from spdelab.tree import TreeNode
 from fine_tree_engine import DENSITY_BOUND, OP_L_BOUND, measure
 
 
@@ -46,15 +45,18 @@ def dense_generator(grid, fvals, bvals):
     return A
 
 
+def node_drift(coeffs, grid, tree, k):
+    """Each level-k tree node's drift row, (n_nodes(k), ni) or (n_nodes(k), 1),
+    evaluated at the node's own w1 (an oracle for the rows of the lattice
+    states that the solvers gather by each node's state)."""
+    x = grid.x_interior[None, :] if coeffs.drift_reads_x else grid.x_interior[None, :1]
+    return np.atleast_2d(coeffs.drift(x, k * tree.dt, tree.lattice.w1[k][tree.states(k)][:, None]))
+
+
 @pytest.fixture
 def unit_interval():
     dom = DomainSpec(0.0, 1.0, 1.0)
     return build_grid(dom, 41)
-
-
-@pytest.fixture
-def small_tree():
-    return build_tree(1, 3, 1.0)
 
 
 def test_domain_spec_validation():
@@ -84,35 +86,35 @@ def test_build_grid_truncated_line():
     assert grid.ni == 159
 
 
-def test_apply_A_pure_diffusion_on_quadratic(unit_interval, small_tree):
+def test_apply_A_pure_diffusion_on_quadratic(unit_interval):
     # constant b=2, f=0: (1/2) b u'' = 2 exactly for u = x^2
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [np.sqrt(2.0)]})
     u = unit_interval.x**2
-    out = apply_A(coeffs, u, 0.0, TreeNode(0, 0), unit_interval, small_tree)
+    out = apply_A(coeffs, u, 0.0, 0.0, unit_interval)
     assert np.allclose(out[1:-1], 2.0, atol=1e-10)
     assert out[0] == 0.0 and out[-1] == 0.0
 
 
-def test_apply_A_pure_drift_on_linear(unit_interval, small_tree):
+def test_apply_A_pure_drift_on_linear(unit_interval):
     coeffs = make_family("constant", {"f0": 1.0, "sigma": [1.0]})
     u = unit_interval.x.copy()
-    out = apply_A(coeffs, u, 0.0, TreeNode(0, 0), unit_interval, small_tree)
+    out = apply_A(coeffs, u, 0.0, 0.0, unit_interval)
     # subtract the diffusion part (zero for linear u), drift gives u' = 1
     assert np.allclose(out[1:-1], 1.0, atol=1e-10)
 
 
-def test_apply_A_matches_dense_assembly(unit_interval, small_tree):
+def test_apply_A_matches_dense_assembly(unit_interval):
     grid = unit_interval
-    coeffs = make_family("space-smooth", {"a": 1.0, "eps": 0.0, "sigma": [1.0]})
+    coeffs = make_family("space-smooth", {"a": 1.0, "eps": 0.5, "sigma": [1.0]})
     u = np.sin(np.pi * grid.x)
     u[0] = u[-1] = 0.0
-    out = apply_A(coeffs, u, 0.0, TreeNode(0, 0), grid, small_tree)
-    f = coeffs.drift(grid.x_interior, 0.0, 0.0)
+    out = apply_A(coeffs, u, 0.0, 0.7, grid)  # at w1 = 0.7
+    f = coeffs.drift(grid.x_interior, 0.0, 0.7)
     dense = dense_generator(grid, f, coeffs.b_total)
     assert np.allclose(out[1:-1], dense @ u[1:-1], atol=1e-12)
 
 
-def test_apply_A_star_is_exact_transpose(unit_interval, small_tree):
+def test_apply_A_star_is_exact_transpose(unit_interval):
     grid = unit_interval
     coeffs = make_family("space-smooth", {"a": 0.7, "eps": 0.0, "sigma": [0.9]})
     rng = np.random.default_rng(5)
@@ -120,26 +122,24 @@ def test_apply_A_star_is_exact_transpose(unit_interval, small_tree):
     w = np.zeros(grid.nx)
     u[1:-1] = rng.normal(size=grid.ni)
     w[1:-1] = rng.normal(size=grid.ni)
-    node = TreeNode(0, 0)
-    au = apply_A(coeffs, u, 0.0, node, grid, small_tree)
-    asw = apply_A_star(coeffs, w, 0.0, node, grid, small_tree)
+    au = apply_A(coeffs, u, 0.0, 0.0, grid)
+    asw = apply_A_star(coeffs, w, 0.0, 0.0, grid)
     lhs = h0_inner(au, w, grid)
     rhs = h0_inner(u, asw, grid)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
-def test_apply_A_star_self_adjoint_case(unit_interval, small_tree):
+def test_apply_A_star_self_adjoint_case(unit_interval):
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.3]})
     rng = np.random.default_rng(7)
     u = np.zeros(unit_interval.nx)
     u[1:-1] = rng.normal(size=unit_interval.ni)
-    node = TreeNode(0, 0)
-    au = apply_A(coeffs, u, 0.0, node, unit_interval, small_tree)
-    asu = apply_A_star(coeffs, u, 0.0, node, unit_interval, small_tree)
+    au = apply_A(coeffs, u, 0.0, 0.0, unit_interval)
+    asu = apply_A_star(coeffs, u, 0.0, 0.0, unit_interval)
     assert np.allclose(au, asu, atol=1e-12)
 
 
-def test_apply_A_star_advection_on_quadratic(unit_interval, small_tree):
+def test_apply_A_star_advection_on_quadratic(unit_interval):
     # f = 1, b = 0 is outside the builtin families' nondegeneracy, so assemble
     # the bands directly: A* u should look like -(d/dx) u = -2x away from edges
     grid = unit_interval
@@ -205,14 +205,13 @@ def test_hk_norms_are_dual(unit_interval):
 def test_generator_convergence_rate():
     # A sin(pi x) with f=0, b=1 converges to -(pi^2/2) sin(pi x) at O(dx^2)
     dom = DomainSpec(0.0, 1.0, 1.0)
-    tree = build_tree(1, 2, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     errs = []
     for nx in (21, 41, 81):
         grid = build_grid(dom, nx)
         u = np.sin(np.pi * grid.x)
         u[0] = u[-1] = 0.0
-        out = apply_A(coeffs, u, 0.0, TreeNode(0, 0), grid, tree)
+        out = apply_A(coeffs, u, 0.0, 0.0, grid)
         exact = -0.5 * np.pi**2 * np.sin(np.pi * grid.x_interior)
         errs.append(np.max(np.abs(out[1:-1] - exact)))
     assert errs[0] / errs[1] > 3.5
@@ -345,9 +344,8 @@ def test_a_level_solved_with_its_states_factors_equals_the_per_node_solve(d, n_s
     tree = build_tree(d, n_steps, 1.0)
     rng = np.random.default_rng(17)
     for k in range(n_steps + 1):
-        per_node, per_state = (
-            generator_bands(grid, coeffs.drift_nodes(grid, space, k), coeffs.b_total, dual)
-            for space in (tree, tree.lattice))
+        drifts = node_drift(coeffs, grid, tree, k), coeffs.drift_nodes(grid, tree, k)
+        per_node, per_state = (generator_bands(grid, f, coeffs.b_total, dual) for f in drifts)
         factors = level_factors(per_state, tree.dt, grid.ni)
         assert factors[1].shape == (1, k + 1)
         block = rng.normal(size=(3, tree.branching, grid.nx, tree.n_nodes(k)))
@@ -365,8 +363,10 @@ def test_a_tree_solve_holds_no_factors_of_a_levels_size():
     # within 10% of the pair it returns and solve_density's within 1.55 times
     # its field: the earlier levels, the last level's block and the level
     # merged out of it, 1.50; factors with a column per node lifted them to
-    # 1.43 and 2.46, and level-sized noise-source temporaries the density to 1.75
+    # 1.43 and 2.46, and level-sized noise-source temporaries the density to 1.75.
+    # The tree op_L has the bits of the lattice op_L gathered at every level
     results = measure(n_steps=12, nx=101)
+    assert results["gather"] is None
     _, peak, held = results["op_L"]
     assert peak <= OP_L_BOUND * held
     _, peak, held = results["solve_density"]
@@ -379,7 +379,7 @@ def test_solve_level_x_dependent_against_dense(unit_interval):
     tree = build_tree(1, 4, 1.0)
     coeffs = make_family("space-smooth", {"a": 0.8, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1})
     level, dt = 3, tree.dt
-    f = coeffs.drift_nodes(grid, tree, level)
+    f = node_drift(coeffs, grid, tree, level)
     n = tree.n_nodes(level)
     assert f.shape == (n, grid.ni) and len(np.unique(f[:, 0])) > 1
     rng = np.random.default_rng(21)
@@ -404,7 +404,7 @@ def test_solve_level_works_in_place_on_x_major_levels(unit_interval):
     grid = unit_interval
     tree = build_tree(1, 4, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
-    bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, 3), coeffs.b_total)
+    bands = generator_bands(grid, node_drift(coeffs, grid, tree, 3), coeffs.b_total)
     rhs0 = np.random.default_rng(5).normal(size=(grid.nx, tree.n_nodes(3)))
     rhs = rhs0.copy()
     out = solve_level(bands, tree.dt, rhs)

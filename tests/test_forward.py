@@ -91,6 +91,27 @@ def test_step_forward_rejects_bad_increment():
     state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0))
     with pytest.raises(ForwardSolverError):
         step_forward(state, coeffs, None, None, np.array([0.5 * tree.sqdt]), grid, tree)
+    # at horizon 1e-18, sqrt(dt) = 5e-10 is below an absolute tolerance of
+    # 1e-8: the check is relative alone, so 0 and -2 sqrt(dt) are refused
+    _, grid, tree, coeffs = make_setup(horizon=1e-18, n_steps=4)
+    step_forward(state, coeffs, None, None, np.array([-tree.sqdt]), grid, tree)
+    for dw in (0.0, -2.0 * tree.sqdt, tree.sqdt * (1.0 + 1e-9)):
+        with pytest.raises(ForwardSolverError, match="dw must be"):
+            step_forward(state, coeffs, None, None, np.array([dw]), grid, tree)
+
+
+def test_step_forward_stays_on_the_tree():
+    # a node steps only from levels 0 .. n_steps - 1, and only from an index
+    # of its level: the last level's nodes and negative indices are refused
+    _, grid, tree, coeffs = make_setup(n_steps=4)
+    dw = np.array([tree.sqdt])
+    last = step_forward(ForwardState(np.zeros(grid.nx), TreeNode(3, 7)), coeffs, None, None,
+                        dw, grid, tree)
+    assert last.node == TreeNode(4, 14)
+    for node in (TreeNode(4, 3), TreeNode(2, -1), TreeNode(2, 4), TreeNode(-1, 0)):
+        with pytest.raises(ForwardSolverError, match="has no step"):
+            step_forward(ForwardState(np.zeros(grid.nx), node), coeffs, None, None, dw,
+                         grid, tree)
 
 
 def test_march_matches_repeated_steps():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spdelab import config, harness, montecarlo, tree
+from spdelab import backward, config, harness, montecarlo, tree
 from spdelab.cli import main
 from spdelab.harness import (
     CONFIG_KEYS,
@@ -971,6 +971,22 @@ def test_representation_random_builds_no_tree(monkeypatch):
     # the counter sees the trees a run does build
     run(ExperimentConfig.from_dict({"experiment": "density-64-65", **MC_SMALL}), write=False)
     assert calls
+
+
+def test_duality_63_solves_op_L_on_the_lattice_only(monkeypatch):
+    # phi and op_L read the path only through w1: both levels sweep the w1
+    # lattice (45 states at the coarse level, not the tree's 511 nodes), and
+    # only the coarse density marches the tree its node checks read
+    kinds, sweep = [], backward.backward_sweep
+
+    def spy(g, coeffs, grid, space, phi=None):
+        kinds.append(space.kind)
+        return sweep(g, coeffs, grid, space, phi)
+
+    monkeypatch.setattr(backward, "backward_sweep", spy)
+    report = run(default_config("duality-63"), write=False)
+    assert report.passed and kinds == ["lattice", "lattice"]
+    assert [level["kind"] for level in report.diagnostics["state_space"]] == ["tree", "lattice"]
 
 
 def test_solvability_R_runs_a_lattice_past_the_tree_guard():

@@ -199,9 +199,11 @@ def test_duality_63_fine_pairing_matches_the_tree(d, n_steps):
 @pytest.mark.parametrize("d, n_steps", [(1, 10), (2, 8)])
 def test_tree_drift_and_fields_are_the_lattice_values_at_each_nodes_state(d, n_steps):
     # why the lattice is exact: coefficients and test fields read the path
-    # only through w1, and a tree node's w1 has its lattice state's bits, so
-    # every family's drift row and a field's column at each tree node are
-    # the lattice's at the node's j, bit for bit (at an irrational sqrt(dt))
+    # only through w1, and a tree node's w1 is its lattice state's, so every
+    # family's drift row and a field's column evaluated at each tree node's
+    # own w1 are the lattice's at the node's j, bit for bit (at an
+    # irrational sqrt(dt)): the rows the solvers gather by state and the
+    # tree fields built from the lattice
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
@@ -211,12 +213,58 @@ def test_tree_drift_and_fields_are_the_lattice_values_at_each_nodes_state(d, n_s
     for family in sorted(FAMILIES):
         coeffs, grid, tree, lattice = setup(family, 41, n_steps, d)
         on_tree = SpaceTimeField.from_function(grid, tree, fn)
-        on_lattice = SpaceTimeField.from_function(grid, lattice, fn)
         for k in range(n_steps + 1):
             j = node_states(tree, k)
-            assert np.array_equal(bits(coeffs.drift_nodes(grid, tree, k)),
-                                  bits(coeffs.drift_nodes(grid, lattice, k))[j]), (family, k)
-            assert np.array_equal(bits(on_tree.levels[k]), bits(on_lattice.levels[k])[:, j]), k
+            w1 = lattice.w1[k][j]  # each node's own w1, (n_nodes(k),)
+            per_node = np.broadcast_to(coeffs.drift(grid.x_interior[None, :], k * tree.dt,
+                                                    w1[:, None]), (tree.n_nodes(k), grid.ni))
+            rows = np.broadcast_to(coeffs.drift_nodes(grid, lattice, k), (k + 1, grid.ni))
+            assert np.array_equal(bits(per_node), bits(rows)[j]), (family, k)
+            assert np.array_equal(bits(on_tree.levels[k]),
+                                  bits(fn(grid.x[:, None], k * tree.dt, w1[None, :]))), k
+
+
+@pytest.mark.parametrize("d, n_steps", by_d([(8,), (10,)], [(6,)]))
+def test_tree_op_L_is_the_lattice_op_L_gathered(d, n_steps):
+    # duality-63's coarse level solves op_L on the lattice and reads its tree
+    # nodes by state: at d = 1 a sweep reads the children in the same order
+    # on both and the tridiagonal solve is elementwise across systems, so v,
+    # the first kernel and g gathered have the tree's bits; at d = 2 the
+    # tree sums four children per node and the lattice merges two per state,
+    # so they agree to round-off
+    for family in sorted(FAMILIES):
+        coeffs, grid, tree, lattice = setup(family, 41, n_steps, d)
+        phi = smooth_random_field(grid, lattice, 6)
+        on_tree = op_L(phi.on(tree), coeffs, grid, tree)
+        on_lattice = op_L(phi, coeffs, grid, lattice)
+        for a, b in [(on_tree.v, on_lattice.v), (on_tree.kernels[0], on_lattice.kernels[0]),
+                     (on_tree.g, on_lattice.g)]:
+            for k, (node, state) in enumerate(zip(a.levels, b.on(tree).levels)):
+                if d == 1:
+                    assert np.array_equal(node.view(np.uint64), state.view(np.uint64)), k
+                else:
+                    scale = max(np.abs(node).max(), 1e-300)
+                    np.testing.assert_allclose(state, node, rtol=0, atol=1e-14 * scale)
+
+
+def test_on_gathers_a_lattice_field_by_each_nodes_state():
+    # on its own lattice a field is itself; on a tree, level k's column n is
+    # state tree.states(k)[n], C-contiguous (an F-ordered gather moves a
+    # norm's last bit); a tree field, or a lattice field on another time
+    # grid, gathers onto nothing
+    _, grid, tree, lattice = setup("drift-random", 21, 4, d=2)
+    F = smooth_random_field(grid, lattice, 1)
+    assert F.on(lattice) is F and F.on(tree.lattice) is F
+    gathered = F.on(tree)
+    assert gathered.tree is tree and gathered.grid is grid
+    for k, level in enumerate(gathered.levels):
+        assert level.flags["C_CONTIGUOUS"] and level.shape == (grid.nx, tree.n_nodes(k))
+        assert np.array_equal(level, F.levels[k][:, node_states(tree, k)])
+    for space in (build_tree(2, 5, 1.0), build_lattice(4, 2.0), build_tree(1, 4, 0.5)):
+        with pytest.raises(FieldError, match="w1 lattice"):
+            F.on(space)
+    with pytest.raises(FieldError, match="w1 lattice"):
+        gathered.on(tree)
 
 
 def test_lattice_levels_and_children():

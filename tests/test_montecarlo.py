@@ -249,7 +249,8 @@ def test_bridged_snapshots_have_the_leaf_law_at_any_mesh(line_domain, n_sub):
     coeffs = make_family("drift-random", {"kappa": kappa, "sigma": sigma, "d": 1})
     tree = build_tree(1, 5, 1.0)
     leaf = 0b10110
-    w1 = np.array([tree.w1[k][node] for k, node in enumerate(tree.leaf_path(leaf))])
+    w1 = np.array([tree.lattice.w1[k][tree.states(k)[node]]
+                   for k, node in enumerate(tree.leaf_path(leaf))])
     paths = bridge_paths(tree.shape, leaf, M, coeffs.sigma, tree.dt / n_sub, seed=(23, n_sub))
     assert paths.n_sub == n_sub
     times = paths.times[::n_sub]  # the tree times
@@ -335,7 +336,8 @@ def test_bridge_integral_matches_the_leaf_enumeration(line_domain):
     s1, s2 = 0.6, 0.8
     u, w = np.polynomial.legendre.leggauss(16)
     leaves = np.arange(tree.n_leaves)
-    w1 = [tree.w1[k][tree.ancestor_index(leaves, k)] for k in range(tree.n_steps + 1)]
+    w1 = [tree.lattice.w1[k][tree.states(k)[tree.ancestor_index(leaves, k)]]
+          for k in range(tree.n_steps + 1)]
     exact = 0.0
     for k in range(tree.n_steps):
         for uj, wj in zip((u + 1.0) / 2.0, w / 2.0):

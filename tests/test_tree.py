@@ -134,18 +134,24 @@ def down_steps(index, d: int, level: int):
 @pytest.mark.parametrize("d, n_steps, horizon", [(1, 10, 1.0), (1, 16, 1.0), (2, 8, 1.0),
                                                  (1, 10, 0.7)])
 def test_tree_w1_is_the_lattice_w1_at_each_nodes_down_steps(d, n_steps, horizon):
-    # one rule, sqrt(dt) (k - 2j): a tree node's w1 has the bits of the
-    # lattice state j its first component's down steps name, at an
-    # irrational sqrt(dt) too, where sums of +-sqrt(dt) would round apart
+    # one rule, sqrt(dt) (k - 2j), stored by the lattice alone: a tree keeps
+    # each node's j, the down steps of its first component, and a node's w1
+    # is its state's, sqrt(dt) (k - 2j) to the bit at an irrational sqrt(dt)
+    # too, where sums of +-sqrt(dt) would round apart
     tree, lattice = build_tree(d, n_steps, horizon), build_lattice(n_steps, horizon)
+    assert not hasattr(tree, "w1")
     assert (lattice.dt, lattice.sqdt) == (tree.dt, tree.sqdt)
+    assert (tree.lattice.n_steps, tree.lattice.horizon) == (n_steps, horizon)
     assert np.array_equal(lattice.digit_signs, tree.digit_signs[:2, :1])
     for k in range(n_steps + 1):
-        assert tree.w1[k].shape == (tree.branching**k,) and lattice.w1[k].shape == (k + 1,)
-        expected = np.sqrt(horizon / n_steps) * (k - 2.0 * np.arange(k + 1))
-        assert np.array_equal(lattice.w1[k].view(np.uint64), expected.view(np.uint64))
         j = down_steps(np.arange(tree.n_nodes(k)), d, k)
-        assert np.array_equal(tree.w1[k].view(np.uint64), lattice.w1[k][j].view(np.uint64))
+        assert np.array_equal(tree.states(k), j) and tree.states(k).dtype == np.intp
+        assert lattice.w1[k].shape == (k + 1,)
+        expected = np.sqrt(horizon / n_steps) * (k - 2.0 * np.arange(k + 1))
+        for w1 in (lattice.w1[k], tree.lattice.w1[k]):
+            assert np.array_equal(w1.view(np.uint64), expected.view(np.uint64))
+        nodes = tree.lattice.w1[k][tree.states(k)]
+        assert np.array_equal(nodes.view(np.uint64), expected[j].view(np.uint64))
 
 
 @pytest.mark.parametrize("d, n_steps", [(1, 10), (2, 6), (1, 16), (2, 8)])
@@ -168,10 +174,10 @@ def test_a_bundle_holds_the_tree_w1_at_each_paths_node(d, n_steps):
         nodes = tree.ancestor_index(bundle.leaves, k)
         assert bundle.down_steps(k).dtype == np.int8
         assert np.array_equal(bundle.down_steps(k), down_steps(nodes, d, k))
-        w1 = bundle.w1(k)
-        assert np.array_equal(w1.view(np.uint64), tree.w1[k][nodes].view(np.uint64))
+        w1, node_w1 = bundle.w1(k), tree.lattice.w1[k][tree.states(k)]
+        assert np.array_equal(w1.view(np.uint64), node_w1[nodes].view(np.uint64))
         assert np.array_equal(bundle.w1(k, rows), w1[rows])
-        table = (np.asarray(coeffs.drift(0.0, k * tree.dt, tree.w1[k])) * dt)[nodes]
+        table = (np.asarray(coeffs.drift(0.0, k * tree.dt, node_w1)) * dt)[nodes]
         states = w1_at(k, np.arange(k + 1), bundle.sqdt)
         by_state = np.multiply(coeffs.drift(0.0, k * bundle.dt, states), dt)[bundle.down_steps(k)]
         assert np.array_equal(by_state.view(np.uint64), table.view(np.uint64))
@@ -207,9 +213,10 @@ def test_increment_moments_exact():
     for d in (1, 2):
         tree = build_tree(d, 4, 2.0)
         for k in range(1, tree.n_steps + 1):
-            # component 0 from the stored w1, the others from the branch digits
+            # component 0 from the nodes' lattice w1, the others from the branch digits
+            w1 = [tree.lattice.w1[m][tree.states(m)] for m in (k - 1, k)]
             inc = np.tile(tree.digit_signs * tree.sqdt, (tree.n_nodes(k - 1), 1))
-            inc[:, 0] = tree.w1[k] - np.repeat(tree.w1[k - 1], tree.branching)
+            inc[:, 0] = w1[1] - np.repeat(w1[0], tree.branching)
             assert np.abs(inc.mean(axis=0)).max() == 0.0
             assert np.allclose((inc**2).mean(axis=0), tree.dt, rtol=0, atol=1e-15)
             if d == 2:
@@ -258,7 +265,8 @@ def test_ito_integral_zero_and_telescoping(tree5):
     ones = [np.ones((tree5.n_nodes(k), 1)) for k in range(tree5.n_steps)]
     total = ito_integral(ones, tree5)
     # integrating 1 against domega telescopes to omega(T)
-    assert np.allclose(total, tree5.w1[tree5.n_steps], atol=1e-14)
+    N = tree5.n_steps
+    assert np.allclose(total, tree5.lattice.w1[N][tree5.states(N)], atol=1e-14)
     assert abs(total.mean()) < 1e-14
 
 
@@ -291,7 +299,7 @@ def test_ito_martingale_partial_sums(tree5):
 
 
 def test_clark_of_brownian_endpoint(tree5):
-    X = tree5.w1[tree5.n_steps]
+    X = tree5.lattice.w1[tree5.n_steps][tree5.states(tree5.n_steps)]
     dec = clark_decompose(X, tree5)
     assert dec.mean == pytest.approx(0.0, abs=1e-15)
     for k in range(tree5.n_steps):
