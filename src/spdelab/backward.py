@@ -4,25 +4,23 @@ The pathwise solver marches the terminal-value problem
 
     dU/dt + A U = -g,   U(.,T) = 0,   U = 0 on the lateral boundary,
 
-down a single tree path with the implicit Euler scheme.  The tree operators
-never enumerate leaves: conditional expectations obey the recursion
+down a single tree path with the implicit Euler scheme.  The operators
+never enumerate paths: A and g read the path only through w1, so
+conditional expectations live on the w1 lattice (tree.Lattice), state j of
+level k stepping up to state j and down to j + 1, and obey the recursion
 
-    v^k(n) = S_k(n) [ mean_children v^{k+1} + dt g^k(n) ],
-    S_k(n) = (I - dt A(t_k, n))^{-1},
+    v^k(j) = S_k(j) [ (v^{k+1}(j) + v^{k+1}(j+1)) / 2 + dt g^k(j) ],
+    S_k(j) = (I - dt A(t_k, j))^{-1},
 
-and the diffusion kernels of the martingale representation fall out of the
+and the diffusion kernel of the martingale representation falls out of the
 same sweep from the child spread,
 
-    X_j^k(n) = S_k(n) E[ v^{k+1} domega_j | n ] / dt.
+    X^k(j) = S_k(j) (v^{k+1}(j) - v^{k+1}(j+1)) / (2 sqrt(dt)).
 
-Levels are x-major, (nx, n_nodes(k)), children are read through tree.child
-(tree or w1 lattice), and solve_level applies S_k in place at every node of
-a level, from factors (level_factors) that serve any number of solves; the
-forward marcher reuses it with A*'s bands.  A's coefficients read the path
-only through w1, so a tree level has the k + 1 distinct matrices of its
-lattice states (tree.lattice): it factors those, and each node's solve
-gathers the factors of its state (tree.states(k)); on the lattice the
-states are the nodes.
+A tree node's values are its state's (SpaceTimeField.on(tree)), and the
+other Wiener components' kernels vanish for such data.  solve_level applies
+S_k in place at every state of an x-major level, from factors
+(level_factors) that serve any number of solves and the forward marches.
 
 Since (B g)^k is built from X^k, which depends only on g at later levels,
 B is strictly block-triangular in time and B^N = 0: op_L inverts I + B by
@@ -48,7 +46,7 @@ from .domain import (
     thomas_rows,
 )
 from .fields import SpaceTimeField, norm_x0
-from .tree import ScenarioTree, require_tree
+from .tree import Lattice, ScenarioTree, require_space
 
 
 class ConvergenceError(RuntimeError):
@@ -77,13 +75,13 @@ def level_factors(bands, dt, ni):
 
 
 def solve_level(bands, dt, rhs, states=None):
-    """Solve (I - dt A) u = rhs in place at every node of one tree level.
+    """Solve (I - dt A) u = rhs in place at every node of one level.
 
     bands are the level's rows-layout bands from generator_bands (of A or
     of A*), or, with dt None, their level_factors: the band half of the
     cyclic reduction, done once for any number of solves.  Without states
     the bands have a column per node; with states, one per lattice state,
-    and node i solves with column states[i] (tree.states(k)).  rhs is
+    and node i solves with column states[i] (a tree's states(k)).  rhs is
     x-major, (nx, n), or (nx, n, m, ...) with right-hand sides per node on
     the trailing axes, any strides; its interior rows are solved where they
     lie (thomas_rows, the right-hand-side half, gets a view) and its
@@ -98,58 +96,52 @@ def solve_level(bands, dt, rhs, states=None):
     return rhs
 
 
-def _children_into(tree, nxt, out):
-    """From the next level nxt (nx, n_k * br), write mean_children v^{k+1}
-    into out[0] and, when out is (1 + d, nx, n_k), E[v^{k+1} domega_j | n]
-    / dt into out[1 + j]; children are summed in branch order."""
-    br, n_k = tree.branching, out.shape[2]
-    # branch digit 0 steps up in every component: each sum starts at child 0
-    for plane, sign in zip(out, np.vstack([np.ones(br), tree.digit_signs.T])):
-        acc = tree.child(nxt, 0, n_k)
-        for b in range(1, br):
-            acc = (np.add if sign[b] > 0 else np.subtract)(acc, tree.child(nxt, b, n_k), out=plane)
-    out[0] /= br
-    out[1:] /= br * tree.sqdt
+def _children_into(lattice, nxt, out):
+    """From the next level nxt (nx, n_k + 1), write the children's mean into
+    out[0] and their spread E[v^{k+1} domega_1 | j] / dt into out[1]."""
+    up, down = nxt[:, :-1], nxt[:, 1:]
+    np.add(up, down, out=out[0])
+    out[0] /= 2
+    np.subtract(up, down, out=out[1])
+    out[1] /= 2 * lattice.sqdt
 
 
-def _b_of_kernels(grid, sigma, kern):
-    """(B g)^k = - sum_j beta_j dX_j^k/dx from the level-k kernels
-    (d, nx, n_k); boundary rows zero."""
-    bg = np.zeros(kern.shape[1:])
-    for j in range(kern.shape[0]):
-        bg -= sigma[j] * dx_centered_onesided(grid, kern[j])
-    return bg
+def _b_of_kernel(grid, sigma, kernel):
+    """(B g)^k = - beta_1 dX^k/dx from the level-k kernel (nx, k + 1);
+    boundary rows +0.0 (a negation would make them -0.0)."""
+    return 0.0 - sigma[0] * dx_centered_onesided(grid, kernel)
 
 
 def backward_sweep(g: SpaceTimeField | None, coeffs: CoefficientSet, grid: Grid,
-                   tree: ScenarioTree, phi: SpaceTimeField | None = None):
-    """One backward pass over the tree; returns (v, kernels, bg): T g = E{ U | F_t }
-    of the pathwise solutions U, the representation kernels G g = [X_j], and
-    B g = - sum_j beta_j dX_j/dx (one-sided at the first interior nodes).
-    With phi, op_L(phi)'s solution follows as a fourth item (g may be None,
-    and the first three with it).  Each level, factored once at its lattice
-    states, solves all planes but L's v, then L's v, which needs (R phi)^k
-    first."""
-    N, d, dt = tree.n_steps, tree.d, tree.dt
-    lq, tq = (0 if f is None else 1 + d for f in (phi, g))  # planes of L and of T
-    sol = [None] * N + [np.zeros((lq + tq, grid.nx, tree.n_nodes(N)))]
-    bg = [None] * N + [np.zeros((grid.nx, tree.n_nodes(N))) if tq else None]
+                   tree: Lattice, phi: SpaceTimeField | None = None):
+    """One backward pass over the w1 lattice `tree`; returns (v, kernels, bg):
+    T g = E{ U | F_t } of the pathwise solutions U, the representation
+    kernels G g = [X] of the first Wiener component, and B g = - beta_1
+    dX/dx (one-sided at the first interior nodes).  With phi, op_L(phi)'s
+    solution follows as a fourth item (g may be None, and the first three
+    with it).  Each level, factored once, solves all planes but L's v, then
+    L's v, which needs (R phi)^k first.  TreeError for a ScenarioTree."""
+    require_space(tree, "lattice", "backward_sweep")
+    N, dt = tree.n_steps, tree.dt
+    lq, tq = (0 if f is None else 2 for f in (phi, g))  # planes of L and of T
+    sol = [None] * N + [np.zeros((lq + tq, grid.nx, N + 1))]
+    bg = [None] * N + [np.zeros((grid.nx, N + 1)) if tq else None]
     rphi = [None] * N + [None if phi is None else phi.levels[N].copy()]
     for k in range(N - 1, -1, -1):
-        sol[k] = np.empty((lq + tq, grid.nx, tree.n_nodes(k)))
-        for p in range(0, lq + tq, 1 + d):
-            _children_into(tree, sol[k + 1][p], sol[k][p : p + 1 + d])
+        sol[k] = np.empty((lq + tq, grid.nx, k + 1))
+        for p in range(0, lq + tq, 2):
+            _children_into(tree, sol[k + 1][p], sol[k][p : p + 2])
         if g is not None:
             sol[k][lq] += dt * g.levels[k]
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
-        factors, states = level_factors(bands, dt, grid.ni), tree.states(k)
-        solve_level(factors, None, sol[k][1 if lq else 0:].transpose(1, 2, 0), states)
+        factors = level_factors(bands, dt, grid.ni)
+        solve_level(factors, None, sol[k][1 if lq else 0:].transpose(1, 2, 0))
         if g is not None:
-            bg[k] = _b_of_kernels(grid, coeffs.sigma, sol[k][lq + 1:])
+            bg[k] = _b_of_kernel(grid, coeffs.sigma, sol[k][lq + 1])
         if phi is not None:
-            rphi[k] = phi.levels[k] - _b_of_kernels(grid, coeffs.sigma, sol[k][1:lq])
+            rphi[k] = phi.levels[k] - _b_of_kernel(grid, coeffs.sigma, sol[k][1])
             sol[k][0] += dt * rphi[k]
-            solve_level(factors, None, sol[k][0], states)
+            solve_level(factors, None, sol[k][0])
     planes = [SpaceTimeField(grid, tree, [s[p] for s in sol]) for p in range(lq + tq)]
     out = (None,) * 3 if g is None else (
         planes[lq], planes[lq + 1:], SpaceTimeField(grid, tree, bg))
@@ -163,9 +155,10 @@ def solve_backward_pathwise(g: SpaceTimeField, coeffs: CoefficientSet, leaf: int
     """March the terminal-value problem down the path to one leaf.
 
     Returns U of shape (n_steps + 1, nx) with U[N] = 0 and zero boundary
-    columns.  Serves as the leaf-enumeration oracle for the tree operators.
+    columns.  Serves as the leaf-enumeration oracle of the lattice operators
+    gathered onto the tree.
     """
-    require_tree(tree, "solve_backward_pathwise")
+    require_space(tree, "tree", "solve_backward_pathwise")
     path = tree.leaf_path(leaf)
     N, dt = tree.n_steps, tree.dt
     U = np.zeros((N + 1, grid.nx))
@@ -177,7 +170,7 @@ def solve_backward_pathwise(g: SpaceTimeField, coeffs: CoefficientSet, leaf: int
     return U
 
 
-def solve_R(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: ScenarioTree,
+def solve_R(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: Lattice,
             tol: float = 1e-8, x0: SpaceTimeField | None = None):
     """Solve (I + B) g = phi by the undamped fixed-point iteration g <- phi - B g.
 
@@ -188,8 +181,10 @@ def solve_R(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: Scena
     the zero start the history is the Neumann series norms ||B^n phi||.
     Raises ConvergenceError otherwise.  op_L solves the same system by
     back-substitution; this iteration is kept because its convergence is a
-    claim of its own (the solvability experiment).
+    claim of its own (the solvability experiment).  TreeError for a
+    ScenarioTree.
     """
+    require_space(tree, "lattice", "solve_R")
     phi_norm = norm_x0(phi)
     if phi_norm == 0.0:
         return SpaceTimeField.zeros(grid, tree), {
@@ -218,14 +213,16 @@ def solve_R(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: Scena
 
 
 def op_L(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid,
-         tree: ScenarioTree) -> BackwardSolution:
+         tree: Lattice) -> BackwardSolution:
     """L phi = T R phi: the generalized solution pair (v, X) representing
     the conditional functional with integrand phi, and g = R phi.
 
     One backward sweep: at each level the kernels come from the child
     spread of v^{k+1}, then g^k = phi^k - (B g)^k, then v^k; this solves
-    (I + B) g = phi exactly by back-substitution.
+    (I + B) g = phi exactly by back-substitution.  TreeError for a
+    ScenarioTree.
     """
+    require_space(tree, "lattice", "op_L")
     return backward_sweep(None, coeffs, grid, tree, phi)[3]
 
 
@@ -236,9 +233,10 @@ def residual_bspde(sol: BackwardSolution, g: SpaceTimeField, coeffs: Coefficient
         v(t) = int_t^T [A v + g] - int_t^T X domega,
 
     evaluated per leaf with a trapezoidal rule in the drift integral and the
-    Ito (left-point) rule in the stochastic sum.
+    Ito (left-point) rule in the stochastic sum.  sol.kernels may stop short
+    of tree.d, the rest zero: a lattice solve gathered carries X_1 alone.
     """
-    require_tree(tree, "residual_bspde")
+    require_space(tree, "tree", "residual_bspde")
     N, dt, d = tree.n_steps, tree.dt, tree.d
     leaves = np.arange(tree.n_leaves)
     drift_acc = np.zeros((grid.nx, tree.n_leaves))
@@ -259,8 +257,8 @@ def residual_bspde(sol: BackwardSolution, g: SpaceTimeField, coeffs: Coefficient
         digits = (leaves >> (d * (N - k - 1))) % tree.branching
         kick = tree.digit_signs[digits].T * tree.sqdt  # (d, n_leaves)
         anc = tree.ancestor_index(leaves, k)
-        for j in range(d):
-            noise_acc += sol.kernels[j].levels[k][:, anc] * kick[j]
+        for kernel, kick_j in zip(sol.kernels, kick):
+            noise_acc += kernel.levels[k][:, anc] * kick_j
         r = sol.v.levels[k][:, anc] - drift_acc + noise_acc
         total += dt * grid.dx * float(np.einsum("xl,xl->", r, r)) / tree.n_leaves
     return float(np.sqrt(total))

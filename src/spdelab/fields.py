@@ -1,29 +1,28 @@
-"""Adapted space-time fields on a grid and scenario tree, their pairings and
-norms, and the seeded test field the experiments draw.
+"""Adapted space-time fields on a grid and a state space, their pairings
+and norms, and the seeded test field the experiments draw.
 
-A SpaceTimeField stores one array per time level with one column per tree
-node of that level, so adaptedness is structural: a value cannot depend on
-more of the path than its node.  Levels are x-major ("node-last"): level k
-is a C-contiguous (nx, n_nodes(k)) array, so the interior rows [1:-1] are
-the contiguous system-axis-first block the tridiagonal solver (no
-pivoting) works on in place, and the children of node n are the
-contiguous columns levels[k + 1].reshape(nx, n_nodes(k), branching)[:, n].
-On the w1 lattice column j of level k is the conditional mean given its w1.
-A field that reads the path only through w1, one built by `from_function`
-or `smooth_random_field`, is evaluated on the lattice alone; on a tree it is
-that lattice field gathered by each node's state (`on`).
+A SpaceTimeField stores one array per time level with one column per node
+of that level, so adaptedness is structural: a value cannot depend on more
+of the path than its node.  Levels are x-major ("node-last"): level k is a
+C-contiguous (nx, n_nodes(k)) array, so the interior rows [1:-1] are the
+contiguous system-axis-first block the tridiagonal solver (no pivoting)
+works on in place.  The solvers' fields live on the w1 lattice, column j
+of level k the conditional mean given its w1; `from_function` and
+`smooth_random_field` evaluate there, and on a scenario tree (the density's
+and the per-path oracles') gather that field by each node's state (`on`).
 The X0 inner product discretizes the time integral with the left rule over
 the n_steps cells, weighting level k by P_k = tree.weights(k),
 
     <F, G> = dt * sum_k  sum_n P_k(n) <F^k(n), G^k(n)>_{H0},   k = 0 .. n_steps-1,
 
 and the norms weight the levels the same way.  `pair_x0_dual` pairs a
-backward-type field with a forward-marched one cell by cell (slice k
-against slice k+1), which aligns the two one-sided quadratures of the same
-time integral; it refuses a lattice.  `norm_xk` gives the X^-1 and X^1
-norms from the level slices' H^k norms (`domain.hk_norm_sq`: the H^1 norm
-by stencil, the H^-1 norm by one tridiagonal solve), `norm_c0` the largest
-mean-square H0 norm over the levels.
+backward-type tree field with a forward-marched one cell by cell (slice k
+against the children's slice k+1), which aligns the two one-sided
+quadratures of the same time integral; it refuses a lattice.  `norm_xk`
+gives the X^-1 and X^1 norms from the level slices' H^k norms
+(`domain.hk_norm_sq`: the H^1 norm by stencil, the H^-1 norm by one
+tridiagonal solve), `norm_c0` the largest mean-square H0 norm over the
+levels.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from .domain import Grid, hk_norm_sq
 from .rng import pcg64_normal
-from .tree import ScenarioTree, require_tree
+from .tree import ScenarioTree, require_space
 
 
 class FieldError(ValueError):
@@ -40,7 +39,8 @@ class FieldError(ValueError):
 
 
 class SpaceTimeField:
-    """Adapted space-time random field on a grid and scenario tree.
+    """Adapted space-time random field on a grid and a state space, the w1
+    lattice or a scenario tree (`tree`).
 
     levels[k] has shape (nx, n_nodes(k)): one column per level-k node, one row
     per grid node, C-contiguous.  Dirichlet fields carry zeros in the first
@@ -164,7 +164,7 @@ def pair_x0_dual(F: SpaceTimeField, P: SpaceTimeField) -> float:
     onto the children nodes.
     """
     _check_compatible(F, P)
-    require_tree(F.tree, "pair_x0_dual", FieldError)
+    require_space(F.tree, "tree", "pair_x0_dual", FieldError)
     tree, grid = F.tree, F.grid
     br = tree.branching
     total = 0.0

@@ -16,9 +16,7 @@ adapted because each child of a node gets its own increment.  Homogeneous
 Dirichlet data are imposed at every step.  A step builds the right-hand
 side of every child as one (br, nx, n_k) array, solves it in place with the
 parent's matrix, and merges it into the (nx, n_{k+1}) next level
-(tree.merge: on the w1 lattice, conditional means given the state).  A*
-reads the path only through w1, so a tree level factors the bands of its
-k + 1 lattice states and each node's solve gathers its state's factors.
+(tree.merge: on the w1 lattice, conditional means given the state).
 
 Problems that share the generator march in lockstep: solve_duals advances
 T*, G_0*, B*, R* and L* of one h together, and every level's right-hand
@@ -28,9 +26,11 @@ separate marches: the tridiagonal solver (no pivoting) never mixes
 columns and every other step is elementwise per problem, so only the
 number of solves changes (one per level instead of S).  The
 single-operator solvers and solve_density are one-problem calls of the same
-march.  Every march runs on either state space, the scenario tree or the
-w1 lattice, at any d; only step_forward, which follows one path, needs the
-tree.
+march.  The duals pair with fields that read the path only through w1, so
+they need only their conditional means given it and solve on the w1
+lattice (the second component's kicks drop out).  solve_density also
+marches the tree, whose levels factor their k + 1 lattice states' bands
+and gather each node's factors by its state; step_forward follows one path.
 
 Operator forms (all with zero data at t = 0 and on the boundary):
 
@@ -55,7 +55,7 @@ from .backward import solve_level
 from .coefficients import CoefficientSet
 from .domain import Grid, dx_centered, generator_bands, solve_tridiag
 from .fields import SpaceTimeField
-from .tree import ScenarioTree, TreeNode, require_tree
+from .tree import Lattice, ScenarioTree, TreeNode, require_space
 
 
 class ForwardSolverError(RuntimeError):
@@ -107,7 +107,7 @@ def step_forward(
     noise_sources holds one grid function per driving component (entries
     may be None).
     """
-    require_tree(tree, "step_forward", ForwardSolverError)
+    require_space(tree, "tree", "step_forward", ForwardSolverError)
     dw = np.asarray(dw, dtype=float)
     if dw.shape != (tree.d,) or not np.allclose(np.abs(dw), tree.sqdt, rtol=1e-12, atol=0.0):
         raise ForwardSolverError(
@@ -136,9 +136,10 @@ def step_forward(
 
 
 def _forward_march(coeffs, grid, tree, sources, state0=None):
-    """March len(sources) problems over all tree paths in lockstep with the
-    splitting step, each from the root slice state0 (nx, 1), zero when not
-    given; returns one SpaceTimeField per problem.
+    """March len(sources) problems over every node of tree (the w1 lattice;
+    a scenario tree only for the density, whose sources carry no drift) in
+    lockstep with the splitting step, each from the root slice state0
+    (nx, 1), zero when not given; returns one SpaceTimeField per problem.
 
     Each source(k, state) -> (drift, noise) reads its own problem's level-k
     state: drift holds the level-(k+1) source slice entering the implicit
@@ -185,85 +186,84 @@ def _children_rhs(tree, k, state, source, out):
 
 
 # Sources of the forward duals, one per operator: source(k, state) -> (drift,
-# noise) as _forward_march reads them.
+# noise) as _forward_march reads them; the lattice drives one component.
 
 def _T_source(h):
     return lambda k, state: (h.levels[k + 1], None)
 
 
-def _G_source(j, h, d):
-    def source(k, state):
-        noise = [None] * d
-        noise[j] = h.levels[k]
-        return None, noise
-
-    return source
+def _G_source(h):
+    return lambda k, state: (None, [h.levels[k]])
 
 
-def _B_source(h, sigma, grid, d):
-    return lambda k, state: (
-        None, [dx_centered(grid, sigma[j] * h.levels[k]) for j in range(d)])
+def _B_source(h, sigma, grid):
+    return lambda k, state: (None, [dx_centered(grid, sigma[0] * h.levels[k])])
 
 
-def _R_source(pi, sigma, grid, d):
-    """z of h = pi - z: the feedback (div, beta_j (pi - z)) is taken
+def _R_source(pi, sigma, grid):
+    """z of h = pi - z: the feedback (div, beta_1 (pi - z)) is taken
     explicitly from the previous level."""
-    def source(k, state):
-        diff = pi.levels[k] - state
-        return None, [dx_centered(grid, sigma[j] * diff) for j in range(d)]
-
-    return source
+    return lambda k, state: (None, [dx_centered(grid, sigma[0] * (pi.levels[k] - state))])
 
 
 def _L_source(xi, sigma, grid, d):
-    """L* xi; with xi None, the density equation."""
+    """L* xi; with xi None, the density equation (d kicks on a tree)."""
     return lambda k, state: (
         None if xi is None else xi.levels[k + 1],
         [np.negative(u, out=u) for u in (dx_centered(grid, sigma[j] * state) for j in range(d))])
 
 
-def solve_T_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
+def solve_T_star(h: SpaceTimeField, coeffs, grid: Grid, tree: Lattice) -> SpaceTimeField:
     """pi with d pi = [A* pi + h] dt, zero initial and boundary data."""
+    require_space(tree, "lattice", "solve_T_star")
     return _forward_march(coeffs, grid, tree, [_T_source(h)])[0]
 
 
-def solve_G_star(j: int, h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
-    """q with d q = A* q dt + h domega_j, zero initial and boundary data."""
-    if not 0 <= j < tree.d:
-        raise ForwardSolverError(f"component j={j} outside 0..{tree.d - 1}")
-    return _forward_march(coeffs, grid, tree, [_G_source(j, h, tree.d)])[0]
+def solve_G_star(j: int, h: SpaceTimeField, coeffs, grid: Grid, tree: Lattice) -> SpaceTimeField:
+    """q with d q = A* q dt + h domega_j, zero initial and boundary data; j
+    is 0, since for j >= 1 q has zero conditional mean given w1."""
+    require_space(tree, "lattice", "solve_G_star")
+    if j != 0:
+        raise ForwardSolverError(
+            f"G_{j}* has zero conditional mean given w1 for j >= 1 and is not marched"
+            if 0 < j < coeffs.d else f"component j={j} outside 0..{coeffs.d - 1}")
+    return _forward_march(coeffs, grid, tree, [_G_source(h)])[0]
 
 
-def solve_B_star(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
+def solve_B_star(h: SpaceTimeField, coeffs, grid: Grid, tree: Lattice) -> SpaceTimeField:
     """z with d z = A* z dt + sum_j (div, beta_j h) domega_j."""
-    return _forward_march(coeffs, grid, tree, [_B_source(h, coeffs.sigma, grid, tree.d)])[0]
+    require_space(tree, "lattice", "solve_B_star")
+    return _forward_march(coeffs, grid, tree, [_B_source(h, coeffs.sigma, grid)])[0]
 
 
-def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
+def solve_R_star(pi: SpaceTimeField, coeffs, grid: Grid, tree: Lattice) -> SpaceTimeField:
     """h = pi - z where z feeds back into its own noise source.
 
     The feedback (div, beta_j (pi - z)) is taken explicitly from the previous
     level, so one forward sweep inverts I + B* exactly in the discrete sense.
     """
+    require_space(tree, "lattice", "solve_R_star")
     _require_superparabolic(coeffs, "R*")
-    return pi - _forward_march(coeffs, grid, tree, [_R_source(pi, coeffs.sigma, grid, tree.d)])[0]
+    return pi - _forward_march(coeffs, grid, tree, [_R_source(pi, coeffs.sigma, grid)])[0]
 
 
-def solve_L_star(xi: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> SpaceTimeField:
+def solve_L_star(xi: SpaceTimeField, coeffs, grid: Grid, tree: Lattice) -> SpaceTimeField:
     """h with d h = [A* h + xi] dt - sum_j (div, beta_j h) domega_j."""
+    require_space(tree, "lattice", "solve_L_star")
     _require_superparabolic(coeffs, "L*")
-    return _forward_march(coeffs, grid, tree, [_L_source(xi, coeffs.sigma, grid, tree.d)])[0]
+    return _forward_march(coeffs, grid, tree, [_L_source(xi, coeffs.sigma, grid, 1)])[0]
 
 
-def solve_duals(h: SpaceTimeField, coeffs, grid: Grid, tree: ScenarioTree) -> dict:
+def solve_duals(h: SpaceTimeField, coeffs, grid: Grid, tree: Lattice) -> dict:
     """{"T": T* h, "G": G_0* h, "B": B* h, "R": R* h, "L": L* h} from one
     lockstep march: one banded solve per level for all five, each equal to
     its solve_*_star call bit for bit."""
+    require_space(tree, "lattice", "solve_duals")
     _require_superparabolic(coeffs, "solve_duals")
-    sigma, d = coeffs.sigma, tree.d
+    sigma = coeffs.sigma
     t, g, b, z, l = _forward_march(coeffs, grid, tree, [
-        _T_source(h), _G_source(0, h, d), _B_source(h, sigma, grid, d),
-        _R_source(h, sigma, grid, d), _L_source(h, sigma, grid, d)])
+        _T_source(h), _G_source(h), _B_source(h, sigma, grid),
+        _R_source(h, sigma, grid), _L_source(h, sigma, grid, 1)])
     for pi, level in zip(h.levels, z.levels):  # R* h = h - z, in z's storage
         np.subtract(pi, level, out=level)
     return {"T": t, "G": g, "B": b, "R": z, "L": l}

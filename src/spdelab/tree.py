@@ -29,13 +29,13 @@ j.  Only the lattice stores w1 (`w1[k]`); a tree keeps each node's j
 (`states(k)`), so a node's w1 is `lattice.w1[k][states(k)]`.  Coefficients
 and test fields read the path only through w1, so they are evaluated at the
 lattice states alone: a lattice field holds the tree field's conditional
-means given (k, w1), a tree field built from w1 is its lattice field
-gathered by each node's j, and a level solve factors the k + 1 states of
-its `lattice` and gathers each node's factors by its j.
-Both classes give the solvers the level structure: `child(nxt, b, n_k)`,
-child b of every level-k node as an (nx, n_k) view of level k+1;
-`merge(rhs)`, level k+1 from per-child values (nx, n_k, br); and
-`weights(k)`, the level probabilities P_k.
+means given (k, w1), and a tree field built from w1 is its lattice field
+gathered by each node's j.  Every backward sweep and forward dual solves on
+the lattice (`require_space`); the tree serves the density march, whose
+level solve factors the k + 1 states of its `lattice` and gathers each
+node's factors by its j, and the oracles that follow single paths.  Both
+classes give the marches `merge(rhs)`, level k+1 from per-child values
+(nx, n_k, br), and `weights(k)`, the level probabilities P_k.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class ScenarioTree:
 
     def n_nodes(self, level: int) -> int:
         return self.branching**level
-
-    def child(self, nxt, b: int, n_k: int) -> np.ndarray:
-        """Child b of every level-k node, a strided view of level k+1."""
-        return nxt.reshape(nxt.shape[0], n_k, self.branching)[:, :, b]
 
     def merge(self, rhs) -> np.ndarray:
         """Level k+1, C-contiguous, from the values (nx, n_k, br) of every child."""
@@ -201,9 +197,10 @@ def build_tree(d: int, n_steps: int, horizon: float) -> ScenarioTree:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Recombining w1 lattice, a drop-in `tree` for the level solvers at any
-    d; its fields hold conditional means given (k, w1), and it drives only
-    the first Wiener component (the others drop out of those means)."""
+    """Recombining w1 lattice, the state space of every backward sweep and
+    forward dual at any d; its fields hold conditional means given (k, w1),
+    and it drives only the first Wiener component (the others drop out of
+    those means)."""
 
     n_steps: int
     horizon: float
@@ -261,10 +258,13 @@ def build_lattice(n_steps: int, horizon: float) -> Lattice:
     return Lattice(n_steps, horizon, dt, sqdt, digit_signs, w1)
 
 
-def require_tree(tree, what: str, error=TreeError):
-    """Raise error unless tree is a ScenarioTree (`what` needs per-path values)."""
-    if tree.kind != "tree":
-        raise error(f"{what} needs per-path values, which the w1 lattice averages away")
+def require_space(space, kind: str, what: str, error=TreeError):
+    """Raise error unless space is of kind: "tree" where `what` needs
+    per-path values, "lattice" where it solves data read through w1."""
+    if space.kind != kind:
+        raise error(f"{what} needs per-path values, which the w1 lattice averages away"
+                    if kind == "tree" else f"{what} solves on the w1 lattice: pass "
+                    "tree.lattice and read a tree node's values with .on(tree)")
 
 
 def _as_leaf_values(tree: ScenarioTree, X) -> np.ndarray:

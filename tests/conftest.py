@@ -20,13 +20,17 @@ if os.environ.get("CI"):
 
 @pytest.fixture
 def nonrandom_field():
-    """Seeded nonrandom test field: smooth_random_field averaged over the
-    nodes of each level.  The node mean of tanh(w1) is 0, so what is
-    left is the same sine modes and time ramp, equal at every node."""
+    """Seeded nonrandom test field on space (the w1 lattice, or a tree it is
+    gathered onto): smooth_random_field on the lattice averaged over each
+    level's states with their probabilities tree.weights(k).  The mean of
+    tanh(w1) is 0, so what is left is the same sine modes and time ramp, equal
+    at every state."""
 
-    def make(grid, tree, seed):
-        means = [a.mean(axis=1, keepdims=True) for a in smooth_random_field(grid, tree, seed).levels]
-        return SpaceTimeField(grid, tree, [np.repeat(m, tree.n_nodes(k), axis=1)
-                                           for k, m in enumerate(means)])
+    def make(grid, space, seed):
+        lattice = space.lattice
+        means = [a @ lattice.weights(k) for k, a in
+                 enumerate(smooth_random_field(grid, lattice, seed).levels)]
+        return SpaceTimeField(grid, lattice, [np.repeat(m[:, None], k + 1, axis=1)
+                                              for k, m in enumerate(means)]).on(space)
 
     return make

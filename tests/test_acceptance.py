@@ -13,6 +13,7 @@ import pytest
 from spdelab import (
     DomainSpec,
     build_grid,
+    build_lattice,
     build_tree,
     clark_decompose,
     cond_expect,
@@ -82,12 +83,12 @@ def test_criterion_2_kernels_vanish_for_nonrandom_data(nonrandom_field):
     start = time.perf_counter()
     dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 101)
-    tree = build_tree(1, 10, 1.0)
+    lattice = build_lattice(10, 1.0)
     coeffs = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     ok = True
     for seed in (7, 8):
-        g = nonrandom_field(grid, tree, seed=seed)
-        X = backward_sweep(g, coeffs, grid, tree)[1]
+        g = nonrandom_field(grid, lattice, seed=seed)
+        X = backward_sweep(g, coeffs, grid, lattice)[1]
         ok &= norm_x0(X[0]) <= 1e-12 * norm_x0(g)
     _report(2, "diffusion kernels vanish identically for nonrandom data",
             ok, time.perf_counter() - start)

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab import (DomainSpec, build_grid, build_tree, free_paths, make_family, montecarlo,
-                     sample_tree_paths)
+from spdelab import (DomainSpec, build_grid, build_lattice, build_tree, free_paths, make_family,
+                     montecarlo, sample_tree_paths)
 from spdelab.fields import smooth_random_field
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -66,7 +66,7 @@ def counted_calls():
     (args, kwargs)."""
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
     domain = DomainSpec(-1.0, 1.0, 1.0)
-    grid, tree = build_grid(domain, 21), build_tree(1, 4, 1.0)
+    grid, tree, lattice = build_grid(domain, 21), build_tree(1, 4, 1.0), build_lattice(4, 1.0)
     bands = (np.full((8, 3), -0.5), np.full((8, 3), 2.0), np.full((8, 3), -0.5))
     return {
         "domain:thomas_rows": ((*bands, np.ones((8, 3))), {}),
@@ -78,7 +78,8 @@ def counted_calls():
         "montecarlo:simulate": ((coeffs, 0.9, 0.0,
                                  sample_tree_paths(tree.shape, 40, coeffs.sigma, 0.125, 4),
                                  domain), {}),
-        "backward:solve_R": ((smooth_random_field(grid, tree, seed=5), coeffs, grid, tree), {}),
+        "backward:solve_R": ((smooth_random_field(grid, lattice, seed=5), coeffs, grid, lattice),
+                             {}),
     }
 
 

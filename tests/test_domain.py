@@ -27,7 +27,7 @@ from spdelab import backward
 from spdelab.backward import level_factors, op_L, solve_level
 from spdelab.fields import smooth_random_field
 from spdelab.forward import solve_density
-from fine_tree_engine import DENSITY_BOUND, OP_L_BOUND, measure
+from fine_tree_engine import DENSITY_BOUND, measure
 
 
 def dense_generator(grid, fvals, bvals):
@@ -307,13 +307,14 @@ def _small_tree():
 
 def test_op_L_factors_each_level_once(monkeypatch):
     # op_L's 2N level solves (kernels, then v) share N factorizations, each
-    # of the k + 1 lattice states of its level, not of its 2^k nodes
+    # of the k + 1 lattice states of its level
     grid, tree, coeffs = _small_tree()
-    phi = smooth_random_field(grid, tree, seed=3)
+    lattice = tree.lattice
+    phi = smooth_random_field(grid, lattice, seed=3)
     columns, solved = _count_level_solves(monkeypatch)
-    op_L(phi, coeffs, grid, tree)
-    assert columns == [k + 1 for k in reversed(range(tree.n_steps))]
-    assert len(solved) == 2 * tree.n_steps
+    op_L(phi, coeffs, grid, lattice)
+    assert columns == [k + 1 for k in reversed(range(lattice.n_steps))]
+    assert len(solved) == 2 * lattice.n_steps
 
 
 def test_solve_density_factors_each_level_once(monkeypatch):
@@ -359,17 +360,12 @@ def test_a_level_solved_with_its_states_factors_equals_the_per_node_solve(d, n_s
 
 
 def test_a_tree_solve_holds_no_factors_of_a_levels_size():
-    # on the d = 1 tree of 12 steps at nx 101, op_L's tracemalloc peak is
-    # within 10% of the pair it returns and solve_density's within 1.55 times
-    # its field: the earlier levels, the last level's block and the level
-    # merged out of it, 1.50; factors with a column per node lifted them to
-    # 1.43 and 2.46, and level-sized noise-source temporaries the density to 1.75.
-    # The tree op_L has the bits of the lattice op_L gathered at every level
-    results = measure(n_steps=12, nx=101)
-    assert results["gather"] is None
-    _, peak, held = results["op_L"]
-    assert peak <= OP_L_BOUND * held
-    _, peak, held = results["solve_density"]
+    # on the d = 1 tree of 12 steps at nx 101, solve_density's tracemalloc
+    # peak is within 1.55 times its field: the earlier levels, the last
+    # level's block and the level merged out of it, 1.50; factors with a
+    # column per node lifted it to 2.46, and level-sized noise-source
+    # temporaries to 1.75
+    _, peak, held = measure(n_steps=12, nx=101)
     assert peak <= DENSITY_BOUND * held
 
 

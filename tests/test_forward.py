@@ -7,6 +7,7 @@ from spdelab import (
     ForwardState,
     SpaceTimeField,
     build_grid,
+    build_lattice,
     build_tree,
     make_family,
     solve_B_star,
@@ -25,6 +26,8 @@ from spdelab.fields import inner_x0, norm_x0, smooth_random_field
 from spdelab.forward import _forward_march
 from spdelab.harness import _gaussian_density
 from spdelab.tree import TreeNode
+from oracles import stepped_duals
+from test_lattice import assert_levels_match
 
 
 def make_setup(nx=41, n_steps=5, horizon=1.0, family="drift-random", interval=(0.0, 1.0)):
@@ -115,25 +118,19 @@ def test_step_forward_stays_on_the_tree():
 
 
 def test_march_matches_repeated_steps():
-    # the batched tree march restricted to one path equals the single-step op
+    # the lattice march holds, per w1 state, the mean of the tree values
+    # stepped node by node with the single-step op
     _, grid, tree, coeffs = make_setup()
-    h = smooth_random_field(grid, tree, seed=3)
-    pi = solve_T_star(h, coeffs, grid, tree)
-    leaf = 13
-    path = tree.leaf_path(leaf)
-    state = ForwardState(np.zeros(grid.nx), TreeNode(0, 0))
-    for k in range(tree.n_steps):
-        dw = tree.digit_signs[path[k + 1] % tree.branching] * tree.sqdt
-        state = step_forward(
-            state, coeffs, h.levels[k + 1][:, path[k + 1]], None, dw, grid, tree
-        )
-        assert state.node.index == path[k + 1]
-    assert np.allclose(state.values, pi.levels[tree.n_steps][:, path[-1]], atol=1e-12)
+    h = smooth_random_field(grid, tree.lattice, seed=3)
+    pi = solve_T_star(h, coeffs, grid, tree.lattice)
+    stepped = SpaceTimeField(grid, tree, stepped_duals(h, coeffs, grid, tree, "T")["T"])
+    assert_levels_match(stepped, pi)
 
 
 def test_T_star_zero():
     _, grid, tree, coeffs = make_setup()
-    pi = solve_T_star(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
+    lattice = tree.lattice
+    pi = solve_T_star(SpaceTimeField.zeros(grid, lattice), coeffs, grid, lattice)
     assert norm_x0(pi) == 0.0
 
 
@@ -142,12 +139,12 @@ def test_T_star_time_reversal_identity():
     # exact time reversal of the backward one
     _, grid, tree, coeffs = make_setup(family="constant")
     h = SpaceTimeField.from_function(
-        grid, tree, lambda x, t, w1: np.sin(np.pi * x) + 0.0 * w1
+        grid, tree.lattice, lambda x, t, w1: np.sin(np.pi * x) + 0.0 * w1
     )
-    pi = solve_T_star(h, coeffs, grid, tree)
+    pi = solve_T_star(h, coeffs, grid, tree.lattice)
     from spdelab import solve_backward_pathwise
 
-    U = solve_backward_pathwise(h, coeffs, 0, grid, tree)
+    U = solve_backward_pathwise(h.on(tree), coeffs, 0, grid, tree)
     for k in range(tree.n_steps + 1):
         assert np.allclose(pi.levels[k][:, 0], U[tree.n_steps - k], atol=1e-8)
 
@@ -156,12 +153,12 @@ def test_adjoint_pairing_refinement_T():
     def mismatch(nx, n_steps):
         dom = DomainSpec(0.0, 8.0, 1.0)
         grid = build_grid(dom, nx)
-        tree = build_tree(1, n_steps, 1.0)
+        lattice = build_lattice(n_steps, 1.0)
         coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
-        g = smooth_random_field(grid, tree, seed=4)
-        h = smooth_random_field(grid, tree, seed=5)
-        v = backward_sweep(g, coeffs, grid, tree)[0]
-        pi = solve_T_star(h, coeffs, grid, tree)
+        g = smooth_random_field(grid, lattice, seed=4)
+        h = smooth_random_field(grid, lattice, seed=5)
+        v = backward_sweep(g, coeffs, grid, lattice)[0]
+        pi = solve_T_star(h, coeffs, grid, lattice)
         return abs(inner_x0(v, h) - inner_x0(g, pi)) / (norm_x0(g) * norm_x0(h))
 
     coarse = mismatch(41, 4)
@@ -169,51 +166,76 @@ def test_adjoint_pairing_refinement_T():
     assert fine <= coarse / 1.5
 
 
+def level_means(field):
+    """Each level's probability-weighted mean over its lattice states."""
+    return [level @ field.tree.weights(k) for k, level in enumerate(field.levels)]
+
+
 def test_G_star_zero_and_adjoint():
     _, grid, tree, coeffs = make_setup(interval=(0.0, 4.0))
-    q = solve_G_star(0, SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
+    lattice = tree.lattice
+    q = solve_G_star(0, SpaceTimeField.zeros(grid, lattice), coeffs, grid, lattice)
     assert norm_x0(q) == 0.0
-    with pytest.raises(ForwardSolverError):
-        solve_G_star(1, SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
-    g = smooth_random_field(grid, tree, seed=6)
-    h = smooth_random_field(grid, tree, seed=7)
-    X = backward_sweep(g, coeffs, grid, tree)[1]
-    q = solve_G_star(0, h, coeffs, grid, tree)
+    with pytest.raises(ForwardSolverError, match="outside 0..0"):
+        solve_G_star(1, SpaceTimeField.zeros(grid, lattice), coeffs, grid, lattice)
+    g = smooth_random_field(grid, lattice, seed=6)
+    h = smooth_random_field(grid, lattice, seed=7)
+    X = backward_sweep(g, coeffs, grid, lattice)[1]
+    q = solve_G_star(0, h, coeffs, grid, lattice)
     lhs, rhs = inner_x0(X[0], h), inner_x0(g, q)
     assert abs(lhs - rhs) <= 0.12 * norm_x0(g) * norm_x0(h)
 
 
+def test_G_star_refuses_the_components_the_lattice_does_not_drive():
+    # at d = 2 the lattice drives the first component alone: G_1* h has
+    # zero conditional mean given w1 (each tree node's kick averages out
+    # over its children), and solve_G_star says so rather than naming a
+    # range of one component
+    grid = build_grid(DomainSpec(0.0, 4.0, 1.0), 21)
+    lattice = build_lattice(3, 1.0)
+    coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8, 0.5], "d": 2})
+    h = smooth_random_field(grid, lattice, seed=19)
+    assert norm_x0(solve_G_star(0, h, coeffs, grid, lattice)) > 0.0
+    with pytest.raises(ForwardSolverError,
+                       match=r"G_1\* has zero conditional mean given w1 for j >= 1"):
+        solve_G_star(1, h, coeffs, grid, lattice)
+    for j in (2, -1):
+        with pytest.raises(ForwardSolverError, match=f"component j={j} outside 0..1"):
+            solve_G_star(j, h, coeffs, grid, lattice)
+
+
 def test_G_star_mean_zero():
     # probability-average of the pure-noise solution solves the source-free
-    # equation, hence vanishes; exact on the tree for any adapted source
-    # because the dual generator is frozen predictably
+    # equation, hence vanishes; exact for any adapted source because the
+    # dual generator is frozen predictably
     _, grid, tree, coeffs = make_setup(family="constant")
-    h = smooth_random_field(grid, tree, seed=8)
-    q = solve_G_star(0, h, coeffs, grid, tree)
-    for k in range(tree.n_steps + 1):
-        mean = q.levels[k].mean(axis=1)
+    h = smooth_random_field(grid, tree.lattice, seed=8)
+    q = solve_G_star(0, h, coeffs, grid, tree.lattice)
+    for mean in level_means(q):
         assert np.max(np.abs(mean)) <= 1e-10
 
 
 def test_B_star_zero_and_mean_zero():
     _, grid, tree, coeffs = make_setup(family="constant")
-    z = solve_B_star(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
+    lattice = tree.lattice
+    z = solve_B_star(SpaceTimeField.zeros(grid, lattice), coeffs, grid, lattice)
     assert norm_x0(z) == 0.0
     h = SpaceTimeField.from_function(
-        grid, tree, lambda x, t, w1: np.sin(2 * np.pi * x) + 0.0 * w1
+        grid, lattice, lambda x, t, w1: np.sin(2 * np.pi * x) + 0.0 * w1
     )
-    z = solve_B_star(h, coeffs, grid, tree)
+    z = solve_B_star(h, coeffs, grid, lattice)
     assert norm_x0(z) > 0.0
-    for k in range(tree.n_steps + 1):
-        assert np.max(np.abs(z.levels[k].mean(axis=1))) <= 1e-10
+    for mean in level_means(z):
+        assert np.max(np.abs(mean)) <= 1e-10
 
 
 def test_B_star_adjoint_to_op_B():
     _, grid, tree, coeffs = make_setup(interval=(0.0, 4.0))
-    g = smooth_random_field(grid, tree, seed=9)
-    h = smooth_random_field(grid, tree, seed=10)
-    bg = backward_sweep(g, coeffs, grid, tree)[2]
-    z = solve_B_star(h, coeffs, grid, tree)
+    lattice = tree.lattice
+    g = smooth_random_field(grid, lattice, seed=9)
+    h = smooth_random_field(grid, lattice, seed=10)
+    bg = backward_sweep(g, coeffs, grid, lattice)[2]
+    z = solve_B_star(h, coeffs, grid, lattice)
     lhs, rhs = inner_x0(bg, h), inner_x0(g, z)
     assert abs(lhs - rhs) <= 0.12 * norm_x0(g) * norm_x0(h)
 
@@ -221,81 +243,87 @@ def test_B_star_adjoint_to_op_B():
 def test_R_star_requires_superparabolic():
     dom = DomainSpec(0.0, 1.0, 1.0)
     grid = build_grid(dom, 17)
-    tree = build_tree(1, 3, 1.0)
+    lattice = build_lattice(3, 1.0)
     degenerate = make_family("constant", {"f0": 0.0, "sigma": [1.0]})
     with pytest.raises(ForwardSolverError, match="superparabolic"):
-        solve_R_star(SpaceTimeField.zeros(grid, tree), degenerate, grid, tree)
+        solve_R_star(SpaceTimeField.zeros(grid, lattice), degenerate, grid, lattice)
     with pytest.raises(ForwardSolverError, match="superparabolic"):
-        solve_L_star(SpaceTimeField.zeros(grid, tree), degenerate, grid, tree)
+        solve_L_star(SpaceTimeField.zeros(grid, lattice), degenerate, grid, lattice)
 
 
 def test_R_star_zero_and_nonrandom_average():
     _, grid, tree, coeffs = make_setup(family="constant")
-    h = solve_R_star(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
+    lattice = tree.lattice
+    h = solve_R_star(SpaceTimeField.zeros(grid, lattice), coeffs, grid, lattice)
     assert norm_x0(h) == 0.0
     pi = SpaceTimeField.from_function(
-        grid, tree, lambda x, t, w1: np.sin(np.pi * x) * (1 + 0.2 * t) + 0.0 * w1
+        grid, lattice, lambda x, t, w1: np.sin(np.pi * x) * (1 + 0.2 * t) + 0.0 * w1
     )
-    h = solve_R_star(pi, coeffs, grid, tree)
+    h = solve_R_star(pi, coeffs, grid, lattice)
     z = pi - h
     # z is noise-built, so its probability average vanishes; h = pi on average
-    for k in range(tree.n_steps + 1):
-        assert np.max(np.abs(z.levels[k].mean(axis=1))) <= 1e-10
+    for mean in level_means(z):
+        assert np.max(np.abs(mean)) <= 1e-10
 
 
 def test_R_star_inverts_I_plus_B_star():
     # one forward sweep of R* solves (I + B*) h = pi exactly in the discrete
     # sense: feeding h back through B* recovers pi to round-off
     _, grid, tree, coeffs = make_setup()
-    pi = smooth_random_field(grid, tree, seed=11)
-    h = solve_R_star(pi, coeffs, grid, tree)
-    z = solve_B_star(h, coeffs, grid, tree)
+    lattice = tree.lattice
+    pi = smooth_random_field(grid, lattice, seed=11)
+    h = solve_R_star(pi, coeffs, grid, lattice)
+    z = solve_B_star(h, coeffs, grid, lattice)
     recon = h + z
     assert norm_x0(recon - pi) <= 1e-12 * norm_x0(pi)
 
 
 def test_R_star_adjoint_to_solve_R():
     _, grid, tree, coeffs = make_setup(interval=(0.0, 4.0))
-    phi = smooth_random_field(grid, tree, seed=12)
-    pi = smooth_random_field(grid, tree, seed=13)
-    g, _ = solve_R(phi, coeffs, grid, tree, tol=1e-11)
-    h = solve_R_star(pi, coeffs, grid, tree)
+    lattice = tree.lattice
+    phi = smooth_random_field(grid, lattice, seed=12)
+    pi = smooth_random_field(grid, lattice, seed=13)
+    g, _ = solve_R(phi, coeffs, grid, lattice, tol=1e-11)
+    h = solve_R_star(pi, coeffs, grid, lattice)
     lhs, rhs = inner_x0(g, pi), inner_x0(phi, h)
     assert abs(lhs - rhs) <= 0.12 * norm_x0(phi) * norm_x0(pi)
 
 
 def test_L_star_zero_and_composition():
     _, grid, tree, coeffs = make_setup()
-    h = solve_L_star(SpaceTimeField.zeros(grid, tree), coeffs, grid, tree)
+    lattice = tree.lattice
+    h = solve_L_star(SpaceTimeField.zeros(grid, lattice), coeffs, grid, lattice)
     assert norm_x0(h) == 0.0
-    xi = smooth_random_field(grid, tree, seed=14)
-    direct = solve_L_star(xi, coeffs, grid, tree)
-    composed = solve_R_star(solve_T_star(xi, coeffs, grid, tree), coeffs, grid, tree)
+    xi = smooth_random_field(grid, lattice, seed=14)
+    direct = solve_L_star(xi, coeffs, grid, lattice)
+    composed = solve_R_star(solve_T_star(xi, coeffs, grid, lattice), coeffs, grid, lattice)
     assert norm_x0(direct - composed) <= 1e-12 * max(norm_x0(direct), 1e-300)
 
 
 def test_L_star_adjoint_to_op_L():
     _, grid, tree, coeffs = make_setup(interval=(0.0, 4.0))
-    phi = smooth_random_field(grid, tree, seed=15)
-    xi = smooth_random_field(grid, tree, seed=16)
-    g, _ = solve_R(phi, coeffs, grid, tree, tol=1e-11)
-    v = backward_sweep(g, coeffs, grid, tree)[0]
-    hl = solve_L_star(xi, coeffs, grid, tree)
+    lattice = tree.lattice
+    phi = smooth_random_field(grid, lattice, seed=15)
+    xi = smooth_random_field(grid, lattice, seed=16)
+    g, _ = solve_R(phi, coeffs, grid, lattice, tol=1e-11)
+    v = backward_sweep(g, coeffs, grid, lattice)[0]
+    hl = solve_L_star(xi, coeffs, grid, lattice)
     lhs, rhs = inner_x0(v, xi), inner_x0(phi, hl)
     assert abs(lhs - rhs) <= 0.12 * norm_x0(phi) * norm_x0(xi)
 
 
 def test_forward_solvers_linear():
     _, grid, tree, coeffs = make_setup()
-    h1 = smooth_random_field(grid, tree, seed=17)
-    h2 = smooth_random_field(grid, tree, seed=18)
+    lattice = tree.lattice
+    h1 = smooth_random_field(grid, lattice, seed=17)
+    h2 = smooth_random_field(grid, lattice, seed=18)
     a, b = 1.4, -0.6
     for solver in (
-        lambda f: solve_T_star(f, coeffs, grid, tree),
-        lambda f: solve_G_star(0, f, coeffs, grid, tree),
-        lambda f: solve_B_star(f, coeffs, grid, tree),
-        lambda f: solve_R_star(f, coeffs, grid, tree),
-        lambda f: solve_L_star(f, coeffs, grid, tree),
+        lambda f: solve_T_star(f, coeffs, grid, lattice),
+        lambda f: solve_G_star(0, f, coeffs, grid, lattice),
+        lambda f: solve_B_star(f, coeffs, grid, lattice),
+        lambda f: solve_R_star(f, coeffs, grid, lattice),
+        lambda f: solve_L_star(f, coeffs, grid, lattice),
     ):
         lhs = solver(a * h1 + b * h2)
         rhs = a * solver(h1) + b * solver(h2)
@@ -386,10 +414,10 @@ def test_density_blowup_guard(monkeypatch):
 
 def test_march_rejects_nonfinite_levels():
     _, grid, tree, coeffs = make_setup()
-    h = smooth_random_field(grid, tree, seed=3)
+    h = smooth_random_field(grid, tree.lattice, seed=3)
     h.levels[2][grid.nx // 2, 1] = np.nan  # enters the step from level 1 to 2
     with pytest.raises(ForwardSolverError, match="lost finiteness at level 2"):
-        solve_T_star(h, coeffs, grid, tree)
+        solve_T_star(h, coeffs, grid, tree.lattice)
 
 
 def kick_ratio_audit(sigma, d):

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdelab import backward, config, harness, montecarlo, tree
 from spdelab.cli import main
@@ -1088,3 +1091,59 @@ def test_an_output_dir_that_is_a_file_fails_before_any_solve(tmp_path, monkeypat
     assert main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: [Errno 17] File exists"), err
+
+
+# load-or-run: a default config with one to three keys perturbed from fixed
+# menus is refused at load with ConfigError within LOAD_BOUND seconds, or it
+# runs and returns its rows without raising (a failing row is allowed).  Size
+# keys only shrink, so no run outgrows its default (0.05-0.22 s on a 2-vCPU
+# Xeon KVM guest); every other menu mixes valid values with invalid ones of
+# the kinds the loader refuses: wrong types, out-of-range, non-finite,
+# unknown names.  About one perturbed config in five loads and runs.
+LOAD_BOUND = 0.25
+PERTURBATIONS = {
+    ("grid", "nx"): [21, 41, 2, 0, 41.5, "41"],
+    ("tree", "n_steps"): [2, 5, 0, -2, 4.0],
+    ("tree", "horizon"): [0.5, 0.0, -1.0, math.inf, math.nan],
+    ("mc", "paths"): [500, 2000, 0, -5, 2.5],
+    ("mc", "seed"): [0, 7, [3, 4], -1, "seed", None],
+    ("mc", "dt_mc"): [0.08, 0.5, 0.03, 0.0, 8.0],
+    ("coefficients", "family"): ["constant", "space-smooth", "spectral"],
+    ("coefficients", "kappa"): [0.0, 0.5, -0.25, 1e3],
+    ("coefficients", "f0"): [0.5, -1.0, 1e6],
+    ("coefficients", "sigma"): [[1.0], [0.6, 0.8], [0.3, 0.4, 1.0], [], [0.0, 0.0]],
+    ("coefficients", "d"): [1, 2, 0, 3],
+    ("domain", "a"): [-1.0, 0.0, 0.5, 9.0],
+    ("domain", "b"): [1.0, 2.0, -9.0],
+    ("params", "fine_nx"): [41, 81, 2],
+    ("params", "fine_n_steps"): [6, 10, 0],
+    ("params", "n_draws"): [1, 0],
+    ("params", "n_fields"): [1, 2, 0],
+    ("params", "node_checks"): [1, 0, 10**6],
+    ("params", "p0_width"): [0.25, 0.0, -0.5],
+    ("params", "x0"): [0.25, 0.0, 2.0],
+    ("params", "x_points"): [[0.0], [], [-100.0]],
+    ("params", "t_points"): [[0.4], [2.0]],
+    ("params", "leaf_bits"): ["0", "10"],
+    ("params", "unknown"): [1],
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(EXPERIMENTS)), data=st.data())
+def test_a_perturbed_default_is_refused_at_load_or_runs(name, data):
+    default = dataclasses.asdict(default_config(name))
+    keys = [(section, key) for section, key in PERTURBATIONS
+            if key in default[section] or key == "unknown"]
+    raw = {"experiment": name}
+    for section, key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                           unique=True), label="keys"):
+        raw.setdefault(section, {})[key] = data.draw(st.sampled_from(PERTURBATIONS[section, key]),
+                                                     label=f"{section}.{key}")
+    start = time.perf_counter()
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        assert time.perf_counter() - start < LOAD_BOUND
+        return
+    assert run(cfg, write=False).rows

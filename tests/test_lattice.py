@@ -1,9 +1,12 @@
 """The w1 lattice against the scenario tree, at d = 1 and d = 2.
 
 Every coefficient family and test field depends on the path only through
-the first Wiener component, so on the lattice the level solvers give the
-tree's values averaged over the nodes of each w1 state (j down steps of the
-first component), and the pairings and norms the experiments report agree
+the first Wiener component, so every backward sweep and forward dual solves
+on the lattice alone and refuses a tree: the lattice backward outputs,
+gathered onto a tree by each node's state, are the node values of the
+leaf-enumerated pathwise solutions (tests/oracles.py), the lattice duals
+are the means over each w1 state of the tree duals stepped node by node
+with step_forward, and the pairings and norms the experiments report agree
 with the tree's to round-off, whatever d is.  solve_density marches either
 state space; the entry points that need per-path values refuse a lattice.
 """
@@ -25,21 +28,25 @@ from spdelab import (
     op_L,
     residual_bspde,
     solve_backward_pathwise,
+    solve_B_star,
+    solve_duals,
+    solve_G_star,
     solve_R,
     step_forward,
 )
 from spdelab.backward import backward_sweep
-from spdelab.fields import FieldError, norm_c0, norm_x0, norm_xk, pair_x0_dual, smooth_random_field
+from spdelab.fields import (FieldError, inner_x0, norm_c0, norm_x0, norm_xk, pair_x0_dual,
+                            smooth_random_field)
 from spdelab.forward import ForwardState, solve_L_star, solve_R_star, solve_T_star
 from spdelab.harness import (
     _adjoint_pairings,
     _dirichlet_profile,
     _duality_gap,
-    _gaussian,
     _unit,
     default_config,
 )
 from spdelab.tree import TreeNode
+from oracles import assert_gathered, enumerated_primals, stepped_duals
 
 FAMILIES = {
     "constant": {"f0": 0.0},
@@ -60,6 +67,11 @@ def by_d(d1, d2):
 
     return ([pytest.param(1, *case, id=name(case)) for case in d1]
             + [pytest.param(2, *case, id=f"d2-{name(case)}") for case in d2])
+
+
+# the oracles' trees: the pathwise solves and step_forward visit every node
+# of 2**(d N) leaves
+ORACLE_STEPS = {1: 4, 2: 2}
 
 
 def setup(family, nx, n_steps, d=1):
@@ -101,82 +113,92 @@ def rel(a, b):
                                                 [(21, 3), (41, 6)]))
 def test_adjoint_pairings_match_the_tree(family, d, nx, n_steps):
     # adjoint-suite and norm-bounds pair on the lattice at d = 2 as at d = 1:
-    # the bounds are the same at both
+    # the bounds are the same at both.  Each pairing, with the uniform node
+    # weights of the tree, of the fields gathered onto it is the lattice
+    # pairing with binomial state weights: a primal is its state's value at
+    # every node, and a dual meets w1 fields only through its conditional
+    # means given w1, which the lattice dual holds (the step_forward oracle
+    # below)
     coeffs, grid, tree, lattice = setup(family, nx, n_steps, d)
     seed_pair = ((11, 0), (11, 1))
-    on_tree, scale_tree = _adjoint_pairings(coeffs, grid, tree, seed_pair)
-    on_lattice, scale_lattice = _adjoint_pairings(coeffs, grid, lattice, seed_pair)
-    assert rel(scale_tree, scale_lattice) <= 1e-13
-    assert sorted(on_tree) == sorted(on_lattice) == sorted("TGBRL")
-    for k, (primal, dual) in on_tree.items():
-        lat_primal, lat_dual = on_lattice[k]
-        assert rel(primal, lat_primal) <= 1e-13, k
-        assert rel(dual, lat_dual) <= 1e-13, k
-        mismatch = abs(primal - dual) / scale_tree
-        assert rel(mismatch, abs(lat_primal - lat_dual) / scale_lattice) <= 1e-10, k
+    pairs, scale = _adjoint_pairings(coeffs, grid, lattice, seed_pair)
+    g, h = (smooth_random_field(grid, lattice, seed) for seed in seed_pair)
+    duals = solve_duals(h, coeffs, grid, lattice)
+    v, kernels, bg, sol = backward_sweep(g, coeffs, grid, lattice, phi=g)
+    primals = {"T": v, "G": kernels[0], "B": bg, "R": sol.g, "L": sol.v}
+    g_tree, h_tree = g.on(tree), h.on(tree)
+    assert rel(scale, norm_x0(g_tree) * norm_x0(h_tree)) <= 1e-13
+    assert sorted(pairs) == sorted("TGBRL")
+    for k, (primal, dual) in pairs.items():
+        assert rel(primal, inner_x0(primals[k].on(tree), h_tree)) <= 1e-13, k
+        assert rel(dual, inner_x0(g_tree, duals[k].on(tree))) <= 1e-13, k
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_backward_outputs_are_the_tree_values_per_state(family):
-    coeffs, grid, tree, lattice = setup(family, 41, 8)
-    for seed in (3, 4):
-        g_tree = smooth_random_field(grid, tree, seed)
-        g_lattice = smooth_random_field(grid, lattice, seed)
-        sweep_tree = backward_sweep(g_tree, coeffs, grid, tree)
-        sweep_lattice = backward_sweep(g_lattice, coeffs, grid, lattice)
-        for a, b in [(sweep_tree[0], sweep_lattice[0]), (sweep_tree[1][0], sweep_lattice[1][0]),
-                     (sweep_tree[2], sweep_lattice[2])]:
-            assert_levels_match(a, b)
-        sol_tree = op_L(g_tree, coeffs, grid, tree)
-        sol_lattice = op_L(g_lattice, coeffs, grid, lattice)
-        assert_levels_match(sol_tree.v, sol_lattice.v)
-        assert_levels_match(sol_tree.g, sol_lattice.g)
-        for k in (-1, 1):
-            assert rel(norm_xk(sol_tree.v, k), norm_xk(sol_lattice.v, k)) <= 1e-12
-        assert rel(norm_c0(sol_tree.v), norm_c0(sol_lattice.v)) <= 1e-12
-        assert rel(norm_x0(sol_tree.v), norm_x0(sol_lattice.v)) <= 1e-12
+    # T g, G g, B g and op_L on the lattice, gathered onto the tree, are the
+    # leaf-enumerated node values, and the norms of the gathered fields,
+    # with uniform node weights, are the lattice norms
+    coeffs, grid, tree, lattice = setup(family, 31, ORACLE_STEPS[1])
+    g = smooth_random_field(grid, lattice, 3)
+    v, kernels, bg = backward_sweep(g, coeffs, grid, lattice)
+    T, X, B = enumerated_primals(g.on(tree), coeffs, grid, tree)
+    for field, oracle in ((v, T), (kernels[0], X[0]), (bg, B)):
+        assert_gathered(field, oracle, tree)
+    sol = op_L(g, coeffs, grid, lattice)
+    assert_gathered(sol.v, enumerated_primals(sol.g.on(tree), coeffs, grid, tree)[0], tree)
+    on_tree = sol.v.on(tree)
+    for k in (-1, 1):
+        assert rel(norm_xk(on_tree, k), norm_xk(sol.v, k)) <= 1e-12
+    assert rel(norm_c0(on_tree), norm_c0(sol.v)) <= 1e-12
+    assert rel(norm_x0(on_tree), norm_x0(sol.v)) <= 1e-12
 
 
-@pytest.mark.parametrize("family, integrand", [("constant", _unit), ("drift-random", _gaussian)])
+@pytest.mark.parametrize("family, integrand", [("constant", _unit)])
 def test_op_L_root_is_the_tree_root_bit_for_bit(family, integrand):
-    # feynman-kac-nonrandom, representation-random and density-64-65 read
-    # op_L's root value on the lattice; a sweep reads the children in the
-    # same order on both and the tridiagonal solve is elementwise across
-    # systems, so their reports keep the tree's bits
+    # feynman-kac-nonrandom reads op_L's root value on the lattice: for its
+    # nonrandom data the kernels vanish exactly, R phi = phi, and the sweep
+    # makes the pathwise solve's operations, so the root has the bits of
+    # the pathwise solution to every leaf
     coeffs, grid, tree, lattice = setup(family, 41, 6)
-    roots = [op_L(_dirichlet_profile(grid, t, integrand), coeffs, grid, t).v.levels[0]
-             for t in (tree, lattice)]
-    assert np.array_equal(*roots)
+    root = op_L(_dirichlet_profile(grid, lattice, integrand), coeffs, grid, lattice).v.levels[0]
+    phi = _dirichlet_profile(grid, tree, integrand)
+    for leaf in (0, 37, tree.n_leaves - 1):
+        U = solve_backward_pathwise(phi, coeffs, leaf, grid, tree)
+        assert np.array_equal(root[:, 0], U[0]), leaf
 
 
 @pytest.mark.parametrize("d, family", by_d(FAMILY_CASES, FAMILY_CASES))
 def test_solve_R_sweeps_match_the_tree(d, family):
-    # solvability-R iterates on the lattice: from the zero start it stops at
-    # the tree's sweep, with the tree's residuals to 1e-9 relative above a
-    # round-off floor of ||phi|| (the last residual is round-off when a start
-    # runs all N + 1 sweeps); 10 steps at d = 1, 6 on the 4**N-leaf d = 2 tree
-    coeffs, grid, tree, lattice = setup(family, 41, {1: 10, 2: 6}[d], d)
-    runs = []
-    for t in (tree, lattice):
-        phi = smooth_random_field(grid, t, 2468)
-        _, info = solve_R(phi, coeffs, grid, t, tol=1e-8, x0=SpaceTimeField.zeros(grid, t))
-        runs.append((norm_x0(phi), info))
-    (scale, on_tree), (_, on_lattice) = runs
-    assert on_lattice["iterations"] == on_tree["iterations"]
-    np.testing.assert_allclose(on_lattice["residual_history"], on_tree["residual_history"],
-                               rtol=1e-9, atol=1e-15 * scale)
+    # solvability-R iterates on the lattice: from the zero start the
+    # residual history is the Neumann series norms ||B^n phi||, here of the
+    # leaf-enumerated B iterated on the tree, to 1e-9 relative above a
+    # round-off floor of ||phi||
+    coeffs, grid, tree, lattice = setup(family, 21, ORACLE_STEPS[d], d)
+    phi = smooth_random_field(grid, lattice, 2468)
+    _, info = solve_R(phi, coeffs, grid, lattice, tol=1e-8,
+                      x0=SpaceTimeField.zeros(grid, lattice))
+    iterate, norms = phi.on(tree), []
+    for _ in range(info["iterations"]):
+        norms.append(norm_x0(iterate))
+        iterate = SpaceTimeField(grid, tree, enumerated_primals(iterate, coeffs, grid, tree)[2])
+    assert info["iterations"] == len(info["residual_history"]) <= tree.n_steps + 1
+    np.testing.assert_allclose(info["residual_history"], norms, rtol=1e-9,
+                               atol=1e-15 * norm_x0(phi))
 
 
 @pytest.mark.parametrize("d, family", by_d(FAMILY_CASES, FAMILY_CASES))
 def test_forward_marches_are_the_tree_conditional_means(d, family):
     # forward solutions are path dependent on the tree; the lattice carries
-    # their conditional means given w1, and at d = 2 the kicks of the second
-    # component drop out of them
-    coeffs, grid, tree, lattice = setup(family, 41, {1: 8, 2: 6}[d], d)
-    h_tree, h_lattice = smooth_random_field(grid, tree, 5), smooth_random_field(grid, lattice, 5)
-    for solve in (solve_T_star, solve_R_star, solve_L_star):
-        assert_levels_match(solve(h_tree, coeffs, grid, tree),
-                            solve(h_lattice, coeffs, grid, lattice))
+    # their conditional means given w1 (the tree duals stepped node by node
+    # with step_forward, averaged per state), and at d = 2 the kicks of the
+    # second component drop out of them
+    coeffs, grid, tree, lattice = setup(family, 21, ORACLE_STEPS[d], d)
+    h = smooth_random_field(grid, lattice, 5)
+    stepped = stepped_duals(h, coeffs, grid, tree, "TRL")
+    for name, solve in (("T", solve_T_star), ("R", solve_R_star), ("L", solve_L_star)):
+        assert_levels_match(SpaceTimeField(grid, tree, stepped[name]),
+                            solve(h, coeffs, grid, lattice))
 
 
 @pytest.mark.parametrize("d, n_steps", by_d([(6,), (10,)], [(4,), (6,)]))
@@ -222,29 +244,6 @@ def test_tree_drift_and_fields_are_the_lattice_values_at_each_nodes_state(d, n_s
             assert np.array_equal(bits(per_node), bits(rows)[j]), (family, k)
             assert np.array_equal(bits(on_tree.levels[k]),
                                   bits(fn(grid.x[:, None], k * tree.dt, w1[None, :]))), k
-
-
-@pytest.mark.parametrize("d, n_steps", by_d([(8,), (10,)], [(6,)]))
-def test_tree_op_L_is_the_lattice_op_L_gathered(d, n_steps):
-    # duality-63's coarse level solves op_L on the lattice and reads its tree
-    # nodes by state: at d = 1 a sweep reads the children in the same order
-    # on both and the tridiagonal solve is elementwise across systems, so v,
-    # the first kernel and g gathered have the tree's bits; at d = 2 the
-    # tree sums four children per node and the lattice merges two per state,
-    # so they agree to round-off
-    for family in sorted(FAMILIES):
-        coeffs, grid, tree, lattice = setup(family, 41, n_steps, d)
-        phi = smooth_random_field(grid, lattice, 6)
-        on_tree = op_L(phi.on(tree), coeffs, grid, tree)
-        on_lattice = op_L(phi, coeffs, grid, lattice)
-        for a, b in [(on_tree.v, on_lattice.v), (on_tree.kernels[0], on_lattice.kernels[0]),
-                     (on_tree.g, on_lattice.g)]:
-            for k, (node, state) in enumerate(zip(a.levels, b.on(tree).levels)):
-                if d == 1:
-                    assert np.array_equal(node.view(np.uint64), state.view(np.uint64)), k
-                else:
-                    scale = max(np.abs(node).max(), 1e-300)
-                    np.testing.assert_allclose(state, node, rtol=0, atol=1e-14 * scale)
 
 
 def test_on_gathers_a_lattice_field_by_each_nodes_state():
@@ -312,7 +311,29 @@ def test_fields_on_tree_and_lattice_do_not_mix():
         norm_x0(smooth_random_field(grid, tree, 1) - smooth_random_field(grid, lattice, 1))
 
 
-# the entry points that need per-path values refuse a lattice -------------
+# the solvers of w1 data refuse a tree; the entry points that need
+# per-path values refuse a lattice -------------------------------------------
+
+
+LATTICE_SOLVERS = {
+    "backward_sweep": lambda f, c, g, t: backward_sweep(f, c, g, t),
+    "op_L": op_L,
+    "solve_R": solve_R,
+    "solve_duals": solve_duals,
+    "solve_T_star": solve_T_star,
+    "solve_G_star": lambda f, c, g, t: solve_G_star(0, f, c, g, t),
+    "solve_B_star": solve_B_star,
+    "solve_R_star": solve_R_star,
+    "solve_L_star": solve_L_star,
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_SOLVERS)
+def test_every_lattice_solver_refuses_a_tree(name):
+    coeffs, grid, tree, _ = setup("drift-random", 21, 3, d=2)
+    field = smooth_random_field(grid, tree, 1)
+    with pytest.raises(TreeError, match=rf"^{name} solves on the w1 lattice: .*\.on\(tree\)"):
+        LATTICE_SOLVERS[name](field, coeffs, grid, tree)
 
 
 def test_pair_x0_dual_refuses_a_lattice():

@@ -213,6 +213,6 @@ def test_level_weights_sum_to_one_and_merge_preserves_the_expectation(
         children = np.stack([states.child(u, b, n_k) for b in range(br)], axis=2)
         np.testing.assert_allclose(states.merge(children), u, rtol=1e-14, atol=1e-14)
     else:
-        # the tree keeps every child: child() reads it back
-        for b in range(br):
-            np.testing.assert_array_equal(states.child(merged, b, n_k), rhs[:, :, b])
+        # the tree keeps every child: node n's children are the contiguous
+        # columns n * br .. n * br + br - 1 of the next level
+        np.testing.assert_array_equal(merged.reshape(nx, n_k, br), rhs)
