@@ -1,5 +1,5 @@
-"""spdelab: backward/forward stochastic parabolic solvers on a scenario
-tree, cross-verified against first-exit-time Monte Carlo."""
+"""spdelab: backward/forward stochastic parabolic solvers on the w1
+lattice, cross-verified against first-exit-time Monte Carlo."""
 
 import os
 
@@ -11,24 +11,9 @@ import os
 # and a value the caller has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .backward import (
-    BackwardSolution,
-    ConvergenceError,
-    op_L,
-    residual_bspde,
-    solve_backward_pathwise,
-    solve_R,
-)
+from .backward import BackwardSolution, ConvergenceError, op_L, solve_R
 from .coefficients import CoefficientSet, ValidationReport, make_family, validate
-from .domain import (
-    DomainSpec,
-    Grid,
-    GridError,
-    apply_A,
-    apply_A_star,
-    build_grid,
-    h0_inner,
-)
+from .domain import DomainSpec, Grid, GridError, build_grid, h0_inner
 from .fields import (
     SpaceTimeField,
     inner_x0,
@@ -41,7 +26,6 @@ from .fields import (
 from .forward import (
     DensitySolution,
     ForwardSolverError,
-    ForwardState,
     solve_B_star,
     solve_density,
     solve_duals,
@@ -49,7 +33,6 @@ from .forward import (
     solve_L_star,
     solve_R_star,
     solve_T_star,
-    step_forward,
 )
 from .montecarlo import (
     EstimatorResult,
@@ -64,7 +47,6 @@ from .tree import (
     PathBundle,
     ScenarioTree,
     TreeError,
-    TreeNode,
     bridge_paths,
     build_lattice,
     build_tree,

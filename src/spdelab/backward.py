@@ -1,13 +1,13 @@
 """Backward parabolic solvers and the operator calculus built on them.
 
-The pathwise solver marches the terminal-value problem
+The operators rest on the terminal-value problem
 
     dU/dt + A U = -g,   U(.,T) = 0,   U = 0 on the lateral boundary,
 
-down a single tree path with the implicit Euler scheme.  The operators
-never enumerate paths: A and g read the path only through w1, so
-conditional expectations live on the w1 lattice (tree.Lattice), state j of
-level k stepping up to state j and down to j + 1, and obey the recursion
+marched with the implicit Euler scheme, and never enumerate its paths: A
+and g read the path only through w1, so conditional expectations live on
+the w1 lattice (tree.Lattice), state j of level k stepping up to state j
+and down to j + 1, and obey the recursion
 
     v^k(j) = S_k(j) [ (v^{k+1}(j) + v^{k+1}(j+1)) / 2 + dt g^k(j) ],
     S_k(j) = (I - dt A(t_k, j))^{-1},
@@ -37,16 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .domain import (
-    Grid,
-    apply_bands,
-    cr_factors,
-    dx_centered_onesided,
-    generator_bands,
-    thomas_rows,
-)
+from .domain import Grid, cr_factors, dx_centered_onesided, generator_bands, thomas_rows
 from .fields import SpaceTimeField, norm_x0
-from .tree import Lattice, ScenarioTree, require_space
+from .tree import Lattice, require_space
 
 
 class ConvergenceError(RuntimeError):
@@ -74,23 +67,21 @@ def level_factors(bands, dt, ni):
     return cr_factors(-dt * lo, 1.0 - dt * dg, -dt * up, ni)
 
 
-def solve_level(bands, dt, rhs, states=None):
+def solve_level(factors, rhs, states=None):
     """Solve (I - dt A) u = rhs in place at every node of one level.
 
-    bands are the level's rows-layout bands from generator_bands (of A or
-    of A*), or, with dt None, their level_factors: the band half of the
-    cyclic reduction, done once for any number of solves.  Without states
-    the bands have a column per node; with states, one per lattice state,
-    and node i solves with column states[i] (a tree's states(k)).  rhs is
-    x-major, (nx, n), or (nx, n, m, ...) with right-hand sides per node on
-    the trailing axes, any strides; its interior rows are solved where they
-    lie (thomas_rows, the right-hand-side half, gets a view) and its
-    boundary rows zeroed; returns rhs.  Keep the node axis innermost in
-    memory (a plane (nx, n) per right-hand side): the factors, gathered to
-    one per row and node a stage at a time, then broadcast along the
-    trailing axes at unit stride.
+    factors are the level_factors of the level's rows-layout bands (of A
+    or of A*): the band half of the cyclic reduction, done once for any
+    number of solves.  Without states they have a column per node; with
+    states, one per lattice state, and node i solves with column states[i]
+    (a tree's states(k)).  rhs is x-major, (nx, n), or (nx, n, m, ...) with
+    right-hand sides per node on the trailing axes, any strides; its
+    interior rows are solved where they lie (thomas_rows, the
+    right-hand-side half, gets a view) and its boundary rows zeroed;
+    returns rhs.  Keep the node axis innermost in memory (a plane (nx, n)
+    per right-hand side): the factors, gathered to one per row and node a
+    stage at a time, then broadcast along the trailing axes at unit stride.
     """
-    factors = bands if dt is None else level_factors(bands, dt, len(rhs) - 2)
     thomas_rows(factors, None, None, rhs[1:-1], states)
     rhs[[0, -1]] = 0.0
     return rhs
@@ -135,39 +126,19 @@ def backward_sweep(g: SpaceTimeField | None, coeffs: CoefficientSet, grid: Grid,
             sol[k][lq] += dt * g.levels[k]
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total)
         factors = level_factors(bands, dt, grid.ni)
-        solve_level(factors, None, sol[k][1 if lq else 0:].transpose(1, 2, 0))
+        solve_level(factors, sol[k][1 if lq else 0:].transpose(1, 2, 0))
         if g is not None:
             bg[k] = _b_of_kernel(grid, coeffs.sigma, sol[k][lq + 1])
         if phi is not None:
             rphi[k] = phi.levels[k] - _b_of_kernel(grid, coeffs.sigma, sol[k][1])
             sol[k][0] += dt * rphi[k]
-            solve_level(factors, None, sol[k][0])
+            solve_level(factors, sol[k][0])
     planes = [SpaceTimeField(grid, tree, [s[p] for s in sol]) for p in range(lq + tq)]
     out = (None,) * 3 if g is None else (
         planes[lq], planes[lq + 1:], SpaceTimeField(grid, tree, bg))
     if phi is None:
         return out
     return (*out, BackwardSolution(planes[0], planes[1:lq], SpaceTimeField(grid, tree, rphi)))
-
-
-def solve_backward_pathwise(g: SpaceTimeField, coeffs: CoefficientSet, leaf: int, grid: Grid,
-                            tree: ScenarioTree) -> np.ndarray:
-    """March the terminal-value problem down the path to one leaf.
-
-    Returns U of shape (n_steps + 1, nx) with U[N] = 0 and zero boundary
-    columns.  Serves as the leaf-enumeration oracle of the lattice operators
-    gathered onto the tree.
-    """
-    require_space(tree, "tree", "solve_backward_pathwise")
-    path = tree.leaf_path(leaf)
-    N, dt = tree.n_steps, tree.dt
-    U = np.zeros((N + 1, grid.nx))
-    for k in range(N - 1, -1, -1):
-        rhs = U[k + 1] + dt * g.levels[k][:, path[k]]
-        w1 = tree.lattice.w1[k][tree.states(k)[path[k]]]
-        f = coeffs.drift(grid.x_interior[None, :], k * dt, w1)
-        U[k] = solve_level(generator_bands(grid, f, coeffs.b_total), dt, rhs[:, None])[:, 0]
-    return U
 
 
 def solve_R(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid, tree: Lattice,
@@ -224,41 +195,3 @@ def op_L(phi: SpaceTimeField, coeffs: CoefficientSet, grid: Grid,
     """
     require_space(tree, "lattice", "op_L")
     return backward_sweep(None, coeffs, grid, tree, phi)[3]
-
-
-def residual_bspde(sol: BackwardSolution, g: SpaceTimeField, coeffs: CoefficientSet, grid: Grid,
-                   tree: ScenarioTree) -> float:
-    """X0 norm of the discrete residual of the integrated backward relation
-
-        v(t) = int_t^T [A v + g] - int_t^T X domega,
-
-    evaluated per leaf with a trapezoidal rule in the drift integral and the
-    Ito (left-point) rule in the stochastic sum.  sol.kernels may stop short
-    of tree.d, the rest zero: a lattice solve gathered carries X_1 alone.
-    """
-    require_space(tree, "tree", "residual_bspde")
-    N, dt, d = tree.n_steps, tree.dt, tree.d
-    leaves = np.arange(tree.n_leaves)
-    drift_acc = np.zeros((grid.nx, tree.n_leaves))
-    noise_acc = np.zeros((grid.nx, tree.n_leaves))
-
-    def drift_term(k):  # each node's drift row is its lattice state's
-        bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k)[tree.states(k)],
-                                coeffs.b_total)
-        av = apply_bands(bands, sol.v.levels[k]) + g.levels[k]
-        return av[:, tree.ancestor_index(leaves, k)]
-
-    total = 0.0
-    d_hi = drift_term(N)
-    for k in range(N - 1, -1, -1):
-        d_lo = drift_term(k)
-        drift_acc += 0.5 * dt * (d_lo + d_hi)
-        d_hi = d_lo
-        digits = (leaves >> (d * (N - k - 1))) % tree.branching
-        kick = tree.digit_signs[digits].T * tree.sqdt  # (d, n_leaves)
-        anc = tree.ancestor_index(leaves, k)
-        for kernel, kick_j in zip(sol.kernels, kick):
-            noise_acc += kernel.levels[k][:, anc] * kick_j
-        r = sol.v.levels[k][:, anc] - drift_acc + noise_acc
-        total += dt * grid.dx * float(np.einsum("xl,xl->", r, r)) / tree.n_leaves
-    return float(np.sqrt(total))

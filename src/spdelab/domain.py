@@ -17,8 +17,7 @@ turns drift and diffusion into the bands of A or A*, thomas_rows is the
 only tridiagonal solve (odd-even cyclic reduction at every batch width,
 its band half cr_factors reusable across solves),
 and hk_norm_sq takes the H^1 norm by the 3-point stencil and the H^-1 norm
-by one thomas_rows solve with I - Laplacian.  apply_A is an independent
-centered stencil (an oracle).
+by one thomas_rows solve with I - Laplacian.
 """
 
 from __future__ import annotations
@@ -97,15 +96,6 @@ def build_grid(domain: DomainSpec, nx: int) -> Grid:
     return Grid(domain=domain, x=x, dx=dx)
 
 
-def _check_grid_function(grid: Grid, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != grid.nx:
-        raise GridError(f"grid function has {u.shape[0]} values, grid has {grid.nx} nodes")
-    if not np.all(np.isfinite(u)):
-        raise GridError("grid function contains non-finite entries")
-    return u
-
-
 def generator_bands(grid: Grid, f, b, dual=False):
     """Interior tridiagonal bands of A = f d/dx + (1/2) b d2/dx2, or of its
     dual A* (the exact transpose of that interior matrix) when dual is set.
@@ -125,18 +115,6 @@ def generator_bands(grid: Grid, f, b, dual=False):
         lower, upper = (np.concatenate([upper[:1], upper[:-1]]),
                         np.concatenate([lower[1:], lower[-1:]]))
     return lower, -2.0 * dif, upper
-
-
-def apply_bands(bands, u):
-    """Apply the interior matrix given by rows-layout bands to x-major
-    values u of shape (nx, n).  The boundary rows of u are not read; the
-    result has zero boundary rows."""
-    ui, out = u[1:-1], np.zeros(u.shape)
-    lower, diag, upper = (np.broadcast_to(a, ui.shape) for a in bands)
-    out[1:-1] = diag * ui
-    out[2:-1] += lower[1:] * ui[:-1]
-    out[1:-2] += upper[:-1] * ui[1:]
-    return out
 
 
 def cr_factors(L, D, U, n):
@@ -236,33 +214,6 @@ def solve_tridiag(lower, diag, upper, rhs):
     X = np.array(rows(rhs), dtype=float, order="C")
     thomas_rows(rows(lower), rows(diag), rows(upper), X)
     return np.moveaxis(X.reshape((n,) + shape[:-1]), 0, -1)
-
-
-def apply_A(coeffs, u, t, w1, grid: Grid) -> np.ndarray:
-    """Apply the generator at time t and first Wiener component w1 by
-    centered differences.
-
-    Interior nodes get f u' + (1/2) b u'' using the stored values of u
-    (including its boundary entries); boundary rows are zero.
-    """
-    u = _check_grid_function(grid, u)
-    f, b = coeffs.drift(grid.x_interior, t, w1), coeffs.b_total
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
-        raise GridError("coefficient evaluation returned non-finite values")
-    out = np.zeros_like(u)
-    dx = grid.dx
-    du = (u[2:] - u[:-2]) / (2.0 * dx)
-    d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    out[1:-1] = f * du + 0.5 * b * d2u
-    return out
-
-
-def apply_A_star(coeffs, u, t, w1, grid: Grid) -> np.ndarray:
-    """Apply the dual generator: the exact transpose of the interior matrix
-    of apply_A in the dx-weighted inner product."""
-    u = _check_grid_function(grid, u)
-    f = coeffs.drift(grid.x_interior[None, :], t, w1)
-    return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[:, None])[:, 0]
 
 
 def h0_inner(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:

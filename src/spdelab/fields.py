@@ -114,16 +114,6 @@ class SpaceTimeField:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __mul__(self, c):
-        if not np.isscalar(c):
-            return NotImplemented
-        return SpaceTimeField(self.grid, self.tree, [c * a for a in self.levels])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
 
 def _same_space(a, b) -> bool:
     """Whether two trees or lattices are one state space and time grid."""

@@ -30,7 +30,7 @@ march.  The duals pair with fields that read the path only through w1, so
 they need only their conditional means given it and solve on the w1
 lattice (the second component's kicks drop out).  solve_density also
 marches the tree, whose levels factor their k + 1 lattice states' bands
-and gather each node's factors by its state; step_forward follows one path.
+and gather each node's factors by its state.
 
 Operator forms (all with zero data at t = 0 and on the boundary):
 
@@ -51,23 +51,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import solve_level
+from .backward import level_factors, solve_level
 from .coefficients import CoefficientSet
-from .domain import Grid, dx_centered, generator_bands, solve_tridiag
+from .domain import Grid, dx_centered, generator_bands
+from .domain import solve_tridiag as solve_tridiag  # benchmarks/test_bench.py reads it here
 from .fields import SpaceTimeField
-from .tree import Lattice, ScenarioTree, TreeNode, require_space
+from .tree import Lattice, ScenarioTree, require_space
 
 
 class ForwardSolverError(RuntimeError):
     """Raised on degenerate regimes, singular steps or blow-up."""
-
-
-@dataclass
-class ForwardState:
-    """State of a forward march at one tree node."""
-
-    values: np.ndarray
-    node: TreeNode
 
 
 @dataclass
@@ -86,53 +79,6 @@ def _require_superparabolic(coeffs: CoefficientSet, what: str):
             f"{what} requires the superparabolic regime (d < d0 with "
             "nondegenerate beta tilde); validation failed"
         )
-
-
-def step_forward(
-    state: ForwardState,
-    coeffs: CoefficientSet,
-    drift_source,
-    noise_sources,
-    dw,
-    grid: Grid,
-    tree: ScenarioTree,
-) -> ForwardState:
-    """One semi-implicit step along a tree edge selected by dw.
-
-    Solves (I - dt A*) u = state + dt * drift_source + sum_j noise_j * dw[j]
-    with the dual generator frozen predictably at the current node, a node
-    of a level 0 .. n_steps - 1, whose w1 is its lattice state's.  dw must
-    be a tree edge increment (each component +-sqrt(dt) to a relative
-    1e-12); the child node is inferred from its sign pattern.
-    noise_sources holds one grid function per driving component (entries
-    may be None).
-    """
-    require_space(tree, "tree", "step_forward", ForwardSolverError)
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (tree.d,) or not np.allclose(np.abs(dw), tree.sqdt, rtol=1e-12, atol=0.0):
-        raise ForwardSolverError(
-            f"dw must be a d-vector of +-sqrt(dt)={tree.sqdt:g}, got {dw}"
-        )
-    digit = int(sum((1 << j) for j in range(tree.d) if dw[j] < 0))
-    k, i = state.node
-    if not (0 <= k < tree.n_steps and 0 <= i < tree.n_nodes(k)):
-        raise ForwardSolverError(f"node {state.node} has no step on a tree of "
-                                 f"{tree.n_steps} steps")
-    child = TreeNode(k + 1, i * tree.branching + digit)
-    rhs = state.values.copy()
-    if drift_source is not None:
-        rhs += tree.dt * np.asarray(drift_source, dtype=float)
-    if noise_sources is not None:
-        for j, src in enumerate(noise_sources):
-            if src is not None:
-                rhs += np.asarray(src, dtype=float) * dw[j]
-    f = coeffs.drift(grid.x_interior[None, :], k * tree.dt, tree.lattice.w1[k][tree.states(k)[i]])
-    lo, dg, up = generator_bands(grid, f, coeffs.b_total, dual=True)
-    new = np.zeros_like(rhs)
-    new[1:-1] = solve_tridiag(-tree.dt * lo.T, 1.0 - tree.dt * dg, -tree.dt * up.T, rhs[1:-1])
-    if not np.all(np.isfinite(new)):
-        raise ForwardSolverError("forward step produced non-finite values")
-    return ForwardState(values=new, node=child)
 
 
 def _forward_march(coeffs, grid, tree, sources, state0=None):
@@ -161,7 +107,8 @@ def _forward_march(coeffs, grid, tree, sources, state0=None):
         for rhs, source, levels in zip(block, sources, fields):
             _children_rhs(tree, k, levels[-1], source, rhs)
         bands = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual=True)
-        solve_level(bands, tree.dt, block.transpose(2, 3, 0, 1), tree.states(k))
+        solve_level(level_factors(bands, tree.dt, grid.ni), block.transpose(2, 3, 0, 1),
+                    tree.states(k))
         for rhs, levels in zip(block, fields):
             state = tree.merge(rhs.transpose(1, 2, 0))
             if not (np.isfinite(state.max()) and np.isfinite(state.min())):

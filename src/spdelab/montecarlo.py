@@ -250,7 +250,7 @@ def simulate(coeffs: CoefficientSet, init, s: float, paths: PathBundle, domain,
                     fdt = np.multiply(coeffs.drift(0.0, k * paths.dt, states), dt)[jl]
         j = m - first
         y0, w0 = yl, wl  # the step's start
-        yl = yl + (fdt if per_block else coeffs.drift(yl, t, 0.0 if w1 is None else w1) * dt)
+        yl = yl + (fdt if per_block else coeffs.drift(yl, t, w1) * dt)
         yl += block[j] if cols is None else block[j][cols]  # half the cost of block[j, cols]
         m += 1
         # only a path with an end outside [lo_r, hi_r] is weighed, and only

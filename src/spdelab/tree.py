@@ -33,7 +33,8 @@ means given (k, w1), and a tree field built from w1 is its lattice field
 gathered by each node's j.  Every backward sweep and forward dual solves on
 the lattice (`require_space`); the tree serves the density march, whose
 level solve factors the k + 1 states of its `lattice` and gathers each
-node's factors by its j, and the oracles that follow single paths.  Both
+node's factors by its j, and the exact calculus of leaf-indexed values
+(`cond_expect`, `clark_decompose`) and the tests' per-path oracles.  Both
 classes give the marches `merge(rhs)`, level k+1 from per-child values
 (nx, n_k, br), and `weights(k)`, the level probabilities P_k.
 """
@@ -44,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,11 +69,6 @@ def _size_guard(what: str, n_steps: int, states: int | None) -> None:
         held = "more than 2**63" if states is None else f"{states:,}"
         raise TreeError(f"{what} of n_steps={n_steps} would hold {held} states, past the "
                         f"size guard of {MAX_STATES:,} states")
-
-
-class TreeNode(NamedTuple):
-    level: int
-    index: int
 
 
 @dataclass(frozen=True)

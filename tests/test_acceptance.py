@@ -8,7 +8,6 @@ the exact discrete calculus directly.
 import time
 
 import numpy as np
-import pytest
 
 from spdelab import (
     DomainSpec,

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab import (DomainSpec, build_grid, build_lattice, build_tree, free_paths, make_family,
-                     montecarlo, sample_tree_paths)
+from spdelab import (DomainSpec, build_grid, build_lattice, build_tree, make_family, montecarlo,
+                     sample_tree_paths)
 from spdelab.fields import smooth_random_field
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"

@@ -2,19 +2,9 @@ import numpy as np
 import pytest
 from scipy.fft import dst
 
-from spdelab import (
-    DomainSpec,
-    GridError,
-    apply_A,
-    apply_A_star,
-    build_grid,
-    build_tree,
-    h0_inner,
-    make_family,
-)
+from spdelab import DomainSpec, GridError, build_grid, build_tree, h0_inner, make_family
 from spdelab import domain
 from spdelab.domain import (
-    apply_bands,
     cr_factors,
     dx_centered,
     dx_centered_onesided,
@@ -28,6 +18,7 @@ from spdelab.backward import level_factors, op_L, solve_level
 from spdelab.fields import smooth_random_field
 from spdelab.forward import solve_density
 from fine_tree_engine import DENSITY_BOUND, measure
+from oracles import apply_A, apply_bands, node_bands
 
 
 def dense_generator(grid, fvals, bvals):
@@ -43,14 +34,6 @@ def dense_generator(grid, fvals, bvals):
         if i < ni - 1:
             A[i, i + 1] = f[i] / (2 * grid.dx) + b[i] / (2 * grid.dx**2)
     return A
-
-
-def node_drift(coeffs, grid, tree, k):
-    """Each level-k tree node's drift row, (n_nodes(k), ni) or (n_nodes(k), 1),
-    evaluated at the node's own w1 (an oracle for the rows of the lattice
-    states that the solvers gather by each node's state)."""
-    x = grid.x_interior[None, :] if coeffs.drift_reads_x else grid.x_interior[None, :1]
-    return np.atleast_2d(coeffs.drift(x, k * tree.dt, tree.lattice.w1[k][tree.states(k)][:, None]))
 
 
 @pytest.fixture
@@ -114,6 +97,12 @@ def test_apply_A_matches_dense_assembly(unit_interval):
     assert np.allclose(out[1:-1], dense @ u[1:-1], atol=1e-12)
 
 
+def apply_A_star(coeffs, u, grid):
+    """The dual generator's bands at t = 0 and w1 = 0 applied to u."""
+    f = coeffs.drift(grid.x_interior[None, :], 0.0, 0.0)
+    return apply_bands(generator_bands(grid, f, coeffs.b_total, dual=True), u[:, None])[:, 0]
+
+
 def test_apply_A_star_is_exact_transpose(unit_interval):
     grid = unit_interval
     coeffs = make_family("space-smooth", {"a": 0.7, "eps": 0.0, "sigma": [0.9]})
@@ -123,7 +112,7 @@ def test_apply_A_star_is_exact_transpose(unit_interval):
     u[1:-1] = rng.normal(size=grid.ni)
     w[1:-1] = rng.normal(size=grid.ni)
     au = apply_A(coeffs, u, 0.0, 0.0, grid)
-    asw = apply_A_star(coeffs, w, 0.0, 0.0, grid)
+    asw = apply_A_star(coeffs, w, grid)
     lhs = h0_inner(au, w, grid)
     rhs = h0_inner(u, asw, grid)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -135,7 +124,7 @@ def test_apply_A_star_self_adjoint_case(unit_interval):
     u = np.zeros(unit_interval.nx)
     u[1:-1] = rng.normal(size=unit_interval.ni)
     au = apply_A(coeffs, u, 0.0, 0.0, unit_interval)
-    asu = apply_A_star(coeffs, u, 0.0, 0.0, unit_interval)
+    asu = apply_A_star(coeffs, u, unit_interval)
     assert np.allclose(au, asu, atol=1e-12)
 
 
@@ -337,26 +326,24 @@ def test_a_level_solved_with_its_states_factors_equals_the_per_node_solve(d, n_s
     # a tree node's drift row has its lattice state's bits, and cyclic
     # reduction is elementwise across systems: the factors of the k + 1
     # states, gathered by each node's j, solve every node as its own
-    # factors do, bit for bit, for A and A*, from bands or from factors,
-    # with right-hand sides on trailing (S, br) axes as the marches lay them
+    # factors do, bit for bit, for A and A*, with right-hand sides on
+    # trailing (S, br) axes as the marches lay them
     params = {"drift-random": {"kappa": 0.25}, "space-smooth": {"a": 0.3, "eps": 0.5}}[family]
     coeffs = make_family(family, {**params, "sigma": [0.6, 0.8, 0.5], "d": d})
     grid = build_grid(DomainSpec(-4.0, 4.0, 1.0), 33)
     tree = build_tree(d, n_steps, 1.0)
     rng = np.random.default_rng(17)
     for k in range(n_steps + 1):
-        drifts = node_drift(coeffs, grid, tree, k), coeffs.drift_nodes(grid, tree, k)
-        per_node, per_state = (generator_bands(grid, f, coeffs.b_total, dual) for f in drifts)
+        per_node = node_bands(coeffs, grid, tree, k, dual=dual)[1]
+        per_state = generator_bands(grid, coeffs.drift_nodes(grid, tree, k), coeffs.b_total, dual)
         factors = level_factors(per_state, tree.dt, grid.ni)
         assert factors[1].shape == (1, k + 1)
         block = rng.normal(size=(3, tree.branching, grid.nx, tree.n_nodes(k)))
-        alone = solve_level(per_node, tree.dt, block.copy().transpose(2, 3, 0, 1))
+        alone = solve_level(level_factors(per_node, tree.dt, grid.ni),
+                            block.copy().transpose(2, 3, 0, 1))
         assert np.abs(alone).max() > 0.0
-        for gathered in (per_state, factors):
-            rhs = block.copy().transpose(2, 3, 0, 1)
-            solved = solve_level(gathered, None if gathered is factors else tree.dt, rhs,
-                                 tree.states(k))
-            assert np.array_equal(solved, alone), k
+        solved = solve_level(factors, block.copy().transpose(2, 3, 0, 1), tree.states(k))
+        assert np.array_equal(solved, alone), k
 
 
 def test_a_tree_solve_holds_no_factors_of_a_levels_size():
@@ -375,18 +362,18 @@ def test_solve_level_x_dependent_against_dense(unit_interval):
     tree = build_tree(1, 4, 1.0)
     coeffs = make_family("space-smooth", {"a": 0.8, "eps": 0.5, "sigma": [0.6, 0.8], "d": 1})
     level, dt = 3, tree.dt
-    f = node_drift(coeffs, grid, tree, level)
+    f = node_bands(coeffs, grid, tree, level)[0]
     n = tree.n_nodes(level)
     assert f.shape == (n, grid.ni) and len(np.unique(f[:, 0])) > 1
     rng = np.random.default_rng(21)
     rhs = rng.normal(size=(grid.nx, n, 2))  # x-major, two right-hand sides per node
     eye = np.eye(grid.ni)
     for dual in (False, True):
-        bands = generator_bands(grid, f, coeffs.b_total, dual=dual)
-        u = solve_level(bands, dt, rhs.copy())
+        factors = level_factors(generator_bands(grid, f, coeffs.b_total, dual), dt, grid.ni)
+        u = solve_level(factors, rhs.copy())
         assert u.shape == rhs.shape
         assert np.all(u[0] == 0.0) and np.all(u[-1] == 0.0)
-        assert np.array_equal(solve_level(bands, dt, rhs[:, :, 0].copy()), u[:, :, 0])
+        assert np.array_equal(solve_level(factors, rhs[:, :, 0].copy()), u[:, :, 0])
         for node in range(n):
             A = dense_generator(grid, f[node], coeffs.b_total)
             M = eye - dt * (A.T if dual else A)
@@ -400,14 +387,14 @@ def test_solve_level_works_in_place_on_x_major_levels(unit_interval):
     grid = unit_interval
     tree = build_tree(1, 4, 1.0)
     coeffs = make_family("drift-random", {"kappa": 0.25, "sigma": [0.6, 0.8], "d": 1})
-    bands = generator_bands(grid, node_drift(coeffs, grid, tree, 3), coeffs.b_total)
+    factors = level_factors(node_bands(coeffs, grid, tree, 3)[1], tree.dt, grid.ni)
     rhs0 = np.random.default_rng(5).normal(size=(grid.nx, tree.n_nodes(3)))
     rhs = rhs0.copy()
-    out = solve_level(bands, tree.dt, rhs)
+    out = solve_level(factors, rhs)
     assert out is rhs and out.flags["C_CONTIGUOUS"]
     assert np.all(out[[0, -1]] == 0.0) and not np.array_equal(out, rhs0)
     stack = np.stack([rhs0, 2.0 * rhs0])  # (2, nx, n): two levels, one solve
-    solved = solve_level(bands, tree.dt, stack.transpose(1, 2, 0))
+    solved = solve_level(factors, stack.transpose(1, 2, 0))
     assert np.shares_memory(solved, stack)
     assert np.array_equal(stack[0], out) and np.array_equal(stack[1], 2.0 * out)
 

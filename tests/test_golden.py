@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from spdelab.harness import EXPERIMENTS, default_config, list_experiments, run
+from spdelab.harness import default_config, list_experiments, run
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 

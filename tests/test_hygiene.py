@@ -1,10 +1,14 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-no run loads scipy or numpy.random, no module starts a thread or a
-process, and a run holds one OS thread.
+"""Source hygiene: no module of the package or of the tests imports a name
+it never uses, the package keeps only what a run reaches, the oracles
+import no sweep or march, no run loads scipy or numpy.random, no module
+starts a thread or a process, and a run holds one OS thread.
 
 The unused-import check parses with the standard library's ast, so it runs
-no package code; re-exports in __init__.py and __future__ imports are
-exempt.  The import checks each run in a fresh interpreter, so no other
+no package code; re-exports in __init__.py, explicit re-exports (`import y
+as y`) and __future__ imports are exempt.  The reachability check profiles
+the CLI over the seven default configs in a fresh interpreter and keys
+each function by (file, first line), which every supported Python
+reports.  The import checks each run in a fresh interpreter, so no other
 test's imports are counted:
 - importing the harness loads no heavy scipy subpackage, and no run,
   whether it draws normals or not, loads any scipy module, neither while
@@ -29,6 +33,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,7 +45,8 @@ from spdelab.config import RULES
 from spdelab.harness import EXPERIMENTS, default_config
 from test_golden import REDUCED
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "spdelab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "spdelab"
 
 # the experiments whose default run draws normals, and those that draw none
 DRAWING = sorted(n for n, e in EXPERIMENTS.items() if e.estimates(default_config(n)))
@@ -74,6 +80,8 @@ def fresh(code, *args, env=None):
 
 
 def unused_imports(path):
+    """Names a module imports and never reads; an import under its own name
+    as alias (`from .x import y as y`) is an explicit re-export."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bound = {}
     for node in ast.walk(tree):
@@ -81,14 +89,16 @@ def unused_imports(path):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
+                if alias.asname != alias.name:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used)
 
 
 def test_no_unused_imports():
+    # the package's modules and the tests; __init__.py re-exports the API
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(TESTS.glob("*.py"))
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
@@ -96,8 +106,97 @@ def test_no_unused_imports():
 
 def test_the_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "mod.py"
-    module.write_text("import os\nimport numpy as np\nfrom math import pi, tau\n\nx = np.zeros(1) + pi\n")
+    module.write_text("import os\nimport numpy as np\nfrom math import pi, tau\n"
+                      "from math import e as e\n\nx = np.zeros(1) + pi\n")
     assert unused_imports(module) == ["mod.py:1 os", "mod.py:3 tau"]
+
+
+# cli.main on each argument list of argv[1] (JSON), profiled from the
+# package's import onward; prints the (file name, first line) of every
+# function in the package directory argv[2] that a call reached
+PROFILED_CLI = """
+import contextlib, cProfile, io, json, os, sys
+profile = cProfile.Profile(builtins=False)
+profile.enable()
+from spdelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in json.loads(sys.argv[1]):
+        main(args)
+profile.disable()
+profile.create_stats()
+print(json.dumps([[os.path.basename(path), line] for path, line, _ in profile.stats
+                  if os.path.dirname(path) == sys.argv[2]]))
+"""
+
+# the package functions that neither a default run nor the CLI reaches, and
+# why each stays
+UNREACHED = {
+    "tree._as_leaf_values": "criterion 1's exact calculus reads leaf values through it",
+    "tree.cond_expect": "criterion 1 checks the exact discrete calculus",
+    "tree.ito_integral": "criterion 1 checks the exact discrete calculus",
+    "tree.MartingaleDecomposition.reconstruct": "criterion 1 checks the exact discrete calculus",
+    "tree.clark_decompose": "criterion 1 checks the exact discrete calculus",
+    "backward.ConvergenceError.__init__": "solve_R raises it only if B is not causal",
+    "montecarlo._phi": "expected_exit_time reads it only when f0 != 0",
+    "harness.default_config": "an experiment's config in code, for scripts and tests",
+}
+
+
+def package_functions():
+    """{(file name, first line): qualified name} of every def in the
+    package, from the code objects a compile makes (lambdas and
+    comprehensions aside): the keys a profile of the package reports."""
+    found = {}
+
+    def walk(code, path, prefix):
+        for const in code.co_consts:
+            if inspect.iscode(const) and not const.co_name.startswith("<"):
+                function = bool(const.co_flags & inspect.CO_OPTIMIZED)  # not a class body
+                name = prefix + const.co_name
+                if function:
+                    found[path.name, const.co_firstlineno] = name
+                walk(const, path, name + (".<locals>." if function else "."))
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), path, path.stem + ".")
+    return found
+
+
+def test_the_package_keeps_only_what_a_run_reaches(tmp_path):
+    # every function in src/spdelab is reached by list-experiments or by
+    # validate-config and run of a default config, is named by a file under
+    # benchmarks/ (its outermost def, dunders aside), or is in UNREACHED
+    argvs = [["list-experiments"]]
+    for name in EXPERIMENTS:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"experiment": name, "output_dir": str(tmp_path / name)}))
+        argvs += [["validate-config", str(config)], ["run", str(config)]]
+    done = fresh(PROFILED_CLI, json.dumps(argvs), SRC)
+    assert done.returncode == 0, done.stderr
+    reached = set(map(tuple, json.loads(done.stdout)))
+    functions = package_functions()
+    benchmarks = TESTS.parent / "benchmarks"
+    named = set(re.findall(r"\w+", " ".join(p.read_text() for p in benchmarks.glob("*.py"))))
+    unreached = {name for key, name in functions.items() if key not in reached}
+    assert set(UNREACHED) <= unreached, sorted(set(UNREACHED) - unreached)
+    dead = sorted(name for name in unreached - set(UNREACHED)
+                  if name.split(".<locals>.")[0].split(".")[-1] not in named
+                  or name.endswith("__"))
+    assert not dead, f"no run reaches them and no benchmark names them: {dead}"
+
+
+# the sweeps and marches the oracles check
+SWEEPS = {"backward_sweep", "op_L", "solve_R", "solve_duals", "solve_T_star", "solve_G_star",
+          "solve_B_star", "solve_R_star", "solve_L_star", "_forward_march", "solve_density"}
+
+
+def test_the_oracles_import_no_sweep_or_march():
+    tree = ast.parse((TESTS / "oracles.py").read_text(), filename="oracles.py")
+    names = {alias.name.split(".")[-1] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & SWEEPS, sorted(names & SWEEPS)
 
 
 def test_the_config_layer_depends_on_nothing_of_the_harness():

@@ -4,11 +4,11 @@ Every coefficient family and test field depends on the path only through
 the first Wiener component, so every backward sweep and forward dual solves
 on the lattice alone and refuses a tree: the lattice backward outputs,
 gathered onto a tree by each node's state, are the node values of the
-leaf-enumerated pathwise solutions (tests/oracles.py), the lattice duals
-are the means over each w1 state of the tree duals stepped node by node
-with step_forward, and the pairings and norms the experiments report agree
+leaf-enumerated pathwise solutions, the lattice duals are the means over
+each w1 state of the tree duals stepped edge by edge (both oracles in
+tests/oracles.py), and the pairings and norms the experiments report agree
 with the tree's to round-off, whatever d is.  solve_density marches either
-state space; the entry points that need per-path values refuse a lattice.
+state space; pair_x0_dual, which needs per-path values, refuses a lattice.
 """
 
 import math
@@ -18,7 +18,6 @@ import pytest
 
 from spdelab import (
     DomainSpec,
-    ForwardSolverError,
     SpaceTimeField,
     TreeError,
     build_grid,
@@ -26,18 +25,15 @@ from spdelab import (
     build_tree,
     make_family,
     op_L,
-    residual_bspde,
-    solve_backward_pathwise,
     solve_B_star,
     solve_duals,
     solve_G_star,
     solve_R,
-    step_forward,
 )
 from spdelab.backward import backward_sweep
 from spdelab.fields import (FieldError, inner_x0, norm_c0, norm_x0, norm_xk, pair_x0_dual,
                             smooth_random_field)
-from spdelab.forward import ForwardState, solve_L_star, solve_R_star, solve_T_star
+from spdelab.forward import solve_L_star, solve_R_star, solve_T_star
 from spdelab.harness import (
     _adjoint_pairings,
     _dirichlet_profile,
@@ -45,8 +41,7 @@ from spdelab.harness import (
     _unit,
     default_config,
 )
-from spdelab.tree import TreeNode
-from oracles import assert_gathered, enumerated_primals, stepped_duals
+from oracles import assert_gathered, enumerated_primals, solve_backward_pathwise, stepped_duals
 
 FAMILIES = {
     "constant": {"f0": 0.0},
@@ -341,23 +336,3 @@ def test_pair_x0_dual_refuses_a_lattice():
     F = smooth_random_field(grid, lattice, 1)
     with pytest.raises(FieldError, match="per-path values"):
         pair_x0_dual(F, F)
-
-
-def test_step_forward_refuses_a_lattice():
-    coeffs, grid, _, lattice = setup("drift-random", 21, 3)
-    state = ForwardState(values=np.zeros(grid.nx), node=TreeNode(0, 0))
-    with pytest.raises(ForwardSolverError, match="per-path values"):
-        step_forward(state, coeffs, None, None, [lattice.sqdt], grid, lattice)
-
-
-def test_solve_backward_pathwise_refuses_a_lattice():
-    coeffs, grid, _, lattice = setup("drift-random", 21, 3)
-    with pytest.raises(TreeError, match="per-path values"):
-        solve_backward_pathwise(SpaceTimeField.zeros(grid, lattice), coeffs, 0, grid, lattice)
-
-
-def test_residual_bspde_refuses_a_lattice():
-    coeffs, grid, _, lattice = setup("drift-random", 21, 3)
-    g = smooth_random_field(grid, lattice, 1)
-    with pytest.raises(TreeError, match="per-path values"):
-        residual_bspde(op_L(g, coeffs, grid, lattice), g, coeffs, grid, lattice)

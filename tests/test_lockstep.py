@@ -7,8 +7,8 @@ tridiagonal solver keeps columns independent and every other step is
 elementwise, so each operator equals its own call bit for bit on the w1
 lattice, under d = 1 and d = 2 coefficients; in the tree cases each also
 matches its oracle on the tree of that d (tests/oracles.py): the duals the
-per-state means of the step_forward duals, the primals, gathered, the
-leaf-enumerated node values.  The adjoint suite makes three level solves
+per-state means of the duals stepped edge by edge, the primals, gathered,
+the leaf-enumerated node values.  The adjoint suite makes three level solves
 and two factorizations per level where five separate marches and two
 separate sweeps made eight of each.
 """

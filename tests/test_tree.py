@@ -224,6 +224,16 @@ def test_increment_moments_exact():
                 assert abs((inc[:, 0] * inc[:, 1]).mean()) == 0.0
 
 
+def test_leaf_path_rejects_bad_leaves(tree5):
+    # a leaf is one integer index below n_leaves; its path holds each
+    # level's ancestor, root to leaf
+    assert tree5.leaf_path(np.int64(22)).tolist() == [0, 1, 2, 5, 11, 22]
+    with pytest.raises(TreeError, match="integer index"):
+        tree5.leaf_path(np.arange(tree5.n_steps + 1))
+    with pytest.raises(TreeError, match="out of range"):
+        tree5.leaf_path(tree5.n_leaves)
+
+
 def test_cond_expect_constant(tree5):
     X = np.full(tree5.n_leaves, 3.25)
     for k in range(tree5.n_steps + 1):
